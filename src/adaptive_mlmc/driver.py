@@ -159,6 +159,9 @@ def take_sample(model, level: LevelState, master_seed: int, index: int,
         q_coarse = 0.0
         if level.coarser_mesh is not None:
             q_coarse, _ = model.evaluate(w.values, level.coarser_mesh, False)
+        if not np.all(np.isfinite([q_fine, q_coarse,
+                                   0.0 if decomp is None else decomp.total])):
+            raise SampleFailure("non-finite QoI or error estimate")
     except SampleFailure as exc:
         record.status = "failed"
         log.debug("sample (level=%d, index=%d) failed: %s", level.level, index, exc)

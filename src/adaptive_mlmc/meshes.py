@@ -50,12 +50,17 @@ class Mesh1D:
     def lengths(self) -> np.ndarray:
         return np.diff(self.nodes)
 
-    def interval_of(self, t: float) -> int:
-        """Index of the interval containing t, with intervals closed on the right."""
-        if t < self.nodes[0] or t > self.nodes[-1] * (1.0 + REL_TOL):
+    def interval_of(self, t):
+        """Index of the interval containing t, with intervals closed on the right.
+
+        A scalar t gives an int, an array of times an index array.
+        """
+        t_arr = np.asarray(t, dtype=float)
+        if t_arr.min() < self.nodes[0] or t_arr.max() > self.nodes[-1] * (1.0 + REL_TOL):
             raise MeshError(f"t={t} outside mesh [0, {self.length}]")
-        i = int(np.searchsorted(self.nodes, t, side="left")) - 1
-        return min(max(i, 0), self.n_intervals - 1)
+        i = np.clip(np.searchsorted(self.nodes, t_arr, side="left") - 1,
+                    0, self.n_intervals - 1)
+        return int(i) if i.ndim == 0 else i
 
     def dump(self, path) -> None:
         """Write one node time per line with 17 significant digits."""

@@ -6,6 +6,13 @@ iteration.  The adjoint solver integrates the linearized problem backwards
 from a terminal value on the forward mesh restricted to (0, t*) and
 uniformly refined by 2.  All integrals use 5-point Gauss-Legendre per finest
 sub-interval, exact for the polynomial degrees that arise here.
+
+Each kernel evaluates the model on the whole mesh at once where it can: the
+residual pairing makes one `rhs` call on every quadrature point, and the
+adjoint makes one `jacobian` call and one batched solve for all its step
+matrices.  Two loops stay sequential because each step needs the one
+before it: the forward march, whose Newton iterate on interval n starts
+from U_n, and the adjoint recurrence phi_n = A_n phi_{n+1}.
 """
 from __future__ import annotations
 
@@ -20,14 +27,17 @@ NEWTON_TOL = 1e-12
 NEWTON_MAX_ITERS = 25
 ADJOINT_REFINE_FACTOR = 2
 
-# 5-point Gauss-Legendre rule on [-1, 1]
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(5)
+# 5-point Gauss-Legendre rule on [0, 1]
+_GL01_X, _GL01_W = np.polynomial.legendre.leggauss(5)
+_GL01_X = 0.5 * (_GL01_X + 1.0)
+_GL01_W = 0.5 * _GL01_W
 
 
-def gauss_points(a: float, b: float):
-    """Nodes and weights of the 5-point Gauss-Legendre rule on [a, b]."""
-    half = 0.5 * (b - a)
-    return a + half * (_GL_X + 1.0), half * _GL_W
+def _segment_quadrature(pts: np.ndarray):
+    """Gauss points/weights for every segment, shaped (n_segments, 5)."""
+    a = pts[:-1, None]
+    length = np.diff(pts)[:, None]
+    return a + length * _GL01_X[None, :], length * _GL01_W[None, :]
 
 
 @dataclass(frozen=True)
@@ -50,12 +60,16 @@ class Trajectory:
     def dim(self) -> int:
         return self.values.shape[1]
 
+    def _interval(self, t: np.ndarray) -> np.ndarray:
+        """Index of the interval holding each t, clipped onto the mesh."""
+        return np.clip(np.searchsorted(self.mesh.nodes, t, side="right") - 1,
+                       0, self.mesh.n_intervals - 1)
+
     def __call__(self, t):
         """Linear interpolation; t scalar -> (d,), t of shape (m,) -> (m, d)."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         nodes = self.mesh.nodes
-        idx = np.clip(np.searchsorted(nodes, t_arr, side="right") - 1,
-                      0, self.mesh.n_intervals - 1)
+        idx = self._interval(t_arr)
         h = nodes[idx + 1] - nodes[idx]
         s = (t_arr - nodes[idx]) / h
         out = (1.0 - s)[:, None] * self.values[idx] + s[:, None] * self.values[idx + 1]
@@ -79,32 +93,29 @@ def solve_forward_cg1(problem: OdeProblem, mesh: TemporalMesh) -> Trajectory:
     if mesh.length < problem.horizon * (1.0 - REL_TOL):
         raise MeshError("mesh does not cover the problem horizon")
     nodes = mesh.nodes
-    d = problem.dim
-    eye = np.eye(d)
-    U = np.empty((nodes.size, d))
+    h = mesh.lengths
+    tq, wq = _segment_quadrature(nodes)
+    wsq = wq * _GL01_X
+    sq = _GL01_X[:, None]
+    eye = np.eye(problem.dim)
+    U = np.empty((nodes.size, problem.dim))
     U[0] = problem.initial
     for n in range(mesh.n_intervals):
-        a, b = nodes[n], nodes[n + 1]
-        h = b - a
-        tq, wq = gauss_points(a, b)
-        sq = (tq - a) / h
         Un = U[n]
-        X = Un + h * problem.rhs(Un, a)
-        converged = False
+        X = Un + h[n] * problem.rhs(Un, nodes[n])
         for _ in range(NEWTON_MAX_ITERS):
-            if not np.all(np.isfinite(X)):
+            if not np.isfinite(X).all():
                 raise SampleFailure(f"forward solve diverged on interval {n}")
-            Uq = np.outer(1.0 - sq, Un) + np.outer(sq, X)
-            residual = X - Un - wq @ problem.rhs(Uq, tq)
-            if np.max(np.abs(residual)) <= NEWTON_TOL:
-                converged = True
+            Uq = Un + sq * (X - Un)
+            residual = X - Un - wq[n] @ problem.rhs(Uq, tq[n])
+            if abs(residual).max() <= NEWTON_TOL:
                 break
-            J = eye - np.einsum("q,qij->ij", wq * sq, problem.jacobian(Uq, tq))
+            J = eye - np.einsum("q,qij->ij", wsq[n], problem.jacobian(Uq, tq[n]))
             try:
                 X = X - np.linalg.solve(J, residual)
             except np.linalg.LinAlgError as exc:
                 raise SampleFailure(f"singular Newton system on interval {n}") from exc
-        if not converged:
+        else:
             raise SampleFailure(
                 f"Newton did not reach {NEWTON_TOL} in {NEWTON_MAX_ITERS} "
                 f"iterations on interval {n}")
@@ -129,32 +140,27 @@ def solve_adjoint(problem: OdeProblem, forward: Trajectory, t_star: float,
 
     J is the model Jacobian evaluated on the forward interpolant.  The
     adjoint mesh is the forward mesh restricted to (0, t*) and uniformly
-    refined by 2; each backward step is a single linear solve.
+    refined by 2.  cG(1) for -phi' = J^T phi gives, per step,
+    (I - M0_n) phi_n = (I + M1_n) phi_{n+1}; all step matrices
+    A_n = (I - M0_n)^{-1} (I + M1_n) come from one batched solve.
     """
     mesh = uniform_refine(restrict_mesh(forward.mesh, t_star), ADJOINT_REFINE_FACTOR)
-    nodes = mesh.nodes
     d = problem.dim
+    tq, wq = _segment_quadrature(mesh.nodes)
+    t = tq.ravel()
+    Jt = np.swapaxes(problem.jacobian(forward(t), t), -1, -2).reshape(tq.shape + (d, d))
+    M0 = np.einsum("nq,nqij->nij", wq * (1.0 - _GL01_X), Jt)
+    M1 = np.einsum("nq,nqij->nij", wq * _GL01_X, Jt)
     eye = np.eye(d)
-    phi = np.empty((nodes.size, d))
+    try:
+        A = np.linalg.solve(eye - M0, eye + M1)
+    except np.linalg.LinAlgError as exc:
+        raise SampleFailure(f"singular adjoint step system up to t*={t_star}") from exc
+    phi = np.empty((mesh.nodes.size, d))
     phi[-1] = np.asarray(terminal_value, dtype=float)
     for n in range(mesh.n_intervals - 1, -1, -1):
-        a, b = nodes[n], nodes[n + 1]
-        tq, wq = gauss_points(a, b)
-        sq = (tq - a) / (b - a)
-        Jt = np.swapaxes(problem.jacobian(forward(tq), tq), -1, -2)
-        M0 = np.einsum("q,qij->ij", wq * (1.0 - sq), Jt)
-        M1 = np.einsum("q,qij->ij", wq * sq, Jt)
-        # cG(1) for -phi' = J^T phi: (I - M0) phi_a = (I + M1) phi_b
-        phi[n] = np.linalg.solve(eye - M0, phi[n + 1] + M1 @ phi[n + 1])
+        phi[n] = A[n] @ phi[n + 1]
     return Trajectory(mesh, phi)
-
-
-def _forward_slopes_at(forward: Trajectory, t: np.ndarray) -> np.ndarray:
-    nodes = forward.mesh.nodes
-    idx = np.clip(np.searchsorted(nodes, t, side="right") - 1,
-                  0, forward.mesh.n_intervals - 1)
-    h = (nodes[idx + 1] - nodes[idx])[:, None]
-    return (forward.values[idx + 1] - forward.values[idx]) / h
 
 
 def weighted_residual(problem: OdeProblem, forward: Trajectory, phi,
@@ -166,16 +172,14 @@ def weighted_residual(problem: OdeProblem, forward: Trajectory, phi,
     summed back onto the intervals of the forward mesh restricted to (0, t*).
     """
     restricted = restrict_mesh(forward.mesh, t_star)
-    contributions = np.zeros(restricted.n_intervals)
-    for k in range(quad_mesh.n_intervals):
-        a, b = quad_mesh.nodes[k], quad_mesh.nodes[k + 1]
-        tq, wq = gauss_points(a, b)
-        Uq = forward(tq)
-        integrand = np.einsum("qi,qi->q",
-                              problem.rhs(Uq, tq) - _forward_slopes_at(forward, tq),
-                              np.asarray(phi(tq), dtype=float))
-        contributions[restricted.interval_of(0.5 * (a + b))] += wq @ integrand
-    return contributions
+    tq, wq = _segment_quadrature(quad_mesh.nodes)
+    t = tq.ravel()
+    slopes = np.diff(forward.values, axis=0) / forward.mesh.lengths[:, None]
+    residual = problem.rhs(forward(t), t) - slopes[forward._interval(t)]
+    integrand = np.einsum("qi,qi->q", residual, np.asarray(phi(t), dtype=float))
+    per_sub_interval = np.einsum("kq,kq->k", wq, integrand.reshape(tq.shape))
+    owner = restricted.interval_of(0.5 * (quad_mesh.nodes[:-1] + quad_mesh.nodes[1:]))
+    return np.bincount(owner, weights=per_sub_interval, minlength=restricted.n_intervals)
 
 
 def residual_pairing(problem: OdeProblem, forward: Trajectory,

@@ -19,7 +19,7 @@ from .error_estimation import ErrorDecomposition
 from .meshes import SpatialMesh1D, uniform_mesh, uniform_refine
 from .refinement import RefinementConfig
 from .sampling import uniform
-from .solvers import Trajectory, gauss_points
+from .solvers import Trajectory, _segment_quadrature
 
 # With P1 elements the residual of U is Galerkin-orthogonal to the coarse
 # adjoint space, so an adjoint on a k-times finer mesh captures only the
@@ -61,19 +61,6 @@ def _segment_bounds(nodes: np.ndarray, breaks) -> np.ndarray:
                                   if nodes[0] < b < nodes[-1]]])
     pts = np.unique(pts)
     return pts
-
-
-# 5-point Gauss-Legendre rule on [0, 1]
-_GL01_X, _GL01_W = np.polynomial.legendre.leggauss(5)
-_GL01_X = 0.5 * (_GL01_X + 1.0)
-_GL01_W = 0.5 * _GL01_W
-
-
-def _segment_quadrature(pts: np.ndarray):
-    """Gauss points/weights for every segment, shaped (n_segments, 5)."""
-    a = pts[:-1, None]
-    length = np.diff(pts)[:, None]
-    return a + length * _GL01_X[None, :], length * _GL01_W[None, :]
 
 
 def _load_vector(mesh: SpatialMesh1D, g: Callable, breaks) -> np.ndarray:

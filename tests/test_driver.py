@@ -126,6 +126,14 @@ class SyntheticModel:
         return q, decomp
 
 
+class NanBelowModel(SyntheticModel):
+    """Returns a NaN QoI, without raising, whenever the draw is below 0.05."""
+
+    def evaluate(self, values, mesh, want_estimate):
+        q, decomp = super().evaluate(values, mesh, want_estimate)
+        return (float("nan") if values[0] < 0.05 else q), decomp
+
+
 class TestTakeSample:
     def test_telescopes_fine_minus_coarse(self):
         model = SyntheticModel()
@@ -148,6 +156,12 @@ class TestTakeSample:
         state = LevelState(0, uniform_mesh(1.0, 4), None, 1.0, [])
         rec = take_sample(model, state, 0, 0, want_estimate=False)
         assert rec.status == "failed"
+
+    def test_non_finite_error_estimate_marks_record(self):
+        model = SyntheticModel(estimate=float("inf"))
+        state = LevelState(0, uniform_mesh(1.0, 4), None, 1.0, [])
+        assert take_sample(model, state, 0, 0, want_estimate=False).status == "ok"
+        assert take_sample(model, state, 0, 0, want_estimate=True).status == "failed"
 
 
 class TestRunConfigValidation:
@@ -225,6 +239,16 @@ class TestAdaptiveRun:
         cfg = MlmcRunConfig(epsilon=1.0, initial_mesh=uniform_mesh(1.0, 2))
         with pytest.raises(MlmcError):
             run_adaptive_mlmc(SyntheticModel(fail=True), cfg)
+
+    def test_nan_qoi_samples_are_redrawn(self):
+        cfg = MlmcRunConfig(epsilon=1.0, initial_mesh=uniform_mesh(1.0, 2),
+                            max_failure_rate=0.2)
+        est = run_adaptive_mlmc(NanBelowModel(), cfg)
+        assert est.n_failures > 0
+        assert np.isfinite(est.value) and np.isfinite(est.total_variance)
+        failed = [row for row in est.sample_log if row[2] == "failed"]
+        assert len(failed) == est.n_failures
+        assert all(np.isfinite(row[5]) for row in est.sample_log if row[2] == "ok")
 
     def test_sample_log_is_complete(self):
         model, cfg = self._config(epsilon=1e6)

@@ -1,13 +1,19 @@
 """Forward cG(1) solver, adjoint solver, and residual-pairing tests."""
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from adaptive_mlmc.meshes import MeshError, TemporalMesh, uniform_mesh
+from adaptive_mlmc.experiments import get_experiment
+from adaptive_mlmc.meshes import MeshError, TemporalMesh, uniform_mesh, uniform_refine
 from adaptive_mlmc.models import OdeProblem, SampleFailure, harmonic_oscillator
-from adaptive_mlmc.solvers import (Trajectory, residual_pairing, restrict_mesh,
-                                   solve_adjoint, solve_forward_cg1)
+from adaptive_mlmc.qoi import StandardQoi, eval_event_time
+from adaptive_mlmc.solvers import (ADJOINT_REFINE_FACTOR, Trajectory,
+                                   _segment_quadrature, residual_pairing,
+                                   restrict_mesh, solve_adjoint,
+                                   solve_forward_cg1)
 
 
 def linear_decay(rate=1.0):
@@ -165,3 +171,98 @@ class TestResidualPairing:
         phi = solve_adjoint(problem, forward, 1.0, np.array([1.0, 0.0]))
         with pytest.raises(MeshError):
             residual_pairing(problem, forward, phi, 2.0)
+
+
+def reference_adjoint(problem, forward, t_star, terminal_value):
+    """Per-step adjoint loop: one Jacobian call and one solve per sub-interval."""
+    mesh = uniform_refine(restrict_mesh(forward.mesh, t_star), ADJOINT_REFINE_FACTOR)
+    nodes = mesh.nodes
+    eye = np.eye(problem.dim)
+    phi = np.empty((nodes.size, problem.dim))
+    phi[-1] = terminal_value
+    for n in range(mesh.n_intervals - 1, -1, -1):
+        a, b = nodes[n], nodes[n + 1]
+        (tq,), (wq,) = _segment_quadrature(np.array([a, b]))
+        sq = (tq - a) / (b - a)
+        Jt = np.swapaxes(problem.jacobian(forward(tq), tq), -1, -2)
+        M0 = np.einsum("q,qij->ij", wq * (1.0 - sq), Jt)
+        M1 = np.einsum("q,qij->ij", wq * sq, Jt)
+        phi[n] = np.linalg.solve(eye - M0, phi[n + 1] + M1 @ phi[n + 1])
+    return Trajectory(mesh, phi)
+
+
+def reference_pairing(problem, forward, adjoint, t_star):
+    """Per-sub-interval pairing: one rhs call per adjoint sub-interval."""
+    restricted = restrict_mesh(forward.mesh, t_star)
+    contributions = np.zeros(restricted.n_intervals)
+    nodes = adjoint.mesh.nodes
+    for k in range(adjoint.mesh.n_intervals):
+        a, b = nodes[k], nodes[k + 1]
+        (tq,), (wq,) = _segment_quadrature(np.array([a, b]))
+        slope = forward.slope(forward.mesh.interval_of(0.5 * (a + b)))
+        integrand = np.einsum("qi,qi->q", problem.rhs(forward(tq), tq) - slope,
+                              adjoint(tq))
+        contributions[restricted.interval_of(0.5 * (a + b))] += wq @ integrand
+    return contributions
+
+
+def preset_case(name):
+    """A preset at its mid parameters, solved on its initial mesh, with its t*."""
+    experiment = get_experiment(name)
+    w = np.array([0.5 * (d.a + d.b) for d in experiment.distributions])
+    problem = experiment.make_problem(w)
+    forward = solve_forward_cg1(problem, experiment.initial_mesh())
+    q = experiment.qoi
+    t_star = q.t_star if isinstance(q, StandardQoi) else eval_event_time(forward, q)
+    return problem, forward, t_star, q.psi
+
+
+class TestWholeMeshKernels:
+    """The whole-mesh adjoint and pairing against the per-step loops."""
+
+    @pytest.mark.parametrize("name", ["harmonic-standard", "lorenz", "two-body"])
+    def test_match_per_step_reference(self, name):
+        problem, forward, t_star, psi = preset_case(name)
+        phi = solve_adjoint(problem, forward, t_star, psi)
+        ref_phi = reference_adjoint(problem, forward, t_star, psi)
+        np.testing.assert_array_equal(phi.mesh.nodes, ref_phi.mesh.nodes)
+        np.testing.assert_allclose(phi.values, ref_phi.values, rtol=1e-12)
+        np.testing.assert_allclose(residual_pairing(problem, forward, phi, t_star),
+                                   reference_pairing(problem, forward, phi, t_star),
+                                   rtol=1e-12)
+
+    def test_event_time_case_restricts_inside_an_interval(self):
+        problem, forward, t_c, psi = preset_case("two-body")
+        assert not np.any(np.isclose(forward.mesh.nodes, t_c, rtol=1e-6))
+        contributions = residual_pairing(
+            problem, forward, solve_adjoint(problem, forward, t_c, psi), t_c)
+        assert contributions.size == restrict_mesh(forward.mesh, t_c).n_intervals
+        assert contributions.size < forward.mesh.n_intervals
+
+    def test_one_model_call_per_kernel(self):
+        problem, forward, t_star, psi = preset_case("lorenz")
+        calls = {"rhs": 0, "jacobian": 0}
+
+        def counting(name, fn):
+            def wrapped(u, t):
+                calls[name] += 1
+                return fn(u, t)
+            return wrapped
+
+        counted = dataclasses.replace(
+            problem, rhs=counting("rhs", problem.rhs),
+            jacobian=counting("jacobian", problem.jacobian))
+        phi = solve_adjoint(counted, forward, t_star, psi)
+        assert calls == {"rhs": 0, "jacobian": 1}
+        residual_pairing(counted, forward, phi, t_star)
+        assert calls == {"rhs": 1, "jacobian": 1}
+
+    def test_singular_adjoint_step_is_a_sample_failure(self):
+        # J = 4 on one interval of (0, 1): the first adjoint step has h = 1/2
+        # and I - M0 = 1 - 4 * h / 2 = 0.
+        problem = OdeProblem(1, lambda u, t: np.zeros_like(np.asarray(u, dtype=float)),
+                             lambda u, t: np.full(np.shape(u)[:-1] + (1, 1), 4.0),
+                             np.array([1.0]), 1.0)
+        forward = Trajectory(uniform_mesh(1.0, 1), np.ones((2, 1)))
+        with pytest.raises(SampleFailure):
+            solve_adjoint(problem, forward, 1.0, np.array([1.0]))
