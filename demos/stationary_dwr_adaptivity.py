@@ -9,9 +9,10 @@ costs.
 """
 import numpy as np
 
-from adaptive_mlmc import (BvpMlmcModel, BvpProblem, MlmcRunConfig,
-                           SpatialMesh1D, refine_intervals, run_bvp_mlmc,
-                           solve_bvp_adjoint, solve_bvp_p1, uniform_mesh)
+from adaptive_mlmc import (BvpMlmcModel, BvpProblem, ErrorDecomposition,
+                           MlmcRunConfig, SpatialMesh1D, refine_intervals,
+                           run_bvp_mlmc, solve_bvp_adjoint, solve_bvp_p1,
+                           uniform_mesh)
 from adaptive_mlmc.refinement import dwr_select
 from adaptive_mlmc.stationary import (BVP_DEFAULT_EPSILON,
                                       bvp_error_decomposition,
@@ -25,12 +26,16 @@ def main():
     problem = BvpProblem()
     print(f"single-sample DWR loop at b = {ADVECTION:g}")
     mesh = uniform_mesh(3.0, 12, SpatialMesh1D)
+    w = np.array([ADVECTION])  # the solvers take a vector of speeds
     for sweep in range(4):
-        u = solve_bvp_p1(problem, ADVECTION, mesh)
-        phi = solve_bvp_adjoint(problem, ADVECTION, mesh)
-        decomp = bvp_error_decomposition(problem, ADVECTION, u, phi)
+        U = solve_bvp_p1(problem, w, mesh)
+        phi_mesh, Phi = solve_bvp_adjoint(problem, w, mesh)
+        [contributions] = bvp_error_decomposition(problem, w, mesh, U,
+                                                  phi_mesh, Phi)
+        decomp = ErrorDecomposition(contributions)
+        [q] = qoi_value(problem, mesh, U)
         print(f"  sweep {sweep}: {mesh.n_intervals:3d} elements, "
-              f"QoI = {qoi_value(problem, u):+.6f}, "
+              f"QoI = {q:+.6f}, "
               f"estimated error = {decomp.total:+.3e}")
         marked = dwr_select(decomp, 0.25)
         mesh = refine_intervals(mesh, marked, 2)

@@ -29,8 +29,8 @@ from .refinement import (RefinementConfig, allocate_meso, build_next_mesh,
                          refine_meso, refine_uniform)
 from .sampling import (DistributionError, ParameterDistribution,
                        ParameterSample, normal, sample_parameters, uniform)
-from .solvers import (AdjointPair, Trajectory, residual_pairing,
-                      restrict_mesh, solve_adjoint, solve_forward_cg1)
+from .solvers import (Trajectory, residual_pairing, restrict_mesh,
+                      solve_adjoint, solve_forward_cg1)
 from .stationary import (BvpMlmcModel, BvpProblem, bvp_error_decomposition,
                          bvp_initial_mesh, bvp_refinement, qoi_value,
                          run_bvp_mlmc, solve_bvp_adjoint, solve_bvp_p1)

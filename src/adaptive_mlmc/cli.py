@@ -17,7 +17,6 @@ from typing import Optional
 
 from .driver import MlmcError, MlmcEstimate, MlmcRunConfig, run_adaptive_mlmc
 from .experiments import EXPERIMENT_NAMES, OdeMlmcModel, get_experiment
-from .meshes import uniform_mesh, SpatialMesh1D, TemporalMesh
 from .refinement import RefinementConfig
 from .stationary import (BVP_DEFAULT_EPSILON, BVP_INITIAL_ELEMENTS,
                          BvpMlmcModel, bvp_initial_mesh, bvp_refinement)

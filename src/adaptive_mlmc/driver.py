@@ -5,6 +5,11 @@ Per-sample adjoint error estimates on the highest level supply the bias, the
 bias-squared test decides when to stop, and the retained error
 decompositions of the newest level drive the creation of the next mesh.
 Costs are modeled from element counts (one level-0 solve = 1 unit).
+
+A model takes draws in chunks: `evaluate(W, mesh, want_estimate)`, W of
+shape (M, p), returns M QoI values and a list of M decompositions (or None).
+A draw the model could not complete shows as a non-finite QoI or error
+estimate; only that sample is recorded failed and redrawn.
 """
 from __future__ import annotations
 
@@ -17,12 +22,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .error_estimation import ErrorDecomposition
-from .meshes import Mesh1D, RegionSpan
-from .models import SampleFailure
+from .meshes import Mesh1D, whole_domain_span
 from .refinement import RefinementConfig, build_next_mesh
 from .sampling import ParameterSample, sample_parameters
 
 log = logging.getLogger(__name__)
+
+# Most draws a model receives in one `evaluate` call.  Bounds the memory of
+# a batched solve; chunking never changes a run's output.
+CHUNK_SIZE = 256
 
 
 class MlmcError(RuntimeError):
@@ -149,35 +157,33 @@ def optimal_samples(variances: Sequence[float], costs: Sequence[float],
     return n_opt
 
 
-def take_sample(model, level: LevelState, master_seed: int, index: int,
-                want_estimate: bool) -> SampleRecord:
-    """One telescoped sample: same parameter draw on the fine and coarse mesh."""
-    w = sample_parameters(model.distributions, master_seed, level.level, index)
-    record = SampleRecord(w)
-    try:
-        q_fine, decomp = model.evaluate(w.values, level.mesh, want_estimate)
-        q_coarse = 0.0
-        if level.coarser_mesh is not None:
-            q_coarse, _ = model.evaluate(w.values, level.coarser_mesh, False)
-        if not np.all(np.isfinite([q_fine, q_coarse,
-                                   0.0 if decomp is None else decomp.total])):
-            raise SampleFailure("non-finite QoI or error estimate")
-    except SampleFailure as exc:
-        record.status = "failed"
-        log.debug("sample (level=%d, index=%d) failed: %s", level.level, index, exc)
-        return record
-    record.q_fine = q_fine
-    record.q_coarse = q_coarse
-    record.y = q_fine - q_coarse
-    if decomp is not None:
-        record.decomposition = decomp
-        record.error_estimate = decomp.total
-        record.denominator = decomp.denominator
-    return record
+def take_sample(model, level: LevelState, master_seed: int, indices: Sequence[int],
+                want_estimate: bool) -> list:
+    """One chunk of telescoped samples: each draw on the fine and coarse mesh,
+    one `evaluate` call per mesh.  A non-finite row fails only its own record."""
+    draws = [sample_parameters(model.distributions, master_seed, level.level, i)
+             for i in indices]
+    W = np.array([w.values for w in draws])
+    q_fine, decomps = model.evaluate(W, level.mesh, want_estimate)
+    q_coarse = np.zeros(len(draws)) if level.coarser_mesh is None \
+        else model.evaluate(W, level.coarser_mesh, False)[0]
+    records = [SampleRecord(w) for w in draws]
+    for rec, qf, qc, decomp in zip(records, q_fine, q_coarse, decomps):
+        if not (math.isfinite(qf) and math.isfinite(qc)
+                and (decomp is None or math.isfinite(decomp.total))):
+            rec.status = "failed"
+            log.debug("sample (level=%d, index=%d) failed: non-finite QoI or "
+                      "error estimate", level.level, rec.index)
+            continue
+        rec.q_fine, rec.q_coarse, rec.y = qf, qc, qf - qc
+        if decomp is not None:
+            rec.decomposition = decomp
+            rec.error_estimate, rec.denominator = decomp.total, decomp.denominator
+    return records
 
 
 class _Runner:
-    """Batched sample execution with failure redraws and a run-wide tally."""
+    """Chunked sample execution with failure redraws and a run-wide tally."""
 
     def __init__(self, model, cfg: MlmcRunConfig):
         self.model = model
@@ -198,16 +204,20 @@ class _Runner:
                 f"attempts exceeds the allowed rate {self.cfg.max_failure_rate}")
 
     def fill(self, level: LevelState, target: int, want_estimate: bool) -> None:
-        """Take samples until the level holds `target` ok samples."""
+        """Take samples until the level holds `target` ok samples, in at least
+        `jobs` chunks of at most CHUNK_SIZE draws per round."""
         while len(level.ok_samples()) < target:
             need = target - len(level.ok_samples())
-            indices = list(range(level.next_index, level.next_index + need))
+            n_chunks = max(self.cfg.jobs, -(-need // CHUNK_SIZE))
+            chunks = [c for c in np.array_split(
+                np.arange(level.next_index, level.next_index + need), n_chunks)
+                if c.size]
             level.next_index += need
-            worker = lambda i: take_sample(self.model, level, self.cfg.master_seed,
-                                           i, want_estimate)
-            records = list(self.pool.map(worker, indices)) if self.pool \
-                else [worker(i) for i in indices]
-            for rec in records:
+            worker = lambda idx: take_sample(self.model, level, self.cfg.master_seed,
+                                             idx, want_estimate)
+            batches = self.pool.map(worker, chunks) if self.pool \
+                else map(worker, chunks)
+            for rec in [rec for batch in batches for rec in batch]:
                 self.attempts += 1
                 if rec.status == "failed":
                     self.failures += 1
@@ -231,7 +241,7 @@ def run_adaptive_mlmc(model, cfg: MlmcRunConfig) -> MlmcEstimate:
         initial = cfg.initial_mesh
         elems0 = initial.n_intervals
         levels = [LevelState(0, initial, None, 1.0,
-                             [RegionSpan(0.0, initial.length, elems0)])]
+                             whole_domain_span(initial))]
         runner.fill(levels[0], cfg.schedule(0), want_estimate=True)
         variances = [level_variance(levels[0].samples)]
         n_opt = optimal_samples(variances, [1.0], cfg.epsilon)
@@ -246,8 +256,7 @@ def run_adaptive_mlmc(model, cfg: MlmcRunConfig) -> MlmcEstimate:
             new_mesh, new_regions = build_next_mesh(
                 highest.mesh, highest.regions, decomps, cfg.refinement)
             _drop_decompositions(highest)
-            if new_regions is None:
-                new_regions = [RegionSpan(0.0, new_mesh.length, new_mesh.n_intervals)]
+            new_regions = new_regions or whole_domain_span(new_mesh)
             cost = (new_mesh.n_intervals + highest.mesh.n_intervals) / elems0
             level = LevelState(len(levels), new_mesh, highest.mesh, cost, new_regions)
             levels.append(level)

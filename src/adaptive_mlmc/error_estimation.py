@@ -13,7 +13,7 @@ import numpy as np
 
 from .models import OdeProblem, SampleFailure
 from .qoi import NonstandardQoi, StandardQoi
-from .solvers import AdjointPair, Trajectory, residual_pairing, solve_adjoint
+from .solvers import Trajectory, residual_pairing, solve_adjoint
 
 
 class DegenerateDenominator(SampleFailure):
@@ -71,15 +71,6 @@ def estimate_standard_error(problem: OdeProblem, forward: Trajectory,
     return ErrorDecomposition(contributions, 1.0, "standard")
 
 
-def event_time_adjoints(problem: OdeProblem, forward: Trajectory,
-                        q: NonstandardQoi, t_c: float) -> AdjointPair:
-    """The two adjoint solves the event-time estimate requires."""
-    u_c = forward(t_c)
-    psi2 = problem.jacobian(u_c, t_c).T @ q.psi
-    return AdjointPair(solve_adjoint(problem, forward, t_c, q.psi),
-                       solve_adjoint(problem, forward, t_c, psi2))
-
-
 def estimate_event_time_error(problem: OdeProblem, forward: Trajectory,
                               q: NonstandardQoi, t_c: float) -> ErrorDecomposition:
     """Linearized event-time error estimate around the computed crossing t_c.
@@ -88,10 +79,12 @@ def estimate_event_time_error(problem: OdeProblem, forward: Trajectory,
     f(U(t_c), t_c) . psi plus the estimated e(t_c) . J(t_c)^T psi, with the
     Jacobian frozen at (U(t_c), t_c).
     """
-    pair = event_time_adjoints(problem, forward, q, t_c)
-    contributions = residual_pairing(problem, forward, pair.phi1, t_c)
-    correction = float(residual_pairing(problem, forward, pair.phi2, t_c).sum())
     u_c = forward(t_c)
+    phi1 = solve_adjoint(problem, forward, t_c, q.psi)
+    phi2 = solve_adjoint(problem, forward, t_c,
+                         problem.jacobian(u_c, t_c).T @ q.psi)
+    contributions = residual_pairing(problem, forward, phi1, t_c)
+    correction = float(residual_pairing(problem, forward, phi2, t_c).sum())
     f_psi = float(problem.rhs(u_c, t_c) @ q.psi)
     denominator = f_psi + correction
     if abs(denominator) < 1e-10 * (1.0 + abs(f_psi)):

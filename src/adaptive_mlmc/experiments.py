@@ -3,23 +3,25 @@
 Each preset bundles a parameterized ODE, the distributions of its random
 inputs, a quantity of interest, an initial uniform grid, and a default MSE
 tolerance.  `OdeMlmcModel` adapts a preset to the driver interface: given a
-parameter realization and a mesh it returns the QoI value and, on request,
-the adjoint-based error decomposition.
+chunk of parameter realizations and a mesh it returns their QoI values and,
+on request, their adjoint-based error decompositions.
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
-from .error_estimation import (ErrorDecomposition, estimate_event_time_error,
-                               estimate_standard_error)
+from .error_estimation import estimate_event_time_error, estimate_standard_error
 from .meshes import TemporalMesh, uniform_mesh
-from .models import OdeProblem, harmonic_oscillator, lorenz, two_body
+from .models import SampleFailure, harmonic_oscillator, lorenz, two_body
 from .qoi import (NonstandardQoi, StandardQoi, eval_event_time, eval_standard)
 from .sampling import ParameterDistribution, normal, uniform
 from .solvers import solve_forward_cg1
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -40,27 +42,38 @@ class OdeExperiment:
 
 
 class OdeMlmcModel:
-    """Driver-facing adapter: solve, evaluate the QoI, optionally estimate."""
+    """Driver-facing adapter: solve, evaluate the QoI, optionally estimate.
+
+    `evaluate` solves a chunk of draws (M, p) row by row; a row that raises
+    `SampleFailure` gets a NaN QoI, which the driver records as failed.
+    """
 
     def __init__(self, experiment: OdeExperiment):
         self.experiment = experiment
         self.distributions = experiment.distributions
 
-    def evaluate(self, values: np.ndarray, mesh: TemporalMesh,
-                 want_estimate: bool):
-        problem = self.experiment.make_problem(values)
-        forward = solve_forward_cg1(problem, mesh)
+    def evaluate(self, W: np.ndarray, mesh: TemporalMesh, want_estimate: bool):
         q = self.experiment.qoi
-        decomp: Optional[ErrorDecomposition] = None
-        if isinstance(q, StandardQoi):
-            value = eval_standard(forward, q)
-            if want_estimate:
-                decomp = estimate_standard_error(problem, forward, q)
-        else:
-            value = eval_event_time(forward, q)
-            if want_estimate:
-                decomp = estimate_event_time_error(problem, forward, q, value)
-        return value, decomp
+        values = np.full(len(W), np.nan)
+        decomps = [None] * len(W)
+        for k, w in enumerate(W):
+            try:
+                problem = self.experiment.make_problem(w)
+                forward = solve_forward_cg1(problem, mesh)
+                if isinstance(q, StandardQoi):
+                    value = eval_standard(forward, q)
+                    if want_estimate:
+                        decomps[k] = estimate_standard_error(problem, forward, q)
+                else:
+                    value = eval_event_time(forward, q)
+                    if want_estimate:
+                        decomps[k] = estimate_event_time_error(problem, forward,
+                                                               q, value)
+            except SampleFailure as exc:
+                log.debug("draw %s failed: %s", w, exc)
+                continue
+            values[k] = value
+        return values, decomps
 
 
 def _harmonic_standard() -> OdeExperiment:

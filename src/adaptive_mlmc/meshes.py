@@ -98,9 +98,6 @@ class IntervalSet:
                 raise MeshError(f"interval index {i} out of range for mesh "
                                 f"with {mesh.n_intervals} intervals")
 
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet(self.indices | other.indices)
-
 
 @dataclass(frozen=True)
 class MesoRegion:

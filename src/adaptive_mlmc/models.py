@@ -16,7 +16,9 @@ import numpy as np
 class SampleFailure(RuntimeError):
     """A single sample could not be completed (solver breakdown, missing event).
 
-    The MLMC driver catches this, marks the sample failed and redraws.
+    `OdeMlmcModel.evaluate` catches this for the one draw that raised and
+    reports a NaN QoI for it; the MLMC driver marks that sample failed and
+    redraws.
     """
 
 

@@ -7,7 +7,7 @@ no matter in which order, or on how many workers, samples are generated.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -62,10 +62,11 @@ class ParameterSample:
 
 
 def _words(master_seed: int, level: int, index: int, n: int) -> np.ndarray:
+    """n raw words of the Philox stream keyed by (seed, level, index): the
+    words `Generator.integers` gives on the full uint64 range, minus its cost."""
     seq = np.random.SeedSequence(entropy=int(master_seed),
                                  spawn_key=(int(level), int(index)))
-    gen = np.random.Generator(np.random.Philox(seed=seq))
-    return gen.integers(0, 2 ** 64, size=n, dtype=np.uint64)
+    return np.random.Philox(seed=seq).random_raw(n)
 
 
 def _unit_open_closed(words: np.ndarray) -> np.ndarray:

@@ -56,10 +56,6 @@ class Trajectory:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
-
     def _interval(self, t: np.ndarray) -> np.ndarray:
         """Index of the interval holding each t, clipped onto the mesh."""
         return np.clip(np.searchsorted(self.mesh.nodes, t, side="right") - 1,
@@ -78,14 +74,6 @@ class Trajectory:
     def slope(self, interval: int) -> np.ndarray:
         h = self.mesh.nodes[interval + 1] - self.mesh.nodes[interval]
         return (self.values[interval + 1] - self.values[interval]) / h
-
-
-@dataclass(frozen=True)
-class AdjointPair:
-    """The one or two adjoint solutions an error estimate needs."""
-
-    phi1: Trajectory
-    phi2: Trajectory | None = None
 
 
 def solve_forward_cg1(problem: OdeProblem, mesh: TemporalMesh) -> Trajectory:

@@ -5,10 +5,13 @@ weak form -(u', v') + b(u', v) = (f, v), the adjoint problem with the
 advection sign flipped and the QoI weight as source, and the elementwise
 error decomposition pairing the residual of U with the adjoint weight.
 The spatial DWR and uniform strategies plug into the shared MLMC driver.
+
+Each solve, QoI and decomposition treats a vector of M advection speeds at
+once, on a shared mesh.  No draw can fail (see `_solve_weak`).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -19,7 +22,7 @@ from .error_estimation import ErrorDecomposition
 from .meshes import SpatialMesh1D, uniform_mesh, uniform_refine
 from .refinement import RefinementConfig
 from .sampling import uniform
-from .solvers import Trajectory, _segment_quadrature
+from .solvers import _segment_quadrature
 
 # With P1 elements the residual of U is Galerkin-orthogonal to the coarse
 # adjoint space, so an adjoint on a k-times finer mesh captures only the
@@ -68,8 +71,7 @@ def _load_vector(mesh: SpatialMesh1D, g: Callable, breaks) -> np.ndarray:
     nodes = mesh.nodes
     pts = _segment_bounds(nodes, breaks)
     xq, wq = _segment_quadrature(pts)
-    idx = np.clip(np.searchsorted(nodes, 0.5 * (pts[:-1] + pts[1:])) - 1,
-                  0, mesh.n_intervals - 1)
+    idx = mesh.interval_of(0.5 * (pts[:-1] + pts[1:]))
     h = (nodes[idx + 1] - nodes[idx])[:, None]
     s = (xq - nodes[idx][:, None]) / h
     gq = g(xq.ravel()).reshape(xq.shape) * wq
@@ -79,108 +81,121 @@ def _load_vector(mesh: SpatialMesh1D, g: Callable, breaks) -> np.ndarray:
     return F
 
 
-def _assemble_banded(mesh: SpatialMesh1D, advection: float) -> np.ndarray:
-    """Interior-node tridiagonal system of -(u', v') + b (u', v) in ab-form."""
-    h = mesh.lengths
-    n = mesh.n_intervals - 1  # interior unknowns
-    diag = -(1.0 / h[:-1] + 1.0 / h[1:])
-    upper = 1.0 / h[1:-1] + 0.5 * advection
-    lower = 1.0 / h[1:-1] - 0.5 * advection
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper
-    ab[1, :] = diag
-    ab[2, :-1] = lower
-    return ab
+def _interpolate(mesh: SpatialMesh1D, values: np.ndarray, x: np.ndarray):
+    """Rows of P1 nodal values (M, nodes), linearly interpolated at points x."""
+    nodes = mesh.nodes
+    idx = mesh.interval_of(x)
+    s = (x - nodes[idx]) / (nodes[idx + 1] - nodes[idx])
+    return (1.0 - s) * values[:, idx] + s * values[:, idx + 1]
 
 
-def _solve_weak(mesh: SpatialMesh1D, advection: float, g: Callable,
-                breaks) -> Trajectory:
-    """P1 Galerkin solution of -(u', v') + b (u', v) = (g, v), u = 0 on the boundary."""
+def _solve_weak(mesh: SpatialMesh1D, advection: np.ndarray, g: Callable,
+                breaks) -> np.ndarray:
+    """P1 Galerkin solutions of -(u', v') + b (u', v) = (g, v), u = 0 on the
+    boundary, one per speed b in `advection`: nodal values (M, nodes)."""
     if mesh.n_intervals < 2:
         raise ValueError("need at least two elements for an interior unknown")
     F = _load_vector(mesh, g, breaks)
-    ab = _assemble_banded(mesh, advection)
-    values = np.zeros(mesh.nodes.size)
-    values[1:-1] = solve_banded((1, 1), ab, F[1:-1])
-    return Trajectory(mesh, values)
+    inv_h = 1.0 / mesh.lengths
+    half_b = 0.5 * advection[:, None]
+    m, n = half_b.shape[0], mesh.n_intervals - 1  # systems, interior unknowns
+    # The M tridiagonal systems, stacked with zero coupling, are one banded
+    # system.  None is singular: for real b the symmetric part of the operator
+    # is minus the P1 stiffness matrix, which is negative definite under the
+    # Dirichlet conditions, so x^T A x < 0 for every x != 0.
+    ab = np.zeros((3, m, n))
+    ab[0, :, 1:] = inv_h[1:-1] + half_b
+    ab[1] = -(inv_h[:-1] + inv_h[1:])
+    ab[2, :, :-1] = inv_h[1:-1] - half_b
+    values = np.zeros((m, n + 2))
+    values[:, 1:-1] = solve_banded((1, 1), ab.reshape(3, m * n),
+                                   np.tile(F[1:-1], m)).reshape(m, n)
+    return values
 
 
-def solve_bvp_p1(problem: BvpProblem, w: float, mesh: SpatialMesh1D) -> Trajectory:
-    """Forward solve with advection coefficient w."""
-    return _solve_weak(mesh, float(w), problem.source, problem.source_breaks)
+def solve_bvp_p1(problem: BvpProblem, w: np.ndarray,
+                 mesh: SpatialMesh1D) -> np.ndarray:
+    """Forward solves for the advection speeds w (M,): nodal values (M, nodes)."""
+    return _solve_weak(mesh, w, problem.source, problem.source_breaks)
 
 
-def solve_bvp_adjoint(problem: BvpProblem, w: float,
-                      mesh: SpatialMesh1D) -> Trajectory:
-    """Adjoint solve: advection sign flipped, psi as source, mesh refined once.
+def solve_bvp_adjoint(problem: BvpProblem, w: np.ndarray, mesh: SpatialMesh1D
+                      ) -> Tuple[SpatialMesh1D, np.ndarray]:
+    """Adjoint solves: advection sign flipped, psi as source, mesh refined.
 
-    For w = 0 the operator is symmetric, so the adjoint coincides with a
-    primal solve sourced by psi and the duality identity
-    (f, phi[psi]) = (psi, u[f]) holds to rounding.
+    Returns the refined mesh and the nodal values (M, refined nodes).  For
+    w = 0 the operator is symmetric, so the adjoint coincides with a primal
+    solve sourced by psi and the duality identity (f, phi[psi]) = (psi, u[f])
+    holds to rounding.
     """
     fine = uniform_refine(mesh, ADJOINT_REFINE_FACTOR)
-    return _solve_weak(fine, -float(w), problem.psi, problem.psi_support)
+    return fine, _solve_weak(fine, -w, problem.psi, problem.psi_support)
 
 
-def qoi_value(problem: BvpProblem, u: Trajectory) -> float:
-    """(u, psi): exact integral of the P1 solution over the psi support."""
+def qoi_value(problem: BvpProblem, mesh: SpatialMesh1D,
+              U: np.ndarray) -> np.ndarray:
+    """(u, psi) per row of U: exact integrals of the P1 solutions, shape (M,)."""
     lo, hi = problem.psi_support
-    nodes = u.mesh.nodes
-    total = 0.0
-    pts = _segment_bounds(nodes, (lo, hi))
-    for a, b in zip(pts[:-1], pts[1:]):
-        mid = 0.5 * (a + b)
-        if lo <= mid <= hi:
-            total += (b - a) * float(u(mid)[0])
+    pts = _segment_bounds(mesh.nodes, (lo, hi))
+    mids = 0.5 * (pts[:-1] + pts[1:])
+    inside = (lo <= mids) & (mids <= hi)
+    widths = (pts[1:] - pts[:-1])[inside]
+    values = _interpolate(mesh, U, mids[inside])
+    total = np.zeros(U.shape[0])
+    for k, width in enumerate(widths):  # segment by segment, left to right
+        total += width * values[:, k]
     return total
 
 
-def bvp_error_decomposition(problem: BvpProblem, w: float, u: Trajectory,
-                            phi: Trajectory) -> ErrorDecomposition:
-    """Per-element residual pairing e_tau = int_tau [f phi + U' phi' - b U' phi].
+def bvp_error_decomposition(problem: BvpProblem, w: np.ndarray, mesh: SpatialMesh1D,
+                            U: np.ndarray, phi_mesh: SpatialMesh1D,
+                            Phi: np.ndarray) -> np.ndarray:
+    """Per-element residual pairings e_tau = int_tau [f phi + U' phi' - b U' phi].
 
-    The total estimates Q(u) - Q(U); quadrature segments split at element
+    One row per advection speed in w, shape (M, elements); each row sums to
+    an estimate of Q(u) - Q(U).  Quadrature segments split at element
     boundaries of both meshes and at the source breakpoints so the rule is
     exact for the piecewise-polynomial integrand.
     """
-    b_adv = float(w)
-    mesh = u.mesh
-    pts = _segment_bounds(np.concatenate([mesh.nodes, phi.mesh.nodes]),
+    pts = _segment_bounds(np.concatenate([mesh.nodes, phi_mesh.nodes]),
                           problem.source_breaks)
     mids = 0.5 * (pts[:-1] + pts[1:])
     xq, wq = _segment_quadrature(pts)
-    idx_u = np.clip(np.searchsorted(mesh.nodes, mids) - 1,
-                    0, mesh.n_intervals - 1)
-    idx_phi = np.clip(np.searchsorted(phi.mesh.nodes, mids) - 1,
-                      0, phi.mesh.n_intervals - 1)
-    du = (np.diff(u.values[:, 0]) / mesh.lengths)[idx_u][:, None]
-    dphi = (np.diff(phi.values[:, 0]) / phi.mesh.lengths)[idx_phi][:, None]
-    phiq = phi(xq.ravel())[:, 0].reshape(xq.shape)
+    idx_u = mesh.interval_of(mids)
+    idx_phi = phi_mesh.interval_of(mids)
+    du = (np.diff(U, axis=1) / mesh.lengths)[:, idx_u, None]
+    dphi = (np.diff(Phi, axis=1) / phi_mesh.lengths)[:, idx_phi, None]
+    phiq = _interpolate(phi_mesh, Phi, xq)
     fq = problem.source(xq.ravel()).reshape(xq.shape)
-    per_segment = (wq * (fq * phiq + du * dphi - b_adv * du * phiq)).sum(axis=1)
-    contributions = np.zeros(mesh.n_intervals)
-    np.add.at(contributions, idx_u, per_segment)
-    return ErrorDecomposition(contributions, 1.0, "standard")
+    b_adv = w[:, None, None]
+    per_segment = (wq * (fq * phiq + du * dphi - b_adv * du * phiq)).sum(axis=-1)
+    contributions = np.zeros((U.shape[0], mesh.n_intervals))
+    np.add.at(contributions, (slice(None), idx_u), per_segment)
+    return contributions
 
 
 class BvpMlmcModel:
-    """Driver-facing adapter for the stationary problem."""
+    """Driver-facing adapter for the stationary problem.
+
+    Each row of `evaluate` equals, bit for bit, what that row alone would
+    give, so chunking cannot change a run's output.
+    """
 
     def __init__(self, problem: Optional[BvpProblem] = None,
                  advection_range: Tuple[float, float] = (12.0, 16.0)):
         self.problem = problem if problem is not None else BvpProblem()
         self.distributions = (uniform(*advection_range, "b"),)
 
-    def evaluate(self, values: np.ndarray, mesh: SpatialMesh1D,
-                 want_estimate: bool):
-        w = float(values[0])
-        u = solve_bvp_p1(self.problem, w, mesh)
-        q = qoi_value(self.problem, u)
-        decomp = None
-        if want_estimate:
-            phi = solve_bvp_adjoint(self.problem, w, mesh)
-            decomp = bvp_error_decomposition(self.problem, w, u, phi)
-        return q, decomp
+    def evaluate(self, W: np.ndarray, mesh: SpatialMesh1D, want_estimate: bool):
+        w = W[:, 0]
+        U = solve_bvp_p1(self.problem, w, mesh)
+        q = qoi_value(self.problem, mesh, U)
+        if not want_estimate:
+            return q, [None] * len(q)
+        phi_mesh, Phi = solve_bvp_adjoint(self.problem, w, mesh)
+        contributions = bvp_error_decomposition(self.problem, w, mesh, U,
+                                                phi_mesh, Phi)
+        return q, [ErrorDecomposition(c, 1.0, "standard") for c in contributions]
 
 
 # Defaults calibrated so both strategies resolve the bias within two levels:

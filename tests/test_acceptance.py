@@ -25,7 +25,7 @@ from adaptive_mlmc.driver import LevelState, SampleRecord
 from adaptive_mlmc.error_estimation import (estimate_event_time_error,
                                             estimate_standard_error)
 from adaptive_mlmc.meshes import SpatialMesh1D
-from adaptive_mlmc.solvers import weighted_residual
+from adaptive_mlmc.solvers import Trajectory, weighted_residual
 from adaptive_mlmc.stationary import (BVP_DEFAULT_EPSILON, _solve_weak,
                                       bvp_initial_mesh, bvp_refinement,
                                       run_bvp_mlmc)
@@ -197,8 +197,11 @@ def test_criterion_7_stationary_problem():
     # the forward solution
     problem = BvpProblem()
     mesh = uniform_mesh(3.0, 64, SpatialMesh1D)
-    u = _solve_weak(mesh, 0.0, problem.source, problem.source_breaks)
-    phi = _solve_weak(mesh, 0.0, problem.psi, problem.psi_support)
+    b = np.array([0.0])
+    u = Trajectory(mesh, _solve_weak(mesh, b, problem.source,
+                                     problem.source_breaks)[0])
+    phi = Trajectory(mesh, _solve_weak(mesh, b, problem.psi,
+                                       problem.psi_support)[0])
     from test_stationary import integrate_against
     lhs = integrate_against(problem.source, phi, problem.source_breaks)
     rhs = integrate_against(problem.psi, u, problem.psi_support)
@@ -240,11 +243,9 @@ def test_criterion_9_property_suite():
     mesh = exp.initial_mesh()
     level = LevelState(0, mesh, None, 1.0,
                        [RegionSpan(0.0, mesh.length, mesh.n_intervals)])
-    decomps = []
-    for i in range(8):
-        rec = take_sample(model, level, 0, i, want_estimate=True)
-        if rec.decomposition is not None:
-            decomps.append(rec.decomposition)
+    decomps = [rec.decomposition
+               for rec in take_sample(model, level, 0, range(8), want_estimate=True)
+               if rec.decomposition is not None]
     # uniform and dwr split intervals in place, so every node survives; meso
     # re-tiles each region uniformly, so its guarantee is that no region's
     # node density ever decreases
@@ -265,7 +266,7 @@ def test_criterion_9_property_suite():
     # single-level run reduces to the plain Monte Carlo mean
     twin = LevelState(1, mesh, mesh, 2.0,
                       [RegionSpan(0.0, mesh.length, mesh.n_intervals)])
-    rec = take_sample(model, twin, 0, 0, want_estimate=False)
+    [rec] = take_sample(model, twin, 0, [0], want_estimate=False)
     cfg = MlmcRunConfig(epsilon=1e6, initial_mesh=mesh, master_seed=0)
     est = run_adaptive_mlmc(model, cfg)
     q_values = [row[3] for row in est.sample_log if row[2] == "ok"]

@@ -6,16 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaptive_mlmc.driver import (LevelState, MlmcError, MlmcRunConfig,
-                                  SampleRecord, level_bias, level_variance,
-                                  optimal_samples, run_adaptive_mlmc,
-                                  take_sample)
+from adaptive_mlmc.driver import (CHUNK_SIZE, LevelState, MlmcError,
+                                  MlmcRunConfig, SampleRecord, _Runner,
+                                  level_bias, level_variance, optimal_samples,
+                                  run_adaptive_mlmc, take_sample)
 from adaptive_mlmc.error_estimation import ErrorDecomposition
 from adaptive_mlmc.experiments import OdeMlmcModel, get_experiment
 from adaptive_mlmc.meshes import uniform_mesh
-from adaptive_mlmc.models import SampleFailure
 from adaptive_mlmc.refinement import RefinementConfig
-from adaptive_mlmc.sampling import ParameterSample, uniform
+from adaptive_mlmc.sampling import ParameterSample, sample_parameters, uniform
 
 
 def record(y, status="ok", estimate=None):
@@ -105,33 +104,43 @@ class TestOptimalSamples:
         assert any("total variance" in r.message for r in caplog.records)
 
 
+def fail_all(x):
+    return np.ones(x.shape, dtype=bool)
+
+
+def fail_below(x):
+    return x < 0.05
+
+
 class SyntheticModel:
-    """Synthetic model: Q scales with the mesh; optional forced failure."""
+    """Synthetic chunk model: Q scales with the mesh; chosen draws fail.
+
+    `fail(x)` marks the draws that fail; like `OdeMlmcModel` after a
+    `SampleFailure`, the model reports each of them as a NaN QoI.
+    """
 
     distributions = (uniform(0.0, 1.0, "x"),)
 
-    def __init__(self, fail=False, estimate=1e-9):
+    def __init__(self, fail=None, estimate=1e-9):
         self.fail = fail
         self.estimate = estimate
-        self.calls = 0
+        self.chunks = []  # rows of each evaluate call, in call order
 
-    def evaluate(self, values, mesh, want_estimate):
-        self.calls += 1
-        if self.fail:
-            raise SampleFailure("synthetic failure")
-        q = float(values[0]) * mesh.n_intervals
-        decomp = ErrorDecomposition(
-            np.full(mesh.n_intervals, self.estimate / mesh.n_intervals)) \
-            if want_estimate else None
-        return q, decomp
+    def evaluate(self, W, mesh, want_estimate):
+        self.chunks.append(len(W))
+        x = W[:, 0]
+        q = x * mesh.n_intervals
+        if self.fail is not None:
+            q = np.where(self.fail(x), np.nan, q)
+        decomps = [ErrorDecomposition(
+            np.full(mesh.n_intervals, self.estimate / mesh.n_intervals))
+            if want_estimate else None for _ in x]
+        return q, decomps
 
 
-class NanBelowModel(SyntheticModel):
-    """Returns a NaN QoI, without raising, whenever the draw is below 0.05."""
-
-    def evaluate(self, values, mesh, want_estimate):
-        q, decomp = super().evaluate(values, mesh, want_estimate)
-        return (float("nan") if values[0] < 0.05 else q), decomp
+def draw(level, index, seed=0):
+    return sample_parameters(SyntheticModel.distributions, seed, level,
+                             index).values[0]
 
 
 class TestTakeSample:
@@ -139,7 +148,7 @@ class TestTakeSample:
         model = SyntheticModel()
         state = LevelState(1, uniform_mesh(1.0, 4), uniform_mesh(1.0, 2),
                            3.0, [])
-        rec = take_sample(model, state, 0, 0, want_estimate=False)
+        [rec] = take_sample(model, state, 0, [0], want_estimate=False)
         assert rec.status == "ok"
         assert rec.y == pytest.approx(rec.q_fine - rec.q_coarse)
         assert rec.q_fine == pytest.approx(2.0 * rec.q_coarse)
@@ -147,21 +156,67 @@ class TestTakeSample:
     def test_level_zero_has_no_coarse_term(self):
         model = SyntheticModel()
         state = LevelState(0, uniform_mesh(1.0, 4), None, 1.0, [])
-        rec = take_sample(model, state, 0, 0, want_estimate=True)
+        [rec] = take_sample(model, state, 0, [0], want_estimate=True)
         assert rec.q_coarse == 0.0
         assert rec.error_estimate is not None
 
     def test_failure_marks_record(self):
-        model = SyntheticModel(fail=True)
+        model = SyntheticModel(fail=fail_all)
         state = LevelState(0, uniform_mesh(1.0, 4), None, 1.0, [])
-        rec = take_sample(model, state, 0, 0, want_estimate=False)
+        [rec] = take_sample(model, state, 0, [0], want_estimate=False)
         assert rec.status == "failed"
 
     def test_non_finite_error_estimate_marks_record(self):
         model = SyntheticModel(estimate=float("inf"))
         state = LevelState(0, uniform_mesh(1.0, 4), None, 1.0, [])
-        assert take_sample(model, state, 0, 0, want_estimate=False).status == "ok"
-        assert take_sample(model, state, 0, 0, want_estimate=True).status == "failed"
+        [ok] = take_sample(model, state, 0, [0], want_estimate=False)
+        [failed] = take_sample(model, state, 0, [0], want_estimate=True)
+        assert ok.status == "ok" and failed.status == "failed"
+
+    def test_one_evaluate_call_per_mesh_and_chunk(self):
+        model = SyntheticModel()
+        state = LevelState(2, uniform_mesh(1.0, 4), uniform_mesh(1.0, 2),
+                           3.0, [])
+        records = take_sample(model, state, 7, [5, 6, 9], want_estimate=True)
+        assert model.chunks == [3, 3]
+        assert [r.index for r in records] == [5, 6, 9]
+        for r in records:
+            assert r.w.seed_path == (7, 2, r.index)
+            assert r.q_fine == 4.0 * draw(2, r.index, seed=7)
+
+    def test_failed_draw_leaves_its_chunk_mates_untouched(self):
+        """Failing rows fail alone; the others equal their single-draw record."""
+        indices = [i for i in range(60) if draw(1, i) < 0.05][:2] + \
+            [i for i in range(60) if draw(1, i) >= 0.05][:5]
+        state = LevelState(1, uniform_mesh(1.0, 4), uniform_mesh(1.0, 2),
+                           3.0, [])
+        model = SyntheticModel(fail=fail_below)
+        records = take_sample(model, state, 0, indices, want_estimate=True)
+        assert [r.status for r in records] == ["failed"] * 2 + ["ok"] * 5
+        for r in records[2:]:
+            [alone] = take_sample(SyntheticModel(), state, 0, [r.index], True)
+            assert (r.q_fine, r.q_coarse, r.y, r.error_estimate) == \
+                (alone.q_fine, alone.q_coarse, alone.y, alone.error_estimate)
+
+
+class TestFill:
+    @pytest.mark.parametrize("jobs,target", [(1, 600), (1, 10), (3, 10),
+                                             (3, CHUNK_SIZE + 1)])
+    def test_chunks(self, jobs, target):
+        """At least `jobs` chunks of at most CHUNK_SIZE draws, in index order."""
+        model = SyntheticModel()
+        cfg = MlmcRunConfig(epsilon=1.0, initial_mesh=uniform_mesh(1.0, 2),
+                            jobs=jobs)
+        runner = _Runner(model, cfg)
+        level = LevelState(0, cfg.initial_mesh, None, 1.0, [])
+        try:
+            runner.fill(level, target, want_estimate=False)
+        finally:
+            runner.close()
+        assert sum(model.chunks) == target
+        assert len(model.chunks) == max(jobs, -(-target // CHUNK_SIZE))
+        assert max(model.chunks) <= CHUNK_SIZE
+        assert [s.index for s in level.samples] == list(range(target))
 
 
 class TestRunConfigValidation:
@@ -238,17 +293,36 @@ class TestAdaptiveRun:
     def test_persistent_failures_abort(self):
         cfg = MlmcRunConfig(epsilon=1.0, initial_mesh=uniform_mesh(1.0, 2))
         with pytest.raises(MlmcError):
-            run_adaptive_mlmc(SyntheticModel(fail=True), cfg)
+            run_adaptive_mlmc(SyntheticModel(fail=fail_all), cfg)
 
     def test_nan_qoi_samples_are_redrawn(self):
         cfg = MlmcRunConfig(epsilon=1.0, initial_mesh=uniform_mesh(1.0, 2),
                             max_failure_rate=0.2)
-        est = run_adaptive_mlmc(NanBelowModel(), cfg)
+        est = run_adaptive_mlmc(SyntheticModel(fail=fail_below), cfg)
         assert est.n_failures > 0
         assert np.isfinite(est.value) and np.isfinite(est.total_variance)
         failed = [row for row in est.sample_log if row[2] == "failed"]
         assert len(failed) == est.n_failures
         assert all(np.isfinite(row[5]) for row in est.sample_log if row[2] == "ok")
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_exactly_the_failing_draws_fail(self, jobs):
+        """Each failing draw is recorded failed, every other draw ok, and the
+        level still reaches its sample count through redraws."""
+        cfg = MlmcRunConfig(epsilon=1.0, initial_mesh=uniform_mesh(1.0, 2),
+                            n_schedule=(600,), max_failure_rate=0.2, jobs=jobs)
+        est = run_adaptive_mlmc(SyntheticModel(fail=fail_below), cfg)
+        statuses = {(row[0], row[1]): row[2] for row in est.sample_log}
+        assert all(status == ("failed" if draw(lv, i) < 0.05 else "ok")
+                   for (lv, i), status in statuses.items())
+        assert est.n_failures == list(statuses.values()).count("failed") > 0
+        assert est.levels[0].n_samples >= 600
+
+    def test_failure_rate_abort_with_partial_failures(self):
+        cfg = MlmcRunConfig(epsilon=1.0, initial_mesh=uniform_mesh(1.0, 2),
+                            n_schedule=(600,), max_failure_rate=0.01)
+        with pytest.raises(MlmcError, match="exceeds the allowed rate"):
+            run_adaptive_mlmc(SyntheticModel(fail=fail_below), cfg)
 
     def test_sample_log_is_complete(self):
         model, cfg = self._config(epsilon=1e6)

@@ -5,7 +5,8 @@ import pytest
 from adaptive_mlmc.experiments import (EXPERIMENT_NAMES, OdeMlmcModel,
                                        get_experiment)
 from adaptive_mlmc.models import SampleFailure
-from adaptive_mlmc.qoi import NonstandardQoi, StandardQoi
+from adaptive_mlmc.qoi import NonstandardQoi, StandardQoi, eval_event_time
+from adaptive_mlmc.solvers import solve_forward_cg1
 
 
 class TestPresets:
@@ -52,17 +53,17 @@ class TestOdeMlmcModel:
     def test_decomposition_only_on_request(self):
         exp = get_experiment("harmonic-standard")
         model = OdeMlmcModel(exp)
-        values = np.array([50.0, 0.25])
-        q1, d1 = model.evaluate(values, exp.initial_mesh(), False)
-        q2, d2 = model.evaluate(values, exp.initial_mesh(), True)
-        assert d1 is None
-        assert d2 is not None
-        assert q1 == q2
+        W = np.array([[50.0, 0.25], [49.0, 0.26]])
+        q1, d1 = model.evaluate(W, exp.initial_mesh(), False)
+        q2, d2 = model.evaluate(W, exp.initial_mesh(), True)
+        assert d1 == [None, None]
+        assert all(d is not None for d in d2)
+        np.testing.assert_array_equal(q1, q2)
 
     def test_event_time_model(self):
         exp = get_experiment("lorenz")
         model = OdeMlmcModel(exp)
-        q, d = model.evaluate(np.array([1.0]), exp.initial_mesh(), True)
+        [q], [d] = model.evaluate(np.array([[1.0]]), exp.initial_mesh(), True)
         assert 0.0 < q < 2.0
         assert d.kind == "nonstandard"
         assert d.denominator != 0.0
@@ -73,18 +74,30 @@ class TestOdeMlmcModel:
         from dataclasses import replace
         impossible = replace(exp, qoi=NonstandardQoi(
             np.array([1.0, 0.0, 0.0]), 3.0, occurrence=500))
+        forward = solve_forward_cg1(exp.make_problem(np.array([1.0])),
+                                    exp.initial_mesh())
         with pytest.raises(SampleFailure):
-            OdeMlmcModel(impossible).evaluate(np.array([1.0]),
-                                              exp.initial_mesh(), False)
+            eval_event_time(forward, impossible.qoi)
+        # the model turns it into a NaN QoI for that draw alone
+        q, d = OdeMlmcModel(impossible).evaluate(np.array([[1.0], [0.5]]),
+                                                 exp.initial_mesh(), True)
+        assert np.isnan(q).all() and d == [None, None]
+        # theta = 0 keeps x at 0, so the preset's crossing never happens
+        q, d = model.evaluate(np.array([[0.0], [1.0]]), exp.initial_mesh(),
+                              True)
+        [q_alone], [d_alone] = model.evaluate(np.array([[1.0]]),
+                                              exp.initial_mesh(), True)
+        assert np.isnan(q[0]) and d[0] is None
+        assert q[1] == q_alone and d[1].total == d_alone.total
 
     def test_finer_mesh_changes_qoi_less(self):
         """Successive refinements converge: |Q_4h - Q_2h| > |Q_2h - Q_h|."""
         exp = get_experiment("harmonic-standard")
         model = OdeMlmcModel(exp)
-        values = np.array([50.0, 0.25])
+        W = np.array([[50.0, 0.25]])
         from adaptive_mlmc.meshes import TemporalMesh, uniform_mesh
-        qs = [model.evaluate(values, uniform_mesh(3.0, n, TemporalMesh),
-                             False)[0]
+        qs = [model.evaluate(W, uniform_mesh(3.0, n, TemporalMesh),
+                             False)[0][0]
               for n in (27, 54, 108, 216)]
         diffs = np.abs(np.diff(qs))
         assert diffs[2] < diffs[1] < diffs[0]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaptive_mlmc.sampling import (DistributionError, normal,
+from adaptive_mlmc.sampling import (DistributionError, _words, normal,
                                     sample_parameters, uniform)
 
 SPEC = (normal(50.0, 2.0, "k"), uniform(0.225, 0.275, "m"))
@@ -44,6 +44,21 @@ class TestDeterminism:
         s = sample_parameters(SPEC, 3, 1, 4)
         assert s.sample_id == (1, 4)
         assert s.seed_path == (3, 1, 4)
+
+
+class TestRawWords:
+    @given(st.integers(0, 2 ** 63 - 1), st.integers(0, 30),
+           st.integers(0, 10 ** 6), st.integers(1, 9))
+    @settings(max_examples=300, deadline=None)
+    def test_raw_words_match_full_range_integers(self, seed, level, index, n):
+        """`random_raw` gives the words `Generator.integers` gives on the full
+        uint64 range, so reading them raw changes no draw."""
+        seq = np.random.SeedSequence(entropy=seed, spawn_key=(level, index))
+        gen = np.random.Generator(np.random.Philox(seed=seq))
+        reference = gen.integers(0, 2 ** 64, size=n, dtype=np.uint64)
+        words = _words(seed, level, index, n)
+        assert words.dtype == np.uint64
+        np.testing.assert_array_equal(words, reference)
 
 
 class TestDistributionLaws:

@@ -1,18 +1,39 @@
 """Stationary 1D advection-diffusion solver, adjoint, and MLMC tests."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
-from adaptive_mlmc.driver import MlmcRunConfig
-from adaptive_mlmc.meshes import SpatialMesh1D, uniform_mesh
+from adaptive_mlmc.driver import CHUNK_SIZE, MlmcRunConfig
+from adaptive_mlmc.error_estimation import ErrorDecomposition
+from adaptive_mlmc.meshes import (SpatialMesh1D, refine_intervals,
+                                  uniform_mesh, uniform_refine)
+from adaptive_mlmc.refinement import dwr_select
 from adaptive_mlmc.solvers import Trajectory, _segment_quadrature
-from adaptive_mlmc.stationary import (BVP_DEFAULT_EPSILON, BvpMlmcModel,
+from adaptive_mlmc.stationary import (ADJOINT_REFINE_FACTOR,
+                                      BVP_DEFAULT_EPSILON, BvpMlmcModel,
                                       BvpProblem, bvp_error_decomposition,
                                       bvp_initial_mesh, bvp_refinement,
                                       qoi_value, run_bvp_mlmc, solve_bvp_adjoint,
                                       solve_bvp_p1)
-from adaptive_mlmc.stationary import _solve_weak
+from adaptive_mlmc.stationary import _load_vector, _segment_bounds, _solve_weak
 
 PROBLEM = BvpProblem()
+
+
+def zero(x):
+    return np.zeros_like(np.asarray(x, dtype=float))
+
+
+def solve_one(b, mesh, problem=PROBLEM):
+    """Forward solution, adjoint solution and decomposition for one speed b."""
+    w = np.array([b])
+    U = solve_bvp_p1(problem, w, mesh)
+    phi_mesh, Phi = solve_bvp_adjoint(problem, w, mesh)
+    c = bvp_error_decomposition(problem, w, mesh, U, phi_mesh, Phi)
+    return (Trajectory(mesh, U[0]), Trajectory(phi_mesh, Phi[0]),
+            ErrorDecomposition(c[0]))
 
 
 def integrate_against(g, traj, breaks=()):
@@ -30,18 +51,19 @@ def integrate_against(g, traj, breaks=()):
 class TestForwardSolve:
     def test_zero_source_zero_solution(self):
         mesh = uniform_mesh(3.0, 8, SpatialMesh1D)
-        u = _solve_weak(mesh, 14.0, lambda x: np.zeros_like(np.asarray(x)), ())
-        np.testing.assert_allclose(u.values, 0.0)
+        U = _solve_weak(mesh, np.array([14.0, -3.0]), zero, ())
+        assert U.shape == (2, 9)
+        np.testing.assert_allclose(U, 0.0)
 
     def test_poisson_nodal_exactness(self):
         """b = 0, f = -2: u = x(L - x) is reproduced exactly at the nodes."""
         for n in (4, 16, 33):
             mesh = uniform_mesh(3.0, n, SpatialMesh1D)
-            u = _solve_weak(mesh, 0.0,
-                            lambda x: np.full_like(np.asarray(x, dtype=float),
-                                                   -2.0), ())
+            [U] = _solve_weak(mesh, np.array([0.0]),
+                              lambda x: np.full_like(np.asarray(x, dtype=float),
+                                                     -2.0), ())
             exact = mesh.nodes * (3.0 - mesh.nodes)
-            assert np.abs(u.values[:, 0] - exact).max() <= 1e-10
+            assert np.abs(U - exact).max() <= 1e-10
 
     def test_manufactured_solution_second_order(self):
         """u = sin(pi x / 3) with advection: L2 convergence order 2."""
@@ -52,27 +74,46 @@ class TestForwardSolve:
         errors = []
         for n in (16, 32, 64):
             mesh = uniform_mesh(3.0, n, SpatialMesh1D)
-            u = _solve_weak(mesh, b, source, ())
+            u = Trajectory(mesh, _solve_weak(mesh, np.array([b]), source, ())[0])
             xs = np.linspace(0.0, 3.0, 1200)
             err = u(xs)[:, 0] - exact(xs)
             errors.append(np.sqrt(np.trapezoid(err ** 2, xs)))
         orders = np.log2(np.array(errors[:-1]) / errors[1:])
         assert np.all(orders > 1.9)
 
+    @given(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=40),
+           st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=5))
+    @settings(max_examples=60, deadline=None)
+    def test_never_singular(self, widths, speeds):
+        """Any mesh, any real speeds: the stacked solve returns the solution."""
+        mesh = SpatialMesh1D(np.concatenate([[0.0], np.cumsum(widths)]))
+        U = _solve_weak(mesh, np.array(speeds), lambda x: np.ones_like(x), ())
+        F = _load_vector(mesh, lambda x: np.ones_like(x), ())[1:-1]
+        h = mesh.lengths
+        for b, u in zip(speeds, U):
+            x = u[1:-1]
+            Ax = -(1 / h[:-1] + 1 / h[1:]) * x
+            Ax[:-1] += (1 / h[1:-1] + 0.5 * b) * x[1:]
+            Ax[1:] += (1 / h[1:-1] - 0.5 * b) * x[:-1]
+            scale = np.abs(Ax).max() + np.abs(F).max()
+            assert np.all(np.isfinite(u))
+            assert np.abs(Ax - F).max() <= 1e-9 * scale
+
 
 class TestAdjoint:
     def test_zero_weight_zero_adjoint(self):
         mesh = uniform_mesh(3.0, 8, SpatialMesh1D)
-        problem = BvpProblem(psi_support=(1.0, 1.5))
-        phi = _solve_weak(mesh, -14.0, lambda x: np.zeros_like(np.asarray(x)),
-                          ())
-        np.testing.assert_allclose(phi.values, 0.0)
+        Phi = _solve_weak(mesh, np.array([-14.0]), zero, ())
+        np.testing.assert_allclose(Phi, 0.0)
 
     def test_symmetric_case_duality(self):
         """b = 0: (f, phi[psi]) = (psi, u[f]) to rounding."""
         mesh = uniform_mesh(3.0, 16, SpatialMesh1D)
-        u_f = _solve_weak(mesh, 0.0, PROBLEM.source, PROBLEM.source_breaks)
-        phi_psi = _solve_weak(mesh, 0.0, PROBLEM.psi, PROBLEM.psi_support)
+        b = np.array([0.0])
+        u_f = Trajectory(mesh, _solve_weak(mesh, b, PROBLEM.source,
+                                           PROBLEM.source_breaks)[0])
+        phi_psi = Trajectory(mesh, _solve_weak(mesh, b, PROBLEM.psi,
+                                               PROBLEM.psi_support)[0])
         lhs = integrate_against(PROBLEM.source, phi_psi, PROBLEM.source_breaks)
         rhs = integrate_against(PROBLEM.psi, u_f, PROBLEM.psi_support)
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
@@ -81,9 +122,7 @@ class TestAdjoint:
         """(f, phi) approaches (psi, u) as both meshes refine, b != 0."""
         gaps = []
         for n in (64, 128, 256):
-            mesh = uniform_mesh(3.0, n, SpatialMesh1D)
-            u = solve_bvp_p1(PROBLEM, 14.0, mesh)
-            phi = solve_bvp_adjoint(PROBLEM, 14.0, mesh)
+            u, phi, _ = solve_one(14.0, uniform_mesh(3.0, n, SpatialMesh1D))
             lhs = integrate_against(PROBLEM.source, phi, PROBLEM.source_breaks)
             rhs = integrate_against(PROBLEM.psi, u, PROBLEM.psi_support)
             gaps.append(abs(lhs - rhs))
@@ -92,19 +131,17 @@ class TestAdjoint:
 
     def test_adjoint_mesh_refined(self):
         mesh = uniform_mesh(3.0, 12, SpatialMesh1D)
-        phi = solve_bvp_adjoint(PROBLEM, 14.0, mesh)
-        assert phi.mesh.n_intervals > mesh.n_intervals
+        phi_mesh, Phi = solve_bvp_adjoint(PROBLEM, np.array([14.0, 12.0]), mesh)
+        assert phi_mesh.n_intervals > mesh.n_intervals
+        assert Phi.shape == (2, phi_mesh.nodes.size)
 
 
 class TestErrorDecomposition:
     def test_exact_solution_total_zero(self):
         """Zero source: U = u = 0 exactly, so every contribution vanishes."""
-        problem = BvpProblem(source=lambda x: np.zeros_like(np.asarray(x)),
-                             source_breaks=())
+        problem = BvpProblem(source=zero, source_breaks=())
         mesh = uniform_mesh(3.0, 12, SpatialMesh1D)
-        u = solve_bvp_p1(problem, 14.0, mesh)
-        phi = solve_bvp_adjoint(problem, 14.0, mesh)
-        d = bvp_error_decomposition(problem, 14.0, u, phi)
+        _, _, d = solve_one(14.0, mesh, problem)
         assert abs(d.total) <= 1e-12
         assert np.abs(d.contributions).max() <= 1e-12
 
@@ -112,9 +149,7 @@ class TestErrorDecomposition:
         """Additivity: the per-element split equals one global integral."""
         b = 13.0
         mesh = uniform_mesh(3.0, 13, SpatialMesh1D)
-        u = solve_bvp_p1(PROBLEM, b, mesh)
-        phi = solve_bvp_adjoint(PROBLEM, b, mesh)
-        d = bvp_error_decomposition(PROBLEM, b, u, phi)
+        u, phi, d = solve_one(b, mesh)
         # independent dense quadrature of f*phi + U'*phi' - b*U'*phi
         xs = np.linspace(0.0, 3.0, 3 * 13 * 8 * 40 + 1)
         mids = 0.5 * (xs[:-1] + xs[1:])
@@ -143,35 +178,120 @@ class TestErrorDecomposition:
     @pytest.mark.parametrize("b", [12.0, 14.0, 16.0])
     def test_effectivity_against_fine_reference(self, b):
         ref_mesh = uniform_mesh(3.0, 10_000, SpatialMesh1D)
-        q_ref = qoi_value(PROBLEM, solve_bvp_p1(PROBLEM, b, ref_mesh))
+        [q_ref] = qoi_value(PROBLEM, ref_mesh,
+                            solve_bvp_p1(PROBLEM, np.array([b]), ref_mesh))
         for n in (64, 128):
             mesh = uniform_mesh(3.0, n, SpatialMesh1D)
-            u = solve_bvp_p1(PROBLEM, b, mesh)
-            phi = solve_bvp_adjoint(PROBLEM, b, mesh)
-            d = bvp_error_decomposition(PROBLEM, b, u, phi)
-            eff = d.total / (q_ref - qoi_value(PROBLEM, u))
+            u, _, d = solve_one(b, mesh)
+            [q] = qoi_value(PROBLEM, mesh, u.values.T)
+            eff = d.total / (q_ref - q)
             assert 0.85 <= eff <= 1.15
 
     def test_dwr_reduces_largest_contribution(self):
-        from adaptive_mlmc.meshes import IntervalSet, refine_intervals
-        from adaptive_mlmc.refinement import dwr_select
         mesh = uniform_mesh(3.0, 12, SpatialMesh1D)
-        u = solve_bvp_p1(PROBLEM, 14.0, mesh)
-        phi = solve_bvp_adjoint(PROBLEM, 14.0, mesh)
-        d = bvp_error_decomposition(PROBLEM, 14.0, u, phi)
+        _, _, d = solve_one(14.0, mesh)
         refined = refine_intervals(mesh, dwr_select(d, 0.25), 2)
-        u2 = solve_bvp_p1(PROBLEM, 14.0, refined)
-        phi2 = solve_bvp_adjoint(PROBLEM, 14.0, refined)
-        d2 = bvp_error_decomposition(PROBLEM, 14.0, u2, phi2)
+        _, _, d2 = solve_one(14.0, refined)
         assert np.abs(d2.contributions).max() < np.abs(d.contributions).max()
 
 
 class TestQoiValue:
     def test_exact_for_linear_function(self):
         mesh = uniform_mesh(3.0, 3, SpatialMesh1D)
-        u = Trajectory(mesh, (2.0 * mesh.nodes)[:, None])
+        U = np.array([2.0 * mesh.nodes, -mesh.nodes])
         # integral of 2x over [1, 1.5] = x^2 | = 2.25 - 1 = 1.25
-        assert qoi_value(PROBLEM, u) == pytest.approx(1.25, abs=1e-14)
+        np.testing.assert_allclose(qoi_value(PROBLEM, mesh, U), [1.25, -0.625],
+                                   atol=1e-14)
+
+
+def reference_sample(problem, b, mesh):
+    """The per-sample path the batched functions replace, kept as the oracle:
+    one `solve_banded` per solve, a `Trajectory`-based QoI loop and the
+    per-sample residual pairing.  Returns (QoI, contributions)."""
+    def solve(mesh, advection, g, breaks):
+        F = _load_vector(mesh, g, breaks)
+        h = mesh.lengths
+        ab = np.zeros((3, mesh.n_intervals - 1))
+        ab[0, 1:] = 1.0 / h[1:-1] + 0.5 * advection
+        ab[1, :] = -(1.0 / h[:-1] + 1.0 / h[1:])
+        ab[2, :-1] = 1.0 / h[1:-1] - 0.5 * advection
+        values = np.zeros(mesh.nodes.size)
+        values[1:-1] = solve_banded((1, 1), ab, F[1:-1])
+        return Trajectory(mesh, values)
+
+    u = solve(mesh, float(b), problem.source, problem.source_breaks)
+    phi = solve(uniform_refine(mesh, ADJOINT_REFINE_FACTOR), -float(b),
+                problem.psi, problem.psi_support)
+    lo, hi = problem.psi_support
+    q = 0.0
+    pts = _segment_bounds(mesh.nodes, (lo, hi))
+    for a, c in zip(pts[:-1], pts[1:]):
+        mid = 0.5 * (a + c)
+        if lo <= mid <= hi:
+            q += (c - a) * float(u(mid)[0])
+
+    pts = _segment_bounds(np.concatenate([mesh.nodes, phi.mesh.nodes]),
+                          problem.source_breaks)
+    mids = 0.5 * (pts[:-1] + pts[1:])
+    xq, wq = _segment_quadrature(pts)
+    idx_u = np.clip(np.searchsorted(mesh.nodes, mids) - 1,
+                    0, mesh.n_intervals - 1)
+    idx_phi = np.clip(np.searchsorted(phi.mesh.nodes, mids) - 1,
+                      0, phi.mesh.n_intervals - 1)
+    du = (np.diff(u.values[:, 0]) / mesh.lengths)[idx_u][:, None]
+    dphi = (np.diff(phi.values[:, 0]) / phi.mesh.lengths)[idx_phi][:, None]
+    phiq = phi(xq.ravel())[:, 0].reshape(xq.shape)
+    fq = problem.source(xq.ravel()).reshape(xq.shape)
+    per_segment = (wq * (fq * phiq + du * dphi - float(b) * du * phiq)).sum(axis=1)
+    contributions = np.zeros(mesh.n_intervals)
+    np.add.at(contributions, idx_u, per_segment)
+    return q, contributions
+
+
+def _dwr_mesh():
+    mesh = uniform_mesh(3.0, 12, SpatialMesh1D)
+    for _ in range(2):
+        _, contributions = reference_sample(PROBLEM, 14.0, mesh)
+        mesh = refine_intervals(mesh, dwr_select(
+            ErrorDecomposition(contributions), 0.25), 2)
+    return mesh
+
+
+ORACLE_MESHES = {
+    "uniform-12": uniform_mesh(3.0, 12, SpatialMesh1D),
+    "uniform-13": uniform_mesh(3.0, 13, SpatialMesh1D),  # breaks inside elements
+    "dwr-refined": _dwr_mesh(),
+    "node-on-break": SpatialMesh1D(np.array(
+        [0.0, 0.35, 0.8, 1.0, 1.3, 1.45, 1.9, 2.2, 2.5, 2.9, 3.0])),
+    "uniform-200": uniform_mesh(3.0, 200, SpatialMesh1D),
+}
+
+
+class TestBatchedOracle:
+    """The batched path gives every sample the bits of the per-sample path."""
+
+    SPEEDS = np.random.default_rng(0).uniform(12.0, 16.0, 500)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_MESHES))
+    def test_bitwise_equal_to_per_sample_path(self, name):
+        mesh = ORACLE_MESHES[name]
+        q, decomps = BvpMlmcModel().evaluate(self.SPEEDS[:, None], mesh, True)
+        ref = [reference_sample(PROBLEM, b, mesh) for b in self.SPEEDS]
+        assert np.array_equal(q, [r[0] for r in ref])
+        assert np.array_equal([d.contributions for d in decomps],
+                              [r[1] for r in ref])
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_MESHES))
+    def test_row_equals_its_own_chunk(self, name):
+        """evaluate(W)[k] == evaluate(W[k:k+1]): chunking cannot move a bit."""
+        mesh = ORACLE_MESHES[name]
+        model = BvpMlmcModel()
+        W = self.SPEEDS[:, None]
+        q, decomps = model.evaluate(W, mesh, True)
+        for k in range(len(W)):
+            [qk], [dk] = model.evaluate(W[k:k + 1], mesh, True)
+            assert qk == q[k]
+            assert np.array_equal(dk.contributions, decomps[k].contributions)
 
 
 class TestBvpMlmc:
@@ -206,6 +326,20 @@ class TestBvpMlmc:
                                 master_seed=seed)
             values.append(run_bvp_mlmc(cfg, model).value)
         assert abs(values[0] - values[1]) <= 3.0 * np.sqrt(BVP_DEFAULT_EPSILON)
+
+
+    def test_jobs_and_chunking_do_not_change_the_run(self):
+        runs = []
+        for jobs in (1, 3):
+            cfg = MlmcRunConfig(epsilon=BVP_DEFAULT_EPSILON,
+                                initial_mesh=bvp_initial_mesh(),
+                                refinement=bvp_refinement("dwr"),
+                                master_seed=4, jobs=jobs)
+            runs.append(run_bvp_mlmc(cfg))
+        assert runs[0].levels[0].n_samples > 2 * CHUNK_SIZE
+        assert runs[0].sample_log == runs[1].sample_log
+        assert runs[0].value == runs[1].value
+        assert runs[0].levels == runs[1].levels
 
 
 class TestProblemValidation:
