@@ -8,10 +8,11 @@ true error measured from a very fine reference solve.  The effectivity
 """
 import numpy as np
 
-from adaptive_mlmc import (NonstandardQoi, eval_event_time,
-                           harmonic_oscillator, solve_forward_cg1,
-                           uniform_mesh)
 from adaptive_mlmc.error_estimation import estimate_event_time_error
+from adaptive_mlmc.meshes import uniform_mesh
+from adaptive_mlmc.models import harmonic_oscillator
+from adaptive_mlmc.qoi import NonstandardQoi, eval_event_time
+from adaptive_mlmc.solvers import solve_forward_cg1
 
 STIFFNESS = 50.0
 MASS = 0.25

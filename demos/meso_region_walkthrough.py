@@ -8,12 +8,13 @@ previous level's regions so that no region is ever unrefined.
 """
 import numpy as np
 
-from adaptive_mlmc import (AccumulatedError, RefinementConfig, RegionSpan,
-                           StandardQoi, accumulate, allocate_meso,
-                           find_meso_regions, harmonic_oscillator,
-                           solve_forward_cg1, uniform_mesh)
-from adaptive_mlmc.error_estimation import estimate_standard_error
-from adaptive_mlmc.refinement import refine_meso
+from adaptive_mlmc.error_estimation import accumulate, estimate_standard_error
+from adaptive_mlmc.meshes import RegionSpan, uniform_mesh
+from adaptive_mlmc.models import harmonic_oscillator
+from adaptive_mlmc.qoi import StandardQoi
+from adaptive_mlmc.refinement import (RefinementConfig, allocate_meso,
+                                      find_meso_regions, refine_meso)
+from adaptive_mlmc.solvers import solve_forward_cg1
 
 N0 = 27
 
@@ -27,8 +28,7 @@ def main():
     print(f"level-0 mesh: {N0} intervals on [0, {problem.horizon:g}]")
     print(f"estimated QoI error of this sample: {decomp.total:+.3e}\n")
 
-    acc = accumulate(decomp)
-    regions = find_meso_regions(acc)
+    regions = find_meso_regions(accumulate(decomp.contributions))
     print("accumulated |error| profile split at its minima:")
     for r in regions:
         t0 = mesh.nodes[r.start_interval]

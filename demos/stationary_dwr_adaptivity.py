@@ -1,23 +1,23 @@
 """Goal-oriented adaptivity for a stationary advection-diffusion problem.
 
-Solves -u'' + b u' = f on an interval with homogeneous Dirichlet data, a
+Solves u'' + b u' = f on (0, 3) with homogeneous Dirichlet data, a
 localized source, and a random advection speed b.  The quantity of
-interest is the average of u over a subinterval.  The demo first shows the
-single-sample DWR loop (estimate, mark, refine), then runs the full MLMC
-estimator with DWR and uniform new-level meshes and compares the modeled
-costs.
+interest is Q(u) = (u, psi) with psi = 1 on [1, 1.5] and 0 elsewhere, i.e.
+the integral of u over [1, 1.5].  The demo first shows the single-sample
+DWR loop (estimate, mark, refine), then runs the full MLMC estimator with
+DWR and uniform new-level meshes and compares the modeled costs.
 """
 import numpy as np
 
-from adaptive_mlmc import (BvpMlmcModel, BvpProblem, ErrorDecomposition,
-                           MlmcRunConfig, SpatialMesh1D, refine_intervals,
-                           run_bvp_mlmc, solve_bvp_adjoint, solve_bvp_p1,
-                           uniform_mesh)
+from adaptive_mlmc import (BvpMlmcModel, ErrorDecomposition, MlmcRunConfig,
+                           run_adaptive_mlmc)
+from adaptive_mlmc.meshes import refine_intervals, uniform_mesh
 from adaptive_mlmc.refinement import dwr_select
-from adaptive_mlmc.stationary import (BVP_DEFAULT_EPSILON,
+from adaptive_mlmc.stationary import (BVP_DEFAULT_EPSILON, BvpProblem,
                                       bvp_error_decomposition,
                                       bvp_initial_mesh, bvp_refinement,
-                                      qoi_value)
+                                      qoi_value, solve_bvp_adjoint,
+                                      solve_bvp_p1)
 
 ADVECTION = 14.0
 
@@ -25,7 +25,7 @@ ADVECTION = 14.0
 def main():
     problem = BvpProblem()
     print(f"single-sample DWR loop at b = {ADVECTION:g}")
-    mesh = uniform_mesh(3.0, 12, SpatialMesh1D)
+    mesh = uniform_mesh(3.0, 12)
     w = np.array([ADVECTION])  # the solvers take a vector of speeds
     for sweep in range(4):
         U = solve_bvp_p1(problem, w, mesh)
@@ -47,7 +47,7 @@ def main():
                             initial_mesh=bvp_initial_mesh(),
                             refinement=bvp_refinement(strategy),
                             master_seed=0)
-        est = run_bvp_mlmc(cfg, model)
+        est = run_adaptive_mlmc(model, cfg)
         elems = [lv.elems for lv in est.levels]
         print(f"  {strategy:8s}: estimate = {est.value:+.5f}, "
               f"levels = {elems}, modeled cost = {est.total_cost:.1f}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -19,7 +19,8 @@ from .driver import MlmcError, MlmcEstimate, MlmcRunConfig, run_adaptive_mlmc
 from .experiments import EXPERIMENT_NAMES, OdeMlmcModel, get_experiment
 from .refinement import RefinementConfig
 from .stationary import (BVP_DEFAULT_EPSILON, BVP_INITIAL_ELEMENTS,
-                         BvpMlmcModel, bvp_initial_mesh, bvp_refinement)
+                         BVP_MIN_ELEMENTS, BvpMlmcModel, bvp_initial_mesh,
+                         bvp_refinement)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -33,16 +34,30 @@ class ConfigError(ValueError):
 
 
 def _line_of(path: Optional[str], key: str) -> str:
-    """Best-effort 'file:line' locator of a config key for error messages."""
+    """Best-effort 'file:line' locator of a config key or '[section]' header
+    for error messages, matched case-insensitively like configparser keys."""
     if path is None:
         return "<flags>"
     try:
         for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-            if line.split("=")[0].split(":")[0].strip() == key:
+            if line.split("=")[0].split(":")[0].strip().lower() == key.lower():
                 return f"{path}:{lineno}"
     except OSError:
         pass
     return path
+
+
+# Every [run] key with its parser; each key is also a RunSettings field and,
+# where a flag of the same name exists, is overridden by that flag.
+_RUN_KEYS = {
+    "experiment": str, "epsilon": float, "refinement": str, "seed": int,
+    "jobs": int, "max_levels": int, "initial_intervals": int,
+    "n_schedule": lambda text: tuple(int(x) for x in text.replace(",", " ").split()),
+    "output_dir": str,
+    "dump_grids": lambda text: configparser.ConfigParser.BOOLEAN_STATES[text.lower()],
+}
+# The [refinement] keys are RefinementConfig's fields, parsed as their defaults.
+_REFINEMENT_KEYS = {f.name: type(f.default) for f in fields(RefinementConfig)}
 
 
 @dataclass
@@ -51,7 +66,7 @@ class RunSettings:
 
     experiment: str
     epsilon: Optional[float] = None
-    strategy: Optional[str] = None
+    refinement: Optional[str] = None
     seed: int = 0
     jobs: int = 1
     max_levels: int = 10
@@ -59,8 +74,23 @@ class RunSettings:
     initial_intervals: Optional[int] = None
     output_dir: str = "."
     dump_grids: bool = False
-    refinement_overrides: dict = None
+    refinement_overrides: dict = field(default_factory=dict)
     config_path: Optional[str] = None
+
+
+def _parse_section(path: str, section, parsers: dict) -> dict:
+    """The section's values, each read by the parser of its key."""
+    values = {}
+    for key, text in section.items():
+        if key not in parsers:
+            raise ConfigError(f"{_line_of(path, key)}: unknown key {key!r} "
+                              f"in [{section.name}]")
+        try:
+            values[key] = parsers[key](text)
+        except (KeyError, ValueError) as exc:  # KeyError: not a boolean
+            raise ConfigError(f"{_line_of(path, key)}: invalid value in "
+                              f"[{section.name}]: {exc}") from exc
+    return values
 
 
 def _parse_config_file(path: str) -> RunSettings:
@@ -73,93 +103,44 @@ def _parse_config_file(path: str) -> RunSettings:
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from exc
 
+    for name in parser.sections():
+        if name not in ("run", "refinement"):
+            raise ConfigError(f"{_line_of(path, f'[{name}]')}: unknown section "
+                              f"[{name}]; expected [run] or [refinement]")
     if not parser.has_section("run"):
         raise ConfigError(f"{path}:1: missing required [run] section")
-    run = parser["run"]
-    known_run = {"experiment", "epsilon", "refinement", "seed", "jobs",
-                 "max_levels", "n_schedule", "initial_intervals",
-                 "output_dir", "dump_grids"}
-    for key in run:
-        if key not in known_run:
-            raise ConfigError(f"{_line_of(path, key)}: unknown key {key!r} in [run]")
+    run = _parse_section(path, parser["run"], _RUN_KEYS)
     if "experiment" not in run:
         raise ConfigError(f"{path}: [run] must set 'experiment'")
-
-    settings = RunSettings(experiment=run["experiment"], config_path=path)
-    try:
-        if "epsilon" in run:
-            settings.epsilon = float(run["epsilon"])
-        if "refinement" in run:
-            settings.strategy = run["refinement"]
-        if "seed" in run:
-            settings.seed = int(run["seed"])
-        if "jobs" in run:
-            settings.jobs = int(run["jobs"])
-        if "max_levels" in run:
-            settings.max_levels = int(run["max_levels"])
-        if "n_schedule" in run:
-            settings.n_schedule = tuple(
-                int(x) for x in run["n_schedule"].replace(",", " ").split())
-        if "initial_intervals" in run:
-            settings.initial_intervals = int(run["initial_intervals"])
-        if "output_dir" in run:
-            settings.output_dir = run["output_dir"]
-        if "dump_grids" in run:
-            settings.dump_grids = run.getboolean("dump_grids")
-    except ValueError as exc:
-        raise ConfigError(f"{path}: invalid value in [run]: {exc}") from exc
-
-    overrides = {}
-    if parser.has_section("refinement"):
-        ref = parser["refinement"]
-        known_ref = {"strategy", "dwr_fraction", "dwr_factor", "uniform_factor",
-                     "meso_q", "meso_target_multiplier"}
-        for key in ref:
-            if key not in known_ref:
-                raise ConfigError(
-                    f"{_line_of(path, key)}: unknown key {key!r} in [refinement]")
-        try:
-            if "strategy" in ref and settings.strategy is None:
-                settings.strategy = ref["strategy"]
-            for key in ("dwr_fraction", "meso_q", "meso_target_multiplier"):
-                if key in ref:
-                    overrides[key] = float(ref[key])
-            for key in ("dwr_factor", "uniform_factor"):
-                if key in ref:
-                    overrides[key] = int(ref[key])
-        except ValueError as exc:
-            raise ConfigError(f"{path}: invalid value in [refinement]: {exc}") from exc
-    settings.refinement_overrides = overrides
-    return settings
+    overrides = _parse_section(path, parser["refinement"], _REFINEMENT_KEYS) \
+        if parser.has_section("refinement") else {}
+    strategy = overrides.pop("strategy", None)
+    run.setdefault("refinement", strategy)
+    return RunSettings(**run, refinement_overrides=overrides, config_path=path)
 
 
 def _apply_flags(settings: RunSettings, args) -> RunSettings:
-    if getattr(args, "experiment", None):
-        settings.experiment = args.experiment
-    if getattr(args, "epsilon", None) is not None:
-        settings.epsilon = args.epsilon
-    if getattr(args, "refinement", None):
-        settings.strategy = args.refinement
-    if getattr(args, "seed", None) is not None:
-        settings.seed = args.seed
-    if getattr(args, "jobs", None) is not None:
-        settings.jobs = args.jobs
-    if getattr(args, "output_dir", None):
-        settings.output_dir = args.output_dir
-    if getattr(args, "dump_grids", False):
-        settings.dump_grids = True
+    for key in _RUN_KEYS:
+        value = getattr(args, key, None)
+        if value not in (None, ""):
+            setattr(settings, key, value)
     return settings
 
 
 def _build_run(settings: RunSettings):
     """Resolve settings into (model, MlmcRunConfig)."""
-    name = settings.experiment
-    if name == "advection-diffusion-1d":
-        model = BvpMlmcModel()
-        refinement = bvp_refinement(settings.strategy or "dwr")
-        mesh = bvp_initial_mesh(settings.initial_intervals or BVP_INITIAL_ELEMENTS)
-        epsilon = settings.epsilon if settings.epsilon is not None \
-            else BVP_DEFAULT_EPSILON
+    name, n_init = settings.experiment, settings.initial_intervals
+    bvp = name == "advection-diffusion-1d"
+    minimum = BVP_MIN_ELEMENTS if bvp else 1
+    if n_init is not None and n_init < minimum:
+        raise ConfigError(
+            f"{_line_of(settings.config_path, 'initial_intervals')}: "
+            f"initial_intervals = {n_init} is below {minimum}, the fewest "
+            f"{name} can run on")
+    if bvp:
+        model, refinement = BvpMlmcModel(), bvp_refinement()
+        mesh = bvp_initial_mesh(BVP_INITIAL_ELEMENTS if n_init is None else n_init)
+        default_epsilon = BVP_DEFAULT_EPSILON
     else:
         try:
             experiment = get_experiment(name)
@@ -167,19 +148,17 @@ def _build_run(settings: RunSettings):
             raise ConfigError(
                 f"{_line_of(settings.config_path, 'experiment')}: {exc.args[0]}"
             ) from exc
-        model = OdeMlmcModel(experiment)
-        refinement = RefinementConfig(strategy=settings.strategy or "uniform")
-        if settings.initial_intervals:
-            experiment = replace(experiment,
-                                 initial_intervals=settings.initial_intervals)
+        model, refinement = OdeMlmcModel(experiment), RefinementConfig()
+        if n_init is not None:
+            experiment = replace(experiment, initial_intervals=n_init)
         mesh = experiment.initial_mesh()
-        epsilon = settings.epsilon if settings.epsilon is not None \
-            else experiment.default_epsilon
-    if settings.refinement_overrides:
-        refinement = replace(refinement, **settings.refinement_overrides)
+        default_epsilon = experiment.default_epsilon
+    strategy = {"strategy": settings.refinement} if settings.refinement else {}
     try:
-        cfg = MlmcRunConfig(epsilon=epsilon, initial_mesh=mesh,
-                            refinement=refinement,
+        refinement = replace(refinement, **strategy, **settings.refinement_overrides)
+        cfg = MlmcRunConfig(epsilon=default_epsilon if settings.epsilon is None
+                            else settings.epsilon,
+                            initial_mesh=mesh, refinement=refinement,
                             n_schedule=settings.n_schedule,
                             master_seed=settings.seed,
                             max_levels=settings.max_levels,
@@ -269,7 +248,7 @@ def _cmd_compare(args) -> int:
         settings.seed = shared_seed
         if args.jobs is not None:
             settings.jobs = args.jobs
-        strategy = settings.strategy or "default"
+        strategy = settings.refinement or "default"
         try:
             model, cfg = _build_run(settings)
             estimate = run_adaptive_mlmc(model, cfg)
@@ -301,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--refinement", choices=("uniform", "dwr", "meso"))
     run_p.add_argument("--seed", type=int)
     run_p.add_argument("--jobs", type=int)
-    run_p.add_argument("--dump-grids", action="store_true")
+    run_p.add_argument("--dump-grids", action="store_true", default=None)
     run_p.add_argument("--output-dir")
     run_p.set_defaults(func=_cmd_run)
 
@@ -319,10 +298,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except MlmcError as exc:
+    except (ConfigError, MlmcError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

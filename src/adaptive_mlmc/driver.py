@@ -24,7 +24,7 @@ import numpy as np
 from .error_estimation import ErrorDecomposition
 from .meshes import Mesh1D, whole_domain_span
 from .refinement import RefinementConfig, build_next_mesh
-from .sampling import ParameterSample, sample_parameters
+from .sampling import sample_parameters
 
 log = logging.getLogger(__name__)
 
@@ -39,7 +39,7 @@ class MlmcError(RuntimeError):
 
 @dataclass
 class SampleRecord:
-    w: ParameterSample
+    index: int
     y: float = 0.0
     q_fine: float = 0.0
     q_coarse: float = 0.0
@@ -47,10 +47,6 @@ class SampleRecord:
     denominator: Optional[float] = None
     decomposition: Optional[ErrorDecomposition] = None
     status: str = "ok"
-
-    @property
-    def index(self) -> int:
-        return self.w.sample_id[1]
 
 
 @dataclass
@@ -62,7 +58,6 @@ class LevelState:
     regions: list
     samples: list = field(default_factory=list)
     next_index: int = 0
-    failures: int = 0
 
     def ok_samples(self) -> list:
         return [s for s in self.samples if s.status == "ok"]
@@ -161,13 +156,11 @@ def take_sample(model, level: LevelState, master_seed: int, indices: Sequence[in
                 want_estimate: bool) -> list:
     """One chunk of telescoped samples: each draw on the fine and coarse mesh,
     one `evaluate` call per mesh.  A non-finite row fails only its own record."""
-    draws = [sample_parameters(model.distributions, master_seed, level.level, i)
-             for i in indices]
-    W = np.array([w.values for w in draws])
+    W = sample_parameters(model.distributions, master_seed, level.level, indices)
     q_fine, decomps = model.evaluate(W, level.mesh, want_estimate)
-    q_coarse = np.zeros(len(draws)) if level.coarser_mesh is None \
+    q_coarse = np.zeros(len(W)) if level.coarser_mesh is None \
         else model.evaluate(W, level.coarser_mesh, False)[0]
-    records = [SampleRecord(w) for w in draws]
+    records = [SampleRecord(int(i)) for i in indices]
     for rec, qf, qc, decomp in zip(records, q_fine, q_coarse, decomps):
         if not (math.isfinite(qf) and math.isfinite(qc)
                 and (decomp is None or math.isfinite(decomp.total))):
@@ -221,17 +214,11 @@ class _Runner:
                 self.attempts += 1
                 if rec.status == "failed":
                     self.failures += 1
-                    level.failures += 1
                 level.samples.append(rec)
                 self.log_rows.append((level.level, rec.index, rec.status, rec.q_fine,
                                       rec.q_coarse, rec.y, rec.error_estimate,
                                       rec.denominator))
             self._check_failure_rate()
-
-
-def _drop_decompositions(level: LevelState) -> None:
-    for s in level.samples:
-        s.decomposition = None
 
 
 def run_adaptive_mlmc(model, cfg: MlmcRunConfig) -> MlmcEstimate:
@@ -255,7 +242,8 @@ def run_adaptive_mlmc(model, cfg: MlmcRunConfig) -> MlmcEstimate:
                        if s.decomposition is not None]
             new_mesh, new_regions = build_next_mesh(
                 highest.mesh, highest.regions, decomps, cfg.refinement)
-            _drop_decompositions(highest)
+            for s in highest.samples:
+                s.decomposition = None
             new_regions = new_regions or whole_domain_span(new_mesh)
             cost = (new_mesh.n_intervals + highest.mesh.n_intervals) / elems0
             level = LevelState(len(levels), new_mesh, highest.mesh, cost, new_regions)

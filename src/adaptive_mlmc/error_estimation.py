@@ -46,21 +46,10 @@ class ErrorDecomposition:
         return float(self.contributions.sum() / self.denominator)
 
 
-@dataclass(frozen=True)
-class AccumulatedError:
-    """Running absolute partial sums E_k = |sum_{i<=k} e_i|."""
-
-    E: np.ndarray
-
-    def __post_init__(self):
-        E = np.ascontiguousarray(self.E, dtype=float)
-        E.setflags(write=False)
-        object.__setattr__(self, "E", E)
-
-
-def accumulate(decomp: ErrorDecomposition) -> AccumulatedError:
-    """Accumulated error profile of the raw (unscaled) contributions."""
-    return AccumulatedError(np.abs(np.cumsum(decomp.contributions)))
+def accumulate(contributions: np.ndarray) -> np.ndarray:
+    """Accumulated error profile E_k = |sum_{i<=k} e_i| of raw (unscaled)
+    per-interval contributions."""
+    return np.abs(np.cumsum(contributions))
 
 
 def estimate_standard_error(problem: OdeProblem, forward: Trajectory,

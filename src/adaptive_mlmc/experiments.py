@@ -15,7 +15,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .error_estimation import estimate_event_time_error, estimate_standard_error
-from .meshes import TemporalMesh, uniform_mesh
+from .meshes import Mesh1D, uniform_mesh
 from .models import SampleFailure, harmonic_oscillator, lorenz, two_body
 from .qoi import (NonstandardQoi, StandardQoi, eval_event_time, eval_standard)
 from .sampling import ParameterDistribution, normal, uniform
@@ -35,10 +35,10 @@ class OdeExperiment:
     initial_intervals: int
     default_epsilon: float
 
-    def initial_mesh(self) -> TemporalMesh:
+    def initial_mesh(self) -> Mesh1D:
         horizon = self.make_problem(
             np.array([0.5 * (d.a + d.b) for d in self.distributions])).horizon
-        return uniform_mesh(horizon, self.initial_intervals, TemporalMesh)
+        return uniform_mesh(horizon, self.initial_intervals)
 
 
 class OdeMlmcModel:
@@ -52,7 +52,7 @@ class OdeMlmcModel:
         self.experiment = experiment
         self.distributions = experiment.distributions
 
-    def evaluate(self, W: np.ndarray, mesh: TemporalMesh, want_estimate: bool):
+    def evaluate(self, W: np.ndarray, mesh: Mesh1D, want_estimate: bool):
         q = self.experiment.qoi
         values = np.full(len(W), np.nan)
         decomps = [None] * len(W)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -69,34 +69,10 @@ class Mesh1D:
                 fh.write(f"{t:.17g}\n")
 
 
-class TemporalMesh(Mesh1D):
-    """Partition of (0, T] into sub-intervals."""
-
-
-class SpatialMesh1D(Mesh1D):
-    """Partition of the spatial domain [0, L] into elements."""
-
-
-def uniform_mesh(length: float, n_intervals: int, cls=TemporalMesh) -> Mesh1D:
+def uniform_mesh(length: float, n_intervals: int) -> Mesh1D:
     if n_intervals < 1:
         raise MeshError("need at least one interval")
-    return cls(np.linspace(0.0, length, n_intervals + 1))
-
-
-@dataclass(frozen=True)
-class IntervalSet:
-    """Set of interval indices into a mesh, used as a refinement selection."""
-
-    indices: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "indices", frozenset(int(i) for i in self.indices))
-
-    def validate(self, mesh: Mesh1D) -> None:
-        for i in self.indices:
-            if i < 0 or i >= mesh.n_intervals:
-                raise MeshError(f"interval index {i} out of range for mesh "
-                                f"with {mesh.n_intervals} intervals")
+    return Mesh1D(np.linspace(0.0, length, n_intervals + 1))
 
 
 @dataclass(frozen=True)
@@ -146,15 +122,6 @@ class RegionSpan:
         return self.n_intervals / (self.t_end - self.t_start)
 
 
-def region_spans(mesh: Mesh1D, regions: Sequence[MesoRegion]) -> list:
-    """Convert index-based meso regions on a mesh into time spans."""
-    check_region_tiling(regions, mesh.n_intervals)
-    return [RegionSpan(float(mesh.nodes[r.start_interval]),
-                       float(mesh.nodes[r.end_interval + 1]),
-                       r.interval_count)
-            for r in regions]
-
-
 def whole_domain_span(mesh: Mesh1D) -> list:
     """The trivial one-region tiling of a mesh (used for uniform initial grids)."""
     return [RegionSpan(0.0, mesh.length, mesh.n_intervals)]
@@ -173,16 +140,20 @@ def uniform_refine(mesh: Mesh1D, factor: int) -> Mesh1D:
     # k = 0 reproduces the original left nodes exactly
     interior = a[:, None] + (b - a)[:, None] * frac[None, :]
     nodes = np.append(interior.ravel(), mesh.nodes[-1])
-    return type(mesh)(nodes)
+    return Mesh1D(nodes)
 
 
-def refine_intervals(mesh: Mesh1D, selection: IntervalSet, factor: int) -> Mesh1D:
-    """Split the selected intervals into `factor` equal parts, leave the rest."""
+def refine_intervals(mesh: Mesh1D, selection, factor: int) -> Mesh1D:
+    """Split the intervals whose indices are in `selection` into `factor`
+    equal parts, leave the rest."""
     factor = int(factor)
     if factor < 2:
         raise MeshError("factor must be >= 2")
-    selection.validate(mesh)
-    chosen = selection.indices
+    chosen = {int(i) for i in selection}
+    for i in chosen:
+        if i < 0 or i >= mesh.n_intervals:
+            raise MeshError(f"interval index {i} out of range for mesh "
+                            f"with {mesh.n_intervals} intervals")
     pieces = [np.array([0.0])]
     for i in range(mesh.n_intervals):
         a, b = mesh.nodes[i], mesh.nodes[i + 1]
@@ -195,7 +166,7 @@ def refine_intervals(mesh: Mesh1D, selection: IntervalSet, factor: int) -> Mesh1
     # right endpoints of unsplit intervals and k=factor endpoints are the
     # original nodes, so every input node survives exactly
     nodes[-1] = mesh.nodes[-1]
-    return type(mesh)(nodes)
+    return Mesh1D(nodes)
 
 
 def _same_time(a: float, b: float, scale: float) -> bool:
@@ -250,7 +221,7 @@ def common_mesoregion_refinement(prev_regions: Sequence[RegionSpan],
     return out
 
 
-def mesh_from_region_spans(spans: Sequence[RegionSpan], cls=TemporalMesh) -> Mesh1D:
+def mesh_from_region_spans(spans: Sequence[RegionSpan]) -> Mesh1D:
     """Build a mesh with a uniform sub-grid on each region span."""
     _check_tiles_domain(spans, spans[0].t_start, spans[-1].t_end)
     nodes = [spans[0].t_start]
@@ -258,4 +229,4 @@ def mesh_from_region_spans(spans: Sequence[RegionSpan], cls=TemporalMesh) -> Mes
         k = np.arange(1, s.n_intervals + 1) / s.n_intervals
         nodes.extend(s.t_start + (s.t_end - s.t_start) * k)
         nodes[-1] = s.t_end
-    return cls(np.array(nodes))
+    return Mesh1D(np.array(nodes))

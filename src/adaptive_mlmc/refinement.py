@@ -15,11 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .error_estimation import AccumulatedError, ErrorDecomposition, accumulate
-from .meshes import (IntervalSet, Mesh1D, MeshError, MesoRegion, RegionSpan,
+from .error_estimation import ErrorDecomposition, accumulate
+from .meshes import (Mesh1D, MeshError, MesoRegion, RegionSpan,
                      check_region_tiling, common_mesoregion_refinement,
-                     mesh_from_region_spans, refine_intervals, region_spans,
-                     uniform_refine)
+                     mesh_from_region_spans, refine_intervals, uniform_refine)
 
 log = logging.getLogger(__name__)
 
@@ -46,12 +45,8 @@ class RefinementConfig:
             raise ValueError("meso_target_multiplier must exceed 1")
 
 
-def refine_uniform(mesh: Mesh1D, cfg: RefinementConfig) -> Mesh1D:
-    return uniform_refine(mesh, cfg.uniform_factor)
-
-
-def dwr_select(decomp: ErrorDecomposition, fraction: float) -> IntervalSet:
-    """Indices of the ceil(fraction * N) largest |contribution|s.
+def dwr_select(decomp: ErrorDecomposition, fraction: float) -> np.ndarray:
+    """Sorted indices of the ceil(fraction * N) largest |contribution|s.
 
     Ties break toward the lower index so the selection is deterministic.
     """
@@ -59,8 +54,7 @@ def dwr_select(decomp: ErrorDecomposition, fraction: float) -> IntervalSet:
     if mags.size == 0:
         raise ValueError("empty decomposition")
     n_pick = math.ceil(fraction * mags.size)
-    order = sorted(range(mags.size), key=lambda i: (-mags[i], i))
-    return IntervalSet(frozenset(order[:n_pick]))
+    return np.sort(np.argsort(-mags, kind="stable")[:n_pick])
 
 
 def refine_dwr_multisample(mesh: Mesh1D, decomps: Sequence[ErrorDecomposition],
@@ -68,23 +62,22 @@ def refine_dwr_multisample(mesh: Mesh1D, decomps: Sequence[ErrorDecomposition],
     """Refine the union of every sample's selected intervals."""
     if not decomps:
         raise ValueError("need at least one decomposition")
-    union = frozenset()
     for d in decomps:
         if d.contributions.size > mesh.n_intervals:
             raise MeshError("decomposition not indexed on this mesh")
-        union = union | dwr_select(d, cfg.dwr_fraction).indices
-    return refine_intervals(mesh, IntervalSet(union), cfg.dwr_factor)
+    union = np.unique(np.concatenate([dwr_select(d, cfg.dwr_fraction)
+                                      for d in decomps]))
+    return refine_intervals(mesh, union, cfg.dwr_factor)
 
 
-def find_meso_regions(acc: AccumulatedError) -> list:
-    """Split intervals at the minima of the accumulated error.
+def find_meso_regions(E: np.ndarray) -> list:
+    """Split intervals at the minima of the accumulated error profile E.
 
     From the current start, skip the initial strictly increasing run of E,
     then end the region at the global minimizer of E over the remaining
     indices; repeat from there.  Each region records the error accumulated
     across it (E at its end minus E at the previous region's end).
     """
-    E = acc.E
     n = E.size
     if n == 0:
         raise ValueError("empty accumulated-error profile")
@@ -148,22 +141,21 @@ def refine_meso(prev_mesh: Mesh1D, prev_regions: Sequence[RegionSpan],
         raise MeshError("decomposition not indexed on the previous mesh")
     padded = np.zeros(n_prev)
     padded[:contributions.size] = contributions
-    acc = AccumulatedError(np.abs(np.cumsum(padded)))
-    regions = find_meso_regions(acc)
+    regions = find_meso_regions(accumulate(padded))
     n_hat = math.ceil(cfg.meso_target_multiplier * n_prev)
     counts = allocate_meso(regions, n_hat, cfg.meso_q)
     tentative = [RegionSpan(float(prev_mesh.nodes[r.start_interval]),
                             float(prev_mesh.nodes[r.end_interval + 1]), counts[i])
                  for i, r in enumerate(regions)]
     merged = common_mesoregion_refinement(prev_regions, tentative)
-    mesh = mesh_from_region_spans(merged, cls=type(prev_mesh))
+    mesh = mesh_from_region_spans(merged)
     return mesh, merged
 
 
 def build_next_mesh(prev_mesh: Mesh1D, prev_regions, decomps, cfg: RefinementConfig):
     """Dispatch on the configured strategy; returns (mesh, regions-or-None)."""
     if cfg.strategy == "uniform":
-        return refine_uniform(prev_mesh, cfg), None
+        return uniform_refine(prev_mesh, cfg.uniform_factor), None
     if cfg.strategy == "dwr":
         return refine_dwr_multisample(prev_mesh, decomps, cfg), None
     worst = max(decomps, key=lambda d: abs(d.total))

@@ -1,14 +1,15 @@
 """Reproducible random-parameter sampling on counter-based streams.
 
-Every sample is a pure function of (master_seed, level, index): the stream is
+Every draw is a pure function of (master_seed, level, index): its stream is
 keyed by all three, uniforms come from inverse-CDF on 64-bit words and
 normals from Box-Muller on the same stream.  Results are therefore identical
-no matter in which order, or on how many workers, samples are generated.
+no matter in which order, in which chunks, or on how many workers draws are
+generated.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -47,20 +48,6 @@ def normal(mean: float, stddev: float, target: str = "") -> ParameterDistributio
     return ParameterDistribution("normal", float(mean), float(stddev), target)
 
 
-@dataclass(frozen=True)
-class ParameterSample:
-    """One realization of all random inputs, tagged with its stream identity."""
-
-    values: np.ndarray
-    sample_id: Tuple[int, int]
-    seed_path: Tuple[int, int, int]
-
-    def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=float)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-
 def _words(master_seed: int, level: int, index: int, n: int) -> np.ndarray:
     """n raw words of the Philox stream keyed by (seed, level, index): the
     words `Generator.integers` gives on the full uint64 range, minus its cost."""
@@ -75,20 +62,22 @@ def _unit_open_closed(words: np.ndarray) -> np.ndarray:
 
 
 def sample_parameters(spec: Sequence[ParameterDistribution], master_seed: int,
-                      level: int, index: int) -> ParameterSample:
-    """Draw one value per distribution, deterministically in (seed, level, index)."""
+                      level: int, indices: Sequence[int]) -> np.ndarray:
+    """One row of values per index, shape (M, p); row k is a function of
+    (master_seed, level, indices[k]) alone."""
     n_words = sum(2 if d.kind == "normal" else 1 for d in spec)
-    u = _unit_open_closed(_words(master_seed, level, index, n_words))
-    values = np.empty(len(spec))
+    u = _unit_open_closed(np.array(
+        [_words(master_seed, level, i, n_words) for i in indices],
+        dtype=np.uint64).reshape(len(indices), n_words))
+    values = np.empty((len(indices), len(spec)))
     pos = 0
     for k, dist in enumerate(spec):
         if dist.kind == "uniform":
-            values[k] = dist.a + (dist.b - dist.a) * u[pos]
+            values[:, k] = dist.a + (dist.b - dist.a) * u[:, pos]
             pos += 1
         else:
-            u1, u2 = u[pos], u[pos + 1]
+            u1, u2 = u[:, pos], u[:, pos + 1]
             z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-            values[k] = dist.a + dist.b * z
+            values[:, k] = dist.a + dist.b * z
             pos += 2
-    return ParameterSample(values, (int(level), int(index)),
-                           (int(master_seed), int(level), int(index)))
+    return values

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .meshes import Mesh1D, MeshError, TemporalMesh, uniform_refine, REL_TOL
+from .meshes import Mesh1D, MeshError, uniform_refine, REL_TOL
 from .models import OdeProblem, SampleFailure
 
 NEWTON_TOL = 1e-12
@@ -56,16 +56,11 @@ class Trajectory:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
-    def _interval(self, t: np.ndarray) -> np.ndarray:
-        """Index of the interval holding each t, clipped onto the mesh."""
-        return np.clip(np.searchsorted(self.mesh.nodes, t, side="right") - 1,
-                       0, self.mesh.n_intervals - 1)
-
     def __call__(self, t):
         """Linear interpolation; t scalar -> (d,), t of shape (m,) -> (m, d)."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         nodes = self.mesh.nodes
-        idx = self._interval(t_arr)
+        idx = self.mesh.interval_of(t_arr)
         h = nodes[idx + 1] - nodes[idx]
         s = (t_arr - nodes[idx]) / h
         out = (1.0 - s)[:, None] * self.values[idx] + s[:, None] * self.values[idx + 1]
@@ -76,7 +71,7 @@ class Trajectory:
         return (self.values[interval + 1] - self.values[interval]) / h
 
 
-def solve_forward_cg1(problem: OdeProblem, mesh: TemporalMesh) -> Trajectory:
+def solve_forward_cg1(problem: OdeProblem, mesh: Mesh1D) -> Trajectory:
     """March the cG(1) method over the mesh, Newton-solving each nodal update."""
     if mesh.length < problem.horizon * (1.0 - REL_TOL):
         raise MeshError("mesh does not cover the problem horizon")
@@ -118,8 +113,7 @@ def restrict_mesh(mesh: Mesh1D, t_star: float) -> Mesh1D:
         raise MeshError(f"t*={t_star} outside (0, {T}]")
     t_star = min(t_star, T)
     cut = np.searchsorted(mesh.nodes, t_star * (1.0 - REL_TOL) - REL_TOL, side="left")
-    nodes = np.append(mesh.nodes[:cut], t_star)
-    return type(mesh)(nodes)
+    return Mesh1D(np.append(mesh.nodes[:cut], t_star))
 
 
 def solve_adjoint(problem: OdeProblem, forward: Trajectory, t_star: float,
@@ -163,7 +157,7 @@ def weighted_residual(problem: OdeProblem, forward: Trajectory, phi,
     tq, wq = _segment_quadrature(quad_mesh.nodes)
     t = tq.ravel()
     slopes = np.diff(forward.values, axis=0) / forward.mesh.lengths[:, None]
-    residual = problem.rhs(forward(t), t) - slopes[forward._interval(t)]
+    residual = problem.rhs(forward(t), t) - slopes[forward.mesh.interval_of(t)]
     integrand = np.einsum("qi,qi->q", residual, np.asarray(phi(t), dtype=float))
     per_sub_interval = np.einsum("kq,kq->k", wq, integrand.reshape(tq.shape))
     owner = restricted.interval_of(0.5 * (quad_mesh.nodes[:-1] + quad_mesh.nodes[1:]))

@@ -17,9 +17,8 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .driver import MlmcEstimate, MlmcRunConfig, run_adaptive_mlmc
 from .error_estimation import ErrorDecomposition
-from .meshes import SpatialMesh1D, uniform_mesh, uniform_refine
+from .meshes import Mesh1D, uniform_mesh, uniform_refine
 from .refinement import RefinementConfig
 from .sampling import uniform
 from .solvers import _segment_quadrature
@@ -66,7 +65,7 @@ def _segment_bounds(nodes: np.ndarray, breaks) -> np.ndarray:
     return pts
 
 
-def _load_vector(mesh: SpatialMesh1D, g: Callable, breaks) -> np.ndarray:
+def _load_vector(mesh: Mesh1D, g: Callable, breaks) -> np.ndarray:
     """F_i = (g, hat_i) assembled with Gauss quadrature exact for the data."""
     nodes = mesh.nodes
     pts = _segment_bounds(nodes, breaks)
@@ -81,7 +80,7 @@ def _load_vector(mesh: SpatialMesh1D, g: Callable, breaks) -> np.ndarray:
     return F
 
 
-def _interpolate(mesh: SpatialMesh1D, values: np.ndarray, x: np.ndarray):
+def _interpolate(mesh: Mesh1D, values: np.ndarray, x: np.ndarray):
     """Rows of P1 nodal values (M, nodes), linearly interpolated at points x."""
     nodes = mesh.nodes
     idx = mesh.interval_of(x)
@@ -89,11 +88,11 @@ def _interpolate(mesh: SpatialMesh1D, values: np.ndarray, x: np.ndarray):
     return (1.0 - s) * values[:, idx] + s * values[:, idx + 1]
 
 
-def _solve_weak(mesh: SpatialMesh1D, advection: np.ndarray, g: Callable,
+def _solve_weak(mesh: Mesh1D, advection: np.ndarray, g: Callable,
                 breaks) -> np.ndarray:
     """P1 Galerkin solutions of -(u', v') + b (u', v) = (g, v), u = 0 on the
     boundary, one per speed b in `advection`: nodal values (M, nodes)."""
-    if mesh.n_intervals < 2:
+    if mesh.n_intervals < BVP_MIN_ELEMENTS:
         raise ValueError("need at least two elements for an interior unknown")
     F = _load_vector(mesh, g, breaks)
     inv_h = 1.0 / mesh.lengths
@@ -114,13 +113,13 @@ def _solve_weak(mesh: SpatialMesh1D, advection: np.ndarray, g: Callable,
 
 
 def solve_bvp_p1(problem: BvpProblem, w: np.ndarray,
-                 mesh: SpatialMesh1D) -> np.ndarray:
+                 mesh: Mesh1D) -> np.ndarray:
     """Forward solves for the advection speeds w (M,): nodal values (M, nodes)."""
     return _solve_weak(mesh, w, problem.source, problem.source_breaks)
 
 
-def solve_bvp_adjoint(problem: BvpProblem, w: np.ndarray, mesh: SpatialMesh1D
-                      ) -> Tuple[SpatialMesh1D, np.ndarray]:
+def solve_bvp_adjoint(problem: BvpProblem, w: np.ndarray, mesh: Mesh1D
+                      ) -> Tuple[Mesh1D, np.ndarray]:
     """Adjoint solves: advection sign flipped, psi as source, mesh refined.
 
     Returns the refined mesh and the nodal values (M, refined nodes).  For
@@ -132,7 +131,7 @@ def solve_bvp_adjoint(problem: BvpProblem, w: np.ndarray, mesh: SpatialMesh1D
     return fine, _solve_weak(fine, -w, problem.psi, problem.psi_support)
 
 
-def qoi_value(problem: BvpProblem, mesh: SpatialMesh1D,
+def qoi_value(problem: BvpProblem, mesh: Mesh1D,
               U: np.ndarray) -> np.ndarray:
     """(u, psi) per row of U: exact integrals of the P1 solutions, shape (M,)."""
     lo, hi = problem.psi_support
@@ -147,8 +146,8 @@ def qoi_value(problem: BvpProblem, mesh: SpatialMesh1D,
     return total
 
 
-def bvp_error_decomposition(problem: BvpProblem, w: np.ndarray, mesh: SpatialMesh1D,
-                            U: np.ndarray, phi_mesh: SpatialMesh1D,
+def bvp_error_decomposition(problem: BvpProblem, w: np.ndarray, mesh: Mesh1D,
+                            U: np.ndarray, phi_mesh: Mesh1D,
                             Phi: np.ndarray) -> np.ndarray:
     """Per-element residual pairings e_tau = int_tau [f phi + U' phi' - b U' phi].
 
@@ -186,7 +185,7 @@ class BvpMlmcModel:
         self.problem = problem if problem is not None else BvpProblem()
         self.distributions = (uniform(*advection_range, "b"),)
 
-    def evaluate(self, W: np.ndarray, mesh: SpatialMesh1D, want_estimate: bool):
+    def evaluate(self, W: np.ndarray, mesh: Mesh1D, want_estimate: bool):
         w = W[:, 0]
         U = solve_bvp_p1(self.problem, w, mesh)
         q = qoi_value(self.problem, mesh, U)
@@ -203,11 +202,12 @@ class BvpMlmcModel:
 # level-1 mesh (~1.3e-3) and the uniform one (~3.8e-4) fall below it.
 BVP_DEFAULT_EPSILON = 5e-6
 BVP_INITIAL_ELEMENTS = 12
+BVP_MIN_ELEMENTS = 2  # fewest elements with an interior unknown
 
 
 def bvp_initial_mesh(n_elements: int = BVP_INITIAL_ELEMENTS,
-                     length: float = 3.0) -> SpatialMesh1D:
-    return uniform_mesh(length, n_elements, SpatialMesh1D)
+                     length: float = 3.0) -> Mesh1D:
+    return uniform_mesh(length, n_elements)
 
 
 def bvp_refinement(strategy: str = "dwr") -> RefinementConfig:
@@ -215,8 +215,3 @@ def bvp_refinement(strategy: str = "dwr") -> RefinementConfig:
     return RefinementConfig(strategy=strategy, dwr_fraction=0.25, dwr_factor=2,
                             uniform_factor=2)
 
-
-def run_bvp_mlmc(cfg: MlmcRunConfig,
-                 model: Optional[BvpMlmcModel] = None) -> MlmcEstimate:
-    """Run the shared adaptive MLMC driver on the stationary problem."""
-    return run_adaptive_mlmc(model if model is not None else BvpMlmcModel(), cfg)

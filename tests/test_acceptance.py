@@ -12,23 +12,24 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from adaptive_mlmc import (BvpMlmcModel, BvpProblem, MlmcRunConfig,
-                           NonstandardQoi, OdeMlmcModel, RefinementConfig,
-                           RegionSpan, SampleFailure, StandardQoi,
-                           build_next_mesh, common_mesoregion_refinement,
-                           eval_event_time, eval_standard, get_experiment,
-                           harmonic_oscillator, level_variance, lorenz,
-                           optimal_samples, run_adaptive_mlmc, solve_adjoint,
-                           solve_forward_cg1, take_sample, two_body,
-                           uniform_mesh)
-from adaptive_mlmc.driver import LevelState, SampleRecord
+from adaptive_mlmc.driver import (LevelState, MlmcRunConfig, SampleRecord,
+                                  level_variance, optimal_samples,
+                                  run_adaptive_mlmc, take_sample)
 from adaptive_mlmc.error_estimation import (estimate_event_time_error,
                                             estimate_standard_error)
-from adaptive_mlmc.meshes import SpatialMesh1D
-from adaptive_mlmc.solvers import Trajectory, weighted_residual
-from adaptive_mlmc.stationary import (BVP_DEFAULT_EPSILON, _solve_weak,
-                                      bvp_initial_mesh, bvp_refinement,
-                                      run_bvp_mlmc)
+from adaptive_mlmc.experiments import OdeMlmcModel, get_experiment
+from adaptive_mlmc.meshes import (RegionSpan, common_mesoregion_refinement,
+                                  uniform_mesh)
+from adaptive_mlmc.models import (SampleFailure, harmonic_oscillator, lorenz,
+                                  two_body)
+from adaptive_mlmc.qoi import (NonstandardQoi, StandardQoi, eval_event_time,
+                               eval_standard)
+from adaptive_mlmc.refinement import RefinementConfig, build_next_mesh
+from adaptive_mlmc.solvers import (Trajectory, solve_adjoint,
+                                   solve_forward_cg1, weighted_residual)
+from adaptive_mlmc.stationary import (BVP_DEFAULT_EPSILON, BvpMlmcModel,
+                                      BvpProblem, _solve_weak,
+                                      bvp_initial_mesh, bvp_refinement)
 
 SEEDS = (0, 1, 2, 3, 4)
 STRATEGIES = ("uniform", "dwr", "meso")
@@ -66,7 +67,7 @@ def test_criterion_1_statistics_oracles():
     variance_checks = []
     for n in (2, 5, 100, 1000):
         y = rng.standard_normal(n) * rng.uniform(0.1, 10.0)
-        records = [SampleRecord(w=None, y=float(v)) for v in y]
+        records = [SampleRecord(0, y=float(v)) for v in y]
         direct = float(np.sum((y - np.mean(y)) ** 2) / (n - 1))
         variance_checks.append(
             abs(level_variance(records) - direct) <= 1e-12 * abs(direct))
@@ -189,14 +190,14 @@ def test_criterion_7_stationary_problem():
                                 initial_mesh=bvp_initial_mesh(),
                                 refinement=bvp_refinement(strategy),
                                 master_seed=seed)
-            costs[strategy] = run_bvp_mlmc(cfg, model).total_cost
+            costs[strategy] = run_adaptive_mlmc(model, cfg).total_cost
         wins += costs["dwr"] < costs["uniform"]
 
     # symmetric case: the adjoint of the pure diffusion operator is itself,
     # so pairing the source with the adjoint equals pairing the weight with
     # the forward solution
     problem = BvpProblem()
-    mesh = uniform_mesh(3.0, 64, SpatialMesh1D)
+    mesh = uniform_mesh(3.0, 64)
     b = np.array([0.0])
     u = Trajectory(mesh, _solve_weak(mesh, b, problem.source,
                                      problem.source_breaks)[0])

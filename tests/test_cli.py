@@ -7,6 +7,7 @@ import pytest
 
 from adaptive_mlmc.cli import (ConfigError, _parse_config_file, build_parser,
                                main)
+from adaptive_mlmc.refinement import RefinementConfig
 
 FAST_RUN = """\
 [run]
@@ -48,7 +49,7 @@ dwr_factor = 2
         s = _parse_config_file(path)
         assert s.experiment == "lorenz"
         assert s.epsilon == 1e-4
-        assert s.strategy == "dwr"
+        assert s.refinement == "dwr"
         assert s.seed == 7
         assert s.jobs == 2
         assert s.max_levels == 6
@@ -71,10 +72,94 @@ epsilom = 1e-4
         with pytest.raises(ConfigError, match=r"run\.ini:3.*epsilom"):
             _parse_config_file(path)
 
+    def test_unknown_key_matched_case_insensitively(self, tmp_path):
+        path = write_config(tmp_path, """\
+[run]
+experiment = lorenz
+Epsilom = 1e-4
+""")
+        with pytest.raises(ConfigError, match=r"run\.ini:3: unknown key 'epsilom'"):
+            _parse_config_file(path)
+
+    def test_known_keys_in_any_case(self, tmp_path):
+        path = write_config(tmp_path, """\
+[run]
+Experiment = lorenz
+EPSILON = 1e-4
+
+[refinement]
+Meso_Q = 1.5
+""")
+        s = _parse_config_file(path)
+        assert (s.experiment, s.epsilon) == ("lorenz", 1e-4)
+        assert s.refinement_overrides == {"meso_q": 1.5}
+
+    @pytest.mark.parametrize("header", ["Refinement", "refinment", "runn"])
+    def test_unknown_section_reports_line(self, tmp_path, header):
+        path = write_config(tmp_path, f"""\
+[run]
+experiment = lorenz
+
+[{header}]
+dwr_fraction = 0.3
+""")
+        with pytest.raises(ConfigError,
+                           match=rf"run\.ini:4: unknown section \[{header}\]"):
+            _parse_config_file(path)
+
+    def test_refinement_section_keys_and_types(self, tmp_path):
+        path = write_config(tmp_path, """\
+[run]
+experiment = lorenz
+
+[refinement]
+strategy = meso
+dwr_fraction = 0.3
+dwr_factor = 4
+uniform_factor = 3
+meso_q = 1
+meso_target_multiplier = 3
+""")
+        s = _parse_config_file(path)
+        assert s.refinement == "meso"
+        assert s.refinement_overrides == {
+            "dwr_fraction": 0.3, "dwr_factor": 4, "uniform_factor": 3,
+            "meso_q": 1.0, "meso_target_multiplier": 3.0}
+        assert all(type(v) is type(getattr(RefinementConfig(), k))
+                   for k, v in s.refinement_overrides.items())
+
+    def test_run_refinement_wins_over_section_strategy(self, tmp_path):
+        path = write_config(tmp_path, """\
+[run]
+experiment = lorenz
+refinement = dwr
+
+[refinement]
+strategy = meso
+""")
+        assert _parse_config_file(path).refinement == "dwr"
+
+    def test_refinement_factor_must_be_an_integer(self, tmp_path):
+        path = write_config(tmp_path, """\
+[run]
+experiment = lorenz
+
+[refinement]
+dwr_factor = 2.5
+""")
+        with pytest.raises(ConfigError, match=r"run\.ini:5: invalid value"):
+            _parse_config_file(path)
+
     def test_bad_value_rejected(self, tmp_path):
         path = write_config(tmp_path,
                             "[run]\nexperiment = lorenz\nepsilon = tiny\n")
         with pytest.raises(ConfigError, match="invalid value"):
+            _parse_config_file(path)
+
+    def test_bad_boolean_rejected(self, tmp_path):
+        path = write_config(tmp_path, "[run]\nexperiment = lorenz\n"
+                                      "dump_grids = maybe\n")
+        with pytest.raises(ConfigError, match=r"run\.ini:3: invalid value"):
             _parse_config_file(path)
 
     def test_missing_file(self):
@@ -169,9 +254,66 @@ max_levels = 1
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        "[run]\nexperiment = harmonic-standard\nrefinement = bisection\n",
+        "[run]\nexperiment = harmonic-standard\n\n[refinement]\n"
+        "dwr_fraction = 0\n",
+        "[run]\nexperiment = advection-diffusion-1d\n\n[refinement]\n"
+        "dwr_factor = 1\n",
+    ])
+    def test_invalid_refinement_is_a_config_error(self, tmp_path, capsys, text):
+        config = write_config(tmp_path, text)
+        code = run_cli("run", "--config", config,
+                       "--output-dir", str(tmp_path / "out"))
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {config}: ")
+
     def test_no_experiment_selected(self, capsys):
         assert run_cli("run") == 1
         assert "no experiment selected" in capsys.readouterr().err
+
+
+class TestInitialIntervals:
+    """A value below the experiment's minimum is a config error at its line,
+    never a silent default or a crash mid-run."""
+
+    @pytest.mark.parametrize("experiment,value", [
+        ("harmonic-standard", 0),
+        ("lorenz", -3),
+        ("advection-diffusion-1d", 1),
+    ])
+    def test_below_minimum_rejected(self, tmp_path, capsys, experiment, value):
+        config = write_config(tmp_path, f"""\
+[run]
+experiment = {experiment}
+epsilon = 100
+initial_intervals = {value}
+""")
+        code = run_cli("run", "--config", config,
+                       "--output-dir", str(tmp_path / "out"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}:4: initial_intervals = {value}")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("experiment,value,elems", [
+        ("harmonic-standard", 1, "1"),
+        ("advection-diffusion-1d", 2, "2"),
+    ])
+    def test_minimum_accepted(self, tmp_path, capsys, experiment, value, elems):
+        config = write_config(tmp_path, f"""\
+[run]
+experiment = {experiment}
+epsilon = 100
+initial_intervals = {value}
+max_levels = 1
+""")
+        out_dir = tmp_path / "out"
+        run_cli("run", "--config", config, "--output-dir", str(out_dir))
+        capsys.readouterr()
+        level0 = (out_dir / "levels.csv").read_text().splitlines()[1]
+        assert level0.split(",")[1] == elems
 
 
 class TestDeterminism:

@@ -14,12 +14,11 @@ from adaptive_mlmc.error_estimation import ErrorDecomposition
 from adaptive_mlmc.experiments import OdeMlmcModel, get_experiment
 from adaptive_mlmc.meshes import uniform_mesh
 from adaptive_mlmc.refinement import RefinementConfig
-from adaptive_mlmc.sampling import ParameterSample, sample_parameters, uniform
+from adaptive_mlmc.sampling import sample_parameters, uniform
 
 
 def record(y, status="ok", estimate=None):
-    w = ParameterSample(np.array([0.0]), (0, 0), (0, 0, 0))
-    return SampleRecord(w, y=y, status=status, error_estimate=estimate)
+    return SampleRecord(0, y=y, status=status, error_estimate=estimate)
 
 
 class TestLevelVariance:
@@ -140,7 +139,7 @@ class SyntheticModel:
 
 def draw(level, index, seed=0):
     return sample_parameters(SyntheticModel.distributions, seed, level,
-                             index).values[0]
+                             [index])[0, 0]
 
 
 class TestTakeSample:
@@ -181,8 +180,20 @@ class TestTakeSample:
         assert model.chunks == [3, 3]
         assert [r.index for r in records] == [5, 6, 9]
         for r in records:
-            assert r.w.seed_path == (7, 2, r.index)
             assert r.q_fine == 4.0 * draw(2, r.index, seed=7)
+
+    def test_one_draw_call_per_chunk(self, monkeypatch):
+        import adaptive_mlmc.driver as driver
+        calls = []
+
+        def counting(spec, seed, level, indices):
+            calls.append(list(indices))
+            return sample_parameters(spec, seed, level, indices)
+        monkeypatch.setattr(driver, "sample_parameters", counting)
+        state = LevelState(2, uniform_mesh(1.0, 4), uniform_mesh(1.0, 2),
+                           3.0, [])
+        take_sample(SyntheticModel(), state, 7, [5, 6, 9], want_estimate=True)
+        assert calls == [[5, 6, 9]]
 
     def test_failed_draw_leaves_its_chunk_mates_untouched(self):
         """Failing rows fail alone; the others equal their single-draw record."""

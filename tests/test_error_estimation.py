@@ -3,8 +3,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from adaptive_mlmc.error_estimation import (AccumulatedError,
-                                            DegenerateDenominator,
+from adaptive_mlmc.error_estimation import (DegenerateDenominator,
                                             ErrorDecomposition, accumulate,
                                             estimate_event_time_error,
                                             estimate_standard_error)
@@ -47,7 +46,7 @@ class TestErrorDecomposition:
 
     def test_accumulate_absolute_partial_sums(self):
         d = ErrorDecomposition(np.array([1.0, -1.0, 1.0]))
-        np.testing.assert_allclose(accumulate(d).E, [1.0, 0.0, 1.0])
+        np.testing.assert_allclose(accumulate(d.contributions), [1.0, 0.0, 1.0])
 
 
 class TestStandardEstimate:

@@ -95,9 +95,8 @@ class TestOdeMlmcModel:
         exp = get_experiment("harmonic-standard")
         model = OdeMlmcModel(exp)
         W = np.array([[50.0, 0.25]])
-        from adaptive_mlmc.meshes import TemporalMesh, uniform_mesh
-        qs = [model.evaluate(W, uniform_mesh(3.0, n, TemporalMesh),
-                             False)[0][0]
+        from adaptive_mlmc.meshes import uniform_mesh
+        qs = [model.evaluate(W, uniform_mesh(3.0, n), False)[0][0]
               for n in (27, 54, 108, 216)]
         diffs = np.abs(np.diff(qs))
         assert diffs[2] < diffs[1] < diffs[0]

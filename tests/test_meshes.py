@@ -4,30 +4,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaptive_mlmc.meshes import (IntervalSet, Mesh1D, MeshError, MesoRegion,
-                                  RegionSpan, SpatialMesh1D, TemporalMesh,
+from adaptive_mlmc.meshes import (Mesh1D, MeshError, MesoRegion, RegionSpan,
                                   check_region_tiling,
                                   common_mesoregion_refinement,
                                   mesh_from_region_spans, refine_intervals,
-                                  region_spans, uniform_mesh, uniform_refine,
+                                  uniform_mesh, uniform_refine,
                                   whole_domain_span)
 
 
 class TestMeshValidation:
     def test_needs_two_nodes(self):
         with pytest.raises(MeshError):
-            TemporalMesh(np.array([0.0]))
+            Mesh1D(np.array([0.0]))
 
     def test_must_start_at_zero(self):
         with pytest.raises(MeshError):
-            TemporalMesh(np.array([0.5, 1.0]))
+            Mesh1D(np.array([0.5, 1.0]))
 
     def test_strictly_increasing(self):
         with pytest.raises(MeshError):
-            TemporalMesh(np.array([0.0, 1.0, 1.0]))
+            Mesh1D(np.array([0.0, 1.0, 1.0]))
 
     def test_basic_properties(self):
-        mesh = TemporalMesh(np.array([0.0, 1.0, 3.0]))
+        mesh = Mesh1D(np.array([0.0, 1.0, 3.0]))
         assert mesh.n_intervals == 2
         assert mesh.length == 3.0
         np.testing.assert_allclose(mesh.lengths, [1.0, 2.0])
@@ -69,13 +68,9 @@ class TestUniformRefine:
         mesh = uniform_mesh(3.0, 5)
         assert uniform_refine(mesh, 1) is mesh
 
-    def test_preserves_class(self):
-        mesh = uniform_mesh(3.0, 2, SpatialMesh1D)
-        assert isinstance(uniform_refine(mesh, 2), SpatialMesh1D)
-
     def test_original_nodes_survive_exactly(self):
         nodes = np.array([0.0, 0.1, 0.3, 0.7, 1.3])
-        mesh = TemporalMesh(nodes)
+        mesh = Mesh1D(nodes)
         fine = uniform_refine(mesh, 3)
         assert set(nodes.tolist()) <= set(fine.nodes.tolist())
 
@@ -83,24 +78,26 @@ class TestUniformRefine:
 class TestRefineIntervals:
     def test_selected_split_others_kept(self):
         mesh = uniform_mesh(4.0, 4)
-        out = refine_intervals(mesh, IntervalSet(frozenset({1, 3})), 2)
+        out = refine_intervals(mesh, np.array([1, 3]), 2)
         np.testing.assert_allclose(out.nodes, [0, 1, 1.5, 2, 3, 3.5, 4])
 
     def test_out_of_range_selection(self):
         mesh = uniform_mesh(4.0, 4)
         with pytest.raises(MeshError):
-            refine_intervals(mesh, IntervalSet(frozenset({4})), 2)
+            refine_intervals(mesh, np.array([4]), 2)
+        with pytest.raises(MeshError):
+            refine_intervals(mesh, np.array([-1]), 2)
 
     def test_empty_selection_is_identity(self):
         mesh = uniform_mesh(4.0, 4)
-        out = refine_intervals(mesh, IntervalSet(frozenset()), 2)
+        out = refine_intervals(mesh, np.array([], dtype=int), 2)
         np.testing.assert_array_equal(out.nodes, mesh.nodes)
 
     @given(st.sets(st.integers(0, 9)), st.integers(2, 4))
     @settings(max_examples=50, deadline=None)
     def test_never_removes_nodes(self, picked, factor):
         mesh = uniform_mesh(5.0, 10)
-        out = refine_intervals(mesh, IntervalSet(frozenset(picked)), factor)
+        out = refine_intervals(mesh, np.array(sorted(picked), dtype=int), factor)
         assert set(mesh.nodes.tolist()) <= set(out.nodes.tolist())
         assert out.n_intervals == 10 + (factor - 1) * len(picked)
 
@@ -113,12 +110,6 @@ class TestRegions:
             check_region_tiling(regions, 7)
         with pytest.raises(MeshError):
             check_region_tiling([MesoRegion(1, 5, 1.0)], 6)
-
-    def test_region_spans_carry_counts(self):
-        mesh = uniform_mesh(6.0, 6)
-        spans = region_spans(mesh, [MesoRegion(0, 2, 1.0), MesoRegion(3, 5, 0.5)])
-        assert spans[0] == RegionSpan(0.0, 3.0, 3)
-        assert spans[1] == RegionSpan(3.0, 6.0, 3)
 
     def test_density(self):
         assert RegionSpan(0.0, 4.0, 8).density == 2.0
@@ -180,7 +171,7 @@ class TestCommonMesoRegionRefinement:
 
 class TestDump:
     def test_round_trip(self, tmp_path):
-        mesh = TemporalMesh(np.array([0.0, 1 / 3, 2 / 3, 1.1]))
+        mesh = Mesh1D(np.array([0.0, 1 / 3, 2 / 3, 1.1]))
         path = tmp_path / "grid.txt"
         mesh.dump(path)
         back = np.array([float(line) for line in path.read_text().split()])

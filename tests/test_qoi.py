@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from adaptive_mlmc.meshes import MeshError, TemporalMesh, uniform_mesh
+from adaptive_mlmc.meshes import Mesh1D, MeshError, uniform_mesh
 from adaptive_mlmc.qoi import (EventNotFound, NonstandardQoi, StandardQoi,
                                eval_event_time, eval_standard, event_times)
 from adaptive_mlmc.solvers import Trajectory
@@ -55,7 +55,7 @@ class TestEventTimes:
 
     def test_sine_like_crossings(self):
         ts = np.linspace(0.0, 2.5 * np.pi, 1001)
-        traj = Trajectory(TemporalMesh(ts), np.sin(ts)[:, None])
+        traj = Trajectory(Mesh1D(ts), np.sin(ts)[:, None])
         times = event_times(traj, NonstandardQoi(np.array([1.0]), 0.0))
         np.testing.assert_allclose(times, [np.pi, 2.0 * np.pi], rtol=1e-5)
 

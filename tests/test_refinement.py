@@ -4,14 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaptive_mlmc.error_estimation import AccumulatedError, ErrorDecomposition
+from adaptive_mlmc.error_estimation import ErrorDecomposition
 from adaptive_mlmc.meshes import (MesoRegion, RegionSpan, uniform_mesh,
                                   whole_domain_span)
 from adaptive_mlmc.refinement import (RefinementConfig, allocate_meso,
                                       build_next_mesh, dwr_select,
                                       find_meso_regions,
-                                      refine_dwr_multisample, refine_meso,
-                                      refine_uniform)
+                                      refine_dwr_multisample, refine_meso)
 
 
 def decomp(*values):
@@ -39,24 +38,36 @@ class TestConfigValidation:
 class TestDwrSelect:
     def test_half_fraction_hand_case(self):
         # |contributions| = (3, 5, 1); ceil(0.5 * 3) = 2 -> indices {1, 0}
-        assert dwr_select(decomp(3.0, -5.0, 1.0), 0.5).indices == {0, 1}
+        assert dwr_select(decomp(3.0, -5.0, 1.0), 0.5).tolist() == [0, 1]
 
     def test_fraction_one_selects_all(self):
-        assert dwr_select(decomp(1.0, 2.0, 3.0), 1.0).indices == {0, 1, 2}
+        assert dwr_select(decomp(1.0, 2.0, 3.0), 1.0).tolist() == [0, 1, 2]
 
     def test_ties_break_to_lower_index(self):
-        assert dwr_select(decomp(2.0, 2.0, 2.0), 0.5).indices == {0, 1}
+        assert dwr_select(decomp(2.0, 2.0, 2.0), 0.5).tolist() == [0, 1]
 
     def test_ceil_of_fraction(self):
         # ceil(0.25 * 5) = 2
-        assert len(dwr_select(decomp(5, 4, 3, 2, 1), 0.25).indices) == 2
+        assert len(dwr_select(decomp(5, 4, 3, 2, 1), 0.25)) == 2
+
+    @given(st.lists(st.sampled_from([0.0, -1.0, 1.0, 2.5, -2.5, 7.0]),
+                    min_size=1, max_size=30),
+           st.floats(0.05, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_sort_by_magnitude_then_index(self, values, fraction):
+        """Heavy ties: the pick is the first ceil(fraction * N) indices in
+        order of decreasing |e_i|, lower index first among equals."""
+        mags = np.abs(values)
+        order = sorted(range(mags.size), key=lambda i: (-mags[i], i))
+        expected = sorted(order[:int(np.ceil(fraction * mags.size))])
+        assert dwr_select(decomp(*values), fraction).tolist() == expected
 
     @given(st.lists(st.floats(-10, 10), min_size=1, max_size=30),
            st.floats(0.05, 1.0))
     @settings(max_examples=60, deadline=None)
     def test_selected_dominate_unselected(self, values, fraction):
         d = decomp(*values)
-        picked = dwr_select(d, fraction).indices
+        picked = set(dwr_select(d, fraction).tolist())
         mags = np.abs(d.contributions)
         if picked and len(picked) < mags.size:
             smallest_picked = min(mags[i] for i in picked)
@@ -99,21 +110,20 @@ class TestDwrMultisample:
 
 class TestFindMesoRegions:
     def test_monotone_profile_single_region(self):
-        regions = find_meso_regions(AccumulatedError(np.array([1.0, 2.0, 3.0])))
+        regions = find_meso_regions(np.array([1.0, 2.0, 3.0]))
         assert regions == [MesoRegion(0, 2, 3.0)]
 
     def test_hand_profile(self):
         # E = (1, 0, 1, 0.5): the initial increasing run stops at index 0,
         # the global minimum of the remainder is at index 1 -> first region
         # [0, 1]; the rest repeats from index 2.
-        regions = find_meso_regions(
-            AccumulatedError(np.array([1.0, 0.0, 1.0, 0.5])))
+        regions = find_meso_regions(np.array([1.0, 0.0, 1.0, 0.5]))
         assert regions[0] == MesoRegion(0, 1, 0.0)
         assert regions[1] == MesoRegion(2, 3, 0.5)
 
     def test_accumulated_errors_are_increments(self):
         E = np.array([2.0, 1.0, 3.0, 2.5, 4.0])
-        regions = find_meso_regions(AccumulatedError(E))
+        regions = find_meso_regions(E)
         totals = np.cumsum([r.accumulated_error for r in regions])
         ends = [r.end_interval for r in regions]
         np.testing.assert_allclose(totals, E[ends])
@@ -121,7 +131,7 @@ class TestFindMesoRegions:
     def test_regions_tile_profile(self):
         rng = np.random.default_rng(5)
         E = np.abs(np.cumsum(rng.standard_normal(40)))
-        regions = find_meso_regions(AccumulatedError(E))
+        regions = find_meso_regions(E)
         assert regions[0].start_interval == 0
         assert regions[-1].end_interval == 39
         for left, right in zip(regions, regions[1:]):

@@ -7,7 +7,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from adaptive_mlmc.experiments import get_experiment
-from adaptive_mlmc.meshes import MeshError, TemporalMesh, uniform_mesh, uniform_refine
+from adaptive_mlmc.meshes import Mesh1D, MeshError, uniform_mesh, uniform_refine
 from adaptive_mlmc.models import OdeProblem, SampleFailure, harmonic_oscillator
 from adaptive_mlmc.qoi import StandardQoi, eval_event_time
 from adaptive_mlmc.solvers import (ADJOINT_REFINE_FACTOR, Trajectory,
@@ -33,7 +33,7 @@ def blow_up():
 
 class TestTrajectory:
     def test_interpolation_and_slope(self):
-        mesh = TemporalMesh(np.array([0.0, 1.0, 3.0]))
+        mesh = Mesh1D(np.array([0.0, 1.0, 3.0]))
         traj = Trajectory(mesh, np.array([[0.0], [2.0], [4.0]]))
         assert traj(0.5)[0] == pytest.approx(1.0)
         assert traj(2.0)[0] == pytest.approx(3.0)

@@ -5,17 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
-from adaptive_mlmc.driver import CHUNK_SIZE, MlmcRunConfig
+from adaptive_mlmc.driver import CHUNK_SIZE, MlmcRunConfig, run_adaptive_mlmc
 from adaptive_mlmc.error_estimation import ErrorDecomposition
-from adaptive_mlmc.meshes import (SpatialMesh1D, refine_intervals,
-                                  uniform_mesh, uniform_refine)
+from adaptive_mlmc.meshes import (Mesh1D, refine_intervals, uniform_mesh,
+                                  uniform_refine)
 from adaptive_mlmc.refinement import dwr_select
 from adaptive_mlmc.solvers import Trajectory, _segment_quadrature
 from adaptive_mlmc.stationary import (ADJOINT_REFINE_FACTOR,
                                       BVP_DEFAULT_EPSILON, BvpMlmcModel,
                                       BvpProblem, bvp_error_decomposition,
                                       bvp_initial_mesh, bvp_refinement,
-                                      qoi_value, run_bvp_mlmc, solve_bvp_adjoint,
+                                      qoi_value, solve_bvp_adjoint,
                                       solve_bvp_p1)
 from adaptive_mlmc.stationary import _load_vector, _segment_bounds, _solve_weak
 
@@ -50,7 +50,7 @@ def integrate_against(g, traj, breaks=()):
 
 class TestForwardSolve:
     def test_zero_source_zero_solution(self):
-        mesh = uniform_mesh(3.0, 8, SpatialMesh1D)
+        mesh = uniform_mesh(3.0, 8)
         U = _solve_weak(mesh, np.array([14.0, -3.0]), zero, ())
         assert U.shape == (2, 9)
         np.testing.assert_allclose(U, 0.0)
@@ -58,7 +58,7 @@ class TestForwardSolve:
     def test_poisson_nodal_exactness(self):
         """b = 0, f = -2: u = x(L - x) is reproduced exactly at the nodes."""
         for n in (4, 16, 33):
-            mesh = uniform_mesh(3.0, n, SpatialMesh1D)
+            mesh = uniform_mesh(3.0, n)
             [U] = _solve_weak(mesh, np.array([0.0]),
                               lambda x: np.full_like(np.asarray(x, dtype=float),
                                                      -2.0), ())
@@ -73,7 +73,7 @@ class TestForwardSolve:
         source = lambda x: -k * k * np.sin(k * x) + b * k * np.cos(k * x)
         errors = []
         for n in (16, 32, 64):
-            mesh = uniform_mesh(3.0, n, SpatialMesh1D)
+            mesh = uniform_mesh(3.0, n)
             u = Trajectory(mesh, _solve_weak(mesh, np.array([b]), source, ())[0])
             xs = np.linspace(0.0, 3.0, 1200)
             err = u(xs)[:, 0] - exact(xs)
@@ -86,7 +86,7 @@ class TestForwardSolve:
     @settings(max_examples=60, deadline=None)
     def test_never_singular(self, widths, speeds):
         """Any mesh, any real speeds: the stacked solve returns the solution."""
-        mesh = SpatialMesh1D(np.concatenate([[0.0], np.cumsum(widths)]))
+        mesh = Mesh1D(np.concatenate([[0.0], np.cumsum(widths)]))
         U = _solve_weak(mesh, np.array(speeds), lambda x: np.ones_like(x), ())
         F = _load_vector(mesh, lambda x: np.ones_like(x), ())[1:-1]
         h = mesh.lengths
@@ -102,13 +102,13 @@ class TestForwardSolve:
 
 class TestAdjoint:
     def test_zero_weight_zero_adjoint(self):
-        mesh = uniform_mesh(3.0, 8, SpatialMesh1D)
+        mesh = uniform_mesh(3.0, 8)
         Phi = _solve_weak(mesh, np.array([-14.0]), zero, ())
         np.testing.assert_allclose(Phi, 0.0)
 
     def test_symmetric_case_duality(self):
         """b = 0: (f, phi[psi]) = (psi, u[f]) to rounding."""
-        mesh = uniform_mesh(3.0, 16, SpatialMesh1D)
+        mesh = uniform_mesh(3.0, 16)
         b = np.array([0.0])
         u_f = Trajectory(mesh, _solve_weak(mesh, b, PROBLEM.source,
                                            PROBLEM.source_breaks)[0])
@@ -122,7 +122,7 @@ class TestAdjoint:
         """(f, phi) approaches (psi, u) as both meshes refine, b != 0."""
         gaps = []
         for n in (64, 128, 256):
-            u, phi, _ = solve_one(14.0, uniform_mesh(3.0, n, SpatialMesh1D))
+            u, phi, _ = solve_one(14.0, uniform_mesh(3.0, n))
             lhs = integrate_against(PROBLEM.source, phi, PROBLEM.source_breaks)
             rhs = integrate_against(PROBLEM.psi, u, PROBLEM.psi_support)
             gaps.append(abs(lhs - rhs))
@@ -130,7 +130,7 @@ class TestAdjoint:
         assert gaps[-1] <= 1e-4
 
     def test_adjoint_mesh_refined(self):
-        mesh = uniform_mesh(3.0, 12, SpatialMesh1D)
+        mesh = uniform_mesh(3.0, 12)
         phi_mesh, Phi = solve_bvp_adjoint(PROBLEM, np.array([14.0, 12.0]), mesh)
         assert phi_mesh.n_intervals > mesh.n_intervals
         assert Phi.shape == (2, phi_mesh.nodes.size)
@@ -140,7 +140,7 @@ class TestErrorDecomposition:
     def test_exact_solution_total_zero(self):
         """Zero source: U = u = 0 exactly, so every contribution vanishes."""
         problem = BvpProblem(source=zero, source_breaks=())
-        mesh = uniform_mesh(3.0, 12, SpatialMesh1D)
+        mesh = uniform_mesh(3.0, 12)
         _, _, d = solve_one(14.0, mesh, problem)
         assert abs(d.total) <= 1e-12
         assert np.abs(d.contributions).max() <= 1e-12
@@ -148,7 +148,7 @@ class TestErrorDecomposition:
     def test_contributions_sum_to_single_integral(self):
         """Additivity: the per-element split equals one global integral."""
         b = 13.0
-        mesh = uniform_mesh(3.0, 13, SpatialMesh1D)
+        mesh = uniform_mesh(3.0, 13)
         u, phi, d = solve_one(b, mesh)
         # independent dense quadrature of f*phi + U'*phi' - b*U'*phi
         xs = np.linspace(0.0, 3.0, 3 * 13 * 8 * 40 + 1)
@@ -177,18 +177,18 @@ class TestErrorDecomposition:
 
     @pytest.mark.parametrize("b", [12.0, 14.0, 16.0])
     def test_effectivity_against_fine_reference(self, b):
-        ref_mesh = uniform_mesh(3.0, 10_000, SpatialMesh1D)
+        ref_mesh = uniform_mesh(3.0, 10_000)
         [q_ref] = qoi_value(PROBLEM, ref_mesh,
                             solve_bvp_p1(PROBLEM, np.array([b]), ref_mesh))
         for n in (64, 128):
-            mesh = uniform_mesh(3.0, n, SpatialMesh1D)
+            mesh = uniform_mesh(3.0, n)
             u, _, d = solve_one(b, mesh)
             [q] = qoi_value(PROBLEM, mesh, u.values.T)
             eff = d.total / (q_ref - q)
             assert 0.85 <= eff <= 1.15
 
     def test_dwr_reduces_largest_contribution(self):
-        mesh = uniform_mesh(3.0, 12, SpatialMesh1D)
+        mesh = uniform_mesh(3.0, 12)
         _, _, d = solve_one(14.0, mesh)
         refined = refine_intervals(mesh, dwr_select(d, 0.25), 2)
         _, _, d2 = solve_one(14.0, refined)
@@ -197,7 +197,7 @@ class TestErrorDecomposition:
 
 class TestQoiValue:
     def test_exact_for_linear_function(self):
-        mesh = uniform_mesh(3.0, 3, SpatialMesh1D)
+        mesh = uniform_mesh(3.0, 3)
         U = np.array([2.0 * mesh.nodes, -mesh.nodes])
         # integral of 2x over [1, 1.5] = x^2 | = 2.25 - 1 = 1.25
         np.testing.assert_allclose(qoi_value(PROBLEM, mesh, U), [1.25, -0.625],
@@ -249,7 +249,7 @@ def reference_sample(problem, b, mesh):
 
 
 def _dwr_mesh():
-    mesh = uniform_mesh(3.0, 12, SpatialMesh1D)
+    mesh = uniform_mesh(3.0, 12)
     for _ in range(2):
         _, contributions = reference_sample(PROBLEM, 14.0, mesh)
         mesh = refine_intervals(mesh, dwr_select(
@@ -258,12 +258,12 @@ def _dwr_mesh():
 
 
 ORACLE_MESHES = {
-    "uniform-12": uniform_mesh(3.0, 12, SpatialMesh1D),
-    "uniform-13": uniform_mesh(3.0, 13, SpatialMesh1D),  # breaks inside elements
+    "uniform-12": uniform_mesh(3.0, 12),
+    "uniform-13": uniform_mesh(3.0, 13),  # breaks inside elements
     "dwr-refined": _dwr_mesh(),
-    "node-on-break": SpatialMesh1D(np.array(
+    "node-on-break": Mesh1D(np.array(
         [0.0, 0.35, 0.8, 1.0, 1.3, 1.45, 1.9, 2.2, 2.5, 2.9, 3.0])),
-    "uniform-200": uniform_mesh(3.0, 200, SpatialMesh1D),
+    "uniform-200": uniform_mesh(3.0, 200),
 }
 
 
@@ -298,7 +298,7 @@ class TestBvpMlmc:
     def test_huge_epsilon_single_level(self):
         cfg = MlmcRunConfig(epsilon=1.0, initial_mesh=bvp_initial_mesh(),
                             refinement=bvp_refinement("uniform"))
-        est = run_bvp_mlmc(cfg)
+        est = run_adaptive_mlmc(BvpMlmcModel(), cfg)
         assert est.n_levels == 1
         assert est.converged
 
@@ -310,7 +310,7 @@ class TestBvpMlmc:
                                 initial_mesh=bvp_initial_mesh(),
                                 refinement=bvp_refinement(strategy),
                                 master_seed=0)
-            est = run_bvp_mlmc(cfg, model)
+            est = run_adaptive_mlmc(model, cfg)
             assert est.converged
             assert est.n_levels >= 2
             costs[strategy] = est.total_cost
@@ -324,7 +324,7 @@ class TestBvpMlmc:
                                 initial_mesh=bvp_initial_mesh(),
                                 refinement=bvp_refinement("dwr"),
                                 master_seed=seed)
-            values.append(run_bvp_mlmc(cfg, model).value)
+            values.append(run_adaptive_mlmc(model, cfg).value)
         assert abs(values[0] - values[1]) <= 3.0 * np.sqrt(BVP_DEFAULT_EPSILON)
 
 
@@ -335,7 +335,7 @@ class TestBvpMlmc:
                                 initial_mesh=bvp_initial_mesh(),
                                 refinement=bvp_refinement("dwr"),
                                 master_seed=4, jobs=jobs)
-            runs.append(run_bvp_mlmc(cfg))
+            runs.append(run_adaptive_mlmc(BvpMlmcModel(), cfg))
         assert runs[0].levels[0].n_samples > 2 * CHUNK_SIZE
         assert runs[0].sample_log == runs[1].sample_log
         assert runs[0].value == runs[1].value
