@@ -24,14 +24,14 @@ def main():
     qoi = NonstandardQoi(np.array([1.0, 0.0]), 0.0, occurrence=OCCURRENCE)
 
     reference = solve_forward_cg1(problem, uniform_mesh(problem.horizon, 100_000))
-    t_true = eval_event_time(reference, qoi)
+    [t_true] = eval_event_time(reference, qoi)
     print(f"oscillator with k = {STIFFNESS}, m = {MASS}")
     print(f"reference time of crossing #{OCCURRENCE}: t = {t_true:.8f}\n")
 
     print("intervals   computed t_c     true error      estimate    effectivity")
     for n in (36, 72, 144, 288):
         forward = solve_forward_cg1(problem, uniform_mesh(problem.horizon, n))
-        t_c = eval_event_time(forward, qoi)
+        [t_c] = eval_event_time(forward, qoi)
         decomp = estimate_event_time_error(problem, forward, qoi, t_c)
         true_error = t_c - t_true
         print(f"{n:9d}   {t_c:.8f}   {true_error:+12.3e}  {decomp.total:+12.3e}"
@@ -40,7 +40,7 @@ def main():
     print("\nper-interval contributions on the 36-interval mesh "
           "(largest five):")
     forward = solve_forward_cg1(problem, uniform_mesh(problem.horizon, 36))
-    t_c = eval_event_time(forward, qoi)
+    [t_c] = eval_event_time(forward, qoi)
     decomp = estimate_event_time_error(problem, forward, qoi, t_c)
     order = np.argsort(-np.abs(decomp.contributions))[:5]
     for i in order:

@@ -24,7 +24,7 @@ def main():
     qoi = StandardQoi(np.array([1.0, 0.0]), problem.horizon)
     mesh = uniform_mesh(problem.horizon, N0)
     forward = solve_forward_cg1(problem, mesh)
-    decomp = estimate_standard_error(problem, forward, qoi)
+    [decomp] = estimate_standard_error(problem, forward, qoi)
     print(f"level-0 mesh: {N0} intervals on [0, {problem.horizon:g}]")
     print(f"estimated QoI error of this sample: {decomp.total:+.3e}\n")
 

@@ -1,9 +1,11 @@
 """Adjoint-based a posteriori error estimates for both QoI kinds.
 
-The standard estimate pairs the forward residual with one adjoint solution.
-The time-to-event estimate needs two adjoints (terminal values psi and
-J(t_c)^T psi); the second supplies the linearization correction in the
-denominator.  Remainder terms of the event-time linearization are dropped.
+The standard estimate pairs the forward residual with one adjoint solution,
+for all rows of a chunk at once.  The time-to-event estimate needs two
+adjoints (terminal values psi and J(t_c)^T psi) on the mesh restricted to
+the row's own crossing t_c, so it treats one row; the second adjoint
+supplies the linearization correction in the denominator.  Remainder terms
+of the event-time linearization are dropped.
 """
 from __future__ import annotations
 
@@ -53,28 +55,32 @@ def accumulate(contributions: np.ndarray) -> np.ndarray:
 
 
 def estimate_standard_error(problem: OdeProblem, forward: Trajectory,
-                            q: StandardQoi) -> ErrorDecomposition:
-    """Estimate Q(u) - Q(U) with one adjoint solve, decomposed per interval."""
+                            q: StandardQoi) -> list:
+    """Estimate Q(u) - Q(U) for every row, decomposed per interval: one
+    adjoint solve and one residual pairing for all rows, which share the
+    restricted mesh.  A failed row's decomposition is NaN."""
     phi = solve_adjoint(problem, forward, q.t_star, q.psi)
     contributions = residual_pairing(problem, forward, phi, q.t_star)
-    return ErrorDecomposition(contributions, 1.0, "standard")
+    return [ErrorDecomposition(c, 1.0, "standard") for c in contributions]
 
 
 def estimate_event_time_error(problem: OdeProblem, forward: Trajectory,
                               q: NonstandardQoi, t_c: float) -> ErrorDecomposition:
-    """Linearized event-time error estimate around the computed crossing t_c.
+    """Linearized event-time error estimate of a one-row trajectory around its
+    computed crossing t_c.
 
     Numerator contributions estimate e(t_c) . psi; the denominator is
     f(U(t_c), t_c) . psi plus the estimated e(t_c) . J(t_c)^T psi, with the
-    Jacobian frozen at (U(t_c), t_c).
+    Jacobian frozen at (U(t_c), t_c).  Each row crosses at its own t_c and so
+    needs its own adjoint mesh.
     """
     u_c = forward(t_c)
     phi1 = solve_adjoint(problem, forward, t_c, q.psi)
     phi2 = solve_adjoint(problem, forward, t_c,
-                         problem.jacobian(u_c, t_c).T @ q.psi)
-    contributions = residual_pairing(problem, forward, phi1, t_c)
+                         (problem.jacobian(u_c, t_c) * q.psi[:, None]).sum(axis=-2))
+    [contributions] = residual_pairing(problem, forward, phi1, t_c)
     correction = float(residual_pairing(problem, forward, phi2, t_c).sum())
-    f_psi = float(problem.rhs(u_c, t_c) @ q.psi)
+    f_psi = float((problem.rhs(u_c, t_c) * q.psi).sum())
     denominator = f_psi + correction
     if abs(denominator) < 1e-10 * (1.0 + abs(f_psi)):
         raise DegenerateDenominator(

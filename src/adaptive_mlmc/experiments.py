@@ -3,8 +3,9 @@
 Each preset bundles a parameterized ODE, the distributions of its random
 inputs, a quantity of interest, an initial uniform grid, and a default MSE
 tolerance.  `OdeMlmcModel` adapts a preset to the driver interface: given a
-chunk of parameter realizations and a mesh it returns their QoI values and,
-on request, their adjoint-based error decompositions.
+chunk of parameter realizations and a mesh it solves them as one batched
+problem and returns their QoI values and, on request, their adjoint-based
+error decompositions.
 """
 from __future__ import annotations
 
@@ -26,7 +27,10 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class OdeExperiment:
-    """A parameterized ODE together with its QoI and MLMC defaults."""
+    """A parameterized ODE together with its QoI and MLMC defaults.
+
+    `make_problem(W)` builds one problem whose rows are the draws W (M, p).
+    """
 
     name: str
     distributions: Tuple[ParameterDistribution, ...]
@@ -36,16 +40,21 @@ class OdeExperiment:
     default_epsilon: float
 
     def initial_mesh(self) -> Mesh1D:
-        horizon = self.make_problem(
-            np.array([0.5 * (d.a + d.b) for d in self.distributions])).horizon
-        return uniform_mesh(horizon, self.initial_intervals)
+        """Uniform mesh over the horizon of the problem at the distributions'
+        centre."""
+        centre = np.array([[d.centre for d in self.distributions]])
+        return uniform_mesh(self.make_problem(centre).horizon, self.initial_intervals)
 
 
 class OdeMlmcModel:
     """Driver-facing adapter: solve, evaluate the QoI, optionally estimate.
 
-    `evaluate` solves a chunk of draws (M, p) row by row; a row that raises
-    `SampleFailure` gets a NaN QoI, which the driver records as failed.
+    `evaluate` solves a chunk of draws (M, p) as one problem: one forward
+    march for all rows, and for a standard QoI one adjoint and one residual
+    pairing.  Event-time rows each cross at their own t_c, so each gets its
+    own adjoint on its own restricted mesh.  A row that fails gets a NaN QoI,
+    which the driver records as failed; the other rows keep the bits they
+    get alone.
     """
 
     def __init__(self, experiment: OdeExperiment):
@@ -54,33 +63,38 @@ class OdeMlmcModel:
 
     def evaluate(self, W: np.ndarray, mesh: Mesh1D, want_estimate: bool):
         q = self.experiment.qoi
-        values = np.full(len(W), np.nan)
-        decomps = [None] * len(W)
-        for k, w in enumerate(W):
-            try:
-                problem = self.experiment.make_problem(w)
-                forward = solve_forward_cg1(problem, mesh)
-                if isinstance(q, StandardQoi):
-                    value = eval_standard(forward, q)
-                    if want_estimate:
-                        decomps[k] = estimate_standard_error(problem, forward, q)
-                else:
-                    value = eval_event_time(forward, q)
-                    if want_estimate:
-                        decomps[k] = estimate_event_time_error(problem, forward,
-                                                               q, value)
-            except SampleFailure as exc:
-                log.debug("draw %s failed: %s", w, exc)
-                continue
-            values[k] = value
+        problem = self.experiment.make_problem(W)
+        forward = solve_forward_cg1(problem, mesh)
+        if isinstance(q, StandardQoi):
+            values = eval_standard(forward, q)
+            decomps = estimate_standard_error(problem, forward, q) \
+                if want_estimate else [None] * len(W)
+        else:
+            values = eval_event_time(forward, q)
+            decomps = self._event_time_estimates(W, forward, values) \
+                if want_estimate else [None] * len(W)
         return values, decomps
+
+    def _event_time_estimates(self, W: np.ndarray, forward, t_c: np.ndarray) -> list:
+        """One-row estimates around each row's crossing; a row whose estimate
+        fails gets a NaN crossing time in `t_c`."""
+        decomps = [None] * len(W)
+        for k in np.flatnonzero(np.isfinite(t_c)):
+            try:
+                decomps[k] = estimate_event_time_error(
+                    self.experiment.make_problem(W[k:k + 1]), forward.rows([k]),
+                    self.experiment.qoi, float(t_c[k]))
+            except SampleFailure as exc:
+                log.debug("draw %s failed: %s", W[k], exc)
+                t_c[k] = np.nan
+        return decomps
 
 
 def _harmonic_standard() -> OdeExperiment:
     return OdeExperiment(
         name="harmonic-standard",
         distributions=(normal(50.0, 2.0, "k"), uniform(0.225, 0.275, "m")),
-        make_problem=lambda w: harmonic_oscillator(w[0], w[1]),
+        make_problem=lambda W: harmonic_oscillator(W[:, 0], W[:, 1]),
         qoi=StandardQoi(np.array([1.0, 0.0]), 3.0),
         initial_intervals=27,
         default_epsilon=1e-3,
@@ -91,7 +105,7 @@ def _harmonic_nonstandard() -> OdeExperiment:
     return OdeExperiment(
         name="harmonic-nonstandard",
         distributions=(normal(50.0, 1.0, "k"), uniform(0.235, 0.265, "m")),
-        make_problem=lambda w: harmonic_oscillator(w[0], w[1]),
+        make_problem=lambda W: harmonic_oscillator(W[:, 0], W[:, 1]),
         qoi=NonstandardQoi(np.array([1.0, 0.0]), 0.0, occurrence=5),
         initial_intervals=18,
         default_epsilon=1e-5,
@@ -102,7 +116,7 @@ def _lorenz() -> OdeExperiment:
     return OdeExperiment(
         name="lorenz",
         distributions=(uniform(0.0, 2.0, "theta"),),
-        make_problem=lambda w: lorenz(w[0]),
+        make_problem=lambda W: lorenz(W[:, 0]),
         qoi=NonstandardQoi(np.array([1.0, 0.0, 0.0]), 3.0, occurrence=2),
         initial_intervals=24,
         default_epsilon=1e-4,
@@ -113,7 +127,7 @@ def _two_body() -> OdeExperiment:
     return OdeExperiment(
         name="two-body",
         distributions=(uniform(1.97, 2.0, "theta"),),
-        make_problem=lambda w: two_body(w[0]),
+        make_problem=lambda W: two_body(W[:, 0]),
         qoi=NonstandardQoi(np.array([1.0, 0.0, 0.0, 0.0]), 0.0, occurrence=3),
         initial_intervals=40,
         default_epsilon=1e-3,

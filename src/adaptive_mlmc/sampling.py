@@ -39,6 +39,11 @@ class ParameterDistribution:
         else:
             raise DistributionError(f"unknown distribution kind {self.kind!r}")
 
+    @property
+    def centre(self) -> float:
+        """The mean: `a` of normal(a, b), the midpoint of uniform(a, b)."""
+        return self.a if self.kind == "normal" else 0.5 * (self.a + self.b)
+
 
 def uniform(low: float, high: float, target: str = "") -> ParameterDistribution:
     return ParameterDistribution("uniform", float(low), float(high), target)

@@ -20,8 +20,7 @@ from adaptive_mlmc.error_estimation import (estimate_event_time_error,
 from adaptive_mlmc.experiments import OdeMlmcModel, get_experiment
 from adaptive_mlmc.meshes import (RegionSpan, common_mesoregion_refinement,
                                   uniform_mesh)
-from adaptive_mlmc.models import (SampleFailure, harmonic_oscillator, lorenz,
-                                  two_body)
+from adaptive_mlmc.models import harmonic_oscillator, lorenz, two_body
 from adaptive_mlmc.qoi import (NonstandardQoi, StandardQoi, eval_event_time,
                                eval_standard)
 from adaptive_mlmc.refinement import RefinementConfig, build_next_mesh
@@ -90,14 +89,14 @@ def test_criterion_1_statistics_oracles():
 
 def test_criterion_2_adjoint_vs_matrix_exponential():
     problem = harmonic_oscillator(50.0, 0.25)
-    A = problem.jacobian(problem.initial, 0.0)
+    A = problem.jacobian(problem.initial, 0.0)[0]
     psi = np.array([1.0, 0.0])
     exact = expm(A.T * 3.0) @ psi
     errors = []
     for n in (16, 32, 64):
         forward = solve_forward_cg1(problem, uniform_mesh(3.0, n))
         phi = solve_adjoint(problem, forward, 3.0, psi)
-        errors.append(np.abs(phi.values[0] - exact).max())
+        errors.append(np.abs(phi.values[0, 0] - exact).max())
     order = 0.5 * np.log2(errors[0] / errors[-1])
     report(2, "adjoint matches matrix-exponential oracle at order 2",
            [(f"observed order {order:.2f} >= 1.8", order >= 1.8)])
@@ -108,17 +107,17 @@ def test_criterion_3_error_estimate_effectivity():
 
     problem = harmonic_oscillator(50.0, 0.25)
     q = StandardQoi(np.array([1.0, 0.0]), 3.0)
-    ref = eval_standard(solve_forward_cg1(problem, uniform_mesh(3.0, reference_n)), q)
+    [ref] = eval_standard(solve_forward_cg1(problem, uniform_mesh(3.0, reference_n)), q)
     forward = solve_forward_cg1(problem, uniform_mesh(3.0, 54))
-    decomp = estimate_standard_error(problem, forward, q)
-    eff_std = decomp.total / (ref - eval_standard(forward, q))
+    [decomp] = estimate_standard_error(problem, forward, q)
+    eff_std = decomp.total / (ref - eval_standard(forward, q)[0])
 
     lor = lorenz(1.0)
     qe = NonstandardQoi(np.array([1.0, 0.0, 0.0]), 3.0, occurrence=2)
-    t_ref = eval_event_time(
+    [t_ref] = eval_event_time(
         solve_forward_cg1(lor, uniform_mesh(2.0, reference_n)), qe)
     forward = solve_forward_cg1(lor, uniform_mesh(2.0, 192))
-    t_c = eval_event_time(forward, qe)
+    [t_c] = eval_event_time(forward, qe)
     decomp = estimate_event_time_error(lor, forward, qe, t_c)
     eff_evt = decomp.total / (t_c - t_ref)
 
@@ -299,19 +298,18 @@ def test_criterion_9_property_suite():
         p = make()
         checked = 0
         while checked < 100:
-            u = p.initial + 0.5 * rng.standard_normal(p.dim)
+            u = p.initial[0] + 0.5 * rng.standard_normal(p.dim)
             t = float(rng.uniform(0.0, p.horizon))
-            try:
-                J = p.jacobian(u, t)
-                fd = np.empty_like(J)
-                for j in range(p.dim):
-                    h = 1e-6 * (1.0 + abs(u[j]))
-                    up, um = u.copy(), u.copy()
-                    up[j] += h
-                    um[j] -= h
-                    fd[:, j] = (p.rhs(up, t) - p.rhs(um, t)) / (2.0 * h)
-            except SampleFailure:
-                continue
+            J = p.jacobian(u[None], t)[0]
+            fd = np.empty_like(J)
+            for j in range(p.dim):
+                h = 1e-6 * (1.0 + abs(u[j]))
+                up, um = u.copy(), u.copy()
+                up[j] += h
+                um[j] -= h
+                fd[:, j] = (p.rhs(up[None], t)[0] - p.rhs(um[None], t)[0]) / (2.0 * h)
+            if not (np.isfinite(J).all() and np.isfinite(fd).all()):
+                continue  # two-body collision: NaN in the row
             checked += 1
             jacobians_ok &= bool(np.allclose(J, fd, rtol=1e-5, atol=1e-5))
 

@@ -1,12 +1,21 @@
 """Experiment presets and the ODE model adapter."""
+import dataclasses
+
 import numpy as np
 import pytest
 
-from adaptive_mlmc.experiments import (EXPERIMENT_NAMES, OdeMlmcModel,
-                                       get_experiment)
-from adaptive_mlmc.models import SampleFailure
+import ode_reference
+from adaptive_mlmc.experiments import (EXPERIMENT_NAMES, OdeExperiment,
+                                       OdeMlmcModel, get_experiment)
+from adaptive_mlmc.meshes import uniform_mesh, whole_domain_span
+from adaptive_mlmc.models import two_body
 from adaptive_mlmc.qoi import NonstandardQoi, StandardQoi, eval_event_time
-from adaptive_mlmc.solvers import solve_forward_cg1
+from adaptive_mlmc.refinement import RefinementConfig, build_next_mesh
+from adaptive_mlmc.sampling import normal, sample_parameters, uniform
+from adaptive_mlmc.solvers import _GL01_X, _segment_quadrature, solve_forward_cg1
+from synthetic_problems import blow_up, exact_reciprocal, one_point_jacobian
+
+ODE_PRESETS = ("harmonic-standard", "harmonic-nonstandard", "lorenz", "two-body")
 
 
 class TestPresets:
@@ -41,12 +50,37 @@ class TestPresets:
             assert exp.qoi.occurrence == occurrence
 
     def test_initial_mesh_covers_horizon(self):
-        for name in ("harmonic-standard", "harmonic-nonstandard", "lorenz",
-                     "two-body"):
+        for name in ODE_PRESETS:
             exp = get_experiment(name)
-            mid = np.array([0.5 * (d.a + d.b) for d in exp.distributions])
+            centre = np.array([[d.centre for d in exp.distributions]])
             assert exp.initial_mesh().length == pytest.approx(
-                exp.make_problem(mid).horizon)
+                exp.make_problem(centre).horizon)
+
+    def test_initial_meshes_unchanged(self):
+        for name, (horizon, n) in {"harmonic-standard": (3.0, 27),
+                                   "harmonic-nonstandard": (3.0, 18),
+                                   "lorenz": (2.0, 24),
+                                   "two-body": (10.0, 40)}.items():
+            np.testing.assert_array_equal(get_experiment(name).initial_mesh().nodes,
+                                          np.linspace(0.0, horizon, n + 1))
+
+    def test_probe_row_is_the_distribution_centre(self):
+        """normal(mean, stddev) is probed at its mean, uniform(a, b) at (a + b)/2."""
+        assert normal(50.0, 2.0).centre == 50.0
+        assert uniform(0.225, 0.275).centre == 0.5 * (0.225 + 0.275)
+        expected = {"harmonic-standard": [[50.0, 0.25]],
+                    "harmonic-nonstandard": [[50.0, 0.25]],
+                    "lorenz": [[1.0]], "two-body": [[1.985]]}
+        for name in ODE_PRESETS:
+            exp = get_experiment(name)
+            probes = []
+
+            def recording(W, make=exp.make_problem):
+                probes.append(np.array(W))
+                return make(W)
+            dataclasses.replace(exp, make_problem=recording).initial_mesh()
+            [probe] = probes
+            np.testing.assert_allclose(probe, expected[name], rtol=1e-15)
 
 
 class TestOdeMlmcModel:
@@ -68,17 +102,15 @@ class TestOdeMlmcModel:
         assert d.kind == "nonstandard"
         assert d.denominator != 0.0
 
-    def test_missing_event_raises_sample_failure(self):
+    def test_missing_event_is_nan_in_its_row(self):
         exp = get_experiment("lorenz")
         model = OdeMlmcModel(exp)
-        from dataclasses import replace
-        impossible = replace(exp, qoi=NonstandardQoi(
+        impossible = dataclasses.replace(exp, qoi=NonstandardQoi(
             np.array([1.0, 0.0, 0.0]), 3.0, occurrence=500))
-        forward = solve_forward_cg1(exp.make_problem(np.array([1.0])),
+        forward = solve_forward_cg1(exp.make_problem(np.array([[1.0]])),
                                     exp.initial_mesh())
-        with pytest.raises(SampleFailure):
-            eval_event_time(forward, impossible.qoi)
-        # the model turns it into a NaN QoI for that draw alone
+        assert np.isnan(eval_event_time(forward, impossible.qoi)).all()
+        # the model gives a NaN QoI and no decomposition for that draw
         q, d = OdeMlmcModel(impossible).evaluate(np.array([[1.0], [0.5]]),
                                                  exp.initial_mesh(), True)
         assert np.isnan(q).all() and d == [None, None]
@@ -100,3 +132,116 @@ class TestOdeMlmcModel:
               for n in (27, 54, 108, 216)]
         diffs = np.abs(np.diff(qs))
         assert diffs[2] < diffs[1] < diffs[0]
+
+
+def chunk(name, rows=40, seed=3):
+    exp = get_experiment(name)
+    return exp, sample_parameters(exp.distributions, seed, 1, np.arange(rows))
+
+
+def dwr_mesh(exp, W):
+    """The DWR refinement of the initial mesh driven by the chunk's estimates."""
+    mesh = exp.initial_mesh()
+    _, decomps = OdeMlmcModel(exp).evaluate(W, mesh, True)
+    new_mesh, _ = build_next_mesh(mesh, whole_domain_span(mesh),
+                                  [d for d in decomps if d is not None],
+                                  RefinementConfig(strategy="dwr"))
+    return new_mesh
+
+
+def assert_row_equal(qk, dk, q, d):
+    """Bitwise equality of one row's QoI and decomposition."""
+    assert np.array_equal(qk, q, equal_nan=True)
+    assert (dk is None) == (d is None)
+    if d is not None:
+        assert np.array_equal(dk.contributions, d.contributions, equal_nan=True)
+        assert np.array_equal(dk.denominator, d.denominator)
+
+
+class TestBatchedOracle:
+    """A chunk of draws is solved as one problem; every row keeps the bits of a
+    one-row call, and matches the per-row path the engine replaced."""
+
+    @pytest.mark.parametrize("refined", [False, True], ids=["uniform", "dwr"])
+    @pytest.mark.parametrize("name", ODE_PRESETS)
+    def test_row_equals_its_own_chunk(self, name, refined):
+        exp, W = chunk(name)
+        mesh = dwr_mesh(exp, W) if refined else exp.initial_mesh()
+        model = OdeMlmcModel(exp)
+        q, decomps = model.evaluate(W, mesh, True)
+        assert np.isfinite(q).sum() >= len(W) - 2
+        for k in range(len(W)):
+            [qk], [dk] = model.evaluate(W[k:k + 1], mesh, True)
+            assert_row_equal(qk, dk, q[k], decomps[k])
+        q_plain, _ = model.evaluate(W, mesh, False)
+        assert np.array_equal(q_plain, q, equal_nan=True)
+
+    @pytest.mark.parametrize("refined", [False, True], ids=["uniform", "dwr"])
+    @pytest.mark.parametrize("name", ODE_PRESETS)
+    def test_matches_per_row_reference(self, name, refined):
+        exp, W = chunk(name)
+        mesh = dwr_mesh(exp, W) if refined else exp.initial_mesh()
+        q, decomps = OdeMlmcModel(exp).evaluate(W, mesh, True)
+        for k, w in enumerate(W):
+            try:
+                value, contributions, denominator = ode_reference.sample(
+                    exp.make_problem(w[None]), mesh, exp.qoi)
+            except ode_reference.RowFailed:
+                assert np.isnan(q[k]) and decomps[k] is None
+                continue
+            np.testing.assert_allclose(q[k], value, rtol=1e-12)
+            scale = np.abs(contributions).max()
+            np.testing.assert_allclose(decomps[k].contributions, contributions,
+                                       rtol=0.0, atol=1e-9 * scale)
+            np.testing.assert_allclose(decomps[k].denominator, denominator,
+                                       rtol=1e-9)
+
+
+def synthetic_experiment(make_problem):
+    """A standard-QoI experiment at t* = 1 whose rows are built from W[:, 0]."""
+    return OdeExperiment(name="synthetic", distributions=(uniform(0.0, 1.0),),
+                         make_problem=lambda W: make_problem(W[:, 0]),
+                         qoi=StandardQoi(np.array([1.0]), 1.0),
+                         initial_intervals=2, default_epsilon=1.0)
+
+
+class TestFailureIsolation:
+    """A failing row comes back NaN; every other row keeps its one-row bits."""
+
+    def assert_isolated(self, exp, W, bad, mesh):
+        model = OdeMlmcModel(exp)
+        q, decomps = model.evaluate(W, mesh, True)
+        assert np.flatnonzero(np.isnan(q)).tolist() == [bad]
+        assert decomps[bad] is None or not np.isfinite(decomps[bad].total)
+        for k in range(len(W)):
+            if k != bad:
+                [qk], [dk] = model.evaluate(W[k:k + 1], mesh, True)
+                assert_row_equal(qk, dk, q[k], decomps[k])
+
+    def test_missing_fifth_crossing(self):
+        """m = 20 slows the oscillator to fewer than five zero crossings."""
+        exp = get_experiment("harmonic-nonstandard")
+        W = np.array([[50.0, 0.25], [49.0, 0.24], [50.0, 20.0], [51.0, 0.26]])
+        self.assert_isolated(exp, W, 2, exp.initial_mesh())
+
+    def test_two_body_collision(self):
+        """theta = 0 starts at rest and falls into the centre."""
+        exp = get_experiment("two-body")
+        W = np.array([[1.98], [0.0], [1.99]])
+        self.assert_isolated(exp, W, 1, exp.initial_mesh())
+        assert not np.isfinite(solve_forward_cg1(two_body(0.0),
+                                                 exp.initial_mesh()).values).all()
+
+    def test_singular_newton_matrix(self):
+        mesh = uniform_mesh(1.0, 2)
+        tq, wq = _segment_quadrature(mesh.nodes)
+        problem = one_point_jacobian(lambda u, t: -0.1 * u, tq[0, 2],
+                                     exact_reciprocal((wq * _GL01_X)[0, 2]))
+        W = np.array([[0.0], [0.0], [1.0], [0.0]])
+        self.assert_isolated(synthetic_experiment(problem), W, 2, mesh)
+
+    def test_divergence(self):
+        """u' = u^2 from u(0) = 2 blows up at t = 0.5; 0.5 and 0.3 do not."""
+        W = np.array([[0.5], [2.0], [0.3]])
+        self.assert_isolated(synthetic_experiment(blow_up), W, 1,
+                             uniform_mesh(1.0, 8))

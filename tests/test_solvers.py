@@ -8,27 +8,27 @@ from scipy.linalg import expm
 
 from adaptive_mlmc.experiments import get_experiment
 from adaptive_mlmc.meshes import Mesh1D, MeshError, uniform_mesh, uniform_refine
-from adaptive_mlmc.models import OdeProblem, SampleFailure, harmonic_oscillator
+from adaptive_mlmc.models import OdeProblem, harmonic_oscillator, lorenz, two_body
 from adaptive_mlmc.qoi import StandardQoi, eval_event_time
-from adaptive_mlmc.solvers import (ADJOINT_REFINE_FACTOR, Trajectory,
+from adaptive_mlmc.solvers import (ADJOINT_REFINE_FACTOR, Trajectory, _GL01_X,
                                    _segment_quadrature, residual_pairing,
                                    restrict_mesh, solve_adjoint,
                                    solve_forward_cg1)
+
+import ode_reference
+from synthetic_problems import blow_up, exact_reciprocal, one_point_jacobian
 
 
 def linear_decay(rate=1.0):
     return OdeProblem(1,
                       lambda u, t: -rate * np.asarray(u, dtype=float),
                       lambda u, t: np.full(np.shape(u)[:-1] + (1, 1), -rate),
-                      np.array([1.0]), 1.0)
+                      np.array([[1.0]]), 1.0)
 
 
-def blow_up():
-    # u' = u^2, u(0) = 2 blows up at t = 0.5 inside the horizon
-    return OdeProblem(1,
-                      lambda u, t: np.asarray(u, dtype=float) ** 2,
-                      lambda u, t: 2.0 * np.asarray(u, dtype=float)[..., None],
-                      np.array([2.0]), 1.0)
+def ivp_rhs(problem):
+    """A one-row problem's rhs as scipy's f(t, y)."""
+    return lambda t, y: problem.rhs(y[None], t)[0]
 
 
 class TestTrajectory:
@@ -55,17 +55,16 @@ class TestForwardSolver:
         traj = solve_forward_cg1(linear_decay(), mesh)
         h = 1.0 / n
         expected = ((1.0 - h / 2.0) / (1.0 + h / 2.0)) ** np.arange(n + 1)
-        np.testing.assert_allclose(traj.values[:, 0], expected, rtol=3e-15)
+        np.testing.assert_allclose(traj.values[0, :, 0], expected, rtol=3e-15)
 
     def test_second_order_convergence(self):
         problem = harmonic_oscillator(50.0, 0.25)
-        ref = solve_ivp(lambda t, y: problem.rhs(y, t), (0.0, 3.0),
-                        problem.initial,
+        ref = solve_ivp(ivp_rhs(problem), (0.0, 3.0), problem.initial[0],
                         rtol=1e-12, atol=1e-12, dense_output=True)
         errors = []
         for n in (64, 128, 256):
             traj = solve_forward_cg1(problem, uniform_mesh(3.0, n))
-            errors.append(abs(traj.values[-1, 0] - ref.sol(3.0)[0]))
+            errors.append(abs(traj.values[0, -1, 0] - ref.sol(3.0)[0]))
         orders = np.log2(np.array(errors[:-1]) / errors[1:])
         assert np.all(orders > 1.8)
 
@@ -73,9 +72,56 @@ class TestForwardSolver:
         with pytest.raises(MeshError):
             solve_forward_cg1(linear_decay(), uniform_mesh(0.5, 8))
 
-    def test_divergence_raises_sample_failure(self):
-        with pytest.raises(SampleFailure):
-            solve_forward_cg1(blow_up(), uniform_mesh(1.0, 4))
+    def test_divergence_fails_only_its_row(self):
+        """u(0) = 2 blows up inside the horizon, u(0) = 0.5 does not: the
+        first row is NaN, the second keeps the bits of its one-row march."""
+        mesh = uniform_mesh(1.0, 4)
+        traj = solve_forward_cg1(blow_up((2.0, 0.5)), mesh)
+        with pytest.raises(ode_reference.RowFailed):
+            ode_reference.forward(blow_up((2.0,)), mesh)
+        assert np.isnan(traj.values[0]).all()
+        alone = solve_forward_cg1(blow_up((0.5,)), mesh)
+        assert np.array_equal(traj.values[1], alone.values[0])
+        assert np.isfinite(alone.values).all()
+
+
+class TestChunkMarch:
+    """A chunk marches as one (M, d) array; each row keeps its one-row bits."""
+
+    CASES = {"harmonic": (lambda w: harmonic_oscillator(w, 0.25), 3.0, 27,
+                          [40.0, 50.0, 55.0, 60.0]),
+             "lorenz": (lorenz, 2.0, 48, [0.0, 0.5, 1.0, 2.0]),
+             "two_body": (two_body, 10.0, 80, [1.97, 1.98, 1.99, 2.0])}
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_rows_equal_their_one_row_march(self, name):
+        make, horizon, n, params = self.CASES[name]
+        mesh = uniform_mesh(horizon, n)
+        chunk = solve_forward_cg1(make(np.array(params)), mesh)
+        for k, w in enumerate(params):
+            alone = solve_forward_cg1(make(np.array([w])), mesh)
+            assert np.array_equal(chunk.values[k], alone.values[0])
+            np.testing.assert_allclose(
+                alone.values[0], ode_reference.forward(make(w), mesh), rtol=1e-12,
+                atol=1e-12 * np.abs(alone.values).max())
+
+    def test_singular_newton_matrix_fails_only_its_row(self):
+        """u' = -u / 10 with a Jacobian that is c at one quadrature point of
+        the first interval and 0 elsewhere, in the flagged row: its Newton
+        matrix 1 - w c is exactly 0 there.  The other rows iterate with
+        Jacobian 0 and keep their one-row bits."""
+        mesh = uniform_mesh(1.0, 2)
+        tq, wq = _segment_quadrature(mesh.nodes)
+        problem = one_point_jacobian(lambda u, t: -0.1 * u, tq[0, 2],
+                                     exact_reciprocal((wq * _GL01_X)[0, 2]))
+        traj = solve_forward_cg1(problem([0.0, 1.0, 0.0]), mesh)
+        with pytest.raises(ode_reference.RowFailed):
+            ode_reference.forward(problem([1.0]), mesh)
+        assert np.isnan(traj.values[1]).all()
+        alone = solve_forward_cg1(problem([0.0]), mesh)
+        assert np.isfinite(alone.values).all()
+        for k in (0, 2):
+            assert np.array_equal(traj.values[k], alone.values[0])
 
 
 class TestRestrictMesh:
@@ -108,7 +154,7 @@ class TestAdjoint:
         For -phi' = A^T phi with constant A, phi(t) = expm(A^T (t* - t)) psi.
         """
         problem = harmonic_oscillator(50.0, 0.25)
-        A = problem.jacobian(problem.initial, 0.0)
+        A = problem.jacobian(problem.initial, 0.0)[0]
         psi = np.array([1.0, 0.0])
         t_star = 3.0
         errors = []
@@ -116,7 +162,7 @@ class TestAdjoint:
             forward = solve_forward_cg1(problem, uniform_mesh(3.0, n))
             phi = solve_adjoint(problem, forward, t_star, psi)
             exact = expm(A.T * t_star) @ psi  # value at t = 0
-            errors.append(np.abs(phi.values[0] - exact).max())
+            errors.append(np.abs(phi.values[0, 0] - exact).max())
         # overall observed order across the 16 -> 64 span
         order = 0.5 * np.log2(errors[0] / errors[-1])
         assert order > 1.8
@@ -127,7 +173,7 @@ class TestAdjoint:
         problem = harmonic_oscillator(50.0, 0.25)
         forward = solve_forward_cg1(problem, uniform_mesh(3.0, 27))
         phi = solve_adjoint(problem, forward, 2.0, np.array([0.0, 1.0]))
-        np.testing.assert_allclose(phi.values[-1], [0.0, 1.0])
+        np.testing.assert_allclose(phi.values[0, -1], [0.0, 1.0])
         assert phi.mesh.length == pytest.approx(2.0)
         # restricted forward mesh (18 intervals up to t=2) refined by 2
         assert phi.mesh.n_intervals == 36
@@ -156,13 +202,12 @@ class TestResidualPairing:
     def test_pairing_estimates_terminal_error(self):
         problem = harmonic_oscillator(50.0, 0.25)
         psi = np.array([1.0, 0.0])
-        ref = solve_ivp(lambda t, y: problem.rhs(y, t), (0.0, 3.0),
-                        problem.initial,
+        ref = solve_ivp(ivp_rhs(problem), (0.0, 3.0), problem.initial[0],
                         rtol=1e-12, atol=1e-12, dense_output=True)
         forward = solve_forward_cg1(problem, uniform_mesh(3.0, 108))
         phi = solve_adjoint(problem, forward, 3.0, psi)
         estimate = residual_pairing(problem, forward, phi, 3.0).sum()
-        true_error = ref.sol(3.0) @ psi - forward.values[-1] @ psi
+        true_error = ref.sol(3.0) @ psi - forward.values[0, -1] @ psi
         assert estimate / true_error == pytest.approx(1.0, abs=0.1)
 
     def test_adjoint_must_cover_window(self):
@@ -174,7 +219,8 @@ class TestResidualPairing:
 
 
 def reference_adjoint(problem, forward, t_star, terminal_value):
-    """Per-step adjoint loop: one Jacobian call and one solve per sub-interval."""
+    """Per-step adjoint loop for a one-row trajectory: one Jacobian call and
+    one solve per sub-interval."""
     mesh = uniform_refine(restrict_mesh(forward.mesh, t_star), ADJOINT_REFINE_FACTOR)
     nodes = mesh.nodes
     eye = np.eye(problem.dim)
@@ -184,36 +230,37 @@ def reference_adjoint(problem, forward, t_star, terminal_value):
         a, b = nodes[n], nodes[n + 1]
         (tq,), (wq,) = _segment_quadrature(np.array([a, b]))
         sq = (tq - a) / (b - a)
-        Jt = np.swapaxes(problem.jacobian(forward(tq), tq), -1, -2)
+        Jt = np.swapaxes(problem.jacobian(forward(tq), tq)[0], -1, -2)
         M0 = np.einsum("q,qij->ij", wq * (1.0 - sq), Jt)
         M1 = np.einsum("q,qij->ij", wq * sq, Jt)
         phi[n] = np.linalg.solve(eye - M0, phi[n + 1] + M1 @ phi[n + 1])
-    return Trajectory(mesh, phi)
+    return Trajectory(mesh, phi[None])
 
 
 def reference_pairing(problem, forward, adjoint, t_star):
-    """Per-sub-interval pairing: one rhs call per adjoint sub-interval."""
+    """Per-sub-interval pairing for a one-row trajectory: one rhs call per
+    adjoint sub-interval."""
     restricted = restrict_mesh(forward.mesh, t_star)
     contributions = np.zeros(restricted.n_intervals)
     nodes = adjoint.mesh.nodes
     for k in range(adjoint.mesh.n_intervals):
         a, b = nodes[k], nodes[k + 1]
         (tq,), (wq,) = _segment_quadrature(np.array([a, b]))
-        slope = forward.slope(forward.mesh.interval_of(0.5 * (a + b)))
-        integrand = np.einsum("qi,qi->q", problem.rhs(forward(tq), tq) - slope,
-                              adjoint(tq))
+        slope = forward.slope(forward.mesh.interval_of(0.5 * (a + b)))[0]
+        integrand = np.einsum("qi,qi->q", problem.rhs(forward(tq), tq)[0] - slope,
+                              adjoint(tq)[0])
         contributions[restricted.interval_of(0.5 * (a + b))] += wq @ integrand
-    return contributions
+    return contributions[None]
 
 
 def preset_case(name):
-    """A preset at its mid parameters, solved on its initial mesh, with its t*."""
+    """A preset at its centre parameters, solved on its initial mesh, with its t*."""
     experiment = get_experiment(name)
-    w = np.array([0.5 * (d.a + d.b) for d in experiment.distributions])
+    w = np.array([[d.centre for d in experiment.distributions]])
     problem = experiment.make_problem(w)
     forward = solve_forward_cg1(problem, experiment.initial_mesh())
     q = experiment.qoi
-    t_star = q.t_star if isinstance(q, StandardQoi) else eval_event_time(forward, q)
+    t_star = q.t_star if isinstance(q, StandardQoi) else eval_event_time(forward, q)[0]
     return problem, forward, t_star, q.psi
 
 
@@ -258,11 +305,21 @@ class TestWholeMeshKernels:
         assert calls == {"rhs": 1, "jacobian": 1}
 
     def test_singular_adjoint_step_is_a_sample_failure(self):
-        # J = 4 on one interval of (0, 1): the first adjoint step has h = 1/2
-        # and I - M0 = 1 - 4 * h / 2 = 0.
-        problem = OdeProblem(1, lambda u, t: np.zeros_like(np.asarray(u, dtype=float)),
-                             lambda u, t: np.full(np.shape(u)[:-1] + (1, 1), 4.0),
-                             np.array([1.0]), 1.0)
-        forward = Trajectory(uniform_mesh(1.0, 1), np.ones((2, 1)))
-        with pytest.raises(SampleFailure):
-            solve_adjoint(problem, forward, 1.0, np.array([1.0]))
+        """One forward interval of (0, 1) gives adjoint steps of h = 1/2.  In
+        the flagged row the Jacobian is c at one quadrature point of the first
+        step and 0 elsewhere, so I - M0 = 1 - w (1 - s) c is exactly 0: that
+        row is NaN before t* and fails as a sample.  The other row keeps the bits of
+        its one-row adjoint."""
+        mesh = uniform_mesh(1.0, 1)
+        tq, wq = _segment_quadrature(uniform_refine(mesh, 2).nodes)
+        problem = one_point_jacobian(lambda u, t: np.zeros_like(u), tq[0, 2],
+                                     exact_reciprocal((wq * (1.0 - _GL01_X))[0, 2]))
+        forward = Trajectory(mesh, np.ones((2, 2, 1)))
+        phi = solve_adjoint(problem([1.0, 0.0]), forward, 1.0, np.array([1.0]))
+        with pytest.raises(ode_reference.RowFailed):
+            ode_reference.adjoint(problem([1.0]), mesh, np.ones((2, 1)), 1.0,
+                                  np.array([1.0]))
+        assert np.isnan(phi.values[0, :-1]).all()
+        alone = solve_adjoint(problem([0.0]), forward.rows([1]), 1.0, np.array([1.0]))
+        assert np.isfinite(alone.values).all()
+        assert np.array_equal(phi.values[1], alone.values[0])
