@@ -9,7 +9,7 @@ previous level's regions so that no region is ever unrefined.
 import numpy as np
 
 from adaptive_mlmc.error_estimation import accumulate, estimate_standard_error
-from adaptive_mlmc.meshes import RegionSpan, uniform_mesh
+from adaptive_mlmc.meshes import uniform_mesh
 from adaptive_mlmc.models import harmonic_oscillator
 from adaptive_mlmc.qoi import StandardQoi
 from adaptive_mlmc.refinement import (RefinementConfig, allocate_meso,
@@ -28,31 +28,31 @@ def main():
     print(f"level-0 mesh: {N0} intervals on [0, {problem.horizon:g}]")
     print(f"estimated QoI error of this sample: {decomp.total:+.3e}\n")
 
-    regions = find_meso_regions(accumulate(decomp.contributions))
+    # regions end at interval indices `ends`; region i starts after ends[i-1]
+    ends, errors = find_meso_regions(accumulate(decomp.contributions))
+    starts = np.append(0, ends[:-1] + 1)
     print("accumulated |error| profile split at its minima:")
-    for r in regions:
-        t0 = mesh.nodes[r.start_interval]
-        t1 = mesh.nodes[r.end_interval + 1]
-        print(f"  intervals {r.start_interval:2d}-{r.end_interval:2d} "
-              f"([{t0:.3f}, {t1:.3f}]): accumulated error "
-              f"{r.accumulated_error:+.3e}")
+    for first, last, error in zip(starts, ends, errors):
+        print(f"  intervals {first:2d}-{last:2d} "
+              f"([{mesh.nodes[first]:.3f}, {mesh.nodes[last + 1]:.3f}]): "
+              f"accumulated error {error:+.3e}")
 
     cfg = RefinementConfig(strategy="meso")
     n_hat = int(np.ceil(cfg.meso_target_multiplier * N0))
-    counts = allocate_meso(regions, n_hat, cfg.meso_q)
+    sizes = ends - starts + 1
+    counts = allocate_meso(sizes, errors, n_hat, cfg.meso_q)
     print(f"\nbudget of {n_hat} intervals allocated to equalize region errors:")
-    for r, c in zip(regions, counts):
-        print(f"  region {r.start_interval:2d}-{r.end_interval:2d}: "
-              f"{r.interval_count:2d} -> {c:2d} intervals")
+    for first, last, size, count in zip(starts, ends, sizes, counts):
+        print(f"  region {first:2d}-{last:2d}: {size:2d} -> {count:2d} intervals")
 
-    prev_regions = [RegionSpan(0.0, mesh.length, N0)]
-    new_mesh, merged = refine_meso(mesh, prev_regions, decomp, cfg)
+    # a tiling is (breaks, counts): region i spans breaks[i]..breaks[i+1]
+    # with counts[i] uniform intervals; None stands for the whole domain
+    new_mesh, (breaks, counts) = refine_meso(mesh, None, decomp, cfg)
     print(f"\nafter merging with the previous level "
-          f"({len(merged)} regions, {new_mesh.n_intervals} intervals):")
-    for span in merged:
-        density = span.n_intervals / (span.t_end - span.t_start)
-        print(f"  [{span.t_start:.3f}, {span.t_end:.3f}]: "
-              f"{span.n_intervals:2d} intervals ({density:.1f} per unit time)")
+          f"({counts.size} regions, {new_mesh.n_intervals} intervals):")
+    for a, b, n in zip(breaks[:-1], breaks[1:], counts):
+        print(f"  [{a:.3f}, {b:.3f}]: "
+              f"{n:2d} intervals ({n / (b - a):.1f} per unit time)")
     print("\nevery region is at least as dense as on the previous level")
 
 

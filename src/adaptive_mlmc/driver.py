@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .error_estimation import ErrorDecomposition
-from .meshes import Mesh1D, whole_domain_span
+from .meshes import Mesh1D
 from .refinement import RefinementConfig, build_next_mesh
 from .sampling import sample_parameters
 
@@ -55,7 +55,7 @@ class LevelState:
     mesh: Mesh1D
     coarser_mesh: Optional[Mesh1D]
     cost_per_sample: float
-    regions: list
+    regions: Optional[tuple]  # meso tiling (breaks, counts), else None
     samples: list = field(default_factory=list)
     next_index: int = 0
 
@@ -102,8 +102,10 @@ class MlmcRunConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0")
         if not self.n_schedule or any(n < 2 for n in self.n_schedule):
             raise ValueError("n_schedule entries must be >= 2")
         if self.max_levels < 1:
@@ -225,39 +227,31 @@ def run_adaptive_mlmc(model, cfg: MlmcRunConfig) -> MlmcEstimate:
     """Execute the adaptive driver loop until bias^2 <= epsilon/2 or max_levels."""
     runner = _Runner(model, cfg)
     try:
-        initial = cfg.initial_mesh
-        elems0 = initial.n_intervals
-        levels = [LevelState(0, initial, None, 1.0,
-                             whole_domain_span(initial))]
-        runner.fill(levels[0], cfg.schedule(0), want_estimate=True)
-        variances = [level_variance(levels[0].samples)]
-        n_opt = optimal_samples(variances, [1.0], cfg.epsilon)
-        runner.fill(levels[0], max(cfg.schedule(0), n_opt[0]), want_estimate=True)
-        variances = [level_variance(levels[0].samples)]
-        bias = level_bias(levels[0].samples)
-
-        while bias ** 2 > 0.5 * cfg.epsilon and len(levels) < cfg.max_levels:
+        elems0 = cfg.initial_mesh.n_intervals
+        levels = [LevelState(0, cfg.initial_mesh, None, 1.0, None)]
+        while True:
             highest = levels[-1]
+            runner.fill(highest, cfg.schedule(highest.level), want_estimate=True)
+            variances = [level_variance(lv.samples) for lv in levels]
+            costs = [lv.cost_per_sample for lv in levels]
+            n_opt = optimal_samples(variances, costs, cfg.epsilon)
+            for lv, n in zip(levels, n_opt):
+                if n > len(lv.ok_samples()):
+                    runner.fill(lv, n, want_estimate=(lv is highest))
+            variances = [level_variance(lv.samples) for lv in levels]
+            bias = level_bias(highest.samples)
+            if bias ** 2 <= 0.5 * cfg.epsilon or len(levels) >= cfg.max_levels:
+                break
+
             decomps = [s.decomposition for s in highest.ok_samples()
                        if s.decomposition is not None]
             new_mesh, new_regions = build_next_mesh(
                 highest.mesh, highest.regions, decomps, cfg.refinement)
             for s in highest.samples:
                 s.decomposition = None
-            new_regions = new_regions or whole_domain_span(new_mesh)
             cost = (new_mesh.n_intervals + highest.mesh.n_intervals) / elems0
-            level = LevelState(len(levels), new_mesh, highest.mesh, cost, new_regions)
-            levels.append(level)
-            runner.fill(level, cfg.schedule(level.level), want_estimate=True)
-
-            variances = [level_variance(lv.samples) for lv in levels]
-            costs = [lv.cost_per_sample for lv in levels]
-            n_opt = optimal_samples(variances, costs, cfg.epsilon)
-            for lv, n in zip(levels, n_opt):
-                if n > len(lv.ok_samples()):
-                    runner.fill(lv, n, want_estimate=(lv is levels[-1]))
-            variances = [level_variance(lv.samples) for lv in levels]
-            bias = level_bias(levels[-1].samples)
+            levels.append(LevelState(len(levels), new_mesh, highest.mesh, cost,
+                                     new_regions))
 
         converged = bias ** 2 <= 0.5 * cfg.epsilon
         if not converged:

@@ -13,13 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import OdeProblem, SampleFailure
+from .models import OdeProblem
 from .qoi import NonstandardQoi, StandardQoi
 from .solvers import Trajectory, residual_pairing, solve_adjoint
-
-
-class DegenerateDenominator(SampleFailure):
-    """Grazing event: the event-time linearization denominator vanishes."""
 
 
 @dataclass(frozen=True)
@@ -27,21 +23,19 @@ class ErrorDecomposition:
     """Signed per-interval error contributions and their scaled total.
 
     `total` is sum(contributions) / denominator; the denominator is 1 for
-    standard QoIs and the event-time linearization scalar otherwise.
+    standard QoIs and the event-time linearization scalar otherwise (NaN
+    for a grazing event, which has no linearization).
     """
 
     contributions: np.ndarray
     denominator: float = 1.0
-    kind: str = "standard"
 
     def __post_init__(self):
         contributions = np.ascontiguousarray(self.contributions, dtype=float)
         contributions.setflags(write=False)
         object.__setattr__(self, "contributions", contributions)
-        if self.kind not in ("standard", "nonstandard"):
-            raise ValueError(f"unknown decomposition kind {self.kind!r}")
-        if self.kind == "nonstandard" and self.denominator == 0.0:
-            raise ValueError("nonstandard decomposition needs a nonzero denominator")
+        if self.denominator == 0.0:
+            raise ValueError("decomposition needs a nonzero denominator")
 
     @property
     def total(self) -> float:
@@ -61,7 +55,7 @@ def estimate_standard_error(problem: OdeProblem, forward: Trajectory,
     restricted mesh.  A failed row's decomposition is NaN."""
     phi = solve_adjoint(problem, forward, q.t_star, q.psi)
     contributions = residual_pairing(problem, forward, phi, q.t_star)
-    return [ErrorDecomposition(c, 1.0, "standard") for c in contributions]
+    return [ErrorDecomposition(c) for c in contributions]
 
 
 def estimate_event_time_error(problem: OdeProblem, forward: Trajectory,
@@ -72,7 +66,8 @@ def estimate_event_time_error(problem: OdeProblem, forward: Trajectory,
     Numerator contributions estimate e(t_c) . psi; the denominator is
     f(U(t_c), t_c) . psi plus the estimated e(t_c) . J(t_c)^T psi, with the
     Jacobian frozen at (U(t_c), t_c).  Each row crosses at its own t_c and so
-    needs its own adjoint mesh.
+    needs its own adjoint mesh.  A grazing event, whose denominator
+    vanishes, gets a NaN denominator and so a NaN total.
     """
     u_c = forward(t_c)
     phi1 = solve_adjoint(problem, forward, t_c, q.psi)
@@ -83,6 +78,5 @@ def estimate_event_time_error(problem: OdeProblem, forward: Trajectory,
     f_psi = float((problem.rhs(u_c, t_c) * q.psi).sum())
     denominator = f_psi + correction
     if abs(denominator) < 1e-10 * (1.0 + abs(f_psi)):
-        raise DegenerateDenominator(
-            f"event-time denominator {denominator} vanishes at t_c={t_c}")
-    return ErrorDecomposition(contributions, denominator, "nonstandard")
+        denominator = np.nan
+    return ErrorDecomposition(contributions, denominator)

@@ -9,7 +9,7 @@ error decompositions.
 """
 from __future__ import annotations
 
-import logging
+import math
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
@@ -17,12 +17,10 @@ import numpy as np
 
 from .error_estimation import estimate_event_time_error, estimate_standard_error
 from .meshes import Mesh1D, uniform_mesh
-from .models import SampleFailure, harmonic_oscillator, lorenz, two_body
+from .models import harmonic_oscillator, lorenz, two_body
 from .qoi import (NonstandardQoi, StandardQoi, eval_event_time, eval_standard)
 from .sampling import ParameterDistribution, normal, uniform
 from .solvers import solve_forward_cg1
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -52,9 +50,9 @@ class OdeMlmcModel:
     `evaluate` solves a chunk of draws (M, p) as one problem: one forward
     march for all rows, and for a standard QoI one adjoint and one residual
     pairing.  Event-time rows each cross at their own t_c, so each gets its
-    own adjoint on its own restricted mesh.  A row that fails gets a NaN QoI,
-    which the driver records as failed; the other rows keep the bits they
-    get alone.
+    own adjoint on its own restricted mesh.  A row that fails gets a NaN QoI
+    (or, for a grazing event, a NaN error estimate), which the driver records
+    as failed; the other rows keep the bits they get alone.
     """
 
     def __init__(self, experiment: OdeExperiment):
@@ -71,23 +69,12 @@ class OdeMlmcModel:
                 if want_estimate else [None] * len(W)
         else:
             values = eval_event_time(forward, q)
-            decomps = self._event_time_estimates(W, forward, values) \
-                if want_estimate else [None] * len(W)
+            decomps = [estimate_event_time_error(
+                           self.experiment.make_problem(W[k:k + 1]),
+                           forward.rows([k]), q, t)
+                       if want_estimate and math.isfinite(t) else None
+                       for k, t in enumerate(values.tolist())]
         return values, decomps
-
-    def _event_time_estimates(self, W: np.ndarray, forward, t_c: np.ndarray) -> list:
-        """One-row estimates around each row's crossing; a row whose estimate
-        fails gets a NaN crossing time in `t_c`."""
-        decomps = [None] * len(W)
-        for k in np.flatnonzero(np.isfinite(t_c)):
-            try:
-                decomps[k] = estimate_event_time_error(
-                    self.experiment.make_problem(W[k:k + 1]), forward.rows([k]),
-                    self.experiment.qoi, float(t_c[k]))
-            except SampleFailure as exc:
-                log.debug("draw %s failed: %s", W[k], exc)
-                t_c[k] = np.nan
-        return decomps
 
 
 def _harmonic_standard() -> OdeExperiment:

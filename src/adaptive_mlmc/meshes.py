@@ -7,9 +7,7 @@ across concurrently running samples.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -75,58 +73,6 @@ def uniform_mesh(length: float, n_intervals: int) -> Mesh1D:
     return Mesh1D(np.linspace(0.0, length, n_intervals + 1))
 
 
-@dataclass(frozen=True)
-class MesoRegion:
-    """Contiguous run of mesh intervals with its accumulated signed error."""
-
-    start_interval: int
-    end_interval: int
-    accumulated_error: float
-
-    def __post_init__(self):
-        if self.start_interval > self.end_interval:
-            raise MeshError("region start must not exceed end")
-
-    @property
-    def interval_count(self) -> int:
-        return self.end_interval - self.start_interval + 1
-
-
-def check_region_tiling(regions: Sequence[MesoRegion], n_intervals: int) -> None:
-    """Regions must tile interval indices 0..n_intervals-1 without gaps or overlap."""
-    expected = 0
-    for r in regions:
-        if r.start_interval != expected:
-            raise MeshError("regions do not tile the index range")
-        expected = r.end_interval + 1
-    if expected != n_intervals:
-        raise MeshError("regions do not cover the whole mesh")
-
-
-@dataclass(frozen=True)
-class RegionSpan:
-    """A time span carrying a uniform sub-grid with n_intervals intervals."""
-
-    t_start: float
-    t_end: float
-    n_intervals: int
-
-    def __post_init__(self):
-        if not self.t_end > self.t_start:
-            raise MeshError("empty region span")
-        if self.n_intervals < 1:
-            raise MeshError("region span needs at least one interval")
-
-    @property
-    def density(self) -> float:
-        return self.n_intervals / (self.t_end - self.t_start)
-
-
-def whole_domain_span(mesh: Mesh1D) -> list:
-    """The trivial one-region tiling of a mesh (used for uniform initial grids)."""
-    return [RegionSpan(0.0, mesh.length, mesh.n_intervals)]
-
-
 def uniform_refine(mesh: Mesh1D, factor: int) -> Mesh1D:
     """Split every interval into `factor` equal sub-intervals."""
     factor = int(factor)
@@ -173,60 +119,49 @@ def _same_time(a: float, b: float, scale: float) -> bool:
     return abs(a - b) <= REL_TOL * max(scale, 1.0)
 
 
-def _check_tiles_domain(spans: Sequence[RegionSpan], t0: float, t1: float) -> None:
-    if not spans:
-        raise MeshError("empty region list")
-    if not _same_time(spans[0].t_start, t0, t1) or not _same_time(spans[-1].t_end, t1, t1):
-        raise MeshError("regions do not span the requested domain")
-    for left, right in zip(spans, spans[1:]):
-        if not _same_time(left.t_end, right.t_start, t1):
-            raise MeshError("regions leave a gap or overlap")
+def _density_at(tiling, t: np.ndarray) -> np.ndarray:
+    """Interval density of the first region whose closed span holds each t."""
+    breaks, counts = tiling
+    if t.min() < breaks[0] or t.max() > breaks[-1]:
+        raise MeshError("overlay point not covered by regions")
+    i = np.maximum(np.searchsorted(breaks, t) - 1, 0)
+    return counts[i] / np.diff(breaks)[i]
 
 
-def common_mesoregion_refinement(prev_regions: Sequence[RegionSpan],
-                                 tentative_regions: Sequence[RegionSpan]) -> list:
+def common_mesoregion_refinement(prev_regions, tentative_regions):
     """Overlay two region tilings of the same domain.
 
-    Each overlay piece gets the larger of the two parents' interval densities,
-    scaled to the piece length and rounded up (minimum 1).  Taking the max
-    guarantees no piece is ever coarser than the previous-level grid.
+    A tiling is a pair of arrays (breaks, counts): region i spans
+    breaks[i]..breaks[i+1] with counts[i] uniform intervals.  Breaks of the
+    two tilings that coincide within REL_TOL become one overlay boundary.
+    Each overlay piece gets the larger of the two parents' interval
+    densities, scaled to the piece length and rounded up (minimum 1).
+    Taking the max guarantees no piece is ever coarser than the
+    previous-level grid.
     """
-    t0 = prev_regions[0].t_start if prev_regions else 0.0
-    t1 = prev_regions[-1].t_end if prev_regions else 0.0
-    _check_tiles_domain(prev_regions, t0, t1)
-    _check_tiles_domain(tentative_regions, t0, t1)
-
+    prev_breaks, tentative_breaks = prev_regions[0], tentative_regions[0]
+    t0, t1 = prev_breaks[0], prev_breaks[-1]
+    if not (_same_time(tentative_breaks[0], t0, t1)
+            and _same_time(tentative_breaks[-1], t1, t1)):
+        raise MeshError("regions do not span the requested domain")
     boundaries = [t0]
-    for t in sorted({s.t_end for s in prev_regions} | {s.t_end for s in tentative_regions}
-                    | {s.t_start for s in prev_regions} | {s.t_start for s in tentative_regions}):
+    for t in np.unique(np.concatenate([prev_breaks, tentative_breaks])):
         if not _same_time(t, boundaries[-1], t1):
             boundaries.append(t)
-    if not _same_time(boundaries[-1], t1, t1):
-        boundaries.append(t1)
     boundaries[-1] = t1
-    boundaries[0] = t0
-
-    def density_at(spans, t_mid):
-        for s in spans:
-            if s.t_start <= t_mid <= s.t_end:
-                return s.density
-        raise MeshError("overlay point not covered by regions")
-
-    out = []
-    for a, b in zip(boundaries, boundaries[1:]):
-        mid = 0.5 * (a + b)
-        dens = max(density_at(prev_regions, mid), density_at(tentative_regions, mid))
-        n = max(1, math.ceil(dens * (b - a) - 1e-9))
-        out.append(RegionSpan(a, b, n))
-    return out
+    breaks = np.array(boundaries)
+    mid = 0.5 * (breaks[:-1] + breaks[1:])
+    density = np.maximum(_density_at(prev_regions, mid),
+                         _density_at(tentative_regions, mid))
+    counts = np.maximum(1, np.ceil(density * np.diff(breaks) - 1e-9)).astype(int)
+    return breaks, counts
 
 
-def mesh_from_region_spans(spans: Sequence[RegionSpan]) -> Mesh1D:
-    """Build a mesh with a uniform sub-grid on each region span."""
-    _check_tiles_domain(spans, spans[0].t_start, spans[-1].t_end)
-    nodes = [spans[0].t_start]
-    for s in spans:
-        k = np.arange(1, s.n_intervals + 1) / s.n_intervals
-        nodes.extend(s.t_start + (s.t_end - s.t_start) * k)
-        nodes[-1] = s.t_end
-    return Mesh1D(np.array(nodes))
+def mesh_from_tiling(breaks: np.ndarray, counts: np.ndarray) -> Mesh1D:
+    """Build a mesh with counts[i] uniform intervals on breaks[i]..breaks[i+1]."""
+    pieces = [breaks[:1]]
+    for a, b, n in zip(breaks[:-1], breaks[1:], counts):
+        piece = a + (b - a) * (np.arange(1, n + 1) / n)
+        piece[-1] = b
+        pieces.append(piece)
+    return Mesh1D(np.concatenate(pieces))

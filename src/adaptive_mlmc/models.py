@@ -18,16 +18,6 @@ from typing import Callable
 import numpy as np
 
 
-class SampleFailure(RuntimeError):
-    """A single sample could not be completed (degenerate event-time estimate).
-
-    The batched solvers mark such a draw by NaN in its own row instead.  The
-    per-row event-time estimate raises this, and `OdeMlmcModel.evaluate`
-    turns it into a NaN QoI for that one draw; the MLMC driver marks the
-    sample failed and redraws.
-    """
-
-
 @dataclass(frozen=True)
 class OdeProblem:
     """du/dt = rhs(u, t) on (0, horizon], u(0) = initial of shape (M, d):

@@ -16,9 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .error_estimation import ErrorDecomposition, accumulate
-from .meshes import (Mesh1D, MeshError, MesoRegion, RegionSpan,
-                     check_region_tiling, common_mesoregion_refinement,
-                     mesh_from_region_spans, refine_intervals, uniform_refine)
+from .meshes import (Mesh1D, MeshError, common_mesoregion_refinement,
+                     mesh_from_tiling, refine_intervals, uniform_refine)
 
 log = logging.getLogger(__name__)
 
@@ -39,10 +38,10 @@ class RefinementConfig:
             raise ValueError("dwr_fraction must be in (0, 1]")
         if self.dwr_factor < 2 or self.uniform_factor < 2:
             raise ValueError("refinement factors must be >= 2")
-        if not self.meso_q > 0:
-            raise ValueError("meso_q must be positive")
-        if not self.meso_target_multiplier > 1:
-            raise ValueError("meso_target_multiplier must exceed 1")
+        if not 0 < self.meso_q < math.inf:
+            raise ValueError("meso_q must be positive and finite")
+        if not 1 < self.meso_target_multiplier < math.inf:
+            raise ValueError("meso_target_multiplier must exceed 1 and be finite")
 
 
 def dwr_select(decomp: ErrorDecomposition, fraction: float) -> np.ndarray:
@@ -70,70 +69,70 @@ def refine_dwr_multisample(mesh: Mesh1D, decomps: Sequence[ErrorDecomposition],
     return refine_intervals(mesh, union, cfg.dwr_factor)
 
 
-def find_meso_regions(E: np.ndarray) -> list:
+def find_meso_regions(E: np.ndarray):
     """Split intervals at the minima of the accumulated error profile E.
 
     From the current start, skip the initial strictly increasing run of E,
     then end the region at the global minimizer of E over the remaining
-    indices; repeat from there.  Each region records the error accumulated
-    across it (E at its end minus E at the previous region's end).
+    indices; repeat from there.  Returns the regions' last interval indices
+    and the error accumulated across each region (E at its end minus E at
+    the previous region's end).
     """
     n = E.size
     if n == 0:
         raise ValueError("empty accumulated-error profile")
-    regions = []
+    ends = []
     start = 0
-    prev_end_value = 0.0
     while start < n:
         j = start
         while j + 1 < n and E[j + 1] > E[j]:
             j += 1
-        if j + 1 >= n:
-            end = n - 1
-        else:
-            end = j + 1 + int(np.argmin(E[j + 1:]))
-        regions.append(MesoRegion(start, end, float(E[end] - prev_end_value)))
-        prev_end_value = float(E[end])
+        end = n - 1 if j + 1 >= n else j + 1 + int(np.argmin(E[j + 1:]))
+        ends.append(end)
         start = end + 1
-    check_region_tiling(regions, n)
-    return regions
+    ends = np.array(ends)
+    return ends, np.diff(E[ends], prepend=0.0)
 
 
-def allocate_meso(regions: Sequence[MesoRegion], n_hat: int, q: float) -> list:
+def allocate_meso(sizes: np.ndarray, errors: np.ndarray, n_hat: int,
+                  q: float) -> np.ndarray:
     """Interval counts per region minimizing total error for a fixed budget.
 
-    Solves c_i / N_i^(q+1) = K with c_i = |E_i| * Ntilde_i^q; counts are
-    rounded half-up (clamped to >= 1) and the largest region absorbs the
-    rounding residual.  Regions with zero accumulated error keep their
-    current density; if every region is degenerate, fall back to uniform
-    doubling.
+    `sizes` are the regions' current interval counts and `errors` their
+    accumulated errors.  Solves c_i / N_i^(q+1) = K with
+    c_i = |E_i| * Ntilde_i^q; counts are rounded half-up (clamped to >= 1)
+    and the largest region absorbs the rounding residual.  Regions with
+    zero accumulated error keep their current density; if every region is
+    degenerate, fall back to uniform doubling.
     """
-    if n_hat < len(regions):
+    if n_hat < sizes.size:
         raise ValueError("budget smaller than the region count")
-    c = np.array([abs(r.accumulated_error) * r.interval_count ** q for r in regions])
+    # libm pow per element: numpy's vectorized power may round differently
+    c = np.abs(errors) * np.array([float(n) ** q for n in sizes])
     if np.all(c == 0.0):
         log.warning("all meso-region errors vanish; falling back to uniform doubling")
-        return [2 * r.interval_count for r in regions]
+        return 2 * sizes
     p = 1.0 / (q + 1.0)
     k_root = c ** p
     # K = [(1/n_hat) * sum c_i^(1/(q+1))]^(q+1); raw counts sum to n_hat exactly
     raw = n_hat * k_root / k_root.sum()
-    counts = [max(1, math.floor(r + 0.5)) if c[i] > 0 else regions[i].interval_count
-              for i, r in enumerate(raw)]
-    allocated = [i for i in range(len(regions)) if c[i] > 0]
-    residual = n_hat - sum(counts[i] for i in allocated)
-    biggest = max(allocated, key=lambda i: counts[i])
+    allocated = c > 0
+    counts = np.where(allocated, np.maximum(1, np.floor(raw + 0.5)), sizes).astype(int)
+    residual = n_hat - counts[allocated].sum()
+    biggest = np.flatnonzero(allocated)[np.argmax(counts[allocated])]
     counts[biggest] = max(1, counts[biggest] + residual)
     return counts
 
 
-def refine_meso(prev_mesh: Mesh1D, prev_regions: Sequence[RegionSpan],
-                worst_decomp: ErrorDecomposition, cfg: RefinementConfig):
+def refine_meso(prev_mesh: Mesh1D, prev_regions, worst_decomp: ErrorDecomposition,
+                cfg: RefinementConfig):
     """Build the next level's mesh from the worst sample's error profile.
 
-    Returns (mesh, region spans); the spans are what the following level
-    merges against.  Contributions shorter than the mesh (event-time QoIs
-    stop at t_c) are padded with zeros so regions tile the whole domain.
+    Returns (mesh, tiling); the tiling (breaks, counts) is what the
+    following level merges against, and `prev_regions=None` stands for the
+    whole domain as one region.  Contributions shorter than the mesh
+    (event-time QoIs stop at t_c) are padded with zeros so regions tile the
+    whole domain.
     """
     n_prev = prev_mesh.n_intervals
     contributions = worst_decomp.contributions
@@ -141,19 +140,18 @@ def refine_meso(prev_mesh: Mesh1D, prev_regions: Sequence[RegionSpan],
         raise MeshError("decomposition not indexed on the previous mesh")
     padded = np.zeros(n_prev)
     padded[:contributions.size] = contributions
-    regions = find_meso_regions(accumulate(padded))
+    ends, errors = find_meso_regions(accumulate(padded))
     n_hat = math.ceil(cfg.meso_target_multiplier * n_prev)
-    counts = allocate_meso(regions, n_hat, cfg.meso_q)
-    tentative = [RegionSpan(float(prev_mesh.nodes[r.start_interval]),
-                            float(prev_mesh.nodes[r.end_interval + 1]), counts[i])
-                 for i, r in enumerate(regions)]
-    merged = common_mesoregion_refinement(prev_regions, tentative)
-    mesh = mesh_from_region_spans(merged)
-    return mesh, merged
+    counts = allocate_meso(np.diff(ends, prepend=-1), errors, n_hat, cfg.meso_q)
+    tentative = (prev_mesh.nodes[np.append(0, ends + 1)], counts)
+    if prev_regions is None:
+        prev_regions = (prev_mesh.nodes[[0, -1]], np.array([n_prev]))
+    breaks, counts = common_mesoregion_refinement(prev_regions, tentative)
+    return mesh_from_tiling(breaks, counts), (breaks, counts)
 
 
 def build_next_mesh(prev_mesh: Mesh1D, prev_regions, decomps, cfg: RefinementConfig):
-    """Dispatch on the configured strategy; returns (mesh, regions-or-None)."""
+    """Dispatch on the configured strategy; returns (mesh, tiling-or-None)."""
     if cfg.strategy == "uniform":
         return uniform_refine(prev_mesh, cfg.uniform_factor), None
     if cfg.strategy == "dwr":

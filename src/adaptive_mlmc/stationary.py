@@ -194,7 +194,7 @@ class BvpMlmcModel:
         phi_mesh, Phi = solve_bvp_adjoint(self.problem, w, mesh)
         contributions = bvp_error_decomposition(self.problem, w, mesh, U,
                                                 phi_mesh, Phi)
-        return q, [ErrorDecomposition(c, 1.0, "standard") for c in contributions]
+        return q, [ErrorDecomposition(c) for c in contributions]
 
 
 # Defaults calibrated so both strategies resolve the bias within two levels:

@@ -18,8 +18,7 @@ from adaptive_mlmc.driver import (LevelState, MlmcRunConfig, SampleRecord,
 from adaptive_mlmc.error_estimation import (estimate_event_time_error,
                                             estimate_standard_error)
 from adaptive_mlmc.experiments import OdeMlmcModel, get_experiment
-from adaptive_mlmc.meshes import (RegionSpan, common_mesoregion_refinement,
-                                  uniform_mesh)
+from adaptive_mlmc.meshes import common_mesoregion_refinement, uniform_mesh
 from adaptive_mlmc.models import harmonic_oscillator, lorenz, two_body
 from adaptive_mlmc.qoi import (NonstandardQoi, StandardQoi, eval_event_time,
                                eval_standard)
@@ -168,11 +167,11 @@ def test_criterion_5_benchmark_event_time_qoi():
 
 
 def test_criterion_6_meso_merge_fixture():
-    prev = [RegionSpan(0.0, 4.0, 1), RegionSpan(4.0, 10.0, 5)]
-    tentative = [RegionSpan(0.0, 0.8, 1), RegionSpan(0.8, 7.0, 6),
-                 RegionSpan(7.0, 10.0, 1)]
-    merged = common_mesoregion_refinement(prev, tentative)
-    counts = [s.n_intervals for s in merged]
+    # tilings (breaks, counts): region i spans breaks[i]..breaks[i+1]
+    prev = (np.array([0.0, 4.0, 10.0]), np.array([1, 5]))
+    tentative = (np.array([0.0, 0.8, 7.0, 10.0]), np.array([1, 6, 1]))
+    _, merged_counts = common_mesoregion_refinement(prev, tentative)
+    counts = merged_counts.tolist()
     report(6, "meso merge fixture", [
         (f"four regions with counts {counts} == [1, 4, 3, 3]",
          counts == [1, 4, 3, 3]),
@@ -241,8 +240,7 @@ def test_criterion_9_property_suite():
     exp = get_experiment("harmonic-standard")
     model = OdeMlmcModel(exp)
     mesh = exp.initial_mesh()
-    level = LevelState(0, mesh, None, 1.0,
-                       [RegionSpan(0.0, mesh.length, mesh.n_intervals)])
+    level = LevelState(0, mesh, None, 1.0, None)
     decomps = [rec.decomposition
                for rec in take_sample(model, level, 0, range(8), want_estimate=True)
                if rec.decomposition is not None]
@@ -255,17 +253,17 @@ def test_criterion_9_property_suite():
         new_mesh, regions = build_next_mesh(mesh, level.regions, decomps,
                                             RefinementConfig(strategy=strategy))
         if strategy == "meso":
+            breaks, counts = regions
             monotone &= all(
-                r.n_intervals / (r.t_end - r.t_start) >= prev_density * (1 - 1e-12)
-                for r in regions)
+                n / (b - a) >= prev_density * (1 - 1e-12)
+                for a, b, n in zip(breaks[:-1], breaks[1:], counts))
         else:
             monotone &= set(np.round(mesh.nodes, 12)).issubset(
                 set(np.round(new_mesh.nodes, 12)))
 
     # degenerate telescoping: the same mesh on both sides gives y = 0, and a
     # single-level run reduces to the plain Monte Carlo mean
-    twin = LevelState(1, mesh, mesh, 2.0,
-                      [RegionSpan(0.0, mesh.length, mesh.n_intervals)])
+    twin = LevelState(1, mesh, mesh, 2.0, None)
     [rec] = take_sample(model, twin, 0, [0], want_estimate=False)
     cfg = MlmcRunConfig(epsilon=1e6, initial_mesh=mesh, master_seed=0)
     est = run_adaptive_mlmc(model, cfg)

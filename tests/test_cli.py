@@ -316,6 +316,46 @@ max_levels = 1
         assert level0.split(",")[1] == elems
 
 
+class TestRunSettingsRejected:
+    """Settings the run cannot honour exit 1 before the run starts, with the
+    config error on stderr and no traceback."""
+
+    def assert_rejected(self, code, capsys, message, out_dir=None):
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        assert out_dir is None or not out_dir.exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (("--seed", "-1"), "master_seed must be >= 0"),
+        (("--epsilon", "inf"), "epsilon must be positive and finite"),
+    ])
+    def test_bad_flag(self, tmp_path, capsys, flags, message):
+        out_dir = tmp_path / "out"
+        code = run_cli("run", "--experiment", "lorenz", *flags,
+                       "--output-dir", str(out_dir))
+        self.assert_rejected(code, capsys, message, out_dir)
+
+    @pytest.mark.parametrize("text,message", [
+        ("[run]\nexperiment = lorenz\nseed = -5\n", "master_seed must be >= 0"),
+        ("[run]\nexperiment = lorenz\n\n[refinement]\nstrategy = meso\n"
+         "meso_target_multiplier = inf\n", "meso_target_multiplier must exceed 1"),
+        ("[run]\nexperiment = lorenz\n\n[refinement]\nstrategy = meso\n"
+         "meso_q = inf\n", "meso_q must be positive and finite"),
+    ])
+    def test_bad_config(self, tmp_path, capsys, text, message):
+        config = write_config(tmp_path, text)
+        out_dir = tmp_path / "out"
+        code = run_cli("run", "--config", config, "--output-dir", str(out_dir))
+        self.assert_rejected(code, capsys, message, out_dir)
+        code = run_cli("compare", "--configs", config)
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert lines[1].startswith(f"{config},") and ",FAILED," in lines[1]
+        assert message in lines[1]
+
+
 class TestDeterminism:
     def _run(self, tmp_path, tag, *extra):
         out_dir = tmp_path / tag

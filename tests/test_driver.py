@@ -114,8 +114,8 @@ def fail_below(x):
 class SyntheticModel:
     """Synthetic chunk model: Q scales with the mesh; chosen draws fail.
 
-    `fail(x)` marks the draws that fail; like `OdeMlmcModel` after a
-    `SampleFailure`, the model reports each of them as a NaN QoI.
+    `fail(x)` marks the draws that fail; like `OdeMlmcModel` on a failed
+    row, the model reports each of them as a NaN QoI.
     """
 
     distributions = (uniform(0.0, 1.0, "x"),)

@@ -4,12 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaptive_mlmc.meshes import (Mesh1D, MeshError, MesoRegion, RegionSpan,
-                                  check_region_tiling,
+import meso_reference as ref
+from adaptive_mlmc.meshes import (REL_TOL, Mesh1D, MeshError, _density_at,
                                   common_mesoregion_refinement,
-                                  mesh_from_region_spans, refine_intervals,
-                                  uniform_mesh, uniform_refine,
-                                  whole_domain_span)
+                                  mesh_from_tiling, refine_intervals,
+                                  uniform_mesh, uniform_refine)
+
+
+def tiling(breaks, counts):
+    """A (breaks, counts) tiling from plain lists."""
+    return np.array(breaks, dtype=float), np.array(counts)
 
 
 class TestMeshValidation:
@@ -103,70 +107,140 @@ class TestRefineIntervals:
 
 
 class TestRegions:
-    def test_tiling_check(self):
-        regions = [MesoRegion(0, 2, 1.0), MesoRegion(3, 5, 0.5)]
-        check_region_tiling(regions, 6)
-        with pytest.raises(MeshError):
-            check_region_tiling(regions, 7)
-        with pytest.raises(MeshError):
-            check_region_tiling([MesoRegion(1, 5, 1.0)], 6)
-
     def test_density(self):
-        assert RegionSpan(0.0, 4.0, 8).density == 2.0
+        # the first region whose closed span holds t: a shared break reads
+        # the region on its left
+        regions = tiling([0.0, 4.0, 10.0], [8, 3])
+        np.testing.assert_array_equal(
+            _density_at(regions, np.array([0.0, 2.0, 4.0, 4.5, 10.0])),
+            [2.0, 2.0, 2.0, 0.5, 0.5])
+        with pytest.raises(MeshError):
+            _density_at(regions, np.array([10.5]))
 
     def test_whole_domain_span(self):
+        # one region over the whole domain reproduces a uniform mesh
         mesh = uniform_mesh(2.0, 10)
-        assert whole_domain_span(mesh) == [RegionSpan(0.0, 2.0, 10)]
+        np.testing.assert_allclose(
+            mesh_from_tiling(*tiling([0.0, 2.0], [10])).nodes, mesh.nodes,
+            rtol=0, atol=1e-15)
 
 
 class TestMeshFromRegionSpans:
     def test_piecewise_uniform(self):
-        spans = [RegionSpan(0.0, 1.0, 2), RegionSpan(1.0, 3.0, 1)]
-        mesh = mesh_from_region_spans(spans)
+        mesh = mesh_from_tiling(*tiling([0.0, 1.0, 3.0], [2, 1]))
         np.testing.assert_allclose(mesh.nodes, [0.0, 0.5, 1.0, 3.0])
-
-    def test_gap_rejected(self):
-        with pytest.raises(MeshError):
-            mesh_from_region_spans([RegionSpan(0.0, 1.0, 1),
-                                    RegionSpan(1.5, 3.0, 1)])
 
 
 class TestCommonMesoRegionRefinement:
     def test_overlay_takes_max_density(self):
-        prev = [RegionSpan(0.0, 4.0, 1), RegionSpan(4.0, 10.0, 5)]
-        tentative = [RegionSpan(0.0, 0.8, 1), RegionSpan(0.8, 7.0, 6),
-                     RegionSpan(7.0, 10.0, 1)]
-        merged = common_mesoregion_refinement(prev, tentative)
-        assert [s.n_intervals for s in merged] == [1, 4, 3, 3]
-        assert [s.t_start for s in merged] == [0.0, 0.8, 4.0, 7.0]
-        assert [s.t_end for s in merged] == [0.8, 4.0, 7.0, 10.0]
+        prev = tiling([0.0, 4.0, 10.0], [1, 5])
+        tentative = tiling([0.0, 0.8, 7.0, 10.0], [1, 6, 1])
+        breaks, counts = common_mesoregion_refinement(prev, tentative)
+        assert counts.tolist() == [1, 4, 3, 3]
+        assert breaks.tolist() == [0.0, 0.8, 4.0, 7.0, 10.0]
 
     def test_identical_tilings_unchanged(self):
-        spans = [RegionSpan(0.0, 1.0, 4), RegionSpan(1.0, 3.0, 2)]
-        merged = common_mesoregion_refinement(spans, spans)
-        assert merged == spans
+        regions = tiling([0.0, 1.0, 3.0], [4, 2])
+        breaks, counts = common_mesoregion_refinement(regions, regions)
+        np.testing.assert_array_equal(breaks, regions[0])
+        np.testing.assert_array_equal(counts, regions[1])
 
     def test_mismatched_domains_rejected(self):
         with pytest.raises(MeshError):
-            common_mesoregion_refinement([RegionSpan(0.0, 1.0, 1)],
-                                         [RegionSpan(0.0, 2.0, 1)])
+            common_mesoregion_refinement(tiling([0.0, 1.0], [1]),
+                                         tiling([0.0, 2.0], [1]))
+
+    def test_breaks_within_tolerance_merge(self):
+        prev = tiling([0.0, 1.0, 3.0], [1, 1])
+        tentative = tiling([0.0, 1.0 + 0.5 * REL_TOL * 3.0, 3.0], [2, 4])
+        breaks, counts = common_mesoregion_refinement(prev, tentative)
+        assert breaks.tolist() == [0.0, 1.0, 3.0]
+        assert counts.tolist() == [2, 4]
 
     @given(st.lists(st.integers(1, 6), min_size=1, max_size=4),
            st.lists(st.integers(1, 6), min_size=1, max_size=4))
     @settings(max_examples=50, deadline=None)
     def test_never_below_either_parent_density(self, counts_a, counts_b):
         # random tilings of [0, 1] into equal-width regions
-        prev = [RegionSpan(i / len(counts_a), (i + 1) / len(counts_a), c)
-                for i, c in enumerate(counts_a)]
-        tent = [RegionSpan(i / len(counts_b), (i + 1) / len(counts_b), c)
-                for i, c in enumerate(counts_b)]
-        merged = common_mesoregion_refinement(prev, tent)
-        for piece in merged:
-            mid = 0.5 * (piece.t_start + piece.t_end)
-            for parents in (prev, tent):
-                parent = next(s for s in parents
-                              if s.t_start <= mid <= s.t_end)
-                assert piece.density >= parent.density - 1e-9
+        prev = tiling(np.linspace(0.0, 1.0, len(counts_a) + 1), counts_a)
+        tent = tiling(np.linspace(0.0, 1.0, len(counts_b) + 1), counts_b)
+        breaks, counts = common_mesoregion_refinement(prev, tent)
+        mid = 0.5 * (breaks[:-1] + breaks[1:])
+        density = counts / np.diff(breaks)
+        for parents in (prev, tent):
+            assert np.all(density >= _density_at(parents, mid) - 1e-9)
+
+
+# Offsets of a tentative break from a previous one, in units of the
+# coincidence tolerance REL_TOL * max(length, 1): inside, at and past it.
+NEAR = (-3.0, -1.0, -0.6, -0.2, 0.0, 0.3, 0.999, 1.0, 1.5, 4.0)
+# The tentative endpoints: mostly on or within the tolerance of the domain's.
+NEAR_END = (0.0, 0.0, 0.0, -1.0, -0.6, 0.3, 1.0, 1.5)
+
+
+@st.composite
+def tiling_pairs(draw):
+    """A previous tiling of [0, length] and a tentative one whose breaks are
+    partly the previous breaks moved by NEAR tolerances, endpoints included."""
+    length = draw(st.sampled_from([0.5, 1.0, 3.0, 10.0, 40.0]))
+    tol = REL_TOL * max(length, 1.0)
+    inner = st.lists(st.floats(0.001, 0.999), max_size=6)
+    prev_breaks = np.unique(np.concatenate(
+        [[0.0, length], length * np.array(draw(inner))]))
+    moved = [prev_breaks[i] + tol * draw(st.sampled_from(NEAR))
+             for i in draw(st.lists(st.integers(0, prev_breaks.size - 1),
+                                    max_size=4))]
+    ends = [tol * draw(st.sampled_from(NEAR_END)),
+            length + tol * draw(st.sampled_from(NEAR_END))]
+    tent_breaks = np.unique(np.concatenate(
+        [ends, moved, length * np.array(draw(inner))]))
+    tent_breaks = tent_breaks[(tent_breaks >= ends[0]) & (tent_breaks <= ends[1])]
+    counts = st.integers(1, 9)
+    return ((prev_breaks, np.array([draw(counts) for _ in prev_breaks[1:]])),
+            (tent_breaks, np.array([draw(counts) for _ in tent_breaks[1:]])))
+
+
+def outcome(fn, *args):
+    """fn's result, or the MeshError it raised."""
+    try:
+        return fn(*args)
+    except MeshError:
+        return MeshError
+
+
+class TestMatchesObjectReference:
+    """The array tilings against the RegionSpan lists they replaced, bitwise."""
+
+    @given(tiling_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_overlay_and_mesh(self, pair):
+        prev, tent = pair
+        got = outcome(common_mesoregion_refinement, prev, tent)
+        want = outcome(ref.common_mesoregion_refinement,
+                       ref.spans(*prev), ref.spans(*tent))
+        if want is MeshError:
+            assert got is MeshError
+            return
+        want_breaks, want_counts = ref.tiling(want)
+        assert np.array_equal(got[0], want_breaks)
+        assert np.array_equal(got[1], want_counts)
+        got_mesh = outcome(mesh_from_tiling, *got)
+        want_mesh = outcome(ref.mesh_from_region_spans, want)
+        if want_mesh is MeshError:
+            assert got_mesh is MeshError
+        else:
+            assert np.array_equal(got_mesh.nodes, want_mesh.nodes)
+
+    @given(tiling_pairs())
+    @settings(max_examples=100, deadline=None)
+    def test_mesh_of_a_tiling(self, pair):
+        prev, _ = pair
+        got = outcome(mesh_from_tiling, *prev)
+        want = outcome(ref.mesh_from_region_spans, ref.spans(*prev))
+        if want is MeshError:
+            assert got is MeshError
+        else:
+            assert np.array_equal(got.nodes, want.nodes)
 
 
 class TestDump:

@@ -1,12 +1,14 @@
 """New-level mesh creation: DWR selection, meso regions, and allocation."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaptive_mlmc.error_estimation import ErrorDecomposition
-from adaptive_mlmc.meshes import (MesoRegion, RegionSpan, uniform_mesh,
-                                  whole_domain_span)
+import meso_reference as ref
+from adaptive_mlmc.error_estimation import ErrorDecomposition, accumulate
+from adaptive_mlmc.meshes import Mesh1D, mesh_from_tiling, uniform_mesh
 from adaptive_mlmc.refinement import (RefinementConfig, allocate_meso,
                                       build_next_mesh, dwr_select,
                                       find_meso_regions,
@@ -33,6 +35,10 @@ class TestConfigValidation:
             RefinementConfig(dwr_factor=1)
         with pytest.raises(ValueError):
             RefinementConfig(meso_target_multiplier=1.0)
+        with pytest.raises(ValueError):
+            RefinementConfig(meso_target_multiplier=math.inf)
+        with pytest.raises(ValueError):
+            RefinementConfig(meso_q=math.inf)
 
 
 class TestDwrSelect:
@@ -108,73 +114,125 @@ class TestDwrMultisample:
         assert set(fewer.nodes.tolist()) <= set(more.nodes.tolist())
 
 
+def regions(*sizes_and_errors):
+    """(sizes, errors) arrays from (interval count, accumulated error) pairs."""
+    sizes, errors = zip(*sizes_and_errors)
+    return np.array(sizes), np.array(errors, dtype=float)
+
+
+def reference_regions(sizes, errors):
+    """The same regions as a reference MesoRegion list."""
+    ends = np.cumsum(sizes) - 1
+    return [ref.MesoRegion(int(e - n + 1), int(e), float(err))
+            for n, e, err in zip(sizes, ends, errors)]
+
+
 class TestFindMesoRegions:
     def test_monotone_profile_single_region(self):
-        regions = find_meso_regions(np.array([1.0, 2.0, 3.0]))
-        assert regions == [MesoRegion(0, 2, 3.0)]
+        ends, errors = find_meso_regions(np.array([1.0, 2.0, 3.0]))
+        assert ends.tolist() == [2] and errors.tolist() == [3.0]
 
     def test_hand_profile(self):
         # E = (1, 0, 1, 0.5): the initial increasing run stops at index 0,
         # the global minimum of the remainder is at index 1 -> first region
         # [0, 1]; the rest repeats from index 2.
-        regions = find_meso_regions(np.array([1.0, 0.0, 1.0, 0.5]))
-        assert regions[0] == MesoRegion(0, 1, 0.0)
-        assert regions[1] == MesoRegion(2, 3, 0.5)
+        ends, errors = find_meso_regions(np.array([1.0, 0.0, 1.0, 0.5]))
+        assert ends.tolist() == [1, 3]
+        assert errors.tolist() == [0.0, 0.5]
 
     def test_accumulated_errors_are_increments(self):
         E = np.array([2.0, 1.0, 3.0, 2.5, 4.0])
-        regions = find_meso_regions(E)
-        totals = np.cumsum([r.accumulated_error for r in regions])
-        ends = [r.end_interval for r in regions]
-        np.testing.assert_allclose(totals, E[ends])
+        ends, errors = find_meso_regions(E)
+        np.testing.assert_allclose(np.cumsum(errors), E[ends])
 
     def test_regions_tile_profile(self):
         rng = np.random.default_rng(5)
         E = np.abs(np.cumsum(rng.standard_normal(40)))
-        regions = find_meso_regions(E)
-        assert regions[0].start_interval == 0
-        assert regions[-1].end_interval == 39
-        for left, right in zip(regions, regions[1:]):
-            assert right.start_interval == left.end_interval + 1
+        ends, _ = find_meso_regions(E)
+        assert ends[-1] == 39
+        assert np.all(np.diff(ends) >= 1)
+
+    @given(st.lists(st.sampled_from([0.0, 1.0, -1.0, 0.5, -2.0, 3.0]),
+                    min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_object_reference(self, contributions):
+        """Flat runs, returns to zero and ties in E, bitwise against the
+        reference MesoRegion list."""
+        E = accumulate(np.array(contributions))
+        ends, errors = find_meso_regions(E)
+        want = ref.find_meso_regions(E)
+        assert ends.tolist() == [r.end_interval for r in want]
+        assert np.array_equal(errors, [r.accumulated_error for r in want])
 
 
 class TestAllocateMeso:
     def test_equal_regions_split_evenly(self):
-        regions = [MesoRegion(0, 4, 1.0), MesoRegion(5, 9, 1.0)]
-        assert allocate_meso(regions, 10, 1.0) == [5, 5]
+        assert allocate_meso(*regions((5, 1.0), (5, 1.0)), 10, 1.0).tolist() \
+            == [5, 5]
 
     def test_unbalanced_hand_case(self):
         # c = (|8| * 1, |1| * 1), q = 1: raw = 9 * (sqrt(8), 1)/(sqrt(8)+1)
-        regions = [MesoRegion(0, 0, 8.0), MesoRegion(1, 1, 1.0)]
-        assert allocate_meso(regions, 9, 1.0) == [7, 2]
+        assert allocate_meso(*regions((1, 8.0), (1, 1.0)), 9, 1.0).tolist() \
+            == [7, 2]
 
     def test_budget_too_small(self):
         with pytest.raises(ValueError):
-            allocate_meso([MesoRegion(0, 0, 1.0), MesoRegion(1, 1, 1.0)], 1, 2.0)
+            allocate_meso(*regions((1, 1.0), (1, 1.0)), 1, 2.0)
 
     def test_zero_error_regions_keep_density(self):
-        regions = [MesoRegion(0, 3, 0.0), MesoRegion(4, 7, 1.0)]
-        counts = allocate_meso(regions, 16, 2.0)
+        counts = allocate_meso(*regions((4, 0.0), (4, 1.0)), 16, 2.0)
         assert counts[0] == 4  # unchanged interval count
 
     def test_all_zero_falls_back_to_doubling(self):
-        regions = [MesoRegion(0, 3, 0.0), MesoRegion(4, 5, 0.0)]
-        assert allocate_meso(regions, 12, 2.0) == [8, 4]
+        assert allocate_meso(*regions((4, 0.0), (2, 0.0)), 12, 2.0).tolist() \
+            == [8, 4]
 
     @given(st.lists(st.floats(0.01, 10), min_size=1, max_size=6),
            st.integers(2, 4))
     @settings(max_examples=60, deadline=None)
     def test_total_close_to_budget(self, errors, mult):
-        start = 0
-        regions = []
-        for e in errors:
-            regions.append(MesoRegion(start, start + 2, e))
-            start += 3
-        n_hat = mult * start
-        counts = allocate_meso(regions, n_hat, 2.0)
+        sizes = np.full(len(errors), 3)
+        n_hat = mult * sizes.sum()
+        counts = allocate_meso(sizes, np.array(errors), n_hat, 2.0)
         assert all(c >= 1 for c in counts)
         # rounding keeps the total within one count per region of the budget
-        assert abs(sum(counts) - n_hat) <= len(regions)
+        assert abs(counts.sum() - n_hat) <= len(errors)
+
+    @given(st.lists(st.tuples(st.integers(1, 30),
+                              st.one_of(st.just(0.0), st.floats(1e-9, 50.0))),
+                    min_size=1, max_size=8),
+           st.booleans(),
+           st.one_of(st.sampled_from([0.5, 1.0, 2.0, 3.0]), st.floats(0.05, 6.0)),
+           st.floats(0.2, 4.0))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_object_reference(self, pairs, all_zero, q, multiplier):
+        """Zero-error regions, the all-zero fallback and budgets below the
+        region count, bitwise against the reference MesoRegion allocation."""
+        sizes, errors = regions(*pairs)
+        if all_zero:
+            errors[:] = 0.0
+        n_hat = math.ceil(multiplier * sizes.sum())
+        try:
+            want = ref.allocate_meso(reference_regions(sizes, errors), n_hat, q)
+        except ValueError:
+            with pytest.raises(ValueError):
+                allocate_meso(sizes, errors, n_hat, q)
+            return
+        assert allocate_meso(sizes, errors, n_hat, q).tolist() == want
+
+
+def reference_refine_meso(prev_mesh, prev_spans, decomp, cfg):
+    """The object-based refine_meso on MesoRegion and RegionSpan lists."""
+    padded = np.zeros(prev_mesh.n_intervals)
+    padded[:decomp.contributions.size] = decomp.contributions
+    found = ref.find_meso_regions(accumulate(padded))
+    n_hat = math.ceil(cfg.meso_target_multiplier * prev_mesh.n_intervals)
+    counts = ref.allocate_meso(found, n_hat, cfg.meso_q)
+    tentative = [ref.RegionSpan(float(prev_mesh.nodes[r.start_interval]),
+                                float(prev_mesh.nodes[r.end_interval + 1]), n)
+                 for r, n in zip(found, counts)]
+    merged = ref.common_mesoregion_refinement(prev_spans, tentative)
+    return ref.mesh_from_region_spans(merged), merged
 
 
 class TestRefineMeso:
@@ -184,8 +242,8 @@ class TestRefineMeso:
         mesh = uniform_mesh(4.0, 8)
         cfg = RefinementConfig(strategy="meso")
         d = decomp(0.5, 0.5, 0.5, 0.5)  # only 4 of 8 intervals
-        out, spans = refine_meso(mesh, whole_domain_span(mesh), d, cfg)
-        assert spans[-1].t_end == pytest.approx(4.0)
+        out, (breaks, counts) = refine_meso(mesh, None, d, cfg)
+        assert breaks[-1] == 4.0
         assert out.n_intervals >= 8
 
     def test_never_unrefines(self):
@@ -193,30 +251,66 @@ class TestRefineMeso:
         cfg = RefinementConfig(strategy="meso")
         rng = np.random.default_rng(0)
         d = decomp(*rng.standard_normal(8))
-        out, spans = refine_meso(mesh, whole_domain_span(mesh), d, cfg)
-        for s in spans:
-            assert s.density >= 2.0 - 1e-9  # previous density was 2 per unit
+        out, (breaks, counts) = refine_meso(mesh, None, d, cfg)
+        # previous density was 2 per unit
+        assert np.all(counts / np.diff(breaks) >= 2.0 - 1e-9)
 
     def test_idempotent_when_tentative_matches(self):
-        prev = [RegionSpan(0.0, 1.0, 4), RegionSpan(1.0, 3.0, 4)]
+        prev = (np.array([0.0, 1.0, 3.0]), np.array([4, 4]))
         from adaptive_mlmc.meshes import common_mesoregion_refinement
-        merged = common_mesoregion_refinement(prev, prev)
-        assert merged == prev
+        breaks, counts = common_mesoregion_refinement(prev, prev)
+        np.testing.assert_array_equal(breaks, prev[0])
+        np.testing.assert_array_equal(counts, prev[1])
+
+    def test_none_is_the_whole_domain(self):
+        mesh = Mesh1D(np.array([0.0, 0.3, 1.0, 1.1, 2.5]))
+        cfg = RefinementConfig(strategy="meso")
+        d = decomp(1.0, -0.5, 2.0, 0.25)
+        out, tiling = refine_meso(mesh, None, d, cfg)
+        whole = (np.array([0.0, 2.5]), np.array([4]))
+        out_whole, tiling_whole = refine_meso(mesh, whole, d, cfg)
+        np.testing.assert_array_equal(out.nodes, out_whole.nodes)
+        np.testing.assert_array_equal(tiling[1], tiling_whole[1])
+
+    @given(st.lists(st.lists(st.sampled_from([0.0, 1.0, -1.0, 0.3, -2.0, 5.0]),
+                             min_size=1, max_size=60),
+                    min_size=1, max_size=3),
+           st.sampled_from([6, 9, 27]),
+           st.sampled_from([1.0, 2.0, 3.5]),
+           st.sampled_from([1.5, 2.0, 3.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_object_reference(self, profiles, n0, q, multiplier):
+        """Successive levels, each overlaid on the previous level's tiling:
+        meshes and tilings bitwise equal to the object-based reference."""
+        cfg = RefinementConfig(strategy="meso", meso_q=q,
+                               meso_target_multiplier=multiplier)
+        mesh = want_mesh = uniform_mesh(3.0, n0)
+        tiling, want_spans = None, [ref.RegionSpan(0.0, 3.0, n0)]
+        for profile in profiles:
+            # a profile shorter than the mesh is an event-time sample
+            d = decomp(*profile[:mesh.n_intervals])
+            mesh, tiling = refine_meso(mesh, tiling, d, cfg)
+            want_mesh, want_spans = reference_refine_meso(want_mesh, want_spans,
+                                                          d, cfg)
+            assert np.array_equal(mesh.nodes, want_mesh.nodes)
+            assert np.array_equal(tiling[0], ref.tiling(want_spans)[0])
+            assert np.array_equal(tiling[1], ref.tiling(want_spans)[1])
+            np.testing.assert_array_equal(mesh_from_tiling(*tiling).nodes,
+                                          mesh.nodes)
 
 
 class TestBuildNextMesh:
     def test_uniform_dispatch(self):
         mesh = uniform_mesh(3.0, 27)
         cfg = RefinementConfig(strategy="uniform", uniform_factor=2)
-        out, regions = build_next_mesh(mesh, whole_domain_span(mesh), [], cfg)
+        out, regions = build_next_mesh(mesh, None, [], cfg)
         assert out.n_intervals == 54
         assert regions is None
 
     def test_dwr_dispatch(self):
         mesh = uniform_mesh(3.0, 4)
         cfg = RefinementConfig(strategy="dwr", dwr_fraction=0.25, dwr_factor=2)
-        out, regions = build_next_mesh(mesh, whole_domain_span(mesh),
-                                       [decomp(1, 9, 1, 1)], cfg)
+        out, regions = build_next_mesh(mesh, None, [decomp(1, 9, 1, 1)], cfg)
         assert out.n_intervals == 5
         assert regions is None
 
@@ -225,7 +319,6 @@ class TestBuildNextMesh:
         cfg = RefinementConfig(strategy="meso")
         mild = decomp(0.1, 0.1, 0.1, 0.1)
         harsh = decomp(2.0, 2.0, 2.0, 2.0)
-        out, regions = build_next_mesh(mesh, whole_domain_span(mesh),
-                                       [mild, harsh], cfg)
+        out, regions = build_next_mesh(mesh, None, [mild, harsh], cfg)
         assert regions is not None
         assert out.n_intervals >= 8  # target multiplier 2 on 4 intervals
