@@ -37,7 +37,7 @@ def main():
         print(f"  sweep {sweep}: {mesh.n_intervals:3d} elements, "
               f"QoI = {q:+.6f}, "
               f"estimated error = {decomp.total:+.3e}")
-        marked = dwr_select(decomp, 0.25)
+        marked = dwr_select([decomp], 0.25)
         mesh = refine_intervals(mesh, marked, 2)
 
     print(f"\nMLMC over random b, epsilon = {BVP_DEFAULT_EPSILON:g}")

@@ -23,14 +23,10 @@ import numpy as np
 
 from .error_estimation import ErrorDecomposition
 from .meshes import Mesh1D
-from .refinement import RefinementConfig, build_next_mesh
+from .refinement import CHUNK_SIZE, RefinementConfig, build_next_mesh
 from .sampling import sample_parameters
 
 log = logging.getLogger(__name__)
-
-# Most draws a model receives in one `evaluate` call.  Bounds the memory of
-# a batched solve; chunking never changes a run's output.
-CHUNK_SIZE = 256
 
 
 class MlmcError(RuntimeError):
@@ -164,8 +160,9 @@ def take_sample(model, level: LevelState, master_seed: int, indices: Sequence[in
         else model.evaluate(W, level.coarser_mesh, False)[0]
     records = [SampleRecord(int(i)) for i in indices]
     for rec, qf, qc, decomp in zip(records, q_fine, q_coarse, decomps):
+        total = None if decomp is None else decomp.total
         if not (math.isfinite(qf) and math.isfinite(qc)
-                and (decomp is None or math.isfinite(decomp.total))):
+                and (total is None or math.isfinite(total))):
             rec.status = "failed"
             log.debug("sample (level=%d, index=%d) failed: non-finite QoI or "
                       "error estimate", level.level, rec.index)
@@ -173,7 +170,7 @@ def take_sample(model, level: LevelState, master_seed: int, indices: Sequence[in
         rec.q_fine, rec.q_coarse, rec.y = qf, qc, qf - qc
         if decomp is not None:
             rec.decomposition = decomp
-            rec.error_estimate, rec.denominator = decomp.total, decomp.denominator
+            rec.error_estimate, rec.denominator = total, decomp.denominator
     return records
 
 
@@ -245,8 +242,11 @@ def run_adaptive_mlmc(model, cfg: MlmcRunConfig) -> MlmcEstimate:
 
             decomps = [s.decomposition for s in highest.ok_samples()
                        if s.decomposition is not None]
-            new_mesh, new_regions = build_next_mesh(
-                highest.mesh, highest.regions, decomps, cfg.refinement)
+            try:
+                new_mesh, new_regions = build_next_mesh(
+                    highest.mesh, highest.regions, decomps, cfg.refinement)
+            except OverflowError as exc:
+                raise MlmcError(f"cannot build level {len(levels)}: {exc}") from exc
             for s in highest.samples:
                 s.decomposition = None
             cost = (new_mesh.n_intervals + highest.mesh.n_intervals) / elems0

@@ -8,6 +8,7 @@ merges with the previous level so no region is ever unrefined.
 """
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -20,6 +21,10 @@ from .meshes import (Mesh1D, MeshError, common_mesoregion_refinement,
                      mesh_from_tiling, refine_intervals, uniform_refine)
 
 log = logging.getLogger(__name__)
+
+# Most rows one batched step stacks: the draws of one model `evaluate` call,
+# the decompositions of one DWR selection block.  Bounds memory only.
+CHUNK_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -44,29 +49,30 @@ class RefinementConfig:
             raise ValueError("meso_target_multiplier must exceed 1 and be finite")
 
 
-def dwr_select(decomp: ErrorDecomposition, fraction: float) -> np.ndarray:
-    """Sorted indices of the ceil(fraction * N) largest |contribution|s.
-
-    Ties break toward the lower index so the selection is deterministic.
-    """
-    mags = np.abs(decomp.contributions)
-    if mags.size == 0:
-        raise ValueError("empty decomposition")
-    n_pick = math.ceil(fraction * mags.size)
-    return np.sort(np.argsort(-mags, kind="stable")[:n_pick])
+def dwr_select(decomps: Sequence[ErrorDecomposition], fraction: float) -> np.ndarray:
+    """Sorted union over the decompositions of each one's ceil(fraction * N)
+    largest |contribution|s, ties toward the lower index.  Rows of one length
+    (event-time rows stop at their own crossing) are stacked in blocks of at
+    most CHUNK_SIZE, one stable row-wise argsort each."""
+    rows = sorted((d.contributions for d in decomps), key=len)
+    if not rows or rows[0].size == 0:
+        raise ValueError("need at least one non-empty decomposition")
+    selected = np.zeros(rows[-1].size, dtype=bool)
+    for size, group in itertools.groupby(rows, key=len):
+        group, n_pick = list(group), math.ceil(fraction * size)
+        for start in range(0, len(group), CHUNK_SIZE):
+            mags = np.abs(np.stack(group[start:start + CHUNK_SIZE]))
+            selected[np.argsort(-mags, axis=1, kind="stable")[:, :n_pick]] = True
+    return np.flatnonzero(selected)
 
 
 def refine_dwr_multisample(mesh: Mesh1D, decomps: Sequence[ErrorDecomposition],
                            cfg: RefinementConfig) -> Mesh1D:
     """Refine the union of every sample's selected intervals."""
-    if not decomps:
-        raise ValueError("need at least one decomposition")
-    for d in decomps:
-        if d.contributions.size > mesh.n_intervals:
-            raise MeshError("decomposition not indexed on this mesh")
-    union = np.unique(np.concatenate([dwr_select(d, cfg.dwr_fraction)
-                                      for d in decomps]))
-    return refine_intervals(mesh, union, cfg.dwr_factor)
+    if any(d.contributions.size > mesh.n_intervals for d in decomps):
+        raise MeshError("decomposition not indexed on this mesh")
+    return refine_intervals(mesh, dwr_select(decomps, cfg.dwr_fraction),
+                            cfg.dwr_factor)
 
 
 def find_meso_regions(E: np.ndarray):
@@ -108,7 +114,10 @@ def allocate_meso(sizes: np.ndarray, errors: np.ndarray, n_hat: int,
     if n_hat < sizes.size:
         raise ValueError("budget smaller than the region count")
     # libm pow per element: numpy's vectorized power may round differently
-    c = np.abs(errors) * np.array([float(n) ** q for n in sizes])
+    try:
+        c = np.abs(errors) * np.array([float(n) ** q for n in sizes])
+    except OverflowError:
+        raise OverflowError(f"meso_q = {q!r} overflows a region's n ** meso_q") from None
     if np.all(c == 0.0):
         log.warning("all meso-region errors vanish; falling back to uniform doubling")
         return 2 * sizes

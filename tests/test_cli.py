@@ -355,6 +355,21 @@ class TestRunSettingsRejected:
         assert lines[1].startswith(f"{config},") and ",FAILED," in lines[1]
         assert message in lines[1]
 
+    def test_overflowing_meso_q(self, tmp_path, capsys):
+        """A finite meso_q whose region weights n ** meso_q overflow passes
+        the config checks and fails when level 1 is built: one error line."""
+        config = write_config(tmp_path, "[run]\nexperiment = lorenz\n\n"
+                              "[refinement]\nstrategy = meso\nmeso_q = 1e300\n")
+        out_dir = tmp_path / "out"
+        code = run_cli("run", "--config", config, "--output-dir", str(out_dir))
+        err = capsys.readouterr().err
+        assert code == 1 and not out_dir.exists()
+        assert err.startswith("error: ") and "meso_q = 1e+300" in err
+        assert len(err.splitlines()) == 1
+        code = run_cli("compare", "--configs", config)
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1 and ",FAILED," in lines[1] and "meso_q" in lines[1]
+
 
 class TestDeterminism:
     def _run(self, tmp_path, tag, *extra):

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 import meso_reference as ref
 from adaptive_mlmc.error_estimation import ErrorDecomposition, accumulate
-from adaptive_mlmc.meshes import Mesh1D, mesh_from_tiling, uniform_mesh
-from adaptive_mlmc.refinement import (RefinementConfig, allocate_meso,
+from adaptive_mlmc.meshes import (Mesh1D, mesh_from_tiling, refine_intervals,
+                                  uniform_mesh)
+from adaptive_mlmc.refinement import (CHUNK_SIZE, RefinementConfig, allocate_meso,
                                       build_next_mesh, dwr_select,
                                       find_meso_regions,
                                       refine_dwr_multisample, refine_meso)
@@ -44,17 +45,17 @@ class TestConfigValidation:
 class TestDwrSelect:
     def test_half_fraction_hand_case(self):
         # |contributions| = (3, 5, 1); ceil(0.5 * 3) = 2 -> indices {1, 0}
-        assert dwr_select(decomp(3.0, -5.0, 1.0), 0.5).tolist() == [0, 1]
+        assert dwr_select([decomp(3.0, -5.0, 1.0)], 0.5).tolist() == [0, 1]
 
     def test_fraction_one_selects_all(self):
-        assert dwr_select(decomp(1.0, 2.0, 3.0), 1.0).tolist() == [0, 1, 2]
+        assert dwr_select([decomp(1.0, 2.0, 3.0)], 1.0).tolist() == [0, 1, 2]
 
     def test_ties_break_to_lower_index(self):
-        assert dwr_select(decomp(2.0, 2.0, 2.0), 0.5).tolist() == [0, 1]
+        assert dwr_select([decomp(2.0, 2.0, 2.0)], 0.5).tolist() == [0, 1]
 
     def test_ceil_of_fraction(self):
         # ceil(0.25 * 5) = 2
-        assert len(dwr_select(decomp(5, 4, 3, 2, 1), 0.25)) == 2
+        assert len(dwr_select([decomp(5, 4, 3, 2, 1)], 0.25)) == 2
 
     @given(st.lists(st.sampled_from([0.0, -1.0, 1.0, 2.5, -2.5, 7.0]),
                     min_size=1, max_size=30),
@@ -66,14 +67,14 @@ class TestDwrSelect:
         mags = np.abs(values)
         order = sorted(range(mags.size), key=lambda i: (-mags[i], i))
         expected = sorted(order[:int(np.ceil(fraction * mags.size))])
-        assert dwr_select(decomp(*values), fraction).tolist() == expected
+        assert dwr_select([decomp(*values)], fraction).tolist() == expected
 
     @given(st.lists(st.floats(-10, 10), min_size=1, max_size=30),
            st.floats(0.05, 1.0))
     @settings(max_examples=60, deadline=None)
     def test_selected_dominate_unselected(self, values, fraction):
         d = decomp(*values)
-        picked = set(dwr_select(d, fraction).tolist())
+        picked = set(dwr_select([d], fraction).tolist())
         mags = np.abs(d.contributions)
         if picked and len(picked) < mags.size:
             smallest_picked = min(mags[i] for i in picked)
@@ -112,6 +113,50 @@ class TestDwrMultisample:
         fewer = refine_dwr_multisample(mesh, decomps[:1], cfg)
         more = refine_dwr_multisample(mesh, decomps, cfg)
         assert set(fewer.nodes.tolist()) <= set(more.nodes.tolist())
+
+
+def per_row_union(decomps, fraction):
+    """np.unique of every row's own one-row `dwr_select`."""
+    return np.unique(np.concatenate([dwr_select([d], fraction) for d in decomps]))
+
+
+class TestBlockedDwrSelection:
+    """The level-wide selection (rows grouped by length, stacked in blocks of
+    at most CHUNK_SIZE) is the union of the one-row selections."""
+
+    @given(st.lists(st.lists(st.sampled_from([0.0, -1.0, 1.0, 2.5, -2.5, 7.0]),
+                             min_size=1, max_size=12),
+                    min_size=1, max_size=40),
+           st.sampled_from([0.05, 0.25, 0.5, 0.7, 1.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_ragged_rows_with_ties(self, profiles, fraction):
+        decomps = [decomp(*p) for p in profiles]
+        union = per_row_union(decomps, fraction)
+        assert np.array_equal(dwr_select(decomps, fraction), union)
+        mesh = uniform_mesh(2.0, 12)
+        cfg = RefinementConfig(strategy="dwr", dwr_fraction=fraction, dwr_factor=2)
+        assert np.array_equal(refine_dwr_multisample(mesh, decomps, cfg).nodes,
+                              refine_intervals(mesh, union, 2).nodes)
+
+    @pytest.mark.parametrize("fraction", [1e-3, 0.3, 1.0])
+    def test_rows_across_block_edges(self, fraction):
+        """Row k of 2.5 blocks peaks at interval k, so every block adds
+        intervals no other block selects."""
+        n_rows = 2 * CHUNK_SIZE + CHUNK_SIZE // 2
+        n = n_rows + 7
+        rows = np.random.default_rng(4).choice([0.0, 0.5, -0.5], size=(n_rows, n))
+        rows[np.arange(n_rows), np.arange(n_rows)] = 9.0
+        decomps = [ErrorDecomposition(r) for r in rows]
+        decomps += [ErrorDecomposition(r[:k]) for r, k in zip(rows, (1, 5, 300))]
+        selected = dwr_select(decomps, fraction)
+        assert np.array_equal(selected, per_row_union(decomps, fraction))
+        assert set(range(n_rows)) <= set(selected.tolist())
+        if fraction == 1.0:
+            assert np.array_equal(selected, np.arange(n))
+
+    def test_empty_row_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            dwr_select([decomp(1.0), decomp()], 0.5)
 
 
 def regions(*sizes_and_errors):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sampling_reference as ref
 from adaptive_mlmc.sampling import (DistributionError, _unit_open_closed,
                                     _words, normal, sample_parameters, uniform)
 
@@ -24,7 +25,7 @@ def reference_draw(spec, seed, level, index):
     """One draw computed the scalar way, word by word and distribution by
     distribution, as the sampler did before it returned (M, p) arrays."""
     n_words = sum(2 if d.kind == "normal" else 1 for d in spec)
-    u = _unit_open_closed(_words(seed, level, index, n_words))
+    u = _unit_open_closed(ref.words(seed, level, index, n_words))
     values = np.empty(len(spec))
     pos = 0
     for k, dist in enumerate(spec):
@@ -125,9 +126,58 @@ class TestRawWords:
         seq = np.random.SeedSequence(entropy=seed, spawn_key=(level, index))
         gen = np.random.Generator(np.random.Philox(seed=seq))
         reference = gen.integers(0, 2 ** 64, size=n, dtype=np.uint64)
-        words = _words(seed, level, index, n)
+        words = ref.words(seed, level, index, n)
         assert words.dtype == np.uint64
         np.testing.assert_array_equal(words, reference)
+
+
+class TestVectorizedWords:
+    """`_words` gives, in one array pass per chunk, bit for bit the words of
+    the per-index SeedSequence/Philox streams."""
+
+    @given(st.integers(0, 2 ** 70), st.integers(0, 2 ** 33),
+           st.lists(st.integers(0, 2 ** 32 - 1), max_size=12),
+           st.integers(1, 9))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_index_streams(self, seed, level, indices, n):
+        got = _words(seed, level, indices, n)
+        assert got.dtype == np.uint64 and got.shape == (len(indices), n)
+        for row, i in zip(got, indices):
+            np.testing.assert_array_equal(row, ref.words(seed, level, i, n))
+
+    @given(st.integers(0, 2 ** 70), st.integers(0, 2 ** 33),
+           st.integers(0, 2 ** 32 - 40), st.integers(0, 39), st.integers(1, 9))
+    @settings(max_examples=50, deadline=None)
+    def test_chunk_offset_and_order(self, seed, level, start, size, n):
+        indices = np.arange(start, start + size)[::-1]
+        got = _words(seed, level, indices, n)
+        np.testing.assert_array_equal(
+            got, _words(seed, level, indices[::-1], n)[::-1])
+        for row, i in zip(got, indices):
+            np.testing.assert_array_equal(row, ref.words(seed, level, i, n))
+
+    @pytest.mark.parametrize("seed,level", [(0, 0), (2 ** 32, 1), (2 ** 70, 2 ** 33),
+                                            (2 ** 130, 5)])
+    def test_edge_keys(self, seed, level):
+        """Multi-word seeds and levels, the largest index and multi-block draws."""
+        indices = [0, 1, 2 ** 31, 2 ** 32 - 1]
+        for n in (1, 4, 5, 8, 9):
+            got = _words(seed, level, indices, n)
+            for row, i in zip(got, indices):
+                np.testing.assert_array_equal(row, ref.words(seed, level, i, n))
+
+    def test_empty_chunk(self):
+        assert _words(3, 1, [], 5).shape == (0, 5)
+        assert _words(3, 1, np.arange(0), 2).dtype == np.uint64
+
+    @pytest.mark.parametrize("index", [2 ** 32, 2 ** 40, 2 ** 70, -1])
+    def test_index_outside_one_word_rejected(self, index):
+        """An index that SeedSequence would split into several words (or a
+        negative one) is refused, not silently keyed differently."""
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            _words(0, 0, [5, index], 2)
+        with pytest.raises(ValueError):
+            sample_parameters(SPEC, 0, 0, [index])
 
 
 class TestDistributionLaws:

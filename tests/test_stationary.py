@@ -190,7 +190,7 @@ class TestErrorDecomposition:
     def test_dwr_reduces_largest_contribution(self):
         mesh = uniform_mesh(3.0, 12)
         _, _, d = solve_one(14.0, mesh)
-        refined = refine_intervals(mesh, dwr_select(d, 0.25), 2)
+        refined = refine_intervals(mesh, dwr_select([d], 0.25), 2)
         _, _, d2 = solve_one(14.0, refined)
         assert np.abs(d2.contributions).max() < np.abs(d.contributions).max()
 
@@ -253,7 +253,7 @@ def _dwr_mesh():
     for _ in range(2):
         _, contributions = reference_sample(PROBLEM, 14.0, mesh)
         mesh = refine_intervals(mesh, dwr_select(
-            ErrorDecomposition(contributions), 0.25), 2)
+            [ErrorDecomposition(contributions)], 0.25), 2)
     return mesh
 
 
