@@ -11,7 +11,7 @@ import numpy as np
 
 from adaptive_mlmc import (BvpMlmcModel, ErrorDecomposition, MlmcRunConfig,
                            run_adaptive_mlmc)
-from adaptive_mlmc.meshes import refine_intervals, uniform_mesh
+from adaptive_mlmc.meshes import subdivide, uniform_mesh
 from adaptive_mlmc.refinement import dwr_select
 from adaptive_mlmc.stationary import (BVP_DEFAULT_EPSILON, BvpProblem,
                                       bvp_error_decomposition,
@@ -37,8 +37,9 @@ def main():
         print(f"  sweep {sweep}: {mesh.n_intervals:3d} elements, "
               f"QoI = {q:+.6f}, "
               f"estimated error = {decomp.total:+.3e}")
-        marked = dwr_select([decomp], 0.25)
-        mesh = refine_intervals(mesh, marked, 2)
+        parts = np.ones(mesh.n_intervals, dtype=int)
+        parts[dwr_select([decomp], 0.25)] = 2  # halve the marked elements
+        mesh = subdivide(mesh, parts)
 
     print(f"\nMLMC over random b, epsilon = {BVP_DEFAULT_EPSILON:g}")
     model = BvpMlmcModel()

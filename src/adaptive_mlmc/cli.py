@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -27,6 +28,7 @@ EXIT_ERROR = 1
 EXIT_NOT_CONVERGED = 2
 
 _FMT = "%.17g"
+_SUMMARY_HEADER = "total_variance,squared_bias,mse,estimate,total_cost,n_levels,converged"
 
 
 class ConfigError(ValueError):
@@ -119,14 +121,6 @@ def _parse_config_file(path: str) -> RunSettings:
     return RunSettings(**run, refinement_overrides=overrides, config_path=path)
 
 
-def _apply_flags(settings: RunSettings, args) -> RunSettings:
-    for key in _RUN_KEYS:
-        value = getattr(args, key, None)
-        if value not in (None, ""):
-            setattr(settings, key, value)
-    return settings
-
-
 def _build_run(settings: RunSettings):
     """Resolve settings into (model, MlmcRunConfig)."""
     name, n_init = settings.experiment, settings.initial_intervals
@@ -168,53 +162,35 @@ def _build_run(settings: RunSettings):
     return model, cfg
 
 
-def _fmt(x) -> str:
-    return _FMT % float(x)
-
-
-def write_levels_csv(path, estimate: MlmcEstimate) -> None:
-    with open(path, "w") as fh:
-        fh.write("level,elems,cost_per_sample,n_samples,variance\n")
-        for lv in estimate.levels:
-            fh.write(f"{lv.level},{lv.elems},{_fmt(lv.cost_per_sample)},"
-                     f"{lv.n_samples},{_fmt(lv.variance)}\n")
-
-
 def summary_row(estimate: MlmcEstimate) -> str:
-    return ",".join([_fmt(estimate.total_variance), _fmt(estimate.squared_bias),
-                     _fmt(estimate.mse), _fmt(estimate.value),
-                     _fmt(estimate.total_cost), str(estimate.n_levels),
+    return ",".join([_FMT % estimate.total_variance, _FMT % estimate.squared_bias,
+                     _FMT % estimate.mse, _FMT % estimate.value,
+                     _FMT % estimate.total_cost, str(estimate.n_levels),
                      "true" if estimate.converged else "false"])
-
-
-def write_summary_csv(path, estimate: MlmcEstimate) -> None:
-    with open(path, "w") as fh:
-        fh.write("total_variance,squared_bias,mse,estimate,total_cost,"
-                 "n_levels,converged\n")
-        fh.write(summary_row(estimate) + "\n")
-
-
-def write_samples_csv(path, estimate: MlmcEstimate) -> None:
-    with open(path, "w") as fh:
-        fh.write("level,index,status,q_fine,q_coarse,y,"
-                 "error_estimate,denominator\n")
-        for level, index, status, qf, qc, y, err, den in estimate.sample_log:
-            err_s = _fmt(err) if err is not None else ""
-            den_s = _fmt(den) if den is not None else ""
-            if status == "ok":
-                fh.write(f"{level},{index},{status},{_fmt(qf)},{_fmt(qc)},"
-                         f"{_fmt(y)},{err_s},{den_s}\n")
-            else:
-                fh.write(f"{level},{index},{status},,,,,\n")
 
 
 def write_artifacts(estimate: MlmcEstimate, out_dir: str,
                     dump_grids: bool) -> None:
+    """levels.csv, summary.csv, samples.csv (one line per row of the sample
+    table, NaN as an empty field) and on request grid_L<level>.txt."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_levels_csv(out / "levels.csv", estimate)
-    write_summary_csv(out / "summary.csv", estimate)
-    write_samples_csv(out / "samples.csv", estimate)
+    with open(out / "levels.csv", "w") as fh:
+        fh.write("level,elems,cost_per_sample,n_samples,variance\n")
+        for lv in estimate.levels:
+            fh.write(f"{lv.level},{lv.elems},{_FMT % lv.cost_per_sample},"
+                     f"{lv.n_samples},{_FMT % lv.variance}\n")
+    (out / "summary.csv").write_text(f"{_SUMMARY_HEADER}\n{summary_row(estimate)}\n")
+    with open(out / "samples.csv", "w") as fh:
+        fh.write("level,index,status,q_fine,q_coarse,y,error_estimate,denominator\n")
+        for level, index, ok, qf, qc, y, err, den in estimate.sample_log.tolist():
+            if ok:
+                err_s = "" if math.isnan(err) else _FMT % err
+                den_s = "" if math.isnan(den) else _FMT % den
+                fh.write(f"{level},{index},ok,{_FMT % qf},{_FMT % qc},{_FMT % y},"
+                         f"{err_s},{den_s}\n")
+            else:
+                fh.write(f"{level},{index},failed,,,,,\n")
     if dump_grids:
         for level, mesh in enumerate(estimate.meshes):
             mesh.dump(out / f"grid_L{level}.txt")
@@ -223,15 +199,17 @@ def write_artifacts(estimate: MlmcEstimate, out_dir: str,
 def _cmd_run(args) -> int:
     settings = _parse_config_file(args.config) if args.config \
         else RunSettings(experiment=args.experiment or "")
-    settings = _apply_flags(settings, args)
+    for key in _RUN_KEYS:  # flags win over the config file
+        value = getattr(args, key, None)
+        if value not in (None, ""):
+            setattr(settings, key, value)
     if not settings.experiment:
         raise ConfigError("<flags>: no experiment selected "
                           "(use --config or --experiment)")
     model, cfg = _build_run(settings)
     estimate = run_adaptive_mlmc(model, cfg)
     write_artifacts(estimate, settings.output_dir, settings.dump_grids)
-    print("total_variance,squared_bias,mse,estimate,total_cost,"
-          "n_levels,converged")
+    print(_SUMMARY_HEADER)
     print(summary_row(estimate))
     return EXIT_OK if estimate.converged else EXIT_NOT_CONVERGED
 
@@ -258,8 +236,8 @@ def _cmd_compare(args) -> int:
             continue
         strategy = cfg.refinement.strategy
         print(f"{path},{strategy},{estimate.n_levels},"
-              f"{_fmt(estimate.total_cost)},{_fmt(estimate.value)},"
-              f"{_fmt(estimate.mse)},"
+              f"{_FMT % estimate.total_cost},{_FMT % estimate.value},"
+              f"{_FMT % estimate.mse},"
               f"{'true' if estimate.converged else 'false'}")
         if not estimate.converged and worst == EXIT_OK:
             worst = EXIT_NOT_CONVERGED

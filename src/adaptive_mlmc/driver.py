@@ -21,7 +21,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .error_estimation import ErrorDecomposition
 from .meshes import Mesh1D
 from .refinement import CHUNK_SIZE, RefinementConfig, build_next_mesh
 from .sampling import sample_parameters
@@ -33,16 +32,12 @@ class MlmcError(RuntimeError):
     """The run cannot continue (for example a persistent sample-failure rate)."""
 
 
-@dataclass
-class SampleRecord:
-    index: int
-    y: float = 0.0
-    q_fine: float = 0.0
-    q_coarse: float = 0.0
-    error_estimate: Optional[float] = None
-    denominator: Optional[float] = None
-    decomposition: Optional[ErrorDecomposition] = None
-    status: str = "ok"
+# One row per draw; NaN in a float field means "no value" (a failed draw has
+# none, a draw evaluated without an estimate no error_estimate/denominator).
+SAMPLE_DTYPE = np.dtype([
+    ("level", np.int64), ("index", np.int64), ("ok", bool), ("q_fine", float),
+    ("q_coarse", float), ("y", float), ("error_estimate", float),
+    ("denominator", float)])
 
 
 @dataclass
@@ -52,11 +47,12 @@ class LevelState:
     coarser_mesh: Optional[Mesh1D]
     cost_per_sample: float
     regions: Optional[tuple]  # meso tiling (breaks, counts), else None
-    samples: list = field(default_factory=list)
-    next_index: int = 0
+    samples: np.ndarray = field(default_factory=lambda: np.zeros(0, SAMPLE_DTYPE))
+    decomps: list = field(default_factory=list)  # ok rows', until the next mesh
 
-    def ok_samples(self) -> list:
-        return [s for s in self.samples if s.status == "ok"]
+    def ok(self, name: str) -> np.ndarray:
+        """Field `name` of the ok rows."""
+        return self.samples[name][self.samples["ok"]]
 
 
 @dataclass(frozen=True)
@@ -77,13 +73,16 @@ class MlmcEstimate:
     levels: tuple
     total_cost: float
     converged: bool
-    n_failures: int
     meshes: tuple
-    sample_log: tuple
+    sample_log: np.ndarray  # every SAMPLE_DTYPE row, in the order taken
 
     @property
     def n_levels(self) -> int:
         return len(self.levels)
+
+    @property
+    def n_failures(self) -> int:
+        return int(np.count_nonzero(~self.sample_log["ok"]))
 
 
 @dataclass(frozen=True)
@@ -113,20 +112,18 @@ class MlmcRunConfig:
         return self.n_schedule[min(level, len(self.n_schedule) - 1)]
 
 
-def level_variance(samples: Sequence[SampleRecord]) -> float:
-    """Unbiased two-pass sample variance of Y over the ok samples."""
-    y = np.array([s.y for s in samples if s.status == "ok"])
+def level_variance(y: np.ndarray) -> float:
+    """Unbiased two-pass sample variance of a level's ok Y values."""
     if y.size < 2:
         raise ValueError("variance needs at least two ok samples")
     mean = y.sum() / y.size
     return float(((y - mean) ** 2).sum() / (y.size - 1))
 
 
-def level_bias(samples: Sequence[SampleRecord]) -> float:
-    """Negated mean of the per-sample error estimates on the highest level."""
-    estimates = [s.error_estimate for s in samples
-                 if s.status == "ok" and s.error_estimate is not None]
-    if not estimates:
+def level_bias(estimates: np.ndarray) -> float:
+    """Negated mean of the highest level's error estimates (NaN: none)."""
+    estimates = estimates[~np.isnan(estimates)]
+    if not estimates.size:
         raise ValueError("bias needs at least one sample with an error estimate")
     return -float(np.mean(estimates))
 
@@ -151,73 +148,64 @@ def optimal_samples(variances: Sequence[float], costs: Sequence[float],
 
 
 def take_sample(model, level: LevelState, master_seed: int, indices: Sequence[int],
-                want_estimate: bool) -> list:
+                want_estimate: bool):
     """One chunk of telescoped samples: each draw on the fine and coarse mesh,
-    one `evaluate` call per mesh.  A non-finite row fails only its own record."""
+    one `evaluate` call per mesh.  Returns the chunk's SAMPLE_DTYPE rows and
+    the decompositions of its ok rows; a non-finite value fails only its row."""
     W = sample_parameters(model.distributions, master_seed, level.level, indices)
     q_fine, decomps = model.evaluate(W, level.mesh, want_estimate)
     q_coarse = np.zeros(len(W)) if level.coarser_mesh is None \
         else model.evaluate(W, level.coarser_mesh, False)[0]
-    records = [SampleRecord(int(i)) for i in indices]
-    for rec, qf, qc, decomp in zip(records, q_fine, q_coarse, decomps):
-        total = None if decomp is None else decomp.total
-        if not (math.isfinite(qf) and math.isfinite(qc)
-                and (total is None or math.isfinite(total))):
-            rec.status = "failed"
-            log.debug("sample (level=%d, index=%d) failed: non-finite QoI or "
-                      "error estimate", level.level, rec.index)
-            continue
-        rec.q_fine, rec.q_coarse, rec.y = qf, qc, qf - qc
-        if decomp is not None:
-            rec.decomposition = decomp
-            rec.error_estimate, rec.denominator = total, decomp.denominator
-    return records
+    total = np.array([np.nan if d is None else d.total for d in decomps])
+    ok = np.isfinite(q_fine) & np.isfinite(q_coarse) \
+        & (np.isfinite(total) | [d is None for d in decomps])
+    rows = np.zeros(len(W), SAMPLE_DTYPE)
+    rows["level"], rows["index"], rows["ok"] = level.level, indices, ok
+    for name, values in (("q_fine", q_fine), ("q_coarse", q_coarse),
+                         ("error_estimate", total),
+                         ("denominator", [np.nan if d is None else d.denominator
+                                          for d in decomps])):
+        rows[name] = np.where(ok, values, np.nan)
+    rows["y"] = rows["q_fine"] - rows["q_coarse"]
+    return rows, [d for d, good in zip(decomps, ok) if good and d is not None]
 
 
 class _Runner:
-    """Chunked sample execution with failure redraws and a run-wide tally."""
+    """Chunked sample execution: failed draws are redrawn, too many failures
+    run-wide abort the run, and `sample_log` holds every row in the order taken."""
 
     def __init__(self, model, cfg: MlmcRunConfig):
         self.model = model
         self.cfg = cfg
-        self.attempts = 0
-        self.failures = 0
-        self.log_rows = []
+        self.sample_log = np.zeros(0, SAMPLE_DTYPE)
         self.pool = ThreadPoolExecutor(cfg.jobs) if cfg.jobs > 1 else None
 
     def close(self):
         if self.pool is not None:
             self.pool.shutdown()
 
-    def _check_failure_rate(self):
-        if self.failures >= 5 and self.failures > self.cfg.max_failure_rate * self.attempts:
-            raise MlmcError(
-                f"aborting: {self.failures} failed samples out of {self.attempts} "
-                f"attempts exceeds the allowed rate {self.cfg.max_failure_rate}")
-
     def fill(self, level: LevelState, target: int, want_estimate: bool) -> None:
         """Take samples until the level holds `target` ok samples, in at least
         `jobs` chunks of at most CHUNK_SIZE draws per round."""
-        while len(level.ok_samples()) < target:
-            need = target - len(level.ok_samples())
+        while (need := target - np.count_nonzero(level.samples["ok"])) > 0:
             n_chunks = max(self.cfg.jobs, -(-need // CHUNK_SIZE))
-            chunks = [c for c in np.array_split(
-                np.arange(level.next_index, level.next_index + need), n_chunks)
-                if c.size]
-            level.next_index += need
+            start = len(level.samples)
+            chunks = [c for c in np.array_split(np.arange(start, start + need),
+                                                n_chunks) if c.size]
             worker = lambda idx: take_sample(self.model, level, self.cfg.master_seed,
                                              idx, want_estimate)
-            batches = self.pool.map(worker, chunks) if self.pool \
-                else map(worker, chunks)
-            for rec in [rec for batch in batches for rec in batch]:
-                self.attempts += 1
-                if rec.status == "failed":
-                    self.failures += 1
-                level.samples.append(rec)
-                self.log_rows.append((level.level, rec.index, rec.status, rec.q_fine,
-                                      rec.q_coarse, rec.y, rec.error_estimate,
-                                      rec.denominator))
-            self._check_failure_rate()
+            batches = list(self.pool.map(worker, chunks) if self.pool
+                           else map(worker, chunks))
+            new_rows = [rows for rows, _ in batches]
+            level.samples = np.concatenate([level.samples, *new_rows])
+            level.decomps += [d for _, decomps in batches for d in decomps]
+            self.sample_log = np.concatenate([self.sample_log, *new_rows])
+            attempts = len(self.sample_log)
+            failures = attempts - np.count_nonzero(self.sample_log["ok"])
+            if failures >= 5 and failures > self.cfg.max_failure_rate * attempts:
+                raise MlmcError(
+                    f"aborting: {failures} failed samples out of {attempts} "
+                    f"attempts exceeds the allowed rate {self.cfg.max_failure_rate}")
 
 
 def run_adaptive_mlmc(model, cfg: MlmcRunConfig) -> MlmcEstimate:
@@ -229,26 +217,23 @@ def run_adaptive_mlmc(model, cfg: MlmcRunConfig) -> MlmcEstimate:
         while True:
             highest = levels[-1]
             runner.fill(highest, cfg.schedule(highest.level), want_estimate=True)
-            variances = [level_variance(lv.samples) for lv in levels]
+            variances = [level_variance(lv.ok("y")) for lv in levels]
             costs = [lv.cost_per_sample for lv in levels]
             n_opt = optimal_samples(variances, costs, cfg.epsilon)
             for lv, n in zip(levels, n_opt):
-                if n > len(lv.ok_samples()):
+                if n > np.count_nonzero(lv.samples["ok"]):
                     runner.fill(lv, n, want_estimate=(lv is highest))
-            variances = [level_variance(lv.samples) for lv in levels]
-            bias = level_bias(highest.samples)
+            variances = [level_variance(lv.ok("y")) for lv in levels]
+            bias = level_bias(highest.ok("error_estimate"))
             if bias ** 2 <= 0.5 * cfg.epsilon or len(levels) >= cfg.max_levels:
                 break
 
-            decomps = [s.decomposition for s in highest.ok_samples()
-                       if s.decomposition is not None]
             try:
                 new_mesh, new_regions = build_next_mesh(
-                    highest.mesh, highest.regions, decomps, cfg.refinement)
-            except OverflowError as exc:
+                    highest.mesh, highest.regions, highest.decomps, cfg.refinement)
+            except (OverflowError, MemoryError) as exc:
                 raise MlmcError(f"cannot build level {len(levels)}: {exc}") from exc
-            for s in highest.samples:
-                s.decomposition = None
+            highest.decomps = []
             cost = (new_mesh.n_intervals + highest.mesh.n_intervals) / elems0
             levels.append(LevelState(len(levels), new_mesh, highest.mesh, cost,
                                      new_regions))
@@ -258,8 +243,8 @@ def run_adaptive_mlmc(model, cfg: MlmcRunConfig) -> MlmcEstimate:
             log.warning("max_levels=%d reached with bias^2=%.3g > eps/2=%.3g",
                         cfg.max_levels, bias ** 2, 0.5 * cfg.epsilon)
 
-        value = sum(float(np.mean([s.y for s in lv.ok_samples()])) for lv in levels)
-        counts = [len(lv.ok_samples()) for lv in levels]
+        value = sum(float(np.mean(lv.ok("y"))) for lv in levels)
+        counts = [np.count_nonzero(lv.samples["ok"]) for lv in levels]
         total_variance = sum(v / n for v, n in zip(variances, counts))
         squared_bias = bias ** 2
         total_cost = sum(n * lv.cost_per_sample for n, lv in zip(counts, levels))
@@ -275,9 +260,8 @@ def run_adaptive_mlmc(model, cfg: MlmcRunConfig) -> MlmcEstimate:
             levels=summaries,
             total_cost=total_cost,
             converged=converged,
-            n_failures=runner.failures,
             meshes=tuple(lv.mesh for lv in levels),
-            sample_log=tuple(runner.log_rows),
+            sample_log=runner.sample_log,
         )
     finally:
         runner.close()

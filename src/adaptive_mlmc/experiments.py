@@ -20,7 +20,7 @@ from .meshes import Mesh1D, uniform_mesh
 from .models import harmonic_oscillator, lorenz, two_body
 from .qoi import (NonstandardQoi, StandardQoi, eval_event_time, eval_standard)
 from .sampling import ParameterDistribution, normal, uniform
-from .solvers import solve_forward_cg1
+from .solvers import Trajectory, solve_forward_cg1
 
 
 @dataclass(frozen=True)
@@ -71,70 +71,47 @@ class OdeMlmcModel:
             values = eval_event_time(forward, q)
             decomps = [estimate_event_time_error(
                            self.experiment.make_problem(W[k:k + 1]),
-                           forward.rows([k]), q, t)
+                           Trajectory(forward.mesh, forward.values[[k]]), q, t)
                        if want_estimate and math.isfinite(t) else None
                        for k, t in enumerate(values.tolist())]
         return values, decomps
 
 
-def _harmonic_standard() -> OdeExperiment:
-    return OdeExperiment(
+_EXPERIMENTS = {e.name: e for e in (
+    OdeExperiment(
         name="harmonic-standard",
         distributions=(normal(50.0, 2.0, "k"), uniform(0.225, 0.275, "m")),
         make_problem=lambda W: harmonic_oscillator(W[:, 0], W[:, 1]),
         qoi=StandardQoi(np.array([1.0, 0.0]), 3.0),
-        initial_intervals=27,
-        default_epsilon=1e-3,
-    )
-
-
-def _harmonic_nonstandard() -> OdeExperiment:
-    return OdeExperiment(
+        initial_intervals=27, default_epsilon=1e-3),
+    OdeExperiment(
         name="harmonic-nonstandard",
         distributions=(normal(50.0, 1.0, "k"), uniform(0.235, 0.265, "m")),
         make_problem=lambda W: harmonic_oscillator(W[:, 0], W[:, 1]),
         qoi=NonstandardQoi(np.array([1.0, 0.0]), 0.0, occurrence=5),
-        initial_intervals=18,
-        default_epsilon=1e-5,
-    )
-
-
-def _lorenz() -> OdeExperiment:
-    return OdeExperiment(
+        initial_intervals=18, default_epsilon=1e-5),
+    OdeExperiment(
         name="lorenz",
         distributions=(uniform(0.0, 2.0, "theta"),),
         make_problem=lambda W: lorenz(W[:, 0]),
         qoi=NonstandardQoi(np.array([1.0, 0.0, 0.0]), 3.0, occurrence=2),
-        initial_intervals=24,
-        default_epsilon=1e-4,
-    )
-
-
-def _two_body() -> OdeExperiment:
-    return OdeExperiment(
+        initial_intervals=24, default_epsilon=1e-4),
+    OdeExperiment(
         name="two-body",
         distributions=(uniform(1.97, 2.0, "theta"),),
         make_problem=lambda W: two_body(W[:, 0]),
         qoi=NonstandardQoi(np.array([1.0, 0.0, 0.0, 0.0]), 0.0, occurrence=3),
-        initial_intervals=40,
-        default_epsilon=1e-3,
-    )
+        initial_intervals=40, default_epsilon=1e-3),
+)}
 
-
-_FACTORIES = {
-    "harmonic-standard": _harmonic_standard,
-    "harmonic-nonstandard": _harmonic_nonstandard,
-    "lorenz": _lorenz,
-    "two-body": _two_body,
-}
-
-EXPERIMENT_NAMES = tuple(sorted(_FACTORIES)) + ("advection-diffusion-1d",)
+EXPERIMENT_NAMES = tuple(sorted(_EXPERIMENTS)) + ("advection-diffusion-1d",)
 
 
 def get_experiment(name: str) -> OdeExperiment:
-    """Look up an ODE experiment preset by name."""
+    """Look up an ODE experiment preset by name (the presets are frozen and
+    shared)."""
     try:
-        return _FACTORIES[name]()
+        return _EXPERIMENTS[name]
     except KeyError:
         raise KeyError(f"unknown experiment {name!r}; "
-                       f"choose from {sorted(_FACTORIES)}") from None
+                       f"choose from {sorted(_EXPERIMENTS)}") from None

@@ -62,9 +62,7 @@ class Mesh1D:
 
     def dump(self, path) -> None:
         """Write one node time per line with 17 significant digits."""
-        with open(path, "w") as fh:
-            for t in self.nodes:
-                fh.write(f"{t:.17g}\n")
+        np.savetxt(path, self.nodes, fmt="%.17g")
 
 
 def uniform_mesh(length: float, n_intervals: int) -> Mesh1D:
@@ -73,46 +71,18 @@ def uniform_mesh(length: float, n_intervals: int) -> Mesh1D:
     return Mesh1D(np.linspace(0.0, length, n_intervals + 1))
 
 
-def uniform_refine(mesh: Mesh1D, factor: int) -> Mesh1D:
-    """Split every interval into `factor` equal sub-intervals."""
-    factor = int(factor)
-    if factor < 1:
-        raise MeshError("factor must be >= 1")
-    if factor == 1:
-        return mesh
-    a = mesh.nodes[:-1]
-    b = mesh.nodes[1:]
-    frac = np.arange(factor) / factor
-    # k = 0 reproduces the original left nodes exactly
-    interior = a[:, None] + (b - a)[:, None] * frac[None, :]
-    nodes = np.append(interior.ravel(), mesh.nodes[-1])
-    return Mesh1D(nodes)
-
-
-def refine_intervals(mesh: Mesh1D, selection, factor: int) -> Mesh1D:
-    """Split the intervals whose indices are in `selection` into `factor`
-    equal parts, leave the rest."""
-    factor = int(factor)
-    if factor < 2:
-        raise MeshError("factor must be >= 2")
-    chosen = {int(i) for i in selection}
-    for i in chosen:
-        if i < 0 or i >= mesh.n_intervals:
-            raise MeshError(f"interval index {i} out of range for mesh "
-                            f"with {mesh.n_intervals} intervals")
-    pieces = [np.array([0.0])]
-    for i in range(mesh.n_intervals):
-        a, b = mesh.nodes[i], mesh.nodes[i + 1]
-        if i in chosen:
-            k = np.arange(1, factor + 1) / factor
-            pieces.append(a + (b - a) * k)
-        else:
-            pieces.append(np.array([b]))
-    nodes = np.concatenate(pieces)
-    # right endpoints of unsplit intervals and k=factor endpoints are the
-    # original nodes, so every input node survives exactly
-    nodes[-1] = mesh.nodes[-1]
-    return Mesh1D(nodes)
+def subdivide(mesh: Mesh1D, counts) -> Mesh1D:
+    """Split interval i into counts[i] equal parts; a scalar count splits
+    every interval.  Part j of [a, b] starts at a + (b - a) * (j / counts[i]),
+    so j = 0 keeps every input node exactly."""
+    counts = np.broadcast_to(np.asarray(counts, dtype=int), (mesh.n_intervals,))
+    if counts.min() < 1:
+        raise MeshError("every interval needs at least one part")
+    parts = np.repeat(counts, counts)
+    j = np.arange(parts.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    nodes = np.repeat(mesh.nodes[:-1], counts) \
+        + np.repeat(mesh.lengths, counts) * (j / parts)
+    return Mesh1D(np.append(nodes, mesh.nodes[-1]))
 
 
 def _same_time(a: float, b: float, scale: float) -> bool:
@@ -155,13 +125,3 @@ def common_mesoregion_refinement(prev_regions, tentative_regions):
                          _density_at(tentative_regions, mid))
     counts = np.maximum(1, np.ceil(density * np.diff(breaks) - 1e-9)).astype(int)
     return breaks, counts
-
-
-def mesh_from_tiling(breaks: np.ndarray, counts: np.ndarray) -> Mesh1D:
-    """Build a mesh with counts[i] uniform intervals on breaks[i]..breaks[i+1]."""
-    pieces = [breaks[:1]]
-    for a, b, n in zip(breaks[:-1], breaks[1:], counts):
-        piece = a + (b - a) * (np.arange(1, n + 1) / n)
-        piece[-1] = b
-        pieces.append(piece)
-    return Mesh1D(np.concatenate(pieces))

@@ -17,8 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .error_estimation import ErrorDecomposition, accumulate
-from .meshes import (Mesh1D, MeshError, common_mesoregion_refinement,
-                     mesh_from_tiling, refine_intervals, uniform_refine)
+from .meshes import Mesh1D, MeshError, common_mesoregion_refinement, subdivide
 
 log = logging.getLogger(__name__)
 
@@ -71,8 +70,9 @@ def refine_dwr_multisample(mesh: Mesh1D, decomps: Sequence[ErrorDecomposition],
     """Refine the union of every sample's selected intervals."""
     if any(d.contributions.size > mesh.n_intervals for d in decomps):
         raise MeshError("decomposition not indexed on this mesh")
-    return refine_intervals(mesh, dwr_select(decomps, cfg.dwr_fraction),
-                            cfg.dwr_factor)
+    counts = np.ones(mesh.n_intervals, dtype=int)
+    counts[dwr_select(decomps, cfg.dwr_fraction)] = cfg.dwr_factor
+    return subdivide(mesh, counts)
 
 
 def find_meso_regions(E: np.ndarray):
@@ -141,7 +141,8 @@ def refine_meso(prev_mesh: Mesh1D, prev_regions, worst_decomp: ErrorDecompositio
     following level merges against, and `prev_regions=None` stands for the
     whole domain as one region.  Contributions shorter than the mesh
     (event-time QoIs stop at t_c) are padded with zeros so regions tile the
-    whole domain.
+    whole domain.  A budget too large to count or to allocate raises
+    OverflowError or MemoryError naming meso_target_multiplier.
     """
     n_prev = prev_mesh.n_intervals
     contributions = worst_decomp.contributions
@@ -151,18 +152,25 @@ def refine_meso(prev_mesh: Mesh1D, prev_regions, worst_decomp: ErrorDecompositio
     padded[:contributions.size] = contributions
     ends, errors = find_meso_regions(accumulate(padded))
     n_hat = math.ceil(cfg.meso_target_multiplier * n_prev)
+    too_many = (f"meso_target_multiplier = {cfg.meso_target_multiplier!r} asks "
+                f"for {n_hat:.3g} intervals")
+    if n_hat > np.iinfo(np.intp).max // 8:  # more float64 nodes than an array holds
+        raise OverflowError(too_many)
     counts = allocate_meso(np.diff(ends, prepend=-1), errors, n_hat, cfg.meso_q)
     tentative = (prev_mesh.nodes[np.append(0, ends + 1)], counts)
     if prev_regions is None:
         prev_regions = (prev_mesh.nodes[[0, -1]], np.array([n_prev]))
     breaks, counts = common_mesoregion_refinement(prev_regions, tentative)
-    return mesh_from_tiling(breaks, counts), (breaks, counts)
+    try:
+        return subdivide(Mesh1D(breaks), counts), (breaks, counts)
+    except MemoryError:
+        raise MemoryError(too_many) from None
 
 
 def build_next_mesh(prev_mesh: Mesh1D, prev_regions, decomps, cfg: RefinementConfig):
     """Dispatch on the configured strategy; returns (mesh, tiling-or-None)."""
     if cfg.strategy == "uniform":
-        return uniform_refine(prev_mesh, cfg.uniform_factor), None
+        return subdivide(prev_mesh, cfg.uniform_factor), None
     if cfg.strategy == "dwr":
         return refine_dwr_multisample(prev_mesh, decomps, cfg), None
     worst = max(decomps, key=lambda d: abs(d.total))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .meshes import Mesh1D, MeshError, uniform_refine, REL_TOL
+from .meshes import Mesh1D, MeshError, REL_TOL, subdivide
 from .models import OdeProblem
 
 NEWTON_TOL = 1e-12
@@ -101,14 +101,6 @@ class Trajectory:
         s = ((t_arr - nodes[idx]) / h)[:, None]
         out = (1.0 - s) * self.values[..., idx, :] + s * self.values[..., idx + 1, :]
         return out[..., 0, :] if np.ndim(t) == 0 else out
-
-    def rows(self, index) -> "Trajectory":
-        """The trajectory of the selected rows."""
-        return Trajectory(self.mesh, self.values[index])
-
-    def slope(self, interval: int) -> np.ndarray:
-        h = self.mesh.nodes[interval + 1] - self.mesh.nodes[interval]
-        return (self.values[..., interval + 1, :] - self.values[..., interval, :]) / h
 
 
 def solve_forward_cg1(problem: OdeProblem, mesh: Mesh1D) -> Trajectory:
@@ -194,7 +186,7 @@ def solve_adjoint(problem: OdeProblem, forward: Trajectory, t_star: float,
     all step matrices A_n = (I - M0_n)^{-1} (I + M1_n) come from one batched
     solve.  A row with a singular step system is NaN before t*.
     """
-    mesh = uniform_refine(restrict_mesh(forward.mesh, t_star), ADJOINT_REFINE_FACTOR)
+    mesh = subdivide(restrict_mesh(forward.mesh, t_star), ADJOINT_REFINE_FACTOR)
     d = problem.dim
     tq, wq = _segment_quadrature(mesh.nodes)
     t = tq.ravel()
@@ -211,34 +203,25 @@ def solve_adjoint(problem: OdeProblem, forward: Trajectory, t_star: float,
     return Trajectory(mesh, phi)
 
 
-def weighted_residual(problem: OdeProblem, forward: Trajectory, phi,
-                      quad_mesh: Mesh1D, t_star: float) -> np.ndarray:
-    """Per-row, per-forward-interval integrals of [f(U) - dU/dt] . phi over (0, t*).
-
-    `phi` is any callable t -> weight values of shape (M, m, d) or (m, d);
-    the integral is assembled with 5-point Gauss-Legendre per `quad_mesh`
-    sub-interval and summed back onto the intervals of the forward mesh
-    restricted to (0, t*).  Returns shape (M, intervals).
-    """
+def residual_pairing(problem: OdeProblem, forward: Trajectory,
+                     adjoint: Trajectory, t_star: float) -> np.ndarray:
+    """Per-row, per-forward-interval integrals of [f(U) - dU/dt] . phi over
+    (0, t*), phi the adjoint, shape (M, intervals of the forward mesh
+    restricted to (0, t*)): 5-point Gauss-Legendre on every adjoint-mesh
+    interval, summed onto the forward interval that holds it."""
+    if adjoint.mesh.length < t_star * (1.0 - REL_TOL):
+        raise MeshError("adjoint trajectory does not cover (0, t*)")
     restricted = restrict_mesh(forward.mesh, t_star)
-    tq, wq = _segment_quadrature(quad_mesh.nodes)
+    quad_nodes = adjoint.mesh.nodes
+    tq, wq = _segment_quadrature(quad_nodes)
     t = tq.ravel()
     slopes = np.diff(forward.values, axis=1) / forward.mesh.lengths[:, None]
     with np.errstate(all="ignore"):
         residual = problem.rhs(forward(t), t) - slopes[:, forward.mesh.interval_of(t)]
-        integrand = (residual * np.asarray(phi(t), dtype=float)).sum(axis=-1)
+        integrand = (residual * adjoint(t)).sum(axis=-1)
     rows, n = integrand.shape[0], restricted.n_intervals
     per_sub_interval = _gauss_sum(wq, integrand.reshape((rows,) + tq.shape))
-    owner = restricted.interval_of(0.5 * (quad_mesh.nodes[:-1] + quad_mesh.nodes[1:]))
+    owner = restricted.interval_of(0.5 * (quad_nodes[:-1] + quad_nodes[1:]))
     bins = (owner + n * np.arange(rows)[:, None]).ravel()
     return np.bincount(bins, weights=per_sub_interval.ravel(),
                        minlength=rows * n).reshape(rows, n)
-
-
-def residual_pairing(problem: OdeProblem, forward: Trajectory,
-                     adjoint: Trajectory, t_star: float) -> np.ndarray:
-    """Adjoint-weighted residual contributions, one row per draw, indexed on
-    the forward mesh."""
-    if adjoint.mesh.length < t_star * (1.0 - REL_TOL):
-        raise MeshError("adjoint trajectory does not cover (0, t*)")
-    return weighted_residual(problem, forward, adjoint, adjoint.mesh, t_star)

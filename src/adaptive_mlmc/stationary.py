@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .error_estimation import ErrorDecomposition
-from .meshes import Mesh1D, uniform_mesh, uniform_refine
+from .meshes import Mesh1D, subdivide, uniform_mesh
 from .refinement import RefinementConfig
 from .sampling import uniform
 from .solvers import _segment_quadrature
@@ -59,10 +59,8 @@ class BvpProblem:
 
 def _segment_bounds(nodes: np.ndarray, breaks) -> np.ndarray:
     """Node coordinates plus any interior breakpoints, sorted and deduplicated."""
-    pts = np.concatenate([nodes, [b for b in breaks
-                                  if nodes[0] < b < nodes[-1]]])
-    pts = np.unique(pts)
-    return pts
+    return np.unique(np.concatenate([nodes, [b for b in breaks
+                                             if nodes[0] < b < nodes[-1]]]))
 
 
 def _load_vector(mesh: Mesh1D, g: Callable, breaks) -> np.ndarray:
@@ -127,7 +125,7 @@ def solve_bvp_adjoint(problem: BvpProblem, w: np.ndarray, mesh: Mesh1D
     solve sourced by psi and the duality identity (f, phi[psi]) = (psi, u[f])
     holds to rounding.
     """
-    fine = uniform_refine(mesh, ADJOINT_REFINE_FACTOR)
+    fine = subdivide(mesh, ADJOINT_REFINE_FACTOR)
     return fine, _solve_weak(fine, -w, problem.psi, problem.psi_support)
 
 

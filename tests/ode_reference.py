@@ -9,7 +9,7 @@ path raised a sample failure.
 """
 import numpy as np
 
-from adaptive_mlmc.meshes import uniform_refine
+from adaptive_mlmc.meshes import subdivide
 from adaptive_mlmc.qoi import StandardQoi
 from adaptive_mlmc.solvers import (ADJOINT_REFINE_FACTOR, NEWTON_MAX_ITERS,
                                    NEWTON_TOL, _GL01_X, _segment_quadrature,
@@ -83,7 +83,7 @@ def event_times(mesh, U, q):
 def adjoint(problem, mesh, U, t_star, terminal_value):
     """(adjoint mesh, nodal values) of -phi' = J^T phi from phi(t*)."""
     _, jacobian = _point_functions(problem)
-    adj_mesh = uniform_refine(restrict_mesh(mesh, t_star), ADJOINT_REFINE_FACTOR)
+    adj_mesh = subdivide(restrict_mesh(mesh, t_star), ADJOINT_REFINE_FACTOR)
     d = problem.dim
     tq, wq = _segment_quadrature(adj_mesh.nodes)
     t = tq.ravel()

@@ -1,4 +1,5 @@
-"""Small ODE problems with one row per draw that fail in chosen rows."""
+"""Small ODE problems with one row per draw that fail in chosen rows, and a
+piecewise-constant weight to pair residuals with."""
 import numpy as np
 
 from adaptive_mlmc.models import OdeProblem
@@ -35,3 +36,16 @@ def one_point_jacobian(rhs, t_point, c):
             return (row * at_point * np.ones(u.shape))[..., None]
         return OdeProblem(1, rhs, jacobian, np.ones((flags.size, 1)), 1.0)
     return problem
+
+
+class PiecewiseConstant:
+    """A weight constant on each interval of `mesh` (weights: (intervals, d)),
+    usable as the adjoint of `residual_pairing`, which integrates on its mesh."""
+
+    def __init__(self, mesh, weights):
+        self.mesh, self.weights = mesh, weights
+
+    def __call__(self, t):
+        idx = np.clip(np.searchsorted(self.mesh.nodes, t, side="right") - 1,
+                      0, self.mesh.n_intervals - 1)
+        return self.weights[idx]

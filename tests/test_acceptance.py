@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from adaptive_mlmc.driver import (LevelState, MlmcRunConfig, SampleRecord,
+from adaptive_mlmc.driver import (LevelState, MlmcRunConfig,
                                   level_variance, optimal_samples,
                                   run_adaptive_mlmc, take_sample)
 from adaptive_mlmc.error_estimation import (estimate_event_time_error,
@@ -23,11 +23,12 @@ from adaptive_mlmc.models import harmonic_oscillator, lorenz, two_body
 from adaptive_mlmc.qoi import (NonstandardQoi, StandardQoi, eval_event_time,
                                eval_standard)
 from adaptive_mlmc.refinement import RefinementConfig, build_next_mesh
-from adaptive_mlmc.solvers import (Trajectory, solve_adjoint,
-                                   solve_forward_cg1, weighted_residual)
+from adaptive_mlmc.solvers import (Trajectory, residual_pairing, solve_adjoint,
+                                   solve_forward_cg1)
 from adaptive_mlmc.stationary import (BVP_DEFAULT_EPSILON, BvpMlmcModel,
                                       BvpProblem, _solve_weak,
                                       bvp_initial_mesh, bvp_refinement)
+from synthetic_problems import PiecewiseConstant
 
 SEEDS = (0, 1, 2, 3, 4)
 STRATEGIES = ("uniform", "dwr", "meso")
@@ -65,10 +66,9 @@ def test_criterion_1_statistics_oracles():
     variance_checks = []
     for n in (2, 5, 100, 1000):
         y = rng.standard_normal(n) * rng.uniform(0.1, 10.0)
-        records = [SampleRecord(0, y=float(v)) for v in y]
         direct = float(np.sum((y - np.mean(y)) ** 2) / (n - 1))
         variance_checks.append(
-            abs(level_variance(records) - direct) <= 1e-12 * abs(direct))
+            abs(level_variance(y) - direct) <= 1e-12 * abs(direct))
 
     # exhaustive search over equal-cost two-level allocations
     allocation_checks = []
@@ -241,9 +241,7 @@ def test_criterion_9_property_suite():
     model = OdeMlmcModel(exp)
     mesh = exp.initial_mesh()
     level = LevelState(0, mesh, None, 1.0, None)
-    decomps = [rec.decomposition
-               for rec in take_sample(model, level, 0, range(8), want_estimate=True)
-               if rec.decomposition is not None]
+    _, decomps = take_sample(model, level, 0, np.arange(8), want_estimate=True)
     # uniform and dwr split intervals in place, so every node survives; meso
     # re-tiles each region uniformly, so its guarantee is that no region's
     # node density ever decreases
@@ -264,11 +262,11 @@ def test_criterion_9_property_suite():
     # degenerate telescoping: the same mesh on both sides gives y = 0, and a
     # single-level run reduces to the plain Monte Carlo mean
     twin = LevelState(1, mesh, mesh, 2.0, None)
-    [rec] = take_sample(model, twin, 0, [0], want_estimate=False)
+    [rec], _ = take_sample(model, twin, 0, np.arange(1), want_estimate=False)
     cfg = MlmcRunConfig(epsilon=1e6, initial_mesh=mesh, master_seed=0)
     est = run_adaptive_mlmc(model, cfg)
-    q_values = [row[3] for row in est.sample_log if row[2] == "ok"]
-    plain_mc = est.n_levels == 1 and rec.y == 0.0 and \
+    q_values = est.sample_log["q_fine"][est.sample_log["ok"]]
+    plain_mc = est.n_levels == 1 and rec["y"] == 0.0 and \
         est.value == pytest.approx(np.mean(q_values), rel=1e-14)
 
     # residual orthogonal to piecewise constants
@@ -277,15 +275,8 @@ def test_criterion_9_property_suite():
     rng = np.random.default_rng(1)
     weights = rng.uniform(-1.0, 1.0, (mesh.n_intervals, problem.dim))
 
-    def piecewise_constant(t):
-        idx = np.clip(np.searchsorted(mesh.nodes, t, side="right") - 1,
-                      0, mesh.n_intervals - 1)
-        return weights[idx]
-
-    contributions = weighted_residual(problem, forward,
-                                      lambda t: piecewise_constant(
-                                          np.asarray(t, dtype=float)),
-                                      mesh, 3.0)
+    contributions = residual_pairing(problem, forward,
+                                     PiecewiseConstant(mesh, weights), 3.0)
     orthogonal = np.abs(contributions).max() <= 1e-10
 
     # analytic Jacobians against central finite differences

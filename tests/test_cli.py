@@ -1,6 +1,7 @@
 """Command-line interface: configs, artifacts, exit codes, determinism."""
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -369,6 +370,30 @@ class TestRunSettingsRejected:
         code = run_cli("compare", "--configs", config)
         lines = capsys.readouterr().out.splitlines()
         assert code == 1 and ",FAILED," in lines[1] and "meso_q" in lines[1]
+
+    @pytest.mark.parametrize("multiplier", ["1e12", "1e17", "1e300"])
+    def test_huge_meso_target_multiplier(self, tmp_path, capsys, multiplier):
+        """A finite multiplier whose mesh cannot be allocated (1e12 asks for
+        2.4e13 intervals), would not fit one array (1e17) or whose budget
+        does not fit an interval count (1e300) fails when level 1 is built:
+        one error line naming the key, no warning, and a FAILED row under
+        compare."""
+        config = write_config(tmp_path, "[run]\nexperiment = lorenz\n\n"
+                              "[refinement]\nstrategy = meso\n"
+                              f"meso_target_multiplier = {multiplier}\n")
+        out_dir = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("run", "--config", config, "--output-dir", str(out_dir))
+            err = capsys.readouterr().err
+            assert code == 1 and not out_dir.exists()
+            assert err.startswith("error: cannot build level 1: "
+                                  "meso_target_multiplier = ")
+            assert len(err.splitlines()) == 1
+            code = run_cli("compare", "--configs", config)
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1 and ",FAILED," in lines[1]
+        assert "meso_target_multiplier" in lines[1]
 
 
 class TestDeterminism:

@@ -1,13 +1,12 @@
 """MLMC driver statistics, allocation, and adaptive-loop behavior."""
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaptive_mlmc.driver import (CHUNK_SIZE, LevelState, MlmcError,
-                                  MlmcRunConfig, SampleRecord, _Runner,
+from adaptive_mlmc.cli import write_artifacts
+from adaptive_mlmc.driver import (CHUNK_SIZE, SAMPLE_DTYPE, LevelState,
+                                  MlmcError, MlmcRunConfig, _Runner,
                                   level_bias, level_variance, optimal_samples,
                                   run_adaptive_mlmc, take_sample)
 from adaptive_mlmc.error_estimation import ErrorDecomposition
@@ -17,42 +16,40 @@ from adaptive_mlmc.refinement import RefinementConfig
 from adaptive_mlmc.sampling import sample_parameters, uniform
 
 
-def record(y, status="ok", estimate=None):
-    return SampleRecord(0, y=y, status=status, error_estimate=estimate)
-
-
 class TestLevelVariance:
     def test_hand_value(self):
-        assert level_variance([record(0.0), record(2.0)]) == pytest.approx(2.0)
+        assert level_variance(np.array([0.0, 2.0])) == pytest.approx(2.0)
 
     def test_failed_samples_excluded(self):
-        samples = [record(0.0), record(2.0), record(100.0, status="failed")]
-        assert level_variance(samples) == pytest.approx(2.0)
+        state = LevelState(0, uniform_mesh(1.0, 2), None, 1.0, None)
+        state.samples = np.zeros(3, SAMPLE_DTYPE)
+        state.samples["ok"] = [True, True, False]
+        state.samples["y"] = [0.0, 2.0, 100.0]
+        assert level_variance(state.ok("y")) == pytest.approx(2.0)
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
-            level_variance([record(1.0)])
+            level_variance(np.array([1.0]))
 
     @given(st.lists(st.floats(-100, 100), min_size=2, max_size=50))
     @settings(max_examples=60, deadline=None)
     def test_matches_numpy_unbiased(self, ys):
-        ours = level_variance([record(y) for y in ys])
+        ours = level_variance(np.array(ys))
         theirs = float(np.var(np.array(ys), ddof=1))
         assert ours == pytest.approx(theirs, rel=1e-12, abs=1e-12)
 
 
 class TestLevelBias:
     def test_negated_mean_of_estimates(self):
-        samples = [record(0.0, estimate=0.1), record(0.0, estimate=0.3)]
-        assert level_bias(samples) == pytest.approx(-0.2)
+        assert level_bias(np.array([0.1, 0.3])) == pytest.approx(-0.2)
 
     def test_skips_samples_without_estimates(self):
-        samples = [record(0.0, estimate=0.4), record(0.0)]
-        assert level_bias(samples) == pytest.approx(-0.4)
+        # NaN: a sample taken without an error estimate
+        assert level_bias(np.array([0.4, np.nan])) == pytest.approx(-0.4)
 
     def test_requires_an_estimate(self):
         with pytest.raises(ValueError):
-            level_bias([record(0.0)])
+            level_bias(np.array([np.nan]))
 
 
 class TestOptimalSamples:
@@ -147,40 +144,46 @@ class TestTakeSample:
         model = SyntheticModel()
         state = LevelState(1, uniform_mesh(1.0, 4), uniform_mesh(1.0, 2),
                            3.0, [])
-        [rec] = take_sample(model, state, 0, [0], want_estimate=False)
-        assert rec.status == "ok"
-        assert rec.y == pytest.approx(rec.q_fine - rec.q_coarse)
-        assert rec.q_fine == pytest.approx(2.0 * rec.q_coarse)
+        [rec], decomps = take_sample(model, state, 0, [0], want_estimate=False)
+        assert rec["ok"] and rec["level"] == 1 and rec["index"] == 0
+        assert rec["y"] == pytest.approx(rec["q_fine"] - rec["q_coarse"])
+        assert rec["q_fine"] == pytest.approx(2.0 * rec["q_coarse"])
+        assert np.isnan(rec["error_estimate"]) and np.isnan(rec["denominator"])
+        assert decomps == []
 
     def test_level_zero_has_no_coarse_term(self):
         model = SyntheticModel()
         state = LevelState(0, uniform_mesh(1.0, 4), None, 1.0, [])
-        [rec] = take_sample(model, state, 0, [0], want_estimate=True)
-        assert rec.q_coarse == 0.0
-        assert rec.error_estimate is not None
+        [rec], [decomp] = take_sample(model, state, 0, [0], want_estimate=True)
+        assert rec["q_coarse"] == 0.0
+        assert rec["error_estimate"] == decomp.total
+        assert rec["denominator"] == decomp.denominator == 1.0
 
     def test_failure_marks_record(self):
         model = SyntheticModel(fail=fail_all)
         state = LevelState(0, uniform_mesh(1.0, 4), None, 1.0, [])
-        [rec] = take_sample(model, state, 0, [0], want_estimate=False)
-        assert rec.status == "failed"
+        [rec], decomps = take_sample(model, state, 0, [0], want_estimate=True)
+        assert not rec["ok"] and decomps == []
+        # a failed row carries no values
+        assert all(np.isnan(rec[name]) for name in
+                   ("q_fine", "q_coarse", "y", "error_estimate", "denominator"))
 
     def test_non_finite_error_estimate_marks_record(self):
         model = SyntheticModel(estimate=float("inf"))
         state = LevelState(0, uniform_mesh(1.0, 4), None, 1.0, [])
-        [ok] = take_sample(model, state, 0, [0], want_estimate=False)
-        [failed] = take_sample(model, state, 0, [0], want_estimate=True)
-        assert ok.status == "ok" and failed.status == "failed"
+        [ok], _ = take_sample(model, state, 0, [0], want_estimate=False)
+        [failed], decomps = take_sample(model, state, 0, [0], want_estimate=True)
+        assert ok["ok"] and not failed["ok"] and decomps == []
 
     def test_one_evaluate_call_per_mesh_and_chunk(self):
         model = SyntheticModel()
         state = LevelState(2, uniform_mesh(1.0, 4), uniform_mesh(1.0, 2),
                            3.0, [])
-        records = take_sample(model, state, 7, [5, 6, 9], want_estimate=True)
+        rows, decomps = take_sample(model, state, 7, [5, 6, 9], want_estimate=True)
         assert model.chunks == [3, 3]
-        assert [r.index for r in records] == [5, 6, 9]
-        for r in records:
-            assert r.q_fine == 4.0 * draw(2, r.index, seed=7)
+        assert rows["index"].tolist() == [5, 6, 9] and len(decomps) == 3
+        for r in rows:
+            assert r["q_fine"] == 4.0 * draw(2, r["index"], seed=7)
 
     def test_one_draw_call_per_chunk(self, monkeypatch):
         import adaptive_mlmc.driver as driver
@@ -196,18 +199,21 @@ class TestTakeSample:
         assert calls == [[5, 6, 9]]
 
     def test_failed_draw_leaves_its_chunk_mates_untouched(self):
-        """Failing rows fail alone; the others equal their single-draw record."""
+        """Failing rows fail alone; the others equal their single-draw row,
+        bit for bit, and only their decompositions are returned."""
         indices = [i for i in range(60) if draw(1, i) < 0.05][:2] + \
             [i for i in range(60) if draw(1, i) >= 0.05][:5]
         state = LevelState(1, uniform_mesh(1.0, 4), uniform_mesh(1.0, 2),
                            3.0, [])
         model = SyntheticModel(fail=fail_below)
-        records = take_sample(model, state, 0, indices, want_estimate=True)
-        assert [r.status for r in records] == ["failed"] * 2 + ["ok"] * 5
-        for r in records[2:]:
-            [alone] = take_sample(SyntheticModel(), state, 0, [r.index], True)
-            assert (r.q_fine, r.q_coarse, r.y, r.error_estimate) == \
-                (alone.q_fine, alone.q_coarse, alone.y, alone.error_estimate)
+        rows, decomps = take_sample(model, state, 0, indices, want_estimate=True)
+        assert rows["ok"].tolist() == [False] * 2 + [True] * 5
+        assert len(decomps) == 5
+        for r, decomp in zip(rows[2:], decomps):
+            [alone], [alone_decomp] = take_sample(SyntheticModel(), state, 0,
+                                                  [r["index"]], True)
+            assert r.tobytes() == alone.tobytes()
+            assert np.array_equal(decomp.contributions, alone_decomp.contributions)
 
 
 class TestFill:
@@ -227,7 +233,8 @@ class TestFill:
         assert sum(model.chunks) == target
         assert len(model.chunks) == max(jobs, -(-target // CHUNK_SIZE))
         assert max(model.chunks) <= CHUNK_SIZE
-        assert [s.index for s in level.samples] == list(range(target))
+        assert level.samples["index"].tolist() == list(range(target))
+        assert runner.sample_log.tobytes() == level.samples.tobytes()
 
 
 class TestRunConfigValidation:
@@ -312,9 +319,9 @@ class TestAdaptiveRun:
         est = run_adaptive_mlmc(SyntheticModel(fail=fail_below), cfg)
         assert est.n_failures > 0
         assert np.isfinite(est.value) and np.isfinite(est.total_variance)
-        failed = [row for row in est.sample_log if row[2] == "failed"]
-        assert len(failed) == est.n_failures
-        assert all(np.isfinite(row[5]) for row in est.sample_log if row[2] == "ok")
+        ok = est.sample_log["ok"]
+        assert np.count_nonzero(~ok) == est.n_failures
+        assert np.isfinite(est.sample_log["y"][ok]).all()
 
     @pytest.mark.parametrize("jobs", [1, 3])
     def test_exactly_the_failing_draws_fail(self, jobs):
@@ -323,10 +330,11 @@ class TestAdaptiveRun:
         cfg = MlmcRunConfig(epsilon=1.0, initial_mesh=uniform_mesh(1.0, 2),
                             n_schedule=(600,), max_failure_rate=0.2, jobs=jobs)
         est = run_adaptive_mlmc(SyntheticModel(fail=fail_below), cfg)
-        statuses = {(row[0], row[1]): row[2] for row in est.sample_log}
-        assert all(status == ("failed" if draw(lv, i) < 0.05 else "ok")
-                   for (lv, i), status in statuses.items())
-        assert est.n_failures == list(statuses.values()).count("failed") > 0
+        statuses = {(lv, i): ok for lv, i, ok in
+                    est.sample_log[["level", "index", "ok"]].tolist()}
+        assert len(statuses) == len(est.sample_log)
+        assert all(ok == (draw(lv, i) >= 0.05) for (lv, i), ok in statuses.items())
+        assert est.n_failures == list(statuses.values()).count(False) > 0
         assert est.levels[0].n_samples >= 600
 
     def test_failure_rate_abort_with_partial_failures(self):
@@ -339,9 +347,8 @@ class TestAdaptiveRun:
         model, cfg = self._config(epsilon=1e6)
         est = run_adaptive_mlmc(model, cfg)
         assert len(est.sample_log) == sum(lv.n_samples for lv in est.levels)
-        levels, indices = zip(*[(r[0], r[1]) for r in est.sample_log])
-        assert set(levels) == {0}
-        assert sorted(indices) == list(range(len(indices)))
+        assert set(est.sample_log["level"].tolist()) == {0}
+        assert sorted(est.sample_log["index"].tolist()) == list(range(len(est.sample_log)))
 
 
 class TestParallelDeterminism:
@@ -358,3 +365,47 @@ class TestParallelDeterminism:
         assert results[0].total_cost == results[1].total_cost
         assert [lv.variance for lv in results[0].levels] == \
                [lv.variance for lv in results[1].levels]
+
+
+class TestSamplesCsv:
+    def test_failed_estimated_and_plain_rows(self, tmp_path):
+        """A two-level run with failing draws: failed rows carry no values,
+        rows taken while their level was the top one carry an error estimate
+        and its denominator, and the level-0 top-ups taken after level 1
+        exists carry neither."""
+        cfg = MlmcRunConfig(epsilon=0.01, initial_mesh=uniform_mesh(1.0, 2),
+                            n_schedule=(20, 10), max_levels=2,
+                            max_failure_rate=0.2)
+        est = run_adaptive_mlmc(SyntheticModel(fail=fail_below, estimate=5.0), cfg)
+        write_artifacts(est, str(tmp_path), dump_grids=False)
+        header, *lines = (tmp_path / "samples.csv").read_text().splitlines()
+        assert header == ("level,index,status,q_fine,q_coarse,y,"
+                          "error_estimate,denominator")
+        rows = [line.split(",") for line in lines]
+        assert all(len(r) == 8 for r in rows)
+        failed = [line for line, r in zip(lines, rows) if r[2] == "failed"]
+        assert failed and all(line == f"{r[0]},{r[1]},failed,,,,,"
+                              for line, r in zip(lines, rows) if r[2] == "failed")
+        ok = [r for r in rows if r[2] == "ok"]
+        assert len(ok) + len(failed) == len(rows)
+        assert [sum(r[0] == str(lv.level) for r in ok) for lv in est.levels] == \
+            [lv.n_samples for lv in est.levels] and est.levels[0].n_samples > 20
+        for r in ok:
+            level, index = int(r[0]), int(r[1])
+            fine = draw(level, index) * (2 if level == 0 else 4)
+            coarse = 0.0 if level == 0 else draw(level, index) * 2
+            assert [float(x) for x in r[3:6]] == [fine, coarse, fine - coarse]
+        # level 0 is the top level until the first level-1 row is taken
+        top_until = next(k for k, r in enumerate(rows) if r[0] == "1")
+        estimated = [r for k, r in enumerate(rows) if r[2] == "ok"
+                     and (r[0] == "1" or k < top_until)]
+        plain = [r for k, r in enumerate(rows) if r[2] == "ok"
+                 and r[0] == "0" and k > top_until]
+        assert estimated and plain and len(estimated) + len(plain) == len(ok)
+        assert all(float(r[6]) == pytest.approx(5.0) and r[7] == "1"
+                   for r in estimated)
+        assert all(r[6] == r[7] == "" for r in plain)
+        # every draw index of a level appears once, in the order taken
+        for lv in est.levels:
+            indices = [int(r[1]) for r in rows if r[0] == str(lv.level)]
+            assert indices == list(range(len(indices)))

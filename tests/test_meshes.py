@@ -4,16 +4,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mesh_reference
 import meso_reference as ref
 from adaptive_mlmc.meshes import (REL_TOL, Mesh1D, MeshError, _density_at,
-                                  common_mesoregion_refinement,
-                                  mesh_from_tiling, refine_intervals,
-                                  uniform_mesh, uniform_refine)
+                                  common_mesoregion_refinement, subdivide,
+                                  uniform_mesh)
 
 
 def tiling(breaks, counts):
     """A (breaks, counts) tiling from plain lists."""
     return np.array(breaks, dtype=float), np.array(counts)
+
+
+def tiling_mesh(breaks, counts):
+    """The mesh of a (breaks, counts) tiling."""
+    return subdivide(Mesh1D(breaks), counts)
+
+
+def selection_counts(n, selection, factor):
+    """Per-interval counts: `factor` on the selected intervals, 1 elsewhere."""
+    counts = np.ones(n, dtype=int)
+    counts[np.asarray(selection, dtype=int)] = factor
+    return counts
 
 
 class TestMeshValidation:
@@ -63,47 +75,119 @@ class TestIntervalOf:
 
 
 class TestUniformRefine:
+    """`subdivide` with one count for every interval."""
+
     def test_factor_two(self):
         mesh = uniform_mesh(3.0, 2)
-        fine = uniform_refine(mesh, 2)
+        fine = subdivide(mesh, 2)
         np.testing.assert_allclose(fine.nodes, [0.0, 0.75, 1.5, 2.25, 3.0])
 
     def test_factor_one_is_identity(self):
         mesh = uniform_mesh(3.0, 5)
-        assert uniform_refine(mesh, 1) is mesh
+        np.testing.assert_array_equal(subdivide(mesh, 1).nodes, mesh.nodes)
 
     def test_original_nodes_survive_exactly(self):
         nodes = np.array([0.0, 0.1, 0.3, 0.7, 1.3])
         mesh = Mesh1D(nodes)
-        fine = uniform_refine(mesh, 3)
-        assert set(nodes.tolist()) <= set(fine.nodes.tolist())
+        fine = subdivide(mesh, 3)
+        np.testing.assert_array_equal(fine.nodes[::3], nodes)
+
+    def test_counts_below_one_rejected(self):
+        mesh = uniform_mesh(4.0, 4)
+        with pytest.raises(MeshError):
+            subdivide(mesh, 0)
+        with pytest.raises(MeshError):
+            subdivide(mesh, [1, 2, -1, 1])
 
 
 class TestRefineIntervals:
+    """`subdivide` with a count of `factor` on selected intervals, 1 elsewhere."""
+
     def test_selected_split_others_kept(self):
         mesh = uniform_mesh(4.0, 4)
-        out = refine_intervals(mesh, np.array([1, 3]), 2)
+        out = subdivide(mesh, selection_counts(4, [1, 3], 2))
         np.testing.assert_allclose(out.nodes, [0, 1, 1.5, 2, 3, 3.5, 4])
 
     def test_out_of_range_selection(self):
+        # counts for intervals the mesh does not have
         mesh = uniform_mesh(4.0, 4)
-        with pytest.raises(MeshError):
-            refine_intervals(mesh, np.array([4]), 2)
-        with pytest.raises(MeshError):
-            refine_intervals(mesh, np.array([-1]), 2)
+        with pytest.raises(ValueError):
+            subdivide(mesh, selection_counts(5, [4], 2))
+        with pytest.raises(ValueError):
+            subdivide(mesh, [2, 2, 2])
 
     def test_empty_selection_is_identity(self):
         mesh = uniform_mesh(4.0, 4)
-        out = refine_intervals(mesh, np.array([], dtype=int), 2)
+        out = subdivide(mesh, selection_counts(4, [], 2))
         np.testing.assert_array_equal(out.nodes, mesh.nodes)
 
     @given(st.sets(st.integers(0, 9)), st.integers(2, 4))
     @settings(max_examples=50, deadline=None)
     def test_never_removes_nodes(self, picked, factor):
         mesh = uniform_mesh(5.0, 10)
-        out = refine_intervals(mesh, np.array(sorted(picked), dtype=int), factor)
+        out = subdivide(mesh, selection_counts(10, sorted(picked), factor))
         assert set(mesh.nodes.tolist()) <= set(out.nodes.tolist())
         assert out.n_intervals == 10 + (factor - 1) * len(picked)
+
+
+@st.composite
+def meshes(draw, max_intervals=12):
+    """A mesh on [0, length] with random, uneven interval lengths."""
+    length = draw(st.sampled_from([0.3, 1.0, 3.0, 10.0, 1e4]))
+    gaps = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=1,
+                                  max_size=max_intervals)))
+    return Mesh1D(np.append(0.0, length * np.cumsum(gaps) / gaps.sum()))
+
+
+def node_positions(counts):
+    """Where the input nodes sit in the subdivided mesh."""
+    return np.concatenate([[0], np.cumsum(counts)])
+
+
+class TestSubdivideMatchesReference:
+    """`subdivide` against the three routines it replaced, bitwise."""
+
+    @given(meshes(), st.integers(1, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_uniform_factors(self, mesh, factor):
+        got = subdivide(mesh, factor)
+        want = mesh_reference.uniform_refine(mesh, factor)
+        assert np.array_equal(got.nodes, want.nodes)
+        assert np.array_equal(got.nodes[::factor], mesh.nodes)
+
+    @given(meshes(), st.data(), st.integers(2, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_selections(self, mesh, data, factor):
+        n = mesh.n_intervals
+        selection = data.draw(st.one_of(
+            st.just([]), st.just(list(range(n))),
+            st.lists(st.integers(0, n - 1), unique=True)), label="selection")
+        counts = selection_counts(n, selection, factor)
+        got = subdivide(mesh, counts)
+        want = mesh_reference.refine_intervals(mesh, selection, factor)
+        kept = node_positions(counts)
+        assert np.array_equal(got.nodes[kept], mesh.nodes)
+        new = np.setdiff1d(np.arange(got.nodes.size), kept)
+        assert np.array_equal(got.nodes[new], want.nodes[new])
+        # the reference's right endpoint of a split interval is a + (b - a);
+        # the two agree wherever that rounds to b
+        a, b = mesh.nodes[:-1], mesh.nodes[1:]
+        right = np.where(counts > 1, a + (b - a), b)
+        assert np.array_equal(want.nodes[kept[1:-1]], right[:-1])
+        if np.array_equal(right, b):
+            assert np.array_equal(got.nodes, want.nodes)
+
+    @given(meshes(max_intervals=8), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_random_tilings(self, regions, data):
+        breaks = regions.nodes
+        counts = np.array(data.draw(st.lists(
+            st.integers(1, 9), min_size=breaks.size - 1, max_size=breaks.size - 1),
+            label="counts"))
+        got = tiling_mesh(breaks, counts)
+        want = mesh_reference.mesh_from_tiling(breaks, counts)
+        assert np.array_equal(got.nodes, want.nodes)
+        assert np.array_equal(got.nodes[node_positions(counts)], breaks)
 
 
 class TestRegions:
@@ -121,13 +205,13 @@ class TestRegions:
         # one region over the whole domain reproduces a uniform mesh
         mesh = uniform_mesh(2.0, 10)
         np.testing.assert_allclose(
-            mesh_from_tiling(*tiling([0.0, 2.0], [10])).nodes, mesh.nodes,
+            tiling_mesh(*tiling([0.0, 2.0], [10])).nodes, mesh.nodes,
             rtol=0, atol=1e-15)
 
 
 class TestMeshFromRegionSpans:
     def test_piecewise_uniform(self):
-        mesh = mesh_from_tiling(*tiling([0.0, 1.0, 3.0], [2, 1]))
+        mesh = tiling_mesh(*tiling([0.0, 1.0, 3.0], [2, 1]))
         np.testing.assert_allclose(mesh.nodes, [0.0, 0.5, 1.0, 3.0])
 
 
@@ -224,7 +308,7 @@ class TestMatchesObjectReference:
         want_breaks, want_counts = ref.tiling(want)
         assert np.array_equal(got[0], want_breaks)
         assert np.array_equal(got[1], want_counts)
-        got_mesh = outcome(mesh_from_tiling, *got)
+        got_mesh = outcome(tiling_mesh, *got)
         want_mesh = outcome(ref.mesh_from_region_spans, want)
         if want_mesh is MeshError:
             assert got_mesh is MeshError
@@ -235,7 +319,7 @@ class TestMatchesObjectReference:
     @settings(max_examples=100, deadline=None)
     def test_mesh_of_a_tiling(self, pair):
         prev, _ = pair
-        got = outcome(mesh_from_tiling, *prev)
+        got = outcome(tiling_mesh, *prev)
         want = outcome(ref.mesh_from_region_spans, ref.spans(*prev))
         if want is MeshError:
             assert got is MeshError

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mesh_reference
 import meso_reference as ref
 from adaptive_mlmc.error_estimation import ErrorDecomposition, accumulate
-from adaptive_mlmc.meshes import (Mesh1D, mesh_from_tiling, refine_intervals,
-                                  uniform_mesh)
+from adaptive_mlmc.meshes import Mesh1D, uniform_mesh
 from adaptive_mlmc.refinement import (CHUNK_SIZE, RefinementConfig, allocate_meso,
                                       build_next_mesh, dwr_select,
                                       find_meso_regions,
@@ -136,7 +136,7 @@ class TestBlockedDwrSelection:
         mesh = uniform_mesh(2.0, 12)
         cfg = RefinementConfig(strategy="dwr", dwr_fraction=fraction, dwr_factor=2)
         assert np.array_equal(refine_dwr_multisample(mesh, decomps, cfg).nodes,
-                              refine_intervals(mesh, union, 2).nodes)
+                              mesh_reference.refine_intervals(mesh, union, 2).nodes)
 
     @pytest.mark.parametrize("fraction", [1e-3, 0.3, 1.0])
     def test_rows_across_block_edges(self, fraction):
@@ -340,8 +340,8 @@ class TestRefineMeso:
             assert np.array_equal(mesh.nodes, want_mesh.nodes)
             assert np.array_equal(tiling[0], ref.tiling(want_spans)[0])
             assert np.array_equal(tiling[1], ref.tiling(want_spans)[1])
-            np.testing.assert_array_equal(mesh_from_tiling(*tiling).nodes,
-                                          mesh.nodes)
+            np.testing.assert_array_equal(
+                mesh_reference.mesh_from_tiling(*tiling).nodes, mesh.nodes)
 
 
 class TestBuildNextMesh:

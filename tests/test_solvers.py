@@ -7,7 +7,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from adaptive_mlmc.experiments import get_experiment
-from adaptive_mlmc.meshes import Mesh1D, MeshError, uniform_mesh, uniform_refine
+from adaptive_mlmc.meshes import Mesh1D, MeshError, subdivide, uniform_mesh
 from adaptive_mlmc.models import OdeProblem, harmonic_oscillator, lorenz, two_body
 from adaptive_mlmc.qoi import StandardQoi, eval_event_time
 from adaptive_mlmc.solvers import (ADJOINT_REFINE_FACTOR, Trajectory, _GL01_X,
@@ -16,7 +16,8 @@ from adaptive_mlmc.solvers import (ADJOINT_REFINE_FACTOR, Trajectory, _GL01_X,
                                    solve_forward_cg1)
 
 import ode_reference
-from synthetic_problems import blow_up, exact_reciprocal, one_point_jacobian
+from synthetic_problems import (PiecewiseConstant, blow_up, exact_reciprocal,
+                                one_point_jacobian)
 
 
 def linear_decay(rate=1.0):
@@ -38,8 +39,8 @@ class TestTrajectory:
         assert traj(0.5)[0] == pytest.approx(1.0)
         assert traj(2.0)[0] == pytest.approx(3.0)
         np.testing.assert_allclose(traj(np.array([0.0, 3.0]))[:, 0], [0.0, 4.0])
-        assert traj.slope(0)[0] == pytest.approx(2.0)
-        assert traj.slope(1)[0] == pytest.approx(1.0)
+        slopes = np.diff(traj.values[:, 0]) / mesh.lengths
+        np.testing.assert_allclose(slopes, [2.0, 1.0])
 
     def test_shape_validation(self):
         mesh = uniform_mesh(1.0, 2)
@@ -187,15 +188,8 @@ class TestResidualPairing:
         forward = solve_forward_cg1(problem, mesh)
         rng = np.random.default_rng(3)
         weights = rng.standard_normal((mesh.n_intervals, problem.dim))
-
-        def piecewise_constant(t):
-            idx = np.clip(np.searchsorted(mesh.nodes, t, side="right") - 1,
-                          0, mesh.n_intervals - 1)
-            return weights[idx]
-
-        phi = lambda t: piecewise_constant(np.asarray(t, dtype=float))
-        from adaptive_mlmc.solvers import weighted_residual
-        contributions = weighted_residual(problem, forward, phi, mesh, 3.0)
+        contributions = residual_pairing(problem, forward,
+                                         PiecewiseConstant(mesh, weights), 3.0)
         scale = np.abs(forward.values).max() * np.abs(weights).max()
         assert np.abs(contributions).max() <= 1e-10 * scale
 
@@ -221,7 +215,7 @@ class TestResidualPairing:
 def reference_adjoint(problem, forward, t_star, terminal_value):
     """Per-step adjoint loop for a one-row trajectory: one Jacobian call and
     one solve per sub-interval."""
-    mesh = uniform_refine(restrict_mesh(forward.mesh, t_star), ADJOINT_REFINE_FACTOR)
+    mesh = subdivide(restrict_mesh(forward.mesh, t_star), ADJOINT_REFINE_FACTOR)
     nodes = mesh.nodes
     eye = np.eye(problem.dim)
     phi = np.empty((nodes.size, problem.dim))
@@ -246,7 +240,9 @@ def reference_pairing(problem, forward, adjoint, t_star):
     for k in range(adjoint.mesh.n_intervals):
         a, b = nodes[k], nodes[k + 1]
         (tq,), (wq,) = _segment_quadrature(np.array([a, b]))
-        slope = forward.slope(forward.mesh.interval_of(0.5 * (a + b)))[0]
+        i = forward.mesh.interval_of(0.5 * (a + b))
+        slope = (forward.values[0, i + 1] - forward.values[0, i]) / (
+            forward.mesh.nodes[i + 1] - forward.mesh.nodes[i])
         integrand = np.einsum("qi,qi->q", problem.rhs(forward(tq), tq)[0] - slope,
                               adjoint(tq)[0])
         contributions[restricted.interval_of(0.5 * (a + b))] += wq @ integrand
@@ -311,7 +307,7 @@ class TestWholeMeshKernels:
         row is NaN before t* and fails as a sample.  The other row keeps the bits of
         its one-row adjoint."""
         mesh = uniform_mesh(1.0, 1)
-        tq, wq = _segment_quadrature(uniform_refine(mesh, 2).nodes)
+        tq, wq = _segment_quadrature(subdivide(mesh, 2).nodes)
         problem = one_point_jacobian(lambda u, t: np.zeros_like(u), tq[0, 2],
                                      exact_reciprocal((wq * (1.0 - _GL01_X))[0, 2]))
         forward = Trajectory(mesh, np.ones((2, 2, 1)))
@@ -320,6 +316,7 @@ class TestWholeMeshKernels:
             ode_reference.adjoint(problem([1.0]), mesh, np.ones((2, 1)), 1.0,
                                   np.array([1.0]))
         assert np.isnan(phi.values[0, :-1]).all()
-        alone = solve_adjoint(problem([0.0]), forward.rows([1]), 1.0, np.array([1.0]))
+        alone = solve_adjoint(problem([0.0]), Trajectory(mesh, forward.values[[1]]),
+                              1.0, np.array([1.0]))
         assert np.isfinite(alone.values).all()
         assert np.array_equal(phi.values[1], alone.values[0])
