@@ -8,7 +8,7 @@ previous level's regions so that no region is ever unrefined.
 """
 import numpy as np
 
-from adaptive_mlmc.error_estimation import accumulate, estimate_standard_error
+from adaptive_mlmc.error_estimation import estimate_standard_error
 from adaptive_mlmc.meshes import uniform_mesh
 from adaptive_mlmc.models import harmonic_oscillator
 from adaptive_mlmc.qoi import StandardQoi
@@ -24,12 +24,13 @@ def main():
     qoi = StandardQoi(np.array([1.0, 0.0]), problem.horizon)
     mesh = uniform_mesh(problem.horizon, N0)
     forward = solve_forward_cg1(problem, mesh)
-    [decomp] = estimate_standard_error(problem, forward, qoi)
+    decomp = estimate_standard_error(problem, forward, qoi)
+    [contributions], [total] = decomp.contributions, decomp.total
     print(f"level-0 mesh: {N0} intervals on [0, {problem.horizon:g}]")
-    print(f"estimated QoI error of this sample: {decomp.total:+.3e}\n")
+    print(f"estimated QoI error of this sample: {total:+.3e}\n")
 
     # regions end at interval indices `ends`; region i starts after ends[i-1]
-    ends, errors = find_meso_regions(accumulate(decomp.contributions))
+    ends, errors = find_meso_regions(np.abs(np.cumsum(contributions)))
     starts = np.append(0, ends[:-1] + 1)
     print("accumulated |error| profile split at its minima:")
     for first, last, error in zip(starts, ends, errors):
@@ -47,7 +48,7 @@ def main():
 
     # a tiling is (breaks, counts): region i spans breaks[i]..breaks[i+1]
     # with counts[i] uniform intervals; None stands for the whole domain
-    new_mesh, (breaks, counts) = refine_meso(mesh, None, decomp, cfg)
+    new_mesh, (breaks, counts) = refine_meso(mesh, None, contributions, cfg)
     print(f"\nafter merging with the previous level "
           f"({counts.size} regions, {new_mesh.n_intervals} intervals):")
     for a, b, n in zip(breaks[:-1], breaks[1:], counts):

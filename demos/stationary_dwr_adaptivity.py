@@ -9,8 +9,7 @@ DWR and uniform new-level meshes and compares the modeled costs.
 """
 import numpy as np
 
-from adaptive_mlmc import (BvpMlmcModel, ErrorDecomposition, MlmcRunConfig,
-                           run_adaptive_mlmc)
+from adaptive_mlmc import BvpMlmcModel, MlmcRunConfig, run_adaptive_mlmc
 from adaptive_mlmc.meshes import subdivide, uniform_mesh
 from adaptive_mlmc.refinement import dwr_select
 from adaptive_mlmc.stationary import (BVP_DEFAULT_EPSILON, BvpProblem,
@@ -30,15 +29,14 @@ def main():
     for sweep in range(4):
         U = solve_bvp_p1(problem, w, mesh)
         phi_mesh, Phi = solve_bvp_adjoint(problem, w, mesh)
-        [contributions] = bvp_error_decomposition(problem, w, mesh, U,
-                                                  phi_mesh, Phi)
-        decomp = ErrorDecomposition(contributions)
+        contributions = bvp_error_decomposition(problem, w, mesh, U,
+                                                phi_mesh, Phi)
         [q] = qoi_value(problem, mesh, U)
         print(f"  sweep {sweep}: {mesh.n_intervals:3d} elements, "
               f"QoI = {q:+.6f}, "
-              f"estimated error = {decomp.total:+.3e}")
+              f"estimated error = {contributions.sum():+.3e}")
         parts = np.ones(mesh.n_intervals, dtype=int)
-        parts[dwr_select([decomp], 0.25)] = 2  # halve the marked elements
+        parts[dwr_select(contributions, 0.25)] = 2  # halve the marked elements
         mesh = subdivide(mesh, parts)
 
     print(f"\nMLMC over random b, epsilon = {BVP_DEFAULT_EPSILON:g}")

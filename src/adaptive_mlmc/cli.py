@@ -126,14 +126,14 @@ def _build_run(settings: RunSettings):
     name, n_init = settings.experiment, settings.initial_intervals
     bvp = name == "advection-diffusion-1d"
     minimum = BVP_MIN_ELEMENTS if bvp else 1
-    if n_init is not None and n_init < minimum:
-        raise ConfigError(
-            f"{_line_of(settings.config_path, 'initial_intervals')}: "
-            f"initial_intervals = {n_init} is below {minimum}, the fewest "
-            f"{name} can run on")
+    where = (f"{_line_of(settings.config_path, 'initial_intervals')}: "
+             f"initial_intervals = {n_init}")
+    if n_init is not None and not minimum <= n_init <= sys.maxsize // 8:
+        raise ConfigError(f"{where} is outside [{minimum}, {sys.maxsize // 8}], the "
+                          f"interval counts {name} can run on")
     if bvp:
         model, refinement = BvpMlmcModel(), bvp_refinement()
-        mesh = bvp_initial_mesh(BVP_INITIAL_ELEMENTS if n_init is None else n_init)
+        make_mesh = lambda: bvp_initial_mesh(n_init or BVP_INITIAL_ELEMENTS)
         default_epsilon = BVP_DEFAULT_EPSILON
     else:
         try:
@@ -145,8 +145,12 @@ def _build_run(settings: RunSettings):
         model, refinement = OdeMlmcModel(experiment), RefinementConfig()
         if n_init is not None:
             experiment = replace(experiment, initial_intervals=n_init)
-        mesh = experiment.initial_mesh()
+        make_mesh = experiment.initial_mesh
         default_epsilon = experiment.default_epsilon
+    try:
+        mesh = make_mesh()
+    except MemoryError:
+        raise ConfigError(f"{where} asks for more nodes than memory holds") from None
     strategy = {"strategy": settings.refinement} if settings.refinement else {}
     try:
         refinement = replace(refinement, **strategy, **settings.refinement_overrides)

@@ -2,14 +2,14 @@
 
 The estimator telescopes Y_l = Q_l - Q_{l-1} over a growing mesh hierarchy.
 Per-sample adjoint error estimates on the highest level supply the bias, the
-bias-squared test decides when to stop, and the retained error
-decompositions of the newest level drive the creation of the next mesh.
+bias-squared test decides when to stop, and the retained per-interval error
+contributions of the newest level drive the creation of the next mesh.
 Costs are modeled from element counts (one level-0 solve = 1 unit).
 
 A model takes draws in chunks: `evaluate(W, mesh, want_estimate)`, W of
-shape (M, p), returns M QoI values and a list of M decompositions (or None).
-A draw the model could not complete shows as a non-finite QoI or error
-estimate; only that sample is recorded failed and redrawn.
+shape (M, p), returns M QoI values and one `ErrorDecomposition` of M rows
+(or None).  A draw the model could not complete shows as a non-finite QoI or
+error estimate; only that sample is recorded failed and redrawn.
 """
 from __future__ import annotations
 
@@ -48,7 +48,7 @@ class LevelState:
     cost_per_sample: float
     regions: Optional[tuple]  # meso tiling (breaks, counts), else None
     samples: np.ndarray = field(default_factory=lambda: np.zeros(0, SAMPLE_DTYPE))
-    decomps: list = field(default_factory=list)  # ok rows', until the next mesh
+    contributions: list = field(default_factory=list)  # ok rows', until the next mesh
 
     def ok(self, name: str) -> np.ndarray:
         """Field `name` of the ok rows."""
@@ -151,23 +151,21 @@ def take_sample(model, level: LevelState, master_seed: int, indices: Sequence[in
                 want_estimate: bool):
     """One chunk of telescoped samples: each draw on the fine and coarse mesh,
     one `evaluate` call per mesh.  Returns the chunk's SAMPLE_DTYPE rows and
-    the decompositions of its ok rows; a non-finite value fails only its row."""
+    its ok rows' contributions (or None); a non-finite value fails only its row."""
     W = sample_parameters(model.distributions, master_seed, level.level, indices)
-    q_fine, decomps = model.evaluate(W, level.mesh, want_estimate)
+    q_fine, decomp = model.evaluate(W, level.mesh, want_estimate)
     q_coarse = np.zeros(len(W)) if level.coarser_mesh is None \
         else model.evaluate(W, level.coarser_mesh, False)[0]
-    total = np.array([np.nan if d is None else d.total for d in decomps])
     ok = np.isfinite(q_fine) & np.isfinite(q_coarse) \
-        & (np.isfinite(total) | [d is None for d in decomps])
+        & (decomp is None or np.isfinite(decomp.total))
     rows = np.zeros(len(W), SAMPLE_DTYPE)
     rows["level"], rows["index"], rows["ok"] = level.level, indices, ok
     for name, values in (("q_fine", q_fine), ("q_coarse", q_coarse),
-                         ("error_estimate", total),
-                         ("denominator", [np.nan if d is None else d.denominator
-                                          for d in decomps])):
+                         ("error_estimate", getattr(decomp, "total", np.nan)),
+                         ("denominator", getattr(decomp, "denominator", np.nan))):
         rows[name] = np.where(ok, values, np.nan)
     rows["y"] = rows["q_fine"] - rows["q_coarse"]
-    return rows, [d for d, good in zip(decomps, ok) if good and d is not None]
+    return rows, None if decomp is None else decomp.contributions[ok]
 
 
 class _Runner:
@@ -186,19 +184,25 @@ class _Runner:
 
     def fill(self, level: LevelState, target: int, want_estimate: bool) -> None:
         """Take samples until the level holds `target` ok samples, in at least
-        `jobs` chunks of at most CHUNK_SIZE draws per round."""
+        `jobs` chunks of at most CHUNK_SIZE draws per round (or MlmcError)."""
+        too_many = f"cannot take {target:.3g} samples on level {level.level}"
+        if target > np.iinfo(np.intp).max // 8:  # more indices than an array holds
+            raise MlmcError(too_many)
         while (need := target - np.count_nonzero(level.samples["ok"])) > 0:
             n_chunks = max(self.cfg.jobs, -(-need // CHUNK_SIZE))
             start = len(level.samples)
-            chunks = [c for c in np.array_split(np.arange(start, start + need),
-                                                n_chunks) if c.size]
+            try:
+                indices = np.arange(start, start + need)
+            except MemoryError:
+                raise MlmcError(too_many) from None
+            chunks = [c for c in np.array_split(indices, n_chunks) if c.size]
             worker = lambda idx: take_sample(self.model, level, self.cfg.master_seed,
                                              idx, want_estimate)
             batches = list(self.pool.map(worker, chunks) if self.pool
                            else map(worker, chunks))
             new_rows = [rows for rows, _ in batches]
             level.samples = np.concatenate([level.samples, *new_rows])
-            level.decomps += [d for _, decomps in batches for d in decomps]
+            level.contributions += [c for _, c in batches if c is not None]
             self.sample_log = np.concatenate([self.sample_log, *new_rows])
             attempts = len(self.sample_log)
             failures = attempts - np.count_nonzero(self.sample_log["ok"])
@@ -230,10 +234,11 @@ def run_adaptive_mlmc(model, cfg: MlmcRunConfig) -> MlmcEstimate:
 
             try:
                 new_mesh, new_regions = build_next_mesh(
-                    highest.mesh, highest.regions, highest.decomps, cfg.refinement)
+                    highest.mesh, highest.regions, np.concatenate(highest.contributions),
+                    highest.ok("error_estimate"), cfg.refinement)
             except (OverflowError, MemoryError) as exc:
                 raise MlmcError(f"cannot build level {len(levels)}: {exc}") from exc
-            highest.decomps = []
+            highest.contributions = []
             cost = (new_mesh.n_intervals + highest.mesh.n_intervals) / elems0
             levels.append(LevelState(len(levels), new_mesh, highest.mesh, cost,
                                      new_regions))

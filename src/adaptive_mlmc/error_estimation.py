@@ -20,48 +20,43 @@ from .solvers import Trajectory, residual_pairing, solve_adjoint
 
 @dataclass(frozen=True)
 class ErrorDecomposition:
-    """Signed per-interval error contributions and their scaled total.
+    """Signed per-interval error contributions of M rows and their totals.
 
-    `total` is sum(contributions) / denominator; the denominator is 1 for
-    standard QoIs and the event-time linearization scalar otherwise (NaN
-    for a grazing event, which has no linearization).
+    `contributions` (M, n) is NaN past a row's own end (an event-time row
+    stops at its crossing) and in a row without an estimate.  `total` (M,)
+    is each row's sum of contributions over its `denominator` (M,): 1 for
+    standard QoIs, the event-time linearization scalar otherwise (NaN for a
+    grazing event, which has no linearization).
     """
 
     contributions: np.ndarray
-    denominator: float = 1.0
+    total: np.ndarray
+    denominator: np.ndarray
 
     def __post_init__(self):
-        contributions = np.ascontiguousarray(self.contributions, dtype=float)
-        contributions.setflags(write=False)
-        object.__setattr__(self, "contributions", contributions)
-        if self.denominator == 0.0:
-            raise ValueError("decomposition needs a nonzero denominator")
-
-    @property
-    def total(self) -> float:
-        return float(self.contributions.sum() / self.denominator)
-
-
-def accumulate(contributions: np.ndarray) -> np.ndarray:
-    """Accumulated error profile E_k = |sum_{i<=k} e_i| of raw (unscaled)
-    per-interval contributions."""
-    return np.abs(np.cumsum(contributions))
+        for name in ("contributions", "total", "denominator"):
+            array = np.ascontiguousarray(getattr(self, name), dtype=float)
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+        if np.any(self.denominator == 0.0):
+            raise ValueError("decomposition needs nonzero denominators")
 
 
 def estimate_standard_error(problem: OdeProblem, forward: Trajectory,
-                            q: StandardQoi) -> list:
+                            q: StandardQoi) -> ErrorDecomposition:
     """Estimate Q(u) - Q(U) for every row, decomposed per interval: one
     adjoint solve and one residual pairing for all rows, which share the
     restricted mesh.  A failed row's decomposition is NaN."""
     phi = solve_adjoint(problem, forward, q.t_star, q.psi)
     contributions = residual_pairing(problem, forward, phi, q.t_star)
-    return [ErrorDecomposition(c) for c in contributions]
+    return ErrorDecomposition(contributions, contributions.sum(axis=1),
+                              np.ones(len(contributions)))
 
 
 def estimate_event_time_error(problem: OdeProblem, forward: Trajectory,
                               q: NonstandardQoi, t_c: float) -> ErrorDecomposition:
     """Linearized event-time error estimate of a one-row trajectory around its
-    computed crossing t_c.
+    computed crossing t_c, as a one-row decomposition.
 
     Numerator contributions estimate e(t_c) . psi; the denominator is
     f(U(t_c), t_c) . psi plus the estimated e(t_c) . J(t_c)^T psi, with the
@@ -73,10 +68,11 @@ def estimate_event_time_error(problem: OdeProblem, forward: Trajectory,
     phi1 = solve_adjoint(problem, forward, t_c, q.psi)
     phi2 = solve_adjoint(problem, forward, t_c,
                          (problem.jacobian(u_c, t_c) * q.psi[:, None]).sum(axis=-2))
-    [contributions] = residual_pairing(problem, forward, phi1, t_c)
+    contributions = residual_pairing(problem, forward, phi1, t_c)
     correction = float(residual_pairing(problem, forward, phi2, t_c).sum())
     f_psi = float((problem.rhs(u_c, t_c) * q.psi).sum())
     denominator = f_psi + correction
     if abs(denominator) < 1e-10 * (1.0 + abs(f_psi)):
         denominator = np.nan
-    return ErrorDecomposition(contributions, denominator)
+    return ErrorDecomposition(contributions, contributions.sum(axis=1) / denominator,
+                              [denominator])

@@ -4,18 +4,18 @@ Each preset bundles a parameterized ODE, the distributions of its random
 inputs, a quantity of interest, an initial uniform grid, and a default MSE
 tolerance.  `OdeMlmcModel` adapts a preset to the driver interface: given a
 chunk of parameter realizations and a mesh it solves them as one batched
-problem and returns their QoI values and, on request, their adjoint-based
-error decompositions.
+problem and returns their QoI values and, on request, one `ErrorDecomposition`
+of their adjoint-based error estimates.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
 
-from .error_estimation import estimate_event_time_error, estimate_standard_error
+from .error_estimation import (ErrorDecomposition, estimate_event_time_error,
+                               estimate_standard_error)
 from .meshes import Mesh1D, uniform_mesh
 from .models import harmonic_oscillator, lorenz, two_body
 from .qoi import (NonstandardQoi, StandardQoi, eval_event_time, eval_standard)
@@ -50,9 +50,10 @@ class OdeMlmcModel:
     `evaluate` solves a chunk of draws (M, p) as one problem: one forward
     march for all rows, and for a standard QoI one adjoint and one residual
     pairing.  Event-time rows each cross at their own t_c, so each gets its
-    own adjoint on its own restricted mesh.  A row that fails gets a NaN QoI
-    (or, for a grazing event, a NaN error estimate), which the driver records
-    as failed; the other rows keep the bits they get alone.
+    own adjoint on its own restricted mesh, and its one-row result fills its
+    row of the chunk's decomposition, NaN past its crossing.  A row that fails
+    gets a NaN QoI (or, for a grazing event, a NaN error estimate), which the
+    driver records as failed; the other rows keep the bits they get alone.
     """
 
     def __init__(self, experiment: OdeExperiment):
@@ -63,18 +64,21 @@ class OdeMlmcModel:
         q = self.experiment.qoi
         problem = self.experiment.make_problem(W)
         forward = solve_forward_cg1(problem, mesh)
-        if isinstance(q, StandardQoi):
-            values = eval_standard(forward, q)
-            decomps = estimate_standard_error(problem, forward, q) \
-                if want_estimate else [None] * len(W)
-        else:
-            values = eval_event_time(forward, q)
-            decomps = [estimate_event_time_error(
-                           self.experiment.make_problem(W[k:k + 1]),
-                           Trajectory(forward.mesh, forward.values[[k]]), q, t)
-                       if want_estimate and math.isfinite(t) else None
-                       for k, t in enumerate(values.tolist())]
-        return values, decomps
+        standard = isinstance(q, StandardQoi)
+        values = (eval_standard if standard else eval_event_time)(forward, q)
+        if not want_estimate:
+            return values, None
+        if standard:
+            return values, estimate_standard_error(problem, forward, q)
+        contributions = np.full((len(W), mesh.n_intervals), np.nan)
+        total, denominator = np.full((2, len(W)), np.nan)
+        for k in np.flatnonzero(np.isfinite(values)):
+            row = estimate_event_time_error(
+                self.experiment.make_problem(W[k:k + 1]),
+                Trajectory(forward.mesh, forward.values[[k]]), q, float(values[k]))
+            contributions[k, :row.contributions.shape[1]] = row.contributions
+            total[k], denominator[k] = row.total[0], row.denominator[0]
+        return values, ErrorDecomposition(contributions, total, denominator)
 
 
 _EXPERIMENTS = {e.name: e for e in (

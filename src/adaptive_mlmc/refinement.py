@@ -1,28 +1,26 @@
 """New-level mesh creation: uniform, multi-sample DWR, and meso-scale.
 
-DWR selects, per sample, the intervals carrying the largest absolute error
-contributions and refines the union of all selections.  Meso-scale
+Both read the top level's error contributions as one (samples, intervals)
+matrix.  DWR selects, per sample, the intervals carrying the largest
+absolute contributions and refines the union of all selections.  Meso-scale
 refinement partitions the domain at the minima of the accumulated error of
 the single worst sample, allocates intervals to equalize region errors, and
 merges with the previous level so no region is ever unrefined.
 """
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .error_estimation import ErrorDecomposition, accumulate
-from .meshes import Mesh1D, MeshError, common_mesoregion_refinement, subdivide
+from .meshes import Mesh1D, common_mesoregion_refinement, subdivide
 
 log = logging.getLogger(__name__)
 
 # Most rows one batched step stacks: the draws of one model `evaluate` call,
-# the decompositions of one DWR selection block.  Bounds memory only.
+# the contribution rows of one DWR selection block.  Bounds memory only.
 CHUNK_SIZE = 256
 
 
@@ -48,31 +46,21 @@ class RefinementConfig:
             raise ValueError("meso_target_multiplier must exceed 1 and be finite")
 
 
-def dwr_select(decomps: Sequence[ErrorDecomposition], fraction: float) -> np.ndarray:
-    """Sorted union over the decompositions of each one's ceil(fraction * N)
-    largest |contribution|s, ties toward the lower index.  Rows of one length
-    (event-time rows stop at their own crossing) are stacked in blocks of at
-    most CHUNK_SIZE, one stable row-wise argsort each."""
-    rows = sorted((d.contributions for d in decomps), key=len)
-    if not rows or rows[0].size == 0:
-        raise ValueError("need at least one non-empty decomposition")
-    selected = np.zeros(rows[-1].size, dtype=bool)
-    for size, group in itertools.groupby(rows, key=len):
-        group, n_pick = list(group), math.ceil(fraction * size)
-        for start in range(0, len(group), CHUNK_SIZE):
-            mags = np.abs(np.stack(group[start:start + CHUNK_SIZE]))
-            selected[np.argsort(-mags, axis=1, kind="stable")[:, :n_pick]] = True
+def dwr_select(contributions: np.ndarray, fraction: float) -> np.ndarray:
+    """Sorted union over the rows of each one's ceil(fraction * N) largest
+    |contribution|s, N its non-NaN count (an event-time row stops at its own
+    crossing), ties toward the lower index.  One stable row-wise argsort per
+    block of at most CHUNK_SIZE rows; NaN sorts last."""
+    mags = np.abs(contributions)
+    n_pick = np.ceil(fraction * np.count_nonzero(~np.isnan(mags), axis=1))
+    if not n_pick.size or n_pick.min() == 0:
+        raise ValueError("need at least one row and no empty row")
+    selected = np.zeros(mags.shape[1], dtype=bool)
+    for start in range(0, len(mags), CHUNK_SIZE):
+        block = slice(start, start + CHUNK_SIZE)
+        order = np.argsort(-mags[block], axis=1, kind="stable")
+        selected[order[np.arange(order.shape[1]) < n_pick[block, None]]] = True
     return np.flatnonzero(selected)
-
-
-def refine_dwr_multisample(mesh: Mesh1D, decomps: Sequence[ErrorDecomposition],
-                           cfg: RefinementConfig) -> Mesh1D:
-    """Refine the union of every sample's selected intervals."""
-    if any(d.contributions.size > mesh.n_intervals for d in decomps):
-        raise MeshError("decomposition not indexed on this mesh")
-    counts = np.ones(mesh.n_intervals, dtype=int)
-    counts[dwr_select(decomps, cfg.dwr_fraction)] = cfg.dwr_factor
-    return subdivide(mesh, counts)
 
 
 def find_meso_regions(E: np.ndarray):
@@ -133,24 +121,22 @@ def allocate_meso(sizes: np.ndarray, errors: np.ndarray, n_hat: int,
     return counts
 
 
-def refine_meso(prev_mesh: Mesh1D, prev_regions, worst_decomp: ErrorDecomposition,
+def refine_meso(prev_mesh: Mesh1D, prev_regions, contributions: np.ndarray,
                 cfg: RefinementConfig):
     """Build the next level's mesh from the worst sample's error profile.
 
     Returns (mesh, tiling); the tiling (breaks, counts) is what the
     following level merges against, and `prev_regions=None` stands for the
-    whole domain as one region.  Contributions shorter than the mesh
-    (event-time QoIs stop at t_c) are padded with zeros so regions tile the
-    whole domain.  A budget too large to count or to allocate raises
-    OverflowError or MemoryError naming meso_target_multiplier.
+    whole domain as one region.  Regions split the accumulated error
+    |sum_{i<=k} e_i| of one row of contributions, whose NaN or missing tail
+    (event-time QoIs stop at t_c) counts as zero.  A budget too large to
+    count or to allocate raises OverflowError or MemoryError naming
+    meso_target_multiplier.
     """
     n_prev = prev_mesh.n_intervals
-    contributions = worst_decomp.contributions
-    if contributions.size > n_prev:
-        raise MeshError("decomposition not indexed on the previous mesh")
     padded = np.zeros(n_prev)
-    padded[:contributions.size] = contributions
-    ends, errors = find_meso_regions(accumulate(padded))
+    padded[:contributions.size] = np.where(np.isnan(contributions), 0.0, contributions)
+    ends, errors = find_meso_regions(np.abs(np.cumsum(padded)))
     n_hat = math.ceil(cfg.meso_target_multiplier * n_prev)
     too_many = (f"meso_target_multiplier = {cfg.meso_target_multiplier!r} asks "
                 f"for {n_hat:.3g} intervals")
@@ -167,11 +153,15 @@ def refine_meso(prev_mesh: Mesh1D, prev_regions, worst_decomp: ErrorDecompositio
         raise MemoryError(too_many) from None
 
 
-def build_next_mesh(prev_mesh: Mesh1D, prev_regions, decomps, cfg: RefinementConfig):
-    """Dispatch on the configured strategy; returns (mesh, tiling-or-None)."""
+def build_next_mesh(prev_mesh: Mesh1D, prev_regions, contributions: np.ndarray,
+                    totals: np.ndarray, cfg: RefinementConfig):
+    """Dispatch on the configured strategy; returns (mesh, tiling-or-None).
+    Rows of `contributions` may end in NaN; meso follows the first largest |totals|."""
     if cfg.strategy == "uniform":
         return subdivide(prev_mesh, cfg.uniform_factor), None
     if cfg.strategy == "dwr":
-        return refine_dwr_multisample(prev_mesh, decomps, cfg), None
-    worst = max(decomps, key=lambda d: abs(d.total))
+        counts = np.ones(prev_mesh.n_intervals, dtype=int)
+        counts[dwr_select(contributions, cfg.dwr_fraction)] = cfg.dwr_factor
+        return subdivide(prev_mesh, counts), None
+    worst = contributions[np.argmax(np.abs(totals))]
     return refine_meso(prev_mesh, prev_regions, worst, cfg)

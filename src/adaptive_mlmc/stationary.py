@@ -188,11 +188,12 @@ class BvpMlmcModel:
         U = solve_bvp_p1(self.problem, w, mesh)
         q = qoi_value(self.problem, mesh, U)
         if not want_estimate:
-            return q, [None] * len(q)
+            return q, None
         phi_mesh, Phi = solve_bvp_adjoint(self.problem, w, mesh)
         contributions = bvp_error_decomposition(self.problem, w, mesh, U,
                                                 phi_mesh, Phi)
-        return q, [ErrorDecomposition(c) for c in contributions]
+        return q, ErrorDecomposition(contributions, contributions.sum(axis=1),
+                                     np.ones(len(q)))
 
 
 # Defaults calibrated so both strategies resolve the bias within two levels:

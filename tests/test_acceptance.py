@@ -108,8 +108,8 @@ def test_criterion_3_error_estimate_effectivity():
     q = StandardQoi(np.array([1.0, 0.0]), 3.0)
     [ref] = eval_standard(solve_forward_cg1(problem, uniform_mesh(3.0, reference_n)), q)
     forward = solve_forward_cg1(problem, uniform_mesh(3.0, 54))
-    [decomp] = estimate_standard_error(problem, forward, q)
-    eff_std = decomp.total / (ref - eval_standard(forward, q)[0])
+    [total] = estimate_standard_error(problem, forward, q).total
+    eff_std = total / (ref - eval_standard(forward, q)[0])
 
     lor = lorenz(1.0)
     qe = NonstandardQoi(np.array([1.0, 0.0, 0.0]), 3.0, occurrence=2)
@@ -117,8 +117,8 @@ def test_criterion_3_error_estimate_effectivity():
         solve_forward_cg1(lor, uniform_mesh(2.0, reference_n)), qe)
     forward = solve_forward_cg1(lor, uniform_mesh(2.0, 192))
     [t_c] = eval_event_time(forward, qe)
-    decomp = estimate_event_time_error(lor, forward, qe, t_c)
-    eff_evt = decomp.total / (t_c - t_ref)
+    [total] = estimate_event_time_error(lor, forward, qe, t_c).total
+    eff_evt = total / (t_c - t_ref)
 
     report(3, "effectivity in [0.85, 1.15] vs 1e5-step reference", [
         (f"harmonic standard QoI, 54 intervals ({eff_std:.3f})",
@@ -241,14 +241,16 @@ def test_criterion_9_property_suite():
     model = OdeMlmcModel(exp)
     mesh = exp.initial_mesh()
     level = LevelState(0, mesh, None, 1.0, None)
-    _, decomps = take_sample(model, level, 0, np.arange(8), want_estimate=True)
+    rows, contributions = take_sample(model, level, 0, np.arange(8),
+                                      want_estimate=True)
     # uniform and dwr split intervals in place, so every node survives; meso
     # re-tiles each region uniformly, so its guarantee is that no region's
     # node density ever decreases
     monotone = True
     prev_density = mesh.n_intervals / mesh.length
     for strategy in STRATEGIES:
-        new_mesh, regions = build_next_mesh(mesh, level.regions, decomps,
+        new_mesh, regions = build_next_mesh(mesh, level.regions, contributions,
+                                            rows["error_estimate"][rows["ok"]],
                                             RefinementConfig(strategy=strategy))
         if strategy == "meso":
             breaks, counts = regions

@@ -298,6 +298,30 @@ initial_intervals = {value}
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("experiment,value,message", [
+        # 8e14 bytes (728 TiB) of nodes: beyond any process's address space
+        ("harmonic-standard", 10 ** 14, "asks for more nodes than memory holds"),
+        ("advection-diffusion-1d", 10 ** 14, "asks for more nodes than memory holds"),
+        # more nodes than one array can index
+        ("lorenz", 10 ** 19, "is outside [1, "),
+    ])
+    def test_too_many_rejected(self, tmp_path, capsys, experiment, value, message):
+        """A count whose mesh cannot be allocated is a config error at its
+        line, refused before any allocation succeeds."""
+        config = write_config(tmp_path, f"""\
+[run]
+experiment = {experiment}
+epsilon = 100
+initial_intervals = {value}
+""")
+        code = run_cli("run", "--config", config,
+                       "--output-dir", str(tmp_path / "out"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}:4: initial_intervals = {value} ")
+        assert message in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("experiment,value,elems", [
         ("harmonic-standard", 1, "1"),
         ("advection-diffusion-1d", 2, "2"),
@@ -394,6 +418,28 @@ class TestRunSettingsRejected:
         lines = capsys.readouterr().out.splitlines()
         assert code == 1 and ",FAILED," in lines[1]
         assert "meso_target_multiplier" in lines[1]
+
+
+    @pytest.mark.parametrize("setting,target", [
+        ("epsilon = 1e-14", "2.01e+13"),   # 146 TiB of draw indices
+        ("epsilon = 1e-30", "2.01e+29"),   # more than one array can index
+        ("n_schedule = 100000000000000", "1e+14"),  # 728 TiB of indices
+    ])
+    def test_huge_sample_target(self, tmp_path, capsys, setting, target):
+        """A sample target whose draw indices cannot be held fails at once,
+        before any allocation succeeds: one error line naming the target and
+        a FAILED row under compare."""
+        config = write_config(tmp_path, "[run]\nexperiment = harmonic-standard\n"
+                              f"{setting}\n")
+        out_dir = tmp_path / "out"
+        code = run_cli("run", "--config", config, "--output-dir", str(out_dir))
+        err = capsys.readouterr().err
+        assert code == 1 and not out_dir.exists()
+        assert err == f"error: cannot take {target} samples on level 0\n"
+        code = run_cli("compare", "--configs", config)
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1 and ",FAILED," in lines[1]
+        assert f"cannot take {target} samples" in lines[1]
 
 
 class TestDeterminism:

@@ -1,4 +1,6 @@
 """MLMC driver statistics, allocation, and adaptive-loop behavior."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -128,10 +130,10 @@ class SyntheticModel:
         q = x * mesh.n_intervals
         if self.fail is not None:
             q = np.where(self.fail(x), np.nan, q)
-        decomps = [ErrorDecomposition(
-            np.full(mesh.n_intervals, self.estimate / mesh.n_intervals))
-            if want_estimate else None for _ in x]
-        return q, decomps
+        if not want_estimate:
+            return q, None
+        c = np.full((len(x), mesh.n_intervals), self.estimate / mesh.n_intervals)
+        return q, ErrorDecomposition(c, c.sum(axis=1), np.ones(len(x)))
 
 
 def draw(level, index, seed=0):
@@ -144,26 +146,27 @@ class TestTakeSample:
         model = SyntheticModel()
         state = LevelState(1, uniform_mesh(1.0, 4), uniform_mesh(1.0, 2),
                            3.0, [])
-        [rec], decomps = take_sample(model, state, 0, [0], want_estimate=False)
+        [rec], contributions = take_sample(model, state, 0, [0], want_estimate=False)
         assert rec["ok"] and rec["level"] == 1 and rec["index"] == 0
         assert rec["y"] == pytest.approx(rec["q_fine"] - rec["q_coarse"])
         assert rec["q_fine"] == pytest.approx(2.0 * rec["q_coarse"])
         assert np.isnan(rec["error_estimate"]) and np.isnan(rec["denominator"])
-        assert decomps == []
+        assert contributions is None
 
     def test_level_zero_has_no_coarse_term(self):
         model = SyntheticModel()
         state = LevelState(0, uniform_mesh(1.0, 4), None, 1.0, [])
-        [rec], [decomp] = take_sample(model, state, 0, [0], want_estimate=True)
+        [rec], contributions = take_sample(model, state, 0, [0], want_estimate=True)
         assert rec["q_coarse"] == 0.0
-        assert rec["error_estimate"] == decomp.total
-        assert rec["denominator"] == decomp.denominator == 1.0
+        assert contributions.shape == (1, 4)
+        assert rec["error_estimate"] == contributions.sum() == 1e-9
+        assert rec["denominator"] == 1.0
 
     def test_failure_marks_record(self):
         model = SyntheticModel(fail=fail_all)
         state = LevelState(0, uniform_mesh(1.0, 4), None, 1.0, [])
-        [rec], decomps = take_sample(model, state, 0, [0], want_estimate=True)
-        assert not rec["ok"] and decomps == []
+        [rec], contributions = take_sample(model, state, 0, [0], want_estimate=True)
+        assert not rec["ok"] and contributions.shape == (0, 4)
         # a failed row carries no values
         assert all(np.isnan(rec[name]) for name in
                    ("q_fine", "q_coarse", "y", "error_estimate", "denominator"))
@@ -172,16 +175,18 @@ class TestTakeSample:
         model = SyntheticModel(estimate=float("inf"))
         state = LevelState(0, uniform_mesh(1.0, 4), None, 1.0, [])
         [ok], _ = take_sample(model, state, 0, [0], want_estimate=False)
-        [failed], decomps = take_sample(model, state, 0, [0], want_estimate=True)
-        assert ok["ok"] and not failed["ok"] and decomps == []
+        [failed], contributions = take_sample(model, state, 0, [0],
+                                              want_estimate=True)
+        assert ok["ok"] and not failed["ok"] and contributions.shape == (0, 4)
 
     def test_one_evaluate_call_per_mesh_and_chunk(self):
         model = SyntheticModel()
         state = LevelState(2, uniform_mesh(1.0, 4), uniform_mesh(1.0, 2),
                            3.0, [])
-        rows, decomps = take_sample(model, state, 7, [5, 6, 9], want_estimate=True)
+        rows, contributions = take_sample(model, state, 7, [5, 6, 9],
+                                          want_estimate=True)
         assert model.chunks == [3, 3]
-        assert rows["index"].tolist() == [5, 6, 9] and len(decomps) == 3
+        assert rows["index"].tolist() == [5, 6, 9] and len(contributions) == 3
         for r in rows:
             assert r["q_fine"] == 4.0 * draw(2, r["index"], seed=7)
 
@@ -200,20 +205,21 @@ class TestTakeSample:
 
     def test_failed_draw_leaves_its_chunk_mates_untouched(self):
         """Failing rows fail alone; the others equal their single-draw row,
-        bit for bit, and only their decompositions are returned."""
+        bit for bit, and only their contributions are returned."""
         indices = [i for i in range(60) if draw(1, i) < 0.05][:2] + \
             [i for i in range(60) if draw(1, i) >= 0.05][:5]
         state = LevelState(1, uniform_mesh(1.0, 4), uniform_mesh(1.0, 2),
                            3.0, [])
         model = SyntheticModel(fail=fail_below)
-        rows, decomps = take_sample(model, state, 0, indices, want_estimate=True)
+        rows, contributions = take_sample(model, state, 0, indices,
+                                          want_estimate=True)
         assert rows["ok"].tolist() == [False] * 2 + [True] * 5
-        assert len(decomps) == 5
-        for r, decomp in zip(rows[2:], decomps):
-            [alone], [alone_decomp] = take_sample(SyntheticModel(), state, 0,
-                                                  [r["index"]], True)
+        assert len(contributions) == 5
+        for r, row in zip(rows[2:], contributions):
+            [alone], alone_contributions = take_sample(SyntheticModel(), state, 0,
+                                                       [r["index"]], True)
             assert r.tobytes() == alone.tobytes()
-            assert np.array_equal(decomp.contributions, alone_decomp.contributions)
+            assert np.array_equal(row[None], alone_contributions)
 
 
 class TestFill:
@@ -235,6 +241,36 @@ class TestFill:
         assert max(model.chunks) <= CHUNK_SIZE
         assert level.samples["index"].tolist() == list(range(target))
         assert runner.sample_log.tobytes() == level.samples.tobytes()
+        assert level.contributions == []
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_contributions_follow_the_ok_rows(self, jobs):
+        """The kept contribution rows are the ok rows', in table order: the
+        matrix and totals that build the next mesh."""
+        model = SyntheticModel(fail=fail_below)
+        cfg = MlmcRunConfig(epsilon=1.0, initial_mesh=uniform_mesh(1.0, 4),
+                            jobs=jobs, max_failure_rate=0.5)
+        runner = _Runner(model, cfg)
+        level = LevelState(0, cfg.initial_mesh, None, 1.0, None)
+        try:
+            runner.fill(level, 2 * CHUNK_SIZE + 5, want_estimate=True)
+        finally:
+            runner.close()
+        contributions = np.concatenate(level.contributions)
+        assert not level.samples["ok"].all()
+        assert contributions.shape == (2 * CHUNK_SIZE + 5, 4)
+        assert np.array_equal(contributions.sum(axis=1), level.ok("error_estimate"))
+
+    @pytest.mark.parametrize("target", [2 ** 62, 10 ** 30])
+    def test_target_beyond_an_index_array(self, target):
+        """A target whose indices no array can hold fails before any draw."""
+        model = SyntheticModel()
+        cfg = MlmcRunConfig(epsilon=1.0, initial_mesh=uniform_mesh(1.0, 2))
+        runner = _Runner(model, cfg)
+        level = LevelState(0, cfg.initial_mesh, None, 1.0, None)
+        with pytest.raises(MlmcError, match=re.escape(f"cannot take {target:.3g} ")):
+            runner.fill(level, target, want_estimate=False)
+        assert model.chunks == [] and len(level.samples) == 0
 
 
 class TestRunConfigValidation:

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from adaptive_mlmc.error_estimation import (ErrorDecomposition, accumulate,
+from adaptive_mlmc.error_estimation import (ErrorDecomposition,
                                             estimate_event_time_error,
                                             estimate_standard_error)
 from adaptive_mlmc.meshes import uniform_mesh
@@ -37,16 +37,31 @@ def reference_event_time(problem, psi, threshold, occurrence):
 
 class TestErrorDecomposition:
     def test_total_scales_by_denominator(self):
-        d = ErrorDecomposition(np.array([1.0, 2.0, 3.0]), 2.0)
-        assert d.total == pytest.approx(3.0)
+        """An event-time total is its row's sum over its denominator, bit for
+        bit; a standard one has denominator 1."""
+        problem = harmonic_oscillator(50.0, 0.25)
+        forward = solve_forward_cg1(problem, uniform_mesh(3.0, 36))
+        q = NonstandardQoi(np.array([1.0, 0.0]), 0.0, occurrence=5)
+        [t_c] = eval_event_time(forward, q)
+        d = estimate_event_time_error(problem, forward, q, t_c)
+        assert d.contributions.shape[0] == d.total.size == d.denominator.size == 1
+        assert d.denominator[0] not in (0.0, 1.0)
+        assert d.total[0] == d.contributions[0].sum() / d.denominator[0]
+        d = estimate_standard_error(problem, forward, StandardQoi(q.psi, 3.0))
+        assert d.total[0] == d.contributions[0].sum() and d.denominator[0] == 1.0
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ValueError):
-            ErrorDecomposition(np.array([1.0]), 0.0)
+            ErrorDecomposition(np.ones((2, 1)), [1.0, 0.0], [1.0, 0.0])
 
-    def test_accumulate_absolute_partial_sums(self):
-        d = ErrorDecomposition(np.array([1.0, -1.0, 1.0]))
-        np.testing.assert_allclose(accumulate(d.contributions), [1.0, 0.0, 1.0])
+    def test_arrays_are_read_only(self):
+        contributions = np.array([[1.0, 2.0], [3.0, np.nan]])
+        d = ErrorDecomposition(contributions, [3.0, 3.0], [1.0, 1.0])
+        for array in (d.contributions, d.total, d.denominator):
+            assert array.dtype == float and not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        assert np.array_equal(d.contributions, contributions, equal_nan=True)
 
 
 class TestStandardEstimate:
@@ -55,18 +70,18 @@ class TestStandardEstimate:
         problem = harmonic_oscillator(50.0, 0.25)
         q = StandardQoi(np.array([1.0, 0.0]), 3.0)
         forward = solve_forward_cg1(problem, uniform_mesh(3.0, n))
-        [decomp] = estimate_standard_error(problem, forward, q)
+        decomp = estimate_standard_error(problem, forward, q)
         ref = reference_solution(problem)
         true_error = float(ref.sol(3.0) @ q.psi) - eval_standard(forward, q)[0]
-        assert decomp.total / true_error == pytest.approx(1.0, abs=window)
+        assert decomp.total[0] / true_error == pytest.approx(1.0, abs=window)
 
     def test_one_contribution_per_interval(self):
         problem = harmonic_oscillator(50.0, 0.25)
         forward = solve_forward_cg1(problem, uniform_mesh(3.0, 27))
-        [decomp] = estimate_standard_error(problem, forward,
-                                           StandardQoi(np.array([1.0, 0.0]), 3.0))
-        assert decomp.contributions.shape == (27,)
-        assert decomp.denominator == 1.0
+        decomp = estimate_standard_error(problem, forward,
+                                         StandardQoi(np.array([1.0, 0.0]), 3.0))
+        assert decomp.contributions.shape == (1, 27)
+        assert decomp.denominator.tolist() == [1.0]
 
 
 class TestEventTimeEstimate:
@@ -93,7 +108,7 @@ class TestEventTimeEstimate:
         t_true = 1.0 / c
         assert t_c == pytest.approx(1.0 / (c * (1.0 - gamma)))
         decomp = estimate_event_time_error(problem, slowed, q, t_c)
-        assert decomp.total == pytest.approx(t_c - t_true, rel=1e-12)
+        assert decomp.total[0] == pytest.approx(t_c - t_true, rel=1e-12)
 
     def test_oscillator_effectivity_improves(self):
         problem = harmonic_oscillator(50.0, 0.25)
@@ -104,7 +119,7 @@ class TestEventTimeEstimate:
             forward = solve_forward_cg1(problem, uniform_mesh(3.0, n))
             [t_c] = eval_event_time(forward, q)
             decomp = estimate_event_time_error(problem, forward, q, t_c)
-            effs.append(decomp.total / (t_c - t_true))
+            effs.append(decomp.total[0] / (t_c - t_true))
         assert effs[-1] == pytest.approx(1.0, abs=0.1)
         assert abs(effs[-1] - 1.0) < abs(effs[0] - 1.0) + 1e-12
 
@@ -115,7 +130,7 @@ class TestEventTimeEstimate:
         forward = solve_forward_cg1(problem, uniform_mesh(2.0, 192))
         [t_c] = eval_event_time(forward, q)
         decomp = estimate_event_time_error(problem, forward, q, t_c)
-        assert decomp.total / (t_c - t_true) == pytest.approx(1.0, abs=0.15)
+        assert decomp.total[0] / (t_c - t_true) == pytest.approx(1.0, abs=0.15)
 
     def test_grazing_event_is_nan(self):
         """A crossing with zero approach velocity has no linearization: the
@@ -130,4 +145,4 @@ class TestEventTimeEstimate:
         decomp = estimate_event_time_error(problem, flat,
                                            NonstandardQoi(np.array([1.0]), 0.5),
                                            0.5)
-        assert not np.isfinite(decomp.total)
+        assert np.isnan(decomp.denominator).all() and np.isnan(decomp.total).all()

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import ode_reference
+from adaptive_mlmc.error_estimation import (estimate_event_time_error,
+                                            estimate_standard_error)
 from adaptive_mlmc.experiments import (EXPERIMENT_NAMES, OdeExperiment,
                                        OdeMlmcModel, get_experiment)
 from adaptive_mlmc.meshes import uniform_mesh
@@ -90,17 +92,18 @@ class TestOdeMlmcModel:
         W = np.array([[50.0, 0.25], [49.0, 0.26]])
         q1, d1 = model.evaluate(W, exp.initial_mesh(), False)
         q2, d2 = model.evaluate(W, exp.initial_mesh(), True)
-        assert d1 == [None, None]
-        assert all(d is not None for d in d2)
+        assert d1 is None
+        assert d2.contributions.shape == (2, 27) and np.isfinite(d2.total).all()
         np.testing.assert_array_equal(q1, q2)
 
     def test_event_time_model(self):
         exp = get_experiment("lorenz")
         model = OdeMlmcModel(exp)
-        [q], [d] = model.evaluate(np.array([[1.0]]), exp.initial_mesh(), True)
+        [q], d = model.evaluate(np.array([[1.0]]), exp.initial_mesh(), True)
         assert 0.0 < q < 2.0
         # the event-time linearization scalar, not a standard QoI's 1
-        assert np.isfinite(d.denominator) and d.denominator not in (0.0, 1.0)
+        [denominator] = d.denominator
+        assert np.isfinite(denominator) and denominator not in (0.0, 1.0)
 
     def test_missing_event_is_nan_in_its_row(self):
         exp = get_experiment("lorenz")
@@ -110,17 +113,17 @@ class TestOdeMlmcModel:
         forward = solve_forward_cg1(exp.make_problem(np.array([[1.0]])),
                                     exp.initial_mesh())
         assert np.isnan(eval_event_time(forward, impossible.qoi)).all()
-        # the model gives a NaN QoI and no decomposition for that draw
+        # the model gives a NaN QoI and an all-NaN decomposition row
         q, d = OdeMlmcModel(impossible).evaluate(np.array([[1.0], [0.5]]),
                                                  exp.initial_mesh(), True)
-        assert np.isnan(q).all() and d == [None, None]
+        assert np.isnan(q).all() and all_nan(d, [0, 1])
         # theta = 0 keeps x at 0, so the preset's crossing never happens
         q, d = model.evaluate(np.array([[0.0], [1.0]]), exp.initial_mesh(),
                               True)
-        [q_alone], [d_alone] = model.evaluate(np.array([[1.0]]),
-                                              exp.initial_mesh(), True)
-        assert np.isnan(q[0]) and d[0] is None
-        assert q[1] == q_alone and d[1].total == d_alone.total
+        [q_alone], d_alone = model.evaluate(np.array([[1.0]]),
+                                            exp.initial_mesh(), True)
+        assert np.isnan(q[0]) and all_nan(d, [0])
+        assert q[1] == q_alone and d.total[1] == d_alone.total[0]
 
     def test_finer_mesh_changes_qoi_less(self):
         """Successive refinements converge: |Q_4h - Q_2h| > |Q_2h - Q_h|."""
@@ -134,6 +137,12 @@ class TestOdeMlmcModel:
         assert diffs[2] < diffs[1] < diffs[0]
 
 
+def all_nan(d, rows):
+    """Rows `rows` of the decomposition carry no estimate: NaN contributions
+    and totals (a standard QoI's denominator stays 1)."""
+    return np.isnan(d.contributions[rows]).all() and np.isnan(d.total[rows]).all()
+
+
 def chunk(name, rows=40, seed=3):
     exp = get_experiment(name)
     return exp, sample_parameters(exp.distributions, seed, 1, np.arange(rows))
@@ -142,20 +151,19 @@ def chunk(name, rows=40, seed=3):
 def dwr_mesh(exp, W):
     """The DWR refinement of the initial mesh driven by the chunk's estimates."""
     mesh = exp.initial_mesh()
-    _, decomps = OdeMlmcModel(exp).evaluate(W, mesh, True)
-    new_mesh, _ = build_next_mesh(mesh, None,
-                                  [d for d in decomps if d is not None],
+    _, d = OdeMlmcModel(exp).evaluate(W, mesh, True)
+    ok = np.isfinite(d.total)
+    new_mesh, _ = build_next_mesh(mesh, None, d.contributions[ok], d.total[ok],
                                   RefinementConfig(strategy="dwr"))
     return new_mesh
 
 
-def assert_row_equal(qk, dk, q, d):
-    """Bitwise equality of one row's QoI and decomposition."""
-    assert np.array_equal(qk, q, equal_nan=True)
-    assert (dk is None) == (d is None)
-    if d is not None:
-        assert np.array_equal(dk.contributions, d.contributions, equal_nan=True)
-        assert np.array_equal(dk.denominator, d.denominator)
+def assert_row_equal(q_alone, d_alone, q, d, k):
+    """Bitwise equality of a one-row call with row k of the chunk's."""
+    assert np.array_equal(q_alone, q[k:k + 1], equal_nan=True)
+    for name in ("contributions", "total", "denominator"):
+        assert np.array_equal(getattr(d_alone, name), getattr(d, name)[k:k + 1],
+                              equal_nan=True)
 
 
 class TestBatchedOracle:
@@ -168,11 +176,10 @@ class TestBatchedOracle:
         exp, W = chunk(name)
         mesh = dwr_mesh(exp, W) if refined else exp.initial_mesh()
         model = OdeMlmcModel(exp)
-        q, decomps = model.evaluate(W, mesh, True)
+        q, d = model.evaluate(W, mesh, True)
         assert np.isfinite(q).sum() >= len(W) - 2
         for k in range(len(W)):
-            [qk], [dk] = model.evaluate(W[k:k + 1], mesh, True)
-            assert_row_equal(qk, dk, q[k], decomps[k])
+            assert_row_equal(*model.evaluate(W[k:k + 1], mesh, True), q, d, k)
         q_plain, _ = model.evaluate(W, mesh, False)
         assert np.array_equal(q_plain, q, equal_nan=True)
 
@@ -181,22 +188,48 @@ class TestBatchedOracle:
     def test_matches_per_row_reference(self, name, refined):
         exp, W = chunk(name)
         mesh = dwr_mesh(exp, W) if refined else exp.initial_mesh()
-        q, decomps = OdeMlmcModel(exp).evaluate(W, mesh, True)
+        q, d = OdeMlmcModel(exp).evaluate(W, mesh, True)
         for k, w in enumerate(W):
             try:
                 value, contributions, denominator = ode_reference.sample(
                     exp.make_problem(w[None]), mesh, exp.qoi)
             except ode_reference.RowFailed:
                 # a missing crossing is a NaN QoI, a grazing one a NaN estimate
-                assert (np.isnan(q[k]) and decomps[k] is None) or \
-                    not np.isfinite(decomps[k].total)
+                assert (np.isnan(q[k]) and all_nan(d, [k])) or np.isnan(d.total[k])
                 continue
             np.testing.assert_allclose(q[k], value, rtol=1e-12)
             scale = np.abs(contributions).max()
-            np.testing.assert_allclose(decomps[k].contributions, contributions,
+            n = contributions.size  # an event-time row stops at its crossing
+            np.testing.assert_allclose(d.contributions[k, :n], contributions,
                                        rtol=0.0, atol=1e-9 * scale)
-            np.testing.assert_allclose(decomps[k].denominator, denominator,
-                                       rtol=1e-9)
+            assert np.isnan(d.contributions[k, n:]).all()
+            np.testing.assert_allclose(d.denominator[k], denominator, rtol=1e-9)
+
+    @pytest.mark.parametrize("name", ODE_PRESETS)
+    def test_rows_equal_one_row_estimates(self, name):
+        """Each row of the chunk's decomposition is, bit for bit, the one-row
+        estimate of that draw's own trajectory, NaN past its own end; a row
+        without a QoI is NaN throughout."""
+        exp, W = chunk(name)
+        # theta = 0 never crosses (lorenz) or collides (two-body); m = 20
+        # slows the oscillator below five crossings; m < 0 blows it up
+        W[5] = {"lorenz": 0.0, "two-body": 0.0, "harmonic-nonstandard": (50.0, 20.0),
+                "harmonic-standard": (50.0, -0.25)}[name]
+        mesh = exp.initial_mesh()
+        q, d = OdeMlmcModel(exp).evaluate(W, mesh, True)
+        assert np.isnan(q[5]) and all_nan(d, [5])
+        for k in np.flatnonzero(np.isfinite(q)):
+            problem = exp.make_problem(W[k:k + 1])
+            forward = solve_forward_cg1(problem, mesh)
+            alone = estimate_standard_error(problem, forward, exp.qoi) \
+                if isinstance(exp.qoi, StandardQoi) \
+                else estimate_event_time_error(problem, forward, exp.qoi, q[k])
+            n = alone.contributions.shape[1]
+            assert np.array_equal(d.contributions[k, :n], alone.contributions[0])
+            assert np.isnan(d.contributions[k, n:]).all()
+            assert np.array_equal(d.total[k:k + 1], alone.total, equal_nan=True)
+            assert np.array_equal(d.denominator[k:k + 1], alone.denominator,
+                                  equal_nan=True)
 
 
 def synthetic_experiment(make_problem):
@@ -212,13 +245,12 @@ class TestFailureIsolation:
 
     def assert_isolated(self, exp, W, bad, mesh):
         model = OdeMlmcModel(exp)
-        q, decomps = model.evaluate(W, mesh, True)
+        q, d = model.evaluate(W, mesh, True)
         assert np.flatnonzero(np.isnan(q)).tolist() == [bad]
-        assert decomps[bad] is None or not np.isfinite(decomps[bad].total)
+        assert all_nan(d, [bad])
         for k in range(len(W)):
             if k != bad:
-                [qk], [dk] = model.evaluate(W[k:k + 1], mesh, True)
-                assert_row_equal(qk, dk, q[k], decomps[k])
+                assert_row_equal(*model.evaluate(W[k:k + 1], mesh, True), q, d, k)
 
     def test_missing_fifth_crossing(self):
         """m = 20 slows the oscillator to fewer than five zero crossings."""

@@ -6,18 +6,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import decomposition_reference as per_row
 import mesh_reference
 import meso_reference as ref
-from adaptive_mlmc.error_estimation import ErrorDecomposition, accumulate
 from adaptive_mlmc.meshes import Mesh1D, uniform_mesh
 from adaptive_mlmc.refinement import (CHUNK_SIZE, RefinementConfig, allocate_meso,
                                       build_next_mesh, dwr_select,
-                                      find_meso_regions,
-                                      refine_dwr_multisample, refine_meso)
+                                      find_meso_regions, refine_meso)
 
 
 def decomp(*values):
-    return ErrorDecomposition(np.array(values, dtype=float))
+    """One row of contributions as a (1, n) matrix."""
+    return np.array([values], dtype=float)
+
+
+def accumulate(contributions):
+    """The accumulated error profile E_k = |sum_{i<=k} e_i| meso splits."""
+    return np.abs(np.cumsum(contributions))
+
+
+def refine_dwr(mesh, contributions, cfg):
+    """The DWR mesh `build_next_mesh` builds from the rows (M, n)."""
+    out, regions = build_next_mesh(mesh, None, contributions,
+                                   np.nansum(contributions, axis=1), cfg)
+    assert regions is None
+    return out
 
 
 class TestConfigValidation:
@@ -45,17 +58,17 @@ class TestConfigValidation:
 class TestDwrSelect:
     def test_half_fraction_hand_case(self):
         # |contributions| = (3, 5, 1); ceil(0.5 * 3) = 2 -> indices {1, 0}
-        assert dwr_select([decomp(3.0, -5.0, 1.0)], 0.5).tolist() == [0, 1]
+        assert dwr_select(decomp(3.0, -5.0, 1.0), 0.5).tolist() == [0, 1]
 
     def test_fraction_one_selects_all(self):
-        assert dwr_select([decomp(1.0, 2.0, 3.0)], 1.0).tolist() == [0, 1, 2]
+        assert dwr_select(decomp(1.0, 2.0, 3.0), 1.0).tolist() == [0, 1, 2]
 
     def test_ties_break_to_lower_index(self):
-        assert dwr_select([decomp(2.0, 2.0, 2.0)], 0.5).tolist() == [0, 1]
+        assert dwr_select(decomp(2.0, 2.0, 2.0), 0.5).tolist() == [0, 1]
 
     def test_ceil_of_fraction(self):
         # ceil(0.25 * 5) = 2
-        assert len(dwr_select([decomp(5, 4, 3, 2, 1)], 0.25)) == 2
+        assert len(dwr_select(decomp(5, 4, 3, 2, 1), 0.25)) == 2
 
     @given(st.lists(st.sampled_from([0.0, -1.0, 1.0, 2.5, -2.5, 7.0]),
                     min_size=1, max_size=30),
@@ -67,15 +80,15 @@ class TestDwrSelect:
         mags = np.abs(values)
         order = sorted(range(mags.size), key=lambda i: (-mags[i], i))
         expected = sorted(order[:int(np.ceil(fraction * mags.size))])
-        assert dwr_select([decomp(*values)], fraction).tolist() == expected
+        assert dwr_select(decomp(*values), fraction).tolist() == expected
 
     @given(st.lists(st.floats(-10, 10), min_size=1, max_size=30),
            st.floats(0.05, 1.0))
     @settings(max_examples=60, deadline=None)
     def test_selected_dominate_unselected(self, values, fraction):
         d = decomp(*values)
-        picked = set(dwr_select([d], fraction).tolist())
-        mags = np.abs(d.contributions)
+        picked = set(dwr_select(d, fraction).tolist())
+        mags = np.abs(d[0])
         if picked and len(picked) < mags.size:
             smallest_picked = min(mags[i] for i in picked)
             largest_left = max(mags[i] for i in range(mags.size)
@@ -87,21 +100,20 @@ class TestDwrMultisample:
     def test_single_sample_matches_select(self):
         mesh = uniform_mesh(3.0, 3)
         cfg = RefinementConfig(strategy="dwr", dwr_fraction=0.5, dwr_factor=3)
-        out = refine_dwr_multisample(mesh, [decomp(3.0, -5.0, 1.0)], cfg)
+        out = refine_dwr(mesh, decomp(3.0, -5.0, 1.0), cfg)
         # intervals 0 and 1 split in 3, interval 2 kept
         assert out.n_intervals == 3 + 2 * 2
 
     def test_union_over_samples(self):
         mesh = uniform_mesh(4.0, 4)
         cfg = RefinementConfig(strategy="dwr", dwr_fraction=0.25, dwr_factor=2)
-        out = refine_dwr_multisample(
-            mesh, [decomp(9, 0, 0, 0), decomp(0, 0, 0, 9)], cfg)
+        out = refine_dwr(mesh, np.array([[9, 0, 0, 0], [0, 0, 0, 9]], float), cfg)
         assert out.n_intervals == 6
 
     def test_needs_a_decomposition(self):
         with pytest.raises(ValueError):
-            refine_dwr_multisample(uniform_mesh(1.0, 2), [],
-                                   RefinementConfig(strategy="dwr"))
+            refine_dwr(uniform_mesh(1.0, 2), np.zeros((0, 2)),
+                       RefinementConfig(strategy="dwr"))
 
     @given(st.lists(st.lists(st.floats(-5, 5), min_size=6, max_size=6),
                     min_size=1, max_size=5))
@@ -109,20 +121,29 @@ class TestDwrMultisample:
     def test_more_samples_never_coarser(self, profiles):
         mesh = uniform_mesh(3.0, 6)
         cfg = RefinementConfig(strategy="dwr", dwr_fraction=0.5, dwr_factor=2)
-        decomps = [decomp(*p) for p in profiles]
-        fewer = refine_dwr_multisample(mesh, decomps[:1], cfg)
-        more = refine_dwr_multisample(mesh, decomps, cfg)
+        decomps = np.array(profiles)
+        fewer = refine_dwr(mesh, decomps[:1], cfg)
+        more = refine_dwr(mesh, decomps, cfg)
         assert set(fewer.nodes.tolist()) <= set(more.nodes.tolist())
 
 
-def per_row_union(decomps, fraction):
+def per_row_union(profiles, fraction):
     """np.unique of every row's own one-row `dwr_select`."""
-    return np.unique(np.concatenate([dwr_select([d], fraction) for d in decomps]))
+    return np.unique(np.concatenate([dwr_select(decomp(*p), fraction)
+                                     for p in profiles]))
+
+
+def ragged_rows(seed, n_rows, n):
+    """Rows of lengths 1..n from few values (ties and zeros), NaN-padded."""
+    rng = np.random.default_rng(seed)
+    return [rng.choice([0.0, 0.0, -1.0, 1.0, 2.5, -2.5, 7.0], size=size)
+            for size in rng.integers(1, n + 1, size=n_rows)]
 
 
 class TestBlockedDwrSelection:
-    """The level-wide selection (rows grouped by length, stacked in blocks of
-    at most CHUNK_SIZE) is the union of the one-row selections."""
+    """The level-wide selection (NaN-padded rows sorted in blocks of at most
+    CHUNK_SIZE) is the union of the one-row selections and equals the per-row
+    path that grouped rows by length, bit for bit."""
 
     @given(st.lists(st.lists(st.sampled_from([0.0, -1.0, 1.0, 2.5, -2.5, 7.0]),
                              min_size=1, max_size=12),
@@ -130,13 +151,26 @@ class TestBlockedDwrSelection:
            st.sampled_from([0.05, 0.25, 0.5, 0.7, 1.0]))
     @settings(max_examples=100, deadline=None)
     def test_ragged_rows_with_ties(self, profiles, fraction):
-        decomps = [decomp(*p) for p in profiles]
-        union = per_row_union(decomps, fraction)
+        union = per_row_union(profiles, fraction)
+        decomps = per_row.pad(profiles, 12)
         assert np.array_equal(dwr_select(decomps, fraction), union)
+        assert np.array_equal(union, per_row.dwr_select(profiles, fraction))
         mesh = uniform_mesh(2.0, 12)
         cfg = RefinementConfig(strategy="dwr", dwr_fraction=fraction, dwr_factor=2)
-        assert np.array_equal(refine_dwr_multisample(mesh, decomps, cfg).nodes,
+        assert np.array_equal(refine_dwr(mesh, decomps, cfg).nodes,
                               mesh_reference.refine_intervals(mesh, union, 2).nodes)
+
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([1, 2, CHUNK_SIZE - 1, CHUNK_SIZE, CHUNK_SIZE + 1,
+                            2 * CHUNK_SIZE + 3]),
+           st.integers(1, 16),
+           st.sampled_from([1e-3, 0.05, 0.25, 0.5, 0.7, 1.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_row_reference(self, seed, n_rows, n, fraction):
+        """Ragged NaN-padded rows with ties and zeros, across block edges."""
+        profiles = ragged_rows(seed, n_rows, n)
+        assert np.array_equal(dwr_select(per_row.pad(profiles), fraction),
+                              per_row.dwr_select(profiles, fraction))
 
     @pytest.mark.parametrize("fraction", [1e-3, 0.3, 1.0])
     def test_rows_across_block_edges(self, fraction):
@@ -146,17 +180,19 @@ class TestBlockedDwrSelection:
         n = n_rows + 7
         rows = np.random.default_rng(4).choice([0.0, 0.5, -0.5], size=(n_rows, n))
         rows[np.arange(n_rows), np.arange(n_rows)] = 9.0
-        decomps = [ErrorDecomposition(r) for r in rows]
-        decomps += [ErrorDecomposition(r[:k]) for r, k in zip(rows, (1, 5, 300))]
-        selected = dwr_select(decomps, fraction)
-        assert np.array_equal(selected, per_row_union(decomps, fraction))
+        profiles = list(rows) + [r[:k] for r, k in zip(rows, (1, 5, 300))]
+        selected = dwr_select(per_row.pad(profiles), fraction)
+        assert np.array_equal(selected, per_row_union(profiles, fraction))
+        assert np.array_equal(selected, per_row.dwr_select(profiles, fraction))
         assert set(range(n_rows)) <= set(selected.tolist())
         if fraction == 1.0:
             assert np.array_equal(selected, np.arange(n))
 
     def test_empty_row_rejected(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            dwr_select([decomp(1.0), decomp()], 0.5)
+        with pytest.raises(ValueError, match="empty row"):
+            dwr_select(per_row.pad([[1.0], []]), 0.5)
+        with pytest.raises(ValueError, match="at least one row"):
+            dwr_select(np.zeros((0, 3)), 0.5)
 
 
 def regions(*sizes_and_errors):
@@ -266,10 +302,11 @@ class TestAllocateMeso:
         assert allocate_meso(sizes, errors, n_hat, q).tolist() == want
 
 
-def reference_refine_meso(prev_mesh, prev_spans, decomp, cfg):
-    """The object-based refine_meso on MesoRegion and RegionSpan lists."""
+def reference_refine_meso(prev_mesh, prev_spans, contributions, cfg):
+    """The object-based refine_meso on MesoRegion and RegionSpan lists; a
+    row shorter than the mesh is zero-padded."""
     padded = np.zeros(prev_mesh.n_intervals)
-    padded[:decomp.contributions.size] = decomp.contributions
+    padded[:contributions.size] = contributions
     found = ref.find_meso_regions(accumulate(padded))
     n_hat = math.ceil(cfg.meso_target_multiplier * prev_mesh.n_intervals)
     counts = ref.allocate_meso(found, n_hat, cfg.meso_q)
@@ -282,20 +319,38 @@ def reference_refine_meso(prev_mesh, prev_spans, decomp, cfg):
 
 class TestRefineMeso:
     def test_flat_tail_event_profile(self):
-        # contributions shorter than the mesh (event-time samples) are
-        # zero-padded so the regions still tile the domain
+        # a NaN tail (an event-time sample stops at its crossing) or a row
+        # shorter than the mesh counts as zero, so regions tile the domain
         mesh = uniform_mesh(4.0, 8)
         cfg = RefinementConfig(strategy="meso")
-        d = decomp(0.5, 0.5, 0.5, 0.5)  # only 4 of 8 intervals
+        [d] = per_row.pad([[0.5, 0.5, 0.5, 0.5]], 8)  # only 4 of 8 intervals
         out, (breaks, counts) = refine_meso(mesh, None, d, cfg)
         assert breaks[-1] == 4.0
         assert out.n_intervals >= 8
+        for same in (d[:4], np.where(np.isnan(d), 0.0, d)):
+            short, tiling = refine_meso(mesh, None, same, cfg)
+            assert np.array_equal(short.nodes, out.nodes)
+            assert np.array_equal(tiling[1], counts)
+
+    def test_accumulate_absolute_partial_sums(self):
+        """Regions split the accumulated |sum_{i<=k} e_i|: (1, -1, 1) and
+        (-1, 1, -1) both give E = (1, 0, 1), split after interval 1, and only
+        the last region carries error; a NaN tail counts as zero."""
+        mesh = uniform_mesh(3.0, 3)
+        cfg = RefinementConfig(strategy="meso")
+        for row in ([1.0, -1.0, 1.0], [-1.0, 1.0, -1.0]):
+            _, (breaks, counts) = refine_meso(mesh, None, np.array(row), cfg)
+            assert breaks.tolist() == [0.0, 2.0, 3.0] and counts.tolist() == [2, 6]
+        # E = (1, 0, 0): no region carries error, so both are doubled
+        _, (breaks, counts) = refine_meso(mesh, None, np.array([1.0, -1.0, np.nan]),
+                                          cfg)
+        assert breaks.tolist() == [0.0, 2.0, 3.0] and counts.tolist() == [4, 2]
 
     def test_never_unrefines(self):
         mesh = uniform_mesh(4.0, 8)
         cfg = RefinementConfig(strategy="meso")
         rng = np.random.default_rng(0)
-        d = decomp(*rng.standard_normal(8))
+        d = rng.standard_normal(8)
         out, (breaks, counts) = refine_meso(mesh, None, d, cfg)
         # previous density was 2 per unit
         assert np.all(counts / np.diff(breaks) >= 2.0 - 1e-9)
@@ -310,7 +365,7 @@ class TestRefineMeso:
     def test_none_is_the_whole_domain(self):
         mesh = Mesh1D(np.array([0.0, 0.3, 1.0, 1.1, 2.5]))
         cfg = RefinementConfig(strategy="meso")
-        d = decomp(1.0, -0.5, 2.0, 0.25)
+        d = np.array([1.0, -0.5, 2.0, 0.25])
         out, tiling = refine_meso(mesh, None, d, cfg)
         whole = (np.array([0.0, 2.5]), np.array([4]))
         out_whole, tiling_whole = refine_meso(mesh, whole, d, cfg)
@@ -333,10 +388,11 @@ class TestRefineMeso:
         tiling, want_spans = None, [ref.RegionSpan(0.0, 3.0, n0)]
         for profile in profiles:
             # a profile shorter than the mesh is an event-time sample
-            d = decomp(*profile[:mesh.n_intervals])
+            short = np.array(profile[:mesh.n_intervals], dtype=float)
+            [d] = per_row.pad([short], mesh.n_intervals)
             mesh, tiling = refine_meso(mesh, tiling, d, cfg)
             want_mesh, want_spans = reference_refine_meso(want_mesh, want_spans,
-                                                          d, cfg)
+                                                          short, cfg)
             assert np.array_equal(mesh.nodes, want_mesh.nodes)
             assert np.array_equal(tiling[0], ref.tiling(want_spans)[0])
             assert np.array_equal(tiling[1], ref.tiling(want_spans)[1])
@@ -348,22 +404,46 @@ class TestBuildNextMesh:
     def test_uniform_dispatch(self):
         mesh = uniform_mesh(3.0, 27)
         cfg = RefinementConfig(strategy="uniform", uniform_factor=2)
-        out, regions = build_next_mesh(mesh, None, [], cfg)
+        out, regions = build_next_mesh(mesh, None, np.zeros((0, 27)),
+                                       np.zeros(0), cfg)
         assert out.n_intervals == 54
         assert regions is None
 
     def test_dwr_dispatch(self):
         mesh = uniform_mesh(3.0, 4)
         cfg = RefinementConfig(strategy="dwr", dwr_fraction=0.25, dwr_factor=2)
-        out, regions = build_next_mesh(mesh, None, [decomp(1, 9, 1, 1)], cfg)
+        out, regions = build_next_mesh(mesh, None, decomp(1, 9, 1, 1), [12.0], cfg)
         assert out.n_intervals == 5
         assert regions is None
 
     def test_meso_uses_worst_total(self):
         mesh = uniform_mesh(2.0, 4)
         cfg = RefinementConfig(strategy="meso")
-        mild = decomp(0.1, 0.1, 0.1, 0.1)
-        harsh = decomp(2.0, 2.0, 2.0, 2.0)
-        out, regions = build_next_mesh(mesh, None, [mild, harsh], cfg)
+        mild = [0.1, 0.1, 0.1, 0.1]
+        harsh = [2.0, 0.0, 0.0, 2.0]
+        out, regions = build_next_mesh(mesh, None, np.array([mild, harsh]),
+                                       np.array([0.4, 4.0]), cfg)
         assert regions is not None
         assert out.n_intervals >= 8  # target multiplier 2 on 4 intervals
+        want, want_regions = refine_meso(mesh, None, np.array(harsh), cfg)
+        assert np.array_equal(out.nodes, want.nodes)
+        assert np.array_equal(regions[1], want_regions[1])
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12),
+           st.lists(st.sampled_from([0.0, 1.0, -1.0, 2.0, -2.0, 0.5]),
+                    min_size=12, max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_meso_row_matches_per_row_reference(self, seed, n_rows, totals):
+        """Ties in |total| (x and -x, zeros) pick the first such row, as
+        `max` over the rows did."""
+        profiles = ragged_rows(seed, n_rows, 6)
+        totals = totals[:n_rows]
+        mesh = uniform_mesh(3.0, 6)
+        cfg = RefinementConfig(strategy="meso")
+        out, regions = build_next_mesh(mesh, None, per_row.pad(profiles, 6),
+                                       np.array(totals), cfg)
+        want, want_regions = refine_meso(mesh, None,
+                                         per_row.worst(profiles, totals), cfg)
+        assert np.array_equal(out.nodes, want.nodes)
+        assert np.array_equal(regions[0], want_regions[0])
+        assert np.array_equal(regions[1], want_regions[1])

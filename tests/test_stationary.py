@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
 from adaptive_mlmc.driver import CHUNK_SIZE, MlmcRunConfig, run_adaptive_mlmc
-from adaptive_mlmc.error_estimation import ErrorDecomposition
 from adaptive_mlmc.meshes import Mesh1D, subdivide, uniform_mesh
 from adaptive_mlmc.refinement import dwr_select
 from adaptive_mlmc.solvers import Trajectory, _segment_quadrature
@@ -26,13 +25,13 @@ def zero(x):
 
 
 def solve_one(b, mesh, problem=PROBLEM):
-    """Forward solution, adjoint solution and decomposition for one speed b."""
+    """Forward solution, adjoint solution and per-element contributions for
+    one speed b."""
     w = np.array([b])
     U = solve_bvp_p1(problem, w, mesh)
     phi_mesh, Phi = solve_bvp_adjoint(problem, w, mesh)
     c = bvp_error_decomposition(problem, w, mesh, U, phi_mesh, Phi)
-    return (Trajectory(mesh, U[0]), Trajectory(phi_mesh, Phi[0]),
-            ErrorDecomposition(c[0]))
+    return Trajectory(mesh, U[0]), Trajectory(phi_mesh, Phi[0]), c[0]
 
 
 def slopes(traj):
@@ -153,8 +152,8 @@ class TestErrorDecomposition:
         problem = BvpProblem(source=zero, source_breaks=())
         mesh = uniform_mesh(3.0, 12)
         _, _, d = solve_one(14.0, mesh, problem)
-        assert abs(d.total) <= 1e-12
-        assert np.abs(d.contributions).max() <= 1e-12
+        assert abs(d.sum()) <= 1e-12
+        assert np.abs(d).max() <= 1e-12
 
     def test_contributions_sum_to_single_integral(self):
         """Additivity: the per-element split equals one global integral."""
@@ -170,8 +169,8 @@ class TestErrorDecomposition:
         integrand = (PROBLEM.source(mids) * phi(mids)[:, 0] + du * dphi
                      - b * du * phi(mids)[:, 0])
         total = float(widths @ integrand)
-        assert d.contributions.sum() == pytest.approx(total, abs=2e-5)
-        assert d.contributions.shape == (13,)
+        assert d.sum() == pytest.approx(total, abs=2e-5)
+        assert d.shape == (13,)
         # exact-quadrature global sum: split only at mesh nodes and breaks
         pts = np.unique(np.concatenate([u.mesh.nodes, phi.mesh.nodes,
                                         np.array([1.0, 2.5])]))
@@ -184,7 +183,7 @@ class TestErrorDecomposition:
             exact_total += wq @ (PROBLEM.source(xq) * phi(xq)[:, 0]
                                  + du_seg * dphi_seg
                                  - b * du_seg * phi(xq)[:, 0])
-        assert d.contributions.sum() == pytest.approx(exact_total, abs=1e-13)
+        assert d.sum() == pytest.approx(exact_total, abs=1e-13)
 
     @pytest.mark.parametrize("b", [12.0, 14.0, 16.0])
     def test_effectivity_against_fine_reference(self, b):
@@ -195,15 +194,15 @@ class TestErrorDecomposition:
             mesh = uniform_mesh(3.0, n)
             u, _, d = solve_one(b, mesh)
             [q] = qoi_value(PROBLEM, mesh, u.values.T)
-            eff = d.total / (q_ref - q)
+            eff = d.sum() / (q_ref - q)
             assert 0.85 <= eff <= 1.15
 
     def test_dwr_reduces_largest_contribution(self):
         mesh = uniform_mesh(3.0, 12)
         _, _, d = solve_one(14.0, mesh)
-        refined = halve(mesh, dwr_select([d], 0.25))
+        refined = halve(mesh, dwr_select(d[None], 0.25))
         _, _, d2 = solve_one(14.0, refined)
-        assert np.abs(d2.contributions).max() < np.abs(d.contributions).max()
+        assert np.abs(d2).max() < np.abs(d).max()
 
 
 class TestQoiValue:
@@ -263,7 +262,7 @@ def _dwr_mesh():
     mesh = uniform_mesh(3.0, 12)
     for _ in range(2):
         _, contributions = reference_sample(PROBLEM, 14.0, mesh)
-        mesh = halve(mesh, dwr_select([ErrorDecomposition(contributions)], 0.25))
+        mesh = halve(mesh, dwr_select(contributions[None], 0.25))
     return mesh
 
 
@@ -285,11 +284,13 @@ class TestBatchedOracle:
     @pytest.mark.parametrize("name", sorted(ORACLE_MESHES))
     def test_bitwise_equal_to_per_sample_path(self, name):
         mesh = ORACLE_MESHES[name]
-        q, decomps = BvpMlmcModel().evaluate(self.SPEEDS[:, None], mesh, True)
+        q, d = BvpMlmcModel().evaluate(self.SPEEDS[:, None], mesh, True)
         ref = [reference_sample(PROBLEM, b, mesh) for b in self.SPEEDS]
         assert np.array_equal(q, [r[0] for r in ref])
-        assert np.array_equal([d.contributions for d in decomps],
-                              [r[1] for r in ref])
+        assert np.array_equal(d.contributions, [r[1] for r in ref])
+        # each row's total is its own sum, bit for bit
+        assert np.array_equal(d.total, [r[1].sum() for r in ref])
+        assert np.array_equal(d.denominator, np.ones(len(q)))
 
     @pytest.mark.parametrize("name", sorted(ORACLE_MESHES))
     def test_row_equals_its_own_chunk(self, name):
@@ -297,11 +298,12 @@ class TestBatchedOracle:
         mesh = ORACLE_MESHES[name]
         model = BvpMlmcModel()
         W = self.SPEEDS[:, None]
-        q, decomps = model.evaluate(W, mesh, True)
+        q, d = model.evaluate(W, mesh, True)
         for k in range(len(W)):
-            [qk], [dk] = model.evaluate(W[k:k + 1], mesh, True)
+            [qk], dk = model.evaluate(W[k:k + 1], mesh, True)
             assert qk == q[k]
-            assert np.array_equal(dk.contributions, decomps[k].contributions)
+            assert np.array_equal(dk.contributions, d.contributions[k:k + 1])
+            assert np.array_equal(dk.total, d.total[k:k + 1])
 
 
 class TestBvpMlmc:
