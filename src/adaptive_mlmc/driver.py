@@ -130,36 +130,32 @@ def level_bias(estimates: np.ndarray) -> float:
 
 def optimal_samples(variances: Sequence[float], costs: Sequence[float],
                     epsilon: float) -> list:
-    """N_l = ceil((2/eps) * sqrt(V_l/C_l) * sum_k sqrt(V_k/C_k))."""
+    """N_l = ceil((2/eps) * sqrt(V_l/C_l) * sum_k sqrt(V_k*C_k)): the least
+    cost with sum V_l/N_l <= eps/2, rounded up (inf where 2/eps overflows)."""
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     V = np.asarray(variances, dtype=float)
     C = np.asarray(costs, dtype=float)
     if np.any(V < 0) or np.any(C <= 0):
         raise ValueError("variances must be >= 0 and costs > 0")
-    ratios = np.sqrt(V / C)
-    n = np.ceil((2.0 / epsilon) * ratios * ratios.sum())
-    n_opt = [int(x) for x in n]
-    achieved = sum(v / max(k, 1) for v, k in zip(V, n_opt))
-    if achieved > 0.5 * epsilon * (1.0 + 1e-9) + V.sum() * 1e-12:
-        log.warning("optimal allocation leaves total variance %.3g above eps/2=%.3g",
-                    achieved, 0.5 * epsilon)
-    return n_opt
+    n = np.ceil((2.0 / epsilon) * np.sqrt(V / C) * np.sqrt(V * C).sum())
+    return [int(x) if x < math.inf else x for x in n]
 
 
-def take_sample(model, level: LevelState, master_seed: int, indices: Sequence[int],
+def take_sample(model, level: LevelState, master_seed: int, start: int, count: int,
                 want_estimate: bool):
-    """One chunk of telescoped samples: each draw on the fine and coarse mesh,
-    one `evaluate` call per mesh.  Returns the chunk's SAMPLE_DTYPE rows and
-    its ok rows' contributions (or None); a non-finite value fails only its row."""
-    W = sample_parameters(model.distributions, master_seed, level.level, indices)
+    """One chunk of telescoped samples, draws start .. start+count-1: each
+    draw on the fine and coarse mesh, one `evaluate` call per mesh.  Returns
+    the chunk's SAMPLE_DTYPE rows and its ok rows' contributions (or None); a
+    non-finite value fails only its row."""
+    W = sample_parameters(model.distributions, master_seed, level.level, start, count)
     q_fine, decomp = model.evaluate(W, level.mesh, want_estimate)
     q_coarse = np.zeros(len(W)) if level.coarser_mesh is None \
         else model.evaluate(W, level.coarser_mesh, False)[0]
     ok = np.isfinite(q_fine) & np.isfinite(q_coarse) \
         & (decomp is None or np.isfinite(decomp.total))
     rows = np.zeros(len(W), SAMPLE_DTYPE)
-    rows["level"], rows["index"], rows["ok"] = level.level, indices, ok
+    rows["level"], rows["index"], rows["ok"] = level.level, start + np.arange(count), ok
     for name, values in (("q_fine", q_fine), ("q_coarse", q_coarse),
                          ("error_estimate", getattr(decomp, "total", np.nan)),
                          ("denominator", getattr(decomp, "denominator", np.nan))):
@@ -186,7 +182,7 @@ class _Runner:
         """Take samples until the level holds `target` ok samples, in at least
         `jobs` chunks of at most CHUNK_SIZE draws per round (or MlmcError)."""
         too_many = f"cannot take {target:.3g} samples on level {level.level}"
-        if target > np.iinfo(np.intp).max // 8:  # more indices than an array holds
+        if not target <= np.iinfo(np.intp).max // 8:  # inf, or beyond an index array
             raise MlmcError(too_many)
         while (need := target - np.count_nonzero(level.samples["ok"])) > 0:
             n_chunks = max(self.cfg.jobs, -(-need // CHUNK_SIZE))
@@ -197,7 +193,7 @@ class _Runner:
                 raise MlmcError(too_many) from None
             chunks = [c for c in np.array_split(indices, n_chunks) if c.size]
             worker = lambda idx: take_sample(self.model, level, self.cfg.master_seed,
-                                             idx, want_estimate)
+                                             int(idx[0]), idx.size, want_estimate)
             batches = list(self.pool.map(worker, chunks) if self.pool
                            else map(worker, chunks))
             new_rows = [rows for rows, _ in batches]

@@ -241,7 +241,7 @@ def test_criterion_9_property_suite():
     model = OdeMlmcModel(exp)
     mesh = exp.initial_mesh()
     level = LevelState(0, mesh, None, 1.0, None)
-    rows, contributions = take_sample(model, level, 0, np.arange(8),
+    rows, contributions = take_sample(model, level, 0, 0, 8,
                                       want_estimate=True)
     # uniform and dwr split intervals in place, so every node survives; meso
     # re-tiles each region uniformly, so its guarantee is that no region's
@@ -264,7 +264,7 @@ def test_criterion_9_property_suite():
     # degenerate telescoping: the same mesh on both sides gives y = 0, and a
     # single-level run reduces to the plain Monte Carlo mean
     twin = LevelState(1, mesh, mesh, 2.0, None)
-    [rec], _ = take_sample(model, twin, 0, np.arange(1), want_estimate=False)
+    [rec], _ = take_sample(model, twin, 0, 0, 1, want_estimate=False)
     cfg = MlmcRunConfig(epsilon=1e6, initial_mesh=mesh, master_seed=0)
     est = run_adaptive_mlmc(model, cfg)
     q_values = est.sample_log["q_fine"][est.sample_log["ok"]]

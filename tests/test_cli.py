@@ -421,14 +421,16 @@ class TestRunSettingsRejected:
 
 
     @pytest.mark.parametrize("setting,target", [
-        ("epsilon = 1e-14", "2.01e+13"),   # 146 TiB of draw indices
-        ("epsilon = 1e-30", "2.01e+29"),   # more than one array can index
+        ("epsilon = 1e-14", "1.76e+13"),   # 128 TiB of draw indices
+        ("epsilon = 1e-30", "1.76e+29"),   # more than one array can index
         ("n_schedule = 100000000000000", "1e+14"),  # 728 TiB of indices
+        ("epsilon = 1e-320", "inf"),       # subnormal: 2/eps overflows
+        ("epsilon = 5e-324", "inf"),
     ])
     def test_huge_sample_target(self, tmp_path, capsys, setting, target):
-        """A sample target whose draw indices cannot be held fails at once,
-        before any allocation succeeds: one error line naming the target and
-        a FAILED row under compare."""
+        """A sample target whose draw indices cannot be held, or that is not
+        finite, fails at once, before any allocation succeeds: one error line
+        naming the target and a FAILED row under compare."""
         config = write_config(tmp_path, "[run]\nexperiment = harmonic-standard\n"
                               f"{setting}\n")
         out_dir = tmp_path / "out"

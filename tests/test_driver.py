@@ -56,8 +56,8 @@ class TestLevelBias:
 
 class TestOptimalSamples:
     def test_hand_value(self):
-        # N_l = ceil(2 * sqrt(V_l/C_l) * (sqrt(4/1) + sqrt(1/4)))
-        assert optimal_samples([4.0, 1.0], [1.0, 4.0], 1.0) == [10, 3]
+        # N_l = ceil(2 * sqrt(V_l/C_l) * (sqrt(4*1) + sqrt(1*4)))
+        assert optimal_samples([4.0, 1.0], [1.0, 4.0], 1.0) == [16, 4]
 
     def test_single_level(self):
         # N = ceil((2/eps) * V)
@@ -95,11 +95,22 @@ class TestOptimalSamples:
         slack = max(v / (n * (n + 1)) for v, n in zip(V, ours))
         assert our_var <= best + slack + 1e-12
 
-    def test_warns_when_variance_target_missed(self, caplog):
-        import logging
-        with caplog.at_level(logging.WARNING, logger="adaptive_mlmc.driver"):
-            optimal_samples([4.0, 1.0], [1.0, 4.0], 1.0)
-        assert any("total variance" in r.message for r in caplog.records)
+    @given(st.lists(st.tuples(st.floats(0.0, 1e6), st.floats(1e-3, 1e3)),
+                    min_size=1, max_size=8),
+           st.floats(1e-12, 1e3))
+    @settings(max_examples=300, deadline=None)
+    def test_variance_target_met(self, levels, eps):
+        """The allocation meets sum V_l/N_l <= eps/2 for any variances and
+        unequal costs."""
+        V, C = zip(*levels)
+        n = optimal_samples(V, C, eps)
+        assert all(isinstance(k, int) for k in n)
+        assert sum(v / max(k, 1) for v, k in zip(V, n)) <= 0.5 * eps * (1 + 1e-12)
+
+    @pytest.mark.parametrize("eps", [1e-320, 5e-324])
+    def test_overflowing_target_is_infinite(self, eps):
+        """2/eps overflows: the target is inf, which `fill` refuses."""
+        assert optimal_samples([1.0, 0.25], [1.0, 2.0], eps) == [float("inf")] * 2
 
 
 def fail_all(x):
@@ -138,7 +149,7 @@ class SyntheticModel:
 
 def draw(level, index, seed=0):
     return sample_parameters(SyntheticModel.distributions, seed, level,
-                             [index])[0, 0]
+                             index, 1)[0, 0]
 
 
 class TestTakeSample:
@@ -146,7 +157,7 @@ class TestTakeSample:
         model = SyntheticModel()
         state = LevelState(1, uniform_mesh(1.0, 4), uniform_mesh(1.0, 2),
                            3.0, [])
-        [rec], contributions = take_sample(model, state, 0, [0], want_estimate=False)
+        [rec], contributions = take_sample(model, state, 0, 0, 1, want_estimate=False)
         assert rec["ok"] and rec["level"] == 1 and rec["index"] == 0
         assert rec["y"] == pytest.approx(rec["q_fine"] - rec["q_coarse"])
         assert rec["q_fine"] == pytest.approx(2.0 * rec["q_coarse"])
@@ -156,7 +167,7 @@ class TestTakeSample:
     def test_level_zero_has_no_coarse_term(self):
         model = SyntheticModel()
         state = LevelState(0, uniform_mesh(1.0, 4), None, 1.0, [])
-        [rec], contributions = take_sample(model, state, 0, [0], want_estimate=True)
+        [rec], contributions = take_sample(model, state, 0, 0, 1, want_estimate=True)
         assert rec["q_coarse"] == 0.0
         assert contributions.shape == (1, 4)
         assert rec["error_estimate"] == contributions.sum() == 1e-9
@@ -165,7 +176,7 @@ class TestTakeSample:
     def test_failure_marks_record(self):
         model = SyntheticModel(fail=fail_all)
         state = LevelState(0, uniform_mesh(1.0, 4), None, 1.0, [])
-        [rec], contributions = take_sample(model, state, 0, [0], want_estimate=True)
+        [rec], contributions = take_sample(model, state, 0, 0, 1, want_estimate=True)
         assert not rec["ok"] and contributions.shape == (0, 4)
         # a failed row carries no values
         assert all(np.isnan(rec[name]) for name in
@@ -174,8 +185,8 @@ class TestTakeSample:
     def test_non_finite_error_estimate_marks_record(self):
         model = SyntheticModel(estimate=float("inf"))
         state = LevelState(0, uniform_mesh(1.0, 4), None, 1.0, [])
-        [ok], _ = take_sample(model, state, 0, [0], want_estimate=False)
-        [failed], contributions = take_sample(model, state, 0, [0],
+        [ok], _ = take_sample(model, state, 0, 0, 1, want_estimate=False)
+        [failed], contributions = take_sample(model, state, 0, 0, 1,
                                               want_estimate=True)
         assert ok["ok"] and not failed["ok"] and contributions.shape == (0, 4)
 
@@ -183,10 +194,10 @@ class TestTakeSample:
         model = SyntheticModel()
         state = LevelState(2, uniform_mesh(1.0, 4), uniform_mesh(1.0, 2),
                            3.0, [])
-        rows, contributions = take_sample(model, state, 7, [5, 6, 9],
+        rows, contributions = take_sample(model, state, 7, 5, 3,
                                           want_estimate=True)
         assert model.chunks == [3, 3]
-        assert rows["index"].tolist() == [5, 6, 9] and len(contributions) == 3
+        assert rows["index"].tolist() == [5, 6, 7] and len(contributions) == 3
         for r in rows:
             assert r["q_fine"] == 4.0 * draw(2, r["index"], seed=7)
 
@@ -194,30 +205,30 @@ class TestTakeSample:
         import adaptive_mlmc.driver as driver
         calls = []
 
-        def counting(spec, seed, level, indices):
-            calls.append(list(indices))
-            return sample_parameters(spec, seed, level, indices)
+        def counting(spec, seed, level, start, count):
+            calls.append((start, count))
+            return sample_parameters(spec, seed, level, start, count)
         monkeypatch.setattr(driver, "sample_parameters", counting)
         state = LevelState(2, uniform_mesh(1.0, 4), uniform_mesh(1.0, 2),
                            3.0, [])
-        take_sample(SyntheticModel(), state, 7, [5, 6, 9], want_estimate=True)
-        assert calls == [[5, 6, 9]]
+        take_sample(SyntheticModel(), state, 7, 5, 3, want_estimate=True)
+        assert calls == [(5, 3)]
 
     def test_failed_draw_leaves_its_chunk_mates_untouched(self):
         """Failing rows fail alone; the others equal their single-draw row,
         bit for bit, and only their contributions are returned."""
-        indices = [i for i in range(60) if draw(1, i) < 0.05][:2] + \
-            [i for i in range(60) if draw(1, i) >= 0.05][:5]
+        failing = [draw(1, i) < 0.05 for i in range(60)]
+        assert 0 < sum(failing) < 60
         state = LevelState(1, uniform_mesh(1.0, 4), uniform_mesh(1.0, 2),
                            3.0, [])
         model = SyntheticModel(fail=fail_below)
-        rows, contributions = take_sample(model, state, 0, indices,
+        rows, contributions = take_sample(model, state, 0, 0, 60,
                                           want_estimate=True)
-        assert rows["ok"].tolist() == [False] * 2 + [True] * 5
-        assert len(contributions) == 5
-        for r, row in zip(rows[2:], contributions):
+        assert rows["ok"].tolist() == [not f for f in failing]
+        assert len(contributions) == 60 - sum(failing)
+        for r, row in zip(rows[rows["ok"]], contributions):
             [alone], alone_contributions = take_sample(SyntheticModel(), state, 0,
-                                                       [r["index"]], True)
+                                                       int(r["index"]), 1, True)
             assert r.tobytes() == alone.tobytes()
             assert np.array_equal(row[None], alone_contributions)
 

@@ -145,7 +145,7 @@ def all_nan(d, rows):
 
 def chunk(name, rows=40, seed=3):
     exp = get_experiment(name)
-    return exp, sample_parameters(exp.distributions, seed, 1, np.arange(rows))
+    return exp, sample_parameters(exp.distributions, seed, 1, 0, rows)
 
 
 def dwr_mesh(exp, W):
