@@ -212,7 +212,11 @@ def _cmd_run(args) -> int:
                           "(use --config or --experiment)")
     model, cfg = _build_run(settings)
     estimate = run_adaptive_mlmc(model, cfg)
-    write_artifacts(estimate, settings.output_dir, settings.dump_grids)
+    try:
+        write_artifacts(estimate, settings.output_dir, settings.dump_grids)
+    except OSError as exc:
+        raise ConfigError(f"{settings.output_dir}: cannot write artifacts: "
+                          f"{exc.strerror or exc}") from exc
     print(_SUMMARY_HEADER)
     print(summary_row(estimate))
     return EXIT_OK if estimate.converged else EXIT_NOT_CONVERGED

@@ -164,6 +164,12 @@ def take_sample(model, level: LevelState, master_seed: int, start: int, count: i
     return rows, None if decomp is None else decomp.contributions[ok]
 
 
+def chunk_ranges(need: int, n_chunks: int) -> list:
+    """(offset, count) of each non-empty np.array_split(range(need), n_chunks) piece."""
+    q, r = divmod(need, n_chunks)
+    return [(i * q + min(i, r), q + (i < r)) for i in range(min(n_chunks, need))]
+
+
 class _Runner:
     """Chunked sample execution: failed draws are redrawn, too many failures
     run-wide abort the run, and `sample_log` holds every row in the order taken."""
@@ -182,24 +188,24 @@ class _Runner:
         """Take samples until the level holds `target` ok samples, in at least
         `jobs` chunks of at most CHUNK_SIZE draws per round (or MlmcError)."""
         too_many = f"cannot take {target:.3g} samples on level {level.level}"
-        if not target <= np.iinfo(np.intp).max // 8:  # inf, or beyond an index array
+        if not target <= np.iinfo(np.intp).max // SAMPLE_DTYPE.itemsize:  # or inf
             raise MlmcError(too_many)
         while (need := target - np.count_nonzero(level.samples["ok"])) > 0:
-            n_chunks = max(self.cfg.jobs, -(-need // CHUNK_SIZE))
-            start = len(level.samples)
-            try:
-                indices = np.arange(start, start + need)
+            try:  # the round's rows, allocated before any draw
+                new_rows = np.zeros(need, SAMPLE_DTYPE)
             except MemoryError:
                 raise MlmcError(too_many) from None
-            chunks = [c for c in np.array_split(indices, n_chunks) if c.size]
-            worker = lambda idx: take_sample(self.model, level, self.cfg.master_seed,
-                                             int(idx[0]), idx.size, want_estimate)
-            batches = list(self.pool.map(worker, chunks) if self.pool
-                           else map(worker, chunks))
-            new_rows = [rows for rows, _ in batches]
-            level.samples = np.concatenate([level.samples, *new_rows])
-            level.contributions += [c for _, c in batches if c is not None]
-            self.sample_log = np.concatenate([self.sample_log, *new_rows])
+            start = len(level.samples)
+            ranges = chunk_ranges(need, max(self.cfg.jobs, -(-need // CHUNK_SIZE)))
+            worker = lambda r: take_sample(self.model, level, self.cfg.master_seed,
+                                           start + r[0], r[1], want_estimate)
+            run = self.pool.map if self.pool else map
+            for (offset, count), (rows, contrib) in zip(ranges, run(worker, ranges)):
+                new_rows[offset:offset + count] = rows
+                if contrib is not None:
+                    level.contributions.append(contrib)
+            level.samples = np.concatenate([level.samples, new_rows])
+            self.sample_log = np.concatenate([self.sample_log, new_rows])
             attempts = len(self.sample_log)
             failures = attempts - np.count_nonzero(self.sample_log["ok"])
             if failures >= 5 and failures > self.cfg.max_failure_rate * attempts:

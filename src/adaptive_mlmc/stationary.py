@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .error_estimation import ErrorDecomposition
 from .meshes import Mesh1D, subdivide, uniform_mesh
@@ -90,6 +89,7 @@ def _solve_weak(mesh: Mesh1D, advection: np.ndarray, g: Callable,
                 breaks) -> np.ndarray:
     """P1 Galerkin solutions of -(u', v') + b (u', v) = (g, v), u = 0 on the
     boundary, one per speed b in `advection`: nodal values (M, nodes)."""
+    from scipy.linalg import solve_banded  # only this problem needs scipy
     if mesh.n_intervals < BVP_MIN_ELEMENTS:
         raise ValueError("need at least two elements for an interior unknown")
     F = _load_vector(mesh, g, breaks)

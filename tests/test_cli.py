@@ -1,7 +1,9 @@
 """Command-line interface: configs, artifacts, exit codes, determinism."""
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -273,6 +275,20 @@ max_levels = 1
         assert run_cli("run") == 1
         assert "no experiment selected" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("output_dir", ["file", "file/out"])
+    def test_unusable_output_dir(self, tmp_path, capsys, output_dir):
+        """An output directory that is a file or lies under one ends after the
+        run as one error line naming it, exit 1; the file is left as it was."""
+        (tmp_path / "file").write_text("keep\n")
+        out = tmp_path / output_dir
+        code = run_cli("run", "--experiment", "harmonic-standard",
+                       "--epsilon", "100", "--output-dir", str(out))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {out}: cannot write artifacts: ")
+        assert len(err.splitlines()) == 1
+        assert (tmp_path / "file").read_text() == "keep\n"
+
 
 class TestInitialIntervals:
     """A value below the experiment's minimum is a config error at its line,
@@ -494,6 +510,47 @@ class TestCompareCommand:
         assert code == 1
         lines = capsys.readouterr().out.splitlines()
         assert "FAILED" in lines[2]
+
+
+def run_fresh(script, *args):
+    """`script` in a new interpreter that imports this package, so the
+    modules this test process has loaded cannot hide what an import loads."""
+    import adaptive_mlmc
+    env = {**os.environ, "PYTHONPATH": str(Path(adaptive_mlmc.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+LOADED_SCIPY = """\
+import sys
+import adaptive_mlmc
+import adaptive_mlmc.cli
+code = adaptive_mlmc.cli.main(["run", *sys.argv[1:]])
+print(code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+class TestColdStart:
+    def test_ode_run_never_loads_scipy(self, tmp_path):
+        """Importing the package and running an ODE preset loads no scipy."""
+        proc = run_fresh(LOADED_SCIPY, "--experiment", "harmonic-standard",
+                         "--epsilon", "100", "--output-dir", tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"
+
+    def test_stationary_run_loads_scipy_at_its_solve(self, tmp_path, capsys):
+        """advection-diffusion-1d loads scipy.linalg when it first solves, and
+        writes the same bytes as the same run in this process."""
+        args = ("--experiment", "advection-diffusion-1d", "--epsilon", "1e-3")
+        proc = run_fresh(LOADED_SCIPY, *args, "--output-dir", tmp_path / "fresh")
+        assert proc.returncode == 0, proc.stderr
+        code, loaded = proc.stdout.splitlines()[-1].split(" ", 1)
+        assert code == "0" and "'scipy.linalg'" in loaded
+        assert run_cli("run", *args, "--output-dir", str(tmp_path / "here")) == 0
+        capsys.readouterr()
+        for name in ("levels.csv", "summary.csv", "samples.csv"):
+            assert (tmp_path / "fresh" / name).read_bytes() == \
+                (tmp_path / "here" / name).read_bytes()
 
 
 class TestEntryPoint:

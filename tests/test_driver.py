@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from adaptive_mlmc.cli import write_artifacts
 from adaptive_mlmc.driver import (CHUNK_SIZE, SAMPLE_DTYPE, LevelState,
                                   MlmcError, MlmcRunConfig, _Runner,
-                                  level_bias, level_variance, optimal_samples,
-                                  run_adaptive_mlmc, take_sample)
+                                  chunk_ranges, level_bias, level_variance,
+                                  optimal_samples, run_adaptive_mlmc,
+                                  take_sample)
 from adaptive_mlmc.error_estimation import ErrorDecomposition
 from adaptive_mlmc.experiments import OdeMlmcModel, get_experiment
 from adaptive_mlmc.meshes import uniform_mesh
@@ -233,6 +234,28 @@ class TestTakeSample:
             assert np.array_equal(row[None], alone_contributions)
 
 
+class TestChunkRanges:
+    @given(st.integers(1, 3000), st.integers(1, 100))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_array_split(self, need, n_chunks):
+        """The ranges are the non-empty pieces np.array_split cuts."""
+        pieces = [p for p in np.array_split(np.arange(need), n_chunks) if p.size]
+        assert chunk_ranges(need, n_chunks) == [(int(p[0]), p.size) for p in pieces]
+
+    @given(st.integers(1, 2 ** 62), st.integers(1, 300))
+    @settings(max_examples=100, deadline=None)
+    def test_tile_any_need(self, need, n_chunks):
+        """Without an index array, huge needs still split into contiguous
+        pieces whose sizes differ by at most one, larger first."""
+        ranges = chunk_ranges(need, n_chunks)
+        offsets, counts = zip(*ranges)
+        assert len(ranges) == min(need, n_chunks) and offsets[0] == 0
+        assert [o + c for o, c in ranges[:-1]] == list(offsets[1:])
+        assert offsets[-1] + counts[-1] == need
+        assert sorted(counts, reverse=True) == list(counts)
+        assert counts[0] - counts[-1] <= 1
+
+
 class TestFill:
     @pytest.mark.parametrize("jobs,target", [(1, 600), (1, 10), (3, 10),
                                              (3, CHUNK_SIZE + 1)])
@@ -272,9 +295,10 @@ class TestFill:
         assert contributions.shape == (2 * CHUNK_SIZE + 5, 4)
         assert np.array_equal(contributions.sum(axis=1), level.ok("error_estimate"))
 
-    @pytest.mark.parametrize("target", [2 ** 62, 10 ** 30])
+    @pytest.mark.parametrize("target", [2 ** 62, 10 ** 30, 10 ** 14])
     def test_target_beyond_an_index_array(self, target):
-        """A target whose indices no array can hold fails before any draw."""
+        """A target whose rows no array can hold, or memory cannot (10**14
+        rows of 57 B), fails before any draw."""
         model = SyntheticModel()
         cfg = MlmcRunConfig(epsilon=1.0, initial_mesh=uniform_mesh(1.0, 2))
         runner = _Runner(model, cfg)
