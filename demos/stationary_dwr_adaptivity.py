@@ -12,8 +12,8 @@ import numpy as np
 from adaptive_mlmc import BvpMlmcModel, MlmcRunConfig, run_adaptive_mlmc
 from adaptive_mlmc.meshes import subdivide, uniform_mesh
 from adaptive_mlmc.refinement import dwr_select
-from adaptive_mlmc.stationary import (BVP_DEFAULT_EPSILON, BvpProblem,
-                                      bvp_error_decomposition,
+from adaptive_mlmc.stationary import (BVP_DEFAULT_EPSILON, BvpPlan,
+                                      BvpProblem, bvp_error_decomposition,
                                       bvp_initial_mesh, bvp_refinement,
                                       qoi_value, solve_bvp_adjoint,
                                       solve_bvp_p1)
@@ -27,11 +27,11 @@ def main():
     mesh = uniform_mesh(3.0, 12)
     w = np.array([ADVECTION])  # the solvers take a vector of speeds
     for sweep in range(4):
-        U = solve_bvp_p1(problem, w, mesh)
-        phi_mesh, Phi = solve_bvp_adjoint(problem, w, mesh)
-        contributions = bvp_error_decomposition(problem, w, mesh, U,
-                                                phi_mesh, Phi)
-        [q] = qoi_value(problem, mesh, U)
+        plan = BvpPlan.build(problem, mesh)  # the mesh's draw-free arrays
+        U = solve_bvp_p1(plan, w)
+        Phi = solve_bvp_adjoint(plan, w)
+        contributions = bvp_error_decomposition(plan, w, U, Phi)
+        [q] = qoi_value(plan, U)
         print(f"  sweep {sweep}: {mesh.n_intervals:3d} elements, "
               f"QoI = {q:+.6f}, "
               f"estimated error = {contributions.sum():+.3e}")

@@ -187,14 +187,18 @@ def write_artifacts(estimate: MlmcEstimate, out_dir: str,
     (out / "summary.csv").write_text(f"{_SUMMARY_HEADER}\n{summary_row(estimate)}\n")
     with open(out / "samples.csv", "w") as fh:
         fh.write("level,index,status,q_fine,q_coarse,y,error_estimate,denominator\n")
+        # each float formatted once: y is q_fine bit for bit where q_coarse is
+        # +0.0, and +0.0 and 1.0 are written as %.17g writes them
         for level, index, ok, qf, qc, y, err, den in estimate.sample_log.tolist():
-            if ok:
-                err_s = "" if math.isnan(err) else _FMT % err
-                den_s = "" if math.isnan(den) else _FMT % den
-                fh.write(f"{level},{index},ok,{_FMT % qf},{_FMT % qc},{_FMT % y},"
-                         f"{err_s},{den_s}\n")
-            else:
+            if not ok:
                 fh.write(f"{level},{index},failed,,,,,\n")
+                continue
+            qf_s = _FMT % qf
+            qc_y = f"0,{qf_s}" if qc == 0.0 and math.copysign(1.0, qc) > 0.0 \
+                else f"{_FMT % qc},{_FMT % y}"
+            err_s = "" if math.isnan(err) else _FMT % err
+            den_s = "1" if den == 1.0 else "" if math.isnan(den) else _FMT % den
+            fh.write(f"{level},{index},ok,{qf_s},{qc_y},{err_s},{den_s}\n")
     if dump_grids:
         for level, mesh in enumerate(estimate.meshes):
             mesh.dump(out / f"grid_L{level}.txt")

@@ -19,9 +19,10 @@ class MeshError(ValueError):
     """Invalid mesh construction or an out-of-range refinement request."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh1D:
-    """Strictly increasing node coordinates starting at 0."""
+    """Strictly increasing node coordinates starting at 0, compared and
+    hashed by identity, so a mesh can key per-mesh data."""
 
     nodes: np.ndarray
 

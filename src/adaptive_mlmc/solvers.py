@@ -47,10 +47,12 @@ def _segment_quadrature(pts: np.ndarray):
 
 
 def _gauss_sum(w: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """sum_q w[..., q] f[:, ..., q, ...]: rows on axis 0 of f, then the axes of
-    w, then trailing value axes.  Each row is summed in the same order."""
-    trailing = f.ndim - 1 - w.ndim
-    return (w.reshape(w.shape + (1,) * trailing) * f).sum(axis=w.ndim)
+    """sum_q w[:, q] f[:, :, q] for w (intervals, 5), f (rows, intervals, 5, d,
+    d): the bits of a reduction over q, one point at a time onto zeros."""
+    total = np.zeros(f.shape[:2] + f.shape[3:])
+    for q in range(5):
+        total += w[:, q, None, None] * f[:, :, q]
+    return total
 
 
 def _solve_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -220,7 +222,7 @@ def residual_pairing(problem: OdeProblem, forward: Trajectory,
         residual = problem.rhs(forward(t), t) - slopes[:, forward.mesh.interval_of(t)]
         integrand = (residual * adjoint(t)).sum(axis=-1)
     rows, n = integrand.shape[0], restricted.n_intervals
-    per_sub_interval = _gauss_sum(wq, integrand.reshape((rows,) + tq.shape))
+    per_sub_interval = (wq * integrand.reshape((rows,) + tq.shape)).sum(axis=-1)
     owner = restricted.interval_of(0.5 * (quad_nodes[:-1] + quad_nodes[1:]))
     bins = (owner + n * np.arange(rows)[:, None]).ravel()
     return np.bincount(bins, weights=per_sub_interval.ravel(),

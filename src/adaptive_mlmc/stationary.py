@@ -7,10 +7,11 @@ error decomposition pairing the residual of U with the adjoint weight.
 The spatial DWR and uniform strategies plug into the shared MLMC driver.
 
 Each solve, QoI and decomposition treats a vector of M advection speeds at
-once, on a shared mesh.  No draw can fail (see `_solve_weak`).
+once, on a shared mesh.  No draw can fail (see `_solve_assembled`).
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -77,25 +78,21 @@ def _load_vector(mesh: Mesh1D, g: Callable, breaks) -> np.ndarray:
     return F
 
 
-def _interpolate(mesh: Mesh1D, values: np.ndarray, x: np.ndarray):
-    """Rows of P1 nodal values (M, nodes), linearly interpolated at points x."""
-    nodes = mesh.nodes
-    idx = mesh.interval_of(x)
-    s = (x - nodes[idx]) / (nodes[idx + 1] - nodes[idx])
-    return (1.0 - s) * values[:, idx] + s * values[:, idx + 1]
+def _solve_weak(mesh: Mesh1D, advection: np.ndarray, g: Callable, breaks):
+    """`_solve_assembled` with the load vector of g on mesh."""
+    return _solve_assembled(_load_vector(mesh, g, breaks), 1.0 / mesh.lengths, advection)
 
 
-def _solve_weak(mesh: Mesh1D, advection: np.ndarray, g: Callable,
-                breaks) -> np.ndarray:
+def _solve_assembled(F: np.ndarray, inv_h: np.ndarray,
+                     advection: np.ndarray) -> np.ndarray:
     """P1 Galerkin solutions of -(u', v') + b (u', v) = (g, v), u = 0 on the
-    boundary, one per speed b in `advection`: nodal values (M, nodes)."""
+    boundary, one per speed b in `advection`, from the load vector
+    F_i = (g, hat_i) and the inverse element lengths: nodal values (M, nodes)."""
     from scipy.linalg import solve_banded  # only this problem needs scipy
-    if mesh.n_intervals < BVP_MIN_ELEMENTS:
+    if inv_h.size < BVP_MIN_ELEMENTS:
         raise ValueError("need at least two elements for an interior unknown")
-    F = _load_vector(mesh, g, breaks)
-    inv_h = 1.0 / mesh.lengths
     half_b = 0.5 * advection[:, None]
-    m, n = half_b.shape[0], mesh.n_intervals - 1  # systems, interior unknowns
+    m, n = half_b.shape[0], inv_h.size - 1  # systems, interior unknowns
     # The M tridiagonal systems, stacked with zero coupling, are one banded
     # system.  None is singular: for real b the symmetric part of the operator
     # is minus the P1 stiffness matrix, which is negative definite under the
@@ -110,88 +107,123 @@ def _solve_weak(mesh: Mesh1D, advection: np.ndarray, g: Callable,
     return values
 
 
-def solve_bvp_p1(problem: BvpProblem, w: np.ndarray,
-                 mesh: Mesh1D) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class BvpPlan:
+    """What the solves, the QoI and the error decomposition on one mesh share
+    across draws.  Its arrays are read-only and no field refers to the mesh,
+    so a plan kept under its mesh in a weak-keyed cache goes with the mesh."""
+
+    forward: tuple            # (f, hat_i) and 1 / h on the mesh
+    adjoint_mesh: Mesh1D      # the mesh refined ADJOINT_REFINE_FACTOR times
+    adjoint: tuple            # (psi, hat_i) and 1 / h on the adjoint mesh
+    lengths: np.ndarray       # element lengths h
+    elem: np.ndarray          # decomposition segment -> element
+    adjoint_elem: np.ndarray  # decomposition segment -> adjoint element
+    gauss: np.ndarray         # weight, adjoint element position, f: (3, 5, S, 1)
+    qoi: tuple                # QoI segments' widths, elements, midpoint positions
+
+    def __post_init__(self):
+        for array in (*self.forward, *self.adjoint, self.lengths, self.elem,
+                      self.adjoint_elem, self.gauss, *self.qoi):
+            array.setflags(write=False)
+
+    @classmethod
+    def build(cls, problem: BvpProblem, mesh: Mesh1D) -> BvpPlan:
+        fine = subdivide(mesh, ADJOINT_REFINE_FACTOR)
+        # decomposition segments split at the elements of both meshes and at
+        # the source breakpoints, so Gauss quadrature is exact on each
+        pts = _segment_bounds(np.concatenate([mesh.nodes, fine.nodes]),
+                              problem.source_breaks)
+        mids, (xq, wq) = 0.5 * (pts[:-1] + pts[1:]), _segment_quadrature(pts)
+        j = fine.interval_of(mids)
+        s = (xq - fine.nodes[j, None]) / (fine.nodes[j + 1] - fine.nodes[j])[:, None]
+        fq = problem.source(xq.ravel()).reshape(xq.shape)
+        lo, hi = problem.psi_support  # QoI segments: those inside [lo, hi]
+        qoi_pts = _segment_bounds(mesh.nodes, (lo, hi))
+        x = 0.5 * (qoi_pts[:-1] + qoi_pts[1:])
+        inside = (lo <= x) & (x <= hi)
+        x, i = x[inside], mesh.interval_of(x[inside])
+        return cls((_load_vector(mesh, problem.source, problem.source_breaks),
+                    1.0 / mesh.lengths), fine,
+                   (_load_vector(fine, problem.psi, problem.psi_support),
+                    1.0 / fine.lengths), mesh.lengths, mesh.interval_of(mids), j,
+                   np.stack([wq.T, s.T, fq.T])[..., None],
+                   (np.diff(qoi_pts)[inside], i,
+                    (x - mesh.nodes[i]) / (mesh.nodes[i + 1] - mesh.nodes[i])))
+
+
+def solve_bvp_p1(plan: BvpPlan, w: np.ndarray) -> np.ndarray:
     """Forward solves for the advection speeds w (M,): nodal values (M, nodes)."""
-    return _solve_weak(mesh, w, problem.source, problem.source_breaks)
+    return _solve_assembled(*plan.forward, w)
 
 
-def solve_bvp_adjoint(problem: BvpProblem, w: np.ndarray, mesh: Mesh1D
-                      ) -> Tuple[Mesh1D, np.ndarray]:
-    """Adjoint solves: advection sign flipped, psi as source, mesh refined.
-
-    Returns the refined mesh and the nodal values (M, refined nodes).  For
-    w = 0 the operator is symmetric, so the adjoint coincides with a primal
-    solve sourced by psi and the duality identity (f, phi[psi]) = (psi, u[f])
-    holds to rounding.
-    """
-    fine = subdivide(mesh, ADJOINT_REFINE_FACTOR)
-    return fine, _solve_weak(fine, -w, problem.psi, problem.psi_support)
+def solve_bvp_adjoint(plan: BvpPlan, w: np.ndarray) -> np.ndarray:
+    """Adjoint solves on `plan.adjoint_mesh`, advection sign flipped and psi
+    as source: nodal values (M, nodes).  For w = 0 the operator is symmetric,
+    so (f, phi[psi]) = (psi, u[f]) holds to rounding."""
+    return _solve_assembled(*plan.adjoint, -w)
 
 
-def qoi_value(problem: BvpProblem, mesh: Mesh1D,
-              U: np.ndarray) -> np.ndarray:
+def qoi_value(plan: BvpPlan, U: np.ndarray) -> np.ndarray:
     """(u, psi) per row of U: exact integrals of the P1 solutions, shape (M,)."""
-    lo, hi = problem.psi_support
-    pts = _segment_bounds(mesh.nodes, (lo, hi))
-    mids = 0.5 * (pts[:-1] + pts[1:])
-    inside = (lo <= mids) & (mids <= hi)
-    widths = (pts[1:] - pts[:-1])[inside]
-    values = _interpolate(mesh, U, mids[inside])
+    widths, idx, s = plan.qoi
+    values = (1.0 - s) * U[:, idx] + s * U[:, idx + 1]
     total = np.zeros(U.shape[0])
     for k, width in enumerate(widths):  # segment by segment, left to right
         total += width * values[:, k]
     return total
 
 
-def bvp_error_decomposition(problem: BvpProblem, w: np.ndarray, mesh: Mesh1D,
-                            U: np.ndarray, phi_mesh: Mesh1D,
+def bvp_error_decomposition(plan: BvpPlan, w: np.ndarray, U: np.ndarray,
                             Phi: np.ndarray) -> np.ndarray:
-    """Per-element residual pairings e_tau = int_tau [f phi + U' phi' - b U' phi].
-
-    One row per advection speed in w, shape (M, elements); each row sums to
-    an estimate of Q(u) - Q(U).  Quadrature segments split at element
-    boundaries of both meshes and at the source breakpoints so the rule is
-    exact for the piecewise-polynomial integrand.
-    """
-    pts = _segment_bounds(np.concatenate([mesh.nodes, phi_mesh.nodes]),
-                          problem.source_breaks)
-    mids = 0.5 * (pts[:-1] + pts[1:])
-    xq, wq = _segment_quadrature(pts)
-    idx_u = mesh.interval_of(mids)
-    idx_phi = phi_mesh.interval_of(mids)
-    du = (np.diff(U, axis=1) / mesh.lengths)[:, idx_u, None]
-    dphi = (np.diff(Phi, axis=1) / phi_mesh.lengths)[:, idx_phi, None]
-    phiq = _interpolate(phi_mesh, Phi, xq)
-    fq = problem.source(xq.ravel()).reshape(xq.shape)
-    b_adv = w[:, None, None]
-    per_segment = (wq * (fq * phiq + du * dphi - b_adv * du * phiq)).sum(axis=-1)
-    contributions = np.zeros((U.shape[0], mesh.n_intervals))
-    np.add.at(contributions, (slice(None), idx_u), per_segment)
-    return contributions
+    """Per-element residual pairings e_tau = int_tau [f phi + U' phi' - b U' phi]
+    (M, elements), each row summing to an estimate of Q(u) - Q(U): the Gauss
+    points summed in order, one (segments, rows) slice at a time, and then
+    the segments onto their elements in order."""
+    du = (np.diff(U, axis=1) / plan.lengths)[:, plan.elem].T
+    j = plan.adjoint_elem
+    dphi = (np.diff(Phi, axis=1) / plan.adjoint_mesh.lengths)[:, j].T
+    left, right, b_du, du_dphi = Phi[:, j].T, Phi[:, j + 1].T, w * du, du * dphi
+    per_segment, integrand, term = np.zeros((3,) + du.shape)
+    for wq, s, fq in zip(*plan.gauss):
+        np.multiply(1.0 - s, left, out=integrand)
+        np.multiply(s, right, out=term)
+        integrand += term  # phi at the Gauss point
+        np.multiply(b_du, integrand, out=term)
+        integrand *= fq
+        integrand += du_dphi
+        integrand -= term
+        integrand *= wq
+        per_segment += integrand
+    n = plan.lengths.size
+    bins = (plan.elem[:, None] + n * np.arange(len(w))).ravel()
+    return np.bincount(bins, per_segment.ravel(), len(w) * n).reshape(-1, n)
 
 
 class BvpMlmcModel:
     """Driver-facing adapter for the stationary problem.
 
     Each row of `evaluate` equals, bit for bit, what that row alone would
-    give, so chunking cannot change a run's output.
-    """
+    give, so chunking cannot change a run's output.  Each mesh's `BvpPlan`
+    is kept, keyed by the mesh object, while the mesh lives."""
 
     def __init__(self, problem: Optional[BvpProblem] = None,
                  advection_range: Tuple[float, float] = (12.0, 16.0)):
         self.problem = problem if problem is not None else BvpProblem()
         self.distributions = (uniform(*advection_range, "b"),)
+        self._plans = weakref.WeakKeyDictionary()
 
     def evaluate(self, W: np.ndarray, mesh: Mesh1D, want_estimate: bool):
+        plan = self._plans.get(mesh)
+        if plan is None:  # two threads may both build it: the plans are equal
+            plan = self._plans[mesh] = BvpPlan.build(self.problem, mesh)
         w = W[:, 0]
-        U = solve_bvp_p1(self.problem, w, mesh)
-        q = qoi_value(self.problem, mesh, U)
+        U = solve_bvp_p1(plan, w)
+        q = qoi_value(plan, U)
         if not want_estimate:
             return q, None
-        phi_mesh, Phi = solve_bvp_adjoint(self.problem, w, mesh)
-        contributions = bvp_error_decomposition(self.problem, w, mesh, U,
-                                                phi_mesh, Phi)
+        contributions = bvp_error_decomposition(plan, w, U,
+                                                solve_bvp_adjoint(plan, w))
         return q, ErrorDecomposition(contributions, contributions.sum(axis=1),
                                      np.ones(len(q)))
 

@@ -2,14 +2,19 @@
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cli_reference
 from adaptive_mlmc.cli import (ConfigError, _parse_config_file, build_parser,
-                               main)
+                               main, write_artifacts)
+from adaptive_mlmc.driver import SAMPLE_DTYPE, MlmcEstimate
 from adaptive_mlmc.refinement import RefinementConfig
 
 FAST_RUN = """\
@@ -216,6 +221,34 @@ class TestRunCommand:
         assert all(r[6] != "" for r in body)
         # level 0 telescopes against nothing
         assert all(float(r[4]) == 0.0 for r in body)
+
+    @given(st.lists(st.tuples(
+        st.booleans(),
+        st.floats(allow_nan=True, allow_infinity=False),
+        st.one_of(st.just(0.0), st.just(-0.0), st.floats(allow_nan=False,
+                                                          allow_infinity=False)),
+        st.one_of(st.just(np.nan), st.floats(allow_infinity=False)),
+        st.one_of(st.just(1.0), st.just(np.nan), st.floats(allow_infinity=False)),
+    ), max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_samples_csv_lines_match_per_field_formatter(self, rows):
+        """Every line equals the per-field %.17g formatter's, for tables built
+        as the driver builds them: y = q_fine - q_coarse, NaN on failed rows."""
+        table = np.zeros(len(rows), SAMPLE_DTYPE)
+        table["level"] = np.arange(len(rows)) % 3
+        table["index"] = np.arange(len(rows))
+        for k, (ok, qf, qc, err, den) in enumerate(rows):
+            table[k]["ok"] = ok
+            for name, value in (("q_fine", qf), ("q_coarse", qc),
+                                ("error_estimate", err), ("denominator", den)):
+                table[k][name] = value if ok else np.nan
+        with np.errstate(invalid="ignore", over="ignore"):
+            table["y"] = table["q_fine"] - table["q_coarse"]
+        estimate = MlmcEstimate(0.0, 0.0, 0.0, 0.0, (), 0.0, True, (), table)
+        with tempfile.TemporaryDirectory() as out:
+            write_artifacts(estimate, out, False)
+            written = Path(out, "samples.csv").read_text().splitlines(True)
+        assert written[1:] == list(cli_reference.sample_lines(table))
 
     def test_dump_grids(self, tmp_path, capsys):
         config = write_config(tmp_path, FAST_RUN + "dump_grids = true\n")

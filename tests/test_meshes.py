@@ -52,6 +52,20 @@ class TestMeshValidation:
         with pytest.raises(ValueError):
             mesh.nodes[0] = 5.0
 
+    def test_equality_is_identity(self):
+        """Meshes compare by identity: equal nodes make distinct meshes, and
+        comparing never inspects the node arrays."""
+        mesh, twin = uniform_mesh(3.0, 4), uniform_mesh(3.0, 4)
+        assert mesh == mesh
+        assert mesh != twin
+        assert (mesh == twin) is False
+
+    def test_hash_is_identity(self):
+        """A mesh hashes, so it can key per-mesh data, twins as two keys."""
+        mesh, twin = uniform_mesh(3.0, 4), uniform_mesh(3.0, 4)
+        assert hash(mesh) == hash(mesh) == object.__hash__(mesh)
+        assert len({mesh: 1, twin: 2, mesh: 3}) == 2
+
 
 class TestIntervalOf:
     def test_right_closed(self):

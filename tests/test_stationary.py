@@ -1,7 +1,13 @@
 """Stationary 1D advection-diffusion solver, adjoint, and MLMC tests."""
+import gc
+import sys
+import threading
+import weakref
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
@@ -11,7 +17,8 @@ from adaptive_mlmc.refinement import dwr_select
 from adaptive_mlmc.solvers import Trajectory, _segment_quadrature
 from adaptive_mlmc.stationary import (ADJOINT_REFINE_FACTOR,
                                       BVP_DEFAULT_EPSILON, BvpMlmcModel,
-                                      BvpProblem, bvp_error_decomposition,
+                                      BvpPlan, BvpProblem,
+                                      bvp_error_decomposition,
                                       bvp_initial_mesh, bvp_refinement,
                                       qoi_value, solve_bvp_adjoint,
                                       solve_bvp_p1)
@@ -28,10 +35,11 @@ def solve_one(b, mesh, problem=PROBLEM):
     """Forward solution, adjoint solution and per-element contributions for
     one speed b."""
     w = np.array([b])
-    U = solve_bvp_p1(problem, w, mesh)
-    phi_mesh, Phi = solve_bvp_adjoint(problem, w, mesh)
-    c = bvp_error_decomposition(problem, w, mesh, U, phi_mesh, Phi)
-    return Trajectory(mesh, U[0]), Trajectory(phi_mesh, Phi[0]), c[0]
+    plan = BvpPlan.build(problem, mesh)
+    U = solve_bvp_p1(plan, w)
+    Phi = solve_bvp_adjoint(plan, w)
+    c = bvp_error_decomposition(plan, w, U, Phi)
+    return Trajectory(mesh, U[0]), Trajectory(plan.adjoint_mesh, Phi[0]), c[0]
 
 
 def slopes(traj):
@@ -141,9 +149,10 @@ class TestAdjoint:
 
     def test_adjoint_mesh_refined(self):
         mesh = uniform_mesh(3.0, 12)
-        phi_mesh, Phi = solve_bvp_adjoint(PROBLEM, np.array([14.0, 12.0]), mesh)
-        assert phi_mesh.n_intervals > mesh.n_intervals
-        assert Phi.shape == (2, phi_mesh.nodes.size)
+        plan = BvpPlan.build(PROBLEM, mesh)
+        Phi = solve_bvp_adjoint(plan, np.array([14.0, 12.0]))
+        assert plan.adjoint_mesh.n_intervals > mesh.n_intervals
+        assert Phi.shape == (2, plan.adjoint_mesh.nodes.size)
 
 
 class TestErrorDecomposition:
@@ -188,12 +197,12 @@ class TestErrorDecomposition:
     @pytest.mark.parametrize("b", [12.0, 14.0, 16.0])
     def test_effectivity_against_fine_reference(self, b):
         ref_mesh = uniform_mesh(3.0, 10_000)
-        [q_ref] = qoi_value(PROBLEM, ref_mesh,
-                            solve_bvp_p1(PROBLEM, np.array([b]), ref_mesh))
+        ref_plan = BvpPlan.build(PROBLEM, ref_mesh)
+        [q_ref] = qoi_value(ref_plan, solve_bvp_p1(ref_plan, np.array([b])))
         for n in (64, 128):
             mesh = uniform_mesh(3.0, n)
             u, _, d = solve_one(b, mesh)
-            [q] = qoi_value(PROBLEM, mesh, u.values.T)
+            [q] = qoi_value(BvpPlan.build(PROBLEM, mesh), u.values.T)
             eff = d.sum() / (q_ref - q)
             assert 0.85 <= eff <= 1.15
 
@@ -210,7 +219,8 @@ class TestQoiValue:
         mesh = uniform_mesh(3.0, 3)
         U = np.array([2.0 * mesh.nodes, -mesh.nodes])
         # integral of 2x over [1, 1.5] = x^2 | = 2.25 - 1 = 1.25
-        np.testing.assert_allclose(qoi_value(PROBLEM, mesh, U), [1.25, -0.625],
+        np.testing.assert_allclose(qoi_value(BvpPlan.build(PROBLEM, mesh), U),
+                                   [1.25, -0.625],
                                    atol=1e-14)
 
 
@@ -273,6 +283,10 @@ ORACLE_MESHES = {
     "node-on-break": Mesh1D(np.array(
         [0.0, 0.35, 0.8, 1.0, 1.3, 1.45, 1.9, 2.2, 2.5, 2.9, 3.0])),
     "uniform-200": uniform_mesh(3.0, 200),
+    # the segment from this node to the break 1.0 is one ulp wide, so two of
+    # its Gauss points round onto the node, which closes the element before it
+    "ulp-below-break": Mesh1D(np.array(
+        [0.0, 0.7, np.nextafter(1.0, 0.0), 2.0, 3.0])),
 }
 
 
@@ -304,6 +318,109 @@ class TestBatchedOracle:
             assert qk == q[k]
             assert np.array_equal(dk.contributions, d.contributions[k:k + 1])
             assert np.array_equal(dk.total, d.total[k:k + 1])
+
+
+BREAKS = (1.0, 1.5, 2.5)  # the source's breaks and the psi support's ends
+
+
+@st.composite
+def oracle_meshes(draw):
+    """Meshes of (0, 3) with nodes anywhere and, at each break, no node, one
+    on it, or one within an ulp or a nanometre of it."""
+    near = [draw(st.sampled_from([(), (b,), (np.nextafter(b, 0.0),),
+                                  (np.nextafter(b, 3.0),), (b - 1e-9,),
+                                  (b + 1e-9,)])) for b in BREAKS]
+    anywhere = draw(st.lists(st.floats(1e-3, 3.0 - 1e-3), max_size=30))
+    nodes = np.unique(np.concatenate([[0.0, 3.0], anywhere, *near]))
+    # two elements at least, and each wide enough to split in four
+    assume(nodes.size > 2 and np.diff(nodes).min() > 1e-12)
+    return Mesh1D(nodes)
+
+
+def evaluate_bits(q, d):
+    return q.tobytes(), d.contributions.tobytes(), d.total.tobytes()
+
+
+class TestMeshPlans:
+    """`BvpMlmcModel` keeps one `BvpPlan` per live mesh."""
+
+    W = TestBatchedOracle.SPEEDS[:300, None]
+
+    @given(oracle_meshes(), st.sampled_from([1, 2, 300]))
+    @settings(max_examples=40, deadline=None)
+    def test_bitwise_equal_to_per_sample_path(self, mesh, m):
+        q, d = BvpMlmcModel().evaluate(self.W[:m], mesh, True)
+        ref = [reference_sample(PROBLEM, b, mesh) for b in self.W[:m, 0]]
+        assert np.array_equal(q, [r[0] for r in ref])
+        assert np.array_equal(d.contributions, [r[1] for r in ref])
+
+    def test_cached_equals_uncached(self):
+        """A plan reused from the cache and one built for a twin mesh with
+        equal nodes give the same bits."""
+        model, mesh = BvpMlmcModel(), ORACLE_MESHES["dwr-refined"]
+        first = evaluate_bits(*model.evaluate(self.W, mesh, True))
+        cached = evaluate_bits(*model.evaluate(self.W, mesh, True))
+        assert len(model._plans) == 1
+        twin = Mesh1D(mesh.nodes.copy())
+        uncached = evaluate_bits(*model.evaluate(self.W, twin, True))
+        assert len(model._plans) == 2
+        assert first == cached == uncached
+
+    def test_plan_released_with_its_mesh(self):
+        model, mesh = BvpMlmcModel(), uniform_mesh(3.0, 12)
+        model.evaluate(self.W[:2], mesh, True)
+        plan = weakref.ref(model._plans[mesh])
+        del mesh
+        gc.collect()
+        assert plan() is None
+        assert len(model._plans) == 0
+
+    def test_plan_is_read_only(self):
+        plan = BvpPlan.build(PROBLEM, uniform_mesh(3.0, 12))
+        with pytest.raises(ValueError):
+            plan.gauss[0, 0, 0] = 1.0
+        with pytest.raises(AttributeError):
+            plan.lengths = plan.lengths.copy()
+
+    def test_two_threads_missing_on_one_mesh(self, monkeypatch):
+        """Both threads miss the cache and build a plan: each gets the bits
+        of a single-threaded run, and one plan stays cached."""
+        expected = evaluate_bits(*BvpMlmcModel().evaluate(
+            self.W, ORACLE_MESHES["uniform-13"], True))
+        model, mesh = BvpMlmcModel(), Mesh1D(ORACLE_MESHES["uniform-13"].nodes)
+        both_missed = threading.Barrier(2)
+        build = BvpPlan.build
+
+        def build_after_both_missed(problem, mesh):
+            both_missed.wait(timeout=30)
+            return build(problem, mesh)
+
+        monkeypatch.setattr(BvpPlan, "build", build_after_both_missed)
+        with ThreadPoolExecutor(2) as pool:
+            results = list(pool.map(
+                lambda rows: evaluate_bits(*model.evaluate(rows, mesh, True)),
+                [self.W, self.W]))
+        assert results == [expected, expected]
+        assert len(model._plans) == 1
+
+    def test_threads_under_contention(self):
+        """Four workers with a 1 us switch interval, three calls per mesh:
+        every call gives the bits of a single-threaded model, and each live
+        mesh keeps one plan."""
+        meshes = [Mesh1D(ORACLE_MESHES[name].nodes) for name in sorted(ORACLE_MESHES)]
+        expected = [evaluate_bits(*BvpMlmcModel().evaluate(self.W[:64], mesh, True))
+                    for mesh in meshes]
+        model, interval = BvpMlmcModel(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(model.evaluate, self.W[:64], meshes[k], True)
+                           for k in list(range(len(meshes))) * 3]
+                results = [evaluate_bits(*f.result(timeout=60)) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == expected * 3
+        assert len(model._plans) == len(meshes)
 
 
 class TestBvpMlmc:
