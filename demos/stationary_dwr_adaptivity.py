@@ -7,16 +7,18 @@ the integral of u over [1, 1.5].  The demo first shows the single-sample
 DWR loop (estimate, mark, refine), then runs the full MLMC estimator with
 DWR and uniform new-level meshes and compares the modeled costs.
 """
+from dataclasses import replace
+
 import numpy as np
 
 from adaptive_mlmc import BvpMlmcModel, MlmcRunConfig, run_adaptive_mlmc
 from adaptive_mlmc.meshes import subdivide, uniform_mesh
 from adaptive_mlmc.refinement import dwr_select
-from adaptive_mlmc.stationary import (BVP_DEFAULT_EPSILON, BvpPlan,
-                                      BvpProblem, bvp_error_decomposition,
-                                      bvp_initial_mesh, bvp_refinement,
-                                      qoi_value, solve_bvp_adjoint,
-                                      solve_bvp_p1)
+from adaptive_mlmc.stationary import (BVP_DEFAULT_EPSILON, BVP_REFINEMENT,
+                                      BvpPlan, BvpProblem,
+                                      bvp_error_decomposition,
+                                      bvp_initial_mesh, qoi_value,
+                                      solve_bvp_adjoint, solve_bvp_p1)
 
 ADVECTION = 14.0
 
@@ -24,7 +26,7 @@ ADVECTION = 14.0
 def main():
     problem = BvpProblem()
     print(f"single-sample DWR loop at b = {ADVECTION:g}")
-    mesh = uniform_mesh(3.0, 12)
+    mesh = uniform_mesh(problem.length, 12)
     w = np.array([ADVECTION])  # the solvers take a vector of speeds
     for sweep in range(4):
         plan = BvpPlan.build(problem, mesh)  # the mesh's draw-free arrays
@@ -44,7 +46,7 @@ def main():
     for strategy in ("dwr", "uniform"):
         cfg = MlmcRunConfig(epsilon=BVP_DEFAULT_EPSILON,
                             initial_mesh=bvp_initial_mesh(),
-                            refinement=bvp_refinement(strategy),
+                            refinement=replace(BVP_REFINEMENT, strategy=strategy),
                             master_seed=0)
         est = run_adaptive_mlmc(model, cfg)
         elems = [lv.elems for lv in est.levels]

@@ -1,10 +1,10 @@
 """Command-line entry points: `mlmc run` and `mlmc compare`.
 
 Configs are INI files with a [run] section (experiment, epsilon, seed, ...)
-and an optional [refinement] section; every flag mirrors a config key and
-flags win.  `run` writes levels.csv, summary.csv, samples.csv (and per-level
-grid dumps on request) and prints the summary row.  Exit codes: 0 converged,
-2 not converged, 1 error.
+and an optional [refinement] section; a `run` flag overrides the [run] key
+of the same name.  `run` writes levels.csv, summary.csv, samples.csv (and
+per-level grid dumps on request) and prints the summary row.  Exit codes:
+0 converged, 2 not converged, 1 error.
 """
 from __future__ import annotations
 
@@ -12,17 +12,20 @@ import argparse
 import configparser
 import math
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Optional
+
+import numpy as np
 
 from .driver import MlmcError, MlmcEstimate, MlmcRunConfig, run_adaptive_mlmc
 from .experiments import EXPERIMENT_NAMES, OdeMlmcModel, get_experiment
 from .refinement import RefinementConfig
 from .stationary import (BVP_DEFAULT_EPSILON, BVP_INITIAL_ELEMENTS,
-                         BVP_MIN_ELEMENTS, BvpMlmcModel, bvp_initial_mesh,
-                         bvp_refinement)
+                         BVP_MIN_ELEMENTS, BVP_REFINEMENT, BvpMlmcModel,
+                         bvp_initial_mesh)
 
+BVP_EXPERIMENT = "advection-diffusion-1d"  # run by BvpMlmcModel, not a preset
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NOT_CONVERGED = 2
@@ -49,35 +52,27 @@ def _line_of(path: Optional[str], key: str) -> str:
     return path
 
 
-# Every [run] key with its parser; each key is also a RunSettings field and,
-# where a flag of the same name exists, is overridden by that flag.
+# Every [run] key: (parser, default).  A run's settings are one dict of these
+# keys plus `refinement_overrides` and `config_path`.
 _RUN_KEYS = {
-    "experiment": str, "epsilon": float, "refinement": str, "seed": int,
-    "jobs": int, "max_levels": int, "initial_intervals": int,
-    "n_schedule": lambda text: tuple(int(x) for x in text.replace(",", " ").split()),
-    "output_dir": str,
-    "dump_grids": lambda text: configparser.ConfigParser.BOOLEAN_STATES[text.lower()],
+    "experiment": (str, None), "epsilon": (float, None), "refinement": (str, None),
+    "seed": (int, 0), "jobs": (int, 1), "max_levels": (int, 10),
+    "initial_intervals": (int, None), "output_dir": (str, "."),
+    "n_schedule": (lambda text: tuple(int(x) for x in text.replace(",", " ").split()),
+                   (100, 50, 20)),
+    "dump_grids": (lambda text: configparser.ConfigParser.BOOLEAN_STATES[text.lower()],
+                   False),
 }
-# The [refinement] keys are RefinementConfig's fields, parsed as their defaults.
-_REFINEMENT_KEYS = {f.name: type(f.default) for f in fields(RefinementConfig)}
+# The [refinement] keys: RefinementConfig's fields other than `strategy` (which
+# [run] refinement sets), each parsed as its default's type.
+_REFINEMENT_KEYS = {f.name: type(f.default) for f in fields(RefinementConfig)
+                    if f.name != "strategy"}
 
 
-@dataclass
-class RunSettings:
-    """Fully resolved settings for one MLMC run."""
-
-    experiment: str
-    epsilon: Optional[float] = None
-    refinement: Optional[str] = None
-    seed: int = 0
-    jobs: int = 1
-    max_levels: int = 10
-    n_schedule: tuple = (100, 50, 20)
-    initial_intervals: Optional[int] = None
-    output_dir: str = "."
-    dump_grids: bool = False
-    refinement_overrides: dict = field(default_factory=dict)
-    config_path: Optional[str] = None
+def _settings(run: dict, overrides: dict, path: Optional[str]) -> dict:
+    """The [run] values over the defaults, with the [refinement] overrides."""
+    return {**{key: default for key, (_, default) in _RUN_KEYS.items()}, **run,
+            "refinement_overrides": overrides, "config_path": path}
 
 
 def _parse_section(path: str, section, parsers: dict) -> dict:
@@ -95,7 +90,7 @@ def _parse_section(path: str, section, parsers: dict) -> dict:
     return values
 
 
-def _parse_config_file(path: str) -> RunSettings:
+def _parse_config_file(path: str) -> dict:
     parser = configparser.ConfigParser()
     try:
         with open(path) as fh:
@@ -111,28 +106,27 @@ def _parse_config_file(path: str) -> RunSettings:
                               f"[{name}]; expected [run] or [refinement]")
     if not parser.has_section("run"):
         raise ConfigError(f"{path}:1: missing required [run] section")
-    run = _parse_section(path, parser["run"], _RUN_KEYS)
+    run = _parse_section(path, parser["run"],
+                         {key: parse for key, (parse, _) in _RUN_KEYS.items()})
     if "experiment" not in run:
         raise ConfigError(f"{path}: [run] must set 'experiment'")
     overrides = _parse_section(path, parser["refinement"], _REFINEMENT_KEYS) \
         if parser.has_section("refinement") else {}
-    strategy = overrides.pop("strategy", None)
-    run.setdefault("refinement", strategy)
-    return RunSettings(**run, refinement_overrides=overrides, config_path=path)
+    return _settings(run, overrides, path)
 
 
-def _build_run(settings: RunSettings):
+def _build_run(settings: dict):
     """Resolve settings into (model, MlmcRunConfig)."""
-    name, n_init = settings.experiment, settings.initial_intervals
-    bvp = name == "advection-diffusion-1d"
+    name, n_init = settings["experiment"], settings["initial_intervals"]
+    bvp = name == BVP_EXPERIMENT
     minimum = BVP_MIN_ELEMENTS if bvp else 1
-    where = (f"{_line_of(settings.config_path, 'initial_intervals')}: "
+    where = (f"{_line_of(settings['config_path'], 'initial_intervals')}: "
              f"initial_intervals = {n_init}")
     if n_init is not None and not minimum <= n_init <= sys.maxsize // 8:
         raise ConfigError(f"{where} is outside [{minimum}, {sys.maxsize // 8}], the "
                           f"interval counts {name} can run on")
     if bvp:
-        model, refinement = BvpMlmcModel(), bvp_refinement()
+        model, refinement = BvpMlmcModel(), BVP_REFINEMENT
         make_mesh = lambda: bvp_initial_mesh(n_init or BVP_INITIAL_ELEMENTS)
         default_epsilon = BVP_DEFAULT_EPSILON
     else:
@@ -140,7 +134,7 @@ def _build_run(settings: RunSettings):
             experiment = get_experiment(name)
         except KeyError as exc:
             raise ConfigError(
-                f"{_line_of(settings.config_path, 'experiment')}: {exc.args[0]}"
+                f"{_line_of(settings['config_path'], 'experiment')}: {exc.args[0]}"
             ) from exc
         model, refinement = OdeMlmcModel(experiment), RefinementConfig()
         if n_init is not None:
@@ -151,18 +145,18 @@ def _build_run(settings: RunSettings):
         mesh = make_mesh()
     except MemoryError:
         raise ConfigError(f"{where} asks for more nodes than memory holds") from None
-    strategy = {"strategy": settings.refinement} if settings.refinement else {}
+    strategy = {"strategy": settings["refinement"]} if settings["refinement"] else {}
     try:
-        refinement = replace(refinement, **strategy, **settings.refinement_overrides)
-        cfg = MlmcRunConfig(epsilon=default_epsilon if settings.epsilon is None
-                            else settings.epsilon,
+        refinement = replace(refinement, **strategy, **settings["refinement_overrides"])
+        cfg = MlmcRunConfig(epsilon=default_epsilon if settings["epsilon"] is None
+                            else settings["epsilon"],
                             initial_mesh=mesh, refinement=refinement,
-                            n_schedule=settings.n_schedule,
-                            master_seed=settings.seed,
-                            max_levels=settings.max_levels,
-                            jobs=settings.jobs)
+                            n_schedule=settings["n_schedule"],
+                            master_seed=settings["seed"],
+                            max_levels=settings["max_levels"],
+                            jobs=settings["jobs"])
     except ValueError as exc:
-        raise ConfigError(f"{settings.config_path or '<flags>'}: {exc}") from exc
+        raise ConfigError(f"{settings['config_path'] or '<flags>'}: {exc}") from exc
     return model, cfg
 
 
@@ -201,25 +195,25 @@ def write_artifacts(estimate: MlmcEstimate, out_dir: str,
             fh.write(f"{level},{index},ok,{qf_s},{qc_y},{err_s},{den_s}\n")
     if dump_grids:
         for level, mesh in enumerate(estimate.meshes):
-            mesh.dump(out / f"grid_L{level}.txt")
+            np.savetxt(out / f"grid_L{level}.txt", mesh.nodes, fmt=_FMT)
 
 
 def _cmd_run(args) -> int:
     settings = _parse_config_file(args.config) if args.config \
-        else RunSettings(experiment=args.experiment or "")
+        else _settings({}, {}, None)
     for key in _RUN_KEYS:  # flags win over the config file
         value = getattr(args, key, None)
         if value not in (None, ""):
-            setattr(settings, key, value)
-    if not settings.experiment:
+            settings[key] = value
+    if not settings["experiment"]:
         raise ConfigError("<flags>: no experiment selected "
                           "(use --config or --experiment)")
     model, cfg = _build_run(settings)
     estimate = run_adaptive_mlmc(model, cfg)
     try:
-        write_artifacts(estimate, settings.output_dir, settings.dump_grids)
+        write_artifacts(estimate, settings["output_dir"], settings["dump_grids"])
     except OSError as exc:
-        raise ConfigError(f"{settings.output_dir}: cannot write artifacts: "
+        raise ConfigError(f"{settings['output_dir']}: cannot write artifacts: "
                           f"{exc.strerror or exc}") from exc
     print(_SUMMARY_HEADER)
     print(summary_row(estimate))
@@ -231,14 +225,12 @@ def _cmd_compare(args) -> int:
     if not paths:
         raise ConfigError("<flags>: --configs needs at least one path")
     settings_list = [_parse_config_file(p) for p in paths]
-    shared_seed = args.seed if args.seed is not None else settings_list[0].seed
+    shared_seed = args.seed if args.seed is not None else settings_list[0]["seed"]
     print("config,strategy,levels,total_cost,estimate,mse,converged")
     worst = EXIT_OK
     for path, settings in zip(paths, settings_list):
-        settings.seed = shared_seed
-        if args.jobs is not None:
-            settings.jobs = args.jobs
-        strategy = settings.refinement or "default"
+        settings["seed"] = shared_seed
+        strategy = settings["refinement"] or "default"
         try:
             model, cfg = _build_run(settings)
             estimate = run_adaptive_mlmc(model, cfg)
@@ -265,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="execute one MLMC experiment")
     run_p.add_argument("--config", help="INI config file")
-    run_p.add_argument("--experiment", choices=EXPERIMENT_NAMES)
+    run_p.add_argument("--experiment", choices=EXPERIMENT_NAMES + (BVP_EXPERIMENT,))
     run_p.add_argument("--epsilon", type=float)
     run_p.add_argument("--refinement", choices=("uniform", "dwr", "meso"))
     run_p.add_argument("--seed", type=int)
@@ -279,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated config paths")
     cmp_p.add_argument("--seed", type=int,
                        help="shared master seed (default: first config's)")
-    cmp_p.add_argument("--jobs", type=int)
     cmp_p.set_defaults(func=_cmd_compare)
     return parser
 

@@ -13,7 +13,6 @@ error estimate; only that sample is recorded failed and redrawn.
 """
 from __future__ import annotations
 
-import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -22,10 +21,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .meshes import Mesh1D
-from .refinement import CHUNK_SIZE, RefinementConfig, build_next_mesh
+from .refinement import RefinementConfig, build_next_mesh
 from .sampling import sample_parameters
 
-log = logging.getLogger(__name__)
+# Most draws one model `evaluate` call stacks.  Bounds memory only.
+CHUNK_SIZE = 256
+MAX_FAILURE_RATE = 0.01  # a run aborts when more of its draws fail (and at least 5)
 
 
 class MlmcError(RuntimeError):
@@ -34,6 +35,9 @@ class MlmcError(RuntimeError):
 
 # One row per draw; NaN in a float field means "no value" (a failed draw has
 # none, a draw evaluated without an estimate no error_estimate/denominator).
+# error_estimate approximates Q(u) - Q(U), true minus computed, for
+# terminal-value QoIs and the BVP, and t_c - t, computed minus true, for
+# event-time QoIs; only bias^2 reads it.
 SAMPLE_DTYPE = np.dtype([
     ("level", np.int64), ("index", np.int64), ("ok", bool), ("q_fine", float),
     ("q_coarse", float), ("y", float), ("error_estimate", float),
@@ -80,10 +84,6 @@ class MlmcEstimate:
     def n_levels(self) -> int:
         return len(self.levels)
 
-    @property
-    def n_failures(self) -> int:
-        return int(np.count_nonzero(~self.sample_log["ok"]))
-
 
 @dataclass(frozen=True)
 class MlmcRunConfig:
@@ -93,7 +93,6 @@ class MlmcRunConfig:
     n_schedule: tuple = (100, 50, 20)
     master_seed: int = 0
     max_levels: int = 10
-    max_failure_rate: float = 0.01
     jobs: int = 1
 
     def __post_init__(self):
@@ -208,10 +207,10 @@ class _Runner:
             self.sample_log = np.concatenate([self.sample_log, new_rows])
             attempts = len(self.sample_log)
             failures = attempts - np.count_nonzero(self.sample_log["ok"])
-            if failures >= 5 and failures > self.cfg.max_failure_rate * attempts:
+            if failures >= 5 and failures > MAX_FAILURE_RATE * attempts:
                 raise MlmcError(
                     f"aborting: {failures} failed samples out of {attempts} "
-                    f"attempts exceeds the allowed rate {self.cfg.max_failure_rate}")
+                    f"attempts exceeds the allowed rate {MAX_FAILURE_RATE}")
 
 
 def run_adaptive_mlmc(model, cfg: MlmcRunConfig) -> MlmcEstimate:
@@ -245,11 +244,6 @@ def run_adaptive_mlmc(model, cfg: MlmcRunConfig) -> MlmcEstimate:
             levels.append(LevelState(len(levels), new_mesh, highest.mesh, cost,
                                      new_regions))
 
-        converged = bias ** 2 <= 0.5 * cfg.epsilon
-        if not converged:
-            log.warning("max_levels=%d reached with bias^2=%.3g > eps/2=%.3g",
-                        cfg.max_levels, bias ** 2, 0.5 * cfg.epsilon)
-
         value = sum(float(np.mean(lv.ok("y"))) for lv in levels)
         counts = [np.count_nonzero(lv.samples["ok"]) for lv in levels]
         total_variance = sum(v / n for v, n in zip(variances, counts))
@@ -266,7 +260,7 @@ def run_adaptive_mlmc(model, cfg: MlmcRunConfig) -> MlmcEstimate:
             mse=total_variance + squared_bias,
             levels=summaries,
             total_cost=total_cost,
-            converged=converged,
+            converged=squared_bias <= 0.5 * cfg.epsilon,
             meshes=tuple(lv.mesh for lv in levels),
             sample_log=runner.sample_log,
         )

@@ -44,9 +44,9 @@ class ErrorDecomposition:
 
 def estimate_standard_error(problem: OdeProblem, forward: Trajectory,
                             q: StandardQoi) -> ErrorDecomposition:
-    """Estimate Q(u) - Q(U) for every row, decomposed per interval: one
-    adjoint solve and one residual pairing for all rows, which share the
-    restricted mesh.  A failed row's decomposition is NaN."""
+    """Estimate Q(u) - Q(U), true minus computed, for every row, decomposed
+    per interval: one adjoint solve and one residual pairing for all rows,
+    which share the restricted mesh.  A failed row's decomposition is NaN."""
     phi = solve_adjoint(problem, forward, q.t_star, q.psi)
     contributions = residual_pairing(problem, forward, phi, q.t_star)
     return ErrorDecomposition(contributions, contributions.sum(axis=1),
@@ -55,8 +55,8 @@ def estimate_standard_error(problem: OdeProblem, forward: Trajectory,
 
 def estimate_event_time_error(problem: OdeProblem, forward: Trajectory,
                               q: NonstandardQoi, t_c: float) -> ErrorDecomposition:
-    """Linearized event-time error estimate of a one-row trajectory around its
-    computed crossing t_c, as a one-row decomposition.
+    """Linearized estimate of t_c - t, the computed crossing t_c of a one-row
+    trajectory minus the true one t, as a one-row decomposition.
 
     Numerator contributions estimate e(t_c) . psi; the denominator is
     f(U(t_c), t_c) . psi plus the estimated e(t_c) . J(t_c)^T psi, with the

@@ -84,31 +84,31 @@ class OdeMlmcModel:
 _EXPERIMENTS = {e.name: e for e in (
     OdeExperiment(
         name="harmonic-standard",
-        distributions=(normal(50.0, 2.0, "k"), uniform(0.225, 0.275, "m")),
+        distributions=(normal(50.0, 2.0), uniform(0.225, 0.275)),
         make_problem=lambda W: harmonic_oscillator(W[:, 0], W[:, 1]),
         qoi=StandardQoi(np.array([1.0, 0.0]), 3.0),
         initial_intervals=27, default_epsilon=1e-3),
     OdeExperiment(
         name="harmonic-nonstandard",
-        distributions=(normal(50.0, 1.0, "k"), uniform(0.235, 0.265, "m")),
+        distributions=(normal(50.0, 1.0), uniform(0.235, 0.265)),
         make_problem=lambda W: harmonic_oscillator(W[:, 0], W[:, 1]),
         qoi=NonstandardQoi(np.array([1.0, 0.0]), 0.0, occurrence=5),
         initial_intervals=18, default_epsilon=1e-5),
     OdeExperiment(
         name="lorenz",
-        distributions=(uniform(0.0, 2.0, "theta"),),
+        distributions=(uniform(0.0, 2.0),),
         make_problem=lambda W: lorenz(W[:, 0]),
         qoi=NonstandardQoi(np.array([1.0, 0.0, 0.0]), 3.0, occurrence=2),
         initial_intervals=24, default_epsilon=1e-4),
     OdeExperiment(
         name="two-body",
-        distributions=(uniform(1.97, 2.0, "theta"),),
+        distributions=(uniform(1.97, 2.0),),
         make_problem=lambda W: two_body(W[:, 0]),
         qoi=NonstandardQoi(np.array([1.0, 0.0, 0.0, 0.0]), 0.0, occurrence=3),
         initial_intervals=40, default_epsilon=1e-3),
 )}
 
-EXPERIMENT_NAMES = tuple(sorted(_EXPERIMENTS)) + ("advection-diffusion-1d",)
+EXPERIMENT_NAMES = tuple(sorted(_EXPERIMENTS))
 
 
 def get_experiment(name: str) -> OdeExperiment:

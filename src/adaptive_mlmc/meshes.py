@@ -61,10 +61,6 @@ class Mesh1D:
                     0, self.n_intervals - 1)
         return int(i) if i.ndim == 0 else i
 
-    def dump(self, path) -> None:
-        """Write one node time per line with 17 significant digits."""
-        np.savetxt(path, self.nodes, fmt="%.17g")
-
 
 def uniform_mesh(length: float, n_intervals: int) -> Mesh1D:
     if n_intervals < 1:

@@ -19,10 +19,6 @@ from .meshes import Mesh1D, common_mesoregion_refinement, subdivide
 
 log = logging.getLogger(__name__)
 
-# Most rows one batched step stacks: the draws of one model `evaluate` call,
-# the contribution rows of one DWR selection block.  Bounds memory only.
-CHUNK_SIZE = 256
-
 
 @dataclass(frozen=True)
 class RefinementConfig:
@@ -49,17 +45,15 @@ class RefinementConfig:
 def dwr_select(contributions: np.ndarray, fraction: float) -> np.ndarray:
     """Sorted union over the rows of each one's ceil(fraction * N) largest
     |contribution|s, N its non-NaN count (an event-time row stops at its own
-    crossing), ties toward the lower index.  One stable row-wise argsort per
-    block of at most CHUNK_SIZE rows; NaN sorts last."""
-    mags = np.abs(contributions)
-    n_pick = np.ceil(fraction * np.count_nonzero(~np.isnan(mags), axis=1))
+    crossing), ties toward the lower index.  One stable row-wise argsort;
+    NaN sorts last."""
+    neg = -np.abs(contributions)  # sorts the largest magnitude first
+    n_pick = np.ceil(fraction * np.count_nonzero(~np.isnan(neg), axis=1))
     if not n_pick.size or n_pick.min() == 0:
         raise ValueError("need at least one row and no empty row")
-    selected = np.zeros(mags.shape[1], dtype=bool)
-    for start in range(0, len(mags), CHUNK_SIZE):
-        block = slice(start, start + CHUNK_SIZE)
-        order = np.argsort(-mags[block], axis=1, kind="stable")
-        selected[order[np.arange(order.shape[1]) < n_pick[block, None]]] = True
+    selected = np.zeros(neg.shape[1], dtype=bool)
+    order = np.argsort(neg, axis=1, kind="stable")
+    selected[order[np.arange(order.shape[1]) < n_pick[:, None]]] = True
     return np.flatnonzero(selected)
 
 

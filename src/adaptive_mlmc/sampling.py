@@ -28,7 +28,6 @@ class ParameterDistribution:
     kind: str
     a: float
     b: float
-    target: str = ""
 
     def __post_init__(self):
         if self.kind == "uniform":
@@ -46,12 +45,12 @@ class ParameterDistribution:
         return self.a if self.kind == "normal" else 0.5 * (self.a + self.b)
 
 
-def uniform(low: float, high: float, target: str = "") -> ParameterDistribution:
-    return ParameterDistribution("uniform", float(low), float(high), target)
+def uniform(low: float, high: float) -> ParameterDistribution:
+    return ParameterDistribution("uniform", float(low), float(high))
 
 
-def normal(mean: float, stddev: float, target: str = "") -> ParameterDistribution:
-    return ParameterDistribution("normal", float(mean), float(stddev), target)
+def normal(mean: float, stddev: float) -> ParameterDistribution:
+    return ParameterDistribution("normal", float(mean), float(stddev))
 
 
 def _words(master_seed: int, level: int, start: int, count: int,

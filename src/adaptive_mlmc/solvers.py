@@ -79,17 +79,14 @@ class Trajectory:
 
     `values` has shape (..., nodes, d): one value per node, with optional
     leading axes for rows (the ODE solvers give (M, nodes, d), one row per
-    draw).  A (nodes,) array is one function with d = 1.
-    """
+    draw)."""
 
     mesh: Mesh1D
     values: np.ndarray
 
     def __post_init__(self):
         values = np.ascontiguousarray(self.values, dtype=float)
-        if values.ndim == 1:
-            values = values[:, None]
-        if values.shape[-2] != self.mesh.nodes.size:
+        if values.ndim < 2 or values.shape[-2] != self.mesh.nodes.size:
             raise ValueError("need one value per mesh node")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -76,11 +76,6 @@ def _load_vector(mesh: Mesh1D, g: Callable, breaks) -> np.ndarray:
     np.add.at(F, idx, (gq * (1.0 - s)).sum(axis=1))
     np.add.at(F, idx + 1, (gq * s).sum(axis=1))
     return F
-
-
-def _solve_weak(mesh: Mesh1D, advection: np.ndarray, g: Callable, breaks):
-    """`_solve_assembled` with the load vector of g on mesh."""
-    return _solve_assembled(_load_vector(mesh, g, breaks), 1.0 / mesh.lengths, advection)
 
 
 def _solve_assembled(F: np.ndarray, inv_h: np.ndarray,
@@ -207,10 +202,10 @@ class BvpMlmcModel:
     give, so chunking cannot change a run's output.  Each mesh's `BvpPlan`
     is kept, keyed by the mesh object, while the mesh lives."""
 
-    def __init__(self, problem: Optional[BvpProblem] = None,
-                 advection_range: Tuple[float, float] = (12.0, 16.0)):
-        self.problem = problem if problem is not None else BvpProblem()
-        self.distributions = (uniform(*advection_range, "b"),)
+    problem = BvpProblem()
+    distributions = (uniform(12.0, 16.0),)  # the advection speed b
+
+    def __init__(self):
         self._plans = weakref.WeakKeyDictionary()
 
     def evaluate(self, W: np.ndarray, mesh: Mesh1D, want_estimate: bool):
@@ -236,13 +231,10 @@ BVP_INITIAL_ELEMENTS = 12
 BVP_MIN_ELEMENTS = 2  # fewest elements with an interior unknown
 
 
-def bvp_initial_mesh(n_elements: int = BVP_INITIAL_ELEMENTS,
-                     length: float = 3.0) -> Mesh1D:
-    return uniform_mesh(length, n_elements)
+# Spatial refinement defaults: 25% largest |e_tau| split in 2.
+BVP_REFINEMENT = RefinementConfig(strategy="dwr", dwr_fraction=0.25, dwr_factor=2)
 
 
-def bvp_refinement(strategy: str = "dwr") -> RefinementConfig:
-    """Spatial refinement defaults: 25% largest |e_tau| split in 2."""
-    return RefinementConfig(strategy=strategy, dwr_fraction=0.25, dwr_factor=2,
-                            uniform_factor=2)
+def bvp_initial_mesh(n_elements: int = BVP_INITIAL_ELEMENTS) -> Mesh1D:
+    return uniform_mesh(BvpProblem.length, n_elements)
 

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from adaptive_mlmc.refinement import CHUNK_SIZE
+from adaptive_mlmc.driver import CHUNK_SIZE
 
 
 def pad(rows, n=None) -> np.ndarray:

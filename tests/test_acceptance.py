@@ -7,9 +7,11 @@ orderings rather than exact table entries, since individual runs are
 realizations of a randomized algorithm.
 """
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from adaptive_mlmc.driver import (LevelState, MlmcRunConfig,
@@ -25,9 +27,10 @@ from adaptive_mlmc.qoi import (NonstandardQoi, StandardQoi, eval_event_time,
 from adaptive_mlmc.refinement import RefinementConfig, build_next_mesh
 from adaptive_mlmc.solvers import (Trajectory, residual_pairing, solve_adjoint,
                                    solve_forward_cg1)
-from adaptive_mlmc.stationary import (BVP_DEFAULT_EPSILON, BvpMlmcModel,
-                                      BvpProblem, _solve_weak,
-                                      bvp_initial_mesh, bvp_refinement)
+from adaptive_mlmc.stationary import (BVP_DEFAULT_EPSILON, BVP_REFINEMENT,
+                                      BvpMlmcModel, BvpProblem,
+                                      bvp_initial_mesh)
+from stationary_reference import solve_weak
 from synthetic_problems import PiecewiseConstant
 
 SEEDS = (0, 1, 2, 3, 4)
@@ -102,25 +105,34 @@ def test_criterion_2_adjoint_vs_matrix_exponential():
 
 
 def test_criterion_3_error_estimate_effectivity():
-    reference_n = 100_000
+    """Effectivities against scipy's DOP853 at rtol 1e-12, independent of the
+    package's solvers: u1(3) of the harmonic oscillator and the time of
+    lorenz's second crossing of x = 3, found by an event."""
+    ivp = dict(method="DOP853", rtol=1e-12, atol=1e-13)
 
     problem = harmonic_oscillator(50.0, 0.25)
     q = StandardQoi(np.array([1.0, 0.0]), 3.0)
-    [ref] = eval_standard(solve_forward_cg1(problem, uniform_mesh(3.0, reference_n)), q)
+    ref = solve_ivp(lambda t, u: [u[1], (-50.0 * u[0] - u[1]
+                                         + 50.0 * np.cos(10.0 * t)) / 0.25],
+                    (0.0, 3.0), [5.0, 0.0], **ivp).y[0, -1]
     forward = solve_forward_cg1(problem, uniform_mesh(3.0, 54))
     [total] = estimate_standard_error(problem, forward, q).total
     eff_std = total / (ref - eval_standard(forward, q)[0])
 
     lor = lorenz(1.0)
     qe = NonstandardQoi(np.array([1.0, 0.0, 0.0]), 3.0, occurrence=2)
-    [t_ref] = eval_event_time(
-        solve_forward_cg1(lor, uniform_mesh(2.0, reference_n)), qe)
+    crossings = solve_ivp(
+        lambda t, u: [10.0 * (u[1] - u[0]), 28.0 * u[0] - u[1] - u[0] * u[2],
+                      u[0] * u[1] - 8.0 / 3.0 * u[2]],
+        (0.0, 2.0), [1.0, 0.0, 24.0], events=lambda t, u: u[0] - 3.0,
+        **ivp).t_events[0]
+    t_ref = crossings[1]
     forward = solve_forward_cg1(lor, uniform_mesh(2.0, 192))
     [t_c] = eval_event_time(forward, qe)
     [total] = estimate_event_time_error(lor, forward, qe, t_c).total
     eff_evt = total / (t_c - t_ref)
 
-    report(3, "effectivity in [0.85, 1.15] vs 1e5-step reference", [
+    report(3, "effectivity in [0.85, 1.15] vs DOP853 reference", [
         (f"harmonic standard QoI, 54 intervals ({eff_std:.3f})",
          0.85 <= eff_std <= 1.15),
         (f"lorenz event-time QoI, 192 intervals ({eff_evt:.3f})",
@@ -186,7 +198,7 @@ def test_criterion_7_stationary_problem():
         for strategy in ("dwr", "uniform"):
             cfg = MlmcRunConfig(epsilon=BVP_DEFAULT_EPSILON,
                                 initial_mesh=bvp_initial_mesh(),
-                                refinement=bvp_refinement(strategy),
+                                refinement=replace(BVP_REFINEMENT, strategy=strategy),
                                 master_seed=seed)
             costs[strategy] = run_adaptive_mlmc(model, cfg).total_cost
         wins += costs["dwr"] < costs["uniform"]
@@ -197,10 +209,10 @@ def test_criterion_7_stationary_problem():
     problem = BvpProblem()
     mesh = uniform_mesh(3.0, 64)
     b = np.array([0.0])
-    u = Trajectory(mesh, _solve_weak(mesh, b, problem.source,
-                                     problem.source_breaks)[0])
-    phi = Trajectory(mesh, _solve_weak(mesh, b, problem.psi,
-                                       problem.psi_support)[0])
+    u = Trajectory(mesh, solve_weak(mesh, b, problem.source,
+                                    problem.source_breaks)[0, :, None])
+    phi = Trajectory(mesh, solve_weak(mesh, b, problem.psi,
+                                      problem.psi_support)[0, :, None])
     from test_stationary import integrate_against
     lhs = integrate_against(problem.source, phi, problem.source_breaks)
     rhs = integrate_against(problem.psi, u, problem.psi_support)

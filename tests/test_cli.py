@@ -15,6 +15,7 @@ import cli_reference
 from adaptive_mlmc.cli import (ConfigError, _parse_config_file, build_parser,
                                main, write_artifacts)
 from adaptive_mlmc.driver import SAMPLE_DTYPE, MlmcEstimate
+from adaptive_mlmc.experiments import get_experiment
 from adaptive_mlmc.refinement import RefinementConfig
 
 FAST_RUN = """\
@@ -55,19 +56,29 @@ dwr_fraction = 0.3
 dwr_factor = 2
 """)
         s = _parse_config_file(path)
-        assert s.experiment == "lorenz"
-        assert s.epsilon == 1e-4
-        assert s.refinement == "dwr"
-        assert s.seed == 7
-        assert s.jobs == 2
-        assert s.max_levels == 6
-        assert s.n_schedule == (100, 50, 20)
-        assert s.initial_intervals == 24
-        assert s.dump_grids is True
-        assert s.refinement_overrides == {"dwr_fraction": 0.3, "dwr_factor": 2}
+        assert s["experiment"] == "lorenz"
+        assert s["epsilon"] == 1e-4
+        assert s["refinement"] == "dwr"
+        assert s["seed"] == 7
+        assert s["jobs"] == 2
+        assert s["max_levels"] == 6
+        assert s["n_schedule"] == (100, 50, 20)
+        assert s["initial_intervals"] == 24
+        assert s["dump_grids"] is True
+        assert s["refinement_overrides"] == {"dwr_fraction": 0.3, "dwr_factor": 2}
+        assert s["config_path"] == path
+
+    def test_defaults(self, tmp_path):
+        """Keys a config leaves out read as their defaults."""
+        path = write_config(tmp_path, "[run]\nexperiment = lorenz\n")
+        assert _parse_config_file(path) == {
+            "experiment": "lorenz", "epsilon": None, "refinement": None,
+            "seed": 0, "jobs": 1, "max_levels": 10, "initial_intervals": None,
+            "output_dir": ".", "n_schedule": (100, 50, 20), "dump_grids": False,
+            "refinement_overrides": {}, "config_path": path}
 
     def test_missing_run_section(self, tmp_path):
-        path = write_config(tmp_path, "[refinement]\nstrategy = dwr\n")
+        path = write_config(tmp_path, "[refinement]\ndwr_fraction = 0.3\n")
         with pytest.raises(ConfigError, match="missing required"):
             _parse_config_file(path)
 
@@ -99,8 +110,8 @@ EPSILON = 1e-4
 Meso_Q = 1.5
 """)
         s = _parse_config_file(path)
-        assert (s.experiment, s.epsilon) == ("lorenz", 1e-4)
-        assert s.refinement_overrides == {"meso_q": 1.5}
+        assert (s["experiment"], s["epsilon"]) == ("lorenz", 1e-4)
+        assert s["refinement_overrides"] == {"meso_q": 1.5}
 
     @pytest.mark.parametrize("header", ["Refinement", "refinment", "runn"])
     def test_unknown_section_reports_line(self, tmp_path, header):
@@ -119,9 +130,9 @@ dwr_fraction = 0.3
         path = write_config(tmp_path, """\
 [run]
 experiment = lorenz
+refinement = meso
 
 [refinement]
-strategy = meso
 dwr_fraction = 0.3
 dwr_factor = 4
 uniform_factor = 3
@@ -129,14 +140,16 @@ meso_q = 1
 meso_target_multiplier = 3
 """)
         s = _parse_config_file(path)
-        assert s.refinement == "meso"
-        assert s.refinement_overrides == {
+        assert s["refinement"] == "meso"
+        assert s["refinement_overrides"] == {
             "dwr_fraction": 0.3, "dwr_factor": 4, "uniform_factor": 3,
             "meso_q": 1.0, "meso_target_multiplier": 3.0}
         assert all(type(v) is type(getattr(RefinementConfig(), k))
-                   for k, v in s.refinement_overrides.items())
+                   for k, v in s["refinement_overrides"].items())
 
-    def test_run_refinement_wins_over_section_strategy(self, tmp_path):
+    def test_section_strategy_is_an_unknown_key(self, tmp_path, capsys):
+        """The strategy is set by [run] refinement alone; a `strategy` key in
+        [refinement] is an unknown key, reported at its line."""
         path = write_config(tmp_path, """\
 [run]
 experiment = lorenz
@@ -145,7 +158,12 @@ refinement = dwr
 [refinement]
 strategy = meso
 """)
-        assert _parse_config_file(path).refinement == "dwr"
+        with pytest.raises(ConfigError, match=r"run\.ini:6: unknown key 'strategy'"):
+            _parse_config_file(path)
+        assert run_cli("run", "--config", path,
+                       "--output-dir", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}:6: unknown key 'strategy' in [refinement]\n")
 
     def test_refinement_factor_must_be_an_integer(self, tmp_path):
         path = write_config(tmp_path, """\
@@ -249,6 +267,20 @@ class TestRunCommand:
             write_artifacts(estimate, out, False)
             written = Path(out, "samples.csv").read_text().splitlines(True)
         assert written[1:] == list(cli_reference.sample_lines(table))
+
+    def test_dump_grids_keep_17_significant_digits(self, tmp_path, capsys):
+        """Each grid file holds one node per line, written with %.17g, so the
+        nodes read back bit for bit."""
+        out_dir = tmp_path / "out"
+        assert run_cli("run", "--experiment", "harmonic-standard",
+                       "--epsilon", "100", "--dump-grids",
+                       "--output-dir", str(out_dir)) == 0
+        capsys.readouterr()
+        nodes = get_experiment("harmonic-standard").initial_mesh().nodes
+        lines = (out_dir / "grid_L0.txt").read_text().splitlines()
+        assert lines == ["%.17g" % x for x in nodes]
+        assert np.array_equal([float(x) for x in lines], nodes)
+        assert max(len(x.replace(".", "").lstrip("0")) for x in lines) == 17
 
     def test_dump_grids(self, tmp_path, capsys):
         config = write_config(tmp_path, FAST_RUN + "dump_grids = true\n")
@@ -413,9 +445,9 @@ class TestRunSettingsRejected:
 
     @pytest.mark.parametrize("text,message", [
         ("[run]\nexperiment = lorenz\nseed = -5\n", "master_seed must be >= 0"),
-        ("[run]\nexperiment = lorenz\n\n[refinement]\nstrategy = meso\n"
+        ("[run]\nexperiment = lorenz\n\n[refinement]\n"
          "meso_target_multiplier = inf\n", "meso_target_multiplier must exceed 1"),
-        ("[run]\nexperiment = lorenz\n\n[refinement]\nstrategy = meso\n"
+        ("[run]\nexperiment = lorenz\n\n[refinement]\n"
          "meso_q = inf\n", "meso_q must be positive and finite"),
     ])
     def test_bad_config(self, tmp_path, capsys, text, message):
@@ -432,8 +464,8 @@ class TestRunSettingsRejected:
     def test_overflowing_meso_q(self, tmp_path, capsys):
         """A finite meso_q whose region weights n ** meso_q overflow passes
         the config checks and fails when level 1 is built: one error line."""
-        config = write_config(tmp_path, "[run]\nexperiment = lorenz\n\n"
-                              "[refinement]\nstrategy = meso\nmeso_q = 1e300\n")
+        config = write_config(tmp_path, "[run]\nexperiment = lorenz\n"
+                              "refinement = meso\n\n[refinement]\nmeso_q = 1e300\n")
         out_dir = tmp_path / "out"
         code = run_cli("run", "--config", config, "--output-dir", str(out_dir))
         err = capsys.readouterr().err
@@ -451,8 +483,8 @@ class TestRunSettingsRejected:
         does not fit an interval count (1e300) fails when level 1 is built:
         one error line naming the key, no warning, and a FAILED row under
         compare."""
-        config = write_config(tmp_path, "[run]\nexperiment = lorenz\n\n"
-                              "[refinement]\nstrategy = meso\n"
+        config = write_config(tmp_path, "[run]\nexperiment = lorenz\n"
+                              "refinement = meso\n\n[refinement]\n"
                               f"meso_target_multiplier = {multiplier}\n")
         out_dir = tmp_path / "out"
         with warnings.catch_warnings():
@@ -535,6 +567,16 @@ class TestCompareCommand:
         row_a = lines[1].split(",", 1)[1]
         row_b = lines[2].split(",", 1)[1]
         assert row_a == row_b
+
+    def test_jobs_flag_rejected(self, tmp_path, capsys):
+        """compare has no --jobs: argparse exits 2 with its usage message."""
+        config = write_config(tmp_path, FAST_RUN)
+        with pytest.raises(SystemExit) as exc:
+            run_cli("compare", "--configs", config, "--jobs", "2")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: mlmc ")
+        assert err.endswith("mlmc: error: unrecognized arguments: --jobs 2\n")
 
     def test_failure_marker_row(self, tmp_path, capsys):
         good = write_config(tmp_path, FAST_RUN, "good.ini")

@@ -22,9 +22,8 @@ ODE_PRESETS = ("harmonic-standard", "harmonic-nonstandard", "lorenz", "two-body"
 
 class TestPresets:
     def test_all_names_resolve(self):
+        assert EXPERIMENT_NAMES == tuple(sorted(ODE_PRESETS))
         for name in EXPERIMENT_NAMES:
-            if name == "advection-diffusion-1d":
-                continue
             exp = get_experiment(name)
             assert exp.name == name
             assert exp.default_epsilon > 0

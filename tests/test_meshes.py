@@ -340,11 +340,3 @@ class TestMatchesObjectReference:
         else:
             assert np.array_equal(got.nodes, want.nodes)
 
-
-class TestDump:
-    def test_round_trip(self, tmp_path):
-        mesh = Mesh1D(np.array([0.0, 1 / 3, 2 / 3, 1.1]))
-        path = tmp_path / "grid.txt"
-        mesh.dump(path)
-        back = np.array([float(line) for line in path.read_text().split()])
-        np.testing.assert_array_equal(back, mesh.nodes)

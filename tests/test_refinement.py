@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 import decomposition_reference as per_row
 import mesh_reference
 import meso_reference as ref
+from adaptive_mlmc.driver import CHUNK_SIZE
 from adaptive_mlmc.meshes import Mesh1D, uniform_mesh
-from adaptive_mlmc.refinement import (CHUNK_SIZE, RefinementConfig, allocate_meso,
+from adaptive_mlmc.refinement import (RefinementConfig, allocate_meso,
                                       build_next_mesh, dwr_select,
                                       find_meso_regions, refine_meso)
 
@@ -141,9 +142,9 @@ def ragged_rows(seed, n_rows, n):
 
 
 class TestBlockedDwrSelection:
-    """The level-wide selection (NaN-padded rows sorted in blocks of at most
-    CHUNK_SIZE) is the union of the one-row selections and equals the per-row
-    path that grouped rows by length, bit for bit."""
+    """The level-wide selection (NaN-padded rows in one stable argsort) is the
+    union of the one-row selections and equals the per-row path that grouped
+    rows by length and sorted blocks of at most CHUNK_SIZE, bit for bit."""
 
     @given(st.lists(st.lists(st.sampled_from([0.0, -1.0, 1.0, 2.5, -2.5, 7.0]),
                              min_size=1, max_size=12),
@@ -174,8 +175,8 @@ class TestBlockedDwrSelection:
 
     @pytest.mark.parametrize("fraction", [1e-3, 0.3, 1.0])
     def test_rows_across_block_edges(self, fraction):
-        """Row k of 2.5 blocks peaks at interval k, so every block adds
-        intervals no other block selects."""
+        """Row k of 2.5 reference blocks peaks at interval k, so every block
+        adds intervals no other block selects."""
         n_rows = 2 * CHUNK_SIZE + CHUNK_SIZE // 2
         n = n_rows + 7
         rows = np.random.default_rng(4).choice([0.0, 0.5, -0.5], size=(n_rows, n))

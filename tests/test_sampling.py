@@ -8,7 +8,7 @@ import sampling_reference as ref
 from adaptive_mlmc.sampling import (DistributionError, _unit_open_closed,
                                     _words, normal, sample_parameters, uniform)
 
-SPEC = (normal(50.0, 2.0, "k"), uniform(0.225, 0.275, "m"))
+SPEC = (normal(50.0, 2.0), uniform(0.225, 0.275))
 
 
 def draw(spec, seed, level, index):
@@ -96,7 +96,7 @@ class TestChunkedDraws:
     @pytest.mark.parametrize("start,size", [(0, 1), (1, 256), (517, 256),
                                             (1000, 3), (4093, 100)])
     def test_chunks_starting_mid_stream(self, start, size):
-        for spec in (SPEC, MIXED, (uniform(12.0, 16.0, "b"),)):
+        for spec in (SPEC, MIXED, (uniform(12.0, 16.0),)):
             rows = sample_parameters(spec, 5, 3, start, size)
             reference = np.array([reference_draw(spec, 5, 3, i)
                                   for i in range(start, start + size)])

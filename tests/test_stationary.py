@@ -4,6 +4,7 @@ import sys
 import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,13 +17,13 @@ from adaptive_mlmc.meshes import Mesh1D, subdivide, uniform_mesh
 from adaptive_mlmc.refinement import dwr_select
 from adaptive_mlmc.solvers import Trajectory, _segment_quadrature
 from adaptive_mlmc.stationary import (ADJOINT_REFINE_FACTOR,
-                                      BVP_DEFAULT_EPSILON, BvpMlmcModel,
-                                      BvpPlan, BvpProblem,
+                                      BVP_DEFAULT_EPSILON, BVP_REFINEMENT,
+                                      BvpMlmcModel, BvpPlan, BvpProblem,
                                       bvp_error_decomposition,
-                                      bvp_initial_mesh, bvp_refinement,
-                                      qoi_value, solve_bvp_adjoint,
-                                      solve_bvp_p1)
-from adaptive_mlmc.stationary import _load_vector, _segment_bounds, _solve_weak
+                                      bvp_initial_mesh, qoi_value,
+                                      solve_bvp_adjoint, solve_bvp_p1)
+from adaptive_mlmc.stationary import _load_vector, _segment_bounds
+from stationary_reference import solve_weak
 
 PROBLEM = BvpProblem()
 
@@ -39,7 +40,8 @@ def solve_one(b, mesh, problem=PROBLEM):
     U = solve_bvp_p1(plan, w)
     Phi = solve_bvp_adjoint(plan, w)
     c = bvp_error_decomposition(plan, w, U, Phi)
-    return Trajectory(mesh, U[0]), Trajectory(plan.adjoint_mesh, Phi[0]), c[0]
+    return (Trajectory(mesh, U[0, :, None]),
+            Trajectory(plan.adjoint_mesh, Phi[0, :, None]), c[0])
 
 
 def slopes(traj):
@@ -69,7 +71,7 @@ def integrate_against(g, traj, breaks=()):
 class TestForwardSolve:
     def test_zero_source_zero_solution(self):
         mesh = uniform_mesh(3.0, 8)
-        U = _solve_weak(mesh, np.array([14.0, -3.0]), zero, ())
+        U = solve_weak(mesh, np.array([14.0, -3.0]), zero, ())
         assert U.shape == (2, 9)
         np.testing.assert_allclose(U, 0.0)
 
@@ -77,7 +79,7 @@ class TestForwardSolve:
         """b = 0, f = -2: u = x(L - x) is reproduced exactly at the nodes."""
         for n in (4, 16, 33):
             mesh = uniform_mesh(3.0, n)
-            [U] = _solve_weak(mesh, np.array([0.0]),
+            [U] = solve_weak(mesh, np.array([0.0]),
                               lambda x: np.full_like(np.asarray(x, dtype=float),
                                                      -2.0), ())
             exact = mesh.nodes * (3.0 - mesh.nodes)
@@ -92,7 +94,8 @@ class TestForwardSolve:
         errors = []
         for n in (16, 32, 64):
             mesh = uniform_mesh(3.0, n)
-            u = Trajectory(mesh, _solve_weak(mesh, np.array([b]), source, ())[0])
+            [u] = solve_weak(mesh, np.array([b]), source, ())
+            u = Trajectory(mesh, u[:, None])
             xs = np.linspace(0.0, 3.0, 1200)
             err = u(xs)[:, 0] - exact(xs)
             errors.append(np.sqrt(np.trapezoid(err ** 2, xs)))
@@ -105,7 +108,7 @@ class TestForwardSolve:
     def test_never_singular(self, widths, speeds):
         """Any mesh, any real speeds: the stacked solve returns the solution."""
         mesh = Mesh1D(np.concatenate([[0.0], np.cumsum(widths)]))
-        U = _solve_weak(mesh, np.array(speeds), lambda x: np.ones_like(x), ())
+        U = solve_weak(mesh, np.array(speeds), lambda x: np.ones_like(x), ())
         F = _load_vector(mesh, lambda x: np.ones_like(x), ())[1:-1]
         h = mesh.lengths
         for b, u in zip(speeds, U):
@@ -121,17 +124,17 @@ class TestForwardSolve:
 class TestAdjoint:
     def test_zero_weight_zero_adjoint(self):
         mesh = uniform_mesh(3.0, 8)
-        Phi = _solve_weak(mesh, np.array([-14.0]), zero, ())
+        Phi = solve_weak(mesh, np.array([-14.0]), zero, ())
         np.testing.assert_allclose(Phi, 0.0)
 
     def test_symmetric_case_duality(self):
         """b = 0: (f, phi[psi]) = (psi, u[f]) to rounding."""
         mesh = uniform_mesh(3.0, 16)
         b = np.array([0.0])
-        u_f = Trajectory(mesh, _solve_weak(mesh, b, PROBLEM.source,
-                                           PROBLEM.source_breaks)[0])
-        phi_psi = Trajectory(mesh, _solve_weak(mesh, b, PROBLEM.psi,
-                                               PROBLEM.psi_support)[0])
+        u_f = Trajectory(mesh, solve_weak(mesh, b, PROBLEM.source,
+                                          PROBLEM.source_breaks)[0, :, None])
+        phi_psi = Trajectory(mesh, solve_weak(mesh, b, PROBLEM.psi,
+                                              PROBLEM.psi_support)[0, :, None])
         lhs = integrate_against(PROBLEM.source, phi_psi, PROBLEM.source_breaks)
         rhs = integrate_against(PROBLEM.psi, u_f, PROBLEM.psi_support)
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
@@ -235,8 +238,8 @@ def reference_sample(problem, b, mesh):
         ab[0, 1:] = 1.0 / h[1:-1] + 0.5 * advection
         ab[1, :] = -(1.0 / h[:-1] + 1.0 / h[1:])
         ab[2, :-1] = 1.0 / h[1:-1] - 0.5 * advection
-        values = np.zeros(mesh.nodes.size)
-        values[1:-1] = solve_banded((1, 1), ab, F[1:-1])
+        values = np.zeros((mesh.nodes.size, 1))
+        values[1:-1, 0] = solve_banded((1, 1), ab, F[1:-1])
         return Trajectory(mesh, values)
 
     u = solve(mesh, float(b), problem.source, problem.source_breaks)
@@ -426,7 +429,7 @@ class TestMeshPlans:
 class TestBvpMlmc:
     def test_huge_epsilon_single_level(self):
         cfg = MlmcRunConfig(epsilon=1.0, initial_mesh=bvp_initial_mesh(),
-                            refinement=bvp_refinement("uniform"))
+                            refinement=replace(BVP_REFINEMENT, strategy="uniform"))
         est = run_adaptive_mlmc(BvpMlmcModel(), cfg)
         assert est.n_levels == 1
         assert est.converged
@@ -437,7 +440,7 @@ class TestBvpMlmc:
         for strategy in ("dwr", "uniform"):
             cfg = MlmcRunConfig(epsilon=BVP_DEFAULT_EPSILON,
                                 initial_mesh=bvp_initial_mesh(),
-                                refinement=bvp_refinement(strategy),
+                                refinement=replace(BVP_REFINEMENT, strategy=strategy),
                                 master_seed=0)
             est = run_adaptive_mlmc(model, cfg)
             assert est.converged
@@ -451,7 +454,7 @@ class TestBvpMlmc:
         for seed in (11, 12):
             cfg = MlmcRunConfig(epsilon=BVP_DEFAULT_EPSILON,
                                 initial_mesh=bvp_initial_mesh(),
-                                refinement=bvp_refinement("dwr"),
+                                refinement=BVP_REFINEMENT,
                                 master_seed=seed)
             values.append(run_adaptive_mlmc(model, cfg).value)
         assert abs(values[0] - values[1]) <= 3.0 * np.sqrt(BVP_DEFAULT_EPSILON)
@@ -462,7 +465,7 @@ class TestBvpMlmc:
         for jobs in (1, 3):
             cfg = MlmcRunConfig(epsilon=BVP_DEFAULT_EPSILON,
                                 initial_mesh=bvp_initial_mesh(),
-                                refinement=bvp_refinement("dwr"),
+                                refinement=BVP_REFINEMENT,
                                 master_seed=4, jobs=jobs)
             runs.append(run_adaptive_mlmc(BvpMlmcModel(), cfg))
         assert runs[0].levels[0].n_samples > 2 * CHUNK_SIZE
