@@ -38,14 +38,18 @@ class ConfigError(ValueError):
     """Malformed configuration; the message carries file/line context."""
 
 
-def _line_of(path: Optional[str], key: str) -> str:
-    """Best-effort 'file:line' locator of a config key or '[section]' header
-    for error messages, matched case-insensitively like configparser keys."""
+def _line_of(path: Optional[str], section: str, key: Optional[str] = None) -> str:
+    """Best-effort 'file:line' locator of a '[section]' header or of a key in
+    that section (matched case-insensitively like configparser keys)."""
     if path is None:
         return "<flags>"
+    current = None
     try:
         for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-            if line.split("=")[0].split(":")[0].strip().lower() == key.lower():
+            header = configparser.ConfigParser.SECTCRE.match(line.strip())
+            current = header["header"] if header else current
+            name = None if header else line.split("=")[0].split(":")[0].strip().lower()
+            if current == section and name == (key and key.lower()):
                 return f"{path}:{lineno}"
     except OSError:
         pass
@@ -80,12 +84,12 @@ def _parse_section(path: str, section, parsers: dict) -> dict:
     values = {}
     for key, text in section.items():
         if key not in parsers:
-            raise ConfigError(f"{_line_of(path, key)}: unknown key {key!r} "
+            raise ConfigError(f"{_line_of(path, section.name, key)}: unknown key {key!r} "
                               f"in [{section.name}]")
         try:
             values[key] = parsers[key](text)
         except (KeyError, ValueError) as exc:  # KeyError: not a boolean
-            raise ConfigError(f"{_line_of(path, key)}: invalid value in "
+            raise ConfigError(f"{_line_of(path, section.name, key)}: invalid value in "
                               f"[{section.name}]: {exc}") from exc
     return values
 
@@ -102,7 +106,7 @@ def _parse_config_file(path: str) -> dict:
 
     for name in parser.sections():
         if name not in ("run", "refinement"):
-            raise ConfigError(f"{_line_of(path, f'[{name}]')}: unknown section "
+            raise ConfigError(f"{_line_of(path, name)}: unknown section "
                               f"[{name}]; expected [run] or [refinement]")
     if not parser.has_section("run"):
         raise ConfigError(f"{path}:1: missing required [run] section")
@@ -120,7 +124,7 @@ def _build_run(settings: dict):
     name, n_init = settings["experiment"], settings["initial_intervals"]
     bvp = name == BVP_EXPERIMENT
     minimum = BVP_MIN_ELEMENTS if bvp else 1
-    where = (f"{_line_of(settings['config_path'], 'initial_intervals')}: "
+    where = (f"{_line_of(settings['config_path'], 'run', 'initial_intervals')}: "
              f"initial_intervals = {n_init}")
     if n_init is not None and not minimum <= n_init <= sys.maxsize // 8:
         raise ConfigError(f"{where} is outside [{minimum}, {sys.maxsize // 8}], the "
@@ -134,7 +138,7 @@ def _build_run(settings: dict):
             experiment = get_experiment(name)
         except KeyError as exc:
             raise ConfigError(
-                f"{_line_of(settings['config_path'], 'experiment')}: {exc.args[0]}"
+                f"{_line_of(settings['config_path'], 'run', 'experiment')}: {exc.args[0]}"
             ) from exc
         model, refinement = OdeMlmcModel(experiment), RefinementConfig()
         if n_init is not None:

@@ -13,10 +13,10 @@ stalls in Newton or meets a singular Newton or adjoint step system becomes
 NaN, and the other rows carry on.  Row k of every result depends on row k
 alone, bit for bit: each per-row sum is an elementwise reduction or one
 matrix product of the same shape for every row, and batched solves factor
-each matrix on its own.  The residual pairing makes one `rhs` call on every
-quadrature point, and the adjoint one `jacobian` call and one batched solve
-for all its step matrices.  Two loops stay sequential because each step
-needs the one before it: the forward march, whose Newton iterate on
+each matrix on its own.  The adjoint and the residual pairing run over slices
+of SLICE_CELLS rows x sub-intervals, with one `jacobian` call and one batched
+solve, or one `rhs` call, per slice.  Two loops stay sequential because each
+step needs the one before it: the forward march, whose Newton iterate on
 interval n starts from U_n, and the adjoint recurrence phi_n = A_n phi_{n+1}.
 """
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .models import OdeProblem
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITERS = 25
 ADJOINT_REFINE_FACTOR = 2
+SLICE_CELLS = 2048  # rows x adjoint sub-intervals per slice of the estimate kernels
 
 # 5-point Gauss-Legendre rule on [0, 1]
 _GL01_X, _GL01_W = np.polynomial.legendre.leggauss(5)
@@ -55,12 +56,13 @@ def _gauss_sum(w: np.ndarray, f: np.ndarray) -> np.ndarray:
     return total
 
 
-def _solve_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def _solve_rows(A: np.ndarray, B: np.ndarray, singular=None) -> np.ndarray:
     """Batched solve of A X = B, both with the same leading axes, rows first.
 
     A row with a singular matrix comes back NaN instead of failing the
-    others; the other rows keep the bits of the batched solve, which
-    factors each matrix on its own."""
+    others (and is flagged in the boolean array `singular`, if given); the
+    other rows keep the bits of the batched solve, which factors each
+    matrix on its own."""
     try:
         return np.linalg.solve(A, B)
     except np.linalg.LinAlgError:
@@ -68,8 +70,9 @@ def _solve_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         for k in range(len(A)):
             try:
                 X[k] = np.linalg.solve(A[k], B[k])
-            except np.linalg.LinAlgError:
-                pass  # singular: row k stays NaN
+            except np.linalg.LinAlgError:  # singular: row k stays NaN
+                if singular is not None:
+                    singular[k] = True
         return X
 
 
@@ -181,24 +184,28 @@ def solve_adjoint(problem: OdeProblem, forward: Trajectory, t_star: float,
     J is the model Jacobian evaluated on the forward interpolant, and
     `terminal_value` is (d,) for all rows or (M, d).  The adjoint mesh is the
     forward mesh restricted to (0, t*) and uniformly refined by 2.  cG(1) for
-    -phi' = J^T phi gives, per step, (I - M0_n) phi_n = (I + M1_n) phi_{n+1};
-    all step matrices A_n = (I - M0_n)^{-1} (I + M1_n) come from one batched
-    solve.  A row with a singular step system is NaN before t*.
+    -phi' = J^T phi gives, per step, (I - M0_n) phi_n = (I + M1_n) phi_{n+1}.
+    Each slice of SLICE_CELLS rows x steps solves its A_n = (I - M0_n)^{-1}
+    (I + M1_n) in one batch, so O(SLICE_CELLS d^2) floats are live beside
+    the result.  A row with a singular step system is NaN before t*.
     """
     mesh = subdivide(restrict_mesh(forward.mesh, t_star), ADJOINT_REFINE_FACTOR)
-    d = problem.dim
+    M, d, eye = len(forward.values), problem.dim, np.eye(problem.dim)
     tq, wq = _segment_quadrature(mesh.nodes)
-    t = tq.ravel()
+    phi = np.empty((M, mesh.nodes.size, d))
+    phi[:, -1] = terminal_value
+    singular, step = np.zeros(M, dtype=bool), max(2, SLICE_CELLS // M)
     with np.errstate(all="ignore"):
-        Jt = np.swapaxes(problem.jacobian(forward(t), t), -1, -2)
-        Jt = Jt.reshape((-1,) + tq.shape + (d, d))
-        eye = np.eye(d)
-        A = _solve_rows(eye - _gauss_sum(wq * (1.0 - _GL01_X), Jt),
-                        eye + _gauss_sum(wq * _GL01_X, Jt))
-        phi = np.empty((A.shape[0], mesh.nodes.size, d))
-        phi[:, -1] = terminal_value
-        for n in range(mesh.n_intervals - 1, -1, -1):
-            phi[:, n] = (A[:, n] * phi[:, n + 1, None, :]).sum(axis=-1)
+        for lo in reversed(range(0, mesh.n_intervals, step)):
+            hi = min(lo + step, mesh.n_intervals)
+            t = tq[lo:hi].ravel()
+            Jt = np.swapaxes(problem.jacobian(forward(t), t), -1, -2).reshape(
+                M, hi - lo, 5, d, d)
+            A = _solve_rows(eye - _gauss_sum(wq[lo:hi] * (1.0 - _GL01_X), Jt),
+                            eye + _gauss_sum(wq[lo:hi] * _GL01_X, Jt), singular)
+            for n in range(hi - 1, lo - 1, -1):
+                phi[:, n] = (A[:, n - lo] * phi[:, n + 1, None, :]).sum(axis=-1)
+    phi[singular, :-1] = np.nan
     return Trajectory(mesh, phi)
 
 
@@ -207,20 +214,27 @@ def residual_pairing(problem: OdeProblem, forward: Trajectory,
     """Per-row, per-forward-interval integrals of [f(U) - dU/dt] . phi over
     (0, t*), phi the adjoint, shape (M, intervals of the forward mesh
     restricted to (0, t*)): 5-point Gauss-Legendre on every adjoint-mesh
-    interval, summed onto the forward interval that holds it."""
+    interval, summed onto the forward interval that holds it.  SLICE_CELLS rows
+    x sub-intervals at a time (O(SLICE_CELLS d) floats beside the result) are
+    added onto zeros, so an interval split by two slices keeps its sum order."""
     if adjoint.mesh.length < t_star * (1.0 - REL_TOL):
         raise MeshError("adjoint trajectory does not cover (0, t*)")
     restricted = restrict_mesh(forward.mesh, t_star)
     quad_nodes = adjoint.mesh.nodes
     tq, wq = _segment_quadrature(quad_nodes)
-    t = tq.ravel()
-    slopes = np.diff(forward.values, axis=1) / forward.mesh.lengths[:, None]
-    with np.errstate(all="ignore"):
-        residual = problem.rhs(forward(t), t) - slopes[:, forward.mesh.interval_of(t)]
-        integrand = (residual * adjoint(t)).sum(axis=-1)
-    rows, n = integrand.shape[0], restricted.n_intervals
-    per_sub_interval = (wq * integrand.reshape((rows,) + tq.shape)).sum(axis=-1)
     owner = restricted.interval_of(0.5 * (quad_nodes[:-1] + quad_nodes[1:]))
-    bins = (owner + n * np.arange(rows)[:, None]).ravel()
-    return np.bincount(bins, weights=per_sub_interval.ravel(),
-                       minlength=rows * n).reshape(rows, n)
+    slopes = np.diff(forward.values, axis=1) / forward.mesh.lengths[:, None]
+    rows, n_sub = len(forward.values), adjoint.mesh.n_intervals
+    total, step = np.zeros((rows, restricted.n_intervals)), max(2, SLICE_CELLS // rows)
+    with np.errstate(all="ignore"):
+        for lo in range(0, n_sub, step):
+            hi = min(lo + step, n_sub)
+            t = tq[lo:hi].ravel()
+            residual = problem.rhs(forward(t), t) - slopes[:, forward.mesh.interval_of(t)]
+            integrand = (residual * adjoint(t)).sum(axis=-1).reshape(rows, hi - lo, 5)
+            first, width = owner[lo], owner[hi - 1] - owner[lo] + 1
+            bins = (owner[lo:hi] - first + width * np.arange(rows)[:, None]).ravel()
+            total[:, first:first + width] += np.bincount(
+                bins, (wq[lo:hi] * integrand).sum(axis=-1).ravel(), rows * width
+            ).reshape(rows, width)
+    return total

@@ -1,18 +1,23 @@
-"""The per-row ODE sample path that the batched engine replaced, kept as a
-test reference.
+"""The ODE paths that the batched and sliced kernels replaced, kept as test
+references.
 
 Each draw is marched, evaluated and estimated alone on (d,) states, with one
 Newton solve per iterate, the interval loop for crossings and the adjoint and
 pairing of a single trajectory.  A one-row `OdeProblem` is wrapped into the
 (d,)-state callables this path uses.  Failures raise `RowFailed`, as the old
 path raised a sample failure.
+
+`whole_mesh_adjoint` and `whole_mesh_pairing` are the batched adjoint and
+pairing as they were before they ran in slices: one model call and one set of
+(M, 5 n_sub, d, d) arrays for the whole adjoint mesh.
 """
 import numpy as np
 
 from adaptive_mlmc.meshes import subdivide
 from adaptive_mlmc.qoi import StandardQoi
 from adaptive_mlmc.solvers import (ADJOINT_REFINE_FACTOR, NEWTON_MAX_ITERS,
-                                   NEWTON_TOL, _GL01_X, _segment_quadrature,
+                                   NEWTON_TOL, _GL01_X, Trajectory, _gauss_sum,
+                                   _segment_quadrature, _solve_rows,
                                    restrict_mesh)
 
 
@@ -145,3 +150,42 @@ def sample(problem, mesh, q, want_estimate=True):
         raise RowFailed("grazing event")
     return t_c, contributions, denominator
 
+
+
+def whole_mesh_adjoint(problem, forward, t_star, terminal_value):
+    """`solve_adjoint` in one piece: one `jacobian` call on every quadrature
+    point and one batched solve for every step matrix."""
+    mesh = subdivide(restrict_mesh(forward.mesh, t_star), ADJOINT_REFINE_FACTOR)
+    d = problem.dim
+    tq, wq = _segment_quadrature(mesh.nodes)
+    t = tq.ravel()
+    with np.errstate(all="ignore"):
+        Jt = np.swapaxes(problem.jacobian(forward(t), t), -1, -2)
+        Jt = Jt.reshape((-1,) + tq.shape + (d, d))
+        eye = np.eye(d)
+        A = _solve_rows(eye - _gauss_sum(wq * (1.0 - _GL01_X), Jt),
+                        eye + _gauss_sum(wq * _GL01_X, Jt))
+        phi = np.empty((A.shape[0], mesh.nodes.size, d))
+        phi[:, -1] = terminal_value
+        for n in range(mesh.n_intervals - 1, -1, -1):
+            phi[:, n] = (A[:, n] * phi[:, n + 1, None, :]).sum(axis=-1)
+    return Trajectory(mesh, phi)
+
+
+def whole_mesh_pairing(problem, forward, adjoint, t_star):
+    """`residual_pairing` in one piece: one `rhs` call on every quadrature
+    point and one `np.bincount` onto the forward intervals."""
+    restricted = restrict_mesh(forward.mesh, t_star)
+    quad_nodes = adjoint.mesh.nodes
+    tq, wq = _segment_quadrature(quad_nodes)
+    t = tq.ravel()
+    slopes = np.diff(forward.values, axis=1) / forward.mesh.lengths[:, None]
+    with np.errstate(all="ignore"):
+        residual = problem.rhs(forward(t), t) - slopes[:, forward.mesh.interval_of(t)]
+        integrand = (residual * adjoint(t)).sum(axis=-1)
+    rows, n = integrand.shape[0], restricted.n_intervals
+    per_sub_interval = (wq * integrand.reshape((rows,) + tq.shape)).sum(axis=-1)
+    owner = restricted.interval_of(0.5 * (quad_nodes[:-1] + quad_nodes[1:]))
+    bins = (owner + n * np.arange(rows)[:, None]).ravel()
+    return np.bincount(bins, weights=per_sub_interval.ravel(),
+                       minlength=rows * n).reshape(rows, n)

@@ -165,6 +165,24 @@ strategy = meso
         assert capsys.readouterr().err == (
             f"error: {path}:6: unknown key 'strategy' in [refinement]\n")
 
+    def test_line_is_looked_up_in_the_named_section(self, tmp_path, capsys):
+        """A key valid in [run] and unknown in [refinement] is reported at
+        its [refinement] line, not at the [run] line that comes first."""
+        path = write_config(tmp_path, """\
+[run]
+experiment = lorenz
+seed = 1
+
+[refinement]
+seed = 3
+""")
+        with pytest.raises(ConfigError, match=r"run\.ini:6: unknown key 'seed'"):
+            _parse_config_file(path)
+        assert run_cli("run", "--config", path,
+                       "--output-dir", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}:6: unknown key 'seed' in [refinement]\n")
+
     def test_refinement_factor_must_be_an_integer(self, tmp_path):
         path = write_config(tmp_path, """\
 [run]

@@ -1,4 +1,6 @@
 """Adjoint-based error estimates: effectivity against fine references."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -6,10 +8,12 @@ from scipy.integrate import solve_ivp
 from adaptive_mlmc.error_estimation import (ErrorDecomposition,
                                             estimate_event_time_error,
                                             estimate_standard_error)
+from adaptive_mlmc.experiments import get_experiment
 from adaptive_mlmc.meshes import uniform_mesh
 from adaptive_mlmc.models import (OdeProblem, harmonic_oscillator, lorenz)
 from adaptive_mlmc.qoi import (NonstandardQoi, StandardQoi, eval_event_time,
                                eval_standard)
+from adaptive_mlmc.sampling import sample_parameters
 from adaptive_mlmc.solvers import solve_forward_cg1
 
 
@@ -82,6 +86,24 @@ class TestStandardEstimate:
                                          StandardQoi(np.array([1.0, 0.0]), 3.0))
         assert decomp.contributions.shape == (1, 27)
         assert decomp.denominator.tolist() == [1.0]
+
+
+    def test_working_set_is_bounded(self):
+        """256 rows on 165 intervals: the whole-mesh kernels held (256, 1650,
+        2, 2) arrays and peaked at 36 MB; the sliced ones stay under 6 MB."""
+        experiment = get_experiment("harmonic-standard")
+        problem = experiment.make_problem(
+            sample_parameters(experiment.distributions, 0, 1, 0, 256))
+        forward = solve_forward_cg1(problem, uniform_mesh(3.0, 165))
+        tracemalloc.start()
+        try:
+            d = estimate_standard_error(problem, forward, experiment.qoi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.contributions.shape == (256, 165)
+        assert np.isfinite(d.total).all()
+        assert peak <= 6e6, f"estimate peaked at {peak / 1e6:.1f} MB"
 
 
 class TestEventTimeEstimate:

@@ -1,15 +1,18 @@
 """Forward cG(1) solver, adjoint solver, and residual-pairing tests."""
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from adaptive_mlmc import solvers
 from adaptive_mlmc.experiments import get_experiment
 from adaptive_mlmc.meshes import Mesh1D, MeshError, subdivide, uniform_mesh
 from adaptive_mlmc.models import OdeProblem, harmonic_oscillator, lorenz, two_body
 from adaptive_mlmc.qoi import StandardQoi, eval_event_time
+from adaptive_mlmc.sampling import sample_parameters
 from adaptive_mlmc.solvers import (ADJOINT_REFINE_FACTOR, Trajectory, _GL01_X,
                                    _segment_quadrature, residual_pairing,
                                    restrict_mesh, solve_adjoint,
@@ -260,8 +263,20 @@ def preset_case(name):
     return problem, forward, t_star, q.psi
 
 
+def counting_calls(problem, calls):
+    """`problem` with its `rhs` and `jacobian` calls counted into `calls`."""
+    def counting(name, fn):
+        def wrapped(u, t):
+            calls[name] += 1
+            return fn(u, t)
+        return wrapped
+
+    return dataclasses.replace(problem, rhs=counting("rhs", problem.rhs),
+                               jacobian=counting("jacobian", problem.jacobian))
+
+
 class TestWholeMeshKernels:
-    """The whole-mesh adjoint and pairing against the per-step loops."""
+    """The batched adjoint and pairing against the per-step loops."""
 
     @pytest.mark.parametrize("name", ["harmonic-standard", "lorenz", "two-body"])
     def test_match_per_step_reference(self, name):
@@ -285,20 +300,27 @@ class TestWholeMeshKernels:
     def test_one_model_call_per_kernel(self):
         problem, forward, t_star, psi = preset_case("lorenz")
         calls = {"rhs": 0, "jacobian": 0}
-
-        def counting(name, fn):
-            def wrapped(u, t):
-                calls[name] += 1
-                return fn(u, t)
-            return wrapped
-
-        counted = dataclasses.replace(
-            problem, rhs=counting("rhs", problem.rhs),
-            jacobian=counting("jacobian", problem.jacobian))
+        counted = counting_calls(problem, calls)
         phi = solve_adjoint(counted, forward, t_star, psi)
         assert calls == {"rhs": 0, "jacobian": 1}
         residual_pairing(counted, forward, phi, t_star)
         assert calls == {"rhs": 1, "jacobian": 1}
+
+    @pytest.mark.parametrize("rows,cells", [(300, None), (1, 7)])
+    def test_one_model_call_per_slice(self, monkeypatch, rows, cells):
+        """With more than one slice, each makes one `jacobian` call in the
+        adjoint and one `rhs` call in the pairing."""
+        if cells is not None:
+            monkeypatch.setattr(solvers, "SLICE_CELLS", cells)
+        problem, forward, t_star, psi = chunk_case("harmonic-standard", rows)
+        calls = {"rhs": 0, "jacobian": 0}
+        counted = counting_calls(problem, calls)
+        phi = solve_adjoint(counted, forward, t_star, psi)
+        slices = math.ceil(phi.mesh.n_intervals / max(2, solvers.SLICE_CELLS // rows))
+        assert slices > 1
+        assert calls == {"rhs": 0, "jacobian": slices}
+        residual_pairing(counted, forward, phi, t_star)
+        assert calls == {"rhs": slices, "jacobian": slices}
 
     def test_singular_adjoint_step_is_a_sample_failure(self):
         """One forward interval of (0, 1) gives adjoint steps of h = 1/2.  In
@@ -320,3 +342,98 @@ class TestWholeMeshKernels:
                               1.0, np.array([1.0]))
         assert np.isfinite(alone.values).all()
         assert np.array_equal(phi.values[1], alone.values[0])
+
+
+def chunk_case(name, rows):
+    """A preset's first `rows` draws at level 1 of seed 0, solved on its initial
+    mesh refined by 2, with its t* (an event-time preset: row 0's crossing)."""
+    experiment = get_experiment(name)
+    problem = experiment.make_problem(
+        sample_parameters(experiment.distributions, 0, 1, 0, rows))
+    forward = solve_forward_cg1(problem, subdivide(experiment.initial_mesh(), 2))
+    q = experiment.qoi
+    t_star = q.t_star if isinstance(q, StandardQoi) else eval_event_time(forward, q)[0]
+    return problem, forward, t_star, q.psi
+
+
+def assert_same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def assert_kernels_match_whole_mesh(problem, forward, t_star, terminal_value):
+    """The sliced adjoint and pairing have the bits of the whole-mesh ones."""
+    phi = solve_adjoint(problem, forward, t_star, terminal_value)
+    whole = ode_reference.whole_mesh_adjoint(problem, forward, t_star, terminal_value)
+    assert_same_bits(phi.mesh.nodes, whole.mesh.nodes)
+    assert_same_bits(phi.values, whole.values)
+    assert_same_bits(residual_pairing(problem, forward, phi, t_star),
+                     ode_reference.whole_mesh_pairing(problem, forward, whole, t_star))
+    return phi
+
+
+@pytest.fixture(params=[1, 2, 3, 7, None], ids=lambda c: f"cells{c or 'default'}")
+def slice_cells(request, monkeypatch):
+    """SLICE_CELLS at 1, 2 and 3 (2 sub-intervals a slice for every row count),
+    7 (an odd step of 7 or 3 for one or two rows, so a forward interval's two
+    sub-intervals fall in different slices) and the default."""
+    if request.param is not None:
+        monkeypatch.setattr(solvers, "SLICE_CELLS", request.param)
+    return solvers.SLICE_CELLS
+
+
+class TestSlicedKernels:
+    """`solve_adjoint` and `residual_pairing` run in slices of SLICE_CELLS
+    rows x sub-intervals, with the bits of the whole-mesh kernels."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 300])
+    @pytest.mark.parametrize("name", ["harmonic-standard", "lorenz", "two-body"])
+    def test_presets(self, slice_cells, name, rows):
+        problem, forward, t_star, psi = chunk_case(name, rows)
+        assert np.isfinite(forward.values).all()
+        if name != "harmonic-standard":  # the event-time cut
+            assert not np.any(forward.mesh.nodes == t_star)
+        phi = assert_kernels_match_whole_mesh(problem, forward, t_star, psi)
+        assert np.isfinite(phi.values).all()
+
+    def test_t_star_at_an_interior_node(self, slice_cells):
+        problem, forward, _, psi = chunk_case("lorenz", 2)
+        t_star = forward.mesh.nodes[17]
+        phi = assert_kernels_match_whole_mesh(problem, forward, t_star, psi)
+        assert phi.mesh.length == t_star
+
+    def test_per_row_terminal_values(self, slice_cells):
+        problem, forward, t_star, _ = chunk_case("two-body", 3)
+        terminal = np.arange(12.0).reshape(3, 4) - 5.0
+        assert_kernels_match_whole_mesh(problem, forward, t_star, terminal)
+
+    def test_nan_row(self, slice_cells):
+        """A failed forward row (NaN at every node) gives a NaN adjoint before
+        t* and NaN contributions; the other rows stay finite."""
+        problem, forward, t_star, psi = chunk_case("lorenz", 3)
+        values = forward.values.copy()
+        values[1] = np.nan
+        forward = Trajectory(forward.mesh, values)
+        phi = assert_kernels_match_whole_mesh(problem, forward, t_star, psi)
+        assert np.isnan(phi.values[1, :-1]).all()
+        assert np.isfinite(phi.values[[0, 2]]).all()
+        contributions = residual_pairing(problem, forward, phi, t_star)
+        assert np.isnan(contributions[1]).all()
+        assert np.isfinite(contributions[[0, 2]]).all()
+
+    @pytest.mark.parametrize("step", [1, 8, 13])
+    def test_singular_step_in_a_later_slice(self, slice_cells, step):
+        """As in `test_singular_adjoint_step_is_a_sample_failure`, on 8
+        forward intervals: the flagged row's step `step` of 16 has I - M0 = 0
+        exactly.  Slices after it in time were solved first, and the row is
+        still NaN at every node before t*."""
+        mesh = uniform_mesh(1.0, 8)
+        tq, wq = _segment_quadrature(subdivide(mesh, 2).nodes)
+        problem = one_point_jacobian(
+            lambda u, t: np.zeros_like(u), tq[step, 2],
+            exact_reciprocal((wq * (1.0 - _GL01_X))[step, 2]))([1.0, 0.0])
+        forward = Trajectory(mesh, np.ones((2, 9, 1)))
+        phi = assert_kernels_match_whole_mesh(problem, forward, 1.0, np.array([1.0]))
+        assert np.isnan(phi.values[0, :-1]).all() and phi.values[0, -1] == 1.0
+        assert np.isfinite(phi.values[1]).all()
