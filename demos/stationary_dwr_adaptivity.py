@@ -15,7 +15,7 @@ from adaptive_mlmc import BvpMlmcModel, MlmcRunConfig, run_adaptive_mlmc
 from adaptive_mlmc.meshes import subdivide, uniform_mesh
 from adaptive_mlmc.refinement import dwr_select
 from adaptive_mlmc.stationary import (BVP_DEFAULT_EPSILON, BVP_REFINEMENT,
-                                      BvpPlan, BvpProblem,
+                                      LENGTH, BvpPlan,
                                       bvp_error_decomposition,
                                       bvp_initial_mesh, qoi_value,
                                       solve_bvp_adjoint, solve_bvp_p1)
@@ -24,12 +24,11 @@ ADVECTION = 14.0
 
 
 def main():
-    problem = BvpProblem()
     print(f"single-sample DWR loop at b = {ADVECTION:g}")
-    mesh = uniform_mesh(problem.length, 12)
+    mesh = uniform_mesh(LENGTH, 12)
     w = np.array([ADVECTION])  # the solvers take a vector of speeds
     for sweep in range(4):
-        plan = BvpPlan.build(problem, mesh)  # the mesh's draw-free arrays
+        plan = BvpPlan.build(mesh)  # the mesh's draw-free arrays
         U = solve_bvp_p1(plan, w)
         Phi = solve_bvp_adjoint(plan, w)
         contributions = bvp_error_decomposition(plan, w, U, Phi)

@@ -56,14 +56,17 @@ def _line_of(path: Optional[str], section: str, key: Optional[str] = None) -> st
     return path
 
 
-# Every [run] key: (parser, default).  A run's settings are one dict of these
-# keys plus `refinement_overrides` and `config_path`.
+# Every [run] key: (parser, default), the run's own defaults read from
+# MlmcRunConfig (`seed` is its master_seed).  A run's settings are one dict of
+# these keys plus `refinement_overrides` and `config_path`.
+_RUN_DEFAULTS = {f.name: f.default for f in fields(MlmcRunConfig)}
 _RUN_KEYS = {
     "experiment": (str, None), "epsilon": (float, None), "refinement": (str, None),
-    "seed": (int, 0), "jobs": (int, 1), "max_levels": (int, 10),
-    "initial_intervals": (int, None), "output_dir": (str, "."),
+    "seed": (int, _RUN_DEFAULTS["master_seed"]), "jobs": (int, _RUN_DEFAULTS["jobs"]),
+    "max_levels": (int, _RUN_DEFAULTS["max_levels"]), "initial_intervals": (int, None),
+    "output_dir": (str, "."),
     "n_schedule": (lambda text: tuple(int(x) for x in text.replace(",", " ").split()),
-                   (100, 50, 20)),
+                   _RUN_DEFAULTS["n_schedule"]),
     "dump_grids": (lambda text: configparser.ConfigParser.BOOLEAN_STATES[text.lower()],
                    False),
 }

@@ -1,9 +1,10 @@
 """One-dimensional meshes (temporal and spatial) and their refinement primitives.
 
-Meshes store node coordinates rather than interval lengths so that merged
-region boundaries stay exact under dyadic refinement.  All refinement
-operations return new meshes; instances are immutable and safe to share
-across concurrently running samples.
+Meshes store node coordinates rather than interval lengths, and refinement
+keeps every input node exactly, so meso region breaks taken from one level's
+nodes compare exactly with the next level's.  All refinement operations
+return new meshes; instances are immutable and safe to share across
+concurrently running samples.
 """
 from __future__ import annotations
 
@@ -11,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Relative tolerance for deciding that two boundary times coincide.
+# Relative slack for a time that lands on a mesh's end by another route
+# (an event time, a problem horizon) and may overshoot it by rounding.
 REL_TOL = 1e-12
 
 
@@ -82,43 +84,25 @@ def subdivide(mesh: Mesh1D, counts) -> Mesh1D:
     return Mesh1D(np.append(nodes, mesh.nodes[-1]))
 
 
-def _same_time(a: float, b: float, scale: float) -> bool:
-    return abs(a - b) <= REL_TOL * max(scale, 1.0)
-
-
-def _density_at(tiling, t: np.ndarray) -> np.ndarray:
-    """Interval density of the first region whose closed span holds each t."""
-    breaks, counts = tiling
-    if t.min() < breaks[0] or t.max() > breaks[-1]:
-        raise MeshError("overlay point not covered by regions")
-    i = np.maximum(np.searchsorted(breaks, t) - 1, 0)
-    return counts[i] / np.diff(breaks)[i]
-
-
 def common_mesoregion_refinement(prev_regions, tentative_regions):
     """Overlay two region tilings of the same domain.
 
     A tiling is a pair of arrays (breaks, counts): region i spans
-    breaks[i]..breaks[i+1] with counts[i] uniform intervals.  Breaks of the
-    two tilings that coincide within REL_TOL become one overlay boundary.
-    Each overlay piece gets the larger of the two parents' interval
-    densities, scaled to the piece length and rounded up (minimum 1).
-    Taking the max guarantees no piece is ever coarser than the
-    previous-level grid.
+    breaks[i]..breaks[i+1] with counts[i] uniform intervals.  The overlay
+    breaks at every break of either tiling, compared exactly (meso breaks
+    are nodes of the previous level's mesh).  Each overlay piece gets the
+    larger of the two parents' interval densities at its midpoint, scaled
+    to the piece length and rounded up (minimum 1).  Taking the max
+    guarantees no piece is ever coarser than the previous-level grid.
     """
     prev_breaks, tentative_breaks = prev_regions[0], tentative_regions[0]
-    t0, t1 = prev_breaks[0], prev_breaks[-1]
-    if not (_same_time(tentative_breaks[0], t0, t1)
-            and _same_time(tentative_breaks[-1], t1, t1)):
+    if tentative_breaks[0] != prev_breaks[0] or tentative_breaks[-1] != prev_breaks[-1]:
         raise MeshError("regions do not span the requested domain")
-    boundaries = [t0]
-    for t in np.unique(np.concatenate([prev_breaks, tentative_breaks])):
-        if not _same_time(t, boundaries[-1], t1):
-            boundaries.append(t)
-    boundaries[-1] = t1
-    breaks = np.array(boundaries)
-    mid = 0.5 * (breaks[:-1] + breaks[1:])
-    density = np.maximum(_density_at(prev_regions, mid),
-                         _density_at(tentative_regions, mid))
+    breaks = np.sort(np.concatenate([prev_breaks, tentative_breaks]))
+    breaks = breaks[np.append(True, np.diff(breaks) > 0.0)]  # np.unique loads numpy.ma
+    mid, density = 0.5 * (breaks[:-1] + breaks[1:]), 0.0
+    for parent_breaks, parent_counts in (prev_regions, tentative_regions):
+        i = Mesh1D(parent_breaks).interval_of(mid)
+        density = np.maximum(density, parent_counts[i] / np.diff(parent_breaks)[i])
     counts = np.maximum(1, np.ceil(density * np.diff(breaks) - 1e-9)).astype(int)
     return breaks, counts

@@ -21,7 +21,6 @@ interval n starts from U_n, and the adjoint recurrence phi_n = A_n phi_{n+1}.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,15 +141,13 @@ def solve_forward_cg1(problem: OdeProblem, mesh: Mesh1D) -> Trajectory:
                 worst = np.maximum.reduce(error, axis=None)
                 if worst <= NEWTON_TOL:
                     break
-                live = M  # with one finite row, `worst` is that row's error
-                if M > 1 or not math.isfinite(worst):
-                    error = np.maximum.reduce(error, axis=(1, 2))
-                    # a non-finite iterate or residual: the row has diverged
-                    failed |= ~np.isfinite(error)
-                    iterating &= ~failed & (error > NEWTON_TOL)
-                    live = np.count_nonzero(iterating)
-                    if not live:
-                        break
+                error = np.maximum.reduce(error, axis=(1, 2))
+                # a non-finite iterate or residual: the row has diverged
+                failed |= ~np.isfinite(error)
+                iterating &= ~failed & (error > NEWTON_TOL)
+                live = np.count_nonzero(iterating)
+                if not live:
+                    break
                 G = eye - (w_newton[n] @ problem.jacobian(Uq, tn).reshape(M, 5, d * d)
                            ).reshape(M, d, d)
                 if live == M:

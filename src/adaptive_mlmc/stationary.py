@@ -1,10 +1,12 @@
 """Steady 1D advection-diffusion boundary value problem with P1 elements.
 
-Solves u'' + b u' = f on (0, L) with homogeneous Dirichlet conditions via the
-weak form -(u', v') + b(u', v) = (f, v), the adjoint problem with the
-advection sign flipped and the QoI weight as source, and the elementwise
-error decomposition pairing the residual of U with the adjoint weight.
-The spatial DWR and uniform strategies plug into the shared MLMC driver.
+Solves u'' + b u' = f on (0, LENGTH) with homogeneous Dirichlet conditions via
+the weak form -(u', v') + b(u', v) = (f, v), the adjoint problem with the
+advection sign flipped and the QoI weight psi as source, and the elementwise
+error decomposition pairing the residual of U with the adjoint weight.  The
+problem is fixed module data (LENGTH, `source` with its SOURCE_BREAKS, `psi`
+on PSI_SUPPORT, Q(u) = (u, psi)); its one random input is the speed b.  The
+spatial DWR and uniform strategies plug into the shared MLMC driver.
 
 Each solve, QoI and decomposition treats a vector of M advection speeds at
 once, on a shared mesh.  No draw can fail (see `_solve_assembled`).
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable
 
 import numpy as np
 
@@ -29,32 +31,23 @@ from .solvers import _segment_quadrature
 # effectivity near 0.94 while the adjoint stays a cheap tridiagonal solve.
 ADJOINT_REFINE_FACTOR = 4
 
+LENGTH = 3.0
+SOURCE_BREAKS = (1.0, 2.5)  # f and psi are smooth between their breakpoints
+PSI_SUPPORT = (1.0, 1.5)
 
-def _quartic_bump(x):
-    """Source profile: 100 (x-1)^2 (2.5-x)^2 on [1, 2.5], zero elsewhere."""
+
+def source(x):
+    """f: 100 (x-1)^2 (2.5-x)^2 on [1, 2.5], zero elsewhere."""
     x = np.asarray(x, dtype=float)
     inside = (x >= 1.0) & (x <= 2.5)
     return np.where(inside, 100.0 * (x - 1.0) ** 2 * (2.5 - x) ** 2, 0.0)
 
 
-@dataclass(frozen=True)
-class BvpProblem:
-    """u'' + b u' = f on (0, length), u(0) = u(length) = 0, Q(u) = (u, psi)."""
-
-    length: float = 3.0
-    source: Callable = _quartic_bump
-    source_breaks: Tuple[float, ...] = (1.0, 2.5)
-    psi_support: Tuple[float, float] = (1.0, 1.5)
-
-    def __post_init__(self):
-        lo, hi = self.psi_support
-        if not (0.0 < lo < hi < self.length):
-            raise ValueError("psi support must lie strictly inside the domain")
-
-    def psi(self, x):
-        x = np.asarray(x, dtype=float)
-        lo, hi = self.psi_support
-        return np.where((x >= lo) & (x <= hi), 1.0, 0.0)
+def psi(x):
+    """The QoI weight: 1 on PSI_SUPPORT, zero elsewhere."""
+    x = np.asarray(x, dtype=float)
+    lo, hi = PSI_SUPPORT
+    return np.where((x >= lo) & (x <= hi), 1.0, 0.0)
 
 
 def _segment_bounds(nodes: np.ndarray, breaks) -> np.ndarray:
@@ -123,25 +116,24 @@ class BvpPlan:
             array.setflags(write=False)
 
     @classmethod
-    def build(cls, problem: BvpProblem, mesh: Mesh1D) -> BvpPlan:
+    def build(cls, mesh: Mesh1D) -> BvpPlan:
         fine = subdivide(mesh, ADJOINT_REFINE_FACTOR)
-        # decomposition segments split at the elements of both meshes and at
-        # the source breakpoints, so Gauss quadrature is exact on each
-        pts = _segment_bounds(np.concatenate([mesh.nodes, fine.nodes]),
-                              problem.source_breaks)
+        # decomposition segments split at the elements of the adjoint mesh,
+        # which keeps every node of `mesh`, and at the source breakpoints, so
+        # Gauss quadrature is exact on each
+        pts = _segment_bounds(fine.nodes, SOURCE_BREAKS)
         mids, (xq, wq) = 0.5 * (pts[:-1] + pts[1:]), _segment_quadrature(pts)
         j = fine.interval_of(mids)
         s = (xq - fine.nodes[j, None]) / (fine.nodes[j + 1] - fine.nodes[j])[:, None]
-        fq = problem.source(xq.ravel()).reshape(xq.shape)
-        lo, hi = problem.psi_support  # QoI segments: those inside [lo, hi]
-        qoi_pts = _segment_bounds(mesh.nodes, (lo, hi))
+        fq = source(xq.ravel()).reshape(xq.shape)
+        lo, hi = PSI_SUPPORT  # QoI segments: those inside [lo, hi]
+        qoi_pts = _segment_bounds(mesh.nodes, PSI_SUPPORT)
         x = 0.5 * (qoi_pts[:-1] + qoi_pts[1:])
         inside = (lo <= x) & (x <= hi)
         x, i = x[inside], mesh.interval_of(x[inside])
-        return cls((_load_vector(mesh, problem.source, problem.source_breaks),
-                    1.0 / mesh.lengths), fine,
-                   (_load_vector(fine, problem.psi, problem.psi_support),
-                    1.0 / fine.lengths), mesh.lengths, mesh.interval_of(mids), j,
+        return cls((_load_vector(mesh, source, SOURCE_BREAKS), 1.0 / mesh.lengths),
+                   fine, (_load_vector(fine, psi, PSI_SUPPORT), 1.0 / fine.lengths),
+                   mesh.lengths, mesh.interval_of(mids), j,
                    np.stack([wq.T, s.T, fq.T])[..., None],
                    (np.diff(qoi_pts)[inside], i,
                     (x - mesh.nodes[i]) / (mesh.nodes[i + 1] - mesh.nodes[i])))
@@ -202,7 +194,6 @@ class BvpMlmcModel:
     give, so chunking cannot change a run's output.  Each mesh's `BvpPlan`
     is kept, keyed by the mesh object, while the mesh lives."""
 
-    problem = BvpProblem()
     distributions = (uniform(12.0, 16.0),)  # the advection speed b
 
     def __init__(self):
@@ -211,7 +202,7 @@ class BvpMlmcModel:
     def evaluate(self, W: np.ndarray, mesh: Mesh1D, want_estimate: bool):
         plan = self._plans.get(mesh)
         if plan is None:  # two threads may both build it: the plans are equal
-            plan = self._plans[mesh] = BvpPlan.build(self.problem, mesh)
+            plan = self._plans[mesh] = BvpPlan.build(mesh)
         w = W[:, 0]
         U = solve_bvp_p1(plan, w)
         q = qoi_value(plan, U)
@@ -236,5 +227,5 @@ BVP_REFINEMENT = RefinementConfig(strategy="dwr", dwr_fraction=0.25, dwr_factor=
 
 
 def bvp_initial_mesh(n_elements: int = BVP_INITIAL_ELEMENTS) -> Mesh1D:
-    return uniform_mesh(BvpProblem.length, n_elements)
+    return uniform_mesh(LENGTH, n_elements)
 

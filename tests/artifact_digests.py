@@ -24,7 +24,7 @@ from adaptive_mlmc.cli import main
 
 ARTIFACTS = ("levels.csv", "summary.csv", "samples.csv")
 STRATEGIES = ("uniform", "dwr", "meso")
-# per preset, the tolerance of its runs with each strategy at seed 1
+# per preset, the tolerance of its runs: every strategy at seed 1, meso at 2 and 3
 PRESET_EPSILON = {
     "harmonic-standard": 1e-2,
     "harmonic-nonstandard": 1e-4,
@@ -37,7 +37,8 @@ PRESET_EPSILON = {
 def matrix():
     """(experiment, strategy, epsilon, seed) of every config, in print order:
     the benchmark's hs-dwr and adr-dwr workloads at seeds 0-2, then every
-    preset with every strategy."""
+    preset with every strategy, then every preset with meso at two more
+    seeds, whose region overlays differ from seed 1's."""
     for experiment, epsilon in (("harmonic-standard", 1e-3),
                                 ("advection-diffusion-1d", 2e-6)):
         for seed in (0, 1, 2):
@@ -45,6 +46,9 @@ def matrix():
     for experiment, epsilon in PRESET_EPSILON.items():
         for strategy in STRATEGIES:
             yield experiment, strategy, epsilon, 1
+    for experiment, epsilon in PRESET_EPSILON.items():
+        for seed in (2, 3):
+            yield experiment, "meso", epsilon, seed
 
 
 def digest_line(experiment, strategy, epsilon, seed) -> str:

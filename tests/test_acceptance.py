@@ -28,8 +28,8 @@ from adaptive_mlmc.refinement import RefinementConfig, build_next_mesh
 from adaptive_mlmc.solvers import (Trajectory, residual_pairing, solve_adjoint,
                                    solve_forward_cg1)
 from adaptive_mlmc.stationary import (BVP_DEFAULT_EPSILON, BVP_REFINEMENT,
-                                      BvpMlmcModel, BvpProblem,
-                                      bvp_initial_mesh)
+                                      PSI_SUPPORT, SOURCE_BREAKS, BvpMlmcModel,
+                                      bvp_initial_mesh, psi, source)
 from stationary_reference import solve_weak
 from synthetic_problems import PiecewiseConstant
 
@@ -206,16 +206,13 @@ def test_criterion_7_stationary_problem():
     # symmetric case: the adjoint of the pure diffusion operator is itself,
     # so pairing the source with the adjoint equals pairing the weight with
     # the forward solution
-    problem = BvpProblem()
     mesh = uniform_mesh(3.0, 64)
     b = np.array([0.0])
-    u = Trajectory(mesh, solve_weak(mesh, b, problem.source,
-                                    problem.source_breaks)[0, :, None])
-    phi = Trajectory(mesh, solve_weak(mesh, b, problem.psi,
-                                      problem.psi_support)[0, :, None])
+    u = Trajectory(mesh, solve_weak(mesh, b, source, SOURCE_BREAKS)[0, :, None])
+    phi = Trajectory(mesh, solve_weak(mesh, b, psi, PSI_SUPPORT)[0, :, None])
     from test_stationary import integrate_against
-    lhs = integrate_against(problem.source, phi, problem.source_breaks)
-    rhs = integrate_against(problem.psi, u, problem.psi_support)
+    lhs = integrate_against(source, phi, SOURCE_BREAKS)
+    rhs = integrate_against(psi, u, PSI_SUPPORT)
     duality_gap = abs(lhs - rhs) / max(abs(lhs), 1.0)
 
     report(7, "stationary advection-diffusion", [

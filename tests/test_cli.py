@@ -622,6 +622,15 @@ code = adaptive_mlmc.cli.main(["run", *sys.argv[1:]])
 print(code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
+LOADED_NUMPY_MA = """\
+import sys
+import numpy
+on_import = "numpy.ma" in sys.modules
+import adaptive_mlmc.cli
+code = adaptive_mlmc.cli.main(["run", *sys.argv[1:]])
+print(code, on_import, "numpy.ma" in sys.modules)
+"""
+
 
 class TestColdStart:
     def test_ode_run_never_loads_scipy(self, tmp_path):
@@ -630,6 +639,19 @@ class TestColdStart:
                          "--epsilon", "100", "--output-dir", tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 []"
+
+    def test_ode_meso_run_never_loads_numpy_ma(self, tmp_path):
+        """A lorenz meso run that overlays two region tilings loads no
+        numpy.ma (np.unique would), unless importing numpy loads it."""
+        proc = run_fresh(LOADED_NUMPY_MA, "--experiment", "lorenz", "--refinement",
+                         "meso", "--epsilon", "1e-3", "--output-dir", tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        code, on_import, loaded = proc.stdout.splitlines()[-1].split()
+        if on_import == "True":
+            pytest.skip("this numpy loads numpy.ma when it is imported")
+        levels = (tmp_path / "levels.csv").read_text().splitlines()
+        assert len(levels) >= 3  # a header and two levels: one overlay ran
+        assert (code, loaded) == ("0", "False")
 
     def test_stationary_run_loads_scipy_at_its_solve(self, tmp_path, capsys):
         """advection-diffusion-1d loads scipy.linalg when it first solves, and

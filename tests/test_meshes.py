@@ -1,14 +1,15 @@
 """Mesh construction, refinement, and meso-region overlay tests."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mesh_reference
 import meso_reference as ref
-from adaptive_mlmc.meshes import (REL_TOL, Mesh1D, MeshError, _density_at,
+from adaptive_mlmc.meshes import (REL_TOL, Mesh1D, MeshError,
                                   common_mesoregion_refinement, subdivide,
                                   uniform_mesh)
+from adaptive_mlmc.refinement import RefinementConfig, refine_meso
 
 
 def tiling(breaks, counts):
@@ -205,16 +206,6 @@ class TestSubdivideMatchesReference:
 
 
 class TestRegions:
-    def test_density(self):
-        # the first region whose closed span holds t: a shared break reads
-        # the region on its left
-        regions = tiling([0.0, 4.0, 10.0], [8, 3])
-        np.testing.assert_array_equal(
-            _density_at(regions, np.array([0.0, 2.0, 4.0, 4.5, 10.0])),
-            [2.0, 2.0, 2.0, 0.5, 0.5])
-        with pytest.raises(MeshError):
-            _density_at(regions, np.array([10.5]))
-
     def test_whole_domain_span(self):
         # one region over the whole domain reproduces a uniform mesh
         mesh = uniform_mesh(2.0, 10)
@@ -248,12 +239,21 @@ class TestCommonMesoRegionRefinement:
             common_mesoregion_refinement(tiling([0.0, 1.0], [1]),
                                          tiling([0.0, 2.0], [1]))
 
-    def test_breaks_within_tolerance_merge(self):
+    def test_close_breaks_stay_apart(self):
+        # breaks are compared exactly: half of REL_TOL * length apart is two
+        # breaks, and the sliver between them gets one interval
+        near = 1.0 + 0.5 * REL_TOL * 3.0
         prev = tiling([0.0, 1.0, 3.0], [1, 1])
-        tentative = tiling([0.0, 1.0 + 0.5 * REL_TOL * 3.0, 3.0], [2, 4])
+        tentative = tiling([0.0, near, 3.0], [2, 4])
         breaks, counts = common_mesoregion_refinement(prev, tentative)
-        assert breaks.tolist() == [0.0, 1.0, 3.0]
-        assert counts.tolist() == [2, 4]
+        assert breaks.tolist() == [0.0, 1.0, near, 3.0]
+        assert counts.tolist() == [2, 1, 4]
+
+    def test_end_past_the_domain_rejected(self):
+        with pytest.raises(MeshError):
+            common_mesoregion_refinement(tiling([0.0, 1.0, 3.0], [1, 1]),
+                                         tiling([0.0, 2.0, 3.0 * (1.0 + 1e-13)],
+                                                [1, 1]))
 
     @given(st.lists(st.integers(1, 6), min_size=1, max_size=4),
            st.lists(st.integers(1, 6), min_size=1, max_size=4))
@@ -265,15 +265,18 @@ class TestCommonMesoRegionRefinement:
         breaks, counts = common_mesoregion_refinement(prev, tent)
         mid = 0.5 * (breaks[:-1] + breaks[1:])
         density = counts / np.diff(breaks)
-        for parents in (prev, tent):
-            assert np.all(density >= _density_at(parents, mid) - 1e-9)
+        for parent_breaks, parent_counts in (prev, tent):
+            i = Mesh1D(parent_breaks).interval_of(mid)
+            assert np.all(density >= parent_counts[i] / np.diff(parent_breaks)[i] - 1e-9)
 
 
-# Offsets of a tentative break from a previous one, in units of the
-# coincidence tolerance REL_TOL * max(length, 1): inside, at and past it.
-NEAR = (-3.0, -1.0, -0.6, -0.2, 0.0, 0.3, 0.999, 1.0, 1.5, 4.0)
-# The tentative endpoints: mostly on or within the tolerance of the domain's.
-NEAR_END = (0.0, 0.0, 0.0, -1.0, -0.6, 0.3, 1.0, 1.5)
+# Offsets of a tentative break from a previous one, in units of
+# REL_TOL * max(length, 1), the tolerance within which the reference merges
+# breaks: on the break or past the tolerance, where merging and exact
+# comparison agree.
+NEAR = (-3.0, 0.0, 1.5, 4.0)
+# The tentative endpoints: mostly on the domain's, else past the tolerance.
+NEAR_END = (0.0, 0.0, 0.0, 1.5)
 
 
 @st.composite
@@ -293,6 +296,8 @@ def tiling_pairs(draw):
     tent_breaks = np.unique(np.concatenate(
         [ends, moved, length * np.array(draw(inner))]))
     tent_breaks = tent_breaks[(tent_breaks >= ends[0]) & (tent_breaks <= ends[1])]
+    # two drawn breaks closer than the tolerance: the reference merges them
+    assume(np.diff(np.unique(np.concatenate([prev_breaks, tent_breaks]))).min() > tol)
     counts = st.integers(1, 9)
     return ((prev_breaks, np.array([draw(counts) for _ in prev_breaks[1:]])),
             (tent_breaks, np.array([draw(counts) for _ in tent_breaks[1:]])))
@@ -340,3 +345,37 @@ class TestMatchesObjectReference:
         else:
             assert np.array_equal(got.nodes, want.nodes)
 
+
+@st.composite
+def program_tilings(draw):
+    """A previous tiling as `refine_meso` returns it, after one to three
+    levels from a uniform mesh, and a tentative tiling whose breaks are nodes
+    of that tiling's mesh, as the next level's regions are."""
+    length = draw(st.sampled_from([0.5, 1.0, 3.0, 10.0, 40.0]))
+    mesh, prev = uniform_mesh(length, draw(st.sampled_from([3, 6, 9]))), None
+    cfg = RefinementConfig(strategy="meso")
+    for _ in range(draw(st.integers(1, 3))):
+        row = draw(st.lists(st.floats(-2.0, 2.0), min_size=mesh.n_intervals,
+                            max_size=mesh.n_intervals))
+        mesh, prev = refine_meso(mesh, prev, np.array(row), cfg)
+    inner = draw(st.sets(st.integers(1, mesh.n_intervals - 1), max_size=8))
+    tent_breaks = mesh.nodes[[0, *sorted(inner), mesh.n_intervals]]
+    counts = st.lists(st.integers(1, 30), min_size=tent_breaks.size - 1,
+                      max_size=tent_breaks.size - 1)
+    return prev, (tent_breaks, np.array(draw(counts)))
+
+
+class TestProgramShapedTilings:
+    @given(program_tilings())
+    @settings(max_examples=150, deadline=None)
+    def test_overlay_matches_object_reference(self, pair):
+        """The exact overlay of tilings the program makes equals the
+        tolerant object reference, bitwise."""
+        prev, tent = pair
+        breaks, counts = common_mesoregion_refinement(prev, tent)
+        want = ref.common_mesoregion_refinement(ref.spans(*prev), ref.spans(*tent))
+        want_breaks, want_counts = ref.tiling(want)
+        assert np.array_equal(breaks, want_breaks)
+        assert np.array_equal(counts, want_counts)
+        assert np.array_equal(tiling_mesh(breaks, counts).nodes,
+                              ref.mesh_from_region_spans(want).nodes)

@@ -16,27 +16,26 @@ from adaptive_mlmc.driver import CHUNK_SIZE, MlmcRunConfig, run_adaptive_mlmc
 from adaptive_mlmc.meshes import Mesh1D, subdivide, uniform_mesh
 from adaptive_mlmc.refinement import dwr_select
 from adaptive_mlmc.solvers import Trajectory, _segment_quadrature
+from adaptive_mlmc import stationary
 from adaptive_mlmc.stationary import (ADJOINT_REFINE_FACTOR,
                                       BVP_DEFAULT_EPSILON, BVP_REFINEMENT,
-                                      BvpMlmcModel, BvpPlan, BvpProblem,
-                                      bvp_error_decomposition,
-                                      bvp_initial_mesh, qoi_value,
-                                      solve_bvp_adjoint, solve_bvp_p1)
+                                      PSI_SUPPORT, SOURCE_BREAKS, BvpMlmcModel,
+                                      BvpPlan, bvp_error_decomposition,
+                                      bvp_initial_mesh, psi, qoi_value,
+                                      solve_bvp_adjoint, solve_bvp_p1, source)
 from adaptive_mlmc.stationary import _load_vector, _segment_bounds
 from stationary_reference import solve_weak
-
-PROBLEM = BvpProblem()
 
 
 def zero(x):
     return np.zeros_like(np.asarray(x, dtype=float))
 
 
-def solve_one(b, mesh, problem=PROBLEM):
+def solve_one(b, mesh):
     """Forward solution, adjoint solution and per-element contributions for
     one speed b."""
     w = np.array([b])
-    plan = BvpPlan.build(problem, mesh)
+    plan = BvpPlan.build(mesh)
     U = solve_bvp_p1(plan, w)
     Phi = solve_bvp_adjoint(plan, w)
     c = bvp_error_decomposition(plan, w, U, Phi)
@@ -131,12 +130,10 @@ class TestAdjoint:
         """b = 0: (f, phi[psi]) = (psi, u[f]) to rounding."""
         mesh = uniform_mesh(3.0, 16)
         b = np.array([0.0])
-        u_f = Trajectory(mesh, solve_weak(mesh, b, PROBLEM.source,
-                                          PROBLEM.source_breaks)[0, :, None])
-        phi_psi = Trajectory(mesh, solve_weak(mesh, b, PROBLEM.psi,
-                                              PROBLEM.psi_support)[0, :, None])
-        lhs = integrate_against(PROBLEM.source, phi_psi, PROBLEM.source_breaks)
-        rhs = integrate_against(PROBLEM.psi, u_f, PROBLEM.psi_support)
+        u_f = Trajectory(mesh, solve_weak(mesh, b, source, SOURCE_BREAKS)[0, :, None])
+        phi_psi = Trajectory(mesh, solve_weak(mesh, b, psi, PSI_SUPPORT)[0, :, None])
+        lhs = integrate_against(source, phi_psi, SOURCE_BREAKS)
+        rhs = integrate_against(psi, u_f, PSI_SUPPORT)
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 
     def test_continuous_duality_to_discretization_order(self):
@@ -144,26 +141,26 @@ class TestAdjoint:
         gaps = []
         for n in (64, 128, 256):
             u, phi, _ = solve_one(14.0, uniform_mesh(3.0, n))
-            lhs = integrate_against(PROBLEM.source, phi, PROBLEM.source_breaks)
-            rhs = integrate_against(PROBLEM.psi, u, PROBLEM.psi_support)
+            lhs = integrate_against(source, phi, SOURCE_BREAKS)
+            rhs = integrate_against(psi, u, PSI_SUPPORT)
             gaps.append(abs(lhs - rhs))
         assert gaps[-1] < gaps[0]
         assert gaps[-1] <= 1e-4
 
     def test_adjoint_mesh_refined(self):
         mesh = uniform_mesh(3.0, 12)
-        plan = BvpPlan.build(PROBLEM, mesh)
+        plan = BvpPlan.build(mesh)
         Phi = solve_bvp_adjoint(plan, np.array([14.0, 12.0]))
         assert plan.adjoint_mesh.n_intervals > mesh.n_intervals
         assert Phi.shape == (2, plan.adjoint_mesh.nodes.size)
 
 
 class TestErrorDecomposition:
-    def test_exact_solution_total_zero(self):
+    def test_exact_solution_total_zero(self, monkeypatch):
         """Zero source: U = u = 0 exactly, so every contribution vanishes."""
-        problem = BvpProblem(source=zero, source_breaks=())
+        monkeypatch.setattr(stationary, "source", zero)
         mesh = uniform_mesh(3.0, 12)
-        _, _, d = solve_one(14.0, mesh, problem)
+        _, _, d = solve_one(14.0, mesh)
         assert abs(d.sum()) <= 1e-12
         assert np.abs(d).max() <= 1e-12
 
@@ -178,7 +175,7 @@ class TestErrorDecomposition:
         widths = np.diff(xs)
         du = slopes(u)[u.mesh.interval_of(mids)]
         dphi = slopes(phi)[phi.mesh.interval_of(mids)]
-        integrand = (PROBLEM.source(mids) * phi(mids)[:, 0] + du * dphi
+        integrand = (source(mids) * phi(mids)[:, 0] + du * dphi
                      - b * du * phi(mids)[:, 0])
         total = float(widths @ integrand)
         assert d.sum() == pytest.approx(total, abs=2e-5)
@@ -192,7 +189,7 @@ class TestErrorDecomposition:
             mid = 0.5 * (a + c)
             du_seg = float(slopes(u)[u.mesh.interval_of(mid)])
             dphi_seg = float(slopes(phi)[phi.mesh.interval_of(mid)])
-            exact_total += wq @ (PROBLEM.source(xq) * phi(xq)[:, 0]
+            exact_total += wq @ (source(xq) * phi(xq)[:, 0]
                                  + du_seg * dphi_seg
                                  - b * du_seg * phi(xq)[:, 0])
         assert d.sum() == pytest.approx(exact_total, abs=1e-13)
@@ -200,12 +197,12 @@ class TestErrorDecomposition:
     @pytest.mark.parametrize("b", [12.0, 14.0, 16.0])
     def test_effectivity_against_fine_reference(self, b):
         ref_mesh = uniform_mesh(3.0, 10_000)
-        ref_plan = BvpPlan.build(PROBLEM, ref_mesh)
+        ref_plan = BvpPlan.build(ref_mesh)
         [q_ref] = qoi_value(ref_plan, solve_bvp_p1(ref_plan, np.array([b])))
         for n in (64, 128):
             mesh = uniform_mesh(3.0, n)
             u, _, d = solve_one(b, mesh)
-            [q] = qoi_value(BvpPlan.build(PROBLEM, mesh), u.values.T)
+            [q] = qoi_value(BvpPlan.build(mesh), u.values.T)
             eff = d.sum() / (q_ref - q)
             assert 0.85 <= eff <= 1.15
 
@@ -222,12 +219,12 @@ class TestQoiValue:
         mesh = uniform_mesh(3.0, 3)
         U = np.array([2.0 * mesh.nodes, -mesh.nodes])
         # integral of 2x over [1, 1.5] = x^2 | = 2.25 - 1 = 1.25
-        np.testing.assert_allclose(qoi_value(BvpPlan.build(PROBLEM, mesh), U),
+        np.testing.assert_allclose(qoi_value(BvpPlan.build(mesh), U),
                                    [1.25, -0.625],
                                    atol=1e-14)
 
 
-def reference_sample(problem, b, mesh):
+def reference_sample(b, mesh):
     """The per-sample path the batched functions replace, kept as the oracle:
     one `solve_banded` per solve, a `Trajectory`-based QoI loop and the
     per-sample residual pairing.  Returns (QoI, contributions)."""
@@ -242,10 +239,10 @@ def reference_sample(problem, b, mesh):
         values[1:-1, 0] = solve_banded((1, 1), ab, F[1:-1])
         return Trajectory(mesh, values)
 
-    u = solve(mesh, float(b), problem.source, problem.source_breaks)
+    u = solve(mesh, float(b), source, SOURCE_BREAKS)
     phi = solve(subdivide(mesh, ADJOINT_REFINE_FACTOR), -float(b),
-                problem.psi, problem.psi_support)
-    lo, hi = problem.psi_support
+                psi, PSI_SUPPORT)
+    lo, hi = PSI_SUPPORT
     q = 0.0
     pts = _segment_bounds(mesh.nodes, (lo, hi))
     for a, c in zip(pts[:-1], pts[1:]):
@@ -254,7 +251,7 @@ def reference_sample(problem, b, mesh):
             q += (c - a) * float(u(mid)[0])
 
     pts = _segment_bounds(np.concatenate([mesh.nodes, phi.mesh.nodes]),
-                          problem.source_breaks)
+                          SOURCE_BREAKS)
     mids = 0.5 * (pts[:-1] + pts[1:])
     xq, wq = _segment_quadrature(pts)
     idx_u = np.clip(np.searchsorted(mesh.nodes, mids) - 1,
@@ -264,7 +261,7 @@ def reference_sample(problem, b, mesh):
     du = (np.diff(u.values[:, 0]) / mesh.lengths)[idx_u][:, None]
     dphi = (np.diff(phi.values[:, 0]) / phi.mesh.lengths)[idx_phi][:, None]
     phiq = phi(xq.ravel())[:, 0].reshape(xq.shape)
-    fq = problem.source(xq.ravel()).reshape(xq.shape)
+    fq = source(xq.ravel()).reshape(xq.shape)
     per_segment = (wq * (fq * phiq + du * dphi - float(b) * du * phiq)).sum(axis=1)
     contributions = np.zeros(mesh.n_intervals)
     np.add.at(contributions, idx_u, per_segment)
@@ -274,7 +271,7 @@ def reference_sample(problem, b, mesh):
 def _dwr_mesh():
     mesh = uniform_mesh(3.0, 12)
     for _ in range(2):
-        _, contributions = reference_sample(PROBLEM, 14.0, mesh)
+        _, contributions = reference_sample(14.0, mesh)
         mesh = halve(mesh, dwr_select(contributions[None], 0.25))
     return mesh
 
@@ -302,7 +299,7 @@ class TestBatchedOracle:
     def test_bitwise_equal_to_per_sample_path(self, name):
         mesh = ORACLE_MESHES[name]
         q, d = BvpMlmcModel().evaluate(self.SPEEDS[:, None], mesh, True)
-        ref = [reference_sample(PROBLEM, b, mesh) for b in self.SPEEDS]
+        ref = [reference_sample(b, mesh) for b in self.SPEEDS]
         assert np.array_equal(q, [r[0] for r in ref])
         assert np.array_equal(d.contributions, [r[1] for r in ref])
         # each row's total is its own sum, bit for bit
@@ -353,7 +350,7 @@ class TestMeshPlans:
     @settings(max_examples=40, deadline=None)
     def test_bitwise_equal_to_per_sample_path(self, mesh, m):
         q, d = BvpMlmcModel().evaluate(self.W[:m], mesh, True)
-        ref = [reference_sample(PROBLEM, b, mesh) for b in self.W[:m, 0]]
+        ref = [reference_sample(b, mesh) for b in self.W[:m, 0]]
         assert np.array_equal(q, [r[0] for r in ref])
         assert np.array_equal(d.contributions, [r[1] for r in ref])
 
@@ -379,7 +376,7 @@ class TestMeshPlans:
         assert len(model._plans) == 0
 
     def test_plan_is_read_only(self):
-        plan = BvpPlan.build(PROBLEM, uniform_mesh(3.0, 12))
+        plan = BvpPlan.build(uniform_mesh(3.0, 12))
         with pytest.raises(ValueError):
             plan.gauss[0, 0, 0] = 1.0
         with pytest.raises(AttributeError):
@@ -394,9 +391,9 @@ class TestMeshPlans:
         both_missed = threading.Barrier(2)
         build = BvpPlan.build
 
-        def build_after_both_missed(problem, mesh):
+        def build_after_both_missed(mesh):
             both_missed.wait(timeout=30)
-            return build(problem, mesh)
+            return build(mesh)
 
         monkeypatch.setattr(BvpPlan, "build", build_after_both_missed)
         with ThreadPoolExecutor(2) as pool:
@@ -472,11 +469,3 @@ class TestBvpMlmc:
         assert runs[0].sample_log.tobytes() == runs[1].sample_log.tobytes()
         assert runs[0].value == runs[1].value
         assert runs[0].levels == runs[1].levels
-
-
-class TestProblemValidation:
-    def test_psi_support_inside_domain(self):
-        with pytest.raises(ValueError):
-            BvpProblem(psi_support=(0.0, 1.0))
-        with pytest.raises(ValueError):
-            BvpProblem(psi_support=(2.0, 3.5))
