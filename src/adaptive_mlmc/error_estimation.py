@@ -2,10 +2,10 @@
 
 The standard estimate pairs the forward residual with one adjoint solution,
 for all rows of a chunk at once.  The time-to-event estimate needs two
-adjoints (terminal values psi and J(t_c)^T psi) on the mesh restricted to
-the row's own crossing t_c, so it treats one row; the second adjoint
-supplies the linearization correction in the denominator.  Remainder terms
-of the event-time linearization are dropped.
+adjoints (terminal values psi and J(t_c)^T psi, solved and paired together)
+on the mesh restricted to the row's own crossing t_c, so it treats one row;
+the second adjoint supplies the linearization correction in the denominator.
+Remainder terms of the event-time linearization are dropped.
 """
 from __future__ import annotations
 
@@ -61,15 +61,14 @@ def estimate_event_time_error(problem: OdeProblem, forward: Trajectory,
     Numerator contributions estimate e(t_c) . psi; the denominator is
     f(U(t_c), t_c) . psi plus the estimated e(t_c) . J(t_c)^T psi, with the
     Jacobian frozen at (U(t_c), t_c).  Each row crosses at its own t_c and so
-    needs its own adjoint mesh.  A grazing event, whose denominator
-    vanishes, gets a NaN denominator and so a NaN total.
+    needs its own adjoint mesh, on which both weights are solved together.
+    A grazing event gets a NaN denominator (it vanishes) and so a NaN total.
     """
     u_c = forward(t_c)
-    phi1 = solve_adjoint(problem, forward, t_c, q.psi)
-    phi2 = solve_adjoint(problem, forward, t_c,
-                         (problem.jacobian(u_c, t_c) * q.psi[:, None]).sum(axis=-2))
-    contributions = residual_pairing(problem, forward, phi1, t_c)
-    correction = float(residual_pairing(problem, forward, phi2, t_c).sum())
+    jt_psi = (problem.jacobian(u_c, t_c) * q.psi[:, None]).sum(axis=-2)
+    phi = solve_adjoint(problem, forward, t_c, np.concatenate([q.psi[None], jt_psi]))
+    paired = residual_pairing(problem, forward, phi, t_c)
+    contributions, correction = paired[:1], float(paired[1].sum())
     f_psi = float((problem.rhs(u_c, t_c) * q.psi).sum())
     denominator = f_psi + correction
     if abs(denominator) < 1e-10 * (1.0 + abs(f_psi)):

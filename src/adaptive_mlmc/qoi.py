@@ -51,33 +51,23 @@ def eval_standard(traj: Trajectory, q: StandardQoi) -> np.ndarray:
     return (traj(min(q.t_star, traj.mesh.length)) * q.psi).sum(axis=-1)
 
 
-def event_times(traj: Trajectory, q: NonstandardQoi):
-    """Row index and time of every crossing of U(t) . psi = threshold in
-    (0, T], sorted by row and then by time.
-
-    U . psi is piecewise linear, so each sign change across an interval
-    yields one closed-form root, and an exact zero at a node t > 0 counts
-    once.  A tangential touch inside an interval is invisible to the sign
-    check, and a non-finite row has no crossings.
-    """
+def eval_event_time(traj: Trajectory, q: NonstandardQoi) -> np.ndarray:
+    """Time of the k-th crossing of U(t) . psi = threshold in (0, T] of every
+    row, shape (M,); NaN in a row with fewer crossings.  U . psi is piecewise
+    linear, so an interval (t_i, t_{i+1}] holds at most one crossing: a sign
+    change (its closed-form root) or an exact zero at t_{i+1}.  The k-th lies
+    in the first interval where the running count of crossings reaches k.  A
+    tangential touch inside an interval is invisible to the sign check."""
     nodes = traj.mesh.nodes
     g = (traj.values * q.psi).sum(axis=-1) - q.threshold
-    zero_row, zero_node = np.nonzero(g[:, 1:] == 0.0)
-    row, i = np.nonzero(g[:, :-1] * g[:, 1:] < 0.0)
+    at_node = g[:, 1:] == 0.0
+    count = np.cumsum(at_node | (g[:, :-1] * g[:, 1:] < 0.0), axis=1)
+    row = np.flatnonzero(count[:, -1] >= q.occurrence)
+    i = np.argmax(count[row] >= q.occurrence, axis=1)
+    out = np.full(len(g), np.nan)
+    out[row] = nodes[i + 1]
+    root = ~at_node[row, i]
+    row, i = row[root], i[root]
     g0, g1 = g[row, i], g[row, i + 1]
-    rows = np.concatenate([zero_row, row])
-    times = np.concatenate([nodes[zero_node + 1],
-                            nodes[i] + (nodes[i + 1] - nodes[i]) * g0 / (g0 - g1)])
-    order = np.lexsort((times, rows))
-    return rows[order], times[order]
-
-
-def eval_event_time(traj: Trajectory, q: NonstandardQoi) -> np.ndarray:
-    """Time of the k-th crossing of every row, shape (M,); NaN in a row with
-    fewer crossings."""
-    rows, times = event_times(traj, q)
-    counts = np.bincount(rows, minlength=traj.values.shape[0])
-    found = counts >= q.occurrence
-    out = np.full(counts.size, np.nan)
-    out[found] = times[(np.cumsum(counts) - counts)[found] + q.occurrence - 1]
+    out[row] = nodes[i] + (nodes[i + 1] - nodes[i]) * g0 / (g0 - g1)
     return out

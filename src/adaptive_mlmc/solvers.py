@@ -179,17 +179,18 @@ def solve_adjoint(problem: OdeProblem, forward: Trajectory, t_star: float,
     for every row of the forward trajectory.
 
     J is the model Jacobian evaluated on the forward interpolant, and
-    `terminal_value` is (d,) for all rows or (M, d).  The adjoint mesh is the
-    forward mesh restricted to (0, t*) and uniformly refined by 2.  cG(1) for
-    -phi' = J^T phi gives, per step, (I - M0_n) phi_n = (I + M1_n) phi_{n+1}.
-    Each slice of SLICE_CELLS rows x steps solves its A_n = (I - M0_n)^{-1}
-    (I + M1_n) in one batch, so O(SLICE_CELLS d^2) floats are live beside
-    the result.  A row with a singular step system is NaN before t*.
+    `terminal_value` is (d,) for all rows, (M, d), or (K, d) for K adjoints of
+    a one-row forward.  The adjoint mesh is the forward mesh restricted to
+    (0, t*) and refined by 2.  cG(1) for -phi' = J^T phi gives, per step,
+    (I - M0_n) phi_n = (I + M1_n) phi_{n+1}.  Each slice of SLICE_CELLS rows x
+    steps solves its A_n = (I - M0_n)^{-1} (I + M1_n) in one batch, so
+    O(SLICE_CELLS d^2) floats are live.  A singular step NaNs its row's adjoints.
     """
     mesh = subdivide(restrict_mesh(forward.mesh, t_star), ADJOINT_REFINE_FACTOR)
     M, d, eye = len(forward.values), problem.dim, np.eye(problem.dim)
     tq, wq = _segment_quadrature(mesh.nodes)
-    phi = np.empty((M, mesh.nodes.size, d))
+    (rows,) = np.broadcast_shapes((M,), np.shape(terminal_value)[:-1])
+    phi = np.empty((rows, mesh.nodes.size, d))
     phi[:, -1] = terminal_value
     singular, step = np.zeros(M, dtype=bool), max(2, SLICE_CELLS // M)
     with np.errstate(all="ignore"):
@@ -202,18 +203,18 @@ def solve_adjoint(problem: OdeProblem, forward: Trajectory, t_star: float,
                             eye + _gauss_sum(wq[lo:hi] * _GL01_X, Jt), singular)
             for n in range(hi - 1, lo - 1, -1):
                 phi[:, n] = (A[:, n - lo] * phi[:, n + 1, None, :]).sum(axis=-1)
-    phi[singular, :-1] = np.nan
+    phi[np.broadcast_to(singular, rows), :-1] = np.nan
     return Trajectory(mesh, phi)
 
 
 def residual_pairing(problem: OdeProblem, forward: Trajectory,
                      adjoint: Trajectory, t_star: float) -> np.ndarray:
     """Per-row, per-forward-interval integrals of [f(U) - dU/dt] . phi over
-    (0, t*), phi the adjoint, shape (M, intervals of the forward mesh
-    restricted to (0, t*)): 5-point Gauss-Legendre on every adjoint-mesh
-    interval, summed onto the forward interval that holds it.  SLICE_CELLS rows
-    x sub-intervals at a time (O(SLICE_CELLS d) floats beside the result) are
-    added onto zeros, so an interval split by two slices keeps its sum order."""
+    (0, t*), phi the adjoint, shape (rows of U and phi broadcast, intervals of
+    the forward mesh restricted to (0, t*)): 5-point Gauss-Legendre on every
+    adjoint-mesh interval, summed onto the forward interval that holds it.
+    SLICE_CELLS rows x sub-intervals at a time (O(SLICE_CELLS d) floats beside
+    the result) are added onto zeros, so a split interval keeps its sum order."""
     if adjoint.mesh.length < t_star * (1.0 - REL_TOL):
         raise MeshError("adjoint trajectory does not cover (0, t*)")
     restricted = restrict_mesh(forward.mesh, t_star)
@@ -221,7 +222,8 @@ def residual_pairing(problem: OdeProblem, forward: Trajectory,
     tq, wq = _segment_quadrature(quad_nodes)
     owner = restricted.interval_of(0.5 * (quad_nodes[:-1] + quad_nodes[1:]))
     slopes = np.diff(forward.values, axis=1) / forward.mesh.lengths[:, None]
-    rows, n_sub = len(forward.values), adjoint.mesh.n_intervals
+    (rows,) = np.broadcast_shapes(slopes.shape[:1], np.shape(adjoint(0.0))[:-1])
+    n_sub = adjoint.mesh.n_intervals
     total, step = np.zeros((rows, restricted.n_intervals)), max(2, SLICE_CELLS // rows)
     with np.errstate(all="ignore"):
         for lo in range(0, n_sub, step):

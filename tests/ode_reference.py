@@ -10,15 +10,21 @@ path raised a sample failure.
 `whole_mesh_adjoint` and `whole_mesh_pairing` are the batched adjoint and
 pairing as they were before they ran in slices: one model call and one set of
 (M, 5 n_sub, d, d) arrays for the whole adjoint mesh.
+
+`two_solve_event_time_error` is the event-time estimate as it was before both
+adjoint weights shared one solve: two `solve_adjoint` and two
+`residual_pairing` calls.
 """
 import numpy as np
 
+from adaptive_mlmc.error_estimation import ErrorDecomposition
 from adaptive_mlmc.meshes import subdivide
 from adaptive_mlmc.qoi import StandardQoi
 from adaptive_mlmc.solvers import (ADJOINT_REFINE_FACTOR, NEWTON_MAX_ITERS,
                                    NEWTON_TOL, _GL01_X, Trajectory, _gauss_sum,
                                    _segment_quadrature, _solve_rows,
-                                   restrict_mesh)
+                                   residual_pairing, restrict_mesh,
+                                   solve_adjoint)
 
 
 class RowFailed(RuntimeError):
@@ -189,3 +195,20 @@ def whole_mesh_pairing(problem, forward, adjoint, t_star):
     bins = (owner + n * np.arange(rows)[:, None]).ravel()
     return np.bincount(bins, weights=per_sub_interval.ravel(),
                        minlength=rows * n).reshape(rows, n)
+
+
+def two_solve_event_time_error(problem, forward, q, t_c):
+    """`estimate_event_time_error` with one adjoint solve and one pairing per
+    terminal weight."""
+    u_c = forward(t_c)
+    phi1 = solve_adjoint(problem, forward, t_c, q.psi)
+    phi2 = solve_adjoint(problem, forward, t_c,
+                         (problem.jacobian(u_c, t_c) * q.psi[:, None]).sum(axis=-2))
+    contributions = residual_pairing(problem, forward, phi1, t_c)
+    correction = float(residual_pairing(problem, forward, phi2, t_c).sum())
+    f_psi = float((problem.rhs(u_c, t_c) * q.psi).sum())
+    denominator = f_psi + correction
+    if abs(denominator) < 1e-10 * (1.0 + abs(f_psi)):
+        denominator = np.nan
+    return ErrorDecomposition(contributions, contributions.sum(axis=1) / denominator,
+                              [denominator])

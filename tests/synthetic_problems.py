@@ -1,5 +1,8 @@
-"""Small ODE problems with one row per draw that fail in chosen rows, and a
-piecewise-constant weight to pair residuals with."""
+"""Small ODE problems with one row per draw that fail in chosen rows, a
+piecewise-constant weight to pair residuals with, and a wrapper that counts a
+problem's model calls."""
+import dataclasses
+
 import numpy as np
 
 from adaptive_mlmc.models import OdeProblem
@@ -49,3 +52,15 @@ class PiecewiseConstant:
         idx = np.clip(np.searchsorted(self.mesh.nodes, t, side="right") - 1,
                       0, self.mesh.n_intervals - 1)
         return self.weights[idx]
+
+
+def counting_calls(problem, calls):
+    """`problem` with its `rhs` and `jacobian` calls counted into `calls`."""
+    def counting(name, fn):
+        def wrapped(u, t):
+            calls[name] += 1
+            return fn(u, t)
+        return wrapped
+
+    return dataclasses.replace(problem, rhs=counting("rhs", problem.rhs),
+                               jacobian=counting("jacobian", problem.jacobian))

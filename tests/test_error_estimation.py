@@ -5,16 +5,21 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from adaptive_mlmc import error_estimation, solvers
 from adaptive_mlmc.error_estimation import (ErrorDecomposition,
                                             estimate_event_time_error,
                                             estimate_standard_error)
 from adaptive_mlmc.experiments import get_experiment
-from adaptive_mlmc.meshes import uniform_mesh
+from adaptive_mlmc.meshes import subdivide, uniform_mesh
 from adaptive_mlmc.models import (OdeProblem, harmonic_oscillator, lorenz)
 from adaptive_mlmc.qoi import (NonstandardQoi, StandardQoi, eval_event_time,
                                eval_standard)
 from adaptive_mlmc.sampling import sample_parameters
-from adaptive_mlmc.solvers import solve_forward_cg1
+from adaptive_mlmc.solvers import (_GL01_X, Trajectory, _segment_quadrature,
+                                   solve_forward_cg1)
+
+import ode_reference
+from synthetic_problems import counting_calls, exact_reciprocal, one_point_jacobian
 
 
 def ivp_rhs(problem):
@@ -123,7 +128,6 @@ class TestEventTimeEstimate:
                              lambda u, t: np.zeros(np.shape(u)[:-1] + (1, 1)),
                              np.array([[-1.0]]), 2.0)
         mesh = uniform_mesh(2.0, 8)
-        from adaptive_mlmc.solvers import Trajectory
         slowed = Trajectory(mesh, (-1.0 + c * (1.0 - gamma) * mesh.nodes)[None, :, None])
         q = NonstandardQoi(np.array([1.0]), 0.0)
         [t_c] = eval_event_time(slowed, q)
@@ -161,10 +165,97 @@ class TestEventTimeEstimate:
                              lambda u, t: np.zeros(np.shape(u)),
                              lambda u, t: np.zeros(np.shape(u)[:-1] + (1, 1)),
                              np.array([[0.5]]), 1.0)
-        from adaptive_mlmc.solvers import Trajectory
-        mesh = uniform_mesh(1.0, 4)
-        flat = Trajectory(mesh, np.full((1, 5, 1), 0.5))
-        decomp = estimate_event_time_error(problem, flat,
-                                           NonstandardQoi(np.array([1.0]), 0.5),
-                                           0.5)
+        flat = Trajectory(uniform_mesh(1.0, 4), np.full((1, 5, 1), 0.5))
+        q = NonstandardQoi(np.array([1.0]), 0.5)
+        decomp = estimate_event_time_error(problem, flat, q, 0.5)
         assert np.isnan(decomp.denominator).all() and np.isnan(decomp.total).all()
+        assert_same_decomposition(
+            decomp, ode_reference.two_solve_event_time_error(problem, flat, q, 0.5))
+
+
+def event_rows(name, rows):
+    """(one-row problem, one-row forward, QoI, crossing) of each of a preset's
+    first `rows` level-1 draws of seed 0 that crosses, solved on its initial
+    mesh refined by 2, as `OdeMlmcModel.evaluate` hands them to the estimate."""
+    experiment = get_experiment(name)
+    W = sample_parameters(experiment.distributions, 0, 1, 0, rows)
+    forward = solve_forward_cg1(experiment.make_problem(W),
+                                subdivide(experiment.initial_mesh(), 2))
+    times = eval_event_time(forward, experiment.qoi)
+    return [(experiment.make_problem(W[k:k + 1]),
+             Trajectory(forward.mesh, forward.values[[k]]), experiment.qoi,
+             float(times[k])) for k in np.flatnonzero(np.isfinite(times))]
+
+
+def assert_same_decomposition(a, b):
+    for name in ("contributions", "total", "denominator"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.shape == y.shape
+        assert np.array_equal(x.view(np.int64), y.view(np.int64)), name
+
+
+class TestFusedEventTimeEstimate:
+    """Both adjoint weights of an event-time estimate in one `solve_adjoint`
+    and one `residual_pairing` call, with the bits of one call per weight
+    (`ode_reference.two_solve_event_time_error`)."""
+
+    @pytest.mark.parametrize("cells", [1, 3, 7, None],
+                             ids=lambda c: f"cells{c or 'default'}")
+    @pytest.mark.parametrize("name", ["lorenz", "two-body", "harmonic-nonstandard"])
+    def test_presets(self, monkeypatch, name, cells):
+        if cells is not None:
+            monkeypatch.setattr(solvers, "SLICE_CELLS", cells)
+        cases = event_rows(name, 3)
+        assert len(cases) == 3
+        for problem, forward, q, t_c in cases:
+            d = estimate_event_time_error(problem, forward, q, t_c)
+            assert np.isfinite(d.total).all()
+            assert_same_decomposition(
+                d, ode_reference.two_solve_event_time_error(problem, forward, q, t_c))
+
+    def test_singular_step(self):
+        """The singular first adjoint step of the solver tests'
+        `test_singular_adjoint_step_is_a_sample_failure`: both weights'
+        adjoints are NaN before t_c, and so is the estimate, as with one
+        solve per weight."""
+        mesh = uniform_mesh(1.0, 1)
+        tq, wq = _segment_quadrature(subdivide(mesh, 2).nodes)
+        problem = one_point_jacobian(
+            lambda u, t: np.zeros_like(u), tq[0, 2],
+            exact_reciprocal((wq * (1.0 - _GL01_X))[0, 2]))([1.0])
+        forward = Trajectory(mesh, np.ones((1, 2, 1)))
+        q = NonstandardQoi(np.array([1.0]), 0.5)
+        d = estimate_event_time_error(problem, forward, q, 1.0)
+        assert np.isnan(d.contributions).all() and np.isnan(d.total).all()
+        assert_same_decomposition(
+            d, ode_reference.two_solve_event_time_error(problem, forward, q, 1.0))
+
+    @pytest.mark.parametrize("cells", [7, None], ids=lambda c: f"cells{c or 'default'}")
+    def test_one_solve_and_one_pairing(self, monkeypatch, cells):
+        """One `solve_adjoint` and one `residual_pairing` call per estimate; the
+        adjoint makes half the oracle's `jacobian` calls (both make one more,
+        for J(t_c))."""
+        if cells is not None:
+            monkeypatch.setattr(solvers, "SLICE_CELLS", cells)
+        problem, forward, q, t_c = event_rows("lorenz", 1)[0]
+        kernels = {"solve_adjoint": 0, "residual_pairing": 0}
+
+        def counted(name):
+            fn = getattr(error_estimation, name)
+
+            def wrapped(*args):
+                kernels[name] += 1
+                return fn(*args)
+            return wrapped
+
+        for name in kernels:
+            monkeypatch.setattr(error_estimation, name, counted(name))
+        fused, oracle = {"rhs": 0, "jacobian": 0}, {"rhs": 0, "jacobian": 0}
+        estimate_event_time_error(counting_calls(problem, fused), forward, q, t_c)
+        ode_reference.two_solve_event_time_error(counting_calls(problem, oracle),
+                                                 forward, q, t_c)
+        assert kernels == {"solve_adjoint": 1, "residual_pairing": 1}
+        slices = fused["jacobian"] - 1
+        assert (slices == 1) if cells is None else (slices > 1)
+        assert oracle["jacobian"] - 1 == 2 * slices
+

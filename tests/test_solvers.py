@@ -1,5 +1,4 @@
 """Forward cG(1) solver, adjoint solver, and residual-pairing tests."""
-import dataclasses
 import math
 
 import numpy as np
@@ -19,8 +18,8 @@ from adaptive_mlmc.solvers import (ADJOINT_REFINE_FACTOR, Trajectory, _GL01_X,
                                    solve_forward_cg1)
 
 import ode_reference
-from synthetic_problems import (PiecewiseConstant, blow_up, exact_reciprocal,
-                                one_point_jacobian)
+from synthetic_problems import (PiecewiseConstant, blow_up, counting_calls,
+                                exact_reciprocal, one_point_jacobian)
 
 
 def linear_decay(rate=1.0):
@@ -263,18 +262,6 @@ def preset_case(name):
     return problem, forward, t_star, q.psi
 
 
-def counting_calls(problem, calls):
-    """`problem` with its `rhs` and `jacobian` calls counted into `calls`."""
-    def counting(name, fn):
-        def wrapped(u, t):
-            calls[name] += 1
-            return fn(u, t)
-        return wrapped
-
-    return dataclasses.replace(problem, rhs=counting("rhs", problem.rhs),
-                               jacobian=counting("jacobian", problem.jacobian))
-
-
 class TestWholeMeshKernels:
     """The batched adjoint and pairing against the per-step loops."""
 
@@ -421,6 +408,21 @@ class TestSlicedKernels:
         contributions = residual_pairing(problem, forward, phi, t_star)
         assert np.isnan(contributions[1]).all()
         assert np.isfinite(contributions[[0, 2]]).all()
+
+    @pytest.mark.parametrize("name", ["lorenz", "two-body"])
+    def test_one_row_forward_against_terminal_rows(self, slice_cells, name):
+        """A one-row forward with K terminal rows gives K adjoints and K
+        pairings, each with the bits of its own one-row call."""
+        problem, forward, t_star, _ = chunk_case(name, 1)
+        terminal = np.arange(3.0 * problem.dim).reshape(3, -1) - 4.0
+        phi = solve_adjoint(problem, forward, t_star, terminal)
+        paired = residual_pairing(problem, forward, phi, t_star)
+        assert phi.values.shape[0] == paired.shape[0] == 3
+        for k in range(3):
+            alone = solve_adjoint(problem, forward, t_star, terminal[k])
+            assert_same_bits(phi.values[k], alone.values[0])
+            assert_same_bits(paired[k],
+                             residual_pairing(problem, forward, alone, t_star)[0])
 
     @pytest.mark.parametrize("step", [1, 8, 13])
     def test_singular_step_in_a_later_slice(self, slice_cells, step):
