@@ -55,7 +55,8 @@ def eval_event_time(traj: Trajectory, q: NonstandardQoi) -> np.ndarray:
     """Time of the k-th crossing of U(t) . psi = threshold in (0, T] of every
     row, shape (M,); NaN in a row with fewer crossings.  U . psi is piecewise
     linear, so an interval (t_i, t_{i+1}] holds at most one crossing: a sign
-    change (its closed-form root) or an exact zero at t_{i+1}.  The k-th lies
+    change (its closed-form root, clamped into [t_i, t_{i+1}]) or an exact
+    zero at t_{i+1}.  The k-th lies
     in the first interval where the running count of crossings reaches k.  A
     tangential touch inside an interval is invisible to the sign check."""
     nodes = traj.mesh.nodes
@@ -69,5 +70,8 @@ def eval_event_time(traj: Trajectory, q: NonstandardQoi) -> np.ndarray:
     root = ~at_node[row, i]
     row, i = row[root], i[root]
     g0, g1 = g[row, i], g[row, i + 1]
-    out[row] = nodes[i] + (nodes[i + 1] - nodes[i]) * g0 / (g0 - g1)
+    # a root that rounds past its interval's right node is clamped onto it,
+    # so the times increase with k
+    out[row] = np.clip(nodes[i] + (nodes[i + 1] - nodes[i]) * g0 / (g0 - g1),
+                       nodes[i], nodes[i + 1])
     return out

@@ -15,9 +15,14 @@ alone, bit for bit: each per-row sum is an elementwise reduction or one
 matrix product of the same shape for every row, and batched solves factor
 each matrix on its own.  The adjoint and the residual pairing run over slices
 of SLICE_CELLS rows x sub-intervals, with one `jacobian` call and one batched
-solve, or one `rhs` call, per slice.  Two loops stay sequential because each
-step needs the one before it: the forward march, whose Newton iterate on
-interval n starts from U_n, and the adjoint recurrence phi_n = A_n phi_{n+1}.
+solve, or one `rhs` call, per slice.  A slice's arrays are component-major,
+so numpy's inner loops run over rows x points, not over the d components;
+every sum keeps the order of the whole-mesh kernels, so each row keeps their
+bits.  Two loops stay sequential because each step needs the one before it:
+the forward march, whose Newton iterate on interval n starts from U_n, and
+the adjoint recurrence phi_n = A_n phi_{n+1}.  The march keeps the
+(M, ..., d) layout: an iterate is a few numpy calls on one interval's
+points, whose cost is per call, not per element.
 """
 from __future__ import annotations
 
@@ -46,13 +51,50 @@ def _segment_quadrature(pts: np.ndarray):
     return a + length * _GL01_X[None, :], length * _GL01_W[None, :]
 
 
-def _gauss_sum(w: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """sum_q w[:, q] f[:, :, q] for w (intervals, 5), f (rows, intervals, 5, d,
-    d): the bits of a reduction over q, one point at a time onto zeros."""
-    total = np.zeros(f.shape[:2] + f.shape[3:])
+def _sum_over_points(w: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """sum_q w[q] f[..., q, :] for w (5, steps), f (..., 5, steps): onto zeros
+    one point at a time, the bits of a sum over a last axis of length 5."""
+    total = np.zeros(f.shape[:-2] + f.shape[-1:])
     for q in range(5):
-        total += w[:, q, None, None] * f[:, :, q]
+        total += w[q] * f[..., q, :]
     return total
+
+
+def _locate(mesh: Mesh1D, t: np.ndarray):
+    """Interval index, interval length h and local coordinate s in [0, 1] of
+    every time in t."""
+    nodes = mesh.nodes
+    idx = mesh.interval_of(t)
+    h = nodes[idx + 1] - nodes[idx]
+    return idx, h, (t - nodes[idx]) / h
+
+
+def _interpolate(values: np.ndarray, located, cut: slice, slopes: bool = False):
+    """Nodal values (rows, nodes, d) at columns `cut` of the points located
+    by `_locate`, component-major (d, rows, 5, steps), with the bits of
+    `Trajectory.__call__`; with `slopes`, also the slopes there, with the bits
+    of np.diff(values) / lengths."""
+    idx, h, s = (np.ascontiguousarray(a[:, cut]) for a in located)
+    # the points increase along both axes, so their first and last intervals
+    # bound the nodes to copy (`take` would copy all of a strided source)
+    first = idx[0, 0]
+    v = np.ascontiguousarray(values[:, first:idx[-1, -1] + 2].transpose(2, 0, 1))
+    idx = idx - first
+    u, right = v.take(idx, axis=-1), v.take(idx + 1, axis=-1)
+    if slopes:
+        slope = right - u
+        slope /= h
+    u *= 1.0 - s
+    right *= s
+    u += right
+    return (u, slope) if slopes else u
+
+
+def _row_major(u: np.ndarray) -> np.ndarray:
+    """A (d, rows, 5, steps) array as the (rows, 5 steps, d) states of a model
+    call (a view)."""
+    d, rows = u.shape[:2]
+    return u.transpose(1, 2, 3, 0).reshape(rows, -1, d)
 
 
 def _solve_rows(A: np.ndarray, B: np.ndarray, singular=None) -> np.ndarray:
@@ -96,12 +138,48 @@ class Trajectory:
     def __call__(self, t):
         """Linear interpolation: t scalar -> (..., d), t of shape (m,) -> (..., m, d)."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        nodes = self.mesh.nodes
-        idx = self.mesh.interval_of(t_arr)
-        h = nodes[idx + 1] - nodes[idx]
-        s = ((t_arr - nodes[idx]) / h)[:, None]
+        idx, _, s = _locate(self.mesh, t_arr)
+        s = s[:, None]
         out = (1.0 - s) * self.values[..., idx, :] + s * self.values[..., idx + 1, :]
         return out[..., 0, :] if np.ndim(t) == 0 else out
+
+
+def _step_matrices(problem: OdeProblem, forward: Trajectory, located,
+                   t: np.ndarray, w: np.ndarray, cut: slice, singular) -> np.ndarray:
+    """A_n = (I - M0_n)^{-1} (I + M1_n), (M, steps, d, d), for the adjoint
+    steps `cut` of the Gauss points t and weights w (5, n_sub), t located on
+    the forward mesh.  A function of its own, so the slice's arrays are freed
+    before the next slice builds its own."""
+    M, _, d = forward.values.shape
+    # J^T component-major: Jt[i, j] = J[..., j, i], (d, d, M, 5, steps)
+    Jt = np.ascontiguousarray(problem.jacobian(
+        _row_major(_interpolate(forward.values, located, cut)), t[:, cut].ravel()
+    ).transpose(3, 2, 0, 1)).reshape((d, d, M, 5, -1))
+    eye = np.eye(d)[:, :, None, None]
+    I_minus_M0 = eye - _sum_over_points(w[:, cut] * (1.0 - _GL01_X[:, None]), Jt)
+    I_plus_M1 = eye + _sum_over_points(w[:, cut] * _GL01_X[:, None], Jt)
+    return _solve_rows(I_minus_M0.transpose(2, 3, 0, 1),
+                       I_plus_M1.transpose(2, 3, 0, 1), singular)
+
+
+def _paired_points(problem: OdeProblem, forward: Trajectory, adjoint: Trajectory,
+                   located, t: np.ndarray, w: np.ndarray, cut: slice) -> np.ndarray:
+    """Gauss sums of [f(U) - dU/dt] . phi on the adjoint sub-intervals `cut`,
+    (rows, steps), for the Gauss points t and weights w (5, n_sub), t located
+    on the forward and on the adjoint mesh.  A function of its own, as
+    `_step_matrices` is."""
+    on_forward, on_adjoint = located
+    u, slope = _interpolate(forward.values, on_forward, cut, slopes=True)
+    f = problem.rhs(_row_major(u), t[:, cut].ravel()).transpose(2, 0, 1)
+    residual = np.subtract(f.reshape(u.shape), slope, out=slope)
+    del u, f
+    phi = _interpolate(adjoint.values, on_adjoint, cut)
+    # the d products added onto +0.0 in component order, then the 5 Gauss
+    # points in q order: the bits of two sums over a last axis
+    integrand = np.zeros((max(residual.shape[1], phi.shape[1]),) + phi.shape[2:])
+    for r, p in zip(residual, phi):
+        integrand += r * p
+    return _sum_over_points(w[:, cut], integrand)
 
 
 def solve_forward_cg1(problem: OdeProblem, mesh: Mesh1D) -> Trajectory:
@@ -187,21 +265,18 @@ def solve_adjoint(problem: OdeProblem, forward: Trajectory, t_star: float,
     O(SLICE_CELLS d^2) floats are live.  A singular step NaNs its row's adjoints.
     """
     mesh = subdivide(restrict_mesh(forward.mesh, t_star), ADJOINT_REFINE_FACTOR)
-    M, d, eye = len(forward.values), problem.dim, np.eye(problem.dim)
-    tq, wq = _segment_quadrature(mesh.nodes)
+    M, d = len(forward.values), problem.dim
+    t, w = (a.T for a in _segment_quadrature(mesh.nodes))
+    located = _locate(forward.mesh, t)
     (rows,) = np.broadcast_shapes((M,), np.shape(terminal_value)[:-1])
     phi = np.empty((rows, mesh.nodes.size, d))
     phi[:, -1] = terminal_value
     singular, step = np.zeros(M, dtype=bool), max(2, SLICE_CELLS // M)
     with np.errstate(all="ignore"):
         for lo in reversed(range(0, mesh.n_intervals, step)):
-            hi = min(lo + step, mesh.n_intervals)
-            t = tq[lo:hi].ravel()
-            Jt = np.swapaxes(problem.jacobian(forward(t), t), -1, -2).reshape(
-                M, hi - lo, 5, d, d)
-            A = _solve_rows(eye - _gauss_sum(wq[lo:hi] * (1.0 - _GL01_X), Jt),
-                            eye + _gauss_sum(wq[lo:hi] * _GL01_X, Jt), singular)
-            for n in range(hi - 1, lo - 1, -1):
+            cut = slice(lo, min(lo + step, mesh.n_intervals))
+            A = _step_matrices(problem, forward, located, t, w, cut, singular)
+            for n in range(cut.stop - 1, lo - 1, -1):
                 phi[:, n] = (A[:, n - lo] * phi[:, n + 1, None, :]).sum(axis=-1)
     phi[np.broadcast_to(singular, rows), :-1] = np.nan
     return Trajectory(mesh, phi)
@@ -219,21 +294,19 @@ def residual_pairing(problem: OdeProblem, forward: Trajectory,
         raise MeshError("adjoint trajectory does not cover (0, t*)")
     restricted = restrict_mesh(forward.mesh, t_star)
     quad_nodes = adjoint.mesh.nodes
-    tq, wq = _segment_quadrature(quad_nodes)
+    t, w = (a.T for a in _segment_quadrature(quad_nodes))
+    located = _locate(forward.mesh, t), _locate(adjoint.mesh, t)
     owner = restricted.interval_of(0.5 * (quad_nodes[:-1] + quad_nodes[1:]))
-    slopes = np.diff(forward.values, axis=1) / forward.mesh.lengths[:, None]
-    (rows,) = np.broadcast_shapes(slopes.shape[:1], np.shape(adjoint(0.0))[:-1])
+    (rows,) = np.broadcast_shapes(forward.values.shape[:1], adjoint.values.shape[:1])
     n_sub = adjoint.mesh.n_intervals
     total, step = np.zeros((rows, restricted.n_intervals)), max(2, SLICE_CELLS // rows)
     with np.errstate(all="ignore"):
         for lo in range(0, n_sub, step):
-            hi = min(lo + step, n_sub)
-            t = tq[lo:hi].ravel()
-            residual = problem.rhs(forward(t), t) - slopes[:, forward.mesh.interval_of(t)]
-            integrand = (residual * adjoint(t)).sum(axis=-1).reshape(rows, hi - lo, 5)
-            first, width = owner[lo], owner[hi - 1] - owner[lo] + 1
-            bins = (owner[lo:hi] - first + width * np.arange(rows)[:, None]).ravel()
+            cut = slice(lo, min(lo + step, n_sub))
+            paired = _paired_points(problem, forward, adjoint, located, t, w, cut)
+            first, width = owner[lo], owner[cut.stop - 1] - owner[lo] + 1
+            bins = (owner[cut] - first + width * np.arange(rows)[:, None]).ravel()
             total[:, first:first + width] += np.bincount(
-                bins, (wq[lo:hi] * integrand).sum(axis=-1).ravel(), rows * width
+                bins, paired.ravel(), rows * width
             ).reshape(rows, width)
     return total

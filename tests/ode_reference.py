@@ -21,7 +21,7 @@ from adaptive_mlmc.error_estimation import ErrorDecomposition
 from adaptive_mlmc.meshes import subdivide
 from adaptive_mlmc.qoi import StandardQoi
 from adaptive_mlmc.solvers import (ADJOINT_REFINE_FACTOR, NEWTON_MAX_ITERS,
-                                   NEWTON_TOL, _GL01_X, Trajectory, _gauss_sum,
+                                   NEWTON_TOL, _GL01_X, Trajectory,
                                    _segment_quadrature, _solve_rows,
                                    residual_pairing, restrict_mesh,
                                    solve_adjoint)
@@ -158,9 +158,19 @@ def sample(problem, mesh, q, want_estimate=True):
 
 
 
+def _gauss_sum(w, f):
+    """sum_q w[:, q] f[:, :, q] for w (intervals, 5), f (rows, intervals, 5, d,
+    d): the bits of a reduction over q, one point at a time onto zeros."""
+    total = np.zeros(f.shape[:2] + f.shape[3:])
+    for q in range(5):
+        total += w[:, q, None, None] * f[:, :, q]
+    return total
+
+
 def whole_mesh_adjoint(problem, forward, t_star, terminal_value):
     """`solve_adjoint` in one piece: one `jacobian` call on every quadrature
-    point and one batched solve for every step matrix."""
+    point and one batched solve for every step matrix; K terminal rows of a
+    one-row forward share its step matrices."""
     mesh = subdivide(restrict_mesh(forward.mesh, t_star), ADJOINT_REFINE_FACTOR)
     d = problem.dim
     tq, wq = _segment_quadrature(mesh.nodes)
@@ -171,7 +181,8 @@ def whole_mesh_adjoint(problem, forward, t_star, terminal_value):
         eye = np.eye(d)
         A = _solve_rows(eye - _gauss_sum(wq * (1.0 - _GL01_X), Jt),
                         eye + _gauss_sum(wq * _GL01_X, Jt))
-        phi = np.empty((A.shape[0], mesh.nodes.size, d))
+        (rows,) = np.broadcast_shapes(A.shape[:1], np.shape(terminal_value)[:-1])
+        phi = np.empty((rows, mesh.nodes.size, d))
         phi[:, -1] = terminal_value
         for n in range(mesh.n_intervals - 1, -1, -1):
             phi[:, n] = (A[:, n] * phi[:, n + 1, None, :]).sum(axis=-1)

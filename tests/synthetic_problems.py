@@ -1,11 +1,12 @@
-"""Small ODE problems with one row per draw that fail in chosen rows, a
-piecewise-constant weight to pair residuals with, and a wrapper that counts a
+"""Small ODE problems with one row per draw that fail in chosen rows, weights
+constant in time to pair residuals with, and a wrapper that counts a
 problem's model calls."""
 import dataclasses
 
 import numpy as np
 
 from adaptive_mlmc.models import OdeProblem
+from adaptive_mlmc.solvers import Trajectory
 
 
 def blow_up(u0=(2.0,)):
@@ -41,17 +42,13 @@ def one_point_jacobian(rhs, t_point, c):
     return problem
 
 
-class PiecewiseConstant:
-    """A weight constant on each interval of `mesh` (weights: (intervals, d)),
-    usable as the adjoint of `residual_pairing`, which integrates on its mesh."""
-
-    def __init__(self, mesh, weights):
-        self.mesh, self.weights = mesh, weights
-
-    def __call__(self, t):
-        idx = np.clip(np.searchsorted(self.mesh.nodes, t, side="right") - 1,
-                      0, self.mesh.n_intervals - 1)
-        return self.weights[idx]
+def constant_weights(mesh, weights):
+    """K weights constant in time on `mesh`, row k at weights[k] (d,), as the
+    adjoint of `residual_pairing`, which integrates on its mesh: per interval,
+    row k pairs weights[k] with the interval's integral of the residual, so d
+    independent rows that pair to zero on an interval make every constant
+    weight on it pair to zero."""
+    return Trajectory(mesh, np.repeat(weights[:, None], mesh.nodes.size, axis=1))
 
 
 def counting_calls(problem, calls):

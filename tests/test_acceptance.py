@@ -31,7 +31,7 @@ from adaptive_mlmc.stationary import (BVP_DEFAULT_EPSILON, BVP_REFINEMENT,
                                       PSI_SUPPORT, SOURCE_BREAKS, BvpMlmcModel,
                                       bvp_initial_mesh, psi, source)
 from stationary_reference import solve_weak
-from synthetic_problems import PiecewiseConstant
+from synthetic_problems import constant_weights
 
 SEEDS = (0, 1, 2, 3, 4)
 STRATEGIES = ("uniform", "dwr", "meso")
@@ -280,14 +280,15 @@ def test_criterion_9_property_suite():
     plain_mc = est.n_levels == 1 and rec["y"] == 0.0 and \
         est.value == pytest.approx(np.mean(q_values), rel=1e-14)
 
-    # residual orthogonal to piecewise constants
+    # residual orthogonal to piecewise constants: on every interval, to d + 1
+    # constant weights
     problem = harmonic_oscillator(50.0, 0.25)
     forward = solve_forward_cg1(problem, mesh)
     rng = np.random.default_rng(1)
-    weights = rng.uniform(-1.0, 1.0, (mesh.n_intervals, problem.dim))
+    weights = rng.uniform(-1.0, 1.0, (problem.dim + 1, problem.dim))
 
     contributions = residual_pairing(problem, forward,
-                                     PiecewiseConstant(mesh, weights), 3.0)
+                                     constant_weights(mesh, weights), 3.0)
     orthogonal = np.abs(contributions).max() <= 1e-10
 
     # analytic Jacobians against central finite differences

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
@@ -18,7 +21,7 @@ from adaptive_mlmc.solvers import (ADJOINT_REFINE_FACTOR, Trajectory, _GL01_X,
                                    solve_forward_cg1)
 
 import ode_reference
-from synthetic_problems import (PiecewiseConstant, blow_up, counting_calls,
+from synthetic_problems import (blow_up, constant_weights, counting_calls,
                                 exact_reciprocal, one_point_jacobian)
 
 
@@ -184,14 +187,16 @@ class TestAdjoint:
 
 class TestResidualPairing:
     def test_galerkin_orthogonality(self):
-        """The cG(1) residual is orthogonal to piecewise-constant weights."""
+        """The cG(1) residual is orthogonal to piecewise-constant weights:
+        every interval's contribution vanishes for d + 1 constant weights."""
         problem = harmonic_oscillator(50.0, 0.25)
         mesh = uniform_mesh(3.0, 27)
         forward = solve_forward_cg1(problem, mesh)
         rng = np.random.default_rng(3)
-        weights = rng.standard_normal((mesh.n_intervals, problem.dim))
+        weights = rng.standard_normal((problem.dim + 1, problem.dim))
         contributions = residual_pairing(problem, forward,
-                                         PiecewiseConstant(mesh, weights), 3.0)
+                                         constant_weights(mesh, weights), 3.0)
+        assert contributions.shape == (problem.dim + 1, mesh.n_intervals)
         scale = np.abs(forward.values).max() * np.abs(weights).max()
         assert np.abs(contributions).max() <= 1e-10 * scale
 
@@ -439,3 +444,59 @@ class TestSlicedKernels:
         phi = assert_kernels_match_whole_mesh(problem, forward, 1.0, np.array([1.0]))
         assert np.isnan(phi.values[0, :-1]).all() and phi.values[0, -1] == 1.0
         assert np.isfinite(phi.values[1]).all()
+
+
+# Values whose products and sums make the order of a sum show in its bits:
+# signed zeros (a sum of -0.0 terms is +0.0 only when it starts at +0.0),
+# subnormals and magnitudes that cancel, besides ordinary numbers.
+SPECIAL_VALUES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                  1.0, -1.0, 0.1, 3.0, 1e16, -1e16])
+VALUES = st.one_of(SPECIAL_VALUES, st.floats(-1e3, 1e3))
+
+
+@st.composite
+def linear_estimate_cases(draw):
+    """A d = 1-4 problem du/dt = c * u + g with the constant Jacobian B of
+    each row (neither has to match the other), a forward trajectory drawn
+    node by node, optionally with a NaN row, and a terminal value shaped
+    (d,), (M, d) or (K, d) against a one-row forward."""
+    d = draw(st.integers(1, 4))
+    terminal = draw(st.sampled_from(["shared", "per row", "K rows"]))
+    M = 1 if terminal == "K rows" else draw(st.integers(1, 4))
+    mesh = uniform_mesh(1.0, draw(st.integers(1, 6)))
+    c, g = (draw(arrays(float, (M, d), elements=VALUES)) for _ in range(2))
+    B = draw(arrays(float, (M, d, d), elements=VALUES))
+
+    def per_row(a, u):
+        return a.reshape(a.shape[:1] + (1,) * (u.ndim - 2) + a.shape[1:])
+
+    def jacobian(u, t):
+        J = np.empty(u.shape + (d,))
+        J[...] = per_row(B, u)
+        return J
+
+    problem = OdeProblem(d, lambda u, t: per_row(c, u) * u + per_row(g, u),
+                         jacobian, np.zeros((M, d)), 1.0)
+    values = draw(arrays(float, (M, mesh.nodes.size, d), elements=VALUES))
+    if M > 1 and draw(st.booleans()):
+        values[draw(st.integers(0, M - 1))] = np.nan
+    rows = ((draw(st.integers(2, 4)),) if terminal == "K rows"
+            else {"shared": (), "per row": (M,)}[terminal])
+    terminal_value = draw(arrays(float, rows + (d,), elements=VALUES))
+    # the end, an interior node (if any) or inside an interval
+    t_star = draw(st.sampled_from(sorted({1.0, mesh.nodes[-2], 0.61} - {0.0})))
+    return problem, Trajectory(mesh, values), t_star, terminal_value
+
+
+@given(linear_estimate_cases())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_signed_zeros_and_component_order(slice_cells, case):
+    """The component-major adjoint and pairing add the d products of each
+    point onto +0.0 in component order and the Gauss points in q order, as
+    the whole-mesh kernels' sums over a last axis do: same bits on products
+    of +-0.0, subnormals and cancelling magnitudes, and on a NaN row.  A
+    reversed component or point order fails here.  A sum started at its
+    first term instead of +0.0 differs only in the sign of a zero result,
+    which the next sum, onto +0.0 again, erases, so no output shows it."""
+    assert_kernels_match_whole_mesh(*case)
