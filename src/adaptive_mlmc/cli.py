@@ -4,7 +4,7 @@ Configs are INI files with a [run] section (experiment, epsilon, seed, ...)
 and an optional [refinement] section; a `run` flag overrides the [run] key
 of the same name.  `run` writes levels.csv, summary.csv, samples.csv (and
 per-level grid dumps on request) and prints the summary row.  Exit codes:
-0 converged, 2 not converged, 1 error.
+0 converged, 2 not converged, 1 error (a usage error included).
 """
 from __future__ import annotations
 
@@ -21,8 +21,7 @@ import numpy as np
 from .driver import MlmcError, MlmcEstimate, MlmcRunConfig, run_adaptive_mlmc
 from .experiments import EXPERIMENT_NAMES, OdeMlmcModel, get_experiment
 from .refinement import RefinementConfig
-from .stationary import (BVP_DEFAULT_EPSILON, BVP_INITIAL_ELEMENTS,
-                         BVP_MIN_ELEMENTS, BVP_REFINEMENT, BvpMlmcModel,
+from .stationary import (BVP_DEFAULT_EPSILON, BVP_REFINEMENT, BvpMlmcModel,
                          bvp_initial_mesh)
 
 BVP_EXPERIMENT = "advection-diffusion-1d"  # run by BvpMlmcModel, not a preset
@@ -45,7 +44,8 @@ def _line_of(path: Optional[str], section: str, key: Optional[str] = None) -> st
         return "<flags>"
     current = None
     try:
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+        lines = Path(path).read_text(encoding="utf-8").split("\n")  # as configparser
+        for lineno, line in enumerate(lines, 1):
             header = configparser.ConfigParser.SECTCRE.match(line.strip())
             current = header["header"] if header else current
             name = None if header else line.split("=")[0].split(":")[0].strip().lower()
@@ -63,10 +63,7 @@ _RUN_DEFAULTS = {f.name: f.default for f in fields(MlmcRunConfig)}
 _RUN_KEYS = {
     "experiment": (str, None), "epsilon": (float, None), "refinement": (str, None),
     "seed": (int, _RUN_DEFAULTS["master_seed"]), "jobs": (int, _RUN_DEFAULTS["jobs"]),
-    "max_levels": (int, _RUN_DEFAULTS["max_levels"]), "initial_intervals": (int, None),
     "output_dir": (str, "."),
-    "n_schedule": (lambda text: tuple(int(x) for x in text.replace(",", " ").split()),
-                   _RUN_DEFAULTS["n_schedule"]),
     "dump_grids": (lambda text: configparser.ConfigParser.BOOLEAN_STATES[text.lower()],
                    False),
 }
@@ -98,11 +95,11 @@ def _parse_section(path: str, section, parsers: dict) -> dict:
 
 
 def _parse_config_file(path: str) -> dict:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # values are literal
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             parser.read_file(fh, source=path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: cannot read config: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from exc
@@ -124,18 +121,10 @@ def _parse_config_file(path: str) -> dict:
 
 def _build_run(settings: dict):
     """Resolve settings into (model, MlmcRunConfig)."""
-    name, n_init = settings["experiment"], settings["initial_intervals"]
-    bvp = name == BVP_EXPERIMENT
-    minimum = BVP_MIN_ELEMENTS if bvp else 1
-    where = (f"{_line_of(settings['config_path'], 'run', 'initial_intervals')}: "
-             f"initial_intervals = {n_init}")
-    if n_init is not None and not minimum <= n_init <= sys.maxsize // 8:
-        raise ConfigError(f"{where} is outside [{minimum}, {sys.maxsize // 8}], the "
-                          f"interval counts {name} can run on")
-    if bvp:
+    name = settings["experiment"]
+    if name == BVP_EXPERIMENT:
         model, refinement = BvpMlmcModel(), BVP_REFINEMENT
-        make_mesh = lambda: bvp_initial_mesh(n_init or BVP_INITIAL_ELEMENTS)
-        default_epsilon = BVP_DEFAULT_EPSILON
+        mesh, default_epsilon = bvp_initial_mesh(), BVP_DEFAULT_EPSILON
     else:
         try:
             experiment = get_experiment(name)
@@ -144,24 +133,14 @@ def _build_run(settings: dict):
                 f"{_line_of(settings['config_path'], 'run', 'experiment')}: {exc.args[0]}"
             ) from exc
         model, refinement = OdeMlmcModel(experiment), RefinementConfig()
-        if n_init is not None:
-            experiment = replace(experiment, initial_intervals=n_init)
-        make_mesh = experiment.initial_mesh
-        default_epsilon = experiment.default_epsilon
-    try:
-        mesh = make_mesh()
-    except MemoryError:
-        raise ConfigError(f"{where} asks for more nodes than memory holds") from None
+        mesh, default_epsilon = experiment.initial_mesh(), experiment.default_epsilon
     strategy = {"strategy": settings["refinement"]} if settings["refinement"] else {}
     try:
         refinement = replace(refinement, **strategy, **settings["refinement_overrides"])
         cfg = MlmcRunConfig(epsilon=default_epsilon if settings["epsilon"] is None
                             else settings["epsilon"],
                             initial_mesh=mesh, refinement=refinement,
-                            n_schedule=settings["n_schedule"],
-                            master_seed=settings["seed"],
-                            max_levels=settings["max_levels"],
-                            jobs=settings["jobs"])
+                            master_seed=settings["seed"], jobs=settings["jobs"])
     except ValueError as exc:
         raise ConfigError(f"{settings['config_path'] or '<flags>'}: {exc}") from exc
     return model, cfg
@@ -232,11 +211,10 @@ def _cmd_compare(args) -> int:
     if not paths:
         raise ConfigError("<flags>: --configs needs at least one path")
     settings_list = [_parse_config_file(p) for p in paths]
-    shared_seed = args.seed if args.seed is not None else settings_list[0]["seed"]
     print("config,strategy,levels,total_cost,estimate,mse,converged")
     worst = EXIT_OK
     for path, settings in zip(paths, settings_list):
-        settings["seed"] = shared_seed
+        settings["seed"] = settings_list[0]["seed"]  # one seed for every config
         strategy = settings["refinement"] or "default"
         try:
             model, cfg = _build_run(settings)
@@ -276,14 +254,15 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p = sub.add_parser("compare", help="run several configs, one table row each")
     cmp_p.add_argument("--configs", required=True,
                        help="comma-separated config paths")
-    cmp_p.add_argument("--seed", type=int,
-                       help="shared master seed (default: first config's)")
     cmp_p.set_defaults(func=_cmd_compare)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+        return EXIT_ERROR if exc.code else EXIT_OK
     try:
         return args.func(args)
     except (ConfigError, MlmcError) as exc:

@@ -14,6 +14,7 @@ error estimate; only that sample is recorded failed and redrawn.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -27,6 +28,8 @@ from .sampling import sample_parameters
 # Most draws one model `evaluate` call stacks.  Bounds memory only.
 CHUNK_SIZE = 256
 MAX_FAILURE_RATE = 0.01  # a run aborts when more of its draws fail (and at least 5)
+N_SCHEDULE = (100, 50, 20)  # warm-up draws per level; later levels take the last
+MAX_LEVELS = 10  # a run that has not converged stops at this many levels
 
 
 class MlmcError(RuntimeError):
@@ -90,9 +93,7 @@ class MlmcRunConfig:
     epsilon: float
     initial_mesh: Mesh1D
     refinement: RefinementConfig = RefinementConfig()
-    n_schedule: tuple = (100, 50, 20)
     master_seed: int = 0
-    max_levels: int = 10
     jobs: int = 1
 
     def __post_init__(self):
@@ -100,15 +101,8 @@ class MlmcRunConfig:
             raise ValueError("epsilon must be positive and finite")
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
-        if not self.n_schedule or any(n < 2 for n in self.n_schedule):
-            raise ValueError("n_schedule entries must be >= 2")
-        if self.max_levels < 1:
-            raise ValueError("max_levels must be >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-
-    def schedule(self, level: int) -> int:
-        return self.n_schedule[min(level, len(self.n_schedule) - 1)]
 
 
 def level_variance(y: np.ndarray) -> float:
@@ -177,7 +171,8 @@ class _Runner:
         self.model = model
         self.cfg = cfg
         self.sample_log = np.zeros(0, SAMPLE_DTYPE)
-        self.pool = ThreadPoolExecutor(cfg.jobs) if cfg.jobs > 1 else None
+        workers = min(cfg.jobs, os.cpu_count() or 1)  # no more threads than CPUs
+        self.pool = ThreadPoolExecutor(workers) if cfg.jobs > 1 else None
 
     def close(self):
         if self.pool is not None:
@@ -214,14 +209,15 @@ class _Runner:
 
 
 def run_adaptive_mlmc(model, cfg: MlmcRunConfig) -> MlmcEstimate:
-    """Execute the adaptive driver loop until bias^2 <= epsilon/2 or max_levels."""
+    """Execute the adaptive driver loop until bias^2 <= epsilon/2 or MAX_LEVELS."""
     runner = _Runner(model, cfg)
     try:
         elems0 = cfg.initial_mesh.n_intervals
         levels = [LevelState(0, cfg.initial_mesh, None, 1.0, None)]
         while True:
             highest = levels[-1]
-            runner.fill(highest, cfg.schedule(highest.level), want_estimate=True)
+            warm_up = N_SCHEDULE[min(highest.level, len(N_SCHEDULE) - 1)]
+            runner.fill(highest, warm_up, want_estimate=True)
             variances = [level_variance(lv.ok("y")) for lv in levels]
             costs = [lv.cost_per_sample for lv in levels]
             n_opt = optimal_samples(variances, costs, cfg.epsilon)
@@ -230,7 +226,7 @@ def run_adaptive_mlmc(model, cfg: MlmcRunConfig) -> MlmcEstimate:
                     runner.fill(lv, n, want_estimate=(lv is highest))
             variances = [level_variance(lv.ok("y")) for lv in levels]
             bias = level_bias(highest.ok("error_estimate"))
-            if bias ** 2 <= 0.5 * cfg.epsilon or len(levels) >= cfg.max_levels:
+            if bias ** 2 <= 0.5 * cfg.epsilon or len(levels) >= MAX_LEVELS:
                 break
 
             try:

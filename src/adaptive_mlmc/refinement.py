@@ -1,4 +1,4 @@
-"""New-level mesh creation: uniform, multi-sample DWR, and meso-scale.
+"""New-level mesh creation: uniform halving, multi-sample DWR, and meso-scale.
 
 Both read the top level's error contributions as one (samples, intervals)
 matrix.  DWR selects, per sample, the intervals carrying the largest
@@ -25,7 +25,6 @@ class RefinementConfig:
     strategy: str = "uniform"
     dwr_fraction: float = 0.5
     dwr_factor: int = 3
-    uniform_factor: int = 2
     meso_q: float = 2.0
     meso_target_multiplier: float = 2.0
 
@@ -34,8 +33,8 @@ class RefinementConfig:
             raise ValueError(f"unknown refinement strategy {self.strategy!r}")
         if not 0.0 < self.dwr_fraction <= 1.0:
             raise ValueError("dwr_fraction must be in (0, 1]")
-        if self.dwr_factor < 2 or self.uniform_factor < 2:
-            raise ValueError("refinement factors must be >= 2")
+        if self.dwr_factor < 2:
+            raise ValueError("dwr_factor must be >= 2")
         if not 0 < self.meso_q < math.inf:
             raise ValueError("meso_q must be positive and finite")
         if not 1 < self.meso_target_multiplier < math.inf:
@@ -152,7 +151,7 @@ def build_next_mesh(prev_mesh: Mesh1D, prev_regions, contributions: np.ndarray,
     """Dispatch on the configured strategy; returns (mesh, tiling-or-None).
     Rows of `contributions` may end in NaN; meso follows the first largest |totals|."""
     if cfg.strategy == "uniform":
-        return subdivide(prev_mesh, cfg.uniform_factor), None
+        return subdivide(prev_mesh, 2), None
     if cfg.strategy == "dwr":
         counts = np.ones(prev_mesh.n_intervals, dtype=int)
         counts[dwr_select(contributions, cfg.dwr_fraction)] = cfg.dwr_factor

@@ -13,16 +13,25 @@ stalls in Newton or meets a singular Newton or adjoint step system becomes
 NaN, and the other rows carry on.  Row k of every result depends on row k
 alone, bit for bit: each per-row sum is an elementwise reduction or one
 matrix product of the same shape for every row, and batched solves factor
-each matrix on its own.  The adjoint and the residual pairing run over slices
-of SLICE_CELLS rows x sub-intervals, with one `jacobian` call and one batched
-solve, or one `rhs` call, per slice.  A slice's arrays are component-major,
-so numpy's inner loops run over rows x points, not over the d components;
-every sum keeps the order of the whole-mesh kernels, so each row keeps their
-bits.  Two loops stay sequential because each step needs the one before it:
-the forward march, whose Newton iterate on interval n starts from U_n, and
-the adjoint recurrence phi_n = A_n phi_{n+1}.  The march keeps the
-(M, ..., d) layout: an iterate is a few numpy calls on one interval's
-points, whose cost is per call, not per element.
+each matrix on its own.
+
+The adjoint and the residual pairing run over slices of SLICE_CELLS rows x
+sub-intervals, each in a helper of its own (`_step_matrices`,
+`_paired_points`) that makes one `jacobian` call and one batched solve, or
+one `rhs` call; a slice's arrays are freed before the next slice's are made,
+so O(SLICE_CELLS d^2) floats are live.  A slice is component-major: states at
+the Gauss points are (d, rows, 5, steps), Jacobian transposes (d, d, rows, 5,
+steps) and step-matrix sums (d, d, rows, steps), so numpy's inner loops run
+over rows x points, not over the d components; the models' (rows, points, d)
+layout is taken only at the model call and at the batched solve.  Every sum
+keeps the order of the whole-mesh kernels, so each row keeps their bits:
+Gauss points onto zeros in q order, the d products of residual . phi onto
++0.0 in component order, and each slice's interval sums onto zeros.  Two
+loops stay sequential because each step needs the one before it: the forward
+march, whose Newton iterate on interval n starts from U_n, and the adjoint
+recurrence phi_n = A_n phi_{n+1}.  The march keeps the (M, ..., d) layout:
+an iterate is a few numpy calls on one interval's points, whose cost is per
+call, not per element.
 """
 from __future__ import annotations
 
@@ -71,9 +80,8 @@ def _locate(mesh: Mesh1D, t: np.ndarray):
 
 def _interpolate(values: np.ndarray, located, cut: slice, slopes: bool = False):
     """Nodal values (rows, nodes, d) at columns `cut` of the points located
-    by `_locate`, component-major (d, rows, 5, steps), with the bits of
-    `Trajectory.__call__`; with `slopes`, also the slopes there, with the bits
-    of np.diff(values) / lengths."""
+    by `_locate`, with the bits of `Trajectory.__call__`; with `slopes`, also
+    the slopes there, with the bits of np.diff(values) / lengths."""
     idx, h, s = (np.ascontiguousarray(a[:, cut]) for a in located)
     # the points increase along both axes, so their first and last intervals
     # bound the nodes to copy (`take` would copy all of a strided source)
@@ -91,8 +99,7 @@ def _interpolate(values: np.ndarray, located, cut: slice, slopes: bool = False):
 
 
 def _row_major(u: np.ndarray) -> np.ndarray:
-    """A (d, rows, 5, steps) array as the (rows, 5 steps, d) states of a model
-    call (a view)."""
+    """A slice's states as the (rows, 5 steps, d) states of a model call (a view)."""
     d, rows = u.shape[:2]
     return u.transpose(1, 2, 3, 0).reshape(rows, -1, d)
 
@@ -148,10 +155,8 @@ def _step_matrices(problem: OdeProblem, forward: Trajectory, located,
                    t: np.ndarray, w: np.ndarray, cut: slice, singular) -> np.ndarray:
     """A_n = (I - M0_n)^{-1} (I + M1_n), (M, steps, d, d), for the adjoint
     steps `cut` of the Gauss points t and weights w (5, n_sub), t located on
-    the forward mesh.  A function of its own, so the slice's arrays are freed
-    before the next slice builds its own."""
+    the forward mesh."""
     M, _, d = forward.values.shape
-    # J^T component-major: Jt[i, j] = J[..., j, i], (d, d, M, 5, steps)
     Jt = np.ascontiguousarray(problem.jacobian(
         _row_major(_interpolate(forward.values, located, cut)), t[:, cut].ravel()
     ).transpose(3, 2, 0, 1)).reshape((d, d, M, 5, -1))
@@ -166,16 +171,13 @@ def _paired_points(problem: OdeProblem, forward: Trajectory, adjoint: Trajectory
                    located, t: np.ndarray, w: np.ndarray, cut: slice) -> np.ndarray:
     """Gauss sums of [f(U) - dU/dt] . phi on the adjoint sub-intervals `cut`,
     (rows, steps), for the Gauss points t and weights w (5, n_sub), t located
-    on the forward and on the adjoint mesh.  A function of its own, as
-    `_step_matrices` is."""
+    on the forward and on the adjoint mesh."""
     on_forward, on_adjoint = located
     u, slope = _interpolate(forward.values, on_forward, cut, slopes=True)
     f = problem.rhs(_row_major(u), t[:, cut].ravel()).transpose(2, 0, 1)
     residual = np.subtract(f.reshape(u.shape), slope, out=slope)
     del u, f
     phi = _interpolate(adjoint.values, on_adjoint, cut)
-    # the d products added onto +0.0 in component order, then the 5 Gauss
-    # points in q order: the bits of two sums over a last axis
     integrand = np.zeros((max(residual.shape[1], phi.shape[1]),) + phi.shape[2:])
     for r, p in zip(residual, phi):
         integrand += r * p
@@ -260,9 +262,8 @@ def solve_adjoint(problem: OdeProblem, forward: Trajectory, t_star: float,
     `terminal_value` is (d,) for all rows, (M, d), or (K, d) for K adjoints of
     a one-row forward.  The adjoint mesh is the forward mesh restricted to
     (0, t*) and refined by 2.  cG(1) for -phi' = J^T phi gives, per step,
-    (I - M0_n) phi_n = (I + M1_n) phi_{n+1}.  Each slice of SLICE_CELLS rows x
-    steps solves its A_n = (I - M0_n)^{-1} (I + M1_n) in one batch, so
-    O(SLICE_CELLS d^2) floats are live.  A singular step NaNs its row's adjoints.
+    (I - M0_n) phi_n = (I + M1_n) phi_{n+1}.  A singular step NaNs its row's
+    adjoints.
     """
     mesh = subdivide(restrict_mesh(forward.mesh, t_star), ADJOINT_REFINE_FACTOR)
     M, d = len(forward.values), problem.dim
@@ -287,9 +288,7 @@ def residual_pairing(problem: OdeProblem, forward: Trajectory,
     """Per-row, per-forward-interval integrals of [f(U) - dU/dt] . phi over
     (0, t*), phi the adjoint, shape (rows of U and phi broadcast, intervals of
     the forward mesh restricted to (0, t*)): 5-point Gauss-Legendre on every
-    adjoint-mesh interval, summed onto the forward interval that holds it.
-    SLICE_CELLS rows x sub-intervals at a time (O(SLICE_CELLS d) floats beside
-    the result) are added onto zeros, so a split interval keeps its sum order."""
+    adjoint-mesh interval, summed onto the forward interval that holds it."""
     if adjoint.mesh.length < t_star * (1.0 - REL_TOL):
         raise MeshError("adjoint trajectory does not cover (0, t*)")
     restricted = restrict_mesh(forward.mesh, t_star)

@@ -214,11 +214,10 @@ class BvpMlmcModel:
                                      np.ones(len(q)))
 
 
-# Defaults calibrated so both strategies resolve the bias within two levels:
-# the level-0 bias (~2.1e-3) exceeds sqrt(eps/2) ~ 1.6e-3 while both the DWR
-# level-1 mesh (~1.3e-3) and the uniform one (~3.8e-4) fall below it.
+# Calibrated so both strategies resolve the bias within two levels from 12
+# elements: the level-0 bias (~2.1e-3) exceeds sqrt(eps/2) ~ 1.6e-3 while both
+# the DWR level-1 mesh (~1.3e-3) and the uniform one (~3.8e-4) fall below it.
 BVP_DEFAULT_EPSILON = 5e-6
-BVP_INITIAL_ELEMENTS = 12
 BVP_MIN_ELEMENTS = 2  # fewest elements with an interior unknown
 
 
@@ -226,6 +225,6 @@ BVP_MIN_ELEMENTS = 2  # fewest elements with an interior unknown
 BVP_REFINEMENT = RefinementConfig(strategy="dwr", dwr_fraction=0.25, dwr_factor=2)
 
 
-def bvp_initial_mesh(n_elements: int = BVP_INITIAL_ELEMENTS) -> Mesh1D:
-    return uniform_mesh(LENGTH, n_elements)
+def bvp_initial_mesh() -> Mesh1D:
+    return uniform_mesh(LENGTH, 12)
 

@@ -1,5 +1,6 @@
 """Command-line interface: configs, artifacts, exit codes, determinism."""
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -8,12 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cli_reference
-from adaptive_mlmc.cli import (ConfigError, _parse_config_file, build_parser,
-                               main, write_artifacts)
+from adaptive_mlmc import driver
+from adaptive_mlmc.cli import (ConfigError, _build_run, _parse_config_file,
+                               build_parser, main, write_artifacts)
 from adaptive_mlmc.driver import SAMPLE_DTYPE, MlmcEstimate
 from adaptive_mlmc.experiments import get_experiment
 from adaptive_mlmc.refinement import RefinementConfig
@@ -46,9 +48,6 @@ epsilon = 1e-4
 refinement = dwr
 seed = 7
 jobs = 2
-max_levels = 6
-n_schedule = 100, 50, 20
-initial_intervals = 24
 dump_grids = yes
 
 [refinement]
@@ -61,9 +60,6 @@ dwr_factor = 2
         assert s["refinement"] == "dwr"
         assert s["seed"] == 7
         assert s["jobs"] == 2
-        assert s["max_levels"] == 6
-        assert s["n_schedule"] == (100, 50, 20)
-        assert s["initial_intervals"] == 24
         assert s["dump_grids"] is True
         assert s["refinement_overrides"] == {"dwr_fraction": 0.3, "dwr_factor": 2}
         assert s["config_path"] == path
@@ -73,8 +69,7 @@ dwr_factor = 2
         path = write_config(tmp_path, "[run]\nexperiment = lorenz\n")
         assert _parse_config_file(path) == {
             "experiment": "lorenz", "epsilon": None, "refinement": None,
-            "seed": 0, "jobs": 1, "max_levels": 10, "initial_intervals": None,
-            "output_dir": ".", "n_schedule": (100, 50, 20), "dump_grids": False,
+            "seed": 0, "jobs": 1, "output_dir": ".", "dump_grids": False,
             "refinement_overrides": {}, "config_path": path}
 
     def test_missing_run_section(self, tmp_path):
@@ -89,6 +84,15 @@ experiment = lorenz
 epsilom = 1e-4
 """)
         with pytest.raises(ConfigError, match=r"run\.ini:3.*epsilom"):
+            _parse_config_file(path)
+
+    @pytest.mark.parametrize("comment", ["# page\x0cbreak", "# line\u2028separator"])
+    def test_line_numbers_count_newlines_only(self, tmp_path, comment):
+        """Line numbers count the line ends configparser reads, not every
+        character str.splitlines splits at."""
+        path = write_config(tmp_path, f"[run]\n{comment}\nexperiment = lorenz\n"
+                                      "epsilom = 1e-4\n")
+        with pytest.raises(ConfigError, match=r"run\.ini:4: unknown key 'epsilom'"):
             _parse_config_file(path)
 
     def test_unknown_key_matched_case_insensitively(self, tmp_path):
@@ -135,15 +139,14 @@ refinement = meso
 [refinement]
 dwr_fraction = 0.3
 dwr_factor = 4
-uniform_factor = 3
 meso_q = 1
 meso_target_multiplier = 3
 """)
         s = _parse_config_file(path)
         assert s["refinement"] == "meso"
         assert s["refinement_overrides"] == {
-            "dwr_fraction": 0.3, "dwr_factor": 4, "uniform_factor": 3,
-            "meso_q": 1.0, "meso_target_multiplier": 3.0}
+            "dwr_fraction": 0.3, "dwr_factor": 4, "meso_q": 1.0,
+            "meso_target_multiplier": 3.0}
         assert all(type(v) is type(getattr(RefinementConfig(), k))
                    for k, v in s["refinement_overrides"].items())
 
@@ -209,6 +212,77 @@ dwr_factor = 2.5
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="cannot read"):
             _parse_config_file("/nonexistent/run.ini")
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("run", "n_schedule", "100, 50, 20"),
+        ("run", "max_levels", "10"),
+        ("run", "initial_intervals", "27"),
+        ("refinement", "uniform_factor", "2"),
+    ])
+    def test_fixed_parameters_are_unknown_keys(self, tmp_path, capsys, section,
+                                               key, value):
+        """The warm-up schedule, the level cap, the initial mesh and the
+        uniform halving are fixed: a config that sets one fails at its line."""
+        header, line = ("", 3) if section == "run" else ("\n[refinement]\n", 5)
+        path = write_config(tmp_path, "[run]\nexperiment = harmonic-standard\n"
+                            f"{header}{key} = {value}\n")
+        assert run_cli("run", "--config", path,
+                       "--output-dir", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}:{line}: unknown key {key!r} in [{section}]\n")
+
+    def test_undecodable_config(self, tmp_path, capsys):
+        """A config that is not UTF-8 is a config error under run and compare."""
+        path = tmp_path / "run.ini"
+        path.write_bytes(b"[run]\nexperiment = lorenz\n# caf\xff\n")
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: cannot read "
+                                              "config: 'utf-8' codec can't decode"):
+            _parse_config_file(str(path))
+        assert run_cli("run", "--config", str(path)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: cannot read config: ")
+        assert run_cli("compare", "--configs", str(path)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: cannot read config: ")
+
+    def test_values_are_literal(self, tmp_path):
+        """A `%` is a character like any other: no interpolation, no error."""
+        path = write_config(tmp_path, "[run]\nexperiment = lorenz\n"
+                                      "output_dir = out%1\n")
+        assert _parse_config_file(path)["output_dir"] == "out%1"
+        path = write_config(tmp_path, "[run]\nexperiment = lorenz\n"
+                                      "output_dir = %(experiment)s-out\n")
+        assert _parse_config_file(path)["output_dir"] == "%(experiment)s-out"
+
+
+# Lines a fuzzed config is built from: section headers, keys with plain and
+# odd values, and raw bytes.
+_KEYS = ["experiment", "epsilon", "refinement", "seed", "jobs", "output_dir",
+         "dump_grids", "dwr_fraction", "dwr_factor", "meso_q",
+         "meso_target_multiplier", "n_schedule"]
+_VALUES = ["lorenz", "advection-diffusion-1d", "dwr", "meso", "1e-3", "nan",
+           "-1", "0", "2", "yes", "out%1", "%(experiment)s", "caf\xe9"]
+_CONFIG_LINE = st.one_of(
+    st.sampled_from([b"[run]", b"[refinement]", b"[DEFAULT]", b"[other]", b""]),
+    st.builds(lambda key, value: f"{key} = {value}".encode(),
+              st.sampled_from(_KEYS), st.sampled_from(_VALUES) | st.text(max_size=8)),
+    st.binary(max_size=12),
+)
+
+
+class TestConfigFuzz:
+    @given(st.lists(_CONFIG_LINE, max_size=8).map(b"\n".join))
+    @settings(max_examples=100, deadline=None)
+    @example(b"[run]\nexperiment = lorenz\n# \xff\n")
+    @example(b"[run]\nexperiment = lorenz\noutput_dir = out%1\n")
+    def test_any_bytes_parse_or_raise_config_error(self, data):
+        """Whatever bytes a config holds, reading it and resolving the
+        settings return or raise ConfigError; no run starts."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "fuzz.ini")
+            path.write_bytes(data)
+            try:
+                _build_run(_parse_config_file(str(path)))
+            except ConfigError:
+                pass
 
 
 class TestRunCommand:
@@ -320,13 +394,12 @@ class TestRunCommand:
         assert code == 0
         capsys.readouterr()
 
-    def test_not_converged_exit_code(self, tmp_path, capsys):
+    def test_not_converged_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(driver, "MAX_LEVELS", 1)
         config = write_config(tmp_path, """\
 [run]
 experiment = harmonic-standard
 epsilon = 0.05
-initial_intervals = 9
-max_levels = 1
 """)
         code = run_cli("run", "--config", config,
                        "--output-dir", str(tmp_path / "out"))
@@ -371,73 +444,6 @@ max_levels = 1
         assert err.startswith(f"error: {out}: cannot write artifacts: ")
         assert len(err.splitlines()) == 1
         assert (tmp_path / "file").read_text() == "keep\n"
-
-
-class TestInitialIntervals:
-    """A value below the experiment's minimum is a config error at its line,
-    never a silent default or a crash mid-run."""
-
-    @pytest.mark.parametrize("experiment,value", [
-        ("harmonic-standard", 0),
-        ("lorenz", -3),
-        ("advection-diffusion-1d", 1),
-    ])
-    def test_below_minimum_rejected(self, tmp_path, capsys, experiment, value):
-        config = write_config(tmp_path, f"""\
-[run]
-experiment = {experiment}
-epsilon = 100
-initial_intervals = {value}
-""")
-        code = run_cli("run", "--config", config,
-                       "--output-dir", str(tmp_path / "out"))
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {config}:4: initial_intervals = {value}")
-        assert "Traceback" not in err
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("experiment,value,message", [
-        # 8e14 bytes (728 TiB) of nodes: beyond any process's address space
-        ("harmonic-standard", 10 ** 14, "asks for more nodes than memory holds"),
-        ("advection-diffusion-1d", 10 ** 14, "asks for more nodes than memory holds"),
-        # more nodes than one array can index
-        ("lorenz", 10 ** 19, "is outside [1, "),
-    ])
-    def test_too_many_rejected(self, tmp_path, capsys, experiment, value, message):
-        """A count whose mesh cannot be allocated is a config error at its
-        line, refused before any allocation succeeds."""
-        config = write_config(tmp_path, f"""\
-[run]
-experiment = {experiment}
-epsilon = 100
-initial_intervals = {value}
-""")
-        code = run_cli("run", "--config", config,
-                       "--output-dir", str(tmp_path / "out"))
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {config}:4: initial_intervals = {value} ")
-        assert message in err and len(err.splitlines()) == 1
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("experiment,value,elems", [
-        ("harmonic-standard", 1, "1"),
-        ("advection-diffusion-1d", 2, "2"),
-    ])
-    def test_minimum_accepted(self, tmp_path, capsys, experiment, value, elems):
-        config = write_config(tmp_path, f"""\
-[run]
-experiment = {experiment}
-epsilon = 100
-initial_intervals = {value}
-max_levels = 1
-""")
-        out_dir = tmp_path / "out"
-        run_cli("run", "--config", config, "--output-dir", str(out_dir))
-        capsys.readouterr()
-        level0 = (out_dir / "levels.csv").read_text().splitlines()[1]
-        assert level0.split(",")[1] == elems
 
 
 class TestRunSettingsRejected:
@@ -522,7 +528,6 @@ class TestRunSettingsRejected:
     @pytest.mark.parametrize("setting,target", [
         ("epsilon = 1e-14", "1.76e+13"),   # 128 TiB of draw indices
         ("epsilon = 1e-30", "1.76e+29"),   # more than one array can index
-        ("n_schedule = 100000000000000", "1e+14"),  # 728 TiB of indices
         ("epsilon = 1e-320", "inf"),       # subnormal: 2/eps overflows
         ("epsilon = 5e-324", "inf"),
     ])
@@ -587,14 +592,20 @@ class TestCompareCommand:
         assert row_a == row_b
 
     def test_jobs_flag_rejected(self, tmp_path, capsys):
-        """compare has no --jobs: argparse exits 2 with its usage message."""
+        """compare has no --jobs: exit 1 with argparse's usage message."""
         config = write_config(tmp_path, FAST_RUN)
-        with pytest.raises(SystemExit) as exc:
-            run_cli("compare", "--configs", config, "--jobs", "2")
-        assert exc.value.code == 2
+        assert run_cli("compare", "--configs", config, "--jobs", "2") == 1
         err = capsys.readouterr().err
         assert err.startswith("usage: mlmc ")
         assert err.endswith("mlmc: error: unrecognized arguments: --jobs 2\n")
+
+    def test_configs_share_the_first_seed(self, tmp_path, capsys):
+        """A second config's own seed is overridden by the first one's."""
+        a = write_config(tmp_path, FAST_RUN, "a.ini")
+        b = write_config(tmp_path, FAST_RUN.replace("seed = 3", "seed = 8"), "b.ini")
+        assert run_cli("compare", "--configs", f"{a},{b}") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].split(",", 1)[1] == lines[2].split(",", 1)[1]
 
     def test_failure_marker_row(self, tmp_path, capsys):
         good = write_config(tmp_path, FAST_RUN, "good.ini")
@@ -669,6 +680,27 @@ class TestColdStart:
 
 
 class TestEntryPoint:
+    @pytest.mark.parametrize("argv,message", [
+        (["run", "--experiment", "lorenz", "--epsilon", "abc"],
+         "argument --epsilon: invalid float value: 'abc'"),
+        (["run", "--experiment", "lorenz", "--epsilom", "1"],
+         "unrecognized arguments: --epsilom 1"),
+        ([], "the following arguments are required: command"),
+        # every config runs on the first one's seed
+        (["compare", "--configs", "run.ini", "--seed", "3"],
+         "unrecognized arguments: --seed 3"),
+    ])
+    def test_usage_error_exits_1(self, capsys, argv, message):
+        """Exit 2 means "not converged": a usage error exits 1, after
+        argparse's usage message."""
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: mlmc") and err.endswith(f"error: {message}\n")
+
+    def test_help_exits_0(self, capsys):
+        assert run_cli("run", "--help") == 0
+        assert capsys.readouterr().out.startswith("usage: mlmc run ")
+
     def test_console_script_help(self):
         out = subprocess.run([sys.executable, "-m", "adaptive_mlmc.cli"],
                              capture_output=True, text=True)

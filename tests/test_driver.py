@@ -1,5 +1,8 @@
 """MLMC driver statistics, allocation, and adaptive-loop behavior."""
+import os
 import re
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -315,15 +318,15 @@ class TestRunConfigValidation:
         with pytest.raises(ValueError):
             MlmcRunConfig(epsilon=0.0, initial_mesh=uniform_mesh(1.0, 2))
 
-    def test_schedule_entries(self):
-        with pytest.raises(ValueError):
-            MlmcRunConfig(epsilon=1.0, initial_mesh=uniform_mesh(1.0, 2),
-                          n_schedule=(1,))
-
-    def test_schedule_saturates(self):
-        cfg = MlmcRunConfig(epsilon=1.0, initial_mesh=uniform_mesh(1.0, 2),
-                            n_schedule=(100, 50, 20))
-        assert [cfg.schedule(i) for i in range(5)] == [100, 50, 20, 20, 20]
+    def test_schedule_saturates(self, monkeypatch):
+        """Level l warms up with N_SCHEDULE[l], and every level past the
+        schedule's end with its last entry."""
+        monkeypatch.setattr(driver, "MAX_LEVELS", 5)
+        # a huge epsilon asks for no top-up; the bias never passes the test
+        cfg = MlmcRunConfig(epsilon=1e6, initial_mesh=uniform_mesh(1.0, 2))
+        est = run_adaptive_mlmc(SyntheticModel(estimate=1e4), cfg)
+        assert not est.converged
+        assert [lv.n_samples for lv in est.levels] == [100, 50, 20, 20, 20]
 
 
 class TestAdaptiveRun:
@@ -371,11 +374,12 @@ class TestAdaptiveRun:
             expected = 1.0 if i == 0 else (elems[i] + elems[i - 1]) / elems[0]
             assert lv.cost_per_sample == pytest.approx(expected)
 
-    def test_max_levels_stops_unconverged(self):
+    def test_max_levels_stops_unconverged(self, monkeypatch):
         # the synthetic estimate never shrinks, so the bias test cannot pass
+        monkeypatch.setattr(driver, "MAX_LEVELS", 3)
+        monkeypatch.setattr(driver, "N_SCHEDULE", (8, 4))
         model = SyntheticModel(estimate=5.0)
-        cfg = MlmcRunConfig(epsilon=1.0, initial_mesh=uniform_mesh(1.0, 2),
-                            max_levels=3, n_schedule=(8, 4))
+        cfg = MlmcRunConfig(epsilon=1.0, initial_mesh=uniform_mesh(1.0, 2))
         est = run_adaptive_mlmc(model, cfg)
         assert not est.converged
         assert est.n_levels == 3
@@ -400,8 +404,9 @@ class TestAdaptiveRun:
         """Each failing draw is recorded failed, every other draw ok, and the
         level still reaches its sample count through redraws."""
         monkeypatch.setattr(driver, "MAX_FAILURE_RATE", 0.2)
+        monkeypatch.setattr(driver, "N_SCHEDULE", (600,))
         cfg = MlmcRunConfig(epsilon=1.0, initial_mesh=uniform_mesh(1.0, 2),
-                            n_schedule=(600,), jobs=jobs)
+                            jobs=jobs)
         est = run_adaptive_mlmc(SyntheticModel(fail=fail_below), cfg)
         statuses = {(lv, i): ok for lv, i, ok in
                     est.sample_log[["level", "index", "ok"]].tolist()}
@@ -413,8 +418,8 @@ class TestAdaptiveRun:
 
     def test_failure_rate_abort_with_partial_failures(self, monkeypatch):
         monkeypatch.setattr(driver, "MAX_FAILURE_RATE", 0.01)
-        cfg = MlmcRunConfig(epsilon=1.0, initial_mesh=uniform_mesh(1.0, 2),
-                            n_schedule=(600,))
+        monkeypatch.setattr(driver, "N_SCHEDULE", (600,))
+        cfg = MlmcRunConfig(epsilon=1.0, initial_mesh=uniform_mesh(1.0, 2))
         with pytest.raises(MlmcError, match="exceeds the allowed rate 0.01"):
             run_adaptive_mlmc(SyntheticModel(fail=fail_below), cfg)
 
@@ -426,7 +431,34 @@ class TestAdaptiveRun:
         assert sorted(est.sample_log["index"].tolist()) == list(range(len(est.sample_log)))
 
 
+class ThreadRecordingModel(SyntheticModel):
+    """SyntheticModel that records the thread of every evaluate call."""
+
+    def __init__(self):
+        super().__init__()
+        self.threads = set()
+
+    def evaluate(self, W, mesh, want_estimate):
+        self.threads.add(threading.get_ident())
+        time.sleep(0.002)  # keep each thread busy, so the pool starts more
+        return super().evaluate(W, mesh, want_estimate)
+
+
 class TestParallelDeterminism:
+    def test_pool_threads_bounded_by_cpus(self):
+        """At jobs=64 a 64-draw fill is cut into one-draw chunks, which run on
+        no more threads than the machine has CPUs."""
+        model = ThreadRecordingModel()
+        cfg = MlmcRunConfig(epsilon=1.0, initial_mesh=uniform_mesh(1.0, 2), jobs=64)
+        runner = _Runner(model, cfg)
+        level = LevelState(0, cfg.initial_mesh, None, 1.0, None)
+        try:
+            runner.fill(level, 64, want_estimate=True)
+        finally:
+            runner.close()
+        assert model.chunks == [1] * 64
+        assert len(model.threads) <= (os.cpu_count() or 1)
+
     def test_jobs_do_not_change_the_estimate(self):
         experiment = get_experiment("harmonic-standard")
         results = []
@@ -449,8 +481,9 @@ class TestSamplesCsv:
         and its denominator, and the level-0 top-ups taken after level 1
         exists carry neither."""
         monkeypatch.setattr(driver, "MAX_FAILURE_RATE", 0.2)
-        cfg = MlmcRunConfig(epsilon=0.01, initial_mesh=uniform_mesh(1.0, 2),
-                            n_schedule=(20, 10), max_levels=2)
+        monkeypatch.setattr(driver, "N_SCHEDULE", (20, 10))
+        monkeypatch.setattr(driver, "MAX_LEVELS", 2)
+        cfg = MlmcRunConfig(epsilon=0.01, initial_mesh=uniform_mesh(1.0, 2))
         est = run_adaptive_mlmc(SyntheticModel(fail=fail_below, estimate=5.0), cfg)
         write_artifacts(est, str(tmp_path), dump_grids=False)
         header, *lines = (tmp_path / "samples.csv").read_text().splitlines()

@@ -404,7 +404,7 @@ class TestRefineMeso:
 class TestBuildNextMesh:
     def test_uniform_dispatch(self):
         mesh = uniform_mesh(3.0, 27)
-        cfg = RefinementConfig(strategy="uniform", uniform_factor=2)
+        cfg = RefinementConfig(strategy="uniform")
         out, regions = build_next_mesh(mesh, None, np.zeros((0, 27)),
                                        np.zeros(0), cfg)
         assert out.n_intervals == 54
