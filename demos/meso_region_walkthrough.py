@@ -12,8 +12,9 @@ from adaptive_mlmc.error_estimation import estimate_standard_error
 from adaptive_mlmc.meshes import uniform_mesh
 from adaptive_mlmc.models import harmonic_oscillator
 from adaptive_mlmc.qoi import StandardQoi
-from adaptive_mlmc.refinement import (RefinementConfig, allocate_meso,
-                                      find_meso_regions, refine_meso)
+from adaptive_mlmc.refinement import (MESO_Q, MESO_TARGET_MULTIPLIER,
+                                      allocate_meso, find_meso_regions,
+                                      refine_meso)
 from adaptive_mlmc.solvers import solve_forward_cg1
 
 N0 = 27
@@ -38,17 +39,16 @@ def main():
               f"([{mesh.nodes[first]:.3f}, {mesh.nodes[last + 1]:.3f}]): "
               f"accumulated error {error:+.3e}")
 
-    cfg = RefinementConfig(strategy="meso")
-    n_hat = int(np.ceil(cfg.meso_target_multiplier * N0))
+    n_hat = int(np.ceil(MESO_TARGET_MULTIPLIER * N0))
     sizes = ends - starts + 1
-    counts = allocate_meso(sizes, errors, n_hat, cfg.meso_q)
+    counts = allocate_meso(sizes, errors, n_hat, MESO_Q)
     print(f"\nbudget of {n_hat} intervals allocated to equalize region errors:")
     for first, last, size, count in zip(starts, ends, sizes, counts):
         print(f"  region {first:2d}-{last:2d}: {size:2d} -> {count:2d} intervals")
 
     # a tiling is (breaks, counts): region i spans breaks[i]..breaks[i+1]
     # with counts[i] uniform intervals; None stands for the whole domain
-    new_mesh, (breaks, counts) = refine_meso(mesh, None, contributions, cfg)
+    new_mesh, (breaks, counts) = refine_meso(mesh, None, contributions)
     print(f"\nafter merging with the previous level "
           f"({counts.size} regions, {new_mesh.n_intervals} intervals):")
     for a, b, n in zip(breaks[:-1], breaks[1:], counts):

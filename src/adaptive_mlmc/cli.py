@@ -1,9 +1,9 @@
 """Command-line entry points: `mlmc run` and `mlmc compare`.
 
-Configs are INI files with a [run] section (experiment, epsilon, seed, ...)
-and an optional [refinement] section; a `run` flag overrides the [run] key
-of the same name.  `run` writes levels.csv, summary.csv, samples.csv (and
-per-level grid dumps on request) and prints the summary row.  Exit codes:
+Configs are INI files with one [run] section (experiment, epsilon, seed,
+...); a `run` flag overrides the [run] key of the same name.  `run` writes
+levels.csv, summary.csv, samples.csv (and per-level grid dumps on request)
+and prints the summary row.  Exit codes:
 0 converged, 2 not converged, 1 error (a usage error included).
 """
 from __future__ import annotations
@@ -58,7 +58,7 @@ def _line_of(path: Optional[str], section: str, key: Optional[str] = None) -> st
 
 # Every [run] key: (parser, default), the run's own defaults read from
 # MlmcRunConfig (`seed` is its master_seed).  A run's settings are one dict of
-# these keys plus `refinement_overrides` and `config_path`.
+# these keys plus `config_path`.
 _RUN_DEFAULTS = {f.name: f.default for f in fields(MlmcRunConfig)}
 _RUN_KEYS = {
     "experiment": (str, None), "epsilon": (float, None), "refinement": (str, None),
@@ -67,35 +67,18 @@ _RUN_KEYS = {
     "dump_grids": (lambda text: configparser.ConfigParser.BOOLEAN_STATES[text.lower()],
                    False),
 }
-# The [refinement] keys: RefinementConfig's fields other than `strategy` (which
-# [run] refinement sets), each parsed as its default's type.
-_REFINEMENT_KEYS = {f.name: type(f.default) for f in fields(RefinementConfig)
-                    if f.name != "strategy"}
 
 
-def _settings(run: dict, overrides: dict, path: Optional[str]) -> dict:
-    """The [run] values over the defaults, with the [refinement] overrides."""
+def _settings(run: dict, path: Optional[str]) -> dict:
+    """The [run] values over the defaults."""
     return {**{key: default for key, (_, default) in _RUN_KEYS.items()}, **run,
-            "refinement_overrides": overrides, "config_path": path}
-
-
-def _parse_section(path: str, section, parsers: dict) -> dict:
-    """The section's values, each read by the parser of its key."""
-    values = {}
-    for key, text in section.items():
-        if key not in parsers:
-            raise ConfigError(f"{_line_of(path, section.name, key)}: unknown key {key!r} "
-                              f"in [{section.name}]")
-        try:
-            values[key] = parsers[key](text)
-        except (KeyError, ValueError) as exc:  # KeyError: not a boolean
-            raise ConfigError(f"{_line_of(path, section.name, key)}: invalid value in "
-                              f"[{section.name}]: {exc}") from exc
-    return values
+            "config_path": path}
 
 
 def _parse_config_file(path: str) -> dict:
-    parser = configparser.ConfigParser(interpolation=None)  # values are literal
+    # Values are literal.  No header line can name the default section "\n",
+    # so [DEFAULT] is an ordinary section, rejected like any other but [run].
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh, source=path)
@@ -105,18 +88,24 @@ def _parse_config_file(path: str) -> dict:
         raise ConfigError(str(exc)) from exc
 
     for name in parser.sections():
-        if name not in ("run", "refinement"):
+        if name != "run":
             raise ConfigError(f"{_line_of(path, name)}: unknown section "
-                              f"[{name}]; expected [run] or [refinement]")
+                              f"[{name}]; expected [run]")
     if not parser.has_section("run"):
         raise ConfigError(f"{path}:1: missing required [run] section")
-    run = _parse_section(path, parser["run"],
-                         {key: parse for key, (parse, _) in _RUN_KEYS.items()})
+    run = {}
+    for key, text in parser["run"].items():
+        if key not in _RUN_KEYS:
+            raise ConfigError(f"{_line_of(path, 'run', key)}: unknown key {key!r} "
+                              "in [run]")
+        try:
+            run[key] = _RUN_KEYS[key][0](text)
+        except (KeyError, ValueError) as exc:  # KeyError: not a boolean
+            raise ConfigError(f"{_line_of(path, 'run', key)}: invalid value in "
+                              f"[run]: {exc}") from exc
     if "experiment" not in run:
         raise ConfigError(f"{path}: [run] must set 'experiment'")
-    overrides = _parse_section(path, parser["refinement"], _REFINEMENT_KEYS) \
-        if parser.has_section("refinement") else {}
-    return _settings(run, overrides, path)
+    return _settings(run, path)
 
 
 def _build_run(settings: dict):
@@ -136,7 +125,7 @@ def _build_run(settings: dict):
         mesh, default_epsilon = experiment.initial_mesh(), experiment.default_epsilon
     strategy = {"strategy": settings["refinement"]} if settings["refinement"] else {}
     try:
-        refinement = replace(refinement, **strategy, **settings["refinement_overrides"])
+        refinement = replace(refinement, **strategy)
         cfg = MlmcRunConfig(epsilon=default_epsilon if settings["epsilon"] is None
                             else settings["epsilon"],
                             initial_mesh=mesh, refinement=refinement,
@@ -186,7 +175,7 @@ def write_artifacts(estimate: MlmcEstimate, out_dir: str,
 
 def _cmd_run(args) -> int:
     settings = _parse_config_file(args.config) if args.config \
-        else _settings({}, {}, None)
+        else _settings({}, None)
     for key in _RUN_KEYS:  # flags win over the config file
         value = getattr(args, key, None)
         if value not in (None, ""):

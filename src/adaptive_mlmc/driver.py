@@ -106,11 +106,15 @@ class MlmcRunConfig:
 
 
 def level_variance(y: np.ndarray) -> float:
-    """Unbiased two-pass sample variance of a level's ok Y values."""
+    """Unbiased two-pass sample variance of a level's ok Y values; one that
+    overflows ends the run (MlmcError)."""
     if y.size < 2:
         raise ValueError("variance needs at least two ok samples")
     mean = y.sum() / y.size
-    return float(((y - mean) ** 2).sum() / (y.size - 1))
+    variance = float(((y - mean) ** 2).sum() / (y.size - 1))
+    if not math.isfinite(variance):
+        raise MlmcError(f"the variance of {y.size} Y values overflows ({variance})")
+    return variance
 
 
 def level_bias(estimates: np.ndarray) -> float:
@@ -140,13 +144,16 @@ def take_sample(model, level: LevelState, master_seed: int, start: int, count: i
     """One chunk of telescoped samples, draws start .. start+count-1: each
     draw on the fine and coarse mesh, one `evaluate` call per mesh.  Returns
     the chunk's SAMPLE_DTYPE rows and its ok rows' contributions (or None); a
-    non-finite value fails only its row."""
+    non-finite value fails only its row, as do contributions with an
+    infinite entry or only NaN ones."""
     W = sample_parameters(model.distributions, master_seed, level.level, start, count)
     q_fine, decomp = model.evaluate(W, level.mesh, want_estimate)
     q_coarse = np.zeros(len(W)) if level.coarser_mesh is None \
         else model.evaluate(W, level.coarser_mesh, False)[0]
-    ok = np.isfinite(q_fine) & np.isfinite(q_coarse) \
-        & (decomp is None or np.isfinite(decomp.total))
+    ok = np.isfinite(q_fine) & np.isfinite(q_coarse)
+    if decomp is not None:  # NaN contributions are a row's tail, after one value
+        c = decomp.contributions
+        ok &= np.isfinite(decomp.total) & ~np.isinf(c).any(1) & ~np.isnan(c).all(1)
     rows = np.zeros(len(W), SAMPLE_DTYPE)
     rows["level"], rows["index"], rows["ok"] = level.level, start + np.arange(count), ok
     for name, values in (("q_fine", q_fine), ("q_coarse", q_coarse),
@@ -226,15 +233,14 @@ def run_adaptive_mlmc(model, cfg: MlmcRunConfig) -> MlmcEstimate:
                     runner.fill(lv, n, want_estimate=(lv is highest))
             variances = [level_variance(lv.ok("y")) for lv in levels]
             bias = level_bias(highest.ok("error_estimate"))
+            if not abs(bias) < 1e154:  # NaN too: bias ** 2 must stay finite
+                raise MlmcError(f"the bias estimate {bias:.3g} overflows its square")
             if bias ** 2 <= 0.5 * cfg.epsilon or len(levels) >= MAX_LEVELS:
                 break
 
-            try:
-                new_mesh, new_regions = build_next_mesh(
-                    highest.mesh, highest.regions, np.concatenate(highest.contributions),
-                    highest.ok("error_estimate"), cfg.refinement)
-            except (OverflowError, MemoryError) as exc:
-                raise MlmcError(f"cannot build level {len(levels)}: {exc}") from exc
+            new_mesh, new_regions = build_next_mesh(
+                highest.mesh, highest.regions, np.concatenate(highest.contributions),
+                highest.ok("error_estimate"), cfg.refinement)
             highest.contributions = []
             cost = (new_mesh.n_intervals + highest.mesh.n_intervals) / elems0
             levels.append(LevelState(len(levels), new_mesh, highest.mesh, cost,

@@ -19,14 +19,15 @@ from .meshes import Mesh1D, common_mesoregion_refinement, subdivide
 
 log = logging.getLogger(__name__)
 
+MESO_Q = 2.0  # the error model's rate: a region's error shrinks as N^-q
+MESO_TARGET_MULTIPLIER = 2.0  # a meso level's interval budget per previous interval
+
 
 @dataclass(frozen=True)
 class RefinementConfig:
     strategy: str = "uniform"
     dwr_fraction: float = 0.5
     dwr_factor: int = 3
-    meso_q: float = 2.0
-    meso_target_multiplier: float = 2.0
 
     def __post_init__(self):
         if self.strategy not in ("uniform", "dwr", "meso"):
@@ -35,10 +36,6 @@ class RefinementConfig:
             raise ValueError("dwr_fraction must be in (0, 1]")
         if self.dwr_factor < 2:
             raise ValueError("dwr_factor must be >= 2")
-        if not 0 < self.meso_q < math.inf:
-            raise ValueError("meso_q must be positive and finite")
-        if not 1 < self.meso_target_multiplier < math.inf:
-            raise ValueError("meso_target_multiplier must exceed 1 and be finite")
 
 
 def dwr_select(contributions: np.ndarray, fraction: float) -> np.ndarray:
@@ -95,10 +92,7 @@ def allocate_meso(sizes: np.ndarray, errors: np.ndarray, n_hat: int,
     if n_hat < sizes.size:
         raise ValueError("budget smaller than the region count")
     # libm pow per element: numpy's vectorized power may round differently
-    try:
-        c = np.abs(errors) * np.array([float(n) ** q for n in sizes])
-    except OverflowError:
-        raise OverflowError(f"meso_q = {q!r} overflows a region's n ** meso_q") from None
+    c = np.abs(errors) * np.array([float(n) ** q for n in sizes])
     if np.all(c == 0.0):
         log.warning("all meso-region errors vanish; falling back to uniform doubling")
         return 2 * sizes
@@ -114,36 +108,27 @@ def allocate_meso(sizes: np.ndarray, errors: np.ndarray, n_hat: int,
     return counts
 
 
-def refine_meso(prev_mesh: Mesh1D, prev_regions, contributions: np.ndarray,
-                cfg: RefinementConfig):
+def refine_meso(prev_mesh: Mesh1D, prev_regions, contributions: np.ndarray):
     """Build the next level's mesh from the worst sample's error profile.
 
     Returns (mesh, tiling); the tiling (breaks, counts) is what the
     following level merges against, and `prev_regions=None` stands for the
     whole domain as one region.  Regions split the accumulated error
     |sum_{i<=k} e_i| of one row of contributions, whose NaN or missing tail
-    (event-time QoIs stop at t_c) counts as zero.  A budget too large to
-    count or to allocate raises OverflowError or MemoryError naming
-    meso_target_multiplier.
+    (event-time QoIs stop at t_c) counts as zero.  The budget is
+    MESO_TARGET_MULTIPLIER times the previous count, allocated at rate MESO_Q.
     """
     n_prev = prev_mesh.n_intervals
     padded = np.zeros(n_prev)
     padded[:contributions.size] = np.where(np.isnan(contributions), 0.0, contributions)
     ends, errors = find_meso_regions(np.abs(np.cumsum(padded)))
-    n_hat = math.ceil(cfg.meso_target_multiplier * n_prev)
-    too_many = (f"meso_target_multiplier = {cfg.meso_target_multiplier!r} asks "
-                f"for {n_hat:.3g} intervals")
-    if n_hat > np.iinfo(np.intp).max // 8:  # more float64 nodes than an array holds
-        raise OverflowError(too_many)
-    counts = allocate_meso(np.diff(ends, prepend=-1), errors, n_hat, cfg.meso_q)
+    n_hat = math.ceil(MESO_TARGET_MULTIPLIER * n_prev)
+    counts = allocate_meso(np.diff(ends, prepend=-1), errors, n_hat, MESO_Q)
     tentative = (prev_mesh.nodes[np.append(0, ends + 1)], counts)
     if prev_regions is None:
         prev_regions = (prev_mesh.nodes[[0, -1]], np.array([n_prev]))
     breaks, counts = common_mesoregion_refinement(prev_regions, tentative)
-    try:
-        return subdivide(Mesh1D(breaks), counts), (breaks, counts)
-    except MemoryError:
-        raise MemoryError(too_many) from None
+    return subdivide(Mesh1D(breaks), counts), (breaks, counts)
 
 
 def build_next_mesh(prev_mesh: Mesh1D, prev_regions, contributions: np.ndarray,
@@ -157,4 +142,4 @@ def build_next_mesh(prev_mesh: Mesh1D, prev_regions, contributions: np.ndarray,
         counts[dwr_select(contributions, cfg.dwr_fraction)] = cfg.dwr_factor
         return subdivide(prev_mesh, counts), None
     worst = contributions[np.argmax(np.abs(totals))]
-    return refine_meso(prev_mesh, prev_regions, worst, cfg)
+    return refine_meso(prev_mesh, prev_regions, worst)

@@ -4,7 +4,6 @@ import re
 import subprocess
 import sys
 import tempfile
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +17,8 @@ from adaptive_mlmc.cli import (ConfigError, _build_run, _parse_config_file,
                                build_parser, main, write_artifacts)
 from adaptive_mlmc.driver import SAMPLE_DTYPE, MlmcEstimate
 from adaptive_mlmc.experiments import get_experiment
-from adaptive_mlmc.refinement import RefinementConfig
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "demos" / "configs"
 FAST_RUN = """\
 [run]
 experiment = harmonic-standard
@@ -49,10 +48,6 @@ refinement = dwr
 seed = 7
 jobs = 2
 dump_grids = yes
-
-[refinement]
-dwr_fraction = 0.3
-dwr_factor = 2
 """)
         s = _parse_config_file(path)
         assert s["experiment"] == "lorenz"
@@ -61,7 +56,6 @@ dwr_factor = 2
         assert s["seed"] == 7
         assert s["jobs"] == 2
         assert s["dump_grids"] is True
-        assert s["refinement_overrides"] == {"dwr_fraction": 0.3, "dwr_factor": 2}
         assert s["config_path"] == path
 
     def test_defaults(self, tmp_path):
@@ -70,10 +64,10 @@ dwr_factor = 2
         assert _parse_config_file(path) == {
             "experiment": "lorenz", "epsilon": None, "refinement": None,
             "seed": 0, "jobs": 1, "output_dir": ".", "dump_grids": False,
-            "refinement_overrides": {}, "config_path": path}
+            "config_path": path}
 
     def test_missing_run_section(self, tmp_path):
-        path = write_config(tmp_path, "[refinement]\ndwr_fraction = 0.3\n")
+        path = write_config(tmp_path, "# experiment = lorenz\n")
         with pytest.raises(ConfigError, match="missing required"):
             _parse_config_file(path)
 
@@ -109,13 +103,9 @@ Epsilom = 1e-4
 [run]
 Experiment = lorenz
 EPSILON = 1e-4
-
-[refinement]
-Meso_Q = 1.5
 """)
         s = _parse_config_file(path)
         assert (s["experiment"], s["epsilon"]) == ("lorenz", 1e-4)
-        assert s["refinement_overrides"] == {"meso_q": 1.5}
 
     @pytest.mark.parametrize("header", ["Refinement", "refinment", "runn"])
     def test_unknown_section_reports_line(self, tmp_path, header):
@@ -126,76 +116,42 @@ experiment = lorenz
 [{header}]
 dwr_fraction = 0.3
 """)
-        with pytest.raises(ConfigError,
-                           match=rf"run\.ini:4: unknown section \[{header}\]"):
+        with pytest.raises(ConfigError, match=rf"run\.ini:4: unknown section "
+                                              rf"\[{header}\]; expected \[run\]$"):
             _parse_config_file(path)
 
-    def test_refinement_section_keys_and_types(self, tmp_path):
-        path = write_config(tmp_path, """\
-[run]
-experiment = lorenz
-refinement = meso
-
-[refinement]
-dwr_fraction = 0.3
-dwr_factor = 4
-meso_q = 1
-meso_target_multiplier = 3
-""")
-        s = _parse_config_file(path)
-        assert s["refinement"] == "meso"
-        assert s["refinement_overrides"] == {
-            "dwr_fraction": 0.3, "dwr_factor": 4, "meso_q": 1.0,
-            "meso_target_multiplier": 3.0}
-        assert all(type(v) is type(getattr(RefinementConfig(), k))
-                   for k, v in s["refinement_overrides"].items())
-
-    def test_section_strategy_is_an_unknown_key(self, tmp_path, capsys):
-        """The strategy is set by [run] refinement alone; a `strategy` key in
-        [refinement] is an unknown key, reported at its line."""
+    def test_refinement_section_is_unknown(self, tmp_path, capsys):
+        """The strategy is [run] refinement, the meso values are constants
+        and DWR's come with the experiment: a [refinement] section is an
+        unknown section, reported at its header."""
         path = write_config(tmp_path, """\
 [run]
 experiment = lorenz
 refinement = dwr
 
 [refinement]
-strategy = meso
+dwr_fraction = 0.3
 """)
-        with pytest.raises(ConfigError, match=r"run\.ini:6: unknown key 'strategy'"):
-            _parse_config_file(path)
         assert run_cli("run", "--config", path,
                        "--output-dir", str(tmp_path / "out")) == 1
         assert capsys.readouterr().err == (
-            f"error: {path}:6: unknown key 'strategy' in [refinement]\n")
+            f"error: {path}:5: unknown section [refinement]; expected [run]\n")
 
-    def test_line_is_looked_up_in_the_named_section(self, tmp_path, capsys):
-        """A key valid in [run] and unknown in [refinement] is reported at
-        its [refinement] line, not at the [run] line that comes first."""
-        path = write_config(tmp_path, """\
-[run]
-experiment = lorenz
-seed = 1
-
-[refinement]
-seed = 3
-""")
-        with pytest.raises(ConfigError, match=r"run\.ini:6: unknown key 'seed'"):
-            _parse_config_file(path)
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\nseed = 3\n\n[run]\nexperiment = lorenz\n",
+        "[DEFAULT]\nseed = 3\n\n[run]\nexperiment = lorenz\n\n[refinement]\n"
+        "dwr_fraction = 0.3\n",
+        "[DEFAULT]\n[run]\nexperiment = lorenz\n",
+    ])
+    def test_default_section_is_unknown(self, tmp_path, capsys, text):
+        """[DEFAULT] is an ordinary section, rejected at its line whether or
+        not it holds keys: its keys are never merged into [run]."""
+        path = write_config(tmp_path, text)
         assert run_cli("run", "--config", path,
                        "--output-dir", str(tmp_path / "out")) == 1
         assert capsys.readouterr().err == (
-            f"error: {path}:6: unknown key 'seed' in [refinement]\n")
-
-    def test_refinement_factor_must_be_an_integer(self, tmp_path):
-        path = write_config(tmp_path, """\
-[run]
-experiment = lorenz
-
-[refinement]
-dwr_factor = 2.5
-""")
-        with pytest.raises(ConfigError, match=r"run\.ini:5: invalid value"):
-            _parse_config_file(path)
+            f"error: {path}:1: unknown section [DEFAULT]; expected [run]\n")
+        assert not (tmp_path / "out").exists()
 
     def test_bad_value_rejected(self, tmp_path):
         path = write_config(tmp_path,
@@ -217,19 +173,23 @@ dwr_factor = 2.5
         ("run", "n_schedule", "100, 50, 20"),
         ("run", "max_levels", "10"),
         ("run", "initial_intervals", "27"),
-        ("refinement", "uniform_factor", "2"),
+        ("run", "uniform_factor", "2"),
+        ("run", "meso_q", "2.0"),
+        ("run", "meso_target_multiplier", "2.0"),
+        ("run", "dwr_fraction", "0.5"),
+        ("run", "dwr_factor", "3"),
     ])
     def test_fixed_parameters_are_unknown_keys(self, tmp_path, capsys, section,
                                                key, value):
-        """The warm-up schedule, the level cap, the initial mesh and the
-        uniform halving are fixed: a config that sets one fails at its line."""
-        header, line = ("", 3) if section == "run" else ("\n[refinement]\n", 5)
-        path = write_config(tmp_path, "[run]\nexperiment = harmonic-standard\n"
-                            f"{header}{key} = {value}\n")
+        """The warm-up schedule, the level cap, the initial mesh, the uniform
+        halving, the meso constants and each experiment's DWR values are
+        fixed: a config that sets one fails at its line."""
+        path = write_config(tmp_path, f"[{section}]\nexperiment = harmonic-standard\n"
+                            f"{key} = {value}\n")
         assert run_cli("run", "--config", path,
                        "--output-dir", str(tmp_path / "out")) == 1
         assert capsys.readouterr().err == (
-            f"error: {path}:{line}: unknown key {key!r} in [{section}]\n")
+            f"error: {path}:3: unknown key {key!r} in [{section}]\n")
 
     def test_undecodable_config(self, tmp_path, capsys):
         """A config that is not UTF-8 is a config error under run and compare."""
@@ -251,6 +211,16 @@ dwr_factor = 2.5
         path = write_config(tmp_path, "[run]\nexperiment = lorenz\n"
                                       "output_dir = %(experiment)s-out\n")
         assert _parse_config_file(path)["output_dir"] == "%(experiment)s-out"
+
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.ini")),
+                             ids=lambda path: path.name)
+    def test_committed_config_resolves(self, path):
+        """Each config under demos/configs reads and resolves into a model
+        and a run config for the experiment it is named after; no run starts."""
+        settings = _parse_config_file(str(path))
+        _, cfg = _build_run(settings)
+        assert settings["experiment"] == path.stem
+        assert cfg.refinement.strategy == settings["refinement"]
 
 
 # Lines a fuzzed config is built from: section headers, keys with plain and
@@ -415,10 +385,7 @@ epsilon = 0.05
 
     @pytest.mark.parametrize("text", [
         "[run]\nexperiment = harmonic-standard\nrefinement = bisection\n",
-        "[run]\nexperiment = harmonic-standard\n\n[refinement]\n"
-        "dwr_fraction = 0\n",
-        "[run]\nexperiment = advection-diffusion-1d\n\n[refinement]\n"
-        "dwr_factor = 1\n",
+        "[run]\nexperiment = advection-diffusion-1d\nrefinement = bisection\n",
     ])
     def test_invalid_refinement_is_a_config_error(self, tmp_path, capsys, text):
         config = write_config(tmp_path, text)
@@ -469,10 +436,6 @@ class TestRunSettingsRejected:
 
     @pytest.mark.parametrize("text,message", [
         ("[run]\nexperiment = lorenz\nseed = -5\n", "master_seed must be >= 0"),
-        ("[run]\nexperiment = lorenz\n\n[refinement]\n"
-         "meso_target_multiplier = inf\n", "meso_target_multiplier must exceed 1"),
-        ("[run]\nexperiment = lorenz\n\n[refinement]\n"
-         "meso_q = inf\n", "meso_q must be positive and finite"),
     ])
     def test_bad_config(self, tmp_path, capsys, text, message):
         config = write_config(tmp_path, text)
@@ -484,46 +447,6 @@ class TestRunSettingsRejected:
         assert code == 1
         assert lines[1].startswith(f"{config},") and ",FAILED," in lines[1]
         assert message in lines[1]
-
-    def test_overflowing_meso_q(self, tmp_path, capsys):
-        """A finite meso_q whose region weights n ** meso_q overflow passes
-        the config checks and fails when level 1 is built: one error line."""
-        config = write_config(tmp_path, "[run]\nexperiment = lorenz\n"
-                              "refinement = meso\n\n[refinement]\nmeso_q = 1e300\n")
-        out_dir = tmp_path / "out"
-        code = run_cli("run", "--config", config, "--output-dir", str(out_dir))
-        err = capsys.readouterr().err
-        assert code == 1 and not out_dir.exists()
-        assert err.startswith("error: ") and "meso_q = 1e+300" in err
-        assert len(err.splitlines()) == 1
-        code = run_cli("compare", "--configs", config)
-        lines = capsys.readouterr().out.splitlines()
-        assert code == 1 and ",FAILED," in lines[1] and "meso_q" in lines[1]
-
-    @pytest.mark.parametrize("multiplier", ["1e12", "1e17", "1e300"])
-    def test_huge_meso_target_multiplier(self, tmp_path, capsys, multiplier):
-        """A finite multiplier whose mesh cannot be allocated (1e12 asks for
-        2.4e13 intervals), would not fit one array (1e17) or whose budget
-        does not fit an interval count (1e300) fails when level 1 is built:
-        one error line naming the key, no warning, and a FAILED row under
-        compare."""
-        config = write_config(tmp_path, "[run]\nexperiment = lorenz\n"
-                              "refinement = meso\n\n[refinement]\n"
-                              f"meso_target_multiplier = {multiplier}\n")
-        out_dir = tmp_path / "out"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = run_cli("run", "--config", config, "--output-dir", str(out_dir))
-            err = capsys.readouterr().err
-            assert code == 1 and not out_dir.exists()
-            assert err.startswith("error: cannot build level 1: "
-                                  "meso_target_multiplier = ")
-            assert len(err.splitlines()) == 1
-            code = run_cli("compare", "--configs", config)
-        lines = capsys.readouterr().out.splitlines()
-        assert code == 1 and ",FAILED," in lines[1]
-        assert "meso_target_multiplier" in lines[1]
-
 
     @pytest.mark.parametrize("setting,target", [
         ("epsilon = 1e-14", "1.76e+13"),   # 128 TiB of draw indices

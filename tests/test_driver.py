@@ -38,6 +38,11 @@ class TestLevelVariance:
         with pytest.raises(ValueError):
             level_variance(np.array([1.0]))
 
+    def test_overflow_is_an_mlmc_error(self):
+        with pytest.raises(MlmcError,
+                           match=r"^the variance of 2 Y values overflows \(inf\)$"):
+            level_variance(np.array([1e200, -1e200]))
+
     @given(st.lists(st.floats(-100, 100), min_size=2, max_size=50))
     @settings(max_examples=60, deadline=None)
     def test_matches_numpy_unbiased(self, ys):
@@ -152,6 +157,37 @@ class SyntheticModel:
         return q, ErrorDecomposition(c, c.sum(axis=1), np.ones(len(x)))
 
 
+class FuzzModel:
+    """Chunk model whose draws below `rate` put `value` in one place: the fine
+    QoI, the error totals, or some contributions (`columns` of the row).
+
+    Otherwise Q = x + 1/n on an n-interval mesh and every contribution is
+    1/n^2, so the bias estimate 1/n halves with each uniform level.
+    """
+
+    distributions = (uniform(0.0, 1.0),)
+
+    def __init__(self, rate, where, value, columns=slice(None)):
+        self.rate, self.where, self.value, self.columns = rate, where, value, columns
+
+    def evaluate(self, W, mesh, want_estimate):
+        x = W[:, 0]
+        n = mesh.n_intervals
+        bad = x < self.rate
+        q = x + 1.0 / n
+        if self.where == "q_fine":
+            q = np.where(bad, self.value * x * n, q)  # fine and coarse differ
+        if not want_estimate:
+            return q, None
+        c = np.full((len(x), n), 1.0 / n ** 2)
+        total = c.sum(axis=1)
+        if self.where == "total":
+            total = np.where(bad, self.value, total)
+        if self.where == "contributions":
+            c[np.flatnonzero(bad)[:, None], np.arange(n)[self.columns]] = self.value
+        return q, ErrorDecomposition(c, total, np.ones(len(x)))
+
+
 def draw(level, index, seed=0):
     return sample_parameters(SyntheticModel.distributions, seed, level,
                              index, 1)[0, 0]
@@ -194,6 +230,21 @@ class TestTakeSample:
         [failed], contributions = take_sample(model, state, 0, 0, 1,
                                               want_estimate=True)
         assert ok["ok"] and not failed["ok"] and contributions.shape == (0, 4)
+
+    @pytest.mark.parametrize("value,columns,ok", [
+        (np.nan, slice(None), False),  # no contribution at all
+        (np.inf, slice(0, 1), False),
+        (-np.inf, slice(-1, None), False),
+        (np.nan, slice(-1, None), True),  # a NaN tail, as past an event
+    ])
+    def test_rows_with_no_or_an_infinite_contribution_fail(self, value, columns, ok):
+        """A row whose total is finite fails when its contributions hold an
+        infinite entry or no value at all; a NaN tail is a row's end."""
+        model = FuzzModel(1.0, "contributions", value, columns)
+        state = LevelState(0, uniform_mesh(1.0, 4), None, 1.0, [])
+        rows, contributions = take_sample(model, state, 0, 0, 3, want_estimate=True)
+        assert rows["ok"].tolist() == [ok] * 3
+        assert contributions.shape == (3 if ok else 0, 4)
 
     def test_one_evaluate_call_per_mesh_and_chunk(self):
         model = SyntheticModel()
@@ -423,6 +474,29 @@ class TestAdaptiveRun:
         with pytest.raises(MlmcError, match="exceeds the allowed rate 0.01"):
             run_adaptive_mlmc(SyntheticModel(fail=fail_below), cfg)
 
+    def test_overflowing_variance_is_named(self):
+        """Finite QoIs whose Y variance overflows end the run with an error
+        about the variance, not about an infinite sample target."""
+        cfg = MlmcRunConfig(epsilon=1e-2, initial_mesh=uniform_mesh(1.0, 2))
+        with pytest.raises(MlmcError, match=r"^the variance of 100 Y values overflows"):
+            run_adaptive_mlmc(FuzzModel(0.02, "q_fine", 1e300), cfg)
+
+    def test_overflowing_bias_square_is_an_mlmc_error(self):
+        cfg = MlmcRunConfig(epsilon=1e-2, initial_mesh=uniform_mesh(1.0, 2))
+        with pytest.raises(MlmcError,
+                           match=r"^the bias estimate -1e\+300 overflows its square$"):
+            run_adaptive_mlmc(FuzzModel(1.0, "total", 1e300), cfg)
+
+    def test_rows_without_contributions_are_redrawn(self, monkeypatch):
+        """DWR draws whose contributions are all NaN under a finite total are
+        failed and redrawn, and the run converges."""
+        monkeypatch.setattr(driver, "MAX_FAILURE_RATE", 0.2)
+        cfg = MlmcRunConfig(epsilon=1e-2, initial_mesh=uniform_mesh(1.0, 2),
+                            refinement=RefinementConfig(strategy="dwr"))
+        est = run_adaptive_mlmc(FuzzModel(0.02, "contributions", np.nan), cfg)
+        assert est.converged and est.n_levels > 1
+        assert np.count_nonzero(~est.sample_log["ok"]) > 0
+
     def test_sample_log_is_complete(self):
         model, cfg = self._config(epsilon=1e6)
         est = run_adaptive_mlmc(model, cfg)
@@ -517,3 +591,25 @@ class TestSamplesCsv:
         for lv in est.levels:
             indices = [int(r[1]) for r in rows if r[0] == str(lv.level)]
             assert indices == list(range(len(indices)))
+
+
+class TestDriverFuzz:
+    @given(st.sampled_from([0.0, 0.004, 0.02, 0.3, 1.0]),
+           st.sampled_from(["q_fine", "total", "contributions"]),
+           st.sampled_from([np.nan, np.inf, -np.inf, 1e300, -1e300, 1e155, 1e308]),
+           st.sampled_from([slice(None), slice(0, 1), slice(-1, None)]),
+           st.sampled_from(["uniform", "dwr", "meso"]))
+    @settings(max_examples=400, deadline=None)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the chosen overflows
+    def test_run_ends_finite_or_in_mlmc_error(self, rate, where, value, columns,
+                                             strategy):
+        """Whatever rows fail and whatever non-finite or overflowing values
+        they carry, a run returns finite results or raises MlmcError."""
+        model = FuzzModel(rate, where, value, columns)
+        cfg = MlmcRunConfig(epsilon=1e-2, initial_mesh=uniform_mesh(1.0, 2),
+                            refinement=RefinementConfig(strategy=strategy))
+        try:
+            est = run_adaptive_mlmc(model, cfg)
+        except MlmcError:
+            return
+        assert np.isfinite([est.value, est.total_variance, est.squared_bias]).all()

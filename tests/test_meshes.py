@@ -9,7 +9,7 @@ import meso_reference as ref
 from adaptive_mlmc.meshes import (REL_TOL, Mesh1D, MeshError,
                                   common_mesoregion_refinement, subdivide,
                                   uniform_mesh)
-from adaptive_mlmc.refinement import RefinementConfig, refine_meso
+from adaptive_mlmc.refinement import refine_meso
 
 
 def tiling(breaks, counts):
@@ -353,11 +353,10 @@ def program_tilings(draw):
     of that tiling's mesh, as the next level's regions are."""
     length = draw(st.sampled_from([0.5, 1.0, 3.0, 10.0, 40.0]))
     mesh, prev = uniform_mesh(length, draw(st.sampled_from([3, 6, 9]))), None
-    cfg = RefinementConfig(strategy="meso")
     for _ in range(draw(st.integers(1, 3))):
         row = draw(st.lists(st.floats(-2.0, 2.0), min_size=mesh.n_intervals,
                             max_size=mesh.n_intervals))
-        mesh, prev = refine_meso(mesh, prev, np.array(row), cfg)
+        mesh, prev = refine_meso(mesh, prev, np.array(row))
     inner = draw(st.sets(st.integers(1, mesh.n_intervals - 1), max_size=8))
     tent_breaks = mesh.nodes[[0, *sorted(inner), mesh.n_intervals]]
     counts = st.lists(st.integers(1, 30), min_size=tent_breaks.size - 1,

@@ -11,6 +11,7 @@ import mesh_reference
 import meso_reference as ref
 from adaptive_mlmc.driver import CHUNK_SIZE
 from adaptive_mlmc.meshes import Mesh1D, uniform_mesh
+from adaptive_mlmc import refinement
 from adaptive_mlmc.refinement import (RefinementConfig, allocate_meso,
                                       build_next_mesh, dwr_select,
                                       find_meso_regions, refine_meso)
@@ -48,12 +49,6 @@ class TestConfigValidation:
     def test_factor_bounds(self):
         with pytest.raises(ValueError):
             RefinementConfig(dwr_factor=1)
-        with pytest.raises(ValueError):
-            RefinementConfig(meso_target_multiplier=1.0)
-        with pytest.raises(ValueError):
-            RefinementConfig(meso_target_multiplier=math.inf)
-        with pytest.raises(ValueError):
-            RefinementConfig(meso_q=math.inf)
 
 
 class TestDwrSelect:
@@ -303,14 +298,14 @@ class TestAllocateMeso:
         assert allocate_meso(sizes, errors, n_hat, q).tolist() == want
 
 
-def reference_refine_meso(prev_mesh, prev_spans, contributions, cfg):
+def reference_refine_meso(prev_mesh, prev_spans, contributions, q, multiplier):
     """The object-based refine_meso on MesoRegion and RegionSpan lists; a
     row shorter than the mesh is zero-padded."""
     padded = np.zeros(prev_mesh.n_intervals)
     padded[:contributions.size] = contributions
     found = ref.find_meso_regions(accumulate(padded))
-    n_hat = math.ceil(cfg.meso_target_multiplier * prev_mesh.n_intervals)
-    counts = ref.allocate_meso(found, n_hat, cfg.meso_q)
+    n_hat = math.ceil(multiplier * prev_mesh.n_intervals)
+    counts = ref.allocate_meso(found, n_hat, q)
     tentative = [ref.RegionSpan(float(prev_mesh.nodes[r.start_interval]),
                                 float(prev_mesh.nodes[r.end_interval + 1]), n)
                  for r, n in zip(found, counts)]
@@ -323,13 +318,12 @@ class TestRefineMeso:
         # a NaN tail (an event-time sample stops at its crossing) or a row
         # shorter than the mesh counts as zero, so regions tile the domain
         mesh = uniform_mesh(4.0, 8)
-        cfg = RefinementConfig(strategy="meso")
         [d] = per_row.pad([[0.5, 0.5, 0.5, 0.5]], 8)  # only 4 of 8 intervals
-        out, (breaks, counts) = refine_meso(mesh, None, d, cfg)
+        out, (breaks, counts) = refine_meso(mesh, None, d)
         assert breaks[-1] == 4.0
         assert out.n_intervals >= 8
         for same in (d[:4], np.where(np.isnan(d), 0.0, d)):
-            short, tiling = refine_meso(mesh, None, same, cfg)
+            short, tiling = refine_meso(mesh, None, same)
             assert np.array_equal(short.nodes, out.nodes)
             assert np.array_equal(tiling[1], counts)
 
@@ -338,21 +332,18 @@ class TestRefineMeso:
         (-1, 1, -1) both give E = (1, 0, 1), split after interval 1, and only
         the last region carries error; a NaN tail counts as zero."""
         mesh = uniform_mesh(3.0, 3)
-        cfg = RefinementConfig(strategy="meso")
         for row in ([1.0, -1.0, 1.0], [-1.0, 1.0, -1.0]):
-            _, (breaks, counts) = refine_meso(mesh, None, np.array(row), cfg)
+            _, (breaks, counts) = refine_meso(mesh, None, np.array(row))
             assert breaks.tolist() == [0.0, 2.0, 3.0] and counts.tolist() == [2, 6]
         # E = (1, 0, 0): no region carries error, so both are doubled
-        _, (breaks, counts) = refine_meso(mesh, None, np.array([1.0, -1.0, np.nan]),
-                                          cfg)
+        _, (breaks, counts) = refine_meso(mesh, None, np.array([1.0, -1.0, np.nan]))
         assert breaks.tolist() == [0.0, 2.0, 3.0] and counts.tolist() == [4, 2]
 
     def test_never_unrefines(self):
         mesh = uniform_mesh(4.0, 8)
-        cfg = RefinementConfig(strategy="meso")
         rng = np.random.default_rng(0)
         d = rng.standard_normal(8)
-        out, (breaks, counts) = refine_meso(mesh, None, d, cfg)
+        out, (breaks, counts) = refine_meso(mesh, None, d)
         # previous density was 2 per unit
         assert np.all(counts / np.diff(breaks) >= 2.0 - 1e-9)
 
@@ -365,11 +356,10 @@ class TestRefineMeso:
 
     def test_none_is_the_whole_domain(self):
         mesh = Mesh1D(np.array([0.0, 0.3, 1.0, 1.1, 2.5]))
-        cfg = RefinementConfig(strategy="meso")
         d = np.array([1.0, -0.5, 2.0, 0.25])
-        out, tiling = refine_meso(mesh, None, d, cfg)
+        out, tiling = refine_meso(mesh, None, d)
         whole = (np.array([0.0, 2.5]), np.array([4]))
-        out_whole, tiling_whole = refine_meso(mesh, whole, d, cfg)
+        out_whole, tiling_whole = refine_meso(mesh, whole, d)
         np.testing.assert_array_equal(out.nodes, out_whole.nodes)
         np.testing.assert_array_equal(tiling[1], tiling_whole[1])
 
@@ -382,23 +372,25 @@ class TestRefineMeso:
     @settings(max_examples=100, deadline=None)
     def test_matches_object_reference(self, profiles, n0, q, multiplier):
         """Successive levels, each overlaid on the previous level's tiling:
-        meshes and tilings bitwise equal to the object-based reference."""
-        cfg = RefinementConfig(strategy="meso", meso_q=q,
-                               meso_target_multiplier=multiplier)
-        mesh = want_mesh = uniform_mesh(3.0, n0)
-        tiling, want_spans = None, [ref.RegionSpan(0.0, 3.0, n0)]
-        for profile in profiles:
-            # a profile shorter than the mesh is an event-time sample
-            short = np.array(profile[:mesh.n_intervals], dtype=float)
-            [d] = per_row.pad([short], mesh.n_intervals)
-            mesh, tiling = refine_meso(mesh, tiling, d, cfg)
-            want_mesh, want_spans = reference_refine_meso(want_mesh, want_spans,
-                                                          short, cfg)
-            assert np.array_equal(mesh.nodes, want_mesh.nodes)
-            assert np.array_equal(tiling[0], ref.tiling(want_spans)[0])
-            assert np.array_equal(tiling[1], ref.tiling(want_spans)[1])
-            np.testing.assert_array_equal(
-                mesh_reference.mesh_from_tiling(*tiling).nodes, mesh.nodes)
+        meshes and tilings bitwise equal to the object-based reference, with
+        the meso constants swept by patching them."""
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(refinement, "MESO_Q", q)
+            patched.setattr(refinement, "MESO_TARGET_MULTIPLIER", multiplier)
+            mesh = want_mesh = uniform_mesh(3.0, n0)
+            tiling, want_spans = None, [ref.RegionSpan(0.0, 3.0, n0)]
+            for profile in profiles:
+                # a profile shorter than the mesh is an event-time sample
+                short = np.array(profile[:mesh.n_intervals], dtype=float)
+                [d] = per_row.pad([short], mesh.n_intervals)
+                mesh, tiling = refine_meso(mesh, tiling, d)
+                want_mesh, want_spans = reference_refine_meso(
+                    want_mesh, want_spans, short, q, multiplier)
+                assert np.array_equal(mesh.nodes, want_mesh.nodes)
+                assert np.array_equal(tiling[0], ref.tiling(want_spans)[0])
+                assert np.array_equal(tiling[1], ref.tiling(want_spans)[1])
+                np.testing.assert_array_equal(
+                    mesh_reference.mesh_from_tiling(*tiling).nodes, mesh.nodes)
 
 
 class TestBuildNextMesh:
@@ -426,7 +418,7 @@ class TestBuildNextMesh:
                                        np.array([0.4, 4.0]), cfg)
         assert regions is not None
         assert out.n_intervals >= 8  # target multiplier 2 on 4 intervals
-        want, want_regions = refine_meso(mesh, None, np.array(harsh), cfg)
+        want, want_regions = refine_meso(mesh, None, np.array(harsh))
         assert np.array_equal(out.nodes, want.nodes)
         assert np.array_equal(regions[1], want_regions[1])
 
@@ -444,7 +436,7 @@ class TestBuildNextMesh:
         out, regions = build_next_mesh(mesh, None, per_row.pad(profiles, 6),
                                        np.array(totals), cfg)
         want, want_regions = refine_meso(mesh, None,
-                                         per_row.worst(profiles, totals), cfg)
+                                         per_row.worst(profiles, totals))
         assert np.array_equal(out.nodes, want.nodes)
         assert np.array_equal(regions[0], want_regions[0])
         assert np.array_equal(regions[1], want_regions[1])
