@@ -21,13 +21,14 @@ import numpy as np
 @dataclass(frozen=True)
 class OdeProblem:
     """du/dt = rhs(u, t) on (0, horizon], u(0) = initial of shape (M, d):
-    M rows at once."""
+    M rows at once.  `linear` marks an rhs affine in u, J(t) u + rhs(0, t)."""
 
     dim: int
     rhs: Callable
     jacobian: Callable
     initial: np.ndarray
     horizon: float
+    linear: bool = False
 
     def __post_init__(self):
         initial = np.array(self.initial, dtype=float)
@@ -65,15 +66,11 @@ def harmonic_oscillator(k, m) -> OdeProblem:
     jac[:, 0, 1] = 1.0
     jac[:, 1, 0] = coefficients[0]
     jac[:, 1, 1] = -coefficients[1]
-    shaped = {}  # per state shape (M, ...): the coefficients over its points
 
     def rhs(u, t):
         points = u.shape[:-1]
-        if points not in shaped:
-            shaped[points] = (
-                *np.repeat(coefficients[:2], int(np.prod(points[1:])), axis=1),
-                coefficients[2].reshape(points[:1] + (1,) * (len(points) - 1)))
-        stiffness, damping, forcing = shaped[points]
+        stiffness, damping = np.repeat(coefficients[:2], int(np.prod(points[1:])), 1)
+        forcing = coefficients[2].reshape(points[:1] + (1,) * (len(points) - 1))
         x, y = _components(u)
         out = np.empty((x.size, 2))
         out[:, 0] = y
@@ -87,7 +84,7 @@ def harmonic_oscillator(k, m) -> OdeProblem:
         J[...] = jac.reshape(jac.shape[:1] + (1,) * (u.ndim - 2) + (2, 2))
         return J
 
-    return OdeProblem(2, rhs, jacobian, _initial(k.size, 5.0, 0.0), 3.0)
+    return OdeProblem(2, rhs, jacobian, _initial(k.size, 5.0, 0.0), 3.0, linear=True)
 
 
 def lorenz(theta) -> OdeProblem:

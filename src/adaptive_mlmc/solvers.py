@@ -1,37 +1,25 @@
 """Continuous piecewise-linear Galerkin ODE solvers and residual pairing.
 
 The forward solver enforces, per interval, the nodal update
-U_{n+1} - U_n = int f(U(t), t) dt with U linear on the interval, via Newton
-iteration.  The adjoint solver integrates the linearized problem backwards
-from a terminal value on the forward mesh restricted to (0, t*) and
-uniformly refined by 2.  All integrals use 5-point Gauss-Legendre per finest
-sub-interval, exact for the polynomial degrees that arise here.
+U_{n+1} - U_n = int f(U(t), t) dt with U linear on the interval: for a
+problem marked linear, f = J(t) u + g(t), as one affine map U_{n+1} =
+A_n U_n + c_n, otherwise by Newton iteration.  The adjoint solver integrates
+the linearized problem backwards from a terminal value on the forward mesh
+restricted to (0, t*) and refined by 2.  All integrals use 5-point
+Gauss-Legendre per finest sub-interval, exact for the degrees that arise.
 
 Every kernel treats the M rows of a problem (one per draw) on their shared
-mesh at once, and per-row masks replace exceptions: a row that diverges,
-stalls in Newton or meets a singular Newton or adjoint step system becomes
-NaN, and the other rows carry on.  Row k of every result depends on row k
-alone, bit for bit: each per-row sum is an elementwise reduction or one
-matrix product of the same shape for every row, and batched solves factor
-each matrix on its own.
-
-The adjoint and the residual pairing run over slices of SLICE_CELLS rows x
-sub-intervals, each in a helper of its own (`_step_matrices`,
-`_paired_points`) that makes one `jacobian` call and one batched solve, or
-one `rhs` call; a slice's arrays are freed before the next slice's are made,
-so O(SLICE_CELLS d^2) floats are live.  A slice is component-major: states at
-the Gauss points are (d, rows, 5, steps), Jacobian transposes (d, d, rows, 5,
-steps) and step-matrix sums (d, d, rows, steps), so numpy's inner loops run
-over rows x points, not over the d components; the models' (rows, points, d)
-layout is taken only at the model call and at the batched solve.  Every sum
-keeps the order of the whole-mesh kernels, so each row keeps their bits:
-Gauss points onto zeros in q order, the d products of residual . phi onto
-+0.0 in component order, and each slice's interval sums onto zeros.  Two
-loops stay sequential because each step needs the one before it: the forward
-march, whose Newton iterate on interval n starts from U_n, and the adjoint
-recurrence phi_n = A_n phi_{n+1}.  The march keeps the (M, ..., d) layout:
-an iterate is a few numpy calls on one interval's points, whose cost is per
-call, not per element.
+mesh at once; a row that diverges, stalls in Newton or meets a singular step
+system becomes NaN, and row k of every result depends on row k alone, bit
+for bit.  The linear march's step maps, the adjoint and the residual pairing
+run over slices of SLICE_CELLS rows x (sub-)intervals, so O(SLICE_CELLS d^2)
+floats are live.  A slice is component-major, states (d, rows, 5, steps) and
+Jacobians (d, d, rows, 5, steps), so numpy's inner loops run over rows x
+points, and its d x d step systems are solved by Gaussian elimination in
+O(d^3) numpy calls (`_eliminate`).  Every sum keeps the order of the
+whole-mesh kernels, so each row keeps their bits.  The two marches and
+phi_n = A_n phi_{n+1} stay sequential; Newton keeps the (M, ..., d) layout
+and the batched `np.linalg.solve`, as an iterate's cost is per numpy call.
 """
 from __future__ import annotations
 
@@ -104,13 +92,9 @@ def _row_major(u: np.ndarray) -> np.ndarray:
     return u.transpose(1, 2, 3, 0).reshape(rows, -1, d)
 
 
-def _solve_rows(A: np.ndarray, B: np.ndarray, singular=None) -> np.ndarray:
-    """Batched solve of A X = B, both with the same leading axes, rows first.
-
-    A row with a singular matrix comes back NaN instead of failing the
-    others (and is flagged in the boolean array `singular`, if given); the
-    other rows keep the bits of the batched solve, which factors each
-    matrix on its own."""
+def _solve_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Batched solve of A X = B, rows first: a row with a singular matrix is
+    NaN, and the others keep the bits of the batched solve."""
     try:
         return np.linalg.solve(A, B)
     except np.linalg.LinAlgError:
@@ -119,9 +103,28 @@ def _solve_rows(A: np.ndarray, B: np.ndarray, singular=None) -> np.ndarray:
             try:
                 X[k] = np.linalg.solve(A[k], B[k])
             except np.linalg.LinAlgError:  # singular: row k stays NaN
-                if singular is not None:
-                    singular[k] = True
+                pass
         return X
+
+
+def _eliminate(a: np.ndarray):
+    """X, a view of a = [A | B] (d, d + k, ...), with A X = B, and the mask of
+    exact zero pivots: in-place Gaussian elimination with partial pivoting in
+    elementwise numpy calls, so each system's bits depend on it alone."""
+    d = len(a)
+    singular = np.zeros(a.shape[2:], dtype=bool)
+    for k in range(d):
+        for i in range(k + 1, d):
+            pair = a[[k, i], k:]
+            a[[k, i], k:] = np.where(np.abs(pair[1, 0]) > np.abs(pair[0, 0]),
+                                     pair[::-1], pair)
+        singular |= a[k, k] == 0.0
+        a[k + 1:, k + 1:] -= (a[k + 1:, k] / a[k, k])[:, None] * a[k, k + 1:]
+    for k in reversed(range(d)):
+        for j in range(k + 1, d):
+            a[k, d:] -= a[k, j] * a[j, d:]
+        a[k, d:] /= a[k, k]
+    return a[:, d:], singular
 
 
 @dataclass(frozen=True)
@@ -151,20 +154,18 @@ class Trajectory:
         return out[..., 0, :] if np.ndim(t) == 0 else out
 
 
-def _step_matrices(problem: OdeProblem, forward: Trajectory, located,
-                   t: np.ndarray, w: np.ndarray, cut: slice, singular) -> np.ndarray:
-    """A_n = (I - M0_n)^{-1} (I + M1_n), (M, steps, d, d), for the adjoint
-    steps `cut` of the Gauss points t and weights w (5, n_sub), t located on
-    the forward mesh."""
-    M, _, d = forward.values.shape
-    Jt = np.ascontiguousarray(problem.jacobian(
-        _row_major(_interpolate(forward.values, located, cut)), t[:, cut].ravel()
-    ).transpose(3, 2, 0, 1)).reshape((d, d, M, 5, -1))
-    eye = np.eye(d)[:, :, None, None]
-    I_minus_M0 = eye - _sum_over_points(w[:, cut] * (1.0 - _GL01_X[:, None]), Jt)
-    I_plus_M1 = eye + _sum_over_points(w[:, cut] * _GL01_X[:, None], Jt)
-    return _solve_rows(I_minus_M0.transpose(2, 3, 0, 1),
-                       I_plus_M1.transpose(2, 3, 0, 1), singular)
+def _step_matrices(J: np.ndarray, w: np.ndarray, adjoint: bool, *rhs: np.ndarray):
+    """Step maps (I - N)^{-1} [I + P | rhs] (rows, steps, d, d + k) of a slice's
+    J (rows, 5 steps, d, d) at weights w (5, steps), and its rows' singular mask.
+    With M0, M1 = sum_q w_q (1 - s_q, s_q) J_q, N, P are M1, M0 forward."""
+    (rows, _, d, _), eye = J.shape, np.eye(J.shape[-1])[:, :, None, None]
+    J = np.ascontiguousarray(J.transpose((3, 2, 0, 1) if adjoint else (2, 3, 0, 1))
+                             ).reshape((d, d, rows, 5, -1))
+    M0, M1 = (_sum_over_points(w * s[:, None], J) for s in (1.0 - _GL01_X, _GL01_X))
+    del J
+    N, P = (M0, M1) if adjoint else (M1, M0)  # M0, M1 of J^T in the adjoint
+    maps, singular = _eliminate(np.concatenate([eye - N, eye + P, *rhs], axis=1))
+    return np.ascontiguousarray(maps.transpose(2, 3, 0, 1)), singular.any(axis=-1)
 
 
 def _paired_points(problem: OdeProblem, forward: Trajectory, adjoint: Trajectory,
@@ -184,18 +185,42 @@ def _paired_points(problem: OdeProblem, forward: Trajectory, adjoint: Trajectory
     return _sum_over_points(w[:, cut], integrand)
 
 
+def _affine_march(problem: OdeProblem, mesh: Mesh1D) -> np.ndarray:
+    """Nodal values (M, nodes, d) of u' = J(t) u + g(t), g = rhs(0, t), from
+    (I - M1_n) U_{n+1} = (I + M0_n) U_n + sum_q w_q g(t_q): U_{n+1} = A_n U_n + c_n."""
+    M, d = problem.initial.shape
+    t, w = (a.T for a in _segment_quadrature(mesh.nodes))
+    U = np.empty((M, mesh.nodes.size, d))
+    U[:, 0] = problem.initial
+    failed, step = np.zeros(M, dtype=bool), max(1, SLICE_CELLS // M)
+    for lo in range(0, mesh.n_intervals, step):
+        cut = slice(lo, min(lo + step, mesh.n_intervals))
+        tt, u0 = t[:, cut].ravel(), np.zeros((M, t[:, cut].size, d))
+        g = problem.rhs(u0, tt).transpose(2, 0, 1).reshape(d, 1, M, 5, -1)
+        g = _sum_over_points(w[:, cut], g)
+        maps, singular = _step_matrices(problem.jacobian(u0, tt), w[:, cut], False, g)
+        failed |= singular
+        for n, A in enumerate(maps.transpose(1, 0, 2, 3), lo):
+            U[:, n + 1] = (A[..., :d] * U[:, n, None, :]).sum(axis=-1) + A[..., d]
+    U[failed | ~np.isfinite(U).all(axis=(1, 2))] = np.nan
+    return U
+
+
 def solve_forward_cg1(problem: OdeProblem, mesh: Mesh1D) -> Trajectory:
     """March the cG(1) method over the mesh for every row of the problem.
 
-    Each Newton iterate makes one `rhs` and one `jacobian` call for all rows
+    A linear problem is one affine recurrence (`_affine_march`).  Otherwise
+    each Newton iterate makes one `rhs` and one `jacobian` call for all rows
     and one batched solve for the rows still iterating; a row that has
     converged keeps its iterate, so it takes exactly the iterates it takes
     alone.  A row that turns non-finite, does not reach NEWTON_TOL in
-    NEWTON_MAX_ITERS iterations or meets a singular Newton matrix is NaN at
-    every node of the result.
+    NEWTON_MAX_ITERS iterations or meets a singular step is NaN throughout.
     """
     if mesh.length < problem.horizon * (1.0 - REL_TOL):
         raise MeshError("mesh does not cover the problem horizon")
+    if problem.linear:
+        with np.errstate(all="ignore"):
+            return Trajectory(mesh, _affine_march(problem, mesh))
     nodes = mesh.nodes
     h = mesh.lengths
     tq, wq = _segment_quadrature(nodes)
@@ -276,7 +301,9 @@ def solve_adjoint(problem: OdeProblem, forward: Trajectory, t_star: float,
     with np.errstate(all="ignore"):
         for lo in reversed(range(0, mesh.n_intervals, step)):
             cut = slice(lo, min(lo + step, mesh.n_intervals))
-            A = _step_matrices(problem, forward, located, t, w, cut, singular)
+            A, flagged = _step_matrices(problem.jacobian(_row_major(_interpolate(
+                forward.values, located, cut)), t[:, cut].ravel()), w[:, cut], True)
+            singular |= flagged
             for n in range(cut.stop - 1, lo - 1, -1):
                 phi[:, n] = (A[:, n - lo] * phi[:, n + 1, None, :]).sum(axis=-1)
     phi[np.broadcast_to(singular, rows), :-1] = np.nan

@@ -9,22 +9,30 @@ path raised a sample failure.
 
 `whole_mesh_adjoint` and `whole_mesh_pairing` are the batched adjoint and
 pairing as they were before they ran in slices: one model call and one set of
-(M, 5 n_sub, d, d) arrays for the whole adjoint mesh.
+(M, 5 n_sub, d, d) arrays for the whole adjoint mesh.  The adjoint solves its
+step matrices by the kernels' component-major elimination, or, with
+`gufunc`, by the batched `np.linalg.solve` they used before it.
+
+`newton_forward` is the batched march of a problem affine in u as it was
+before such problems marched as one affine recurrence: Newton, as for every
+other problem.
 
 `two_solve_event_time_error` is the event-time estimate as it was before both
 adjoint weights shared one solve: two `solve_adjoint` and two
 `residual_pairing` calls.
 """
+import dataclasses
+
 import numpy as np
 
 from adaptive_mlmc.error_estimation import ErrorDecomposition
 from adaptive_mlmc.meshes import subdivide
 from adaptive_mlmc.qoi import StandardQoi
 from adaptive_mlmc.solvers import (ADJOINT_REFINE_FACTOR, NEWTON_MAX_ITERS,
-                                   NEWTON_TOL, _GL01_X, Trajectory,
+                                   NEWTON_TOL, _GL01_X, Trajectory, _eliminate,
                                    _segment_quadrature, _solve_rows,
                                    residual_pairing, restrict_mesh,
-                                   solve_adjoint)
+                                   solve_adjoint, solve_forward_cg1)
 
 
 class RowFailed(RuntimeError):
@@ -78,6 +86,11 @@ def forward(problem, mesh):
             raise RowFailed(f"Newton stalled on interval {n}")
         U[n + 1] = X
     return U
+
+
+def newton_forward(problem, mesh):
+    """`solve_forward_cg1` by Newton whether or not the problem is linear."""
+    return solve_forward_cg1(dataclasses.replace(problem, linear=False), mesh)
 
 
 def event_times(mesh, U, q):
@@ -167,10 +180,11 @@ def _gauss_sum(w, f):
     return total
 
 
-def whole_mesh_adjoint(problem, forward, t_star, terminal_value):
+def whole_mesh_adjoint(problem, forward, t_star, terminal_value, gufunc=False):
     """`solve_adjoint` in one piece: one `jacobian` call on every quadrature
-    point and one batched solve for every step matrix; K terminal rows of a
-    one-row forward share its step matrices."""
+    point and one component-major elimination for every step matrix (with
+    `gufunc`, one batched `np.linalg.solve`, as before the elimination); K
+    terminal rows of a one-row forward share its step matrices."""
     mesh = subdivide(restrict_mesh(forward.mesh, t_star), ADJOINT_REFINE_FACTOR)
     d = problem.dim
     tq, wq = _segment_quadrature(mesh.nodes)
@@ -179,13 +193,21 @@ def whole_mesh_adjoint(problem, forward, t_star, terminal_value):
         Jt = np.swapaxes(problem.jacobian(forward(t), t), -1, -2)
         Jt = Jt.reshape((-1,) + tq.shape + (d, d))
         eye = np.eye(d)
-        A = _solve_rows(eye - _gauss_sum(wq * (1.0 - _GL01_X), Jt),
-                        eye + _gauss_sum(wq * _GL01_X, Jt))
+        I_minus_M0 = eye - _gauss_sum(wq * (1.0 - _GL01_X), Jt)
+        I_plus_M1 = eye + _gauss_sum(wq * _GL01_X, Jt)
+        if gufunc:
+            A, singular = _solve_rows(I_minus_M0, I_plus_M1), False
+        else:
+            A, singular = _eliminate(np.concatenate([I_minus_M0, I_plus_M1], axis=-1)
+                                     .transpose(2, 3, 0, 1))
+            A = np.ascontiguousarray(A.transpose(2, 3, 0, 1))  # as the kernel's
+            singular = singular.any(axis=-1)
         (rows,) = np.broadcast_shapes(A.shape[:1], np.shape(terminal_value)[:-1])
         phi = np.empty((rows, mesh.nodes.size, d))
         phi[:, -1] = terminal_value
         for n in range(mesh.n_intervals - 1, -1, -1):
             phi[:, n] = (A[:, n] * phi[:, n + 1, None, :]).sum(axis=-1)
+    phi[np.broadcast_to(singular, rows), :-1] = np.nan
     return Trajectory(mesh, phi)
 
 

@@ -211,9 +211,10 @@ class TestBatchedOracle:
         without a QoI is NaN throughout."""
         exp, W = chunk(name)
         # theta = 0 never crosses (lorenz) or collides (two-body); m = 20
-        # slows the oscillator below five crossings; m < 0 blows it up
+        # slows the oscillator below five crossings; m = -68/324 makes the
+        # cG(1) step system of the initial mesh's h = 1/9 singular
         W[5] = {"lorenz": 0.0, "two-body": 0.0, "harmonic-nonstandard": (50.0, 20.0),
-                "harmonic-standard": (50.0, -0.25)}[name]
+                "harmonic-standard": (50.0, -68.0 / 324.0)}[name]
         mesh = exp.initial_mesh()
         q, d = OdeMlmcModel(exp).evaluate(W, mesh, True)
         assert np.isnan(q[5]) and all_nan(d, [5])

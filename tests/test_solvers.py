@@ -1,4 +1,5 @@
 """Forward cG(1) solver, adjoint solver, and residual-pairing tests."""
+import dataclasses
 import math
 
 import numpy as np
@@ -25,11 +26,11 @@ from synthetic_problems import (blow_up, constant_weights, counting_calls,
                                 exact_reciprocal, one_point_jacobian)
 
 
-def linear_decay(rate=1.0):
+def linear_decay(rate=1.0, linear=False):
     return OdeProblem(1,
                       lambda u, t: -rate * np.asarray(u, dtype=float),
                       lambda u, t: np.full(np.shape(u)[:-1] + (1, 1), -rate),
-                      np.array([[1.0]]), 1.0)
+                      np.array([[1.0]]), 1.0, linear)
 
 
 def ivp_rhs(problem):
@@ -53,15 +54,41 @@ class TestTrajectory:
             Trajectory(mesh, np.zeros((2, 1)))
 
 
+def assert_exact_decay_update(linear):
+    """cG(1) on u' = -u gives U_{n+1}/U_n = (1 - h/2)/(1 + h/2) exactly."""
+    n = 16
+    mesh = uniform_mesh(1.0, n)
+    traj = solve_forward_cg1(linear_decay(linear=linear), mesh)
+    h = 1.0 / n
+    expected = ((1.0 - h / 2.0) / (1.0 + h / 2.0)) ** np.arange(n + 1)
+    np.testing.assert_allclose(traj.values[0, :, 0], expected, rtol=3e-15)
+
+
+def assert_singular_first_step_fails_only_its_row(linear):
+    """u' = -u / 10 with a Jacobian that is c at one quadrature point of the
+    first interval and 0 elsewhere, in the flagged row: 1 - w s c is exactly
+    0 there.  The flagged row is NaN, and the other rows, with Jacobian 0,
+    keep their one-row bits."""
+    mesh = uniform_mesh(1.0, 2)
+    tq, wq = _segment_quadrature(mesh.nodes)
+    marked = one_point_jacobian(lambda u, t: -0.1 * u, tq[0, 2],
+                                exact_reciprocal((wq * _GL01_X)[0, 2]))
+
+    def problem(flags):
+        return dataclasses.replace(marked(flags), linear=linear)
+    traj = solve_forward_cg1(problem([0.0, 1.0, 0.0]), mesh)
+    with pytest.raises(ode_reference.RowFailed):
+        ode_reference.forward(problem([1.0]), mesh)
+    assert np.isnan(traj.values[1]).all()
+    alone = solve_forward_cg1(problem([0.0]), mesh)
+    assert np.isfinite(alone.values).all()
+    for k in (0, 2):
+        assert np.array_equal(traj.values[k], alone.values[0])
+
+
 class TestForwardSolver:
     def test_exact_update_for_linear_decay(self):
-        # cG(1) on u' = -u gives U_{n+1}/U_n = (1 - h/2)/(1 + h/2) exactly
-        n = 16
-        mesh = uniform_mesh(1.0, n)
-        traj = solve_forward_cg1(linear_decay(), mesh)
-        h = 1.0 / n
-        expected = ((1.0 - h / 2.0) / (1.0 + h / 2.0)) ** np.arange(n + 1)
-        np.testing.assert_allclose(traj.values[0, :, 0], expected, rtol=3e-15)
+        assert_exact_decay_update(linear=False)
 
     def test_second_order_convergence(self):
         problem = harmonic_oscillator(50.0, 0.25)
@@ -112,22 +139,8 @@ class TestChunkMarch:
                 atol=1e-12 * np.abs(alone.values).max())
 
     def test_singular_newton_matrix_fails_only_its_row(self):
-        """u' = -u / 10 with a Jacobian that is c at one quadrature point of
-        the first interval and 0 elsewhere, in the flagged row: its Newton
-        matrix 1 - w c is exactly 0 there.  The other rows iterate with
-        Jacobian 0 and keep their one-row bits."""
-        mesh = uniform_mesh(1.0, 2)
-        tq, wq = _segment_quadrature(mesh.nodes)
-        problem = one_point_jacobian(lambda u, t: -0.1 * u, tq[0, 2],
-                                     exact_reciprocal((wq * _GL01_X)[0, 2]))
-        traj = solve_forward_cg1(problem([0.0, 1.0, 0.0]), mesh)
-        with pytest.raises(ode_reference.RowFailed):
-            ode_reference.forward(problem([1.0]), mesh)
-        assert np.isnan(traj.values[1]).all()
-        alone = solve_forward_cg1(problem([0.0]), mesh)
-        assert np.isfinite(alone.values).all()
-        for k in (0, 2):
-            assert np.array_equal(traj.values[k], alone.values[0])
+        """The flagged row's Newton matrix 1 - w s c is exactly 0."""
+        assert_singular_first_step_fails_only_its_row(linear=False)
 
 
 class TestRestrictMesh:
@@ -280,6 +293,18 @@ class TestWholeMeshKernels:
         np.testing.assert_allclose(residual_pairing(problem, forward, phi, t_star),
                                    reference_pairing(problem, forward, phi, t_star),
                                    rtol=1e-12)
+
+    @pytest.mark.parametrize("rows", [1, 300])
+    @pytest.mark.parametrize("name", ["harmonic-standard", "lorenz", "two-body"])
+    def test_within_1e12_of_gufunc_step_solves(self, name, rows):
+        """The eliminated step matrices give the adjoint of the batched
+        `np.linalg.solve` to 1e-12 of each row's largest |phi|."""
+        problem, forward, t_star, psi = chunk_case(name, rows)
+        phi = solve_adjoint(problem, forward, t_star, psi).values
+        want = ode_reference.whole_mesh_adjoint(problem, forward, t_star, psi,
+                                                gufunc=True).values
+        scale = np.abs(want).max(axis=(1, 2))
+        assert (np.abs(phi - want).max(axis=(1, 2)) <= 1e-12 * scale).all()
 
     def test_event_time_case_restricts_inside_an_interval(self):
         problem, forward, t_c, psi = preset_case("two-body")
@@ -444,6 +469,162 @@ class TestSlicedKernels:
         phi = assert_kernels_match_whole_mesh(problem, forward, 1.0, np.array([1.0]))
         assert np.isnan(phi.values[0, :-1]).all() and phi.values[0, -1] == 1.0
         assert np.isfinite(phi.values[1]).all()
+
+
+def well_conditioned(rng, d, trailing):
+    """(d, d, *trailing) matrices d I + 0.3 R with their rows permuted at
+    random, so the elimination has to pivot."""
+    A = d * np.eye(d)[:, :, None] + 0.3 * rng.standard_normal((d, d, np.prod(trailing)))
+    for k in range(A.shape[-1]):
+        A[:, :, k] = A[rng.permutation(d), :, k]
+    return A.reshape((d, d) + trailing)
+
+
+def gufunc_solve(A, B):
+    """np.linalg.solve on component-major (d, d, ...) and (d, k, ...) arrays."""
+    n = A.ndim - 2
+    axes = tuple(range(2, 2 + n)) + (0, 1)
+    back = (n, n + 1) + tuple(range(n))
+    return np.linalg.solve(A.transpose(axes), B.transpose(axes)).transpose(back)
+
+
+class TestEliminate:
+    """The slice-wide d x d solves: component-major Gaussian elimination with
+    partial pivoting on (d, d + k, ...) augmented matrices."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_matches_gufunc(self, d):
+        rng = np.random.default_rng(d)
+        A, B = well_conditioned(rng, d, (6, 7)), rng.standard_normal((d, 3, 6, 7))
+        X, singular = solvers._eliminate(np.concatenate([A, B], axis=1))
+        want = gufunc_solve(A, B)
+        assert not singular.any()
+        scale = np.abs(want).max(axis=(0, 1))
+        assert (np.abs(X - want).max(axis=(0, 1)) <= 1e-13 * scale).all()
+
+    def test_zero_leading_entry_swaps_rows(self):
+        """[[0, 1], [2, 3]] x = [1, 1] needs the row swap; x = [-1, 1]."""
+        a = np.array([[0.0, 1.0, 1.0], [2.0, 3.0, 1.0]])[:, :, None]
+        X, singular = solvers._eliminate(a)
+        assert X[:, 0, 0].tolist() == [-1.0, 1.0] and not singular.any()
+
+    def test_exact_zero_pivot_is_flagged(self):
+        """A zero matrix, and [[1, 2], [2, 4]] whose second pivot is 4 - 2 * 2
+        = 0 exactly, are flagged; the regular system beside them is not and
+        keeps its one-system bits."""
+        rng = np.random.default_rng(0)
+        regular = np.concatenate([well_conditioned(rng, 2, (1,)),
+                                  rng.standard_normal((2, 1, 1))], axis=1)
+        a = np.concatenate([np.zeros((2, 3, 1)),
+                            np.array([[1.0, 2.0, 1.0], [2.0, 4.0, 1.0]])[:, :, None],
+                            regular], axis=2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            X, singular = solvers._eliminate(a)
+        assert singular.tolist() == [True, True, False]
+        alone, _ = solvers._eliminate(regular.copy())
+        assert_same_bits(X[..., 2], alone[..., 0])
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_nan_system_stays_alone(self, d):
+        """A system with one NaN entry is NaN throughout and not flagged; the
+        systems beside it keep their one-system bits."""
+        rng = np.random.default_rng(d)
+        a = np.concatenate([well_conditioned(rng, d, (5,)),
+                            rng.standard_normal((d, 2, 5))], axis=1)
+        a[d - 1, 0, 2] = np.nan
+        X, singular = solvers._eliminate(a.copy())
+        assert np.isnan(X[..., 2]).all() and not singular.any()
+        for k in (0, 1, 3, 4):
+            assert_same_bits(X[..., k], solvers._eliminate(a[..., k:k + 1].copy())[0][..., 0])
+
+
+def graded_mesh(horizon, n):
+    """n intervals of (0, horizon] growing from the left."""
+    return Mesh1D(horizon * np.linspace(0.0, 1.0, n + 1) ** 1.5)
+
+
+class TestAffineMarch:
+    """Linear problems march as U_{n+1} = A_n U_n + c_n, with step maps built
+    in slices of SLICE_CELLS rows x intervals."""
+
+    def test_exact_update_for_linear_decay(self):
+        assert_exact_decay_update(linear=True)
+
+    def test_exact_zero_pivot_fails_only_its_row(self):
+        """Marked linear, the problem marches with rhs(0, t) = 0 and its
+        Jacobian, and 1 - w s c is the flagged row's step system I - M1, an
+        exact zero pivot."""
+        assert_singular_first_step_fails_only_its_row(linear=True)
+
+    @pytest.mark.parametrize("rows", [1, 2, 300])
+    @pytest.mark.parametrize("name", ["harmonic-standard", "harmonic-nonstandard"])
+    def test_slice_invariant_and_matches_newton(self, slice_cells, monkeypatch,
+                                                name, rows):
+        """The march has the bits of the one-slice march at every
+        SLICE_CELLS, and stays within 1e-12 of the largest |U| of the Newton
+        march, on a uniform and on a graded mesh."""
+        experiment = get_experiment(name)
+        problem = experiment.make_problem(
+            sample_parameters(experiment.distributions, 0, 1, 0, rows))
+        assert problem.linear
+        for mesh in (subdivide(experiment.initial_mesh(), 2), graded_mesh(3.0, 45)):
+            sliced = solve_forward_cg1(problem, mesh)
+            newton = ode_reference.newton_forward(problem, mesh)
+            monkeypatch.setattr(solvers, "SLICE_CELLS", 10 ** 9)
+            assert_same_bits(sliced.values, solve_forward_cg1(problem, mesh).values)
+            monkeypatch.setattr(solvers, "SLICE_CELLS", slice_cells)
+            assert np.isfinite(newton.values).all()
+            scale = np.abs(newton.values).max()
+            assert np.abs(sliced.values - newton.values).max() <= 1e-12 * scale
+
+    def test_time_dependent_jacobian_matches_newton(self, slice_cells):
+        """u' = J(t) u + g(t) with J(t) = [[0, 1 + t], [-(2 + a sin t), -0.1]]
+        and g(t) = (cos 3t, a), one row per a: M0_n and M1_n differ, so a
+        step that swapped them would show here."""
+        a = np.array([0.5, 1.0, 2.0])
+
+        def jacobian(u, t):
+            t = np.broadcast_to(t, u.shape[:-1])
+            J = np.zeros(u.shape + (2,))
+            J[..., 0, 1] = 1.0 + t
+            J[..., 1, 0] = -(2.0 + a.reshape((-1,) + (1,) * (u.ndim - 2)) * np.sin(t))
+            J[..., 1, 1] = -0.1
+            return J
+
+        def rhs(u, t):
+            g = np.stack(np.broadcast_arrays(
+                np.cos(3.0 * np.asarray(t)), a.reshape((-1,) + (1,) * (u.ndim - 2))),
+                axis=-1)
+            return (jacobian(u, t) @ u[..., None])[..., 0] + g
+
+        problem = OdeProblem(2, rhs, jacobian, np.ones((3, 2)), 4.0, linear=True)
+        mesh = graded_mesh(4.0, 60)
+        affine = solve_forward_cg1(problem, mesh).values
+        newton = ode_reference.newton_forward(problem, mesh).values
+        assert np.isfinite(newton).all()
+        assert np.abs(affine - newton).max() <= 1e-12 * np.abs(newton).max()
+
+    def test_one_model_call_each_per_slice(self, monkeypatch):
+        """One `jacobian` and one `rhs` call per slice, none per interval."""
+        monkeypatch.setattr(solvers, "SLICE_CELLS", 40)
+        calls = {"rhs": 0, "jacobian": 0}
+        problem = counting_calls(harmonic_oscillator([50.0, 49.0], [0.25, 0.26]), calls)
+        solve_forward_cg1(problem, uniform_mesh(3.0, 27))
+        assert calls == {"rhs": 2, "jacobian": 2}  # 20 intervals a slice
+
+    def test_resonant_row_is_nan(self, slice_cells):
+        """k = 50, m = -68/324 makes (I - M1) = I - (h/2) J singular in exact
+        arithmetic at h = 1/9; its rounded pivot is tiny, the row's nodes
+        overflow and the row is NaN at every node.  The other rows of the
+        chunk keep their one-row bits."""
+        mesh = uniform_mesh(3.0, 27)
+        k, m = [50.0, 50.0, 52.0], [-68.0 / 324.0, 0.25, 0.23]
+        traj = solve_forward_cg1(harmonic_oscillator(k, m), mesh)
+        assert np.isnan(traj.values[0]).all()
+        for row in (1, 2):
+            alone = solve_forward_cg1(harmonic_oscillator(k[row], m[row]), mesh)
+            assert np.isfinite(alone.values).all()
+            assert_same_bits(traj.values[row], alone.values[0])
 
 
 # Values whose products and sums make the order of a sum show in its bits:
