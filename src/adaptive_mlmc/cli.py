@@ -42,12 +42,16 @@ def _line_of(path: Optional[str], section: str, key: Optional[str] = None) -> st
     that section (matched case-insensitively like configparser keys)."""
     if path is None:
         return "<flags>"
-    current = None
+    current, key_indent = None, math.inf
     try:
         lines = Path(path).read_text(encoding="utf-8").split("\n")  # as configparser
         for lineno, line in enumerate(lines, 1):
+            indent = len(line) - len(line.lstrip())  # deeper lines continue a value
+            if line.strip()[:1] in ("", "#", ";") or indent > key_indent:
+                continue
             header = configparser.ConfigParser.SECTCRE.match(line.strip())
             current = header["header"] if header else current
+            key_indent = math.inf if header else indent
             name = None if header else line.split("=")[0].split(":")[0].strip().lower()
             if current == section and name == (key and key.lower()):
                 return f"{path}:{lineno}"

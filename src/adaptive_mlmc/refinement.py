@@ -93,6 +93,7 @@ def allocate_meso(sizes: np.ndarray, errors: np.ndarray, n_hat: int,
         raise ValueError("budget smaller than the region count")
     # libm pow per element: numpy's vectorized power may round differently
     c = np.abs(errors) * np.array([float(n) ** q for n in sizes])
+    c = np.where(np.isfinite(c).all(), c, ~np.isfinite(c))  # overflowed c_i share n_hat
     if np.all(c == 0.0):
         log.warning("all meso-region errors vanish; falling back to uniform doubling")
         return 2 * sizes
@@ -121,9 +122,10 @@ def refine_meso(prev_mesh: Mesh1D, prev_regions, contributions: np.ndarray):
     n_prev = prev_mesh.n_intervals
     padded = np.zeros(n_prev)
     padded[:contributions.size] = np.where(np.isnan(contributions), 0.0, contributions)
-    ends, errors = find_meso_regions(np.abs(np.cumsum(padded)))
     n_hat = math.ceil(MESO_TARGET_MULTIPLIER * n_prev)
-    counts = allocate_meso(np.diff(ends, prepend=-1), errors, n_hat, MESO_Q)
+    with np.errstate(over="ignore", invalid="ignore"):  # allocate_meso takes inf, NaN
+        ends, errors = find_meso_regions(np.abs(np.cumsum(padded)))
+        counts = allocate_meso(np.diff(ends, prepend=-1), errors, n_hat, MESO_Q)
     tentative = (prev_mesh.nodes[np.append(0, ends + 1)], counts)
     if prev_regions is None:
         prev_regions = (prev_mesh.nodes[[0, -1]], np.array([n_prev]))

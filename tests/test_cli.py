@@ -89,6 +89,15 @@ epsilom = 1e-4
         with pytest.raises(ConfigError, match=r"run\.ini:4: unknown key 'epsilom'"):
             _parse_config_file(path)
 
+    def test_continuation_line_is_not_a_key(self, tmp_path, capsys):
+        """An indented line after a key continues that key's value (here
+        `output_dir`'s), so the unknown key is the one on line 4."""
+        path = write_config(tmp_path, "[run]\noutput_dir = a\n  epsilom = 3\n"
+                                      "epsilom = 1e-4\nexperiment = lorenz\n")
+        assert run_cli("run", "--config", path) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}:4: unknown key 'epsilom' in [run]\n")
+
     def test_unknown_key_matched_case_insensitively(self, tmp_path):
         path = write_config(tmp_path, """\
 [run]

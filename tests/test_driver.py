@@ -3,6 +3,7 @@ import os
 import re
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -594,6 +595,19 @@ class TestSamplesCsv:
 
 
 class TestDriverFuzz:
+    def test_overflowing_meso_error_allocates_without_warnings(self):
+        """Contributions of 1e308 overflow meso's accumulated error to inf and
+        a region's error to inf - inf = NaN: the regions whose error is not
+        finite share the budget, no NaN is cast to a count, and no warning
+        fires."""
+        cfg = MlmcRunConfig(epsilon=1e-2, initial_mesh=uniform_mesh(1.0, 2),
+                            refinement=RefinementConfig(strategy="meso"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = run_adaptive_mlmc(FuzzModel(1.0, "contributions", 1e308), cfg)
+        assert [lv.elems for lv in est.levels] == [2, 4, 8, 16]
+        assert np.isfinite([est.value, est.total_variance, est.squared_bias]).all()
+
     @given(st.sampled_from([0.0, 0.004, 0.02, 0.3, 1.0]),
            st.sampled_from(["q_fine", "total", "contributions"]),
            st.sampled_from([np.nan, np.inf, -np.inf, 1e300, -1e300, 1e155, 1e308]),

@@ -1,5 +1,6 @@
 """New-level mesh creation: DWR selection, meso regions, and allocation."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -263,6 +264,18 @@ class TestAllocateMeso:
     def test_all_zero_falls_back_to_doubling(self):
         assert allocate_meso(*regions((4, 0.0), (2, 0.0)), 12, 2.0).tolist() \
             == [8, 4]
+
+    def test_non_finite_errors_share_the_budget(self):
+        """An overflowed (inf) or inf - inf (NaN) region error takes an equal
+        share of the budget; the finite regions keep their density, and no
+        NaN is cast to a count."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            counts = allocate_meso(np.array([2, 3, 1]),
+                                   np.array([1.0, np.inf, np.nan]), 12, 2.0)
+            assert counts.tolist() == [2, 6, 6]
+            assert allocate_meso(np.array([2, 2]), np.array([np.inf, 1.0]),
+                                 8, 2.0).tolist() == [8, 2]
 
     @given(st.lists(st.floats(0.01, 10), min_size=1, max_size=6),
            st.integers(2, 4))
