@@ -7,24 +7,18 @@ component at the final time; stiffness and mass are random.
 """
 import numpy as np
 
-from adaptive_mlmc import (MlmcRunConfig, OdeMlmcModel, RefinementConfig,
-                           get_experiment, run_adaptive_mlmc)
+from adaptive_mlmc import MlmcRunConfig, get_experiment, run_adaptive_mlmc
 
 EPSILON = 1e-3
 SEED = 0
 
 
 def main():
-    experiment = get_experiment("harmonic-standard")
+    model = get_experiment("harmonic-standard")
     results = {}
     for strategy in ("uniform", "dwr", "meso"):
-        cfg = MlmcRunConfig(
-            epsilon=EPSILON,
-            initial_mesh=experiment.initial_mesh(),
-            refinement=RefinementConfig(strategy=strategy),
-            master_seed=SEED,
-        )
-        results[strategy] = run_adaptive_mlmc(OdeMlmcModel(experiment), cfg)
+        cfg = MlmcRunConfig(epsilon=EPSILON, refinement=strategy, master_seed=SEED)
+        results[strategy] = run_adaptive_mlmc(model, cfg)
 
     print(f"harmonic oscillator, standard QoI, epsilon = {EPSILON:g}, "
           f"seed = {SEED}\n")

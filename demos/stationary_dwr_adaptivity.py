@@ -7,25 +7,23 @@ the integral of u over [1, 1.5].  The demo first shows the single-sample
 DWR loop (estimate, mark, refine), then runs the full MLMC estimator with
 DWR and uniform new-level meshes and compares the modeled costs.
 """
-from dataclasses import replace
-
 import numpy as np
 
 from adaptive_mlmc import BvpMlmcModel, MlmcRunConfig, run_adaptive_mlmc
-from adaptive_mlmc.meshes import subdivide, uniform_mesh
+from adaptive_mlmc.meshes import subdivide
 from adaptive_mlmc.refinement import dwr_select
-from adaptive_mlmc.stationary import (BVP_DEFAULT_EPSILON, BVP_REFINEMENT,
-                                      LENGTH, BvpPlan,
-                                      bvp_error_decomposition,
-                                      bvp_initial_mesh, qoi_value,
-                                      solve_bvp_adjoint, solve_bvp_p1)
+from adaptive_mlmc.stationary import (BvpPlan, bvp_error_decomposition,
+                                      qoi_value, solve_bvp_adjoint,
+                                      solve_bvp_p1)
 
 ADVECTION = 14.0
 
 
 def main():
+    model = BvpMlmcModel()
+    fraction, factor = model.dwr_marking
     print(f"single-sample DWR loop at b = {ADVECTION:g}")
-    mesh = uniform_mesh(LENGTH, 12)
+    mesh = model.initial_mesh()
     w = np.array([ADVECTION])  # the solvers take a vector of speeds
     for sweep in range(4):
         plan = BvpPlan.build(mesh)  # the mesh's draw-free arrays
@@ -37,15 +35,12 @@ def main():
               f"QoI = {q:+.6f}, "
               f"estimated error = {contributions.sum():+.3e}")
         parts = np.ones(mesh.n_intervals, dtype=int)
-        parts[dwr_select(contributions, 0.25)] = 2  # halve the marked elements
+        parts[dwr_select(contributions, fraction)] = factor  # as the MLMC run marks
         mesh = subdivide(mesh, parts)
 
-    print(f"\nMLMC over random b, epsilon = {BVP_DEFAULT_EPSILON:g}")
-    model = BvpMlmcModel()
+    print(f"\nMLMC over random b, epsilon = {model.default_epsilon:g}")
     for strategy in ("dwr", "uniform"):
-        cfg = MlmcRunConfig(epsilon=BVP_DEFAULT_EPSILON,
-                            initial_mesh=bvp_initial_mesh(),
-                            refinement=replace(BVP_REFINEMENT, strategy=strategy),
+        cfg = MlmcRunConfig(epsilon=model.default_epsilon, refinement=strategy,
                             master_seed=0)
         est = run_adaptive_mlmc(model, cfg)
         elems = [lv.elems for lv in est.levels]

@@ -11,7 +11,6 @@ types; everything else is imported from its submodule.
 from .driver import MlmcError, MlmcEstimate, MlmcRunConfig, run_adaptive_mlmc
 from .error_estimation import ErrorDecomposition
 from .experiments import OdeMlmcModel, get_experiment
-from .refinement import RefinementConfig
 from .sampling import ParameterDistribution
 from .stationary import BvpMlmcModel
 

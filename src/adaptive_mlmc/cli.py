@@ -12,19 +12,18 @@ import argparse
 import configparser
 import math
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .driver import MlmcError, MlmcEstimate, MlmcRunConfig, run_adaptive_mlmc
-from .experiments import EXPERIMENT_NAMES, OdeMlmcModel, get_experiment
-from .refinement import RefinementConfig
-from .stationary import (BVP_DEFAULT_EPSILON, BVP_REFINEMENT, BvpMlmcModel,
-                         bvp_initial_mesh)
+from .experiments import EXPERIMENT_NAMES, get_experiment
+from .refinement import STRATEGIES
+from .stationary import BvpMlmcModel
 
-BVP_EXPERIMENT = "advection-diffusion-1d"  # run by BvpMlmcModel, not a preset
+EXPERIMENTS = EXPERIMENT_NAMES + (BvpMlmcModel.name,)  # every name a run accepts
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NOT_CONVERGED = 2
@@ -113,26 +112,19 @@ def _parse_config_file(path: str) -> dict:
 
 
 def _build_run(settings: dict):
-    """Resolve settings into (model, MlmcRunConfig)."""
+    """Resolve settings into (model, MlmcRunConfig); what a setting leaves
+    open comes from the model."""
     name = settings["experiment"]
-    if name == BVP_EXPERIMENT:
-        model, refinement = BvpMlmcModel(), BVP_REFINEMENT
-        mesh, default_epsilon = bvp_initial_mesh(), BVP_DEFAULT_EPSILON
-    else:
-        try:
-            experiment = get_experiment(name)
-        except KeyError as exc:
-            raise ConfigError(
-                f"{_line_of(settings['config_path'], 'run', 'experiment')}: {exc.args[0]}"
-            ) from exc
-        model, refinement = OdeMlmcModel(experiment), RefinementConfig()
-        mesh, default_epsilon = experiment.initial_mesh(), experiment.default_epsilon
-    strategy = {"strategy": settings["refinement"]} if settings["refinement"] else {}
     try:
-        refinement = replace(refinement, **strategy)
-        cfg = MlmcRunConfig(epsilon=default_epsilon if settings["epsilon"] is None
+        model = BvpMlmcModel() if name == BvpMlmcModel.name else get_experiment(name)
+    except KeyError:
+        raise ConfigError(
+            f"{_line_of(settings['config_path'], 'run', 'experiment')}: unknown "
+            f"experiment {name!r}; choose from {list(EXPERIMENTS)}") from None
+    try:
+        cfg = MlmcRunConfig(epsilon=model.default_epsilon if settings["epsilon"] is None
                             else settings["epsilon"],
-                            initial_mesh=mesh, refinement=refinement,
+                            refinement=settings["refinement"] or model.default_refinement,
                             master_seed=settings["seed"], jobs=settings["jobs"])
     except ValueError as exc:
         raise ConfigError(f"{settings['config_path'] or '<flags>'}: {exc}") from exc
@@ -216,8 +208,7 @@ def _cmd_compare(args) -> int:
             print(f"{path},{strategy},FAILED,,,,{exc}")
             worst = EXIT_ERROR
             continue
-        strategy = cfg.refinement.strategy
-        print(f"{path},{strategy},{estimate.n_levels},"
+        print(f"{path},{cfg.refinement},{estimate.n_levels},"
               f"{_FMT % estimate.total_cost},{_FMT % estimate.value},"
               f"{_FMT % estimate.mse},"
               f"{'true' if estimate.converged else 'false'}")
@@ -235,9 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="execute one MLMC experiment")
     run_p.add_argument("--config", help="INI config file")
-    run_p.add_argument("--experiment", choices=EXPERIMENT_NAMES + (BVP_EXPERIMENT,))
+    run_p.add_argument("--experiment", choices=EXPERIMENTS)
     run_p.add_argument("--epsilon", type=float)
-    run_p.add_argument("--refinement", choices=("uniform", "dwr", "meso"))
+    run_p.add_argument("--refinement", choices=STRATEGIES)
     run_p.add_argument("--seed", type=int)
     run_p.add_argument("--jobs", type=int)
     run_p.add_argument("--dump-grids", action="store_true", default=None)

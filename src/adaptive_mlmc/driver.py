@@ -6,10 +6,12 @@ bias-squared test decides when to stop, and the retained per-interval error
 contributions of the newest level drive the creation of the next mesh.
 Costs are modeled from element counts (one level-0 solve = 1 unit).
 
-A model takes draws in chunks: `evaluate(W, mesh, want_estimate)`, W of
-shape (M, p), returns M QoI values and one `ErrorDecomposition` of M rows
-(or None).  A draw the model could not complete shows as a non-finite QoI or
-error estimate; only that sample is recorded failed and redrawn.
+A model carries its `distributions`, its level-0 mesh `initial_mesh()` and
+its DWR `dwr_marking`, and takes draws in chunks: `evaluate(W, mesh,
+want_estimate)`, W of shape (M, p), returns M QoI values and one
+`ErrorDecomposition` of M rows (or None).  A draw the model could not
+complete shows as a non-finite QoI or error estimate; only that sample is
+recorded failed and redrawn.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .meshes import Mesh1D
-from .refinement import RefinementConfig, build_next_mesh
+from .refinement import STRATEGIES, build_next_mesh
 from .sampling import sample_parameters
 
 # Most draws one model `evaluate` call stacks.  Bounds memory only.
@@ -91,12 +93,13 @@ class MlmcEstimate:
 @dataclass(frozen=True)
 class MlmcRunConfig:
     epsilon: float
-    initial_mesh: Mesh1D
-    refinement: RefinementConfig = RefinementConfig()
+    refinement: str = "uniform"  # one of refinement.STRATEGIES
     master_seed: int = 0
     jobs: int = 1
 
     def __post_init__(self):
+        if self.refinement not in STRATEGIES:
+            raise ValueError(f"unknown refinement strategy {self.refinement!r}")
         if not 0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be positive and finite")
         if self.master_seed < 0:
@@ -110,19 +113,22 @@ def level_variance(y: np.ndarray) -> float:
     overflows ends the run (MlmcError)."""
     if y.size < 2:
         raise ValueError("variance needs at least two ok samples")
-    mean = y.sum() / y.size
-    variance = float(((y - mean) ** 2).sum() / (y.size - 1))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        mean = y.sum() / y.size
+        variance = float(((y - mean) ** 2).sum() / (y.size - 1))
     if not math.isfinite(variance):
         raise MlmcError(f"the variance of {y.size} Y values overflows ({variance})")
     return variance
 
 
 def level_bias(estimates: np.ndarray) -> float:
-    """Negated mean of the highest level's error estimates (NaN: none)."""
+    """Negated mean of the highest level's error estimates (NaN: none); an
+    overflowed mean is returned as it is, for the driver to report."""
     estimates = estimates[~np.isnan(estimates)]
     if not estimates.size:
         raise ValueError("bias needs at least one sample with an error estimate")
-    return -float(np.mean(estimates))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return -float(np.mean(estimates))
 
 
 def optimal_samples(variances: Sequence[float], costs: Sequence[float],
@@ -219,8 +225,9 @@ def run_adaptive_mlmc(model, cfg: MlmcRunConfig) -> MlmcEstimate:
     """Execute the adaptive driver loop until bias^2 <= epsilon/2 or MAX_LEVELS."""
     runner = _Runner(model, cfg)
     try:
-        elems0 = cfg.initial_mesh.n_intervals
-        levels = [LevelState(0, cfg.initial_mesh, None, 1.0, None)]
+        mesh0 = model.initial_mesh()
+        elems0 = mesh0.n_intervals
+        levels = [LevelState(0, mesh0, None, 1.0, None)]
         while True:
             highest = levels[-1]
             warm_up = N_SCHEDULE[min(highest.level, len(N_SCHEDULE) - 1)]
@@ -240,7 +247,7 @@ def run_adaptive_mlmc(model, cfg: MlmcRunConfig) -> MlmcEstimate:
 
             new_mesh, new_regions = build_next_mesh(
                 highest.mesh, highest.regions, np.concatenate(highest.contributions),
-                highest.ok("error_estimate"), cfg.refinement)
+                highest.ok("error_estimate"), cfg.refinement, model.dwr_marking)
             highest.contributions = []
             cost = (new_mesh.n_intervals + highest.mesh.n_intervals) / elems0
             levels.append(LevelState(len(levels), new_mesh, highest.mesh, cost,

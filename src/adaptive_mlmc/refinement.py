@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,21 +20,7 @@ log = logging.getLogger(__name__)
 
 MESO_Q = 2.0  # the error model's rate: a region's error shrinks as N^-q
 MESO_TARGET_MULTIPLIER = 2.0  # a meso level's interval budget per previous interval
-
-
-@dataclass(frozen=True)
-class RefinementConfig:
-    strategy: str = "uniform"
-    dwr_fraction: float = 0.5
-    dwr_factor: int = 3
-
-    def __post_init__(self):
-        if self.strategy not in ("uniform", "dwr", "meso"):
-            raise ValueError(f"unknown refinement strategy {self.strategy!r}")
-        if not 0.0 < self.dwr_fraction <= 1.0:
-            raise ValueError("dwr_fraction must be in (0, 1]")
-        if self.dwr_factor < 2:
-            raise ValueError("dwr_factor must be >= 2")
+STRATEGIES = ("uniform", "dwr", "meso")
 
 
 def dwr_select(contributions: np.ndarray, fraction: float) -> np.ndarray:
@@ -134,14 +119,17 @@ def refine_meso(prev_mesh: Mesh1D, prev_regions, contributions: np.ndarray):
 
 
 def build_next_mesh(prev_mesh: Mesh1D, prev_regions, contributions: np.ndarray,
-                    totals: np.ndarray, cfg: RefinementConfig):
-    """Dispatch on the configured strategy; returns (mesh, tiling-or-None).
-    Rows of `contributions` may end in NaN; meso follows the first largest |totals|."""
-    if cfg.strategy == "uniform":
+                    totals: np.ndarray, strategy: str, dwr_marking: tuple):
+    """Dispatch on `strategy`; returns (mesh, tiling-or-None).  DWR splits the
+    intervals `dwr_select` marks at the model's `dwr_marking` = (fraction,
+    factor) into `factor` parts.  Rows of `contributions` may end in NaN; meso
+    follows the first largest |totals|."""
+    if strategy == "uniform":
         return subdivide(prev_mesh, 2), None
-    if cfg.strategy == "dwr":
+    if strategy == "dwr":
+        fraction, factor = dwr_marking
         counts = np.ones(prev_mesh.n_intervals, dtype=int)
-        counts[dwr_select(contributions, cfg.dwr_fraction)] = cfg.dwr_factor
+        counts[dwr_select(contributions, fraction)] = factor
         return subdivide(prev_mesh, counts), None
     worst = contributions[np.argmax(np.abs(totals))]
     return refine_meso(prev_mesh, prev_regions, worst)

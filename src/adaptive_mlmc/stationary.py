@@ -5,8 +5,9 @@ the weak form -(u', v') + b(u', v) = (f, v), the adjoint problem with the
 advection sign flipped and the QoI weight psi as source, and the elementwise
 error decomposition pairing the residual of U with the adjoint weight.  The
 problem is fixed module data (LENGTH, `source` with its SOURCE_BREAKS, `psi`
-on PSI_SUPPORT, Q(u) = (u, psi)); its one random input is the speed b.  The
-spatial DWR and uniform strategies plug into the shared MLMC driver.
+on PSI_SUPPORT, Q(u) = (u, psi)); its one random input is the speed b.
+`BvpMlmcModel` runs it through the shared MLMC driver under every refinement
+strategy: uniform, DWR (its default) and meso.
 
 Each solve, QoI and decomposition treats a vector of M advection speeds at
 once, on a shared mesh.  No draw can fail (see `_solve_assembled`).
@@ -21,7 +22,6 @@ import numpy as np
 
 from .error_estimation import ErrorDecomposition
 from .meshes import Mesh1D, subdivide, uniform_mesh
-from .refinement import RefinementConfig
 from .sampling import uniform
 from .solvers import _segment_quadrature
 
@@ -34,6 +34,7 @@ ADJOINT_REFINE_FACTOR = 4
 LENGTH = 3.0
 SOURCE_BREAKS = (1.0, 2.5)  # f and psi are smooth between their breakpoints
 PSI_SUPPORT = (1.0, 1.5)
+BVP_MIN_ELEMENTS = 2  # fewest elements with an interior unknown
 
 
 def source(x):
@@ -188,16 +189,27 @@ def bvp_error_decomposition(plan: BvpPlan, w: np.ndarray, U: np.ndarray,
 
 
 class BvpMlmcModel:
-    """Driver-facing adapter for the stationary problem.
+    """Driver-facing model of the stationary problem, with its MLMC defaults.
 
     Each row of `evaluate` equals, bit for bit, what that row alone would
     give, so chunking cannot change a run's output.  Each mesh's `BvpPlan`
     is kept, keyed by the mesh object, while the mesh lives."""
 
+    name = "advection-diffusion-1d"
+    # Calibrated so both strategies resolve the bias within two levels from 12
+    # elements: the level-0 bias (~2.1e-3) exceeds sqrt(eps/2) ~ 1.6e-3 while
+    # both the DWR level-1 mesh (~1.3e-3) and the uniform one (~3.8e-4) fall
+    # below it.
+    default_epsilon = 5e-6
+    default_refinement = "dwr"
+    dwr_marking = (0.25, 2)  # 25% largest |e_tau| split in 2
     distributions = (uniform(12.0, 16.0),)  # the advection speed b
 
     def __init__(self):
         self._plans = weakref.WeakKeyDictionary()
+
+    def initial_mesh(self) -> Mesh1D:
+        return uniform_mesh(LENGTH, 12)
 
     def evaluate(self, W: np.ndarray, mesh: Mesh1D, want_estimate: bool):
         plan = self._plans.get(mesh)
@@ -212,19 +224,4 @@ class BvpMlmcModel:
                                                 solve_bvp_adjoint(plan, w))
         return q, ErrorDecomposition(contributions, contributions.sum(axis=1),
                                      np.ones(len(q)))
-
-
-# Calibrated so both strategies resolve the bias within two levels from 12
-# elements: the level-0 bias (~2.1e-3) exceeds sqrt(eps/2) ~ 1.6e-3 while both
-# the DWR level-1 mesh (~1.3e-3) and the uniform one (~3.8e-4) fall below it.
-BVP_DEFAULT_EPSILON = 5e-6
-BVP_MIN_ELEMENTS = 2  # fewest elements with an interior unknown
-
-
-# Spatial refinement defaults: 25% largest |e_tau| split in 2.
-BVP_REFINEMENT = RefinementConfig(strategy="dwr", dwr_fraction=0.25, dwr_factor=2)
-
-
-def bvp_initial_mesh() -> Mesh1D:
-    return uniform_mesh(LENGTH, 12)
 

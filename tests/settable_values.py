@@ -2,18 +2,18 @@
 
     PYTHONPATH=src python tests/settable_values.py
 
-Counts the fields of `MlmcRunConfig` and `RefinementConfig`, the keys a
-config file accepts and the flags of `mlmc run` and `mlmc compare` (`--help`
-aside), and prints the total with its parts.  A simplification should lower
+Counts the fields of `MlmcRunConfig` (and of `RefinementConfig` in a
+checkout that still has it), the keys a config file accepts and the flags of
+`mlmc run` and `mlmc compare` (`--help` aside), and prints the total with its
+parts.  A simplification should lower
 the total.  Like `artifact_digests.py`, it imports `adaptive_mlmc` from the
 path, so it counts another checkout too.  Pytest does not collect this file.
 """
 import argparse
 from dataclasses import fields
 
-from adaptive_mlmc import cli
+from adaptive_mlmc import cli, refinement
 from adaptive_mlmc.driver import MlmcRunConfig
-from adaptive_mlmc.refinement import RefinementConfig
 
 
 def flags(parser: argparse.ArgumentParser) -> int:
@@ -24,10 +24,12 @@ def flags(parser: argparse.ArgumentParser) -> int:
 def counts() -> dict:
     commands = next(action for action in cli.build_parser()._actions
                     if isinstance(action, argparse._SubParsersAction)).choices
+    # RefinementConfig and [refinement] in a checkout that still has them
+    refinement_config = getattr(refinement, "RefinementConfig", None)
     return {
         "MlmcRunConfig": len(fields(MlmcRunConfig)),
-        "RefinementConfig": len(fields(RefinementConfig)),
-        # [run], and [refinement] in a checkout whose configs still have it
+        **({"RefinementConfig": len(fields(refinement_config))}
+           if refinement_config else {}),
         "config keys": len(cli._RUN_KEYS) + len(getattr(cli, "_REFINEMENT_KEYS", {})),
         "run flags": flags(commands["run"]),
         "compare flags": flags(commands["compare"]),

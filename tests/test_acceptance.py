@@ -7,7 +7,6 @@ orderings rather than exact table entries, since individual runs are
 realizations of a randomized algorithm.
 """
 import itertools
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,17 +18,16 @@ from adaptive_mlmc.driver import (LevelState, MlmcRunConfig,
                                   run_adaptive_mlmc, take_sample)
 from adaptive_mlmc.error_estimation import (estimate_event_time_error,
                                             estimate_standard_error)
-from adaptive_mlmc.experiments import OdeMlmcModel, get_experiment
+from adaptive_mlmc.experiments import get_experiment
 from adaptive_mlmc.meshes import common_mesoregion_refinement, uniform_mesh
 from adaptive_mlmc.models import harmonic_oscillator, lorenz, two_body
 from adaptive_mlmc.qoi import (NonstandardQoi, StandardQoi, eval_event_time,
                                eval_standard)
-from adaptive_mlmc.refinement import RefinementConfig, build_next_mesh
+from adaptive_mlmc.refinement import build_next_mesh
 from adaptive_mlmc.solvers import (Trajectory, residual_pairing, solve_adjoint,
                                    solve_forward_cg1)
-from adaptive_mlmc.stationary import (BVP_DEFAULT_EPSILON, BVP_REFINEMENT,
-                                      PSI_SUPPORT, SOURCE_BREAKS, BvpMlmcModel,
-                                      bvp_initial_mesh, psi, source)
+from adaptive_mlmc.stationary import (PSI_SUPPORT, SOURCE_BREAKS, BvpMlmcModel,
+                                      psi, source)
 from stationary_reference import solve_weak
 from synthetic_problems import constant_weights
 
@@ -50,11 +48,8 @@ def report(number, title, checks):
 
 
 def run_experiment(name, epsilon, strategy, seed):
-    exp = get_experiment(name)
-    cfg = MlmcRunConfig(epsilon=epsilon, initial_mesh=exp.initial_mesh(),
-                        refinement=RefinementConfig(strategy=strategy),
-                        master_seed=seed)
-    return run_adaptive_mlmc(OdeMlmcModel(exp), cfg)
+    cfg = MlmcRunConfig(epsilon=epsilon, refinement=strategy, master_seed=seed)
+    return run_adaptive_mlmc(get_experiment(name), cfg)
 
 
 @pytest.fixture(scope="module")
@@ -196,9 +191,7 @@ def test_criterion_7_stationary_problem():
     for seed in SEEDS:
         costs = {}
         for strategy in ("dwr", "uniform"):
-            cfg = MlmcRunConfig(epsilon=BVP_DEFAULT_EPSILON,
-                                initial_mesh=bvp_initial_mesh(),
-                                refinement=replace(BVP_REFINEMENT, strategy=strategy),
+            cfg = MlmcRunConfig(epsilon=model.default_epsilon, refinement=strategy,
                                 master_seed=seed)
             costs[strategy] = run_adaptive_mlmc(model, cfg).total_cost
         wins += costs["dwr"] < costs["uniform"]
@@ -246,9 +239,8 @@ def test_criterion_8_byte_identical_artifacts(tmp_path, capsys):
 
 def test_criterion_9_property_suite():
     # refinement never removes a node, for all three strategies
-    exp = get_experiment("harmonic-standard")
-    model = OdeMlmcModel(exp)
-    mesh = exp.initial_mesh()
+    model = get_experiment("harmonic-standard")
+    mesh = model.initial_mesh()
     level = LevelState(0, mesh, None, 1.0, None)
     rows, contributions = take_sample(model, level, 0, 0, 8,
                                       want_estimate=True)
@@ -260,7 +252,7 @@ def test_criterion_9_property_suite():
     for strategy in STRATEGIES:
         new_mesh, regions = build_next_mesh(mesh, level.regions, contributions,
                                             rows["error_estimate"][rows["ok"]],
-                                            RefinementConfig(strategy=strategy))
+                                            strategy, model.dwr_marking)
         if strategy == "meso":
             breaks, counts = regions
             monotone &= all(
@@ -274,7 +266,7 @@ def test_criterion_9_property_suite():
     # single-level run reduces to the plain Monte Carlo mean
     twin = LevelState(1, mesh, mesh, 2.0, None)
     [rec], _ = take_sample(model, twin, 0, 0, 1, want_estimate=False)
-    cfg = MlmcRunConfig(epsilon=1e6, initial_mesh=mesh, master_seed=0)
+    cfg = MlmcRunConfig(epsilon=1e6, master_seed=0)
     est = run_adaptive_mlmc(model, cfg)
     q_values = est.sample_log["q_fine"][est.sample_log["ok"]]
     plain_mc = est.n_levels == 1 and rec["y"] == 0.0 and \

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 import cli_reference
 from adaptive_mlmc import driver
-from adaptive_mlmc.cli import (ConfigError, _build_run, _parse_config_file,
-                               build_parser, main, write_artifacts)
+from adaptive_mlmc.cli import (EXPERIMENTS, ConfigError, _build_run,
+                               _parse_config_file, build_parser, main,
+                               write_artifacts)
 from adaptive_mlmc.driver import SAMPLE_DTYPE, MlmcEstimate
 from adaptive_mlmc.experiments import get_experiment
 
@@ -229,7 +230,7 @@ dwr_fraction = 0.3
         settings = _parse_config_file(str(path))
         _, cfg = _build_run(settings)
         assert settings["experiment"] == path.stem
-        assert cfg.refinement.strategy == settings["refinement"]
+        assert cfg.refinement == settings["refinement"]
 
 
 # Lines a fuzzed config is built from: section headers, keys with plain and
@@ -392,6 +393,42 @@ epsilon = 0.05
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_unknown_experiment_lists_every_choice(self, tmp_path, capsys):
+        """The error names the five experiments `--experiment` accepts, the
+        stationary problem included, under run and under compare."""
+        config = write_config(tmp_path, "[run]\nexperiment = nope\n")
+        message = (f"{config}:2: unknown experiment 'nope'; choose from "
+                   "['harmonic-nonstandard', 'harmonic-standard', 'lorenz', "
+                   "'two-body', 'advection-diffusion-1d']")
+        assert f"choose from {list(EXPERIMENTS)}" in message
+        for name in EXPERIMENTS:  # each one `--experiment` accepts
+            build_parser().parse_args(["run", "--experiment", name])
+        assert run_cli("run", "--config", config,
+                       "--output-dir", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert run_cli("compare", "--configs", config) == 1
+        assert capsys.readouterr().out.splitlines()[1] == \
+            f"{config},default,FAILED,,,,{message}"
+
+    @pytest.mark.parametrize("experiment,epsilon,strategy", [
+        ("advection-diffusion-1d", "5e-6", "dwr"),
+        ("harmonic-standard", "1e-2", "uniform"),
+    ])
+    def test_default_strategy_is_the_models(self, tmp_path, capsys, experiment,
+                                            epsilon, strategy):
+        """Without --refinement a run takes its model's default strategy,
+        byte for byte, and builds a second level with it."""
+        written = []
+        for tag, extra in (("default", ()), ("named", ("--refinement", strategy))):
+            out = tmp_path / tag
+            assert run_cli("run", "--experiment", experiment, "--epsilon", epsilon,
+                           "--seed", "1", "--output-dir", str(out), *extra) == 0
+            written.append({name: (out / name).read_bytes()
+                            for name in ("levels.csv", "summary.csv", "samples.csv")})
+        capsys.readouterr()
+        assert written[0] == written[1]
+        assert len(written[0]["levels.csv"].splitlines()) >= 3
+
     @pytest.mark.parametrize("text", [
         "[run]\nexperiment = harmonic-standard\nrefinement = bisection\n",
         "[run]\nexperiment = advection-diffusion-1d\nrefinement = bisection\n",
@@ -538,6 +575,14 @@ class TestCompareCommand:
         assert run_cli("compare", "--configs", f"{a},{b}") == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[1].split(",", 1)[1] == lines[2].split(",", 1)[1]
+
+    def test_stationary_default_strategy_is_printed(self, tmp_path, capsys):
+        """A config without a `refinement` key runs and prints the model's
+        own strategy: dwr for the stationary problem."""
+        config = write_config(tmp_path, "[run]\nexperiment = advection-diffusion-1d\n"
+                                        "epsilon = 1e-3\n")
+        assert run_cli("compare", "--configs", config) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith(f"{config},dwr,")
 
     def test_failure_marker_row(self, tmp_path, capsys):
         good = write_config(tmp_path, FAST_RUN, "good.ini")

@@ -18,9 +18,8 @@ from adaptive_mlmc.driver import (CHUNK_SIZE, SAMPLE_DTYPE, LevelState,
                                   optimal_samples, run_adaptive_mlmc,
                                   take_sample)
 from adaptive_mlmc.error_estimation import ErrorDecomposition
-from adaptive_mlmc.experiments import OdeMlmcModel, get_experiment
+from adaptive_mlmc.experiments import get_experiment
 from adaptive_mlmc.meshes import uniform_mesh
-from adaptive_mlmc.refinement import RefinementConfig
 from adaptive_mlmc.sampling import sample_parameters, uniform
 
 
@@ -39,6 +38,7 @@ class TestLevelVariance:
         with pytest.raises(ValueError):
             level_variance(np.array([1.0]))
 
+    @pytest.mark.filterwarnings("error")  # the overflow is reported once, as MlmcError
     def test_overflow_is_an_mlmc_error(self):
         with pytest.raises(MlmcError,
                            match=r"^the variance of 2 Y values overflows \(inf\)$"):
@@ -63,6 +63,12 @@ class TestLevelBias:
     def test_requires_an_estimate(self):
         with pytest.raises(ValueError):
             level_bias(np.array([np.nan]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_mean_is_returned_without_warnings(self):
+        """Totals near 1e308 overflow their sum: the bias comes back infinite,
+        for the driver to report as MlmcError, and no warning fires."""
+        assert level_bias(np.array([1e308, 1e308, np.nan])) == -np.inf
 
 
 class TestOptimalSamples:
@@ -124,6 +130,17 @@ class TestOptimalSamples:
         assert optimal_samples([1.0, 0.25], [1.0, 2.0], eps) == [float("inf")] * 2
 
 
+class UnitModel:
+    """What the driver reads of a model besides `evaluate`: one U(0, 1) input,
+    a two-interval level-0 mesh of [0, 1] and the ODE presets' DWR marking."""
+
+    distributions = (uniform(0.0, 1.0),)
+    dwr_marking = (0.5, 3)
+
+    def initial_mesh(self):
+        return uniform_mesh(1.0, 2)
+
+
 def fail_all(x):
     return np.ones(x.shape, dtype=bool)
 
@@ -132,14 +149,12 @@ def fail_below(x):
     return x < 0.05
 
 
-class SyntheticModel:
+class SyntheticModel(UnitModel):
     """Synthetic chunk model: Q scales with the mesh; chosen draws fail.
 
     `fail(x)` marks the draws that fail; like `OdeMlmcModel` on a failed
     row, the model reports each of them as a NaN QoI.
     """
-
-    distributions = (uniform(0.0, 1.0),)
 
     def __init__(self, fail=None, estimate=1e-9):
         self.fail = fail
@@ -158,15 +173,13 @@ class SyntheticModel:
         return q, ErrorDecomposition(c, c.sum(axis=1), np.ones(len(x)))
 
 
-class FuzzModel:
+class FuzzModel(UnitModel):
     """Chunk model whose draws below `rate` put `value` in one place: the fine
     QoI, the error totals, or some contributions (`columns` of the row).
 
     Otherwise Q = x + 1/n on an n-interval mesh and every contribution is
     1/n^2, so the bias estimate 1/n halves with each uniform level.
     """
-
-    distributions = (uniform(0.0, 1.0),)
 
     def __init__(self, rate, where, value, columns=slice(None)):
         self.rate, self.where, self.value, self.columns = rate, where, value, columns
@@ -318,10 +331,9 @@ class TestFill:
     def test_chunks(self, jobs, target):
         """At least `jobs` chunks of at most CHUNK_SIZE draws, in index order."""
         model = SyntheticModel()
-        cfg = MlmcRunConfig(epsilon=1.0, initial_mesh=uniform_mesh(1.0, 2),
-                            jobs=jobs)
+        cfg = MlmcRunConfig(epsilon=1.0, jobs=jobs)
         runner = _Runner(model, cfg)
-        level = LevelState(0, cfg.initial_mesh, None, 1.0, [])
+        level = LevelState(0, uniform_mesh(1.0, 2), None, 1.0, [])
         try:
             runner.fill(level, target, want_estimate=False)
         finally:
@@ -339,10 +351,9 @@ class TestFill:
         matrix and totals that build the next mesh."""
         monkeypatch.setattr(driver, "MAX_FAILURE_RATE", 0.5)
         model = SyntheticModel(fail=fail_below)
-        cfg = MlmcRunConfig(epsilon=1.0, initial_mesh=uniform_mesh(1.0, 4),
-                            jobs=jobs)
+        cfg = MlmcRunConfig(epsilon=1.0, jobs=jobs)
         runner = _Runner(model, cfg)
-        level = LevelState(0, cfg.initial_mesh, None, 1.0, None)
+        level = LevelState(0, uniform_mesh(1.0, 4), None, 1.0, None)
         try:
             runner.fill(level, 2 * CHUNK_SIZE + 5, want_estimate=True)
         finally:
@@ -357,9 +368,9 @@ class TestFill:
         """A target whose rows no array can hold, or memory cannot (10**14
         rows of 57 B), fails before any draw."""
         model = SyntheticModel()
-        cfg = MlmcRunConfig(epsilon=1.0, initial_mesh=uniform_mesh(1.0, 2))
+        cfg = MlmcRunConfig(epsilon=1.0)
         runner = _Runner(model, cfg)
-        level = LevelState(0, cfg.initial_mesh, None, 1.0, None)
+        level = LevelState(0, uniform_mesh(1.0, 2), None, 1.0, None)
         with pytest.raises(MlmcError, match=re.escape(f"cannot take {target:.3g} ")):
             runner.fill(level, target, want_estimate=False)
         assert model.chunks == [] and len(level.samples) == 0
@@ -368,14 +379,19 @@ class TestFill:
 class TestRunConfigValidation:
     def test_epsilon_positive(self):
         with pytest.raises(ValueError):
-            MlmcRunConfig(epsilon=0.0, initial_mesh=uniform_mesh(1.0, 2))
+            MlmcRunConfig(epsilon=0.0)
+
+    def test_unknown_strategy(self):
+        with pytest.raises(ValueError,
+                           match=r"^unknown refinement strategy 'bisection'$"):
+            MlmcRunConfig(epsilon=1.0, refinement="bisection")
 
     def test_schedule_saturates(self, monkeypatch):
         """Level l warms up with N_SCHEDULE[l], and every level past the
         schedule's end with its last entry."""
         monkeypatch.setattr(driver, "MAX_LEVELS", 5)
         # a huge epsilon asks for no top-up; the bias never passes the test
-        cfg = MlmcRunConfig(epsilon=1e6, initial_mesh=uniform_mesh(1.0, 2))
+        cfg = MlmcRunConfig(epsilon=1e6)
         est = run_adaptive_mlmc(SyntheticModel(estimate=1e4), cfg)
         assert not est.converged
         assert [lv.n_samples for lv in est.levels] == [100, 50, 20, 20, 20]
@@ -384,12 +400,10 @@ class TestRunConfigValidation:
 class TestAdaptiveRun:
     def _config(self, **kwargs):
         experiment = get_experiment("harmonic-standard")
-        defaults = dict(epsilon=experiment.default_epsilon,
-                        initial_mesh=experiment.initial_mesh(),
-                        refinement=RefinementConfig(strategy="uniform"),
+        defaults = dict(epsilon=experiment.default_epsilon, refinement="uniform",
                         master_seed=0)
         defaults.update(kwargs)
-        return OdeMlmcModel(experiment), MlmcRunConfig(**defaults)
+        return experiment, MlmcRunConfig(**defaults)
 
     def test_huge_epsilon_single_level(self):
         model, cfg = self._config(epsilon=1e6)
@@ -431,20 +445,20 @@ class TestAdaptiveRun:
         monkeypatch.setattr(driver, "MAX_LEVELS", 3)
         monkeypatch.setattr(driver, "N_SCHEDULE", (8, 4))
         model = SyntheticModel(estimate=5.0)
-        cfg = MlmcRunConfig(epsilon=1.0, initial_mesh=uniform_mesh(1.0, 2))
+        cfg = MlmcRunConfig(epsilon=1.0)
         est = run_adaptive_mlmc(model, cfg)
         assert not est.converged
         assert est.n_levels == 3
         assert est.squared_bias == pytest.approx(25.0)
 
     def test_persistent_failures_abort(self):
-        cfg = MlmcRunConfig(epsilon=1.0, initial_mesh=uniform_mesh(1.0, 2))
+        cfg = MlmcRunConfig(epsilon=1.0)
         with pytest.raises(MlmcError):
             run_adaptive_mlmc(SyntheticModel(fail=fail_all), cfg)
 
     def test_nan_qoi_samples_are_redrawn(self, monkeypatch):
         monkeypatch.setattr(driver, "MAX_FAILURE_RATE", 0.2)
-        cfg = MlmcRunConfig(epsilon=1.0, initial_mesh=uniform_mesh(1.0, 2))
+        cfg = MlmcRunConfig(epsilon=1.0)
         est = run_adaptive_mlmc(SyntheticModel(fail=fail_below), cfg)
         ok = est.sample_log["ok"]
         assert np.count_nonzero(~ok) > 0
@@ -457,8 +471,7 @@ class TestAdaptiveRun:
         level still reaches its sample count through redraws."""
         monkeypatch.setattr(driver, "MAX_FAILURE_RATE", 0.2)
         monkeypatch.setattr(driver, "N_SCHEDULE", (600,))
-        cfg = MlmcRunConfig(epsilon=1.0, initial_mesh=uniform_mesh(1.0, 2),
-                            jobs=jobs)
+        cfg = MlmcRunConfig(epsilon=1.0, jobs=jobs)
         est = run_adaptive_mlmc(SyntheticModel(fail=fail_below), cfg)
         statuses = {(lv, i): ok for lv, i, ok in
                     est.sample_log[["level", "index", "ok"]].tolist()}
@@ -471,29 +484,38 @@ class TestAdaptiveRun:
     def test_failure_rate_abort_with_partial_failures(self, monkeypatch):
         monkeypatch.setattr(driver, "MAX_FAILURE_RATE", 0.01)
         monkeypatch.setattr(driver, "N_SCHEDULE", (600,))
-        cfg = MlmcRunConfig(epsilon=1.0, initial_mesh=uniform_mesh(1.0, 2))
+        cfg = MlmcRunConfig(epsilon=1.0)
         with pytest.raises(MlmcError, match="exceeds the allowed rate 0.01"):
             run_adaptive_mlmc(SyntheticModel(fail=fail_below), cfg)
 
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_variance_is_named(self):
         """Finite QoIs whose Y variance overflows end the run with an error
         about the variance, not about an infinite sample target."""
-        cfg = MlmcRunConfig(epsilon=1e-2, initial_mesh=uniform_mesh(1.0, 2))
+        cfg = MlmcRunConfig(epsilon=1e-2)
         with pytest.raises(MlmcError, match=r"^the variance of 100 Y values overflows"):
             run_adaptive_mlmc(FuzzModel(0.02, "q_fine", 1e300), cfg)
 
     def test_overflowing_bias_square_is_an_mlmc_error(self):
-        cfg = MlmcRunConfig(epsilon=1e-2, initial_mesh=uniform_mesh(1.0, 2))
+        cfg = MlmcRunConfig(epsilon=1e-2)
         with pytest.raises(MlmcError,
                            match=r"^the bias estimate -1e\+300 overflows its square$"):
             run_adaptive_mlmc(FuzzModel(1.0, "total", 1e300), cfg)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_bias_mean_is_an_mlmc_error(self):
+        """Error totals of 1e308 overflow the bias's mean: the run ends with
+        the bias error and no warning."""
+        cfg = MlmcRunConfig(epsilon=1e-2)
+        with pytest.raises(MlmcError,
+                           match=r"^the bias estimate -inf overflows its square$"):
+            run_adaptive_mlmc(FuzzModel(1.0, "total", 1e308), cfg)
 
     def test_rows_without_contributions_are_redrawn(self, monkeypatch):
         """DWR draws whose contributions are all NaN under a finite total are
         failed and redrawn, and the run converges."""
         monkeypatch.setattr(driver, "MAX_FAILURE_RATE", 0.2)
-        cfg = MlmcRunConfig(epsilon=1e-2, initial_mesh=uniform_mesh(1.0, 2),
-                            refinement=RefinementConfig(strategy="dwr"))
+        cfg = MlmcRunConfig(epsilon=1e-2, refinement="dwr")
         est = run_adaptive_mlmc(FuzzModel(0.02, "contributions", np.nan), cfg)
         assert est.converged and est.n_levels > 1
         assert np.count_nonzero(~est.sample_log["ok"]) > 0
@@ -524,9 +546,9 @@ class TestParallelDeterminism:
         """At jobs=64 a 64-draw fill is cut into one-draw chunks, which run on
         no more threads than the machine has CPUs."""
         model = ThreadRecordingModel()
-        cfg = MlmcRunConfig(epsilon=1.0, initial_mesh=uniform_mesh(1.0, 2), jobs=64)
+        cfg = MlmcRunConfig(epsilon=1.0, jobs=64)
         runner = _Runner(model, cfg)
-        level = LevelState(0, cfg.initial_mesh, None, 1.0, None)
+        level = LevelState(0, uniform_mesh(1.0, 2), None, 1.0, None)
         try:
             runner.fill(level, 64, want_estimate=True)
         finally:
@@ -538,11 +560,9 @@ class TestParallelDeterminism:
         experiment = get_experiment("harmonic-standard")
         results = []
         for jobs in (1, 4):
-            cfg = MlmcRunConfig(epsilon=experiment.default_epsilon,
-                                initial_mesh=experiment.initial_mesh(),
-                                refinement=RefinementConfig(strategy="dwr"),
+            cfg = MlmcRunConfig(epsilon=experiment.default_epsilon, refinement="dwr",
                                 master_seed=1, jobs=jobs)
-            results.append(run_adaptive_mlmc(OdeMlmcModel(experiment), cfg))
+            results.append(run_adaptive_mlmc(experiment, cfg))
         assert results[0].value == results[1].value
         assert results[0].total_cost == results[1].total_cost
         assert [lv.variance for lv in results[0].levels] == \
@@ -558,7 +578,7 @@ class TestSamplesCsv:
         monkeypatch.setattr(driver, "MAX_FAILURE_RATE", 0.2)
         monkeypatch.setattr(driver, "N_SCHEDULE", (20, 10))
         monkeypatch.setattr(driver, "MAX_LEVELS", 2)
-        cfg = MlmcRunConfig(epsilon=0.01, initial_mesh=uniform_mesh(1.0, 2))
+        cfg = MlmcRunConfig(epsilon=0.01)
         est = run_adaptive_mlmc(SyntheticModel(fail=fail_below, estimate=5.0), cfg)
         write_artifacts(est, str(tmp_path), dump_grids=False)
         header, *lines = (tmp_path / "samples.csv").read_text().splitlines()
@@ -600,8 +620,7 @@ class TestDriverFuzz:
         a region's error to inf - inf = NaN: the regions whose error is not
         finite share the budget, no NaN is cast to a count, and no warning
         fires."""
-        cfg = MlmcRunConfig(epsilon=1e-2, initial_mesh=uniform_mesh(1.0, 2),
-                            refinement=RefinementConfig(strategy="meso"))
+        cfg = MlmcRunConfig(epsilon=1e-2, refinement="meso")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             est = run_adaptive_mlmc(FuzzModel(1.0, "contributions", 1e308), cfg)
@@ -620,8 +639,7 @@ class TestDriverFuzz:
         """Whatever rows fail and whatever non-finite or overflowing values
         they carry, a run returns finite results or raises MlmcError."""
         model = FuzzModel(rate, where, value, columns)
-        cfg = MlmcRunConfig(epsilon=1e-2, initial_mesh=uniform_mesh(1.0, 2),
-                            refinement=RefinementConfig(strategy=strategy))
+        cfg = MlmcRunConfig(epsilon=1e-2, refinement=strategy)
         try:
             est = run_adaptive_mlmc(model, cfg)
         except MlmcError:

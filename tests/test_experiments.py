@@ -7,12 +7,12 @@ import pytest
 import ode_reference
 from adaptive_mlmc.error_estimation import (estimate_event_time_error,
                                             estimate_standard_error)
-from adaptive_mlmc.experiments import (EXPERIMENT_NAMES, OdeExperiment,
-                                       OdeMlmcModel, get_experiment)
+from adaptive_mlmc.experiments import (EXPERIMENT_NAMES, OdeMlmcModel,
+                                       get_experiment)
 from adaptive_mlmc.meshes import uniform_mesh
 from adaptive_mlmc.models import two_body
 from adaptive_mlmc.qoi import NonstandardQoi, StandardQoi, eval_event_time
-from adaptive_mlmc.refinement import RefinementConfig, build_next_mesh
+from adaptive_mlmc.refinement import build_next_mesh
 from adaptive_mlmc.sampling import normal, sample_parameters, uniform
 from adaptive_mlmc.solvers import _GL01_X, _segment_quadrature, solve_forward_cg1
 from synthetic_problems import blow_up, exact_reciprocal, one_point_jacobian
@@ -86,48 +86,44 @@ class TestPresets:
 
 class TestOdeMlmcModel:
     def test_decomposition_only_on_request(self):
-        exp = get_experiment("harmonic-standard")
-        model = OdeMlmcModel(exp)
+        model = get_experiment("harmonic-standard")
         W = np.array([[50.0, 0.25], [49.0, 0.26]])
-        q1, d1 = model.evaluate(W, exp.initial_mesh(), False)
-        q2, d2 = model.evaluate(W, exp.initial_mesh(), True)
+        q1, d1 = model.evaluate(W, model.initial_mesh(), False)
+        q2, d2 = model.evaluate(W, model.initial_mesh(), True)
         assert d1 is None
         assert d2.contributions.shape == (2, 27) and np.isfinite(d2.total).all()
         np.testing.assert_array_equal(q1, q2)
 
     def test_event_time_model(self):
-        exp = get_experiment("lorenz")
-        model = OdeMlmcModel(exp)
-        [q], d = model.evaluate(np.array([[1.0]]), exp.initial_mesh(), True)
+        model = get_experiment("lorenz")
+        [q], d = model.evaluate(np.array([[1.0]]), model.initial_mesh(), True)
         assert 0.0 < q < 2.0
         # the event-time linearization scalar, not a standard QoI's 1
         [denominator] = d.denominator
         assert np.isfinite(denominator) and denominator not in (0.0, 1.0)
 
     def test_missing_event_is_nan_in_its_row(self):
-        exp = get_experiment("lorenz")
-        model = OdeMlmcModel(exp)
-        impossible = dataclasses.replace(exp, qoi=NonstandardQoi(
+        model = get_experiment("lorenz")
+        impossible = dataclasses.replace(model, qoi=NonstandardQoi(
             np.array([1.0, 0.0, 0.0]), 3.0, occurrence=500))
-        forward = solve_forward_cg1(exp.make_problem(np.array([[1.0]])),
-                                    exp.initial_mesh())
+        forward = solve_forward_cg1(model.make_problem(np.array([[1.0]])),
+                                    model.initial_mesh())
         assert np.isnan(eval_event_time(forward, impossible.qoi)).all()
         # the model gives a NaN QoI and an all-NaN decomposition row
-        q, d = OdeMlmcModel(impossible).evaluate(np.array([[1.0], [0.5]]),
-                                                 exp.initial_mesh(), True)
+        q, d = impossible.evaluate(np.array([[1.0], [0.5]]), model.initial_mesh(),
+                                   True)
         assert np.isnan(q).all() and all_nan(d, [0, 1])
         # theta = 0 keeps x at 0, so the preset's crossing never happens
-        q, d = model.evaluate(np.array([[0.0], [1.0]]), exp.initial_mesh(),
+        q, d = model.evaluate(np.array([[0.0], [1.0]]), model.initial_mesh(),
                               True)
         [q_alone], d_alone = model.evaluate(np.array([[1.0]]),
-                                            exp.initial_mesh(), True)
+                                            model.initial_mesh(), True)
         assert np.isnan(q[0]) and all_nan(d, [0])
         assert q[1] == q_alone and d.total[1] == d_alone.total[0]
 
     def test_finer_mesh_changes_qoi_less(self):
         """Successive refinements converge: |Q_4h - Q_2h| > |Q_2h - Q_h|."""
-        exp = get_experiment("harmonic-standard")
-        model = OdeMlmcModel(exp)
+        model = get_experiment("harmonic-standard")
         W = np.array([[50.0, 0.25]])
         from adaptive_mlmc.meshes import uniform_mesh
         qs = [model.evaluate(W, uniform_mesh(3.0, n), False)[0][0]
@@ -150,10 +146,10 @@ def chunk(name, rows=40, seed=3):
 def dwr_mesh(exp, W):
     """The DWR refinement of the initial mesh driven by the chunk's estimates."""
     mesh = exp.initial_mesh()
-    _, d = OdeMlmcModel(exp).evaluate(W, mesh, True)
+    _, d = exp.evaluate(W, mesh, True)
     ok = np.isfinite(d.total)
     new_mesh, _ = build_next_mesh(mesh, None, d.contributions[ok], d.total[ok],
-                                  RefinementConfig(strategy="dwr"))
+                                  "dwr", exp.dwr_marking)
     return new_mesh
 
 
@@ -174,12 +170,11 @@ class TestBatchedOracle:
     def test_row_equals_its_own_chunk(self, name, refined):
         exp, W = chunk(name)
         mesh = dwr_mesh(exp, W) if refined else exp.initial_mesh()
-        model = OdeMlmcModel(exp)
-        q, d = model.evaluate(W, mesh, True)
+        q, d = exp.evaluate(W, mesh, True)
         assert np.isfinite(q).sum() >= len(W) - 2
         for k in range(len(W)):
-            assert_row_equal(*model.evaluate(W[k:k + 1], mesh, True), q, d, k)
-        q_plain, _ = model.evaluate(W, mesh, False)
+            assert_row_equal(*exp.evaluate(W[k:k + 1], mesh, True), q, d, k)
+        q_plain, _ = exp.evaluate(W, mesh, False)
         assert np.array_equal(q_plain, q, equal_nan=True)
 
     @pytest.mark.parametrize("refined", [False, True], ids=["uniform", "dwr"])
@@ -187,7 +182,7 @@ class TestBatchedOracle:
     def test_matches_per_row_reference(self, name, refined):
         exp, W = chunk(name)
         mesh = dwr_mesh(exp, W) if refined else exp.initial_mesh()
-        q, d = OdeMlmcModel(exp).evaluate(W, mesh, True)
+        q, d = exp.evaluate(W, mesh, True)
         for k, w in enumerate(W):
             try:
                 value, contributions, denominator = ode_reference.sample(
@@ -216,7 +211,7 @@ class TestBatchedOracle:
         W[5] = {"lorenz": 0.0, "two-body": 0.0, "harmonic-nonstandard": (50.0, 20.0),
                 "harmonic-standard": (50.0, -68.0 / 324.0)}[name]
         mesh = exp.initial_mesh()
-        q, d = OdeMlmcModel(exp).evaluate(W, mesh, True)
+        q, d = exp.evaluate(W, mesh, True)
         assert np.isnan(q[5]) and all_nan(d, [5])
         for k in np.flatnonzero(np.isfinite(q)):
             problem = exp.make_problem(W[k:k + 1])
@@ -234,17 +229,16 @@ class TestBatchedOracle:
 
 def synthetic_experiment(make_problem):
     """A standard-QoI experiment at t* = 1 whose rows are built from W[:, 0]."""
-    return OdeExperiment(name="synthetic", distributions=(uniform(0.0, 1.0),),
-                         make_problem=lambda W: make_problem(W[:, 0]),
-                         qoi=StandardQoi(np.array([1.0]), 1.0),
-                         initial_intervals=2, default_epsilon=1.0)
+    return OdeMlmcModel(name="synthetic", distributions=(uniform(0.0, 1.0),),
+                        make_problem=lambda W: make_problem(W[:, 0]),
+                        qoi=StandardQoi(np.array([1.0]), 1.0),
+                        initial_intervals=2, default_epsilon=1.0)
 
 
 class TestFailureIsolation:
     """A failing row comes back NaN; every other row keeps its one-row bits."""
 
-    def assert_isolated(self, exp, W, bad, mesh):
-        model = OdeMlmcModel(exp)
+    def assert_isolated(self, model, W, bad, mesh):
         q, d = model.evaluate(W, mesh, True)
         assert np.flatnonzero(np.isnan(q)).tolist() == [bad]
         assert all_nan(d, [bad])

@@ -13,9 +13,9 @@ import meso_reference as ref
 from adaptive_mlmc.driver import CHUNK_SIZE
 from adaptive_mlmc.meshes import Mesh1D, uniform_mesh
 from adaptive_mlmc import refinement
-from adaptive_mlmc.refinement import (RefinementConfig, allocate_meso,
-                                      build_next_mesh, dwr_select,
-                                      find_meso_regions, refine_meso)
+from adaptive_mlmc.refinement import (allocate_meso, build_next_mesh,
+                                      dwr_select, find_meso_regions,
+                                      refine_meso)
 
 
 def decomp(*values):
@@ -28,28 +28,13 @@ def accumulate(contributions):
     return np.abs(np.cumsum(contributions))
 
 
-def refine_dwr(mesh, contributions, cfg):
-    """The DWR mesh `build_next_mesh` builds from the rows (M, n)."""
+def refine_dwr(mesh, contributions, marking=(0.5, 3)):
+    """The DWR mesh `build_next_mesh` builds from the rows (M, n) with the
+    (fraction, factor) `marking`."""
     out, regions = build_next_mesh(mesh, None, contributions,
-                                   np.nansum(contributions, axis=1), cfg)
+                                   np.nansum(contributions, axis=1), "dwr", marking)
     assert regions is None
     return out
-
-
-class TestConfigValidation:
-    def test_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            RefinementConfig(strategy="bisection")
-
-    def test_fraction_bounds(self):
-        with pytest.raises(ValueError):
-            RefinementConfig(dwr_fraction=0.0)
-        with pytest.raises(ValueError):
-            RefinementConfig(dwr_fraction=1.5)
-
-    def test_factor_bounds(self):
-        with pytest.raises(ValueError):
-            RefinementConfig(dwr_factor=1)
 
 
 class TestDwrSelect:
@@ -96,31 +81,31 @@ class TestDwrSelect:
 class TestDwrMultisample:
     def test_single_sample_matches_select(self):
         mesh = uniform_mesh(3.0, 3)
-        cfg = RefinementConfig(strategy="dwr", dwr_fraction=0.5, dwr_factor=3)
-        out = refine_dwr(mesh, decomp(3.0, -5.0, 1.0), cfg)
+        marking = (0.5, 3)
+        out = refine_dwr(mesh, decomp(3.0, -5.0, 1.0), marking)
         # intervals 0 and 1 split in 3, interval 2 kept
         assert out.n_intervals == 3 + 2 * 2
 
     def test_union_over_samples(self):
         mesh = uniform_mesh(4.0, 4)
-        cfg = RefinementConfig(strategy="dwr", dwr_fraction=0.25, dwr_factor=2)
-        out = refine_dwr(mesh, np.array([[9, 0, 0, 0], [0, 0, 0, 9]], float), cfg)
+        marking = (0.25, 2)
+        out = refine_dwr(mesh, np.array([[9, 0, 0, 0], [0, 0, 0, 9]], float),
+                         marking)
         assert out.n_intervals == 6
 
     def test_needs_a_decomposition(self):
         with pytest.raises(ValueError):
-            refine_dwr(uniform_mesh(1.0, 2), np.zeros((0, 2)),
-                       RefinementConfig(strategy="dwr"))
+            refine_dwr(uniform_mesh(1.0, 2), np.zeros((0, 2)))
 
     @given(st.lists(st.lists(st.floats(-5, 5), min_size=6, max_size=6),
                     min_size=1, max_size=5))
     @settings(max_examples=40, deadline=None)
     def test_more_samples_never_coarser(self, profiles):
         mesh = uniform_mesh(3.0, 6)
-        cfg = RefinementConfig(strategy="dwr", dwr_fraction=0.5, dwr_factor=2)
+        marking = (0.5, 2)
         decomps = np.array(profiles)
-        fewer = refine_dwr(mesh, decomps[:1], cfg)
-        more = refine_dwr(mesh, decomps, cfg)
+        fewer = refine_dwr(mesh, decomps[:1], marking)
+        more = refine_dwr(mesh, decomps, marking)
         assert set(fewer.nodes.tolist()) <= set(more.nodes.tolist())
 
 
@@ -153,8 +138,8 @@ class TestBlockedDwrSelection:
         assert np.array_equal(dwr_select(decomps, fraction), union)
         assert np.array_equal(union, per_row.dwr_select(profiles, fraction))
         mesh = uniform_mesh(2.0, 12)
-        cfg = RefinementConfig(strategy="dwr", dwr_fraction=fraction, dwr_factor=2)
-        assert np.array_equal(refine_dwr(mesh, decomps, cfg).nodes,
+        marking = (fraction, 2)
+        assert np.array_equal(refine_dwr(mesh, decomps, marking).nodes,
                               mesh_reference.refine_intervals(mesh, union, 2).nodes)
 
     @given(st.integers(0, 2 ** 32 - 1),
@@ -409,26 +394,24 @@ class TestRefineMeso:
 class TestBuildNextMesh:
     def test_uniform_dispatch(self):
         mesh = uniform_mesh(3.0, 27)
-        cfg = RefinementConfig(strategy="uniform")
         out, regions = build_next_mesh(mesh, None, np.zeros((0, 27)),
-                                       np.zeros(0), cfg)
+                                       np.zeros(0), "uniform", (0.5, 3))
         assert out.n_intervals == 54
         assert regions is None
 
     def test_dwr_dispatch(self):
         mesh = uniform_mesh(3.0, 4)
-        cfg = RefinementConfig(strategy="dwr", dwr_fraction=0.25, dwr_factor=2)
-        out, regions = build_next_mesh(mesh, None, decomp(1, 9, 1, 1), [12.0], cfg)
+        out, regions = build_next_mesh(mesh, None, decomp(1, 9, 1, 1), [12.0],
+                                       "dwr", (0.25, 2))
         assert out.n_intervals == 5
         assert regions is None
 
     def test_meso_uses_worst_total(self):
         mesh = uniform_mesh(2.0, 4)
-        cfg = RefinementConfig(strategy="meso")
         mild = [0.1, 0.1, 0.1, 0.1]
         harsh = [2.0, 0.0, 0.0, 2.0]
         out, regions = build_next_mesh(mesh, None, np.array([mild, harsh]),
-                                       np.array([0.4, 4.0]), cfg)
+                                       np.array([0.4, 4.0]), "meso", (0.5, 3))
         assert regions is not None
         assert out.n_intervals >= 8  # target multiplier 2 on 4 intervals
         want, want_regions = refine_meso(mesh, None, np.array(harsh))
@@ -445,9 +428,8 @@ class TestBuildNextMesh:
         profiles = ragged_rows(seed, n_rows, 6)
         totals = totals[:n_rows]
         mesh = uniform_mesh(3.0, 6)
-        cfg = RefinementConfig(strategy="meso")
         out, regions = build_next_mesh(mesh, None, per_row.pad(profiles, 6),
-                                       np.array(totals), cfg)
+                                       np.array(totals), "meso", (0.5, 3))
         want, want_regions = refine_meso(mesh, None,
                                          per_row.worst(profiles, totals))
         assert np.array_equal(out.nodes, want.nodes)

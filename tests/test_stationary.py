@@ -4,7 +4,6 @@ import sys
 import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,11 +16,9 @@ from adaptive_mlmc.meshes import Mesh1D, subdivide, uniform_mesh
 from adaptive_mlmc.refinement import dwr_select
 from adaptive_mlmc.solvers import Trajectory, _segment_quadrature
 from adaptive_mlmc import stationary
-from adaptive_mlmc.stationary import (ADJOINT_REFINE_FACTOR,
-                                      BVP_DEFAULT_EPSILON, BVP_REFINEMENT,
-                                      PSI_SUPPORT, SOURCE_BREAKS, BvpMlmcModel,
-                                      BvpPlan, bvp_error_decomposition,
-                                      bvp_initial_mesh, psi, qoi_value,
+from adaptive_mlmc.stationary import (ADJOINT_REFINE_FACTOR, PSI_SUPPORT,
+                                      SOURCE_BREAKS, BvpMlmcModel, BvpPlan,
+                                      bvp_error_decomposition, psi, qoi_value,
                                       solve_bvp_adjoint, solve_bvp_p1, source)
 from adaptive_mlmc.stationary import _load_vector, _segment_bounds
 from stationary_reference import solve_weak
@@ -425,8 +422,7 @@ class TestMeshPlans:
 
 class TestBvpMlmc:
     def test_huge_epsilon_single_level(self):
-        cfg = MlmcRunConfig(epsilon=1.0, initial_mesh=bvp_initial_mesh(),
-                            refinement=replace(BVP_REFINEMENT, strategy="uniform"))
+        cfg = MlmcRunConfig(epsilon=1.0, refinement="uniform")
         est = run_adaptive_mlmc(BvpMlmcModel(), cfg)
         assert est.n_levels == 1
         assert est.converged
@@ -435,9 +431,7 @@ class TestBvpMlmc:
         model = BvpMlmcModel()
         costs = {}
         for strategy in ("dwr", "uniform"):
-            cfg = MlmcRunConfig(epsilon=BVP_DEFAULT_EPSILON,
-                                initial_mesh=bvp_initial_mesh(),
-                                refinement=replace(BVP_REFINEMENT, strategy=strategy),
+            cfg = MlmcRunConfig(epsilon=model.default_epsilon, refinement=strategy,
                                 master_seed=0)
             est = run_adaptive_mlmc(model, cfg)
             assert est.converged
@@ -449,20 +443,18 @@ class TestBvpMlmc:
         model = BvpMlmcModel()
         values = []
         for seed in (11, 12):
-            cfg = MlmcRunConfig(epsilon=BVP_DEFAULT_EPSILON,
-                                initial_mesh=bvp_initial_mesh(),
-                                refinement=BVP_REFINEMENT,
+            cfg = MlmcRunConfig(epsilon=model.default_epsilon,
+                                refinement=model.default_refinement,
                                 master_seed=seed)
             values.append(run_adaptive_mlmc(model, cfg).value)
-        assert abs(values[0] - values[1]) <= 3.0 * np.sqrt(BVP_DEFAULT_EPSILON)
+        assert abs(values[0] - values[1]) <= 3.0 * np.sqrt(model.default_epsilon)
 
 
     def test_jobs_and_chunking_do_not_change_the_run(self):
         runs = []
         for jobs in (1, 3):
-            cfg = MlmcRunConfig(epsilon=BVP_DEFAULT_EPSILON,
-                                initial_mesh=bvp_initial_mesh(),
-                                refinement=BVP_REFINEMENT,
+            cfg = MlmcRunConfig(epsilon=BvpMlmcModel.default_epsilon,
+                                refinement=BvpMlmcModel.default_refinement,
                                 master_seed=4, jobs=jobs)
             runs.append(run_adaptive_mlmc(BvpMlmcModel(), cfg))
         assert runs[0].levels[0].n_samples > 2 * CHUNK_SIZE
