@@ -113,7 +113,7 @@ def _parse_config_file(path: str) -> dict:
 
 def _build_run(settings: dict):
     """Resolve settings into (model, MlmcRunConfig); what a setting leaves
-    open comes from the model."""
+    open comes from the model, and an open strategy is filled into `settings`."""
     name = settings["experiment"]
     try:
         model = BvpMlmcModel() if name == BvpMlmcModel.name else get_experiment(name)
@@ -121,10 +121,11 @@ def _build_run(settings: dict):
         raise ConfigError(
             f"{_line_of(settings['config_path'], 'run', 'experiment')}: unknown "
             f"experiment {name!r}; choose from {list(EXPERIMENTS)}") from None
+    settings["refinement"] = settings["refinement"] or model.default_refinement
     try:
         cfg = MlmcRunConfig(epsilon=model.default_epsilon if settings["epsilon"] is None
                             else settings["epsilon"],
-                            refinement=settings["refinement"] or model.default_refinement,
+                            refinement=settings["refinement"],
                             master_seed=settings["seed"], jobs=settings["jobs"])
     except ValueError as exc:
         raise ConfigError(f"{settings['config_path'] or '<flags>'}: {exc}") from exc
@@ -200,12 +201,11 @@ def _cmd_compare(args) -> int:
     worst = EXIT_OK
     for path, settings in zip(paths, settings_list):
         settings["seed"] = settings_list[0]["seed"]  # one seed for every config
-        strategy = settings["refinement"] or "default"
         try:
             model, cfg = _build_run(settings)
             estimate = run_adaptive_mlmc(model, cfg)
-        except (ConfigError, MlmcError) as exc:
-            print(f"{path},{strategy},FAILED,,,,{exc}")
+        except (ConfigError, MlmcError) as exc:  # an unknown experiment: no strategy
+            print(f"{path},{settings['refinement'] or 'default'},FAILED,,,,{exc}")
             worst = EXIT_ERROR
             continue
         print(f"{path},{cfg.refinement},{estimate.n_levels},"

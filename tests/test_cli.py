@@ -592,6 +592,21 @@ class TestCompareCommand:
         lines = capsys.readouterr().out.splitlines()
         assert "FAILED" in lines[2]
 
+    @pytest.mark.parametrize("text,strategy", [
+        ("experiment = two-body\nepsilon = -1\n", "uniform"),
+        ("experiment = advection-diffusion-1d\nseed = -5\n", "dwr"),
+        ("experiment = two-body\nepsilon = -1\nrefinement = meso\n", "meso"),
+    ])
+    def test_failed_row_names_the_strategy_it_would_run(self, tmp_path, capsys,
+                                                         text, strategy):
+        """A config whose experiment resolves but whose run settings are
+        rejected is labelled with the strategy the run would have taken: its
+        own, or else its model's default."""
+        config = write_config(tmp_path, f"[run]\n{text}")
+        assert run_cli("compare", "--configs", config) == 1
+        assert capsys.readouterr().out.splitlines()[1].startswith(
+            f"{config},{strategy},FAILED,,,,{config}: ")
+
 
 def run_fresh(script, *args):
     """`script` in a new interpreter that imports this package, so the
