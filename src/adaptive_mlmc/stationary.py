@@ -63,8 +63,7 @@ def _load_vector(mesh: Mesh1D, g: Callable, breaks) -> np.ndarray:
     pts = _segment_bounds(nodes, breaks)
     xq, wq = _segment_quadrature(pts)
     idx = mesh.interval_of(0.5 * (pts[:-1] + pts[1:]))
-    h = (nodes[idx + 1] - nodes[idx])[:, None]
-    s = (xq - nodes[idx][:, None]) / h
+    s = (xq - nodes[idx][:, None]) / (nodes[idx + 1] - nodes[idx])[:, None]
     gq = g(xq.ravel()).reshape(xq.shape) * wq
     F = np.zeros(nodes.size)
     np.add.at(F, idx, (gq * (1.0 - s)).sum(axis=1))
@@ -106,27 +105,28 @@ class BvpPlan:
     adjoint_mesh: Mesh1D      # the mesh refined ADJOINT_REFINE_FACTOR times
     adjoint: tuple            # (psi, hat_i) and 1 / h on the adjoint mesh
     lengths: np.ndarray       # element lengths h
-    elem: np.ndarray          # decomposition segment -> element
-    adjoint_elem: np.ndarray  # decomposition segment -> adjoint element
-    gauss: np.ndarray         # weight, adjoint element position, f: (3, 5, S, 1)
+    moments: tuple            # F_tk = (f, psi_tk)_tau and H_tk = (1, psi_tk)_tau
     qoi: tuple                # QoI segments' widths, elements, midpoint positions
 
     def __post_init__(self):
-        for array in (*self.forward, *self.adjoint, self.lengths, self.elem,
-                      self.adjoint_elem, self.gauss, *self.qoi):
+        for array in (*self.forward, *self.adjoint, self.lengths, *self.moments,
+                      *self.qoi):
             array.setflags(write=False)
 
     @classmethod
     def build(cls, mesh: Mesh1D) -> BvpPlan:
-        fine = subdivide(mesh, ADJOINT_REFINE_FACTOR)
-        # decomposition segments split at the elements of the adjoint mesh,
-        # which keeps every node of `mesh`, and at the source breakpoints, so
-        # Gauss quadrature is exact on each
+        fine, r = subdivide(mesh, ADJOINT_REFINE_FACTOR), ADJOINT_REFINE_FACTOR
+        # Gauss segments split at the adjoint nodes, which keep every node of
+        # `mesh`, and at the source breaks: exact for f and 1 against psi_tk,
+        # the adjoint's hat at node r tau + k cut to element tau
         pts = _segment_bounds(fine.nodes, SOURCE_BREAKS)
         mids, (xq, wq) = 0.5 * (pts[:-1] + pts[1:]), _segment_quadrature(pts)
-        j = fine.interval_of(mids)
+        j, elem = fine.interval_of(mids), mesh.interval_of(mids)
         s = (xq - fine.nodes[j, None]) / (fine.nodes[j + 1] - fine.nodes[j])[:, None]
-        fq = source(xq.ravel()).reshape(xq.shape)
+        moments = np.zeros((2, r + 1, mesh.n_intervals))
+        for g, moment in zip((source(xq.ravel()).reshape(xq.shape), 1.0), moments):
+            np.add.at(moment, (j - r * elem, elem), (g * wq * (1.0 - s)).sum(axis=1))
+            np.add.at(moment, (j - r * elem + 1, elem), (g * wq * s).sum(axis=1))
         lo, hi = PSI_SUPPORT  # QoI segments: those inside [lo, hi]
         qoi_pts = _segment_bounds(mesh.nodes, PSI_SUPPORT)
         x = 0.5 * (qoi_pts[:-1] + qoi_pts[1:])
@@ -134,8 +134,7 @@ class BvpPlan:
         x, i = x[inside], mesh.interval_of(x[inside])
         return cls((_load_vector(mesh, source, SOURCE_BREAKS), 1.0 / mesh.lengths),
                    fine, (_load_vector(fine, psi, PSI_SUPPORT), 1.0 / fine.lengths),
-                   mesh.lengths, mesh.interval_of(mids), j,
-                   np.stack([wq.T, s.T, fq.T])[..., None],
+                   mesh.lengths, tuple(moments),
                    (np.diff(qoi_pts)[inside], i,
                     (x - mesh.nodes[i]) / (mesh.nodes[i + 1] - mesh.nodes[i])))
 
@@ -165,27 +164,17 @@ def qoi_value(plan: BvpPlan, U: np.ndarray) -> np.ndarray:
 def bvp_error_decomposition(plan: BvpPlan, w: np.ndarray, U: np.ndarray,
                             Phi: np.ndarray) -> np.ndarray:
     """Per-element residual pairings e_tau = int_tau [f phi + U' phi' - b U' phi]
-    (M, elements), each row summing to an estimate of Q(u) - Q(U): the Gauss
-    points summed in order, one (segments, rows) slice at a time, and then
-    the segments onto their elements in order."""
-    du = (np.diff(U, axis=1) / plan.lengths)[:, plan.elem].T
-    j = plan.adjoint_elem
-    dphi = (np.diff(Phi, axis=1) / plan.adjoint_mesh.lengths)[:, j].T
-    left, right, b_du, du_dphi = Phi[:, j].T, Phi[:, j + 1].T, w * du, du * dphi
-    per_segment, integrand, term = np.zeros((3,) + du.shape)
-    for wq, s, fq in zip(*plan.gauss):
-        np.multiply(1.0 - s, left, out=integrand)
-        np.multiply(s, right, out=term)
-        integrand += term  # phi at the Gauss point
-        np.multiply(b_du, integrand, out=term)
-        integrand *= fq
-        integrand += du_dphi
-        integrand -= term
-        integrand *= wq
-        per_segment += integrand
-    n = plan.lengths.size
-    bins = (plan.elem[:, None] + n * np.arange(len(w))).ravel()
-    return np.bincount(bins, per_segment.ravel(), len(w) * n).reshape(-1, n)
+    (M, elements), each row summing to an estimate of Q(u) - Q(U).  U' is
+    constant on tau and phi = sum_k Phi_{r tau + k} psi_tk, so e_tau = sum_k
+    (F_tk - b U' H_tk) Phi_{r tau + k} + U' (Phi_{r (tau + 1)} - Phi_{r tau})."""
+    (F, H), r, n = plan.moments, ADJOINT_REFINE_FACTOR, plan.lengths.size
+    du = np.diff(U, axis=1) / plan.lengths
+    node = [Phi[:, k:k + r * n:r] for k in range(r + 1)]  # Phi_{r tau + k}
+    fphi, hphi = F[0] * node[0], H[0] * node[0]
+    for k in range(1, r + 1):
+        fphi += F[k] * node[k]
+        hphi += H[k] * node[k]
+    return fphi + du * (node[r] - node[0]) - w[:, None] * du * hphi
 
 
 class BvpMlmcModel:

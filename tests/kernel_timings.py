@@ -1,4 +1,4 @@
-"""Per-layer timings of the ODE kernels on fixed shapes.
+"""Per-layer timings of the ODE and stationary kernels on fixed shapes.
 
     PYTHONPATH=src python tests/kernel_timings.py
 
@@ -11,9 +11,12 @@ psi at t* = 3, as a standard estimate does.  `lorenz` and `two-body` run the
 one-row event-time estimate of draw 0: its forward on the preset's initial
 mesh subdivided by 4, then two adjoint rows (psi and J(U(t_c), t_c)^T psi)
 on the mesh restricted to its crossing t_c, which the forward row is paired
-with in one call.  The numbers are wall time on the machine that runs the
-script and are for information: nothing here is asserted.  Pytest does not
-collect this file.
+with in one call.  The `advection-diffusion-1d` lines time `solve_bvp_p1`,
+`solve_bvp_adjoint` and `bvp_error_decomposition` in microseconds per row and
+element, on uniform meshes of (0, 3) with the model's first `rows` level-1
+draws of seed 0 and the mesh's `BvpPlan` built beforehand, as a run keeps it.
+The numbers are wall time on the machine that runs the script and are for
+information: nothing here is asserted.  Pytest does not collect this file.
 """
 import time
 
@@ -25,10 +28,14 @@ from adaptive_mlmc.qoi import eval_event_time
 from adaptive_mlmc.sampling import sample_parameters
 from adaptive_mlmc.solvers import (residual_pairing, restrict_mesh, solve_adjoint,
                                    solve_forward_cg1)
+from adaptive_mlmc.stationary import (BvpMlmcModel, BvpPlan, bvp_error_decomposition,
+                                      solve_bvp_adjoint, solve_bvp_p1)
 
 HARMONIC_ROWS = (1, 20, 121, 256)
 HARMONIC_INTERVALS = (27, 67, 165)
 EVENT_TIME_PRESETS = ("lorenz", "two-body")
+STATIONARY_ROWS = (20, 256)
+STATIONARY_ELEMENTS = (12, 33, 200)
 REPEATS = 9
 
 
@@ -85,6 +92,20 @@ def timing_line(name, problem, mesh, t_star, terminal_value):
         f"{kernel}={value:.3f}" for kernel, value in us.items())
 
 
+def stationary_line(rows, elements):
+    model = BvpMlmcModel()
+    plan = BvpPlan.build(uniform_mesh(3.0, elements))
+    w = draws(model, rows)[:, 0]
+    U, Phi = solve_bvp_p1(plan, w), solve_bvp_adjoint(plan, w)
+    us = {
+        "forward": best_us(lambda: solve_bvp_p1(plan, w)),
+        "adjoint": best_us(lambda: solve_bvp_adjoint(plan, w)),
+        "decomposition": best_us(lambda: bvp_error_decomposition(plan, w, U, Phi)),
+    }
+    return f"{model.name} rows={rows} elements={elements} " + " ".join(
+        f"{kernel}={value / (rows * elements):.3f}" for kernel, value in us.items())
+
+
 def main():
     print("us per row x forward interval, best of", REPEATS)
     for intervals in HARMONIC_INTERVALS:
@@ -93,6 +114,10 @@ def main():
                   flush=True)
     for name in EVENT_TIME_PRESETS:
         print(timing_line(name, *event_time_case(name)), flush=True)
+    print("us per row x element, best of", REPEATS)
+    for elements in STATIONARY_ELEMENTS:
+        for rows in STATIONARY_ROWS:
+            print(stationary_line(rows, elements), flush=True)
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 import gc
 import sys
 import threading
+import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -20,8 +21,9 @@ from adaptive_mlmc.stationary import (ADJOINT_REFINE_FACTOR, PSI_SUPPORT,
                                       SOURCE_BREAKS, BvpMlmcModel, BvpPlan,
                                       bvp_error_decomposition, psi, qoi_value,
                                       solve_bvp_adjoint, solve_bvp_p1, source)
-from adaptive_mlmc.stationary import _load_vector, _segment_bounds
-from stationary_reference import solve_weak
+from adaptive_mlmc.stationary import _load_vector, _segment_bounds, _solve_assembled
+from stationary_reference import (gauss_segment_decomposition, solve_weak,
+                                  stacked_solve_banded)
 
 
 def zero(x):
@@ -115,6 +117,40 @@ class TestForwardSolve:
             scale = np.abs(Ax).max() + np.abs(F).max()
             assert np.all(np.isfinite(u))
             assert np.abs(Ax - F).max() <= 1e-9 * scale
+
+
+    @pytest.mark.parametrize("speeds", [[14.0], [12.0, -3.0, 16.0]])
+    def test_one_unknown_per_system(self, speeds):
+        """Two elements leave each system one interior unknown: one system,
+        which solve_banded divides through, and several stacked, which it
+        hands to LAPACK, give solve_banded's bits."""
+        mesh = Mesh1D(np.array([0.0, 1.2, 3.0]))
+        F, inv_h = _load_vector(mesh, source, SOURCE_BREAKS), 1.0 / mesh.lengths
+        U = _solve_assembled(F, inv_h, np.array(speeds))
+        assert U.shape == (len(speeds), 3) and np.all(U[:, 1] != 0.0)
+        assert np.array_equal(U, stacked_solve_banded(F, inv_h, np.array(speeds)))
+
+    @pytest.mark.parametrize("elements", [3, 13])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_speed_raises(self, elements, bad):
+        """A non-finite speed raises solve_banded's ValueError.  (With two
+        elements the speed enters no coefficient.)"""
+        mesh = uniform_mesh(3.0, elements)
+        F, inv_h = _load_vector(mesh, source, SOURCE_BREAKS), 1.0 / mesh.lengths
+        for speeds in ([bad], [14.0, bad]):
+            for solve in (_solve_assembled, stacked_solve_banded):
+                with pytest.raises(ValueError,
+                                   match="^array must not contain infs or NaNs$"):
+                    solve(F, inv_h, np.array(speeds))
+
+    @pytest.mark.parametrize("name", ["uniform-13", "dwr-refined", "ulp-below-break"])
+    def test_stacked_solves_equal_solve_banded(self, name):
+        """Forward and adjoint solves of 256 speeds give solve_banded's bits."""
+        plan = BvpPlan.build(ORACLE_MESHES[name])
+        w = TestBatchedOracle.SPEEDS[:256]
+        for data, speeds in ((plan.forward, w), (plan.adjoint, -w)):
+            assert np.array_equal(_solve_assembled(*data, speeds),
+                                  stacked_solve_banded(*data, speeds))
 
 
 class TestAdjoint:
@@ -224,7 +260,7 @@ class TestQoiValue:
 def reference_sample(b, mesh):
     """The per-sample path the batched functions replace, kept as the oracle:
     one `solve_banded` per solve, a `Trajectory`-based QoI loop and the
-    per-sample residual pairing.  Returns (QoI, contributions)."""
+    Gauss-segment decomposition.  Returns (QoI, contributions, S_tau)."""
     def solve(mesh, advection, g, breaks):
         F = _load_vector(mesh, g, breaks)
         h = mesh.lengths
@@ -246,29 +282,56 @@ def reference_sample(b, mesh):
         mid = 0.5 * (a + c)
         if lo <= mid <= hi:
             q += (c - a) * float(u(mid)[0])
+    [contributions], [magnitudes] = gauss_segment_decomposition(
+        mesh, np.array([float(b)]), u.values.T, phi.values.T)
+    return q, contributions, magnitudes
 
-    pts = _segment_bounds(np.concatenate([mesh.nodes, phi.mesh.nodes]),
-                          SOURCE_BREAKS)
-    mids = 0.5 * (pts[:-1] + pts[1:])
-    xq, wq = _segment_quadrature(pts)
-    idx_u = np.clip(np.searchsorted(mesh.nodes, mids) - 1,
-                    0, mesh.n_intervals - 1)
-    idx_phi = np.clip(np.searchsorted(phi.mesh.nodes, mids) - 1,
-                      0, phi.mesh.n_intervals - 1)
-    du = (np.diff(u.values[:, 0]) / mesh.lengths)[idx_u][:, None]
-    dphi = (np.diff(phi.values[:, 0]) / phi.mesh.lengths)[idx_phi][:, None]
-    phiq = phi(xq.ravel())[:, 0].reshape(xq.shape)
-    fq = source(xq.ravel()).reshape(xq.shape)
-    per_segment = (wq * (fq * phiq + du * dphi - float(b) * du * phiq)).sum(axis=1)
-    contributions = np.zeros(mesh.n_intervals)
-    np.add.at(contributions, idx_u, per_segment)
-    return q, contributions
+
+# How far the moment form may sit from the Gauss-segment oracle.  Both paths
+# compute e_tau from the same U, Phi and Gauss points as sums of products whose
+# magnitudes add up to S_tau, and a term that passes through N roundings
+# carries a relative error of at most N u to first order in u (Higham,
+# Accuracy and Stability of Numerical Algorithms, 2nd ed., section 3.1).  So
+# |moment form - oracle| <= C u S_tau with C the two longest chains added up:
+R = ADJOINT_REFINE_FACTOR
+# segments one sum gathers: the R sub-elements of an element (two for a
+# sub-hat), the two source breaks, and one segment an ulp wide whose midpoint
+# rounds onto the node before it
+ELEMENT_SEGMENTS, HAT_SEGMENTS = R + 3, 2 + 3
+GAUSS_CHAIN = (2                       # phi_q = (1 - s) Phi_j + s Phi_j+1
+               + 2                     # times b U', itself a product
+               + 3                     # f phi + U' phi' - b U' phi, times w_q
+               + 4                     # five points summed
+               + ELEMENT_SEGMENTS - 1)  # segments summed onto their element
+MOMENT_CHAIN = (2 + 4 + HAT_SEGMENTS - 1  # F_tk, H_tk: g w_q (1 - s), points, segments
+                + 1 + R                 # times Phi_{r tau + k}, summed over k
+                + 2 + 2)                # times w U', and the three terms summed
+# U' phi': the oracle weighs U' dPhi_j / h_j by its rounded Gauss weights,
+# while the moment form telescopes it, exactly; the weights of a segment add
+# up to h_j within a rounding of the width, of each weight and of the Gauss
+# rule's own weights (two), and h_j itself is rounded once more
+DATA_ROUNDINGS = 1 + 1 + 2 + 1
+C = GAUSS_CHAIN + MOMENT_CHAIN + DATA_ROUNDINGS
+U_ROUND = 2.0 ** -53
+
+
+def assert_within_rounding(d, ref):
+    """Contributions and totals of `d` against the oracle's [(QoI,
+    contributions, S_tau)]: each contribution within C u S_tau, and each total,
+    a sum of n contributions on both sides, within (C + 2 (n - 1)) u sum S_tau."""
+    contributions = np.array([r[1] for r in ref])
+    magnitudes = np.array([r[2] for r in ref])
+    assert np.all(np.abs(d.contributions - contributions)
+                  <= C * U_ROUND * magnitudes)
+    n = contributions.shape[1]
+    assert np.all(np.abs(d.total - contributions.sum(axis=1))
+                  <= (C + 2 * (n - 1)) * U_ROUND * magnitudes.sum(axis=1))
 
 
 def _dwr_mesh():
     mesh = uniform_mesh(3.0, 12)
     for _ in range(2):
-        _, contributions = reference_sample(14.0, mesh)
+        _, contributions, _ = reference_sample(14.0, mesh)
         mesh = halve(mesh, dwr_select(contributions[None], 0.25))
     return mesh
 
@@ -288,7 +351,8 @@ ORACLE_MESHES = {
 
 
 class TestBatchedOracle:
-    """The batched path gives every sample the bits of the per-sample path."""
+    """The batched path gives every sample the QoI bits of the per-sample path,
+    and its error decomposition to rounding."""
 
     SPEEDS = np.random.default_rng(0).uniform(12.0, 16.0, 500)
 
@@ -298,9 +362,9 @@ class TestBatchedOracle:
         q, d = BvpMlmcModel().evaluate(self.SPEEDS[:, None], mesh, True)
         ref = [reference_sample(b, mesh) for b in self.SPEEDS]
         assert np.array_equal(q, [r[0] for r in ref])
-        assert np.array_equal(d.contributions, [r[1] for r in ref])
+        assert_within_rounding(d, ref)
         # each row's total is its own sum, bit for bit
-        assert np.array_equal(d.total, [r[1].sum() for r in ref])
+        assert np.array_equal(d.total, d.contributions.sum(axis=1))
         assert np.array_equal(d.denominator, np.ones(len(q)))
 
     @pytest.mark.parametrize("name", sorted(ORACLE_MESHES))
@@ -315,6 +379,43 @@ class TestBatchedOracle:
             assert qk == q[k]
             assert np.array_equal(dk.contributions, d.contributions[k:k + 1])
             assert np.array_equal(dk.total, d.total[k:k + 1])
+
+
+class TestDecompositionTruth:
+    """Each contribution against adaptive quadrature of its integrand, which
+    shares no code with the moment form or the Gauss-segment oracle."""
+
+    # quad stops once its error estimate is below EPSABS, and warns (an error
+    # here) if it cannot; another EPSABS covers the rounding of both sides,
+    # each a sum of under 200 terms of magnitude below 1 (under 5e-14)
+    EPSABS = 1e-13
+
+    @pytest.mark.parametrize("name", ["uniform-12", "uniform-13", "node-on-break",
+                                      "ulp-below-break"])
+    def test_contributions_match_quad(self, name):
+        from scipy.integrate import IntegrationWarning, quad
+        mesh = ORACLE_MESHES[name]
+        plan, w = BvpPlan.build(mesh), np.array([12.5, 15.5])
+        U, Phi = solve_bvp_p1(plan, w), solve_bvp_adjoint(plan, w)
+        d = bvp_error_decomposition(plan, w, U, Phi)
+        fine = plan.adjoint_mesh.nodes
+        for row, b in enumerate(w):
+            du = np.diff(U[row]) / mesh.lengths
+            dphi = np.diff(Phi[row]) / np.diff(fine)
+            for tau, (a, c) in enumerate(zip(mesh.nodes[:-1], mesh.nodes[1:])):
+                subs = slice(R * tau, R * tau + R)  # the sub-elements of tau
+
+                def integrand(x):
+                    j = np.clip(np.searchsorted(fine, x) - 1, subs.start, subs.stop - 1)
+                    phi = np.interp(x, fine, Phi[row])
+                    return float(source(x)) * phi + du[tau] * (dphi[j] - b * phi)
+
+                points = [p for p in (*fine[subs][1:], *SOURCE_BREAKS) if a < p < c]
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", IntegrationWarning)
+                    value, _ = quad(integrand, a, c, points=sorted(points),
+                                    epsabs=self.EPSABS, epsrel=0.0, limit=100)
+                assert abs(d[row, tau] - value) <= 2 * self.EPSABS
 
 
 BREAKS = (1.0, 1.5, 2.5)  # the source's breaks and the psi support's ends
@@ -349,7 +450,7 @@ class TestMeshPlans:
         q, d = BvpMlmcModel().evaluate(self.W[:m], mesh, True)
         ref = [reference_sample(b, mesh) for b in self.W[:m, 0]]
         assert np.array_equal(q, [r[0] for r in ref])
-        assert np.array_equal(d.contributions, [r[1] for r in ref])
+        assert_within_rounding(d, ref)
 
     def test_cached_equals_uncached(self):
         """A plan reused from the cache and one built for a twin mesh with
@@ -374,8 +475,9 @@ class TestMeshPlans:
 
     def test_plan_is_read_only(self):
         plan = BvpPlan.build(uniform_mesh(3.0, 12))
-        with pytest.raises(ValueError):
-            plan.gauss[0, 0, 0] = 1.0
+        for moment in plan.moments:
+            with pytest.raises(ValueError):
+                moment[0, 0] = 1.0
         with pytest.raises(AttributeError):
             plan.lengths = plan.lengths.copy()
 
