@@ -75,8 +75,9 @@ def _solve_assembled(F: np.ndarray, inv_h: np.ndarray,
                      advection: np.ndarray) -> np.ndarray:
     """P1 Galerkin solutions of -(u', v') + b (u', v) = (g, v), u = 0 on the
     boundary, one per speed b in `advection`, from the load vector
-    F_i = (g, hat_i) and the inverse element lengths: nodal values (M, nodes)."""
-    from scipy.linalg import solve_banded  # only this problem needs scipy
+    F_i = (g, hat_i) and the inverse element lengths: nodal values (M, nodes),
+    with the bits and errors of `solve_banded` but none of its copies."""
+    from scipy.linalg import LinAlgError, lapack  # only this problem needs scipy
     if inv_h.size < BVP_MIN_ELEMENTS:
         raise ValueError("need at least two elements for an interior unknown")
     half_b = 0.5 * advection[:, None]
@@ -89,9 +90,18 @@ def _solve_assembled(F: np.ndarray, inv_h: np.ndarray,
     ab[0, :, 1:] = inv_h[1:-1] + half_b
     ab[1] = -(inv_h[:-1] + inv_h[1:])
     ab[2, :, :-1] = inv_h[1:-1] - half_b
+    ab, rhs = ab.reshape(3, m * n), np.tile(F[1:-1], m)
+    if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if m * n == 1:  # gtsv's wrapper rejects empty off-diagonals
+        x, info = rhs / ab[1], 0
+    else:  # overwrites ab and rhs
+        *_, x, info = lapack.dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs, 1, 1, 1, 1)
+    if info:  # > 0: a zero pivot, < 0: an illegal argument
+        raise LinAlgError("singular matrix") if info > 0 else ValueError(
+            f"illegal value in {-info}-th argument of internal gbsv/gtsv")
     values = np.zeros((m, n + 2))
-    values[:, 1:-1] = solve_banded((1, 1), ab.reshape(3, m * n),
-                                   np.tile(F[1:-1], m)).reshape(m, n)
+    values[:, 1:-1] = x.reshape(m, n)
     return values
 
 
