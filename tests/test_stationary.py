@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import IntegrationWarning, quad
 from scipy.linalg import solve_banded
 
 from adaptive_mlmc.driver import CHUNK_SIZE, MlmcRunConfig, run_adaptive_mlmc
@@ -386,14 +387,14 @@ class TestDecompositionTruth:
     shares no code with the moment form or the Gauss-segment oracle."""
 
     # quad stops once its error estimate is below EPSABS, and warns (an error
-    # here) if it cannot; another EPSABS covers the rounding of both sides,
-    # each a sum of under 200 terms of magnitude below 1 (under 5e-14)
+    # here) if it cannot; another EPSABS covers the rounding of both sides:
+    # the decomposition's is within C u S_tau, under 7e-15 as S_tau < 1.5 on
+    # these meshes, and quad's sums are no longer
     EPSABS = 1e-13
 
     @pytest.mark.parametrize("name", ["uniform-12", "uniform-13", "node-on-break",
                                       "ulp-below-break"])
     def test_contributions_match_quad(self, name):
-        from scipy.integrate import IntegrationWarning, quad
         mesh = ORACLE_MESHES[name]
         plan, w = BvpPlan.build(mesh), np.array([12.5, 15.5])
         U, Phi = solve_bvp_p1(plan, w), solve_bvp_adjoint(plan, w)
