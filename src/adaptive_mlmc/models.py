@@ -21,7 +21,7 @@ import numpy as np
 @dataclass(frozen=True)
 class OdeProblem:
     """du/dt = rhs(u, t) on (0, horizon], u(0) = initial of shape (M, d):
-    M rows at once.  `linear` marks an rhs affine in u, J(t) u + rhs(0, t)."""
+    M rows at once.  `linear` marks rhs = J u + rhs(0, t), J constant in t per row."""
 
     dim: int
     rhs: Callable

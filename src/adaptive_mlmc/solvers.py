@@ -2,7 +2,7 @@
 
 The forward solver enforces, per interval, the nodal update
 U_{n+1} - U_n = int f(U(t), t) dt with U linear on the interval: for a
-problem marked linear, f = J(t) u + g(t), as one affine map U_{n+1} =
+problem marked linear, f = J u + g(t), as one affine map U_{n+1} =
 A_n U_n + c_n, otherwise by Newton iteration.  The adjoint solver integrates
 the linearized problem backwards from a terminal value on the forward mesh
 restricted to (0, t*) and refined by 2.  All integrals use 5-point
@@ -11,15 +11,18 @@ Gauss-Legendre per finest sub-interval, exact for the degrees that arise.
 Every kernel treats the M rows of a problem (one per draw) on their shared
 mesh at once; a row that diverges, stalls in Newton or meets a singular step
 system becomes NaN, and row k of every result depends on row k alone, bit
-for bit.  The linear march's step maps, the adjoint and the residual pairing
-run over slices of SLICE_CELLS rows x (sub-)intervals, so O(SLICE_CELLS d^2)
-floats are live.  A slice is component-major, states (d, rows, 5, steps) and
-Jacobians (d, d, rows, 5, steps), so numpy's inner loops run over rows x
-points, and its d x d step systems are solved by Gaussian elimination in
-O(d^3) numpy calls (`_eliminate`).  Every sum keeps the order of the
-whole-mesh kernels, so each row keeps their bits.  The two marches and
-phi_n = A_n phi_{n+1} stay sequential; Newton keeps the (M, ..., d) layout
-and the batched `np.linalg.solve`, as an iterate's cost is per numpy call.
+for bit.  The linear march, the adjoint and the residual pairing run over
+slices of SLICE_CELLS rows x (sub-)intervals, so O(SLICE_CELLS d^2) floats
+are live.  A linear problem's step matrices (J constant in t) are built once
+per distinct step length, in slices of SLICE_CELLS rows x lengths, and kept:
+d^2 (adjoint) or 2 d^2 (march) floats per row and length.  A slice is
+component-major, states (d, rows, 5, steps) and Jacobians (d, d, rows, 5,
+steps), so numpy's inner loops run over rows x points, and its d x d step
+systems are solved by Gaussian elimination in O(d^3) numpy calls
+(`_eliminate`).  Every sum keeps the order of the whole-mesh kernels, so each
+row keeps their bits.  The two marches and phi_n = A_n phi_{n+1} stay
+sequential; Newton keeps the (M, ..., d) layout and the batched
+`np.linalg.solve`, as an iterate's cost is per numpy call.
 """
 from __future__ import annotations
 
@@ -33,7 +36,7 @@ from .models import OdeProblem
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITERS = 25
 ADJOINT_REFINE_FACTOR = 2
-SLICE_CELLS = 2048  # rows x adjoint sub-intervals per slice of the estimate kernels
+SLICE_CELLS = 1024  # rows x (sub-)intervals or step lengths per slice of a kernel
 
 # 5-point Gauss-Legendre rule on [0, 1]
 _GL01_X, _GL01_W = np.polynomial.legendre.leggauss(5)
@@ -49,9 +52,9 @@ def _segment_quadrature(pts: np.ndarray):
 
 
 def _sum_over_points(w: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """sum_q w[q] f[..., q, :] for w (5, steps), f (..., 5, steps): onto zeros
-    one point at a time, the bits of a sum over a last axis of length 5."""
-    total = np.zeros(f.shape[:-2] + f.shape[-1:])
+    """sum_q w[q] f[..., q, :] for w (5, steps), f (..., 5, steps or 1): onto
+    zeros one point at a time, the bits of a sum over a last axis of length 5."""
+    total = np.zeros(f.shape[:-2] + w.shape[-1:])
     for q in range(5):
         total += w[q] * f[..., q, :]
     return total
@@ -154,18 +157,50 @@ class Trajectory:
         return out[..., 0, :] if np.ndim(t) == 0 else out
 
 
-def _step_matrices(J: np.ndarray, w: np.ndarray, adjoint: bool, *rhs: np.ndarray):
-    """Step maps (I - N)^{-1} [I + P | rhs] (rows, steps, d, d + k) of a slice's
-    J (rows, 5 steps, d, d) at weights w (5, steps), and its rows' singular mask.
-    With M0, M1 = sum_q w_q (1 - s_q, s_q) J_q, N, P are M1, M0 forward."""
+def _step_systems(J: np.ndarray, w: np.ndarray, adjoint: bool) -> np.ndarray:
+    """Step systems [I - N | I + P] (d, 2d, rows, steps) of J (rows, 5 steps, d, d),
+    or (rows, 5, d, d) for all steps, at weights w (5, steps): with M0, M1 = sum_q
+    w_q (1 - s_q, s_q) J_q, N, P are M1, M0 forward, M0, M1 of J^T in the adjoint."""
     (rows, _, d, _), eye = J.shape, np.eye(J.shape[-1])[:, :, None, None]
     J = np.ascontiguousarray(J.transpose((3, 2, 0, 1) if adjoint else (2, 3, 0, 1))
                              ).reshape((d, d, rows, 5, -1))
     M0, M1 = (_sum_over_points(w * s[:, None], J) for s in (1.0 - _GL01_X, _GL01_X))
     del J
-    N, P = (M0, M1) if adjoint else (M1, M0)  # M0, M1 of J^T in the adjoint
-    maps, singular = _eliminate(np.concatenate([eye - N, eye + P, *rhs], axis=1))
-    return np.ascontiguousarray(maps.transpose(2, 3, 0, 1)), singular.any(axis=-1)
+    N, P = (M0, M1) if adjoint else (M1, M0)
+    return np.concatenate([eye - N, eye + P], axis=1)
+
+
+def _step_maps(systems: np.ndarray, singular: np.ndarray) -> np.ndarray:
+    """Maps A^{-1} B (rows, steps, d, k) of systems [A | B] (d, d + k, rows,
+    steps), solved in place; rows with a singular system are set in `singular`."""
+    maps, flagged = _eliminate(systems)
+    singular |= flagged.any(axis=-1)
+    return np.ascontiguousarray(maps.transpose(2, 3, 0, 1))
+
+
+def _distinct_steps(problem: OdeProblem, nodes, t, w, adjoint: bool):
+    """A linear problem's step systems (d, 2d, rows, lengths), or in the adjoint
+    their maps (rows, lengths, d, d) and singular rows, of the distinct interval
+    lengths of `nodes`, and each interval's index into them.  A row whose J
+    differs (NaN equal to NaN) between the Gauss points t (5, intervals) of
+    each length's first interval raises ValueError."""
+    _, first, inverse = np.unique(np.diff(nodes), return_index=True,
+                                  return_inverse=True)
+    t, w, (M, d), n = t[:, first], w[:, first], problem.initial.shape, first.size
+    kept = np.empty((M, n, d, d) if adjoint else (d, 2 * d, M, n))
+    singular, step = np.zeros(M, dtype=bool), max(1, SLICE_CELLS // M)
+    for lo in range(0, n, step):
+        cut = slice(lo, lo + step)
+        J = problem.jacobian(np.zeros((M, t[:, cut].size, d)), t[:, cut].ravel())
+        J0 = J[:, :5].copy() if lo == 0 else J0  # one length's, for every length
+        moved = J != J0[:, :1]
+        if moved.any() and not (np.isnan(J) & np.isnan(J0[:, :1]))[moved].all():
+            raise ValueError("a problem marked linear needs a Jacobian constant in t")
+        if adjoint:
+            kept[:, cut] = _step_maps(_step_systems(J0, w[:, cut], True), singular)
+        else:
+            kept[..., cut] = _step_systems(J0, w[:, cut], False)
+    return kept, inverse, singular
 
 
 def _paired_points(problem: OdeProblem, forward: Trajectory, adjoint: Trajectory,
@@ -186,20 +221,20 @@ def _paired_points(problem: OdeProblem, forward: Trajectory, adjoint: Trajectory
 
 
 def _affine_march(problem: OdeProblem, mesh: Mesh1D) -> np.ndarray:
-    """Nodal values (M, nodes, d) of u' = J(t) u + g(t), g = rhs(0, t), from
+    """Nodal values (M, nodes, d) of u' = J u + g(t), g = rhs(0, t), from
     (I - M1_n) U_{n+1} = (I + M0_n) U_n + sum_q w_q g(t_q): U_{n+1} = A_n U_n + c_n."""
     M, d = problem.initial.shape
     t, w = (a.T for a in _segment_quadrature(mesh.nodes))
+    systems, inverse, _ = _distinct_steps(problem, mesh.nodes, t, w, False)
     U = np.empty((M, mesh.nodes.size, d))
     U[:, 0] = problem.initial
     failed, step = np.zeros(M, dtype=bool), max(1, SLICE_CELLS // M)
     for lo in range(0, mesh.n_intervals, step):
         cut = slice(lo, min(lo + step, mesh.n_intervals))
-        tt, u0 = t[:, cut].ravel(), np.zeros((M, t[:, cut].size, d))
-        g = problem.rhs(u0, tt).transpose(2, 0, 1).reshape(d, 1, M, 5, -1)
-        g = _sum_over_points(w[:, cut], g)
-        maps, singular = _step_matrices(problem.jacobian(u0, tt), w[:, cut], False, g)
-        failed |= singular
+        g = problem.rhs(np.zeros((M, t[:, cut].size, d)), t[:, cut].ravel())
+        g = _sum_over_points(w[:, cut], g.transpose(2, 0, 1).reshape(d, 1, M, 5, -1))
+        maps = _step_maps(np.concatenate([systems.take(inverse[cut], axis=-1), g],
+                                         axis=1), failed)
         for n, A in enumerate(maps.transpose(1, 0, 2, 3), lo):
             U[:, n + 1] = (A[..., :d] * U[:, n, None, :]).sum(axis=-1) + A[..., d]
     U[failed | ~np.isfinite(U).all(axis=(1, 2))] = np.nan
@@ -283,29 +318,34 @@ def solve_adjoint(problem: OdeProblem, forward: Trajectory, t_star: float,
     """Integrate -phi' = J(t)^T phi backwards from phi(t*) = terminal_value,
     for every row of the forward trajectory.
 
-    J is the model Jacobian evaluated on the forward interpolant, and
-    `terminal_value` is (d,) for all rows, (M, d), or (K, d) for K adjoints of
-    a one-row forward.  The adjoint mesh is the forward mesh restricted to
-    (0, t*) and refined by 2.  cG(1) for -phi' = J^T phi gives, per step,
-    (I - M0_n) phi_n = (I + M1_n) phi_{n+1}.  A singular step NaNs its row's
-    adjoints.
+    J is the model Jacobian on the forward interpolant (constant for a linear
+    problem), and `terminal_value` is (d,) for all rows, (M, d), or (K, d) for
+    K adjoints of a one-row forward.  The adjoint mesh is the forward mesh
+    restricted to (0, t*) and refined by 2.  cG(1) for -phi' = J^T phi gives,
+    per step, (I - M0_n) phi_n = (I + M1_n) phi_{n+1}.  A singular step NaNs
+    its row's adjoints.
     """
     mesh = subdivide(restrict_mesh(forward.mesh, t_star), ADJOINT_REFINE_FACTOR)
     M, d = len(forward.values), problem.dim
-    t, w = (a.T for a in _segment_quadrature(mesh.nodes))
-    located = _locate(forward.mesh, t)
     (rows,) = np.broadcast_shapes((M,), np.shape(terminal_value)[:-1])
     phi = np.empty((rows, mesh.nodes.size, d))
     phi[:, -1] = terminal_value
-    singular, step = np.zeros(M, dtype=bool), max(2, SLICE_CELLS // M)
+    t, w = (a.T for a in _segment_quadrature(mesh.nodes))
     with np.errstate(all="ignore"):
-        for lo in reversed(range(0, mesh.n_intervals, step)):
-            cut = slice(lo, min(lo + step, mesh.n_intervals))
-            A, flagged = _step_matrices(problem.jacobian(_row_major(_interpolate(
-                forward.values, located, cut)), t[:, cut].ravel()), w[:, cut], True)
-            singular |= flagged
-            for n in range(cut.stop - 1, lo - 1, -1):
-                phi[:, n] = (A[:, n - lo] * phi[:, n + 1, None, :]).sum(axis=-1)
+        if problem.linear:  # the maps of the distinct step lengths, J not from U
+            A, inverse, singular = _distinct_steps(problem, mesh.nodes, t, w, True)
+            for n in range(mesh.n_intervals - 1, -1, -1):
+                phi[:, n] = (A[:, inverse[n]] * phi[:, n + 1, None, :]).sum(axis=-1)
+        else:
+            located = _locate(forward.mesh, t)
+            singular, step = np.zeros(M, dtype=bool), max(2, SLICE_CELLS // M)
+            for lo in reversed(range(0, mesh.n_intervals, step)):
+                cut = slice(lo, min(lo + step, mesh.n_intervals))
+                A = _step_maps(_step_systems(problem.jacobian(_row_major(
+                    _interpolate(forward.values, located, cut)), t[:, cut].ravel()),
+                    w[:, cut], True), singular)
+                for n in range(cut.stop - 1, lo - 1, -1):
+                    phi[:, n] = (A[:, n - lo] * phi[:, n + 1, None, :]).sum(axis=-1)
     phi[np.broadcast_to(singular, rows), :-1] = np.nan
     return Trajectory(mesh, phi)
 

@@ -7,11 +7,14 @@ intervals of the forward mesh it covers, then the best of REPEATS calls (after
 one warm-up call) of `solve_forward_cg1`, `solve_adjoint` and `residual_pairing`,
 each in microseconds per row and forward interval.  `harmonic-standard` runs
 its first `rows` level-1 draws of seed 0 on uniform meshes of (0, 3] with
-psi at t* = 3, as a standard estimate does.  `lorenz` and `two-body` run the
-one-row event-time estimate of draw 0: its forward on the preset's initial
-mesh subdivided by 4, then two adjoint rows (psi and J(U(t_c), t_c)^T psi)
-on the mesh restricted to its crossing t_c, which the forward row is paired
-with in one call.  The `advection-diffusion-1d` lines time `solve_bvp_p1`,
+psi at t* = 3, as a standard estimate does, and once on the graded mesh
+3 (i / n)^1.5, whose interval lengths all differ: the worst case for the
+linear kernels, which build one step matrix per row and distinct length.
+`lorenz`, `two-body` and `harmonic-nonstandard` run the one-row event-time
+estimate of draw 0: its forward on the preset's initial mesh subdivided by
+4, then two adjoint rows (psi and J(U(t_c), t_c)^T psi) on the mesh
+restricted to its crossing t_c, which the forward row is paired with in one
+call.  The `advection-diffusion-1d` lines time `solve_bvp_p1`,
 `solve_bvp_adjoint` and `bvp_error_decomposition` in microseconds per row and
 element, on uniform meshes of (0, 3) with the model's first `rows` level-1
 draws of seed 0 and the mesh's `BvpPlan` built beforehand, as a run keeps it.
@@ -23,7 +26,7 @@ import time
 import numpy as np
 
 from adaptive_mlmc.experiments import get_experiment
-from adaptive_mlmc.meshes import subdivide, uniform_mesh
+from adaptive_mlmc.meshes import Mesh1D, subdivide, uniform_mesh
 from adaptive_mlmc.qoi import eval_event_time
 from adaptive_mlmc.sampling import sample_parameters
 from adaptive_mlmc.solvers import (residual_pairing, restrict_mesh, solve_adjoint,
@@ -33,7 +36,8 @@ from adaptive_mlmc.stationary import (BvpMlmcModel, BvpPlan, bvp_error_decomposi
 
 HARMONIC_ROWS = (1, 20, 121, 256)
 HARMONIC_INTERVALS = (27, 67, 165)
-EVENT_TIME_PRESETS = ("lorenz", "two-body")
+GRADED = (256, 165)  # rows and intervals of the graded harmonic line
+EVENT_TIME_PRESETS = ("lorenz", "two-body", "harmonic-nonstandard")
 STATIONARY_ROWS = (20, 256)
 STATIONARY_ELEMENTS = (12, 33, 200)
 REPEATS = 9
@@ -54,11 +58,12 @@ def draws(experiment, rows):
     return sample_parameters(experiment.distributions, 0, 1, 0, rows)
 
 
-def harmonic_case(rows, intervals):
+def harmonic_case(rows, intervals, graded=False):
     experiment = get_experiment("harmonic-standard")
     q = experiment.qoi
     problem = experiment.make_problem(draws(experiment, rows))
-    mesh = uniform_mesh(problem.horizon, intervals)
+    mesh = (Mesh1D(problem.horizon * np.linspace(0.0, 1.0, intervals + 1) ** 1.5)
+            if graded else uniform_mesh(problem.horizon, intervals))
     return problem, mesh, q.t_star, q.psi
 
 
@@ -112,6 +117,8 @@ def main():
         for rows in HARMONIC_ROWS:
             print(timing_line("harmonic-standard", *harmonic_case(rows, intervals)),
                   flush=True)
+    print(timing_line("harmonic-standard graded", *harmonic_case(*GRADED, graded=True)),
+          flush=True)
     for name in EVENT_TIME_PRESETS:
         print(timing_line(name, *event_time_case(name)), flush=True)
     print("us per row x element, best of", REPEATS)

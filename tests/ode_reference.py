@@ -15,7 +15,10 @@ step matrices by the kernels' component-major elimination, or, with
 
 `newton_forward` is the batched march of a problem affine in u as it was
 before such problems marched as one affine recurrence: Newton, as for every
-other problem.
+other problem.  `per_interval_march` is that affine recurrence as it was
+before its step systems were built once per distinct step length: in one
+piece, with a `jacobian` call at every Gauss point and every interval's own
+Gauss sums.
 
 `two_solve_event_time_error` is the event-time estimate as it was before both
 adjoint weights shared one solve: two `solve_adjoint` and two
@@ -31,8 +34,8 @@ from adaptive_mlmc.qoi import StandardQoi
 from adaptive_mlmc.solvers import (ADJOINT_REFINE_FACTOR, NEWTON_MAX_ITERS,
                                    NEWTON_TOL, _GL01_X, Trajectory, _eliminate,
                                    _segment_quadrature, _solve_rows,
-                                   residual_pairing, restrict_mesh,
-                                   solve_adjoint, solve_forward_cg1)
+                                   _sum_over_points, residual_pairing,
+                                   restrict_mesh, solve_adjoint, solve_forward_cg1)
 
 
 class RowFailed(RuntimeError):
@@ -91,6 +94,31 @@ def forward(problem, mesh):
 def newton_forward(problem, mesh):
     """`solve_forward_cg1` by Newton whether or not the problem is linear."""
     return solve_forward_cg1(dataclasses.replace(problem, linear=False), mesh)
+
+
+def per_interval_march(problem, mesh):
+    """Nodal values (M, nodes, d) of a linear problem's affine recurrence, with
+    (I - M1_n) U_{n+1} = (I + M0_n) U_n + sum_q w_q g(t_q) solved for every
+    interval from its own Jacobians and Gauss sums, in one piece."""
+    M, d = problem.initial.shape
+    t, w = (a.T for a in _segment_quadrature(mesh.nodes))
+    u0 = np.zeros((M, t.size, d))
+    with np.errstate(all="ignore"):
+        g = problem.rhs(u0, t.ravel()).transpose(2, 0, 1).reshape(d, 1, M, 5, -1)
+        J = np.ascontiguousarray(problem.jacobian(u0, t.ravel()).transpose(2, 3, 0, 1)
+                                 ).reshape((d, d, M, 5, -1))
+        M0, M1 = (_sum_over_points(w * s[:, None], J) for s in (1.0 - _GL01_X, _GL01_X))
+        eye = np.eye(d)[:, :, None, None]
+        maps, singular = _eliminate(np.concatenate(
+            [eye - M1, eye + M0, _sum_over_points(w, g)], axis=1))
+        maps = maps.transpose(2, 3, 0, 1)
+        U = np.empty((M, mesh.nodes.size, d))
+        U[:, 0] = problem.initial
+        for n in range(mesh.n_intervals):
+            A = maps[:, n]
+            U[:, n + 1] = (A[..., :d] * U[:, n, None, :]).sum(axis=-1) + A[..., d]
+    U[singular.any(axis=-1) | ~np.isfinite(U).all(axis=(1, 2))] = np.nan
+    return U
 
 
 def event_times(mesh, U, q):

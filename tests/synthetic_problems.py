@@ -28,6 +28,31 @@ def exact_reciprocal(w):
     raise AssertionError(f"no exact reciprocal of {w}")
 
 
+def exact_sum_reciprocal(terms):
+    """c with sum_q terms[q] * c == 1.0 exactly when the products are added
+    onto 0.0 in q order, as the kernels' Gauss sums add them."""
+    c = 1.0 / sum(terms)
+    for _ in range(64):
+        total = 0.0
+        for term in terms:
+            total += term * c
+        if total == 1.0:
+            return c
+        c = np.nextafter(c, np.inf if total < 1.0 else -np.inf)
+    raise AssertionError(f"no exact reciprocal of the sum of {terms}")
+
+
+def constant_rates(rates):
+    """u' = a u on (0, 1], u(0) = 1, one row per rate a, marked linear."""
+    a = np.asarray(rates, dtype=float)
+
+    def per_row(u):
+        return a.reshape((-1,) + (1,) * (u.ndim - 1))
+    return OdeProblem(1, lambda u, t: per_row(u) * u,
+                      lambda u, t: (per_row(u) * np.ones(u.shape))[..., None],
+                      np.ones((a.size, 1)), 1.0, linear=True)
+
+
 def one_point_jacobian(rhs, t_point, c):
     """d = 1 problems on (0, 1], u(0) = 1, one row per flag: the Jacobian is
     flag * c at t_point and 0 at every other time."""

@@ -1,5 +1,6 @@
 """Forward cG(1) solver, adjoint solver, and residual-pairing tests."""
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -11,19 +12,21 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from adaptive_mlmc import solvers
+from adaptive_mlmc.driver import MlmcRunConfig, run_adaptive_mlmc
 from adaptive_mlmc.experiments import get_experiment
 from adaptive_mlmc.meshes import Mesh1D, MeshError, subdivide, uniform_mesh
 from adaptive_mlmc.models import OdeProblem, harmonic_oscillator, lorenz, two_body
 from adaptive_mlmc.qoi import StandardQoi, eval_event_time
 from adaptive_mlmc.sampling import sample_parameters
-from adaptive_mlmc.solvers import (ADJOINT_REFINE_FACTOR, Trajectory, _GL01_X,
-                                   _segment_quadrature, residual_pairing,
+from adaptive_mlmc.solvers import (ADJOINT_REFINE_FACTOR, Trajectory, _GL01_W,
+                                   _GL01_X, _segment_quadrature, residual_pairing,
                                    restrict_mesh, solve_adjoint,
                                    solve_forward_cg1)
 
 import ode_reference
-from synthetic_problems import (blow_up, constant_weights, counting_calls,
-                                exact_reciprocal, one_point_jacobian)
+from synthetic_problems import (blow_up, constant_rates, constant_weights,
+                                counting_calls, exact_reciprocal,
+                                exact_sum_reciprocal, one_point_jacobian)
 
 
 def linear_decay(rate=1.0, linear=False):
@@ -64,18 +67,15 @@ def assert_exact_decay_update(linear):
     np.testing.assert_allclose(traj.values[0, :, 0], expected, rtol=3e-15)
 
 
-def assert_singular_first_step_fails_only_its_row(linear):
+def assert_singular_first_step_fails_only_its_row():
     """u' = -u / 10 with a Jacobian that is c at one quadrature point of the
     first interval and 0 elsewhere, in the flagged row: 1 - w s c is exactly
     0 there.  The flagged row is NaN, and the other rows, with Jacobian 0,
     keep their one-row bits."""
     mesh = uniform_mesh(1.0, 2)
     tq, wq = _segment_quadrature(mesh.nodes)
-    marked = one_point_jacobian(lambda u, t: -0.1 * u, tq[0, 2],
-                                exact_reciprocal((wq * _GL01_X)[0, 2]))
-
-    def problem(flags):
-        return dataclasses.replace(marked(flags), linear=linear)
+    problem = one_point_jacobian(lambda u, t: -0.1 * u, tq[0, 2],
+                                 exact_reciprocal((wq * _GL01_X)[0, 2]))
     traj = solve_forward_cg1(problem([0.0, 1.0, 0.0]), mesh)
     with pytest.raises(ode_reference.RowFailed):
         ode_reference.forward(problem([1.0]), mesh)
@@ -140,7 +140,7 @@ class TestChunkMarch:
 
     def test_singular_newton_matrix_fails_only_its_row(self):
         """The flagged row's Newton matrix 1 - w s c is exactly 0."""
-        assert_singular_first_step_fails_only_its_row(linear=False)
+        assert_singular_first_step_fails_only_its_row()
 
 
 class TestRestrictMesh:
@@ -323,21 +323,29 @@ class TestWholeMeshKernels:
         residual_pairing(counted, forward, phi, t_star)
         assert calls == {"rhs": 1, "jacobian": 1}
 
-    @pytest.mark.parametrize("rows,cells", [(300, None), (1, 7)])
-    def test_one_model_call_per_slice(self, monkeypatch, rows, cells):
-        """With more than one slice, each makes one `jacobian` call in the
-        adjoint and one `rhs` call in the pairing."""
+    @pytest.mark.parametrize("rows,cells", [(300, None), (1, 7), (2, 3)])
+    @pytest.mark.parametrize("name", ["lorenz", "harmonic-standard"])
+    def test_one_model_call_per_slice(self, monkeypatch, name, rows, cells):
+        """With more than one slice, each makes one `rhs` call in the pairing
+        and, for a nonlinear problem, one `jacobian` call in the adjoint.  A
+        linear problem's adjoint makes one `jacobian` call per slice of
+        SLICE_CELLS rows x distinct sub-interval lengths."""
         if cells is not None:
             monkeypatch.setattr(solvers, "SLICE_CELLS", cells)
-        problem, forward, t_star, psi = chunk_case("harmonic-standard", rows)
+        problem, forward, t_star, psi = chunk_case(name, rows)
         calls = {"rhs": 0, "jacobian": 0}
         counted = counting_calls(problem, calls)
         phi = solve_adjoint(counted, forward, t_star, psi)
         slices = math.ceil(phi.mesh.n_intervals / max(2, solvers.SLICE_CELLS // rows))
+        jacobian = slices
+        if problem.linear:
+            lengths = np.unique(phi.mesh.lengths).size
+            jacobian = math.ceil(lengths / max(1, solvers.SLICE_CELLS // rows))
+            assert jacobian < slices
         assert slices > 1
-        assert calls == {"rhs": 0, "jacobian": slices}
+        assert calls == {"rhs": 0, "jacobian": jacobian}
         residual_pairing(counted, forward, phi, t_star)
-        assert calls == {"rhs": slices, "jacobian": slices}
+        assert calls == {"rhs": slices, "jacobian": jacobian}
 
     def test_singular_adjoint_step_is_a_sample_failure(self):
         """One forward interval of (0, 1) gives adjoint steps of h = 1/2.  In
@@ -543,18 +551,103 @@ def graded_mesh(horizon, n):
     return Mesh1D(horizon * np.linspace(0.0, 1.0, n + 1) ** 1.5)
 
 
+@functools.cache
+def dwr_mesh():
+    """The finest mesh of a seeded `harmonic-standard` dwr run (hs-dwr's seed 0)."""
+    run = run_adaptive_mlmc(get_experiment("harmonic-standard"),
+                            MlmcRunConfig(1e-3, "dwr", 0))
+    return run.meshes[-1]
+
+
+def one_ulp_mesh():
+    """A uniform mesh of (0, 3] with two interval lengths one ulp apart whose
+    first Gauss weights h W_0 round to the same float, while their weight
+    columns differ: keying the step maps on w[0] would merge them."""
+    return uniform_mesh(3.0, 79)
+
+
+LINEAR_MESHES = {"uniform": lambda: uniform_mesh(3.0, 54),
+                 "graded": lambda: graded_mesh(3.0, 165),
+                 "dwr": dwr_mesh, "one-ulp": one_ulp_mesh}
+
+
+def linear_case(name, rows):
+    """A harmonic preset's first `rows` level-1 draws of seed 0."""
+    experiment = get_experiment(name)
+    problem = experiment.make_problem(
+        sample_parameters(experiment.distributions, 0, 1, 0, rows))
+    assert problem.linear
+    return experiment, problem
+
+
+def time_dependent_jacobian(a):
+    """u' = J(t) u + g(t) with J(t) = [[0, 1 + t], [-(2 + a sin t), -0.1]] and
+    g(t) = (cos 3t, a) on (0, 4], one row per a, marked linear although J
+    depends on t."""
+    def jacobian(u, t):
+        t = np.broadcast_to(t, u.shape[:-1])
+        J = np.zeros(u.shape + (2,))
+        J[..., 0, 1] = 1.0 + t
+        J[..., 1, 0] = -(2.0 + a.reshape((-1,) + (1,) * (u.ndim - 2)) * np.sin(t))
+        J[..., 1, 1] = -0.1
+        return J
+
+    def rhs(u, t):
+        g = np.stack(np.broadcast_arrays(
+            np.cos(3.0 * np.asarray(t)), a.reshape((-1,) + (1,) * (u.ndim - 2))),
+            axis=-1)
+        return (jacobian(u, t) @ u[..., None])[..., 0] + g
+
+    return OdeProblem(2, rhs, jacobian, np.ones((a.size, 2)), 4.0, linear=True)
+
+
+class TestLinearMeshes:
+    def test_graded_mesh_lengths_all_differ(self):
+        mesh = graded_mesh(3.0, 165)
+        assert np.unique(mesh.lengths).size == mesh.n_intervals
+
+    def test_one_ulp_mesh_has_the_w0_collision(self):
+        lengths = np.unique(one_ulp_mesh().lengths)
+        pairs = [(a, b) for a, b in zip(lengths[:-1], lengths[1:])
+                 if b == np.nextafter(a, np.inf) and a * _GL01_W[0] == b * _GL01_W[0]]
+        assert pairs
+        assert any((a * _GL01_W != b * _GL01_W).any() for a, b in pairs)
+
+
 class TestAffineMarch:
-    """Linear problems march as U_{n+1} = A_n U_n + c_n, with step maps built
-    in slices of SLICE_CELLS rows x intervals."""
+    """Linear problems march as U_{n+1} = A_n U_n + c_n, with the Gauss sums
+    M0, M1 built once per distinct interval length and the step maps in
+    slices of SLICE_CELLS rows x intervals."""
 
     def test_exact_update_for_linear_decay(self):
         assert_exact_decay_update(linear=True)
 
     def test_exact_zero_pivot_fails_only_its_row(self):
-        """Marked linear, the problem marches with rhs(0, t) = 0 and its
-        Jacobian, and 1 - w s c is the flagged row's step system I - M1, an
-        exact zero pivot."""
-        assert_singular_first_step_fails_only_its_row(linear=True)
+        """u' = c u with c such that the computed M1 = sum_q w_q s_q c is
+        exactly 1 on steps of h = 1/2: I - M1 is an exact zero pivot, and the
+        flagged row is NaN at every node.  The other rows keep their one-row
+        bits."""
+        mesh = uniform_mesh(1.0, 2)
+        _, wq = _segment_quadrature(mesh.nodes)
+        c = exact_sum_reciprocal(wq[0] * _GL01_X)
+        traj = solve_forward_cg1(constant_rates([-0.1, c, 0.5]), mesh)
+        assert np.isnan(traj.values[1]).all()
+        for k, rate in ((0, -0.1), (2, 0.5)):
+            alone = solve_forward_cg1(constant_rates([rate]), mesh)
+            assert np.isfinite(alone.values).all()
+            assert_same_bits(traj.values[k], alone.values[0])
+
+    @pytest.mark.parametrize("mesh", sorted(LINEAR_MESHES))
+    @pytest.mark.parametrize("rows", [1, 2, 300])
+    @pytest.mark.parametrize("name", ["harmonic-standard", "harmonic-nonstandard"])
+    def test_bits_of_the_per_interval_march(self, slice_cells, name, rows, mesh):
+        """The march has the bits of every interval's own step systems
+        (`ode_reference.per_interval_march`) at every SLICE_CELLS."""
+        _, problem = linear_case(name, rows)
+        mesh = LINEAR_MESHES[mesh]()
+        march = solve_forward_cg1(problem, mesh).values
+        assert np.isfinite(march).all()
+        assert_same_bits(march, ode_reference.per_interval_march(problem, mesh))
 
     @pytest.mark.parametrize("rows", [1, 2, 300])
     @pytest.mark.parametrize("name", ["harmonic-standard", "harmonic-nonstandard"])
@@ -563,10 +656,7 @@ class TestAffineMarch:
         """The march has the bits of the one-slice march at every
         SLICE_CELLS, and stays within 1e-12 of the largest |U| of the Newton
         march, on a uniform and on a graded mesh."""
-        experiment = get_experiment(name)
-        problem = experiment.make_problem(
-            sample_parameters(experiment.distributions, 0, 1, 0, rows))
-        assert problem.linear
+        experiment, problem = linear_case(name, rows)
         for mesh in (subdivide(experiment.initial_mesh(), 2), graded_mesh(3.0, 45)):
             sliced = solve_forward_cg1(problem, mesh)
             newton = ode_reference.newton_forward(problem, mesh)
@@ -577,40 +667,49 @@ class TestAffineMarch:
             scale = np.abs(newton.values).max()
             assert np.abs(sliced.values - newton.values).max() <= 1e-12 * scale
 
-    def test_time_dependent_jacobian_matches_newton(self, slice_cells):
-        """u' = J(t) u + g(t) with J(t) = [[0, 1 + t], [-(2 + a sin t), -0.1]]
-        and g(t) = (cos 3t, a), one row per a: M0_n and M1_n differ, so a
-        step that swapped them would show here."""
-        a = np.array([0.5, 1.0, 2.0])
-
-        def jacobian(u, t):
-            t = np.broadcast_to(t, u.shape[:-1])
-            J = np.zeros(u.shape + (2,))
-            J[..., 0, 1] = 1.0 + t
-            J[..., 1, 0] = -(2.0 + a.reshape((-1,) + (1,) * (u.ndim - 2)) * np.sin(t))
-            J[..., 1, 1] = -0.1
-            return J
-
-        def rhs(u, t):
-            g = np.stack(np.broadcast_arrays(
-                np.cos(3.0 * np.asarray(t)), a.reshape((-1,) + (1,) * (u.ndim - 2))),
-                axis=-1)
-            return (jacobian(u, t) @ u[..., None])[..., 0] + g
-
-        problem = OdeProblem(2, rhs, jacobian, np.ones((3, 2)), 4.0, linear=True)
+    def test_time_dependent_jacobian_raises(self, slice_cells):
+        """A problem marked linear whose J depends on t breaks the contract
+        that a step matrix depends on the step length alone: the march and
+        the adjoint raise ValueError instead of reusing one interval's J."""
+        problem = time_dependent_jacobian(np.array([0.5, 1.0, 2.0]))
         mesh = graded_mesh(4.0, 60)
-        affine = solve_forward_cg1(problem, mesh).values
-        newton = ode_reference.newton_forward(problem, mesh).values
-        assert np.isfinite(newton).all()
-        assert np.abs(affine - newton).max() <= 1e-12 * np.abs(newton).max()
+        with pytest.raises(ValueError, match="constant in t"):
+            solve_forward_cg1(problem, mesh)
+        forward = ode_reference.newton_forward(problem, mesh)
+        assert np.isfinite(forward.values).all()
+        with pytest.raises(ValueError, match="constant in t"):
+            solve_adjoint(problem, forward, 4.0, np.array([1.0, 0.0]))
+
+    def test_nan_jacobian_row_is_nan(self, slice_cells):
+        """A row whose J holds NaN (k = NaN) is NaN in the march and in the
+        adjoint, not a broken contract: NaN counts as equal to NaN.  The other
+        rows keep their one-row bits."""
+        mesh = uniform_mesh(3.0, 27)
+        k, m = np.array([50.0, np.nan, 52.0]), np.array([0.25, 0.25, 0.23])
+        problem = harmonic_oscillator(k, m)
+        traj = solve_forward_cg1(problem, mesh)
+        phi = solve_adjoint(problem, traj, 3.0, np.array([1.0, 0.0]))
+        assert np.isnan(traj.values[1]).all() and np.isnan(phi.values[1, :-1]).all()
+        for row in (0, 2):
+            one = harmonic_oscillator(k[row], m[row])
+            alone = solve_forward_cg1(one, mesh)
+            assert_same_bits(traj.values[row], alone.values[0])
+            assert_same_bits(phi.values[row], solve_adjoint(
+                one, alone, 3.0, np.array([1.0, 0.0])).values[0])
 
     def test_one_model_call_each_per_slice(self, monkeypatch):
-        """One `jacobian` and one `rhs` call per slice, none per interval."""
-        monkeypatch.setattr(solvers, "SLICE_CELLS", 40)
-        calls = {"rhs": 0, "jacobian": 0}
-        problem = counting_calls(harmonic_oscillator([50.0, 49.0], [0.25, 0.26]), calls)
-        solve_forward_cg1(problem, uniform_mesh(3.0, 27))
-        assert calls == {"rhs": 2, "jacobian": 2}  # 20 intervals a slice
+        """One `rhs` call per slice of SLICE_CELLS rows x intervals and one
+        `jacobian` call per slice of rows x distinct lengths (27 intervals of
+        5 lengths, 2 rows), none per interval."""
+        mesh = uniform_mesh(3.0, 27)
+        assert np.unique(mesh.lengths).size == 5
+        for cells, want in ((40, {"rhs": 2, "jacobian": 1}),  # 20 a slice
+                            (4, {"rhs": 14, "jacobian": 3})):  # 2 a slice
+            monkeypatch.setattr(solvers, "SLICE_CELLS", cells)
+            calls = {"rhs": 0, "jacobian": 0}
+            solve_forward_cg1(counting_calls(
+                harmonic_oscillator([50.0, 49.0], [0.25, 0.26]), calls), mesh)
+            assert calls == want
 
     def test_resonant_row_is_nan(self, slice_cells):
         """k = 50, m = -68/324 makes (I - M1) = I - (h/2) J singular in exact
@@ -625,6 +724,59 @@ class TestAffineMarch:
             alone = solve_forward_cg1(harmonic_oscillator(k[row], m[row]), mesh)
             assert np.isfinite(alone.values).all()
             assert_same_bits(traj.values[row], alone.values[0])
+
+
+class TestLinearAdjoint:
+    """A linear problem's adjoint runs the backward recurrence on the maps of
+    the distinct sub-interval lengths, with the bits of the sliced path that
+    evaluates J on the forward interpolant (`linear=False`)."""
+
+    @pytest.mark.parametrize("mesh", sorted(LINEAR_MESHES))
+    @pytest.mark.parametrize("rows", [1, 2, 300])
+    @pytest.mark.parametrize("name", ["harmonic-standard", "harmonic-nonstandard"])
+    def test_bits_of_the_generic_path(self, slice_cells, name, rows, mesh):
+        experiment, problem = linear_case(name, rows)
+        forward = solve_forward_cg1(problem, LINEAR_MESHES[mesh]())
+        q = experiment.qoi
+        t_star = q.t_star if isinstance(q, StandardQoi) else eval_event_time(forward, q)[0]
+        generic = dataclasses.replace(problem, linear=False)
+        phi = solve_adjoint(problem, forward, t_star, q.psi).values
+        assert np.isfinite(phi).all()
+        assert_same_bits(phi, solve_adjoint(generic, forward, t_star, q.psi).values)
+
+    @pytest.mark.parametrize("name", ["harmonic-standard", "harmonic-nonstandard"])
+    def test_terminal_rows_of_a_one_row_forward(self, slice_cells, name):
+        """K = 2 terminal rows against a one-row forward, as an event-time
+        estimate's psi and J(t_c)^T psi, on a dwr mesh cut inside an interval."""
+        _, problem = linear_case(name, 1)
+        forward = solve_forward_cg1(problem, dwr_mesh())
+        t_star = 0.5 * (forward.mesh.nodes[40] + forward.mesh.nodes[41])
+        terminal = np.array([[1.0, 0.0], [-3.0, 0.25]])
+        phi = solve_adjoint(problem, forward, t_star, terminal).values
+        generic = dataclasses.replace(problem, linear=False)
+        assert phi.shape[0] == 2 and np.isfinite(phi).all()
+        assert_same_bits(phi, solve_adjoint(generic, forward, t_star, terminal).values)
+
+    def test_exact_zero_pivot_fails_only_its_row(self, slice_cells):
+        """-phi' = c phi with c such that the computed M0 = sum_q w_q (1 -
+        s_q) c is exactly 1 on the adjoint steps of h = 1/2: I - M0 is an
+        exact zero pivot, and the flagged row is NaN before t*.  The other
+        rows keep the bits of their one-row adjoints, and every row those of
+        the generic path."""
+        mesh = uniform_mesh(1.0, 1)
+        _, wq = _segment_quadrature(subdivide(mesh, 2).nodes)
+        c = exact_sum_reciprocal(wq[0] * (1.0 - _GL01_X))
+        problem = constant_rates([-0.1, c, 0.5])
+        forward = Trajectory(mesh, np.ones((3, 2, 1)))
+        phi = solve_adjoint(problem, forward, 1.0, np.array([1.0])).values
+        assert np.isnan(phi[1, :-1]).all() and phi[1, -1] == 1.0
+        generic = dataclasses.replace(problem, linear=False)
+        assert_same_bits(phi, solve_adjoint(generic, forward, 1.0, np.array([1.0])).values)
+        for k, rate in ((0, -0.1), (2, 0.5)):
+            alone = solve_adjoint(constant_rates([rate]), Trajectory(mesh, forward.values[[k]]),
+                                  1.0, np.array([1.0])).values
+            assert np.isfinite(alone).all()
+            assert_same_bits(phi[k], alone[0])
 
 
 # Values whose products and sums make the order of a sum show in its bits:
