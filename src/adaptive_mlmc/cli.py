@@ -12,7 +12,6 @@ import argparse
 import configparser
 import math
 import sys
-from dataclasses import fields
 from pathlib import Path
 from typing import Optional
 
@@ -59,14 +58,12 @@ def _line_of(path: Optional[str], section: str, key: Optional[str] = None) -> st
     return path
 
 
-# Every [run] key: (parser, default), the run's own defaults read from
-# MlmcRunConfig (`seed` is its master_seed).  A run's settings are one dict of
-# these keys plus `config_path`.
-_RUN_DEFAULTS = {f.name: f.default for f in fields(MlmcRunConfig)}
+# Every [run] key: (parser, default), the seed's default read from
+# MlmcRunConfig's master_seed.  A run's settings are one dict of these keys
+# plus `config_path`.
 _RUN_KEYS = {
     "experiment": (str, None), "epsilon": (float, None), "refinement": (str, None),
-    "seed": (int, _RUN_DEFAULTS["master_seed"]), "jobs": (int, _RUN_DEFAULTS["jobs"]),
-    "output_dir": (str, "."),
+    "seed": (int, MlmcRunConfig.master_seed), "output_dir": (str, "."),
     "dump_grids": (lambda text: configparser.ConfigParser.BOOLEAN_STATES[text.lower()],
                    False),
 }
@@ -126,7 +123,7 @@ def _build_run(settings: dict):
         cfg = MlmcRunConfig(epsilon=model.default_epsilon if settings["epsilon"] is None
                             else settings["epsilon"],
                             refinement=settings["refinement"],
-                            master_seed=settings["seed"], jobs=settings["jobs"])
+                            master_seed=settings["seed"])
     except ValueError as exc:
         raise ConfigError(f"{settings['config_path'] or '<flags>'}: {exc}") from exc
     return model, cfg
@@ -171,6 +168,8 @@ def write_artifacts(estimate: MlmcEstimate, out_dir: str,
 
 
 def _cmd_run(args) -> int:
+    if args.jobs is not None and args.jobs < 1:
+        raise ConfigError("<flags>: jobs must be >= 1")
     settings = _parse_config_file(args.config) if args.config \
         else _settings({}, None)
     for key in _RUN_KEYS:  # flags win over the config file
@@ -230,7 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--epsilon", type=float)
     run_p.add_argument("--refinement", choices=STRATEGIES)
     run_p.add_argument("--seed", type=int)
-    run_p.add_argument("--jobs", type=int)
+    run_p.add_argument("--jobs", type=int, metavar="N",
+                       help="ignored, since runs are single-threaded; N must be >= 1")
     run_p.add_argument("--dump-grids", action="store_true", default=None)
     run_p.add_argument("--output-dir")
     run_p.set_defaults(func=_cmd_run)

@@ -16,8 +16,6 @@ recorded failed and redrawn.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -95,7 +93,6 @@ class MlmcRunConfig:
     epsilon: float
     refinement: str = "uniform"  # one of refinement.STRATEGIES
     master_seed: int = 0
-    jobs: int = 1
 
     def __post_init__(self):
         if self.refinement not in STRATEGIES:
@@ -104,8 +101,6 @@ class MlmcRunConfig:
             raise ValueError("epsilon must be positive and finite")
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
 
 
 def level_variance(y: np.ndarray) -> float:
@@ -184,16 +179,10 @@ class _Runner:
         self.model = model
         self.cfg = cfg
         self.sample_log = np.zeros(0, SAMPLE_DTYPE)
-        workers = min(cfg.jobs, os.cpu_count() or 1)  # no more threads than CPUs
-        self.pool = ThreadPoolExecutor(workers) if cfg.jobs > 1 else None
-
-    def close(self):
-        if self.pool is not None:
-            self.pool.shutdown()
 
     def fill(self, level: LevelState, target: int, want_estimate: bool) -> None:
-        """Take samples until the level holds `target` ok samples, in at least
-        `jobs` chunks of at most CHUNK_SIZE draws per round (or MlmcError)."""
+        """Take samples until the level holds `target` ok samples, in chunks
+        of at most CHUNK_SIZE draws per round (or MlmcError)."""
         too_many = f"cannot take {target:.3g} samples on level {level.level}"
         if not target <= np.iinfo(np.intp).max // SAMPLE_DTYPE.itemsize:  # or inf
             raise MlmcError(too_many)
@@ -203,11 +192,9 @@ class _Runner:
             except MemoryError:
                 raise MlmcError(too_many) from None
             start = len(level.samples)
-            ranges = chunk_ranges(need, max(self.cfg.jobs, -(-need // CHUNK_SIZE)))
-            worker = lambda r: take_sample(self.model, level, self.cfg.master_seed,
-                                           start + r[0], r[1], want_estimate)
-            run = self.pool.map if self.pool else map
-            for (offset, count), (rows, contrib) in zip(ranges, run(worker, ranges)):
+            for offset, count in chunk_ranges(need, -(-need // CHUNK_SIZE)):
+                rows, contrib = take_sample(self.model, level, self.cfg.master_seed,
+                                            start + offset, count, want_estimate)
                 new_rows[offset:offset + count] = rows
                 if contrib is not None:
                     level.contributions.append(contrib)
@@ -224,54 +211,51 @@ class _Runner:
 def run_adaptive_mlmc(model, cfg: MlmcRunConfig) -> MlmcEstimate:
     """Execute the adaptive driver loop until bias^2 <= epsilon/2 or MAX_LEVELS."""
     runner = _Runner(model, cfg)
-    try:
-        mesh0 = model.initial_mesh()
-        elems0 = mesh0.n_intervals
-        levels = [LevelState(0, mesh0, None, 1.0, None)]
-        while True:
-            highest = levels[-1]
-            warm_up = N_SCHEDULE[min(highest.level, len(N_SCHEDULE) - 1)]
-            runner.fill(highest, warm_up, want_estimate=True)
-            variances = [level_variance(lv.ok("y")) for lv in levels]
-            costs = [lv.cost_per_sample for lv in levels]
-            n_opt = optimal_samples(variances, costs, cfg.epsilon)
-            for lv, n in zip(levels, n_opt):
-                if n > np.count_nonzero(lv.samples["ok"]):
-                    runner.fill(lv, n, want_estimate=(lv is highest))
-            variances = [level_variance(lv.ok("y")) for lv in levels]
-            bias = level_bias(highest.ok("error_estimate"))
-            if not abs(bias) < 1e154:  # NaN too: bias ** 2 must stay finite
-                raise MlmcError(f"the bias estimate {bias:.3g} overflows its square")
-            if bias ** 2 <= 0.5 * cfg.epsilon or len(levels) >= MAX_LEVELS:
-                break
+    mesh0 = model.initial_mesh()
+    elems0 = mesh0.n_intervals
+    levels = [LevelState(0, mesh0, None, 1.0, None)]
+    while True:
+        highest = levels[-1]
+        warm_up = N_SCHEDULE[min(highest.level, len(N_SCHEDULE) - 1)]
+        runner.fill(highest, warm_up, want_estimate=True)
+        variances = [level_variance(lv.ok("y")) for lv in levels]
+        costs = [lv.cost_per_sample for lv in levels]
+        n_opt = optimal_samples(variances, costs, cfg.epsilon)
+        for lv, n in zip(levels, n_opt):
+            if n > np.count_nonzero(lv.samples["ok"]):
+                runner.fill(lv, n, want_estimate=(lv is highest))
+        variances = [level_variance(lv.ok("y")) for lv in levels]
+        bias = level_bias(highest.ok("error_estimate"))
+        if not abs(bias) < 1e154:  # NaN too: bias ** 2 must stay finite
+            raise MlmcError(f"the bias estimate {bias:.3g} overflows its square")
+        if bias ** 2 <= 0.5 * cfg.epsilon or len(levels) >= MAX_LEVELS:
+            break
 
-            new_mesh, new_regions = build_next_mesh(
-                highest.mesh, highest.regions, np.concatenate(highest.contributions),
-                highest.ok("error_estimate"), cfg.refinement, model.dwr_marking)
-            highest.contributions = []
-            cost = (new_mesh.n_intervals + highest.mesh.n_intervals) / elems0
-            levels.append(LevelState(len(levels), new_mesh, highest.mesh, cost,
-                                     new_regions))
+        new_mesh, new_regions = build_next_mesh(
+            highest.mesh, highest.regions, np.concatenate(highest.contributions),
+            highest.ok("error_estimate"), cfg.refinement, model.dwr_marking)
+        highest.contributions = []
+        cost = (new_mesh.n_intervals + highest.mesh.n_intervals) / elems0
+        levels.append(LevelState(len(levels), new_mesh, highest.mesh, cost,
+                                 new_regions))
 
-        value = sum(float(np.mean(lv.ok("y"))) for lv in levels)
-        counts = [np.count_nonzero(lv.samples["ok"]) for lv in levels]
-        total_variance = sum(v / n for v, n in zip(variances, counts))
-        squared_bias = bias ** 2
-        total_cost = sum(n * lv.cost_per_sample for n, lv in zip(counts, levels))
-        summaries = tuple(
-            LevelSummary(lv.level, lv.mesh.n_intervals, lv.cost_per_sample,
-                         counts[i], variances[i])
-            for i, lv in enumerate(levels))
-        return MlmcEstimate(
-            value=value,
-            total_variance=total_variance,
-            squared_bias=squared_bias,
-            mse=total_variance + squared_bias,
-            levels=summaries,
-            total_cost=total_cost,
-            converged=squared_bias <= 0.5 * cfg.epsilon,
-            meshes=tuple(lv.mesh for lv in levels),
-            sample_log=runner.sample_log,
-        )
-    finally:
-        runner.close()
+    value = sum(float(np.mean(lv.ok("y"))) for lv in levels)
+    counts = [np.count_nonzero(lv.samples["ok"]) for lv in levels]
+    total_variance = sum(v / n for v, n in zip(variances, counts))
+    squared_bias = bias ** 2
+    total_cost = sum(n * lv.cost_per_sample for n, lv in zip(counts, levels))
+    summaries = tuple(
+        LevelSummary(lv.level, lv.mesh.n_intervals, lv.cost_per_sample,
+                     counts[i], variances[i])
+        for i, lv in enumerate(levels))
+    return MlmcEstimate(
+        value=value,
+        total_variance=total_variance,
+        squared_bias=squared_bias,
+        mse=total_variance + squared_bias,
+        levels=summaries,
+        total_cost=total_cost,
+        converged=squared_bias <= 0.5 * cfg.epsilon,
+        meshes=tuple(lv.mesh for lv in levels),
+        sample_log=runner.sample_log,
+    )

@@ -3,8 +3,8 @@
 Meshes store node coordinates rather than interval lengths, and refinement
 keeps every input node exactly, so meso region breaks taken from one level's
 nodes compare exactly with the next level's.  All refinement operations
-return new meshes; instances are immutable and safe to share across
-concurrently running samples.
+return new meshes; instances are immutable and shared by every sample of
+a level.
 """
 from __future__ import annotations
 

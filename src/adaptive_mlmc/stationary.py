@@ -212,7 +212,7 @@ class BvpMlmcModel:
 
     def evaluate(self, W: np.ndarray, mesh: Mesh1D, want_estimate: bool):
         plan = self._plans.get(mesh)
-        if plan is None:  # two threads may both build it: the plans are equal
+        if plan is None:
             plan = self._plans[mesh] = BvpPlan.build(mesh)
         w = W[:, 0]
         U = solve_bvp_p1(plan, w)

@@ -8,13 +8,15 @@ parent commit and on the change:
 Each line is one config: `experiment,strategy,epsilon,seed,jobs`, the exit
 code of `mlmc run` and the sha256 of its levels.csv, summary.csv and
 samples.csv ("-" for a file the run did not write).  The benchmark's
-determinism pair runs one config at `--jobs 1` and `--jobs 2`, so the thread
-pool is covered; the script exits 1 if the two runs' digests differ.  The
-runs are in-process and import `adaptive_mlmc` from the path, so one copy of
-this script digests another checkout too:
+determinism pair runs one config at `--jobs 1` and `--jobs 2`: runs are
+single-threaded and `mlmc run` accepts and ignores `--jobs`, so the pair checks
+that the accepted flag changes no artifact; the script exits 1 if the two
+runs' digests differ.  The runs are in-process and import `adaptive_mlmc`
+from the path, so one copy of this script digests another checkout too:
 `PYTHONPATH=<checkout>/src python tests/artifact_digests.py`.  Every config
 but the `--jobs` pair, which stops at level 0 as in the benchmark, builds at
-least two levels, so refinement and the coarse-level solves are covered.  Pytest does not collect this file.
+least two levels, so refinement and the coarse-level solves are covered.
+Pytest does not collect this file.
 """
 import contextlib
 import hashlib
@@ -37,7 +39,8 @@ PRESET_EPSILON = {
 }
 
 
-# the benchmark's determinism check: one config at --jobs 1 and --jobs 2
+# the benchmark's determinism check: one config at --jobs 1 and --jobs 2,
+# which the accepted (and ignored) flag must leave byte-identical
 JOBS_PAIR = [("advection-diffusion-1d", "dwr", 5e-5, 0, jobs) for jobs in (1, 2)]
 
 

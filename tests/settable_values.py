@@ -2,17 +2,16 @@
 
     PYTHONPATH=src python tests/settable_values.py
 
-Counts the fields of `MlmcRunConfig` (and of `RefinementConfig` in a
-checkout that still has it), the keys a config file accepts and the flags of
-`mlmc run` and `mlmc compare` (`--help` aside), and prints the total with its
-parts.  A simplification should lower
-the total.  Like `artifact_digests.py`, it imports `adaptive_mlmc` from the
-path, so it counts another checkout too.  Pytest does not collect this file.
+Counts the fields of `MlmcRunConfig`, the keys a config file accepts and the
+flags of `mlmc run` and `mlmc compare` (`--help` aside), and prints the total
+with its parts.  A simplification should lower the total.  Like
+`artifact_digests.py`, it imports `adaptive_mlmc` from the path, so it counts
+another checkout too.  Pytest does not collect this file.
 """
 import argparse
 from dataclasses import fields
 
-from adaptive_mlmc import cli, refinement
+from adaptive_mlmc import cli
 from adaptive_mlmc.driver import MlmcRunConfig
 
 
@@ -24,13 +23,9 @@ def flags(parser: argparse.ArgumentParser) -> int:
 def counts() -> dict:
     commands = next(action for action in cli.build_parser()._actions
                     if isinstance(action, argparse._SubParsersAction)).choices
-    # RefinementConfig and [refinement] in a checkout that still has them
-    refinement_config = getattr(refinement, "RefinementConfig", None)
     return {
         "MlmcRunConfig": len(fields(MlmcRunConfig)),
-        **({"RefinementConfig": len(fields(refinement_config))}
-           if refinement_config else {}),
-        "config keys": len(cli._RUN_KEYS) + len(getattr(cli, "_REFINEMENT_KEYS", {})),
+        "config keys": len(cli._RUN_KEYS),
         "run flags": flags(commands["run"]),
         "compare flags": flags(commands["compare"]),
     }

@@ -229,11 +229,11 @@ def test_criterion_8_byte_identical_artifacts(tmp_path, capsys):
 
     first = artifacts("a", 1)
     second = artifacts("b", 1)
-    threaded = artifacts("c", 4)
+    flagged = artifacts("c", 4)
     capsys.readouterr()
     report(8, "determinism", [
         ("reruns byte-identical", first == second),
-        ("--jobs does not change output", first == threaded),
+        ("the accepted --jobs flag changes no output", first == flagged),
     ])
 
 

@@ -23,7 +23,8 @@ _FMT = "%.17g"
 
 # (experiment, strategy, epsilon, seed, jobs), fixed before any was run: the
 # benchmark's two workloads at seed 0, each strategy once on a preset of
-# artifact_digests.PRESET_EPSILON at seed 1, and the --jobs pair.
+# artifact_digests.PRESET_EPSILON at seed 1, and the --jobs pair, which
+# checks that the accepted (and ignored) --jobs flag changes no artifact.
 CONFIGS = [
     ("harmonic-standard", "dwr", 1e-3, 0, 1),
     ("advection-diffusion-1d", "dwr", 2e-6, 0, 1),

@@ -47,7 +47,6 @@ experiment = lorenz
 epsilon = 1e-4
 refinement = dwr
 seed = 7
-jobs = 2
 dump_grids = yes
 """)
         s = _parse_config_file(path)
@@ -55,7 +54,6 @@ dump_grids = yes
         assert s["epsilon"] == 1e-4
         assert s["refinement"] == "dwr"
         assert s["seed"] == 7
-        assert s["jobs"] == 2
         assert s["dump_grids"] is True
         assert s["config_path"] == path
 
@@ -64,7 +62,7 @@ dump_grids = yes
         path = write_config(tmp_path, "[run]\nexperiment = lorenz\n")
         assert _parse_config_file(path) == {
             "experiment": "lorenz", "epsilon": None, "refinement": None,
-            "seed": 0, "jobs": 1, "output_dir": ".", "dump_grids": False,
+            "seed": 0, "output_dir": ".", "dump_grids": False,
             "config_path": path}
 
     def test_missing_run_section(self, tmp_path):
@@ -80,6 +78,13 @@ epsilom = 1e-4
 """)
         with pytest.raises(ConfigError, match=r"run\.ini:3.*epsilom"):
             _parse_config_file(path)
+
+    def test_jobs_key_is_unknown(self, tmp_path, capsys):
+        """Runs are single-threaded: a `jobs` key ends the run at its line."""
+        path = write_config(tmp_path, "[run]\nexperiment = lorenz\njobs = 2\n")
+        assert run_cli("run", "--config", path) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}:3: unknown key 'jobs' in [run]\n")
 
     @pytest.mark.parametrize("comment", ["# page\x0cbreak", "# line\u2028separator"])
     def test_line_numbers_count_newlines_only(self, tmp_path, comment):
@@ -234,10 +239,10 @@ dwr_fraction = 0.3
 
 
 # Lines a fuzzed config is built from: section headers, keys with plain and
-# odd values, and raw bytes.
-_KEYS = ["experiment", "epsilon", "refinement", "seed", "jobs", "output_dir",
-         "dump_grids", "dwr_fraction", "dwr_factor", "meso_q",
-         "meso_target_multiplier", "n_schedule"]
+# odd values, and raw bytes.  The keys are the [run] keys, then removed ones.
+_KEYS = ["experiment", "epsilon", "refinement", "seed", "output_dir", "dump_grids",
+         "jobs", "dwr_fraction", "dwr_factor", "meso_q", "meso_target_multiplier",
+         "n_schedule"]
 _VALUES = ["lorenz", "advection-diffusion-1d", "dwr", "meso", "1e-3", "nan",
            "-1", "0", "2", "yes", "out%1", "%(experiment)s", "caf\xe9"]
 _CONFIG_LINE = st.one_of(
@@ -533,11 +538,20 @@ class TestDeterminism:
         capsys.readouterr()
         assert a == b
 
-    def test_jobs_do_not_change_output(self, tmp_path, capsys):
-        serial = self._run(tmp_path, "serial")
-        threaded = self._run(tmp_path, "threaded", "--jobs", "4")
+    def test_accepted_jobs_flag_changes_no_output(self, tmp_path, capsys):
+        """`--jobs` is accepted and ignored: --jobs 3 writes --jobs 1's bytes."""
+        one = self._run(tmp_path, "one", "--jobs", "1")
+        three = self._run(tmp_path, "three", "--jobs", "3")
         capsys.readouterr()
-        assert serial == threaded
+        assert one == three
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_an_error(self, tmp_path, capsys, jobs):
+        out_dir = tmp_path / "out"
+        assert run_cli("run", "--experiment", "harmonic-standard", "--jobs", jobs,
+                       "--output-dir", str(out_dir)) == 1
+        assert capsys.readouterr().err == "error: <flags>: jobs must be >= 1\n"
+        assert not out_dir.exists()
 
 
 class TestCompareCommand:
@@ -625,6 +639,13 @@ code = adaptive_mlmc.cli.main(["run", *sys.argv[1:]])
 print(code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
+LOADED_CONCURRENT = """\
+import sys
+import adaptive_mlmc.cli
+code = adaptive_mlmc.cli.main(["run", *sys.argv[1:]])
+print(code, sorted(m for m in sys.modules if m.split(".")[0] == "concurrent"))
+"""
+
 LOADED_NUMPY_MA = """\
 import sys
 import numpy
@@ -640,6 +661,14 @@ class TestColdStart:
         """Importing the package and running an ODE preset loads no scipy."""
         proc = run_fresh(LOADED_SCIPY, "--experiment", "harmonic-standard",
                          "--epsilon", "100", "--output-dir", tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"
+
+    def test_ode_run_never_loads_concurrent_futures(self, tmp_path):
+        """Runs are single-threaded: importing the package and running an ODE
+        preset load no thread pool."""
+        proc = run_fresh(LOADED_CONCURRENT, "--experiment", "lorenz", "--epsilon",
+                         "100", "--jobs", "2", "--output-dir", tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 []"
 

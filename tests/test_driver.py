@@ -1,8 +1,5 @@
 """MLMC driver statistics, allocation, and adaptive-loop behavior."""
-import os
 import re
-import threading
-import time
 import warnings
 
 import numpy as np
@@ -326,38 +323,33 @@ class TestChunkRanges:
 
 
 class TestFill:
-    @pytest.mark.parametrize("jobs,target", [(1, 600), (1, 10), (3, 10),
-                                             (3, CHUNK_SIZE + 1)])
-    def test_chunks(self, jobs, target):
-        """At least `jobs` chunks of at most CHUNK_SIZE draws, in index order."""
+    @pytest.mark.parametrize("chunk_size,target", [
+        (1, 10), (7, 10), (7, 600), (CHUNK_SIZE, 10), (CHUNK_SIZE, 600),
+        (CHUNK_SIZE, CHUNK_SIZE + 1)])
+    def test_chunks(self, chunk_size, target, monkeypatch):
+        """The fewest chunks of at most CHUNK_SIZE draws, in index order."""
+        monkeypatch.setattr(driver, "CHUNK_SIZE", chunk_size)
         model = SyntheticModel()
-        cfg = MlmcRunConfig(epsilon=1.0, jobs=jobs)
-        runner = _Runner(model, cfg)
+        runner = _Runner(model, MlmcRunConfig(epsilon=1.0))
         level = LevelState(0, uniform_mesh(1.0, 2), None, 1.0, [])
-        try:
-            runner.fill(level, target, want_estimate=False)
-        finally:
-            runner.close()
+        runner.fill(level, target, want_estimate=False)
         assert sum(model.chunks) == target
-        assert len(model.chunks) == max(jobs, -(-target // CHUNK_SIZE))
-        assert max(model.chunks) <= CHUNK_SIZE
+        assert len(model.chunks) == -(-target // chunk_size)
+        assert max(model.chunks) <= chunk_size
         assert level.samples["index"].tolist() == list(range(target))
         assert runner.sample_log.tobytes() == level.samples.tobytes()
         assert level.contributions == []
 
-    @pytest.mark.parametrize("jobs", [1, 3])
-    def test_contributions_follow_the_ok_rows(self, jobs, monkeypatch):
+    @pytest.mark.parametrize("chunk_size", [1, 7, CHUNK_SIZE])
+    def test_contributions_follow_the_ok_rows(self, chunk_size, monkeypatch):
         """The kept contribution rows are the ok rows', in table order: the
         matrix and totals that build the next mesh."""
         monkeypatch.setattr(driver, "MAX_FAILURE_RATE", 0.5)
+        monkeypatch.setattr(driver, "CHUNK_SIZE", chunk_size)
         model = SyntheticModel(fail=fail_below)
-        cfg = MlmcRunConfig(epsilon=1.0, jobs=jobs)
-        runner = _Runner(model, cfg)
+        runner = _Runner(model, MlmcRunConfig(epsilon=1.0))
         level = LevelState(0, uniform_mesh(1.0, 4), None, 1.0, None)
-        try:
-            runner.fill(level, 2 * CHUNK_SIZE + 5, want_estimate=True)
-        finally:
-            runner.close()
+        runner.fill(level, 2 * CHUNK_SIZE + 5, want_estimate=True)
         contributions = np.concatenate(level.contributions)
         assert not level.samples["ok"].all()
         assert contributions.shape == (2 * CHUNK_SIZE + 5, 4)
@@ -465,13 +457,14 @@ class TestAdaptiveRun:
         assert np.isfinite(est.value) and np.isfinite(est.total_variance)
         assert np.isfinite(est.sample_log["y"][ok]).all()
 
-    @pytest.mark.parametrize("jobs", [1, 3])
-    def test_exactly_the_failing_draws_fail(self, jobs, monkeypatch):
+    @pytest.mark.parametrize("chunk_size", [1, 7, CHUNK_SIZE])
+    def test_exactly_the_failing_draws_fail(self, chunk_size, monkeypatch):
         """Each failing draw is recorded failed, every other draw ok, and the
         level still reaches its sample count through redraws."""
         monkeypatch.setattr(driver, "MAX_FAILURE_RATE", 0.2)
         monkeypatch.setattr(driver, "N_SCHEDULE", (600,))
-        cfg = MlmcRunConfig(epsilon=1.0, jobs=jobs)
+        monkeypatch.setattr(driver, "CHUNK_SIZE", chunk_size)
+        cfg = MlmcRunConfig(epsilon=1.0)
         est = run_adaptive_mlmc(SyntheticModel(fail=fail_below), cfg)
         statuses = {(lv, i): ok for lv, i, ok in
                     est.sample_log[["level", "index", "ok"]].tolist()}
@@ -528,40 +521,14 @@ class TestAdaptiveRun:
         assert sorted(est.sample_log["index"].tolist()) == list(range(len(est.sample_log)))
 
 
-class ThreadRecordingModel(SyntheticModel):
-    """SyntheticModel that records the thread of every evaluate call."""
-
-    def __init__(self):
-        super().__init__()
-        self.threads = set()
-
-    def evaluate(self, W, mesh, want_estimate):
-        self.threads.add(threading.get_ident())
-        time.sleep(0.002)  # keep each thread busy, so the pool starts more
-        return super().evaluate(W, mesh, want_estimate)
-
-
-class TestParallelDeterminism:
-    def test_pool_threads_bounded_by_cpus(self):
-        """At jobs=64 a 64-draw fill is cut into one-draw chunks, which run on
-        no more threads than the machine has CPUs."""
-        model = ThreadRecordingModel()
-        cfg = MlmcRunConfig(epsilon=1.0, jobs=64)
-        runner = _Runner(model, cfg)
-        level = LevelState(0, uniform_mesh(1.0, 2), None, 1.0, None)
-        try:
-            runner.fill(level, 64, want_estimate=True)
-        finally:
-            runner.close()
-        assert model.chunks == [1] * 64
-        assert len(model.threads) <= (os.cpu_count() or 1)
-
-    def test_jobs_do_not_change_the_estimate(self):
+class TestChunkDeterminism:
+    def test_chunk_size_does_not_change_the_estimate(self, monkeypatch):
         experiment = get_experiment("harmonic-standard")
         results = []
-        for jobs in (1, 4):
+        for chunk_size in (CHUNK_SIZE, 7):
+            monkeypatch.setattr(driver, "CHUNK_SIZE", chunk_size)
             cfg = MlmcRunConfig(epsilon=experiment.default_epsilon, refinement="dwr",
-                                master_seed=1, jobs=jobs)
+                                master_seed=1)
             results.append(run_adaptive_mlmc(experiment, cfg))
         assert results[0].value == results[1].value
         assert results[0].total_cost == results[1].total_cost

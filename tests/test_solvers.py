@@ -13,7 +13,7 @@ from scipy.linalg import expm
 
 from adaptive_mlmc import solvers
 from adaptive_mlmc.driver import MlmcRunConfig, run_adaptive_mlmc
-from adaptive_mlmc.experiments import get_experiment
+from adaptive_mlmc.experiments import EXPERIMENT_NAMES, get_experiment
 from adaptive_mlmc.meshes import Mesh1D, MeshError, subdivide, uniform_mesh
 from adaptive_mlmc.models import OdeProblem, harmonic_oscillator, lorenz, two_body
 from adaptive_mlmc.qoi import StandardQoi, eval_event_time
@@ -199,17 +199,24 @@ class TestAdjoint:
 
 
 class TestResidualPairing:
-    def test_galerkin_orthogonality(self):
+    @pytest.mark.parametrize("factor", [1, 4])
+    @pytest.mark.parametrize("name", EXPERIMENT_NAMES)
+    def test_galerkin_orthogonality(self, name, factor):
         """The cG(1) residual is orthogonal to piecewise-constant weights:
-        every interval's contribution vanishes for d + 1 constant weights."""
-        problem = harmonic_oscillator(50.0, 0.25)
-        mesh = uniform_mesh(3.0, 27)
+        every interval's contribution vanishes for d + 1 constant weights,
+        for 16 seed-0 draws of each ODE preset on its initial mesh and on
+        that mesh split in four."""
+        model = get_experiment(name)
+        mesh = subdivide(model.initial_mesh(), factor)
+        problem = model.make_problem(sample_parameters(model.distributions, 0, 0, 0, 16))
         forward = solve_forward_cg1(problem, mesh)
         rng = np.random.default_rng(3)
         weights = rng.standard_normal((problem.dim + 1, problem.dim))
-        contributions = residual_pairing(problem, forward,
-                                         constant_weights(mesh, weights), 3.0)
-        assert contributions.shape == (problem.dim + 1, mesh.n_intervals)
+        contributions = np.stack([
+            residual_pairing(problem, forward, constant_weights(mesh, w[None]),
+                             mesh.length)
+            for w in weights])
+        assert contributions.shape == (problem.dim + 1, 16, mesh.n_intervals)
         scale = np.abs(forward.values).max() * np.abs(weights).max()
         assert np.abs(contributions).max() <= 1e-10 * scale
 

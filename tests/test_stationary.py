@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 from scipy.linalg import solve_banded
 
+from adaptive_mlmc import driver
 from adaptive_mlmc.driver import CHUNK_SIZE, MlmcRunConfig, run_adaptive_mlmc
 from adaptive_mlmc.meshes import Mesh1D, subdivide, uniform_mesh
 from adaptive_mlmc.refinement import dwr_select
@@ -552,15 +553,16 @@ class TestBvpMlmc:
             values.append(run_adaptive_mlmc(model, cfg).value)
         assert abs(values[0] - values[1]) <= 3.0 * np.sqrt(model.default_epsilon)
 
-
-    def test_jobs_and_chunking_do_not_change_the_run(self):
+    def test_chunking_does_not_change_the_run(self, monkeypatch):
         runs = []
-        for jobs in (1, 3):
+        for chunk_size in (CHUNK_SIZE, 7, 1):
+            monkeypatch.setattr(driver, "CHUNK_SIZE", chunk_size)
             cfg = MlmcRunConfig(epsilon=BvpMlmcModel.default_epsilon,
                                 refinement=BvpMlmcModel.default_refinement,
-                                master_seed=4, jobs=jobs)
+                                master_seed=4)
             runs.append(run_adaptive_mlmc(BvpMlmcModel(), cfg))
         assert runs[0].levels[0].n_samples > 2 * CHUNK_SIZE
-        assert runs[0].sample_log.tobytes() == runs[1].sample_log.tobytes()
-        assert runs[0].value == runs[1].value
-        assert runs[0].levels == runs[1].levels
+        for run in runs[1:]:
+            assert run.sample_log.tobytes() == runs[0].sample_log.tobytes()
+            assert run.value == runs[0].value
+            assert run.levels == runs[0].levels
