@@ -165,12 +165,6 @@ def take_sample(model, level: LevelState, master_seed: int, start: int, count: i
     return rows, None if decomp is None else decomp.contributions[ok]
 
 
-def chunk_ranges(need: int, n_chunks: int) -> list:
-    """(offset, count) of each non-empty np.array_split(range(need), n_chunks) piece."""
-    q, r = divmod(need, n_chunks)
-    return [(i * q + min(i, r), q + (i < r)) for i in range(min(n_chunks, need))]
-
-
 class _Runner:
     """Chunked sample execution: failed draws are redrawn, too many failures
     run-wide abort the run, and `sample_log` holds every row in the order taken."""
@@ -192,10 +186,11 @@ class _Runner:
             except MemoryError:
                 raise MlmcError(too_many) from None
             start = len(level.samples)
-            for offset, count in chunk_ranges(need, -(-need // CHUNK_SIZE)):
+            for offset in range(0, need, CHUNK_SIZE):
                 rows, contrib = take_sample(self.model, level, self.cfg.master_seed,
-                                            start + offset, count, want_estimate)
-                new_rows[offset:offset + count] = rows
+                                            start + offset,
+                                            min(CHUNK_SIZE, need - offset), want_estimate)
+                new_rows[offset:offset + CHUNK_SIZE] = rows
                 if contrib is not None:
                     level.contributions.append(contrib)
             level.samples = np.concatenate([level.samples, new_rows])

@@ -4,8 +4,8 @@ Every draw is a pure function of (master_seed, level, index): each
 (master_seed, level) keys one Philox stream, and the index addresses the
 draw's own blocks of that stream by counter.  Uniforms come from inverse-CDF
 on 64-bit words and normals from Box-Muller on the same words.  Results are
-therefore identical no matter in which chunks, in which order, or on how
-many workers draws are generated.
+therefore identical no matter in which chunks or in which order draws are
+generated.
 """
 from __future__ import annotations
 

@@ -11,9 +11,8 @@ from adaptive_mlmc import driver
 from adaptive_mlmc.cli import write_artifacts
 from adaptive_mlmc.driver import (CHUNK_SIZE, SAMPLE_DTYPE, LevelState,
                                   MlmcError, MlmcRunConfig, _Runner,
-                                  chunk_ranges, level_bias, level_variance,
-                                  optimal_samples, run_adaptive_mlmc,
-                                  take_sample)
+                                  level_bias, level_variance, optimal_samples,
+                                  run_adaptive_mlmc, take_sample)
 from adaptive_mlmc.error_estimation import ErrorDecomposition
 from adaptive_mlmc.experiments import get_experiment
 from adaptive_mlmc.meshes import uniform_mesh
@@ -298,28 +297,6 @@ class TestTakeSample:
                                                        int(r["index"]), 1, True)
             assert r.tobytes() == alone.tobytes()
             assert np.array_equal(row[None], alone_contributions)
-
-
-class TestChunkRanges:
-    @given(st.integers(1, 3000), st.integers(1, 100))
-    @settings(max_examples=200, deadline=None)
-    def test_matches_array_split(self, need, n_chunks):
-        """The ranges are the non-empty pieces np.array_split cuts."""
-        pieces = [p for p in np.array_split(np.arange(need), n_chunks) if p.size]
-        assert chunk_ranges(need, n_chunks) == [(int(p[0]), p.size) for p in pieces]
-
-    @given(st.integers(1, 2 ** 62), st.integers(1, 300))
-    @settings(max_examples=100, deadline=None)
-    def test_tile_any_need(self, need, n_chunks):
-        """Without an index array, huge needs still split into contiguous
-        pieces whose sizes differ by at most one, larger first."""
-        ranges = chunk_ranges(need, n_chunks)
-        offsets, counts = zip(*ranges)
-        assert len(ranges) == min(need, n_chunks) and offsets[0] == 0
-        assert [o + c for o, c in ranges[:-1]] == list(offsets[1:])
-        assert offsets[-1] + counts[-1] == need
-        assert sorted(counts, reverse=True) == list(counts)
-        assert counts[0] - counts[-1] <= 1
 
 
 class TestFill:
