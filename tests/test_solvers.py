@@ -24,6 +24,7 @@ from adaptive_mlmc.solvers import (ADJOINT_REFINE_FACTOR, Trajectory, _GL01_W,
                                    solve_forward_cg1)
 
 import ode_reference
+from artifact_digests import PRESET_EPSILON
 from synthetic_problems import (blow_up, constant_rates, constant_weights,
                                 counting_calls, exact_reciprocal,
                                 exact_sum_reciprocal, one_point_jacobian)
@@ -143,6 +144,52 @@ class TestChunkMarch:
         assert_singular_first_step_fails_only_its_row()
 
 
+def two_body_energy(U):
+    """H = |v|^2 / 2 - 1 / |x| of each state, and the l1 norm of its gradient."""
+    x, y, vx, vy = np.moveaxis(U, -1, 0)
+    r = np.sqrt(x ** 2 + y ** 2)
+    gradient = (np.abs(x) + np.abs(y)) / r ** 3 + np.abs(vx) + np.abs(vy)
+    return 0.5 * (vx ** 2 + vy ** 2) - 1.0 / r, gradient
+
+
+class TestEnergy:
+    """cG(1) conserves H for a canonical Hamiltonian system when its integrals
+    are exact: U_{n+1} - U_n = J int grad H(U) dt, so H(U_{n+1}) - H(U_n) =
+    gbar . (U_{n+1} - U_n) = 0, gbar the interval's mean gradient.  Newton
+    stops with a residual r, |r|_inf <= NEWTON_TOL, so each step changes H by
+    gbar . r plus the 5-point rule's error and rounding; two-body is
+    canonical."""
+
+    THETAS = np.array([1.97, 1.985, 2.0])
+
+    def drift(self, n):
+        forward = solve_forward_cg1(two_body(self.THETAS), uniform_mesh(10.0, n))
+        H, _ = two_body_energy(forward.values)
+        return forward, np.abs(H - H[:, :1]).max()
+
+    def test_drift_within_the_newton_tolerance(self):
+        """At 640 intervals the quadrature error is negligible, so over n
+        steps |H - H_0| <= n max|grad H|_1 (NEWTON_TOL + 8 u max|U|), the
+        rounding of each update and residual; plus 8 u max(|v|^2/2 + 1/|x|)
+        for evaluating H twice.  The gradient's maximum is taken along the
+        piecewise-linear trajectory, 8 points per interval."""
+        n = 640
+        forward, drift = self.drift(n)
+        _, gradient = two_body_energy(forward(np.linspace(0.0, 10.0, 8 * n + 1)))
+        u = np.finfo(float).eps
+        x, y, vx, vy = np.moveaxis(forward.values, -1, 0)
+        terms = 0.5 * (vx ** 2 + vy ** 2) + 1.0 / np.sqrt(x ** 2 + y ** 2)
+        bound = n * gradient.max() * (solvers.NEWTON_TOL
+                                      + 8 * u * np.abs(forward.values).max()) \
+            + 8 * u * terms.max()
+        assert drift <= bound
+
+    def test_drift_falls_with_the_quadrature_error(self):
+        """On coarse meshes the 5-point rule's error dominates and falls with h."""
+        drifts = [self.drift(n)[1] for n in (40, 80, 160)]
+        assert drifts[0] > drifts[1] > drifts[2]
+
+
 class TestRestrictMesh:
     def test_cut_at_existing_node(self):
         mesh = uniform_mesh(1.0, 4)
@@ -199,26 +246,29 @@ class TestAdjoint:
 
 
 class TestResidualPairing:
-    @pytest.mark.parametrize("factor", [1, 4])
+    @pytest.mark.parametrize("meshes", [1, 4, "dwr", "meso"])
     @pytest.mark.parametrize("name", EXPERIMENT_NAMES)
-    def test_galerkin_orthogonality(self, name, factor):
+    def test_galerkin_orthogonality(self, name, meshes):
         """The cG(1) residual is orthogonal to piecewise-constant weights:
         every interval's contribution vanishes for d + 1 constant weights,
-        for 16 seed-0 draws of each ODE preset on its initial mesh and on
-        that mesh split in four."""
+        for 16 seed-0 draws of each ODE preset on its initial mesh, on that
+        mesh split in four, and on every refined mesh of a seeded dwr or
+        meso run."""
         model = get_experiment(name)
-        mesh = subdivide(model.initial_mesh(), factor)
+        meshes = adapted_meshes(name, meshes) if isinstance(meshes, str) \
+            else [subdivide(model.initial_mesh(), meshes)]
         problem = model.make_problem(sample_parameters(model.distributions, 0, 0, 0, 16))
-        forward = solve_forward_cg1(problem, mesh)
         rng = np.random.default_rng(3)
         weights = rng.standard_normal((problem.dim + 1, problem.dim))
-        contributions = np.stack([
-            residual_pairing(problem, forward, constant_weights(mesh, w[None]),
-                             mesh.length)
-            for w in weights])
-        assert contributions.shape == (problem.dim + 1, 16, mesh.n_intervals)
-        scale = np.abs(forward.values).max() * np.abs(weights).max()
-        assert np.abs(contributions).max() <= 1e-10 * scale
+        for mesh in meshes:
+            forward = solve_forward_cg1(problem, mesh)
+            contributions = np.stack([
+                residual_pairing(problem, forward, constant_weights(mesh, w[None]),
+                                 mesh.length)
+                for w in weights])
+            assert contributions.shape == (problem.dim + 1, 16, mesh.n_intervals)
+            scale = np.abs(forward.values).max() * np.abs(weights).max()
+            assert np.abs(contributions).max() <= 1e-10 * scale
 
     def test_pairing_estimates_terminal_error(self):
         problem = harmonic_oscillator(50.0, 0.25)
@@ -556,6 +606,16 @@ class TestEliminate:
 def graded_mesh(horizon, n):
     """n intervals of (0, horizon] growing from the left."""
     return Mesh1D(horizon * np.linspace(0.0, 1.0, n + 1) ** 1.5)
+
+
+@functools.cache
+def adapted_meshes(name, strategy):
+    """The refined meshes of a seed-0 run at the tolerance of the artifact
+    digest matrix, which is looser than the preset's default."""
+    run = run_adaptive_mlmc(get_experiment(name),
+                            MlmcRunConfig(PRESET_EPSILON[name], strategy, 0))
+    assert run.n_levels > 1
+    return run.meshes[1:]
 
 
 @functools.cache
