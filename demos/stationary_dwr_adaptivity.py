@@ -29,7 +29,7 @@ def main():
         plan = BvpPlan.build(mesh)  # the mesh's draw-free arrays
         U = solve_bvp_p1(plan, w)
         Phi = solve_bvp_adjoint(plan, w)
-        contributions = bvp_error_decomposition(plan, w, U, Phi)
+        [contributions] = bvp_error_decomposition(plan, w, U, Phi)
         [q] = qoi_value(plan, U)
         print(f"  sweep {sweep}: {mesh.n_intervals:3d} elements, "
               f"QoI = {q:+.6f}, "

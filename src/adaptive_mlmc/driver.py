@@ -2,8 +2,8 @@
 
 The estimator telescopes Y_l = Q_l - Q_{l-1} over a growing mesh hierarchy.
 Per-sample adjoint error estimates on the highest level supply the bias, the
-bias-squared test decides when to stop, and the retained per-interval error
-contributions of the newest level drive the creation of the next mesh.
+bias-squared test decides when to stop, and that estimate's decomposition
+over the newest level's intervals drives the creation of the next mesh.
 Costs are modeled from element counts (one level-0 solve = 1 unit).
 
 A model carries its `distributions`, its level-0 mesh `initial_mesh()` and
@@ -55,7 +55,12 @@ class LevelState:
     cost_per_sample: float
     regions: Optional[tuple]  # meso tiling (breaks, counts), else None
     samples: np.ndarray = field(default_factory=lambda: np.zeros(0, SAMPLE_DTYPE))
-    contributions: list = field(default_factory=list)  # ok rows', until the next mesh
+    # per interval, the ok estimated rows' sum of contribution / denominator,
+    # NaN as 0, in draw order (an overflow leaves inf or NaN for refinement)
+    profile: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.profile = np.zeros(self.mesh.n_intervals)
 
     def ok(self, name: str) -> np.ndarray:
         """Field `name` of the ok rows."""
@@ -191,8 +196,11 @@ class _Runner:
                                             start + offset,
                                             min(CHUNK_SIZE, need - offset), want_estimate)
                 new_rows[offset:offset + CHUNK_SIZE] = rows
-                if contrib is not None:
-                    level.contributions.append(contrib)
+                if contrib is not None:  # row by row, so chunking keeps the bits
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        terms = contrib / rows["denominator"][rows["ok"], None]
+                        level.profile = np.add.accumulate(np.vstack(
+                            [level.profile, np.where(np.isnan(terms), 0.0, terms)]))[-1]
             level.samples = np.concatenate([level.samples, new_rows])
             self.sample_log = np.concatenate([self.sample_log, new_rows])
             attempts = len(self.sample_log)
@@ -227,9 +235,8 @@ def run_adaptive_mlmc(model, cfg: MlmcRunConfig) -> MlmcEstimate:
             break
 
         new_mesh, new_regions = build_next_mesh(
-            highest.mesh, highest.regions, np.concatenate(highest.contributions),
-            highest.ok("error_estimate"), cfg.refinement, model.dwr_marking)
-        highest.contributions = []
+            highest.mesh, highest.regions, highest.profile, cfg.refinement,
+            model.dwr_marking)
         cost = (new_mesh.n_intervals + highest.mesh.n_intervals) / elems0
         levels.append(LevelState(len(levels), new_mesh, highest.mesh, cost,
                                  new_regions))

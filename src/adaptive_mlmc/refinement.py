@@ -1,11 +1,11 @@
-"""New-level mesh creation: uniform halving, multi-sample DWR, and meso-scale.
+"""New-level mesh creation: uniform halving, DWR, and meso-scale.
 
-Both read the top level's error contributions as one (samples, intervals)
-matrix.  DWR selects, per sample, the intervals carrying the largest
-absolute contributions and refines the union of all selections.  Meso-scale
-refinement partitions the domain at the minima of the accumulated error of
-the single worst sample, allocates intervals to equalize region errors, and
-merges with the previous level so no region is ever unrefined.
+Both adaptive strategies read the decomposition of the top level's bias
+estimate: the profile b_i = sum_k c_ki / den_k over its estimated samples.
+DWR refines the intervals carrying the largest |b_i|.  Meso-scale
+refinement partitions the domain at the minima of the profile's accumulated
+error, allocates intervals to equalize region errors, and merges with the
+previous level so no region is ever unrefined.
 """
 from __future__ import annotations
 
@@ -23,19 +23,12 @@ MESO_TARGET_MULTIPLIER = 2.0  # a meso level's interval budget per previous inte
 STRATEGIES = ("uniform", "dwr", "meso")
 
 
-def dwr_select(contributions: np.ndarray, fraction: float) -> np.ndarray:
-    """Sorted union over the rows of each one's ceil(fraction * N) largest
-    |contribution|s, N its non-NaN count (an event-time row stops at its own
-    crossing), ties toward the lower index.  One stable row-wise argsort;
-    NaN sorts last."""
-    neg = -np.abs(contributions)  # sorts the largest magnitude first
-    n_pick = np.ceil(fraction * np.count_nonzero(~np.isnan(neg), axis=1))
-    if not n_pick.size or n_pick.min() == 0:
-        raise ValueError("need at least one row and no empty row")
-    selected = np.zeros(neg.shape[1], dtype=bool)
-    order = np.argsort(neg, axis=1, kind="stable")
-    selected[order[np.arange(order.shape[1]) < n_pick[:, None]]] = True
-    return np.flatnonzero(selected)
+def dwr_select(profile: np.ndarray, fraction: float) -> np.ndarray:
+    """Sorted indices of the ceil(fraction * N) largest |profile| entries, N
+    the count of nonzero ones (at least 1), ties toward the lower index.  One
+    stable argsort; NaN sorts last."""
+    n_pick = math.ceil(fraction * max(1, np.count_nonzero(profile)))
+    return np.sort(np.argsort(-np.abs(profile), kind="stable")[:n_pick])
 
 
 def find_meso_regions(E: np.ndarray):
@@ -118,18 +111,17 @@ def refine_meso(prev_mesh: Mesh1D, prev_regions, contributions: np.ndarray):
     return subdivide(Mesh1D(breaks), counts), (breaks, counts)
 
 
-def build_next_mesh(prev_mesh: Mesh1D, prev_regions, contributions: np.ndarray,
-                    totals: np.ndarray, strategy: str, dwr_marking: tuple):
+def build_next_mesh(prev_mesh: Mesh1D, prev_regions, profile: np.ndarray,
+                    strategy: str, dwr_marking: tuple):
     """Dispatch on `strategy`; returns (mesh, tiling-or-None).  DWR splits the
-    intervals `dwr_select` marks at the model's `dwr_marking` = (fraction,
-    factor) into `factor` parts.  Rows of `contributions` may end in NaN; meso
-    follows the first largest |totals|."""
+    intervals `dwr_select` marks in the bias profile at the model's
+    `dwr_marking` = (fraction, factor) into `factor` parts; meso splits the
+    profile's accumulated error."""
     if strategy == "uniform":
         return subdivide(prev_mesh, 2), None
     if strategy == "dwr":
         fraction, factor = dwr_marking
         counts = np.ones(prev_mesh.n_intervals, dtype=int)
-        counts[dwr_select(contributions, fraction)] = factor
+        counts[dwr_select(profile, fraction)] = factor
         return subdivide(prev_mesh, counts), None
-    worst = contributions[np.argmax(np.abs(totals))]
-    return refine_meso(prev_mesh, prev_regions, worst)
+    return refine_meso(prev_mesh, prev_regions, profile)

@@ -244,14 +244,14 @@ def test_criterion_9_property_suite():
     level = LevelState(0, mesh, None, 1.0, None)
     rows, contributions = take_sample(model, level, 0, 0, 8,
                                       want_estimate=True)
+    profile = np.nansum(contributions / rows["denominator"][rows["ok"], None], axis=0)
     # uniform and dwr split intervals in place, so every node survives; meso
     # re-tiles each region uniformly, so its guarantee is that no region's
     # node density ever decreases
     monotone = True
     prev_density = mesh.n_intervals / mesh.length
     for strategy in STRATEGIES:
-        new_mesh, regions = build_next_mesh(mesh, level.regions, contributions,
-                                            rows["error_estimate"][rows["ok"]],
+        new_mesh, regions = build_next_mesh(mesh, level.regions, profile,
                                             strategy, model.dwr_marking)
         if strategy == "meso":
             breaks, counts = regions

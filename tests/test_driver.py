@@ -169,6 +169,22 @@ class SyntheticModel(UnitModel):
         return q, ErrorDecomposition(c, c.sum(axis=1), np.ones(len(x)))
 
 
+class ProfileModel(SyntheticModel):
+    """Chunk model whose rows carry contributions of mixed magnitude and sign,
+    a NaN tail past a draw-dependent interval and a denominator 1 + x, so a
+    sum in another order or grouping changes the profile's bits."""
+
+    def evaluate(self, W, mesh, want_estimate):
+        q, _ = super().evaluate(W, mesh, False)
+        if not want_estimate:
+            return q, None
+        x = W[:, 0]
+        n = mesh.n_intervals
+        c = np.sin(1e3 * x[:, None] * np.arange(1, n + 1)) * 10.0 ** (8 * x[:, None])
+        c[np.arange(n) > (x * n)[:, None]] = np.nan
+        return q, ErrorDecomposition(c, np.nansum(c, axis=1) / (1 + x), 1 + x)
+
+
 class FuzzModel(UnitModel):
     """Chunk model whose draws below `rate` put `value` in one place: the fine
     QoI, the error totals, or some contributions (`columns` of the row).
@@ -186,7 +202,8 @@ class FuzzModel(UnitModel):
         bad = x < self.rate
         q = x + 1.0 / n
         if self.where == "q_fine":
-            q = np.where(bad, self.value * x * n, q)  # fine and coarse differ
+            with np.errstate(over="ignore"):  # the chosen overflow
+                q = np.where(bad, self.value * x * n, q)  # fine and coarse differ
         if not want_estimate:
             return q, None
         c = np.full((len(x), n), 1.0 / n ** 2)
@@ -315,22 +332,27 @@ class TestFill:
         assert max(model.chunks) <= chunk_size
         assert level.samples["index"].tolist() == list(range(target))
         assert runner.sample_log.tobytes() == level.samples.tobytes()
-        assert level.contributions == []
+        assert not level.profile.any()  # no estimate, no profile
 
+    @pytest.mark.parametrize("n", [1, 5])
     @pytest.mark.parametrize("chunk_size", [1, 7, CHUNK_SIZE])
-    def test_contributions_follow_the_ok_rows(self, chunk_size, monkeypatch):
-        """The kept contribution rows are the ok rows', in table order: the
-        matrix and totals that build the next mesh."""
+    def test_profile_sums_the_ok_rows(self, chunk_size, n, monkeypatch):
+        """The bias profile is the ok rows' contributions over their
+        denominators, NaN tails as 0, added one row at a time in draw order,
+        so every chunk size gives its bits; failed rows add nothing."""
         monkeypatch.setattr(driver, "MAX_FAILURE_RATE", 0.5)
         monkeypatch.setattr(driver, "CHUNK_SIZE", chunk_size)
-        model = SyntheticModel(fail=fail_below)
+        model = ProfileModel(fail=fail_below)
         runner = _Runner(model, MlmcRunConfig(epsilon=1.0))
-        level = LevelState(0, uniform_mesh(1.0, 4), None, 1.0, None)
+        level = LevelState(0, uniform_mesh(1.0, n), None, 1.0, None)
         runner.fill(level, 2 * CHUNK_SIZE + 5, want_estimate=True)
-        contributions = np.concatenate(level.contributions)
         assert not level.samples["ok"].all()
-        assert contributions.shape == (2 * CHUNK_SIZE + 5, 4)
-        assert np.array_equal(contributions.sum(axis=1), level.ok("error_estimate"))
+        W = sample_parameters(model.distributions, 0, 0, 0, len(level.samples))
+        _, d = ProfileModel().evaluate(W[level.samples["ok"]], level.mesh, True)
+        expected = np.zeros(n)
+        for c, den in zip(d.contributions, d.denominator):
+            expected = expected + np.where(np.isnan(c), 0.0, c / den)
+        assert np.array_equal(level.profile, expected)
 
     @pytest.mark.parametrize("target", [2 ** 62, 10 ** 30, 10 ** 14])
     def test_target_beyond_an_index_array(self, target):
@@ -499,14 +521,24 @@ class TestAdaptiveRun:
 
 
 class TestChunkDeterminism:
-    def test_chunk_size_does_not_change_the_estimate(self, monkeypatch):
-        experiment = get_experiment("harmonic-standard")
+    @pytest.mark.parametrize("name,strategy", [
+        ("harmonic-standard", "dwr"), ("two-body", "meso"), ("lorenz", "dwr")])
+    def test_chunk_size_does_not_change_the_estimate(self, name, strategy,
+                                                     monkeypatch):
+        """The bias profile adds rows in draw order, so chunks of 256 and 7
+        draws build the same meshes and sample logs, byte for byte, also
+        where event-time rows carry NaN tails and denominators."""
+        experiment = get_experiment(name)
         results = []
         for chunk_size in (CHUNK_SIZE, 7):
             monkeypatch.setattr(driver, "CHUNK_SIZE", chunk_size)
-            cfg = MlmcRunConfig(epsilon=experiment.default_epsilon, refinement="dwr",
-                                master_seed=1)
+            cfg = MlmcRunConfig(epsilon=experiment.default_epsilon,
+                                refinement=strategy, master_seed=1)
             results.append(run_adaptive_mlmc(experiment, cfg))
+        assert results[0].n_levels > 1
+        assert results[0].sample_log.tobytes() == results[1].sample_log.tobytes()
+        assert [m.nodes.tobytes() for m in results[0].meshes] == \
+               [m.nodes.tobytes() for m in results[1].meshes]
         assert results[0].value == results[1].value
         assert results[0].total_cost == results[1].total_cost
         assert [lv.variance for lv in results[0].levels] == \
@@ -577,11 +609,12 @@ class TestDriverFuzz:
            st.sampled_from([slice(None), slice(0, 1), slice(-1, None)]),
            st.sampled_from(["uniform", "dwr", "meso"]))
     @settings(max_examples=400, deadline=None)
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the chosen overflows
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_run_ends_finite_or_in_mlmc_error(self, rate, where, value, columns,
                                              strategy):
         """Whatever rows fail and whatever non-finite or overflowing values
-        they carry, a run returns finite results or raises MlmcError."""
+        they carry, a run returns finite results or raises MlmcError, and no
+        warning fires."""
         model = FuzzModel(rate, where, value, columns)
         cfg = MlmcRunConfig(epsilon=1e-2, refinement=strategy)
         try:

@@ -144,12 +144,13 @@ def chunk(name, rows=40, seed=3):
 
 
 def dwr_mesh(exp, W):
-    """The DWR refinement of the initial mesh driven by the chunk's estimates."""
+    """The DWR refinement of the initial mesh driven by the bias profile of
+    the chunk's estimates."""
     mesh = exp.initial_mesh()
     _, d = exp.evaluate(W, mesh, True)
     ok = np.isfinite(d.total)
-    new_mesh, _ = build_next_mesh(mesh, None, d.contributions[ok], d.total[ok],
-                                  "dwr", exp.dwr_marking)
+    profile = np.nansum(d.contributions[ok] / d.denominator[ok, None], axis=0)
+    new_mesh, _ = build_next_mesh(mesh, None, profile, "dwr", exp.dwr_marking)
     return new_mesh
 
 

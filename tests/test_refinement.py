@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import decomposition_reference as per_row
 import mesh_reference
 import meso_reference as ref
-from adaptive_mlmc.driver import CHUNK_SIZE
 from adaptive_mlmc.meshes import Mesh1D, uniform_mesh
 from adaptive_mlmc import refinement
 from adaptive_mlmc.refinement import (allocate_meso, build_next_mesh,
@@ -18,9 +17,9 @@ from adaptive_mlmc.refinement import (allocate_meso, build_next_mesh,
                                       refine_meso)
 
 
-def decomp(*values):
-    """One row of contributions as a (1, n) matrix."""
-    return np.array([values], dtype=float)
+def profile(*values):
+    """A bias profile b_i as an (n,) array."""
+    return np.array(values, dtype=float)
 
 
 def accumulate(contributions):
@@ -28,153 +27,59 @@ def accumulate(contributions):
     return np.abs(np.cumsum(contributions))
 
 
-def refine_dwr(mesh, contributions, marking=(0.5, 3)):
-    """The DWR mesh `build_next_mesh` builds from the rows (M, n) with the
-    (fraction, factor) `marking`."""
-    out, regions = build_next_mesh(mesh, None, contributions,
-                                   np.nansum(contributions, axis=1), "dwr", marking)
-    assert regions is None
-    return out
-
-
 class TestDwrSelect:
     def test_half_fraction_hand_case(self):
-        # |contributions| = (3, 5, 1); ceil(0.5 * 3) = 2 -> indices {1, 0}
-        assert dwr_select(decomp(3.0, -5.0, 1.0), 0.5).tolist() == [0, 1]
+        # |b| = (3, 5, 1); ceil(0.5 * 3) = 2 -> indices {1, 0}
+        assert dwr_select(profile(3.0, -5.0, 1.0), 0.5).tolist() == [0, 1]
 
     def test_fraction_one_selects_all(self):
-        assert dwr_select(decomp(1.0, 2.0, 3.0), 1.0).tolist() == [0, 1, 2]
+        assert dwr_select(profile(1.0, 2.0, 3.0), 1.0).tolist() == [0, 1, 2]
 
     def test_ties_break_to_lower_index(self):
-        assert dwr_select(decomp(2.0, 2.0, 2.0), 0.5).tolist() == [0, 1]
+        assert dwr_select(profile(2.0, 2.0, 2.0), 0.5).tolist() == [0, 1]
 
     def test_ceil_of_fraction(self):
         # ceil(0.25 * 5) = 2
-        assert len(dwr_select(decomp(5, 4, 3, 2, 1), 0.25)) == 2
+        assert len(dwr_select(profile(5, 4, 3, 2, 1), 0.25)) == 2
+
+    def test_zeros_are_not_counted(self):
+        """Intervals past every sample's crossing carry 0: N counts only the
+        nonzero entries, and an all-zero profile still marks one interval."""
+        assert dwr_select(profile(4.0, 0.0, 0.0, 0.0), 0.5).tolist() == [0]
+        assert dwr_select(profile(0.0, -1.0, 3.0, 0.0), 0.5).tolist() == [2]
+        assert dwr_select(profile(0.0, 0.0, 0.0), 0.5).tolist() == [0]
+
+    def test_nan_ranks_last(self):
+        """An overflowed entry (inf - inf) counts but is marked last."""
+        assert dwr_select(profile(np.nan, 1.0, 0.0, 2.0), 0.5).tolist() == [1, 3]
+        assert dwr_select(profile(np.nan, 1.0), 1.0).tolist() == [0, 1]
 
     @given(st.lists(st.sampled_from([0.0, -1.0, 1.0, 2.5, -2.5, 7.0]),
                     min_size=1, max_size=30),
            st.floats(0.05, 1.0))
     @settings(max_examples=60, deadline=None)
     def test_matches_sort_by_magnitude_then_index(self, values, fraction):
-        """Heavy ties: the pick is the first ceil(fraction * N) indices in
-        order of decreasing |e_i|, lower index first among equals."""
+        """Heavy ties and zeros: the pick is the first ceil(fraction * N)
+        indices in order of decreasing |b_i|, lower index first among equals,
+        N the count of nonzero entries (at least 1)."""
         mags = np.abs(values)
         order = sorted(range(mags.size), key=lambda i: (-mags[i], i))
-        expected = sorted(order[:int(np.ceil(fraction * mags.size))])
-        assert dwr_select(decomp(*values), fraction).tolist() == expected
+        n = max(1, np.count_nonzero(mags))
+        expected = sorted(order[:int(np.ceil(fraction * n))])
+        assert dwr_select(profile(*values), fraction).tolist() == expected
 
     @given(st.lists(st.floats(-10, 10), min_size=1, max_size=30),
            st.floats(0.05, 1.0))
     @settings(max_examples=60, deadline=None)
     def test_selected_dominate_unselected(self, values, fraction):
-        d = decomp(*values)
+        d = profile(*values)
         picked = set(dwr_select(d, fraction).tolist())
-        mags = np.abs(d[0])
+        mags = np.abs(d)
         if picked and len(picked) < mags.size:
             smallest_picked = min(mags[i] for i in picked)
             largest_left = max(mags[i] for i in range(mags.size)
                                if i not in picked)
             assert smallest_picked >= largest_left
-
-
-class TestDwrMultisample:
-    def test_single_sample_matches_select(self):
-        mesh = uniform_mesh(3.0, 3)
-        marking = (0.5, 3)
-        out = refine_dwr(mesh, decomp(3.0, -5.0, 1.0), marking)
-        # intervals 0 and 1 split in 3, interval 2 kept
-        assert out.n_intervals == 3 + 2 * 2
-
-    def test_union_over_samples(self):
-        mesh = uniform_mesh(4.0, 4)
-        marking = (0.25, 2)
-        out = refine_dwr(mesh, np.array([[9, 0, 0, 0], [0, 0, 0, 9]], float),
-                         marking)
-        assert out.n_intervals == 6
-
-    def test_needs_a_decomposition(self):
-        with pytest.raises(ValueError):
-            refine_dwr(uniform_mesh(1.0, 2), np.zeros((0, 2)))
-
-    @given(st.lists(st.lists(st.floats(-5, 5), min_size=6, max_size=6),
-                    min_size=1, max_size=5))
-    @settings(max_examples=40, deadline=None)
-    def test_more_samples_never_coarser(self, profiles):
-        mesh = uniform_mesh(3.0, 6)
-        marking = (0.5, 2)
-        decomps = np.array(profiles)
-        fewer = refine_dwr(mesh, decomps[:1], marking)
-        more = refine_dwr(mesh, decomps, marking)
-        assert set(fewer.nodes.tolist()) <= set(more.nodes.tolist())
-
-
-def per_row_union(profiles, fraction):
-    """np.unique of every row's own one-row `dwr_select`."""
-    return np.unique(np.concatenate([dwr_select(decomp(*p), fraction)
-                                     for p in profiles]))
-
-
-def ragged_rows(seed, n_rows, n):
-    """Rows of lengths 1..n from few values (ties and zeros), NaN-padded."""
-    rng = np.random.default_rng(seed)
-    return [rng.choice([0.0, 0.0, -1.0, 1.0, 2.5, -2.5, 7.0], size=size)
-            for size in rng.integers(1, n + 1, size=n_rows)]
-
-
-class TestBlockedDwrSelection:
-    """The level-wide selection (NaN-padded rows in one stable argsort) is the
-    union of the one-row selections and equals the per-row path that grouped
-    rows by length and sorted blocks of at most CHUNK_SIZE, bit for bit."""
-
-    @given(st.lists(st.lists(st.sampled_from([0.0, -1.0, 1.0, 2.5, -2.5, 7.0]),
-                             min_size=1, max_size=12),
-                    min_size=1, max_size=40),
-           st.sampled_from([0.05, 0.25, 0.5, 0.7, 1.0]))
-    @settings(max_examples=100, deadline=None)
-    def test_ragged_rows_with_ties(self, profiles, fraction):
-        union = per_row_union(profiles, fraction)
-        decomps = per_row.pad(profiles, 12)
-        assert np.array_equal(dwr_select(decomps, fraction), union)
-        assert np.array_equal(union, per_row.dwr_select(profiles, fraction))
-        mesh = uniform_mesh(2.0, 12)
-        marking = (fraction, 2)
-        assert np.array_equal(refine_dwr(mesh, decomps, marking).nodes,
-                              mesh_reference.refine_intervals(mesh, union, 2).nodes)
-
-    @given(st.integers(0, 2 ** 32 - 1),
-           st.sampled_from([1, 2, CHUNK_SIZE - 1, CHUNK_SIZE, CHUNK_SIZE + 1,
-                            2 * CHUNK_SIZE + 3]),
-           st.integers(1, 16),
-           st.sampled_from([1e-3, 0.05, 0.25, 0.5, 0.7, 1.0]))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_per_row_reference(self, seed, n_rows, n, fraction):
-        """Ragged NaN-padded rows with ties and zeros, across block edges."""
-        profiles = ragged_rows(seed, n_rows, n)
-        assert np.array_equal(dwr_select(per_row.pad(profiles), fraction),
-                              per_row.dwr_select(profiles, fraction))
-
-    @pytest.mark.parametrize("fraction", [1e-3, 0.3, 1.0])
-    def test_rows_across_block_edges(self, fraction):
-        """Row k of 2.5 reference blocks peaks at interval k, so every block
-        adds intervals no other block selects."""
-        n_rows = 2 * CHUNK_SIZE + CHUNK_SIZE // 2
-        n = n_rows + 7
-        rows = np.random.default_rng(4).choice([0.0, 0.5, -0.5], size=(n_rows, n))
-        rows[np.arange(n_rows), np.arange(n_rows)] = 9.0
-        profiles = list(rows) + [r[:k] for r, k in zip(rows, (1, 5, 300))]
-        selected = dwr_select(per_row.pad(profiles), fraction)
-        assert np.array_equal(selected, per_row_union(profiles, fraction))
-        assert np.array_equal(selected, per_row.dwr_select(profiles, fraction))
-        assert set(range(n_rows)) <= set(selected.tolist())
-        if fraction == 1.0:
-            assert np.array_equal(selected, np.arange(n))
-
-    def test_empty_row_rejected(self):
-        with pytest.raises(ValueError, match="empty row"):
-            dwr_select(per_row.pad([[1.0], []]), 0.5)
-        with pytest.raises(ValueError, match="at least one row"):
-            dwr_select(np.zeros((0, 3)), 0.5)
 
 
 def regions(*sizes_and_errors):
@@ -394,44 +299,23 @@ class TestRefineMeso:
 class TestBuildNextMesh:
     def test_uniform_dispatch(self):
         mesh = uniform_mesh(3.0, 27)
-        out, regions = build_next_mesh(mesh, None, np.zeros((0, 27)),
-                                       np.zeros(0), "uniform", (0.5, 3))
+        out, regions = build_next_mesh(mesh, None, np.zeros(27), "uniform", (0.5, 3))
         assert out.n_intervals == 54
         assert regions is None
 
     def test_dwr_dispatch(self):
         mesh = uniform_mesh(3.0, 4)
-        out, regions = build_next_mesh(mesh, None, decomp(1, 9, 1, 1), [12.0],
-                                       "dwr", (0.25, 2))
-        assert out.n_intervals == 5
+        out, regions = build_next_mesh(mesh, None, profile(1, -9, 1, 1), "dwr",
+                                       (0.25, 2))
+        assert out.nodes.tolist() == [0.0, 0.75, 1.125, 1.5, 2.25, 3.0]
         assert regions is None
 
-    def test_meso_uses_worst_total(self):
+    def test_meso_splits_the_profile(self):
         mesh = uniform_mesh(2.0, 4)
-        mild = [0.1, 0.1, 0.1, 0.1]
-        harsh = [2.0, 0.0, 0.0, 2.0]
-        out, regions = build_next_mesh(mesh, None, np.array([mild, harsh]),
-                                       np.array([0.4, 4.0]), "meso", (0.5, 3))
-        assert regions is not None
+        b = profile(2.0, 0.0, 0.0, 2.0)
+        out, regions = build_next_mesh(mesh, None, b, "meso", (0.5, 3))
         assert out.n_intervals >= 8  # target multiplier 2 on 4 intervals
-        want, want_regions = refine_meso(mesh, None, np.array(harsh))
-        assert np.array_equal(out.nodes, want.nodes)
-        assert np.array_equal(regions[1], want_regions[1])
-
-    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12),
-           st.lists(st.sampled_from([0.0, 1.0, -1.0, 2.0, -2.0, 0.5]),
-                    min_size=12, max_size=12))
-    @settings(max_examples=60, deadline=None)
-    def test_meso_row_matches_per_row_reference(self, seed, n_rows, totals):
-        """Ties in |total| (x and -x, zeros) pick the first such row, as
-        `max` over the rows did."""
-        profiles = ragged_rows(seed, n_rows, 6)
-        totals = totals[:n_rows]
-        mesh = uniform_mesh(3.0, 6)
-        out, regions = build_next_mesh(mesh, None, per_row.pad(profiles, 6),
-                                       np.array(totals), "meso", (0.5, 3))
-        want, want_regions = refine_meso(mesh, None,
-                                         per_row.worst(profiles, totals))
+        want, want_regions = refine_meso(mesh, None, b)
         assert np.array_equal(out.nodes, want.nodes)
         assert np.array_equal(regions[0], want_regions[0])
         assert np.array_equal(regions[1], want_regions[1])

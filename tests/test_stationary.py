@@ -244,7 +244,7 @@ class TestErrorDecomposition:
     def test_dwr_reduces_largest_contribution(self):
         mesh = uniform_mesh(3.0, 12)
         _, _, d = solve_one(14.0, mesh)
-        refined = halve(mesh, dwr_select(d[None], 0.25))
+        refined = halve(mesh, dwr_select(d, 0.25))
         _, _, d2 = solve_one(14.0, refined)
         assert np.abs(d2).max() < np.abs(d).max()
 
@@ -334,7 +334,7 @@ def _dwr_mesh():
     mesh = uniform_mesh(3.0, 12)
     for _ in range(2):
         _, contributions, _ = reference_sample(14.0, mesh)
-        mesh = halve(mesh, dwr_select(contributions[None], 0.25))
+        mesh = halve(mesh, dwr_select(contributions, 0.25))
     return mesh
 
 
