@@ -1,10 +1,11 @@
 """Step through meso-scale mesh creation on one oscillator sample.
 
-The meso strategy looks at the single worst sample of the current level,
-accumulates its error contributions along the time axis, splits the domain
-at the minima of the accumulated profile, allocates the next level's
-interval budget to equalize region errors, and finally merges with the
-previous level's regions so that no region is ever unrefined.
+The meso strategy reads the current level's bias profile, the sum over its
+samples of their error contributions (here one sample's), accumulates it
+along the time axis, splits the domain at the minima of the accumulated
+profile, allocates the next level's interval budget to equalize region
+errors, and finally merges with the previous level's regions so that no
+region is ever unrefined.
 """
 import numpy as np
 

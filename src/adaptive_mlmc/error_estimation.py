@@ -20,7 +20,7 @@ from .solvers import Trajectory, residual_pairing, solve_adjoint
 
 @dataclass(frozen=True)
 class ErrorDecomposition:
-    """Signed per-interval error contributions of M rows and their totals.
+    """Signed per-interval error contributions of M rows and each row's total.
 
     `contributions` (M, n) is NaN past a row's own end (an event-time row
     stops at its crossing) and in a row without an estimate.  `total` (M,)

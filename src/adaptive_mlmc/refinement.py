@@ -88,13 +88,13 @@ def allocate_meso(sizes: np.ndarray, errors: np.ndarray, n_hat: int,
 
 
 def refine_meso(prev_mesh: Mesh1D, prev_regions, contributions: np.ndarray):
-    """Build the next level's mesh from the worst sample's error profile.
+    """Build the next level's mesh from the top level's bias profile.
 
     Returns (mesh, tiling); the tiling (breaks, counts) is what the
     following level merges against, and `prev_regions=None` stands for the
     whole domain as one region.  Regions split the accumulated error
-    |sum_{i<=k} e_i| of one row of contributions, whose NaN or missing tail
-    (event-time QoIs stop at t_c) counts as zero.  The budget is
+    |sum_{i<=k} e_i| of the profile, whose NaN or missing tail (an
+    event-time sample stops at t_c) counts as zero.  The budget is
     MESO_TARGET_MULTIPLIER times the previous count, allocated at rate MESO_Q.
     """
     n_prev = prev_mesh.n_intervals

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import decomposition_reference as per_row
 import mesh_reference
 import meso_reference as ref
 from adaptive_mlmc.meshes import Mesh1D, uniform_mesh
@@ -20,6 +19,15 @@ from adaptive_mlmc.refinement import (allocate_meso, build_next_mesh,
 def profile(*values):
     """A bias profile b_i as an (n,) array."""
     return np.array(values, dtype=float)
+
+
+def pad(rows, n):
+    """(M, n) matrix of ragged rows, NaN past each row's own end (an
+    event-time row stops at its crossing)."""
+    out = np.full((len(rows), n), np.nan)
+    for k, r in enumerate(rows):
+        out[k, :len(r)] = r
+    return out
 
 
 def accumulate(contributions):
@@ -221,7 +229,7 @@ class TestRefineMeso:
         # a NaN tail (an event-time sample stops at its crossing) or a row
         # shorter than the mesh counts as zero, so regions tile the domain
         mesh = uniform_mesh(4.0, 8)
-        [d] = per_row.pad([[0.5, 0.5, 0.5, 0.5]], 8)  # only 4 of 8 intervals
+        [d] = pad([[0.5, 0.5, 0.5, 0.5]], 8)  # only 4 of 8 intervals
         out, (breaks, counts) = refine_meso(mesh, None, d)
         assert breaks[-1] == 4.0
         assert out.n_intervals >= 8
@@ -285,7 +293,7 @@ class TestRefineMeso:
             for profile in profiles:
                 # a profile shorter than the mesh is an event-time sample
                 short = np.array(profile[:mesh.n_intervals], dtype=float)
-                [d] = per_row.pad([short], mesh.n_intervals)
+                [d] = pad([short], mesh.n_intervals)
                 mesh, tiling = refine_meso(mesh, tiling, d)
                 want_mesh, want_spans = reference_refine_meso(
                     want_mesh, want_spans, short, q, multiplier)
