@@ -1,7 +1,8 @@
 """Step through meso-scale mesh creation on one oscillator sample.
 
 The meso strategy reads the current level's bias profile, the sum over its
-samples of their error contributions (here one sample's), accumulates it
+estimated samples of their error contributions, one entry per interval
+(here one sample's, which covers every interval), accumulates it
 along the time axis, splits the domain at the minima of the accumulated
 profile, allocates the next level's interval budget to equalize region
 errors, and finally merges with the previous level's regions so that no

@@ -87,22 +87,22 @@ def allocate_meso(sizes: np.ndarray, errors: np.ndarray, n_hat: int,
     return counts
 
 
-def refine_meso(prev_mesh: Mesh1D, prev_regions, contributions: np.ndarray):
-    """Build the next level's mesh from the top level's bias profile.
+def refine_meso(prev_mesh: Mesh1D, prev_regions, profile: np.ndarray):
+    """Build the next level's mesh from the top level's bias profile, one
+    entry per interval of `prev_mesh`.
 
     Returns (mesh, tiling); the tiling (breaks, counts) is what the
     following level merges against, and `prev_regions=None` stands for the
     whole domain as one region.  Regions split the accumulated error
-    |sum_{i<=k} e_i| of the profile, whose NaN or missing tail (an
-    event-time sample stops at t_c) counts as zero.  The budget is
-    MESO_TARGET_MULTIPLIER times the previous count, allocated at rate MESO_Q.
+    |sum_{i<=k} b_i| of the profile, whose NaN entries (an overflowed
+    inf - inf) count as zero.  The budget is MESO_TARGET_MULTIPLIER times
+    the previous count, allocated at rate MESO_Q.
     """
     n_prev = prev_mesh.n_intervals
-    padded = np.zeros(n_prev)
-    padded[:contributions.size] = np.where(np.isnan(contributions), 0.0, contributions)
+    profile = np.where(np.isnan(profile), 0.0, profile)
     n_hat = math.ceil(MESO_TARGET_MULTIPLIER * n_prev)
     with np.errstate(over="ignore", invalid="ignore"):  # allocate_meso takes inf, NaN
-        ends, errors = find_meso_regions(np.abs(np.cumsum(padded)))
+        ends, errors = find_meso_regions(np.abs(np.cumsum(profile)))
         counts = allocate_meso(np.diff(ends, prepend=-1), errors, n_hat, MESO_Q)
     tentative = (prev_mesh.nodes[np.append(0, ends + 1)], counts)
     if prev_regions is None:

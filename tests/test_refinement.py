@@ -209,12 +209,10 @@ class TestAllocateMeso:
         assert allocate_meso(sizes, errors, n_hat, q).tolist() == want
 
 
-def reference_refine_meso(prev_mesh, prev_spans, contributions, q, multiplier):
+def reference_refine_meso(prev_mesh, prev_spans, profile, q, multiplier):
     """The object-based refine_meso on MesoRegion and RegionSpan lists; a
-    row shorter than the mesh is zero-padded."""
-    padded = np.zeros(prev_mesh.n_intervals)
-    padded[:contributions.size] = contributions
-    found = ref.find_meso_regions(accumulate(padded))
+    NaN entry of the full-width profile counts as zero."""
+    found = ref.find_meso_regions(accumulate(np.nan_to_num(profile, nan=0.0)))
     n_hat = math.ceil(multiplier * prev_mesh.n_intervals)
     counts = ref.allocate_meso(found, n_hat, q)
     tentative = [ref.RegionSpan(float(prev_mesh.nodes[r.start_interval]),
@@ -226,17 +224,16 @@ def reference_refine_meso(prev_mesh, prev_spans, contributions, q, multiplier):
 
 class TestRefineMeso:
     def test_flat_tail_event_profile(self):
-        # a NaN tail (an event-time sample stops at its crossing) or a row
-        # shorter than the mesh counts as zero, so regions tile the domain
+        # a NaN entry of the full-width profile counts as zero, so regions
+        # tile the domain
         mesh = uniform_mesh(4.0, 8)
-        [d] = pad([[0.5, 0.5, 0.5, 0.5]], 8)  # only 4 of 8 intervals
+        [d] = pad([[0.5, 0.5, 0.5, 0.5]], 8)  # NaN on 4 of 8 intervals
         out, (breaks, counts) = refine_meso(mesh, None, d)
         assert breaks[-1] == 4.0
         assert out.n_intervals >= 8
-        for same in (d[:4], np.where(np.isnan(d), 0.0, d)):
-            short, tiling = refine_meso(mesh, None, same)
-            assert np.array_equal(short.nodes, out.nodes)
-            assert np.array_equal(tiling[1], counts)
+        zeroed, tiling = refine_meso(mesh, None, np.where(np.isnan(d), 0.0, d))
+        assert np.array_equal(zeroed.nodes, out.nodes)
+        assert np.array_equal(tiling[1], counts)
 
     def test_accumulate_absolute_partial_sums(self):
         """Regions split the accumulated |sum_{i<=k} e_i|: (1, -1, 1) and
@@ -291,12 +288,11 @@ class TestRefineMeso:
             mesh = want_mesh = uniform_mesh(3.0, n0)
             tiling, want_spans = None, [ref.RegionSpan(0.0, 3.0, n0)]
             for profile in profiles:
-                # a profile shorter than the mesh is an event-time sample
-                short = np.array(profile[:mesh.n_intervals], dtype=float)
-                [d] = pad([short], mesh.n_intervals)
+                # NaN past the given entries, as an overflowed inf - inf
+                [d] = pad([profile[:mesh.n_intervals]], mesh.n_intervals)
                 mesh, tiling = refine_meso(mesh, tiling, d)
                 want_mesh, want_spans = reference_refine_meso(
-                    want_mesh, want_spans, short, q, multiplier)
+                    want_mesh, want_spans, d, q, multiplier)
                 assert np.array_equal(mesh.nodes, want_mesh.nodes)
                 assert np.array_equal(tiling[0], ref.tiling(want_spans)[0])
                 assert np.array_equal(tiling[1], ref.tiling(want_spans)[1])
