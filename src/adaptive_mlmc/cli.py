@@ -3,7 +3,8 @@
 Configs are INI files with one [run] section (experiment, epsilon, seed,
 ...); a `run` flag overrides the [run] key of the same name.  `run` writes
 levels.csv, summary.csv, samples.csv (and per-level grid dumps on request)
-and prints the summary row.  Exit codes:
+and prints the summary row, and on stderr the bias with its standard error.
+Exit codes:
 0 converged, 2 not converged, 1 error (a usage error included).
 """
 from __future__ import annotations
@@ -17,7 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .driver import MlmcError, MlmcEstimate, MlmcRunConfig, run_adaptive_mlmc
+from .driver import (MlmcError, MlmcEstimate, MlmcRunConfig, bias_and_error,
+                     run_adaptive_mlmc)
 from .experiments import EXPERIMENT_NAMES, get_experiment
 from .refinement import STRATEGIES
 from .stationary import BvpMlmcModel
@@ -136,6 +138,17 @@ def summary_row(estimate: MlmcEstimate) -> str:
                      "true" if estimate.converged else "false"])
 
 
+def bias_line(estimate: MlmcEstimate) -> str:
+    """The stop's bias, its standard error and the top level's estimated
+    ok draws out of its ok draws."""
+    log = estimate.sample_log
+    top = log[log["ok"] & (log["level"] == estimate.n_levels - 1)]
+    bias, se = bias_and_error(top["error_estimate"])
+    estimated = np.count_nonzero(~np.isnan(top["error_estimate"]))
+    return (f"bias {bias:.6g}, standard error {se:.3g}: {estimated} of "
+            f"{len(top)} top-level samples estimated")
+
+
 def write_artifacts(estimate: MlmcEstimate, out_dir: str,
                     dump_grids: bool) -> None:
     """levels.csv, summary.csv, samples.csv (one line per row of the sample
@@ -181,6 +194,7 @@ def _cmd_run(args) -> int:
                           "(use --config or --experiment)")
     model, cfg = _build_run(settings)
     estimate = run_adaptive_mlmc(model, cfg)
+    bias = bias_line(estimate)
     try:
         write_artifacts(estimate, settings["output_dir"], settings["dump_grids"])
     except OSError as exc:
@@ -188,6 +202,7 @@ def _cmd_run(args) -> int:
                           f"{exc.strerror or exc}") from exc
     print(_SUMMARY_HEADER)
     print(summary_row(estimate))
+    print(bias, file=sys.stderr)
     return EXIT_OK if estimate.converged else EXIT_NOT_CONVERGED
 
 

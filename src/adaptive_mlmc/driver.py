@@ -4,6 +4,9 @@ The estimator telescopes Y_l = Q_l - Q_{l-1} over a growing mesh hierarchy.
 Per-sample adjoint error estimates on the highest level supply the bias, the
 bias-squared test decides when to stop, and that estimate's decomposition
 over the newest level's intervals drives the creation of the next mesh.
+Only a prefix of the highest level's draws is estimated: the prefix doubles
+from N_SCHEDULE[-1] draws while |bias| is within Z standard errors of
+sqrt(eps/2), and draws past it are solved forward only.
 Costs are modeled from element counts (one level-0 solve = 1 unit).
 
 A model carries its `distributions`, its level-0 mesh `initial_mesh()` and
@@ -30,6 +33,7 @@ CHUNK_SIZE = 256
 MAX_FAILURE_RATE = 0.01  # a run aborts when more of its draws fail (and at least 5)
 N_SCHEDULE = (100, 50, 20)  # warm-up draws per level; later levels take the last
 MAX_LEVELS = 10  # a run that has not converged stops at this many levels
+Z = 3.0  # standard errors between |bias| and sqrt(eps/2) that decide the stop
 
 
 class MlmcError(RuntimeError):
@@ -58,9 +62,13 @@ class LevelState:
     # per interval, the ok estimated rows' sum of contribution / denominator,
     # NaN as 0, in draw order (an overflow leaves inf or NaN for refinement)
     profile: np.ndarray = field(init=False)
+    # while the level is the top one, draw i carries an estimate iff
+    # i < estimate_below; it doubles while the stop is undecided
+    estimate_below: int = field(init=False)
 
     def __post_init__(self):
         self.profile = np.zeros(self.mesh.n_intervals)
+        self.estimate_below = N_SCHEDULE[-1]
 
     def ok(self, name: str) -> np.ndarray:
         """Field `name` of the ok rows."""
@@ -131,6 +139,27 @@ def level_bias(estimates: np.ndarray) -> float:
         return -float(np.mean(estimates))
 
 
+def bias_and_error(estimates: np.ndarray):
+    """(bias, standard error) of the highest level's error estimates (NaN:
+    none); the error is NaN below two estimates, and overflows as it may."""
+    bias = level_bias(estimates)
+    estimates = estimates[~np.isnan(estimates)]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        se = float(np.std(estimates, ddof=1) / math.sqrt(estimates.size)) \
+            if estimates.size > 1 else math.nan
+    return bias, se
+
+
+def decided(estimates: np.ndarray, epsilon: float) -> bool:
+    """Whether `bias^2 <= eps/2` is settled: |bias| lies more than Z
+    standard errors from sqrt(eps/2).  Fewer than two estimates, or a
+    non-finite bias or error, decide nothing."""
+    if np.count_nonzero(~np.isnan(estimates)) < 2:
+        return False
+    bias, se = bias_and_error(estimates)
+    return abs(abs(bias) - math.sqrt(0.5 * epsilon)) > Z * se
+
+
 def optimal_samples(variances: Sequence[float], costs: Sequence[float],
                     epsilon: float) -> list:
     """N_l = ceil((2/eps) * sqrt(V_l/C_l) * sum_k sqrt(V_k*C_k)): the least
@@ -179,9 +208,11 @@ class _Runner:
         self.cfg = cfg
         self.sample_log = np.zeros(0, SAMPLE_DTYPE)
 
-    def fill(self, level: LevelState, target: int, want_estimate: bool) -> None:
+    def fill(self, level: LevelState, target: int, top: bool) -> None:
         """Take samples until the level holds `target` ok samples, in chunks
-        of at most CHUNK_SIZE draws per round (or MlmcError)."""
+        of at most CHUNK_SIZE draws per round (or MlmcError).  On the `top`
+        level, draws below `level.estimate_below` carry an estimate; on
+        reaching that index undecided, it doubles."""
         too_many = f"cannot take {target:.3g} samples on level {level.level}"
         if not target <= np.iinfo(np.intp).max // SAMPLE_DTYPE.itemsize:  # or inf
             raise MlmcError(too_many)
@@ -190,12 +221,20 @@ class _Runner:
                 new_rows = np.zeros(need, SAMPLE_DTYPE)
             except MemoryError:
                 raise MlmcError(too_many) from None
-            start = len(level.samples)
-            for offset in range(0, need, CHUNK_SIZE):
+            start = offset = len(level.samples)
+            while offset < start + need:
+                if top and offset == level.estimate_below and not decided(
+                        np.append(level.samples["error_estimate"],
+                                  new_rows["error_estimate"][:offset - start]),
+                        self.cfg.epsilon):
+                    level.estimate_below *= 2
+                estimate = top and offset < level.estimate_below
+                end = min(offset + CHUNK_SIZE, start + need,
+                          level.estimate_below if estimate else math.inf)
                 rows, contrib = take_sample(self.model, level, self.cfg.master_seed,
-                                            start + offset,
-                                            min(CHUNK_SIZE, need - offset), want_estimate)
-                new_rows[offset:offset + CHUNK_SIZE] = rows
+                                            offset, end - offset, estimate)
+                new_rows[offset - start:end - start] = rows
+                offset = end
                 if contrib is not None:  # row by row, so chunking keeps the bits
                     with np.errstate(over="ignore", invalid="ignore"):
                         terms = contrib / rows["denominator"][rows["ok"], None]
@@ -220,13 +259,13 @@ def run_adaptive_mlmc(model, cfg: MlmcRunConfig) -> MlmcEstimate:
     while True:
         highest = levels[-1]
         warm_up = N_SCHEDULE[min(highest.level, len(N_SCHEDULE) - 1)]
-        runner.fill(highest, warm_up, want_estimate=True)
+        runner.fill(highest, warm_up, top=True)
         variances = [level_variance(lv.ok("y")) for lv in levels]
         costs = [lv.cost_per_sample for lv in levels]
         n_opt = optimal_samples(variances, costs, cfg.epsilon)
         for lv, n in zip(levels, n_opt):
             if n > np.count_nonzero(lv.samples["ok"]):
-                runner.fill(lv, n, want_estimate=(lv is highest))
+                runner.fill(lv, n, top=(lv is highest))
         variances = [level_variance(lv.ok("y")) for lv in levels]
         bias = level_bias(highest.ok("error_estimate"))
         if not abs(bias) < 1e154:  # NaN too: bias ** 2 must stay finite

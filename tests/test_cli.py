@@ -306,16 +306,24 @@ class TestRunCommand:
         config = write_config(tmp_path, FAST_RUN)
         out_dir = tmp_path / "out"
         run_cli("run", "--config", config, "--output-dir", str(out_dir))
-        capsys.readouterr()
+        err = capsys.readouterr().err
         rows = (out_dir / "samples.csv").read_text().splitlines()
         assert rows[0] == ("level,index,status,q_fine,q_coarse,y,"
                            "error_estimate,denominator")
         body = [r.split(",") for r in rows[1:]]
+        assert len(body) == 100
         assert all(r[0] == "0" and r[2] == "ok" for r in body)
-        # highest (here: only) level carries per-sample error estimates
-        assert all(r[6] != "" for r in body)
+        # the highest (here: only) level's first block of draws carries
+        # error estimates; a bias far below sqrt(eps/2) needs no more
+        block = driver.N_SCHEDULE[-1]
+        assert all((r[6] != "") == (int(r[1]) < block) for r in body)
         # level 0 telescopes against nothing
         assert all(float(r[4]) == 0.0 for r in body)
+        # stderr: the stop's bias, its standard error and the estimated count
+        estimates = np.array([float(r[6]) for r in body[:block]])
+        bias, se = -np.mean(estimates), np.std(estimates, ddof=1) / np.sqrt(block)
+        assert err == (f"bias {bias:.6g}, standard error {se:.3g}: "
+                       f"{block} of 100 top-level samples estimated\n")
 
     @given(st.lists(st.tuples(
         st.booleans(),

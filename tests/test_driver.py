@@ -1,4 +1,5 @@
 """MLMC driver statistics, allocation, and adaptive-loop behavior."""
+import math
 import re
 import warnings
 
@@ -156,9 +157,12 @@ class SyntheticModel(UnitModel):
         self.fail = fail
         self.estimate = estimate
         self.chunks = []  # rows of each evaluate call, in call order
+        self.estimated = []  # rows of each evaluate call with an estimate
 
     def evaluate(self, W, mesh, want_estimate):
         self.chunks.append(len(W))
+        if want_estimate:
+            self.estimated.append(len(W))
         x = W[:, 0]
         q = x * mesh.n_intervals
         if self.fail is not None:
@@ -326,7 +330,7 @@ class TestFill:
         model = SyntheticModel()
         runner = _Runner(model, MlmcRunConfig(epsilon=1.0))
         level = LevelState(0, uniform_mesh(1.0, 2), None, 1.0, [])
-        runner.fill(level, target, want_estimate=False)
+        runner.fill(level, target, top=False)
         assert sum(model.chunks) == target
         assert len(model.chunks) == -(-target // chunk_size)
         assert max(model.chunks) <= chunk_size
@@ -345,10 +349,12 @@ class TestFill:
         model = ProfileModel(fail=fail_below)
         runner = _Runner(model, MlmcRunConfig(epsilon=1.0))
         level = LevelState(0, uniform_mesh(1.0, n), None, 1.0, None)
-        runner.fill(level, 2 * CHUNK_SIZE + 5, want_estimate=True)
+        runner.fill(level, 2 * CHUNK_SIZE + 5, top=True)
         assert not level.samples["ok"].all()
+        estimated = level.samples["ok"] & ~np.isnan(level.samples["error_estimate"])
+        assert np.count_nonzero(estimated) > 20
         W = sample_parameters(model.distributions, 0, 0, 0, len(level.samples))
-        _, d = ProfileModel().evaluate(W[level.samples["ok"]], level.mesh, True)
+        _, d = ProfileModel().evaluate(W[estimated], level.mesh, True)
         expected = np.zeros(n)
         for c, den in zip(d.contributions, d.denominator):
             expected = expected + np.where(np.isnan(c), 0.0, c / den)
@@ -363,8 +369,85 @@ class TestFill:
         runner = _Runner(model, cfg)
         level = LevelState(0, uniform_mesh(1.0, 2), None, 1.0, None)
         with pytest.raises(MlmcError, match=re.escape(f"cannot take {target:.3g} ")):
-            runner.fill(level, target, want_estimate=False)
+            runner.fill(level, target, top=False)
         assert model.chunks == [] and len(level.samples) == 0
+
+
+class TestEstimatePrefix:
+    """Only the top level's draws below `estimate_below` carry an estimate;
+    it starts at N_SCHEDULE[-1] and doubles while |bias| is within Z
+    standard errors of sqrt(eps/2)."""
+
+    def test_decided_hand_values(self):
+        # bias -1, standard error 0: far from sqrt(eps/2) = 0.5, or on it
+        assert driver.decided(np.array([1.0, 1.0, np.nan]), 0.5)
+        assert not driver.decided(np.array([0.5, 0.5]), 0.5)
+        # mean 1, se 1: undecided within 3 se of sqrt(eps/2) = 0.5 or 3,
+        # decided 4 se from sqrt(eps/2) = 5
+        assert driver.bias_and_error(np.array([0.0, 2.0])) == (-1.0, 1.0)
+        assert not driver.decided(np.array([0.0, 2.0]), 0.5)
+        assert not driver.decided(np.array([0.0, 2.0]), 18.0)
+        assert driver.decided(np.array([0.0, 2.0]), 50.0)
+        # fewer than two estimates, or an overflowed mean, decide nothing
+        assert not driver.decided(np.array([5.0, np.nan]), 0.5)
+        assert not driver.decided(np.array([1e308, 1e308]), 0.5)
+
+    def test_far_bias_estimates_the_first_block(self, monkeypatch):
+        """A constant estimate far from sqrt(eps/2) decides at the first
+        boundary: the top level keeps exactly N_SCHEDULE[-1] estimates."""
+        monkeypatch.setattr(driver, "MAX_LEVELS", 2)
+        model = SyntheticModel(estimate=5.0)
+        est = run_adaptive_mlmc(model, MlmcRunConfig(epsilon=0.01))
+        top = est.sample_log[est.sample_log["level"] == 1]
+        assert len(top) > driver.N_SCHEDULE[-1]
+        estimated = ~np.isnan(top["error_estimate"])
+        assert top["index"][estimated].tolist() == list(range(driver.N_SCHEDULE[-1]))
+
+    @pytest.mark.parametrize("target", [19, 20, 21, 1000, 5000])
+    def test_bias_at_the_threshold_estimates_every_draw(self, target):
+        """|bias| = sqrt(eps/2) exactly with a zero standard error never
+        decides, so every draw is estimated, the blocks double, and the cuts
+        add at most log2(N / N_SCHEDULE[-1]) evaluate calls to the chunks."""
+        model = SyntheticModel(estimate=0.5)
+        runner = _Runner(model, MlmcRunConfig(epsilon=0.5))
+        level = LevelState(0, uniform_mesh(1.0, 2), None, 1.0, None)
+        runner.fill(level, target, top=True)
+        assert not np.isnan(level.samples["error_estimate"]).any()
+        assert sum(model.estimated) == target
+        cuts = max(0, math.ceil(math.log2(target / driver.N_SCHEDULE[-1])))
+        assert level.estimate_below == driver.N_SCHEDULE[-1] * 2 ** cuts
+        assert len(model.estimated) <= -(-target // CHUNK_SIZE) + cuts
+
+    @pytest.mark.parametrize("chunk_size", [1, 7, CHUNK_SIZE])
+    def test_chunks_never_straddle_the_prefix(self, chunk_size, monkeypatch):
+        """Every evaluate call on the top level is all estimated or all
+        plain, at every chunk size."""
+        monkeypatch.setattr(driver, "CHUNK_SIZE", chunk_size)
+        model = SyntheticModel(estimate=5.0)
+        runner = _Runner(model, MlmcRunConfig(epsilon=0.01))
+        level = LevelState(0, uniform_mesh(1.0, 2), None, 1.0, None)
+        runner.fill(level, 45, top=True)
+        runner.fill(level, 300, top=True)
+        estimated = ~np.isnan(level.samples["error_estimate"])
+        assert level.samples["index"][estimated].tolist() == list(range(20))
+        assert sum(model.estimated) == 20
+        assert all(n <= chunk_size for n in model.chunks)
+
+    @pytest.mark.parametrize("name,strategy", [
+        ("harmonic-standard", "dwr"), ("two-body", "uniform")])
+    def test_estimated_rows_are_the_lowest_indices(self, name, strategy):
+        """On every level the ok rows with an estimate come before the ok
+        rows without one."""
+        experiment = get_experiment(name)
+        est = run_adaptive_mlmc(experiment, MlmcRunConfig(
+            epsilon=experiment.default_epsilon, refinement=strategy, master_seed=1))
+        log = est.sample_log[est.sample_log["ok"]]
+        for level in range(est.n_levels):
+            rows = log[log["level"] == level]
+            estimated = ~np.isnan(rows["error_estimate"])
+            assert estimated.any()
+            assert rows["index"][estimated].max() < rows["index"][~estimated].min(
+                initial=np.iinfo(np.int64).max)
 
 
 class TestRunConfigValidation:
@@ -548,9 +631,11 @@ class TestChunkDeterminism:
 class TestSamplesCsv:
     def test_failed_estimated_and_plain_rows(self, tmp_path, monkeypatch):
         """A two-level run with failing draws: failed rows carry no values,
-        rows taken while their level was the top one carry an error estimate
-        and its denominator, and the level-0 top-ups taken after level 1
-        exists carry neither."""
+        a level's draws below N_SCHEDULE[-1] (taken while it was the top
+        one) carry an error estimate and its denominator, and its later
+        draws carry neither: a constant estimate far from sqrt(eps/2)
+        settles the stop at the first decision, so level 0's draws past it
+        are plain before level 1 exists and after."""
         monkeypatch.setattr(driver, "MAX_FAILURE_RATE", 0.2)
         monkeypatch.setattr(driver, "N_SCHEDULE", (20, 10))
         monkeypatch.setattr(driver, "MAX_LEVELS", 2)
@@ -574,16 +659,16 @@ class TestSamplesCsv:
             fine = draw(level, index) * (2 if level == 0 else 4)
             coarse = 0.0 if level == 0 else draw(level, index) * 2
             assert [float(x) for x in r[3:6]] == [fine, coarse, fine - coarse]
-        # level 0 is the top level until the first level-1 row is taken
-        top_until = next(k for k, r in enumerate(rows) if r[0] == "1")
-        estimated = [r for k, r in enumerate(rows) if r[2] == "ok"
-                     and (r[0] == "1" or k < top_until)]
-        plain = [r for k, r in enumerate(rows) if r[2] == "ok"
-                 and r[0] == "0" and k > top_until]
-        assert estimated and plain and len(estimated) + len(plain) == len(ok)
+        estimated = [r for r in ok if int(r[1]) < 10]
+        plain = [r for r in ok if int(r[1]) >= 10]
+        assert {r[0] for r in estimated} == {"0", "1"}
         assert all(float(r[6]) == pytest.approx(5.0) and r[7] == "1"
                    for r in estimated)
         assert all(r[6] == r[7] == "" for r in plain)
+        # level 0 is the top level until the first level-1 row is taken
+        top_until = next(k for k, r in enumerate(rows) if r[0] == "1")
+        assert {k < top_until for k, r in enumerate(rows)
+                if r[2] == "ok" and r[0] == "0" and int(r[1]) >= 10} == {True, False}
         # every draw index of a level appears once, in the order taken
         for lv in est.levels:
             indices = [int(r[1]) for r in rows if r[0] == str(lv.level)]
