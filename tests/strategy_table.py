@@ -4,9 +4,10 @@
 
 For each cell (preset and tolerance ε) and strategy, the table gives the
 median modelled cost · ε, the mean realized (estimate − truth)² / ε with its
-standard error in brackets, the mean number of levels and how many of the
-runs converged (a run that ends in MlmcError counts as not converged and
-enters no other column).  The truths are the quadrature expectations in
+standard error in brackets, the mean number of levels, the median number of
+draws that carry an adjoint error estimate, how many of the runs converged
+and the seeds whose run ended in MlmcError (such a run counts as not
+converged and enters no other column).  The truths are the quadrature expectations in
 `bench/references.json`.  It is the strategy comparison at two tolerances
 per preset that a change to refinement is judged by.  Like
 `artifact_digests.py`, it imports `adaptive_mlmc` from the path, so one
@@ -16,6 +17,8 @@ this file.
 import json
 import statistics
 from pathlib import Path
+
+import numpy as np
 
 from adaptive_mlmc.driver import MlmcError, MlmcRunConfig, run_adaptive_mlmc
 from adaptive_mlmc.experiments import get_experiment
@@ -34,30 +37,35 @@ def model(name):
 
 
 def row(name, epsilon, strategy, truth) -> str:
-    runs = []
+    runs, aborted = [], []
     for seed in SEEDS:
         try:
             runs.append(run_adaptive_mlmc(model(name),
                                           MlmcRunConfig(epsilon, strategy, seed)))
         except MlmcError:
-            pass
+            aborted.append(str(seed))
+    aborted = ", ".join(aborted) or "-"
     if not runs:
-        return f"| {name} | {epsilon:g} | {strategy} | no run finished | | | 0/{len(SEEDS)} |"
+        return (f"| {name} | {epsilon:g} | {strategy} | no run finished | | | "
+                f"| 0/{len(SEEDS)} | {aborted} |")
     costs = [run.total_cost * epsilon for run in runs]
     errors = [(run.value - truth) ** 2 / epsilon for run in runs]
     se = statistics.stdev(errors) / len(errors) ** 0.5 if len(errors) > 1 else float("nan")
+    estimates = [np.count_nonzero(~np.isnan(run.sample_log["error_estimate"]))
+                 for run in runs]
     converged = sum(run.converged for run in runs)
     return (f"| {name} | {epsilon:g} | {strategy} | {statistics.median(costs):.4g} "
             f"| {statistics.mean(errors):.2f} ({se:.2f}) "
             f"| {statistics.mean(run.n_levels for run in runs):.1f} "
-            f"| {converged}/{len(SEEDS)} |")
+            f"| {statistics.median(estimates):g} "
+            f"| {converged}/{len(SEEDS)} | {aborted} |")
 
 
 if __name__ == "__main__":
     truths = json.loads(REFERENCES.read_text())
     print("| preset | ε | strategy | median cost·ε | mean MSE/ε (se) "
-          "| mean levels | converged |")
-    print("| --- | --- | --- | --- | --- | --- | --- |")
+          "| mean levels | median estimates | converged | MlmcError seeds |")
+    print("| --- | --- | --- | --- | --- | --- | --- | --- | --- |")
     for name, epsilon in CELLS:
         for strategy in STRATEGIES:
             print(row(name, epsilon, strategy, truths[name]["expectation"]),
