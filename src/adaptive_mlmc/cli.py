@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import driver
 from .driver import (MlmcError, MlmcEstimate, MlmcRunConfig, bias_and_error,
                      run_adaptive_mlmc)
 from .experiments import EXPERIMENT_NAMES, get_experiment
@@ -149,6 +150,14 @@ def bias_line(estimate: MlmcEstimate) -> str:
             f"{len(top)} top-level samples estimated")
 
 
+def _formatted(values: np.ndarray, fill: list, keep: np.ndarray) -> list:
+    """`fill` with %.17g of `values` where `keep` is false."""
+    out = list(fill)
+    for k, x in zip(np.flatnonzero(~keep).tolist(), values[~keep].tolist()):
+        out[k] = _FMT % x
+    return out
+
+
 def write_artifacts(estimate: MlmcEstimate, out_dir: str,
                     dump_grids: bool) -> None:
     """levels.csv, summary.csv, samples.csv (one line per row of the sample
@@ -161,20 +170,24 @@ def write_artifacts(estimate: MlmcEstimate, out_dir: str,
             fh.write(f"{lv.level},{lv.elems},{_FMT % lv.cost_per_sample},"
                      f"{lv.n_samples},{_FMT % lv.variance}\n")
     (out / "summary.csv").write_text(f"{_SUMMARY_HEADER}\n{summary_row(estimate)}\n")
+    log = estimate.sample_log
     with open(out / "samples.csv", "w") as fh:
         fh.write("level,index,status,q_fine,q_coarse,y,error_estimate,denominator\n")
-        # each float formatted once: y is q_fine bit for bit where q_coarse is
-        # +0.0, and +0.0 and 1.0 are written as %.17g writes them
-        for level, index, ok, qf, qc, y, err, den in estimate.sample_log.tolist():
-            if not ok:
-                fh.write(f"{level},{index},failed,,,,,\n")
-                continue
-            qf_s = _FMT % qf
-            qc_y = f"0,{qf_s}" if qc == 0.0 and math.copysign(1.0, qc) > 0.0 \
-                else f"{_FMT % qc},{_FMT % y}"
-            err_s = "" if math.isnan(err) else _FMT % err
-            den_s = "1" if den == 1.0 else "" if math.isnan(den) else _FMT % den
-            fh.write(f"{level},{index},ok,{qf_s},{qc_y},{err_s},{den_s}\n")
+        # CHUNK_SIZE rows at a time, column by column; a float is formatted
+        # only where it prints: y is q_fine bit for bit where q_coarse is +0.0
+        for start in range(0, len(log), driver.CHUNK_SIZE):
+            block = log[start:start + driver.CHUNK_SIZE]
+            qc, n = block["q_coarse"], len(block)
+            plain = (qc == 0.0) & ~np.signbit(qc)
+            q_fine = [_FMT % x for x in block["q_fine"].tolist()]
+            estimates = (_formatted(block[name], [""] * n, np.isnan(block[name]))
+                         for name in ("error_estimate", "denominator"))
+            fields = zip(block["level"].tolist(), block["index"].tolist(),
+                         block["ok"].tolist(), q_fine, _formatted(qc, ["0"] * n, plain),
+                         _formatted(block["y"], q_fine, plain), *estimates)
+            fh.write("".join(f"{lv},{i},ok,{qf},{c},{y},{e},{d}\n" if ok
+                             else f"{lv},{i},failed,,,,,\n"
+                             for lv, i, ok, qf, c, y, e, d in fields))
     if dump_grids:
         for level, mesh in enumerate(estimate.meshes):
             np.savetxt(out / f"grid_L{level}.txt", mesh.nodes, fmt=_FMT)

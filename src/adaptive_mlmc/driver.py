@@ -28,7 +28,8 @@ from .meshes import Mesh1D
 from .refinement import STRATEGIES, build_next_mesh
 from .sampling import sample_parameters
 
-# Most draws one model `evaluate` call stacks.  Bounds memory only.
+# Most draws one model `evaluate` call stacks, and most rows one block of
+# samples.csv formats at a time.  Bounds memory only.
 CHUNK_SIZE = 256
 MAX_FAILURE_RATE = 0.01  # a run aborts when more of its draws fail (and at least 5)
 N_SCHEDULE = (100, 50, 20)  # warm-up draws per level; later levels take the last
@@ -206,7 +207,12 @@ class _Runner:
     def __init__(self, model, cfg: MlmcRunConfig):
         self.model = model
         self.cfg = cfg
-        self.sample_log = np.zeros(0, SAMPLE_DTYPE)
+        self.rounds = [np.zeros(0, SAMPLE_DTYPE)]  # each round's rows, in order
+        self.attempts = self.failures = 0
+
+    @property
+    def sample_log(self) -> np.ndarray:
+        return np.concatenate(self.rounds)
 
     def fill(self, level: LevelState, target: int, top: bool) -> None:
         """Take samples until the level holds `target` ok samples, in chunks
@@ -241,12 +247,12 @@ class _Runner:
                         level.profile = np.add.accumulate(np.vstack(
                             [level.profile, np.where(np.isnan(terms), 0.0, terms)]))[-1]
             level.samples = np.concatenate([level.samples, new_rows])
-            self.sample_log = np.concatenate([self.sample_log, new_rows])
-            attempts = len(self.sample_log)
-            failures = attempts - np.count_nonzero(self.sample_log["ok"])
-            if failures >= 5 and failures > MAX_FAILURE_RATE * attempts:
+            self.rounds.append(new_rows)
+            self.attempts += need
+            self.failures += need - np.count_nonzero(new_rows["ok"])
+            if self.failures >= 5 and self.failures > MAX_FAILURE_RATE * self.attempts:
                 raise MlmcError(
-                    f"aborting: {failures} failed samples out of {attempts} "
+                    f"aborting: {self.failures} failed samples out of {self.attempts} "
                     f"attempts exceeds the allowed rate {MAX_FAILURE_RATE}")
 
 

@@ -1,7 +1,8 @@
-"""The samples.csv writer that `cli._sample_lines` replaced, kept as the test
-reference: every float of an ok row formatted on its own with %.17g, NaN
-error estimates and denominators as empty fields, failed rows as a status
-and five empty fields."""
+"""The per-row samples.csv writer, kept as the test reference for
+`cli.write_artifacts`, which writes the table in blocks of `driver.CHUNK_SIZE`
+rows, column by column: here every float of an ok row is formatted on its own
+with %.17g, NaN error estimates and denominators as empty fields, failed rows
+as a status and five empty fields."""
 import math
 
 _FMT = "%.17g"

@@ -7,9 +7,10 @@ intervals of the forward mesh it covers, then the best of REPEATS calls (after
 one warm-up call) of `solve_forward_cg1`, `solve_adjoint` and `residual_pairing`,
 each in microseconds per row and forward interval.  `harmonic-standard` runs
 its first `rows` level-1 draws of seed 0 on uniform meshes of (0, 3] with
-psi at t* = 3, as a standard estimate does, and once on the graded mesh
-3 (i / n)^1.5, whose interval lengths all differ: the worst case for the
-linear kernels, which build one step matrix per row and distinct length.
+psi at t* = 3, as a standard estimate does, and at 20 and 256 rows on the
+graded mesh 3 (i / n)^1.5, whose interval lengths all differ: the worst case
+for the linear kernels, which build one step matrix per row and distinct
+length.
 `lorenz`, `two-body` and `harmonic-nonstandard` run the one-row event-time
 estimate of draw 0: its forward on the preset's initial mesh subdivided by
 4, then two adjoint rows (psi and J(U(t_c), t_c)^T psi) on the mesh
@@ -18,13 +19,21 @@ call.  The `advection-diffusion-1d` lines time `solve_bvp_p1`,
 `solve_bvp_adjoint` and `bvp_error_decomposition` in microseconds per row and
 element, on uniform meshes of (0, 3) with the model's first `rows` level-1
 draws of seed 0 and the mesh's `BvpPlan` built beforehand, as a run keeps it.
+The `samples.csv` line times `cli.write_artifacts` on the sample table of the
+`advection-diffusion-1d` dwr run at eps 2e-6, seed 0 (5,523 rows, 5,413 of
+them on level 0, as the `adr-dwr` benchmark workload writes it), in
+microseconds per row.  It is warm and in process: a fresh interpreter, as the
+benchmark runs it, pays more for the Python objects the writer builds.
 The numbers are wall time on the machine that runs the script and are for
 information: nothing here is asserted.  Pytest does not collect this file.
 """
+import tempfile
 import time
 
 import numpy as np
 
+from adaptive_mlmc.cli import write_artifacts
+from adaptive_mlmc.driver import MlmcRunConfig, run_adaptive_mlmc
 from adaptive_mlmc.experiments import get_experiment
 from adaptive_mlmc.meshes import Mesh1D, subdivide, uniform_mesh
 from adaptive_mlmc.qoi import eval_event_time
@@ -36,10 +45,11 @@ from adaptive_mlmc.stationary import (BvpMlmcModel, BvpPlan, bvp_error_decomposi
 
 HARMONIC_ROWS = (1, 20, 121, 256)
 HARMONIC_INTERVALS = (27, 67, 165)
-GRADED = (256, 165)  # rows and intervals of the graded harmonic line
+GRADED_ROWS = (20, 256)  # rows of the graded harmonic lines, on 165 intervals
 EVENT_TIME_PRESETS = ("lorenz", "two-body", "harmonic-nonstandard")
 STATIONARY_ROWS = (20, 256)
 STATIONARY_ELEMENTS = (12, 33, 200)
+SAMPLE_TABLE_RUN = MlmcRunConfig(epsilon=2e-6, refinement="dwr", master_seed=0)
 REPEATS = 9
 
 
@@ -111,20 +121,34 @@ def stationary_line(rows, elements):
         f"{kernel}={value / (rows * elements):.3f}" for kernel, value in us.items())
 
 
+def sample_table_line():
+    cfg = SAMPLE_TABLE_RUN
+    estimate = run_adaptive_mlmc(BvpMlmcModel(), cfg)
+    rows = len(estimate.sample_log)
+    level0 = np.count_nonzero(estimate.sample_log["level"] == 0)
+    with tempfile.TemporaryDirectory() as out:
+        us = best_us(lambda: write_artifacts(estimate, out, False))
+    return (f"samples.csv {BvpMlmcModel.name} {cfg.refinement} eps={cfg.epsilon:g} "
+            f"seed={cfg.master_seed} rows={rows} level0={level0} write={us / rows:.3f}")
+
+
 def main():
     print("us per row x forward interval, best of", REPEATS)
     for intervals in HARMONIC_INTERVALS:
         for rows in HARMONIC_ROWS:
             print(timing_line("harmonic-standard", *harmonic_case(rows, intervals)),
                   flush=True)
-    print(timing_line("harmonic-standard graded", *harmonic_case(*GRADED, graded=True)),
-          flush=True)
+    for rows in GRADED_ROWS:
+        print(timing_line("harmonic-standard graded",
+                          *harmonic_case(rows, 165, graded=True)), flush=True)
     for name in EVENT_TIME_PRESETS:
         print(timing_line(name, *event_time_case(name)), flush=True)
     print("us per row x element, best of", REPEATS)
     for elements in STATIONARY_ELEMENTS:
         for rows in STATIONARY_ROWS:
             print(stationary_line(rows, elements), flush=True)
+    print("us per row of the sample table, best of", REPEATS)
+    print(sample_table_line(), flush=True)
 
 
 if __name__ == "__main__":

@@ -353,6 +353,46 @@ class TestRunCommand:
             written = Path(out, "samples.csv").read_text().splitlines(True)
         assert written[1:] == list(cli_reference.sample_lines(table))
 
+    @pytest.mark.parametrize("chunk_size", [1, 7, 256])
+    def test_samples_csv_blocks_match_per_field_formatter(self, chunk_size, tmp_path,
+                                                          monkeypatch):
+        """The table is written in blocks of CHUNK_SIZE rows; a table of
+        several blocks, with a failed row, a q_coarse of -0.0 and +0.0, a
+        NaN estimate and a denominator of 1.0 on each side of every block
+        edge, gives the per-field formatter's lines."""
+        monkeypatch.setattr(driver, "CHUNK_SIZE", chunk_size)
+        n = 3 * chunk_size + 2
+        rng = np.random.default_rng(chunk_size)
+        table = np.zeros(n, SAMPLE_DTYPE)
+        table["level"] = np.arange(n) % 3
+        table["index"] = np.arange(n)
+        table["ok"] = True
+        table["q_fine"] = rng.normal(size=n)
+        table["q_coarse"] = np.where(table["level"] == 0, 0.0, rng.normal(size=n))
+        table["error_estimate"] = rng.normal(size=n) * 1e-7
+        table["denominator"] = rng.uniform(0.5, 2.0, size=n)
+        # the rows on either side of each block edge take the special values
+        # in turn: a failed row, q_coarse -0.0, no estimate, a denominator 1.0
+        special = (("ok", False), ("q_coarse", -0.0), ("error_estimate", np.nan),
+                   ("denominator", 1.0))
+        edge_rows = [row for edge in range(chunk_size, n, chunk_size)
+                     for row in (edge - 1, edge)]
+        for k, row in enumerate(edge_rows):
+            name, value = special[k % len(special)]
+            table[name][row] = value
+        for name in ("q_fine", "q_coarse", "error_estimate", "denominator"):
+            table[name][~table["ok"]] = np.nan
+        table["denominator"][np.isnan(table["error_estimate"])] = np.nan
+        table["y"] = table["q_fine"] - table["q_coarse"]
+        estimate = MlmcEstimate(0.0, 0.0, 0.0, 0.0, (), 0.0, True, (), table)
+        write_artifacts(estimate, str(tmp_path), False)
+        written = (tmp_path / "samples.csv").read_text().splitlines(True)
+        assert written[1:] == list(cli_reference.sample_lines(table))
+        fields = [line[:-1].split(",") for line in written[1:]]
+        ok = [f for f in fields if f[2] == "ok"]
+        assert len(ok) < n and any(f[4] == "-0" for f in ok)
+        assert any(f[6] == "" for f in ok) and any(f[7] == "1" for f in ok)
+
     def test_dump_grids_keep_17_significant_digits(self, tmp_path, capsys):
         """Each grid file holds one node per line, written with %.17g, so the
         nodes read back bit for bit."""

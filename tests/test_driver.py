@@ -360,6 +360,43 @@ class TestFill:
             expected = expected + np.where(np.isnan(c), 0.0, c / den)
         assert np.array_equal(level.profile, expected)
 
+    @pytest.mark.parametrize("chunk_size", [7, CHUNK_SIZE])
+    def test_log_in_rounds_aborts_as_a_recount(self, chunk_size, monkeypatch):
+        """The runner keeps each round's rows and running counts: the
+        failure-rate abort fires after the first round at whose end a
+        recount of the whole log exceeds the rate, with that recount in its
+        message, and the log is the rounds' rows in the order taken."""
+        monkeypatch.setattr(driver, "CHUNK_SIZE", chunk_size)
+        runners = []
+
+        class Recording(_Runner):
+            def __init__(self, *args):
+                super().__init__(*args)
+                runners.append(self)
+
+        monkeypatch.setattr(driver, "_Runner", Recording)
+        monkeypatch.setattr(driver, "MAX_FAILURE_RATE", 0.06)
+        monkeypatch.setattr(driver, "N_SCHEDULE", (20,))
+        monkeypatch.setattr(driver, "MAX_LEVELS", 4)
+        model = SyntheticModel(fail=fail_below, estimate=5.0)  # builds every level
+        with pytest.raises(MlmcError) as raised:
+            run_adaptive_mlmc(model, MlmcRunConfig(0.1))
+        runner, = runners
+        ends = np.cumsum([len(rows) for rows in runner.rounds])
+        log = runner.sample_log
+        failed = [n - np.count_nonzero(log["ok"][:n]) for n in ends]
+        fired = [f >= 5 and f > 0.06 * n for f, n in zip(failed, ends)]
+        assert fired[-1] and not any(fired[:-1]) and len(ends) > 10
+        assert str(raised.value) == (
+            f"aborting: {failed[-1]} failed samples out of {ends[-1]} attempts "
+            "exceeds the allowed rate 0.06")
+
+        monkeypatch.setattr(driver, "MAX_FAILURE_RATE", 0.2)
+        est = run_adaptive_mlmc(model, MlmcRunConfig(0.1))
+        assert len(runners[-1].rounds) > 10 and est.n_levels == 4
+        assert est.sample_log.tobytes() == b"".join(
+            rows.tobytes() for rows in runners[-1].rounds)
+
     @pytest.mark.parametrize("target", [2 ** 62, 10 ** 30, 10 ** 14])
     def test_target_beyond_an_index_array(self, target):
         """A target whose rows no array can hold, or memory cannot (10**14
