@@ -1,7 +1,9 @@
 """Command-line entry points: `mlmc run` and `mlmc compare`.
 
 Configs are INI files with one [run] section (experiment, epsilon, seed,
-...); a `run` flag overrides the [run] key of the same name.  `run` writes
+...); a `run` flag overrides the [run] key of the same name.  configparser
+reads them and rejects a repeated section or key, so a config error names
+its file, section and key, which locate one line.  `run` writes
 levels.csv, summary.csv, samples.csv (and per-level grid dumps on request)
 and prints the summary row, and on stderr the bias with its standard error.
 Exit codes:
@@ -11,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import math
 import sys
 from pathlib import Path
 from typing import Optional
@@ -35,30 +36,8 @@ _SUMMARY_HEADER = "total_variance,squared_bias,mse,estimate,total_cost,n_levels,
 
 
 class ConfigError(ValueError):
-    """Malformed configuration; the message carries file/line context."""
-
-
-def _line_of(path: Optional[str], section: str, key: Optional[str] = None) -> str:
-    """Best-effort 'file:line' locator of a '[section]' header or of a key in
-    that section (matched case-insensitively like configparser keys)."""
-    if path is None:
-        return "<flags>"
-    current, key_indent = None, math.inf
-    try:
-        lines = Path(path).read_text(encoding="utf-8").split("\n")  # as configparser
-        for lineno, line in enumerate(lines, 1):
-            indent = len(line) - len(line.lstrip())  # deeper lines continue a value
-            if line.strip()[:1] in ("", "#", ";") or indent > key_indent:
-                continue
-            header = configparser.ConfigParser.SECTCRE.match(line.strip())
-            current = header["header"] if header else current
-            key_indent = math.inf if header else indent
-            name = None if header else line.split("=")[0].split(":")[0].strip().lower()
-            if current == section and name == (key and key.lower()):
-                return f"{path}:{lineno}"
-    except OSError:
-        pass
-    return path
+    """Malformed configuration; the message names the file (or `<flags>`)
+    and, where one is at fault, the section and key."""
 
 
 # Every [run] key: (parser, default), the seed's default read from
@@ -79,8 +58,9 @@ def _settings(run: dict, path: Optional[str]) -> dict:
 
 
 def _parse_config_file(path: str) -> dict:
-    # Values are literal.  No header line can name the default section "\n",
-    # so [DEFAULT] is an ordinary section, rejected like any other but [run].
+    # Values are literal, and a repeated section or key is an error (strict).
+    # No header line can name the default section "\n", so [DEFAULT] is an
+    # ordinary section, rejected like any other but [run].
     parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     try:
         with open(path, encoding="utf-8") as fh:
@@ -92,20 +72,18 @@ def _parse_config_file(path: str) -> dict:
 
     for name in parser.sections():
         if name != "run":
-            raise ConfigError(f"{_line_of(path, name)}: unknown section "
-                              f"[{name}]; expected [run]")
+            raise ConfigError(f"{path}: unknown section [{name}]; expected [run]")
     if not parser.has_section("run"):
-        raise ConfigError(f"{path}:1: missing required [run] section")
+        raise ConfigError(f"{path}: missing required [run] section")
     run = {}
     for key, text in parser["run"].items():
         if key not in _RUN_KEYS:
-            raise ConfigError(f"{_line_of(path, 'run', key)}: unknown key {key!r} "
-                              "in [run]")
+            raise ConfigError(f"{path}: unknown key {key!r} in [run]")
         try:
             run[key] = _RUN_KEYS[key][0](text)
         except (KeyError, ValueError) as exc:  # KeyError: not a boolean
-            raise ConfigError(f"{_line_of(path, 'run', key)}: invalid value in "
-                              f"[run]: {exc}") from exc
+            raise ConfigError(f"{path}: invalid value of {key!r} in [run]: "
+                              f"{exc}") from exc
     if "experiment" not in run:
         raise ConfigError(f"{path}: [run] must set 'experiment'")
     return _settings(run, path)
@@ -114,13 +92,12 @@ def _parse_config_file(path: str) -> dict:
 def _build_run(settings: dict):
     """Resolve settings into (model, MlmcRunConfig); what a setting leaves
     open comes from the model, and an open strategy is filled into `settings`."""
-    name = settings["experiment"]
+    name, where = settings["experiment"], settings["config_path"] or "<flags>"
     try:
         model = BvpMlmcModel() if name == BvpMlmcModel.name else get_experiment(name)
     except KeyError:
-        raise ConfigError(
-            f"{_line_of(settings['config_path'], 'run', 'experiment')}: unknown "
-            f"experiment {name!r}; choose from {list(EXPERIMENTS)}") from None
+        raise ConfigError(f"{where}: unknown experiment {name!r}; choose from "
+                          f"{list(EXPERIMENTS)}") from None
     settings["refinement"] = settings["refinement"] or model.default_refinement
     try:
         cfg = MlmcRunConfig(epsilon=model.default_epsilon if settings["epsilon"] is None
@@ -128,7 +105,7 @@ def _build_run(settings: dict):
                             refinement=settings["refinement"],
                             master_seed=settings["seed"])
     except ValueError as exc:
-        raise ConfigError(f"{settings['config_path'] or '<flags>'}: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
     return model, cfg
 
 

@@ -118,34 +118,26 @@ class MlmcRunConfig:
 
 
 def level_variance(y: np.ndarray) -> float:
-    """Unbiased two-pass sample variance of a level's ok Y values; one that
-    overflows ends the run (MlmcError)."""
+    """Unbiased sample variance of a level's ok Y values; one that overflows
+    ends the run (MlmcError)."""
     if y.size < 2:
         raise ValueError("variance needs at least two ok samples")
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        mean = y.sum() / y.size
-        variance = float(((y - mean) ** 2).sum() / (y.size - 1))
+        variance = float(np.var(y, ddof=1))
     if not math.isfinite(variance):
         raise MlmcError(f"the variance of {y.size} Y values overflows ({variance})")
     return variance
 
 
-def level_bias(estimates: np.ndarray) -> float:
-    """Negated mean of the highest level's error estimates (NaN: none); an
-    overflowed mean is returned as it is, for the driver to report."""
+def bias_and_error(estimates: np.ndarray):
+    """(bias, standard error) of the highest level's error estimates (NaN:
+    none): their negated mean and its standard error, NaN below two
+    estimates.  Either overflows as it may, for the caller to report."""
     estimates = estimates[~np.isnan(estimates)]
     if not estimates.size:
         raise ValueError("bias needs at least one sample with an error estimate")
-    with np.errstate(over="ignore", invalid="ignore"):
-        return -float(np.mean(estimates))
-
-
-def bias_and_error(estimates: np.ndarray):
-    """(bias, standard error) of the highest level's error estimates (NaN:
-    none); the error is NaN below two estimates, and overflows as it may."""
-    bias = level_bias(estimates)
-    estimates = estimates[~np.isnan(estimates)]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        bias = -float(np.mean(estimates))
         se = float(np.std(estimates, ddof=1) / math.sqrt(estimates.size)) \
             if estimates.size > 1 else math.nan
     return bias, se
@@ -273,7 +265,7 @@ def run_adaptive_mlmc(model, cfg: MlmcRunConfig) -> MlmcEstimate:
             if n > np.count_nonzero(lv.samples["ok"]):
                 runner.fill(lv, n, top=(lv is highest))
         variances = [level_variance(lv.ok("y")) for lv in levels]
-        bias = level_bias(highest.ok("error_estimate"))
+        bias, _ = bias_and_error(highest.ok("error_estimate"))
         if not abs(bias) < 1e154:  # NaN too: bias ** 2 must stay finite
             raise MlmcError(f"the bias estimate {bias:.3g} overflows its square")
         if bias ** 2 <= 0.5 * cfg.epsilon or len(levels) >= MAX_LEVELS:

@@ -48,7 +48,7 @@ def estimate_standard_error(problem: OdeProblem, forward: Trajectory,
     per interval: one adjoint solve and one residual pairing for all rows,
     which share the restricted mesh.  A failed row's decomposition is NaN."""
     phi = solve_adjoint(problem, forward, q.t_star, q.psi)
-    contributions = residual_pairing(problem, forward, phi, q.t_star)
+    contributions = residual_pairing(problem, forward, phi)
     return ErrorDecomposition(contributions, contributions.sum(axis=1),
                               np.ones(len(contributions)))
 
@@ -67,7 +67,7 @@ def estimate_event_time_error(problem: OdeProblem, forward: Trajectory,
     u_c = forward(t_c)
     jt_psi = (problem.jacobian(u_c, t_c) * q.psi[:, None]).sum(axis=-2)
     phi = solve_adjoint(problem, forward, t_c, np.concatenate([q.psi[None], jt_psi]))
-    paired = residual_pairing(problem, forward, phi, t_c)
+    paired = residual_pairing(problem, forward, phi)
     contributions, correction = paired[:1], float(paired[1].sum())
     f_psi = float((problem.rhs(u_c, t_c) * q.psi).sum())
     denominator = f_psi + correction

@@ -351,14 +351,13 @@ def solve_adjoint(problem: OdeProblem, forward: Trajectory, t_star: float,
 
 
 def residual_pairing(problem: OdeProblem, forward: Trajectory,
-                     adjoint: Trajectory, t_star: float) -> np.ndarray:
+                     adjoint: Trajectory) -> np.ndarray:
     """Per-row, per-forward-interval integrals of [f(U) - dU/dt] . phi over
-    (0, t*), phi the adjoint, shape (rows of U and phi broadcast, intervals of
-    the forward mesh restricted to (0, t*)): 5-point Gauss-Legendre on every
-    adjoint-mesh interval, summed onto the forward interval that holds it."""
-    if adjoint.mesh.length < t_star * (1.0 - REL_TOL):
-        raise MeshError("adjoint trajectory does not cover (0, t*)")
-    restricted = restrict_mesh(forward.mesh, t_star)
+    (0, t*), phi the adjoint from `solve_adjoint`, whose mesh ends at t*,
+    shape (rows of U and phi broadcast, intervals of the forward mesh
+    restricted to (0, t*)): 5-point Gauss-Legendre on every adjoint-mesh
+    interval, summed onto the forward interval that holds it."""
+    restricted = restrict_mesh(forward.mesh, adjoint.mesh.length)
     quad_nodes = adjoint.mesh.nodes
     t, w = (a.T for a in _segment_quadrature(quad_nodes))
     located = _locate(forward.mesh, t), _locate(adjoint.mesh, t)

@@ -19,6 +19,12 @@ call.  The `advection-diffusion-1d` lines time `solve_bvp_p1`,
 `solve_bvp_adjoint` and `bvp_error_decomposition` in microseconds per row and
 element, on uniform meshes of (0, 3) with the model's first `rows` level-1
 draws of seed 0 and the mesh's `BvpPlan` built beforehand, as a run keeps it.
+The `linear adjoint` line times `solve_adjoint` on the 20 first level-1
+draws of seed 0 of `harmonic-standard`, on each level mesh of its dwr run at
+eps 1e-3, seed 0 (as the `hs-dwr` benchmark workload builds them): in ms
+per call, summed over the meshes, once through the distinct-map branch of a
+problem marked linear and once as the sliced path of the same problem with
+`linear=False`.
 The `samples.csv` line times `cli.write_artifacts` on the sample table of the
 `advection-diffusion-1d` dwr run at eps 2e-6, seed 0 (5,523 rows, 5,413 of
 them on level 0, as the `adr-dwr` benchmark workload writes it), in
@@ -27,6 +33,7 @@ benchmark runs it, pays more for the Python objects the writer builds.
 The numbers are wall time on the machine that runs the script and are for
 information: nothing here is asserted.  Pytest does not collect this file.
 """
+import dataclasses
 import tempfile
 import time
 
@@ -50,6 +57,7 @@ EVENT_TIME_PRESETS = ("lorenz", "two-body", "harmonic-nonstandard")
 STATIONARY_ROWS = (20, 256)
 STATIONARY_ELEMENTS = (12, 33, 200)
 SAMPLE_TABLE_RUN = MlmcRunConfig(epsilon=2e-6, refinement="dwr", master_seed=0)
+LINEAR_ADJOINT_RUN = MlmcRunConfig(epsilon=1e-3, refinement="dwr", master_seed=0)
 REPEATS = 9
 
 
@@ -100,7 +108,7 @@ def timing_line(name, problem, mesh, t_star, terminal_value):
         / (len(forward.values) * mesh.n_intervals),
         "adjoint": best_us(lambda: solve_adjoint(problem, forward, t_star,
                                                  terminal_value)) / (rows * covered),
-        "pairing": best_us(lambda: residual_pairing(problem, forward, phi, t_star))
+        "pairing": best_us(lambda: residual_pairing(problem, forward, phi))
         / (rows * covered),
     }
     return f"{name} rows={rows} intervals={covered} " + " ".join(
@@ -119,6 +127,25 @@ def stationary_line(rows, elements):
     }
     return f"{model.name} rows={rows} elements={elements} " + " ".join(
         f"{kernel}={value / (rows * elements):.3f}" for kernel, value in us.items())
+
+
+def linear_adjoint_line(rows=20):
+    cfg = LINEAR_ADJOINT_RUN
+    experiment = get_experiment("harmonic-standard")
+    meshes = run_adaptive_mlmc(experiment, cfg).meshes
+    problem, q = experiment.make_problem(draws(experiment, rows)), experiment.qoi
+    generic = dataclasses.replace(problem, linear=False)
+    ms = {"distinct-maps": 0.0, "generic": 0.0}
+    for mesh in meshes:
+        forward = solve_forward_cg1(problem, mesh)
+        ms["distinct-maps"] += best_us(
+            lambda: solve_adjoint(problem, forward, q.t_star, q.psi)) / 1e3
+        ms["generic"] += best_us(
+            lambda: solve_adjoint(generic, forward, q.t_star, q.psi)) / 1e3
+    return (f"linear adjoint {experiment.name} {cfg.refinement} eps={cfg.epsilon:g} "
+            f"seed={cfg.master_seed} rows={rows} intervals="
+            f"{','.join(str(mesh.n_intervals) for mesh in meshes)} " + " ".join(
+                f"{path}={value:.3f}ms" for path, value in ms.items()))
 
 
 def sample_table_line():
@@ -143,6 +170,7 @@ def main():
                           *harmonic_case(rows, 165, graded=True)), flush=True)
     for name in EVENT_TIME_PRESETS:
         print(timing_line(name, *event_time_case(name)), flush=True)
+    print(linear_adjoint_line(), flush=True)
     print("us per row x element, best of", REPEATS)
     for elements in STATIONARY_ELEMENTS:
         for rows in STATIONARY_ROWS:

@@ -265,8 +265,8 @@ def two_solve_event_time_error(problem, forward, q, t_c):
     phi1 = solve_adjoint(problem, forward, t_c, q.psi)
     phi2 = solve_adjoint(problem, forward, t_c,
                          (problem.jacobian(u_c, t_c) * q.psi[:, None]).sum(axis=-2))
-    contributions = residual_pairing(problem, forward, phi1, t_c)
-    correction = float(residual_pairing(problem, forward, phi2, t_c).sum())
+    contributions = residual_pairing(problem, forward, phi1)
+    correction = float(residual_pairing(problem, forward, phi2).sum())
     f_psi = float((problem.rhs(u_c, t_c) * q.psi).sum())
     denominator = f_psi + correction
     if abs(denominator) < 1e-10 * (1.0 + abs(f_psi)):

@@ -280,7 +280,7 @@ def test_criterion_9_property_suite():
     weights = rng.uniform(-1.0, 1.0, (problem.dim + 1, problem.dim))
 
     contributions = residual_pairing(problem, forward,
-                                     constant_weights(mesh, weights), 3.0)
+                                     constant_weights(mesh, weights))
     orthogonal = np.abs(contributions).max() <= 1e-10
 
     # analytic Jacobians against central finite differences

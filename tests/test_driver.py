@@ -12,8 +12,9 @@ from adaptive_mlmc import driver
 from adaptive_mlmc.cli import write_artifacts
 from adaptive_mlmc.driver import (CHUNK_SIZE, SAMPLE_DTYPE, LevelState,
                                   MlmcError, MlmcRunConfig, _Runner,
-                                  level_bias, level_variance, optimal_samples,
-                                  run_adaptive_mlmc, take_sample)
+                                  bias_and_error, level_variance,
+                                  optimal_samples, run_adaptive_mlmc,
+                                  take_sample)
 from adaptive_mlmc.error_estimation import ErrorDecomposition
 from adaptive_mlmc.experiments import get_experiment
 from adaptive_mlmc.meshes import uniform_mesh
@@ -41,31 +42,49 @@ class TestLevelVariance:
                            match=r"^the variance of 2 Y values overflows \(inf\)$"):
             level_variance(np.array([1e200, -1e200]))
 
+    @staticmethod
+    def two_pass(y):
+        """The two-pass formula np.var evaluates: its mean, squares, pairwise
+        sums and divisions, in that order."""
+        n = y.size
+        return ((y - y.sum() / n) ** 2).sum() / (n - 1)
+
     @given(st.lists(st.floats(-100, 100), min_size=2, max_size=50))
     @settings(max_examples=60, deadline=None)
-    def test_matches_numpy_unbiased(self, ys):
-        ours = level_variance(np.array(ys))
-        theirs = float(np.var(np.array(ys), ddof=1))
-        assert ours == pytest.approx(theirs, rel=1e-12, abs=1e-12)
+    def test_matches_two_pass_formula(self, ys):
+        y = np.array(ys)
+        assert level_variance(y) == self.two_pass(y)
+
+    @pytest.mark.parametrize("n", [2, 7, 8, 9, 127, 128, 129, 1000, 5413])
+    def test_two_pass_bits_at_pairwise_block_edges(self, n):
+        """Bit for bit the two-pass formula at the lengths where numpy's
+        pairwise sum changes its blocking, on signed values of magnitude
+        1e-8 to 1e5 (CI's oldest-deps job runs this on numpy 1.24)."""
+        rng = np.random.default_rng(n)
+        y = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8, 5, n)
+        assert level_variance(y) == self.two_pass(y)
 
 
-class TestLevelBias:
-    def test_negated_mean_of_estimates(self):
-        assert level_bias(np.array([0.1, 0.3])) == pytest.approx(-0.2)
+class TestBiasAndError:
+    def test_negated_mean_and_its_standard_error(self):
+        bias, se = bias_and_error(np.array([0.1, 0.3]))
+        assert bias == pytest.approx(-0.2) and se == pytest.approx(0.1)
 
     def test_skips_samples_without_estimates(self):
-        # NaN: a sample taken without an error estimate
-        assert level_bias(np.array([0.4, np.nan])) == pytest.approx(-0.4)
+        # NaN: a sample taken without an error estimate; one estimate has
+        # a bias and no standard error
+        bias, se = bias_and_error(np.array([0.4, np.nan]))
+        assert bias == pytest.approx(-0.4) and math.isnan(se)
 
     def test_requires_an_estimate(self):
         with pytest.raises(ValueError):
-            level_bias(np.array([np.nan]))
+            bias_and_error(np.array([np.nan]))
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_mean_is_returned_without_warnings(self):
         """Totals near 1e308 overflow their sum: the bias comes back infinite,
         for the driver to report as MlmcError, and no warning fires."""
-        assert level_bias(np.array([1e308, 1e308, np.nan])) == -np.inf
+        assert bias_and_error(np.array([1e308, 1e308, np.nan]))[0] == -np.inf
 
 
 class TestOptimalSamples:
