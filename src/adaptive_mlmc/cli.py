@@ -3,9 +3,10 @@
 Configs are INI files with one [run] section (experiment, epsilon, seed,
 ...); a `run` flag overrides the [run] key of the same name.  configparser
 reads them and rejects a repeated section or key, so a config error names
-its file, section and key, which locate one line.  `run` writes
-levels.csv, summary.csv, samples.csv (and per-level grid dumps on request)
-and prints the summary row, and on stderr the bias with its standard error.
+its file, section and key, which locate one line, and a value the run
+cannot take names its key and where it came from (the file or `<flags>`).
+`run` writes levels.csv, summary.csv, samples.csv and grids.csv and prints
+the summary row, and on stderr the bias with its standard error.
 Exit codes:
 0 converged, 2 not converged, 1 error (a usage error included).
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import sys
 from pathlib import Path
 from typing import Optional
@@ -46,8 +48,6 @@ class ConfigError(ValueError):
 _RUN_KEYS = {
     "experiment": (str, None), "epsilon": (float, None), "refinement": (str, None),
     "seed": (int, MlmcRunConfig.master_seed), "output_dir": (str, "."),
-    "dump_grids": (lambda text: configparser.ConfigParser.BOOLEAN_STATES[text.lower()],
-                   False),
 }
 
 
@@ -81,7 +81,7 @@ def _parse_config_file(path: str) -> dict:
             raise ConfigError(f"{path}: unknown key {key!r} in [run]")
         try:
             run[key] = _RUN_KEYS[key][0](text)
-        except (KeyError, ValueError) as exc:  # KeyError: not a boolean
+        except ValueError as exc:
             raise ConfigError(f"{path}: invalid value of {key!r} in [run]: "
                               f"{exc}") from exc
     if "experiment" not in run:
@@ -89,9 +89,10 @@ def _parse_config_file(path: str) -> dict:
     return _settings(run, path)
 
 
-def _build_run(settings: dict):
+def _build_run(settings: dict, flagged=frozenset()):
     """Resolve settings into (model, MlmcRunConfig); what a setting leaves
-    open comes from the model, and an open strategy is filled into `settings`."""
+    open comes from the model, and an open strategy is filled into `settings`.
+    A bad value is blamed on `<flags>` if `flagged` has its key, else the file."""
     name, where = settings["experiment"], settings["config_path"] or "<flags>"
     try:
         model = BvpMlmcModel() if name == BvpMlmcModel.name else get_experiment(name)
@@ -99,13 +100,16 @@ def _build_run(settings: dict):
         raise ConfigError(f"{where}: unknown experiment {name!r}; choose from "
                           f"{list(EXPERIMENTS)}") from None
     settings["refinement"] = settings["refinement"] or model.default_refinement
-    try:
-        cfg = MlmcRunConfig(epsilon=model.default_epsilon if settings["epsilon"] is None
-                            else settings["epsilon"],
-                            refinement=settings["refinement"],
-                            master_seed=settings["seed"])
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    # key by key over the model's valid defaults, so an error is one key's
+    cfg = MlmcRunConfig(model.default_epsilon, model.default_refinement)
+    for key, field in (("refinement", "refinement"), ("epsilon", "epsilon"),
+                       ("seed", "master_seed")):
+        try:
+            if settings[key] is not None:
+                cfg = dataclasses.replace(cfg, **{field: settings[key]})
+        except ValueError as exc:
+            raise ConfigError(f"{'<flags>' if key in flagged else where}: "
+                              f"invalid value of {key!r}: {exc}") from exc
     return model, cfg
 
 
@@ -135,10 +139,10 @@ def _formatted(values: np.ndarray, fill: list, keep: np.ndarray) -> list:
     return out
 
 
-def write_artifacts(estimate: MlmcEstimate, out_dir: str,
-                    dump_grids: bool) -> None:
+def write_artifacts(estimate: MlmcEstimate, out_dir: str) -> None:
     """levels.csv, summary.csv, samples.csv (one line per row of the sample
-    table, NaN as an empty field) and on request grid_L<level>.txt."""
+    table, NaN as an empty field) and grids.csv (one line per node of each
+    level's mesh, in level order)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "levels.csv", "w") as fh:
@@ -165,9 +169,9 @@ def write_artifacts(estimate: MlmcEstimate, out_dir: str,
             fh.write("".join(f"{lv},{i},ok,{qf},{c},{y},{e},{d}\n" if ok
                              else f"{lv},{i},failed,,,,,\n"
                              for lv, i, ok, qf, c, y, e, d in fields))
-    if dump_grids:
-        for level, mesh in enumerate(estimate.meshes):
-            np.savetxt(out / f"grid_L{level}.txt", mesh.nodes, fmt=_FMT)
+    (out / "grids.csv").write_text("level,node\n" + "".join(
+        f"{level},{_FMT % x}\n" for level, mesh in enumerate(estimate.meshes)
+        for x in mesh.nodes.tolist()))
 
 
 def _cmd_run(args) -> int:
@@ -175,18 +179,17 @@ def _cmd_run(args) -> int:
         raise ConfigError("<flags>: jobs must be >= 1")
     settings = _parse_config_file(args.config) if args.config \
         else _settings({}, None)
-    for key in _RUN_KEYS:  # flags win over the config file
-        value = getattr(args, key, None)
-        if value not in (None, ""):
-            settings[key] = value
+    flagged = {key: getattr(args, key) for key in _RUN_KEYS
+               if getattr(args, key) not in (None, "")}
+    settings.update(flagged)  # flags win over the config file
     if not settings["experiment"]:
         raise ConfigError("<flags>: no experiment selected "
                           "(use --config or --experiment)")
-    model, cfg = _build_run(settings)
+    model, cfg = _build_run(settings, flagged)
     estimate = run_adaptive_mlmc(model, cfg)
     bias = bias_line(estimate)
     try:
-        write_artifacts(estimate, settings["output_dir"], settings["dump_grids"])
+        write_artifacts(estimate, settings["output_dir"])
     except OSError as exc:
         raise ConfigError(f"{settings['output_dir']}: cannot write artifacts: "
                           f"{exc.strerror or exc}") from exc
@@ -236,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int)
     run_p.add_argument("--jobs", type=int, metavar="N",
                        help="ignored, since runs are single-threaded; N must be >= 1")
-    run_p.add_argument("--dump-grids", action="store_true", default=None)
     run_p.add_argument("--output-dir")
     run_p.set_defaults(func=_cmd_run)
 

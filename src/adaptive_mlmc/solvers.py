@@ -333,19 +333,17 @@ def solve_adjoint(problem: OdeProblem, forward: Trajectory, t_star: float,
     t, w = (a.T for a in _segment_quadrature(mesh.nodes))
     with np.errstate(all="ignore"):
         if problem.linear:  # the maps of the distinct step lengths, J not from U
-            A, inverse, singular = _distinct_steps(problem, mesh.nodes, t, w, True)
-            for n in range(mesh.n_intervals - 1, -1, -1):
-                phi[:, n] = (A[:, inverse[n]] * phi[:, n + 1, None, :]).sum(axis=-1)
+            maps, inverse, singular = _distinct_steps(problem, mesh.nodes, t, w, True)
         else:
-            located = _locate(forward.mesh, t)
-            singular, step = np.zeros(M, dtype=bool), max(2, SLICE_CELLS // M)
-            for lo in reversed(range(0, mesh.n_intervals, step)):
-                cut = slice(lo, min(lo + step, mesh.n_intervals))
-                A = _step_maps(_step_systems(problem.jacobian(_row_major(
-                    _interpolate(forward.values, located, cut)), t[:, cut].ravel()),
-                    w[:, cut], True), singular)
-                for n in range(cut.stop - 1, lo - 1, -1):
-                    phi[:, n] = (A[:, n - lo] * phi[:, n + 1, None, :]).sum(axis=-1)
+            located, singular = _locate(forward.mesh, t), np.zeros(M, dtype=bool)
+        step = max(2, SLICE_CELLS // M)
+        for lo in reversed(range(0, mesh.n_intervals, step)):
+            cut = slice(lo, min(lo + step, mesh.n_intervals))
+            A = maps[:, inverse[cut]] if problem.linear else _step_maps(_step_systems(
+                problem.jacobian(_row_major(_interpolate(forward.values, located, cut)),
+                                 t[:, cut].ravel()), w[:, cut], True), singular)
+            for n in range(cut.stop - 1, lo - 1, -1):
+                phi[:, n] = (A[:, n - lo] * phi[:, n + 1, None, :]).sum(axis=-1)
     phi[np.broadcast_to(singular, rows), :-1] = np.nan
     return Trajectory(mesh, phi)
 
@@ -357,14 +355,13 @@ def residual_pairing(problem: OdeProblem, forward: Trajectory,
     shape (rows of U and phi broadcast, intervals of the forward mesh
     restricted to (0, t*)): 5-point Gauss-Legendre on every adjoint-mesh
     interval, summed onto the forward interval that holds it."""
-    restricted = restrict_mesh(forward.mesh, adjoint.mesh.length)
     quad_nodes = adjoint.mesh.nodes
     t, w = (a.T for a in _segment_quadrature(quad_nodes))
     located = _locate(forward.mesh, t), _locate(adjoint.mesh, t)
-    owner = restricted.interval_of(0.5 * (quad_nodes[:-1] + quad_nodes[1:]))
+    owner = forward.mesh.interval_of(0.5 * (quad_nodes[:-1] + quad_nodes[1:]))
     (rows,) = np.broadcast_shapes(forward.values.shape[:1], adjoint.values.shape[:1])
     n_sub = adjoint.mesh.n_intervals
-    total, step = np.zeros((rows, restricted.n_intervals)), max(2, SLICE_CELLS // rows)
+    total, step = np.zeros((rows, owner[-1] + 1)), max(2, SLICE_CELLS // rows)
     with np.errstate(all="ignore"):
         for lo in range(0, n_sub, step):
             cut = slice(lo, min(lo + step, n_sub))

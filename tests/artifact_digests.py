@@ -6,8 +6,9 @@ parent commit and on the change:
     PYTHONPATH=src python tests/artifact_digests.py
 
 Each line is one config: `experiment,strategy,epsilon,seed,jobs`, the exit
-code of `mlmc run` and the sha256 of its levels.csv, summary.csv and
-samples.csv ("-" for a file the run did not write).  The benchmark's
+code of `mlmc run` and the sha256 of its levels.csv, summary.csv,
+samples.csv and grids.csv ("-" for a file the run did not write), so the
+level meshes are gated with the estimates.  The benchmark's
 determinism pair runs one config at `--jobs 1` and `--jobs 2`: runs are
 single-threaded and `mlmc run` accepts and ignores `--jobs`, so the pair checks
 that the accepted flag changes no artifact; the script exits 1 if the two
@@ -27,7 +28,7 @@ from pathlib import Path
 
 from adaptive_mlmc.cli import main
 
-ARTIFACTS = ("levels.csv", "summary.csv", "samples.csv")
+ARTIFACTS = ("levels.csv", "summary.csv", "samples.csv", "grids.csv")
 STRATEGIES = ("uniform", "dwr", "meso")
 # per preset, the tolerance of its runs: every strategy at seed 1, meso at 2 and 3
 PRESET_EPSILON = {

@@ -25,10 +25,11 @@ eps 1e-3, seed 0 (as the `hs-dwr` benchmark workload builds them): in ms
 per call, summed over the meshes, once through the distinct-map branch of a
 problem marked linear and once as the sliced path of the same problem with
 `linear=False`.
-The `samples.csv` line times `cli.write_artifacts` on the sample table of the
-`advection-diffusion-1d` dwr run at eps 2e-6, seed 0 (5,523 rows, 5,413 of
-them on level 0, as the `adr-dwr` benchmark workload writes it), in
-microseconds per row.  It is warm and in process: a fresh interpreter, as the
+The `samples.csv` line times `cli.write_artifacts`, which writes grids.csv
+and the other CSV files too, on the estimate of the
+`advection-diffusion-1d` dwr run at eps 2e-6, seed 0 (5,523 sample rows,
+5,413 of them on level 0, as the `adr-dwr` benchmark workload writes it), in
+microseconds per sample row.  It is warm and in process: a fresh interpreter, as the
 benchmark runs it, pays more for the Python objects the writer builds.
 The numbers are wall time on the machine that runs the script and are for
 information: nothing here is asserted.  Pytest does not collect this file.
@@ -154,7 +155,7 @@ def sample_table_line():
     rows = len(estimate.sample_log)
     level0 = np.count_nonzero(estimate.sample_log["level"] == 0)
     with tempfile.TemporaryDirectory() as out:
-        us = best_us(lambda: write_artifacts(estimate, out, False))
+        us = best_us(lambda: write_artifacts(estimate, out))
     return (f"samples.csv {BvpMlmcModel.name} {cfg.refinement} eps={cfg.epsilon:g} "
             f"seed={cfg.master_seed} rows={rows} level0={level0} write={us / rows:.3f}")
 

@@ -1,9 +1,9 @@
 """Audit of the run artifacts: levels.csv and summary.csv re-derived from
-samples.csv and the grid dumps alone.
+samples.csv and grids.csv alone, and the level meshes of grids.csv checked.
 
-Each config is a `mlmc run --dump-grids` from `artifact_digests.py`'s matrix.
+Each config is a `mlmc run` from `artifact_digests.py`'s matrix.
 The re-derivation uses numpy and the estimator's formulas, no package code:
-a level's cost is its and the next coarser grid's interval counts over
+a level's cost is its and the next coarser mesh's interval counts over
 level 0's, its variance the two-pass unbiased variance of its ok y values,
 the estimate the sum of the level means, the bias the negated mean of the
 top level's error estimates, and the total variance sum V_l / N_l.  `%.17g`
@@ -12,6 +12,10 @@ that chose which draws carry an estimate is re-derived too: on every level
 they are the lowest indices, and on the top level the prefix ends at the
 first doubling boundary from 20 draws where |bias| lies more than Z
 standard errors from sqrt(eps/2), or past the last draw if none decides.
+Each level's mesh starts at 0, increases strictly and ends where level 0's
+ends; uniform and dwr subdivide a level's intervals, which keeps their
+nodes exactly, so each of their meshes holds every node of the one below.
+Meso re-tiles the domain, so its meshes need not be nested.
 """
 import contextlib
 import io
@@ -58,12 +62,35 @@ def read_samples(path: Path) -> dict:
             for level, columns in levels.items()}
 
 
+def read_grids(path: Path) -> list:
+    """Each level's mesh nodes, in level order."""
+    lines = path.read_text().splitlines()
+    assert lines[0] == "level,node"
+    grids = {}
+    for line in lines[1:]:
+        level, node = line.split(",")
+        assert _FMT % float(node) == node
+        grids.setdefault(int(level), []).append(float(node))
+    assert list(grids) == list(range(len(grids)))
+    return [np.array(nodes) for nodes in grids.values()]
+
+
+def check_meshes(grids: list, nested: bool) -> None:
+    for nodes in grids:
+        assert nodes[0] == 0.0 and np.all(np.diff(nodes) > 0)
+        assert nodes[-1] == grids[0][-1]
+    if nested:
+        for coarse, fine in zip(grids, grids[1:]):
+            assert np.isin(coarse, fine).all()
+
+
 def rederive(out: Path, epsilon: float):
-    """The lines of levels.csv and summary.csv from samples.csv and grids."""
+    """The lines of levels.csv and summary.csv from samples.csv and grids.csv."""
     samples = read_samples(out / "samples.csv")
     n_levels = len(samples)
-    elems = [len((out / f"grid_L{level}.txt").read_text().splitlines()) - 1
-             for level in range(n_levels)]
+    grids = read_grids(out / "grids.csv")
+    assert len(grids) == n_levels
+    elems = [nodes.size - 1 for nodes in grids]
     costs = [1.0] + [(elems[level] + elems[level - 1]) / elems[0]
                      for level in range(1, n_levels)]
     counts, variances, means = [], [], []
@@ -122,7 +149,7 @@ def test_levels_and_summary_rederive_from_samples(tmp_path, experiment, strategy
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(["run", "--experiment", experiment, "--refinement", strategy,
                      "--epsilon", repr(epsilon), "--seed", str(seed),
-                     "--jobs", str(jobs), "--dump-grids", "--output-dir", str(tmp_path)])
+                     "--jobs", str(jobs), "--output-dir", str(tmp_path)])
     assert code in (0, 2)
     levels, summary = rederive(tmp_path, epsilon)
     assert (tmp_path / "levels.csv").read_text().splitlines() == levels
@@ -132,3 +159,4 @@ def test_levels_and_summary_rederive_from_samples(tmp_path, experiment, strategy
     assert (fields[-1] == "true") == (float(fields[1]) <= epsilon / 2)
     assert code == (0 if fields[-1] == "true" else 2)
     check_estimate_prefix(tmp_path, epsilon)
+    check_meshes(read_grids(tmp_path / "grids.csv"), nested=strategy != "meso")

@@ -48,14 +48,14 @@ experiment = lorenz
 epsilon = 1e-4
 refinement = dwr
 seed = 7
-dump_grids = yes
+output_dir = out
 """)
         s = _parse_config_file(path)
         assert s["experiment"] == "lorenz"
         assert s["epsilon"] == 1e-4
         assert s["refinement"] == "dwr"
         assert s["seed"] == 7
-        assert s["dump_grids"] is True
+        assert s["output_dir"] == "out"
         assert s["config_path"] == path
 
     def test_defaults(self, tmp_path):
@@ -63,8 +63,7 @@ dump_grids = yes
         path = write_config(tmp_path, "[run]\nexperiment = lorenz\n")
         assert _parse_config_file(path) == {
             "experiment": "lorenz", "epsilon": None, "refinement": None,
-            "seed": 0, "output_dir": ".", "dump_grids": False,
-            "config_path": path}
+            "seed": 0, "output_dir": ".", "config_path": path}
 
     def test_missing_run_section(self, tmp_path):
         path = write_config(tmp_path, "# experiment = lorenz\n")
@@ -87,6 +86,15 @@ epsilom = 1e-4
         assert run_cli("run", "--config", path) == 1
         assert capsys.readouterr().err == (
             f"error: {path}: unknown key 'jobs' in [run]\n")
+
+    def test_dump_grids_key_is_unknown(self, tmp_path, capsys):
+        """Every run writes grids.csv: a `dump_grids` key is an unknown key."""
+        path = write_config(tmp_path, "[run]\nexperiment = lorenz\ndump_grids = true\n")
+        assert run_cli("run", "--config", path,
+                       "--output-dir", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: unknown key 'dump_grids' in [run]\n")
+        assert not (tmp_path / "out").exists()
 
     def test_continuation_line_is_not_a_key(self, tmp_path, capsys):
         """An indented line after a key continues that key's value (here
@@ -185,13 +193,6 @@ dwr_fraction = 0.3
         with pytest.raises(ConfigError, match="invalid value"):
             _parse_config_file(path)
 
-    def test_bad_boolean_rejected(self, tmp_path):
-        path = write_config(tmp_path, "[run]\nexperiment = lorenz\n"
-                                      "dump_grids = maybe\n")
-        with pytest.raises(ConfigError, match=r"run\.ini: invalid value of "
-                                              r"'dump_grids' in \[run\]: 'maybe'$"):
-            _parse_config_file(path)
-
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="cannot read"):
             _parse_config_file("/nonexistent/run.ini")
@@ -252,9 +253,9 @@ dwr_fraction = 0.3
 
 # Lines a fuzzed config is built from: section headers, keys with plain and
 # odd values, and raw bytes.  The keys are the [run] keys, then removed ones.
-_KEYS = ["experiment", "epsilon", "refinement", "seed", "output_dir", "dump_grids",
-         "jobs", "dwr_fraction", "dwr_factor", "meso_q", "meso_target_multiplier",
-         "n_schedule"]
+_KEYS = ["experiment", "epsilon", "refinement", "seed", "output_dir",
+         "jobs", "dump_grids", "dwr_fraction", "dwr_factor", "meso_q",
+         "meso_target_multiplier", "n_schedule"]
 _VALUES = ["lorenz", "advection-diffusion-1d", "dwr", "meso", "1e-3", "nan",
            "-1", "0", "2", "yes", "out%1", "%(experiment)s", "caf\xe9"]
 _CONFIG_LINE = st.one_of(
@@ -292,7 +293,7 @@ class TestRunCommand:
         assert captured[0] == ("total_variance,squared_bias,mse,estimate,"
                                "total_cost,n_levels,converged")
         assert captured[1].endswith(",1,true")
-        for name in ("levels.csv", "summary.csv", "samples.csv"):
+        for name in ("levels.csv", "summary.csv", "samples.csv", "grids.csv"):
             assert (out_dir / name).exists()
         levels = (out_dir / "levels.csv").read_text().splitlines()
         assert levels[0] == "level,elems,cost_per_sample,n_samples,variance"
@@ -361,7 +362,7 @@ class TestRunCommand:
             table["y"] = table["q_fine"] - table["q_coarse"]
         estimate = MlmcEstimate(0.0, 0.0, 0.0, 0.0, (), 0.0, True, (), table)
         with tempfile.TemporaryDirectory() as out:
-            write_artifacts(estimate, out, False)
+            write_artifacts(estimate, out)
             written = Path(out, "samples.csv").read_text().splitlines(True)
         assert written[1:] == list(cli_reference.sample_lines(table))
 
@@ -397,7 +398,7 @@ class TestRunCommand:
         table["denominator"][np.isnan(table["error_estimate"])] = np.nan
         table["y"] = table["q_fine"] - table["q_coarse"]
         estimate = MlmcEstimate(0.0, 0.0, 0.0, 0.0, (), 0.0, True, (), table)
-        write_artifacts(estimate, str(tmp_path), False)
+        write_artifacts(estimate, str(tmp_path))
         written = (tmp_path / "samples.csv").read_text().splitlines(True)
         assert written[1:] == list(cli_reference.sample_lines(table))
         fields = [line[:-1].split(",") for line in written[1:]]
@@ -405,31 +406,40 @@ class TestRunCommand:
         assert len(ok) < n and any(f[4] == "-0" for f in ok)
         assert any(f[6] == "" for f in ok) and any(f[7] == "1" for f in ok)
 
-    def test_dump_grids_keep_17_significant_digits(self, tmp_path, capsys):
-        """Each grid file holds one node per line, written with %.17g, so the
-        nodes read back bit for bit."""
+    def test_grids_csv_keeps_17_significant_digits(self, tmp_path, capsys):
+        """grids.csv holds one node per line after its level, written with
+        %.17g, so the nodes read back bit for bit."""
         out_dir = tmp_path / "out"
         assert run_cli("run", "--experiment", "harmonic-standard",
-                       "--epsilon", "100", "--dump-grids",
-                       "--output-dir", str(out_dir)) == 0
+                       "--epsilon", "100", "--output-dir", str(out_dir)) == 0
         capsys.readouterr()
         nodes = get_experiment("harmonic-standard").initial_mesh().nodes
-        lines = (out_dir / "grid_L0.txt").read_text().splitlines()
-        assert lines == ["%.17g" % x for x in nodes]
-        assert np.array_equal([float(x) for x in lines], nodes)
-        assert max(len(x.replace(".", "").lstrip("0")) for x in lines) == 17
+        header, *lines = (out_dir / "grids.csv").read_text().splitlines()
+        assert header == "level,node"
+        assert lines == ["0,%.17g" % x for x in nodes]
+        texts = [line.split(",")[1] for line in lines]
+        assert np.array_equal([float(x) for x in texts], nodes)
+        assert max(len(x.replace(".", "").lstrip("0")) for x in texts) == 17
 
-    def test_dump_grids(self, tmp_path, capsys):
-        config = write_config(tmp_path, FAST_RUN + "dump_grids = true\n")
+    def test_grids_csv_lists_every_level(self, tmp_path, capsys):
+        """Each level's mesh, in level order, from 0 to the horizon; a run
+        from a config writes it too."""
+        config = write_config(tmp_path, FAST_RUN.replace("epsilon = 100",
+                                                         "epsilon = 1e-2"))
         out_dir = tmp_path / "out"
-        run_cli("run", "--config", config, "--output-dir", str(out_dir))
+        assert run_cli("run", "--config", config, "--output-dir", str(out_dir)) == 0
         capsys.readouterr()
-        grid = out_dir / "grid_L0.txt"
-        assert grid.exists()
-        nodes = np.array([float(x) for x in grid.read_text().split()])
-        assert nodes[0] == 0.0
-        assert nodes[-1] == pytest.approx(3.0)
-        assert np.all(np.diff(nodes) > 0)
+        n_levels = len((out_dir / "levels.csv").read_text().splitlines()) - 1
+        assert n_levels >= 2
+        rows = [line.split(",") for line in
+                (out_dir / "grids.csv").read_text().splitlines()[1:]]
+        levels = [int(level) for level, _ in rows]
+        assert levels == sorted(levels) and set(levels) == set(range(n_levels))
+        for level in range(n_levels):
+            nodes = np.array([float(x) for lv, x in rows if int(lv) == level])
+            assert nodes[0] == 0.0
+            assert nodes[-1] == pytest.approx(3.0)
+            assert np.all(np.diff(nodes) > 0)
 
     def test_flags_override_config(self, tmp_path, capsys):
         config = write_config(tmp_path, FAST_RUN)
@@ -536,8 +546,9 @@ class TestRunSettingsRejected:
         assert out_dir is None or not out_dir.exists()
 
     @pytest.mark.parametrize("flags,message", [
-        (("--seed", "-1"), "master_seed must be >= 0"),
-        (("--epsilon", "inf"), "epsilon must be positive and finite"),
+        (("--seed", "-1"), "<flags>: invalid value of 'seed': master_seed must be >= 0"),
+        (("--epsilon", "inf"),
+         "<flags>: invalid value of 'epsilon': epsilon must be positive and finite"),
     ])
     def test_bad_flag(self, tmp_path, capsys, flags, message):
         out_dir = tmp_path / "out"
@@ -546,10 +557,14 @@ class TestRunSettingsRejected:
         self.assert_rejected(code, capsys, message, out_dir)
 
     @pytest.mark.parametrize("text,message", [
-        ("[run]\nexperiment = lorenz\nseed = -5\n", "master_seed must be >= 0"),
+        ("[run]\nexperiment = lorenz\nseed = -5\n",
+         "invalid value of 'seed': master_seed must be >= 0"),
+        ("[run]\nexperiment = lorenz\nepsilon = -1\n",
+         "invalid value of 'epsilon': epsilon must be positive and finite"),
     ])
     def test_bad_config(self, tmp_path, capsys, text, message):
         config = write_config(tmp_path, text)
+        message = f"{config}: {message}"
         out_dir = tmp_path / "out"
         code = run_cli("run", "--config", config, "--output-dir", str(out_dir))
         self.assert_rejected(code, capsys, message, out_dir)
@@ -557,7 +572,39 @@ class TestRunSettingsRejected:
         lines = capsys.readouterr().out.splitlines()
         assert code == 1
         assert lines[1].startswith(f"{config},") and ",FAILED," in lines[1]
-        assert message in lines[1]
+        assert lines[1].endswith(f",FAILED,,,,{message}")
+
+    @pytest.mark.parametrize("text,flags,source,message", [
+        ("", ("--epsilon", "-1"), "<flags>",
+         "invalid value of 'epsilon': epsilon must be positive and finite"),
+        ("", ("--seed", "-3"), "<flags>",
+         "invalid value of 'seed': master_seed must be >= 0"),
+        ("seed = -2\n", ("--epsilon", "1e-2"), "file",
+         "invalid value of 'seed': master_seed must be >= 0"),
+        ("epsilon = -1\n", ("--seed", "4"), "file",
+         "invalid value of 'epsilon': epsilon must be positive and finite"),
+        ("seed = 2\n", ("--seed", "-3"), "<flags>",
+         "invalid value of 'seed': master_seed must be >= 0"),
+    ])
+    def test_error_names_the_key_and_its_source(self, tmp_path, capsys, text, flags,
+                                                 source, message):
+        """With a config file and flags, a bad value is blamed on the key as
+        written and on where it came from: `<flags>` or the file."""
+        config = write_config(tmp_path, "[run]\nexperiment = harmonic-standard\n" + text)
+        out_dir = tmp_path / "out"
+        code = run_cli("run", "--config", config, *flags, "--output-dir", str(out_dir))
+        assert code == 1 and not out_dir.exists()
+        where = config if source == "file" else source
+        assert capsys.readouterr().err == f"error: {where}: {message}\n"
+
+    def test_flag_overrides_a_bad_file_value(self, tmp_path, capsys):
+        """A bad file value that a flag replaces is never checked."""
+        config = write_config(tmp_path, FAST_RUN.replace("seed = 3", "seed = -2"))
+        out_dir = tmp_path / "out"
+        assert run_cli("run", "--config", config, "--seed", "3",
+                       "--output-dir", str(out_dir)) == 0
+        capsys.readouterr()
+        assert (out_dir / "summary.csv").exists()
 
     @pytest.mark.parametrize("setting,target", [
         ("epsilon = 1e-14", "1.76e+13"),   # 128 TiB of draw indices
@@ -766,6 +813,9 @@ class TestEntryPoint:
          "argument --epsilon: invalid float value: 'abc'"),
         (["run", "--experiment", "lorenz", "--epsilom", "1"],
          "unrecognized arguments: --epsilom 1"),
+        # every run writes grids.csv
+        (["run", "--experiment", "lorenz", "--dump-grids"],
+         "unrecognized arguments: --dump-grids"),
         ([], "the following arguments are required: command"),
         # every config runs on the first one's seed
         (["compare", "--configs", "run.ini", "--seed", "3"],

@@ -697,7 +697,7 @@ class TestSamplesCsv:
         monkeypatch.setattr(driver, "MAX_LEVELS", 2)
         cfg = MlmcRunConfig(epsilon=0.01)
         est = run_adaptive_mlmc(SyntheticModel(fail=fail_below, estimate=5.0), cfg)
-        write_artifacts(est, str(tmp_path), dump_grids=False)
+        write_artifacts(est, str(tmp_path))
         header, *lines = (tmp_path / "samples.csv").read_text().splitlines()
         assert header == ("level,index,status,q_fine,q_coarse,y,"
                           "error_estimate,denominator")
